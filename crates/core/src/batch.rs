@@ -1,11 +1,28 @@
-//! Batch execution: one shared DFS serving many mining requests.
+//! The pattern-tree walk: the one DFS driver behind every mining run.
+//!
+//! The paper has one search skeleton — instance growth embedded in a
+//! depth-first pattern growth. GSgrow (Algorithm 3) walks it, and CloGSgrow
+//! (Algorithm 4) walks the same tree with closure checking (Theorem 4) and
+//! landmark border checking (Theorem 5) added. This module is the only code
+//! in the crate that walks that tree:
+//!
+//! * [`crate::MiningSession::run_with_sink`] is a batch of one whose member
+//!   forwards to the caller's sink, so the sink sees patterns as they are
+//!   found and can cancel at any emission;
+//! * [`crate::PatternStream`] steps the same walker — an explicit-stack
+//!   machine that can pause after any emission — one pattern per pull;
+//! * [`crate::ExecutionPolicy::Parallel`] fans the walker out per seed
+//!   subtree and merges the per-seed outputs in seed order;
+//! * [`crate::PreparedDb::batch`] runs one walk per group of compatible
+//!   requests, always on the calling thread.
+//!
+//! # One walk, many requests
 //!
 //! The growth DFS is anti-monotone in `min_sup` (Theorem 1): the search
 //! tree of a request at threshold `t` is a subtree of the search tree at
 //! any lower threshold. A whole batch of requests over one
-//! [`PreparedDb`](crate::PreparedDb)
-//! can therefore be served by a *single* pass at the batch's minimum
-//! threshold, with a multiplexing sink that routes every visited pattern to
+//! [`PreparedDb`](crate::PreparedDb) can therefore be served by a *single*
+//! pass at the batch's minimum threshold, routing every visited pattern to
 //! each subscribed request it satisfies.
 //!
 //! # Grouping rules
@@ -32,6 +49,12 @@
 //! — emissions, truncation, and work counters included — which is what pins
 //! batch output bit-identical to the one-by-one loop.
 //!
+//! An All-scan grows a node's children one at a time, descending into each
+//! before growing the next, unless a member needs the append-equal flag of
+//! the whole child pass first: a Closed-scan always does (the closure
+//! verdict covers append extensions), and so does an All-scan carrying a
+//! closed-only top-k member.
+//!
 //! # Why shared-floor top-k is sound (and why it is not shared)
 //!
 //! Top-k members keep *per-member* heaps and dynamic thresholds. Sharing a
@@ -39,18 +62,22 @@
 //! raised k-th-best support would prune subtrees another subscriber (with a
 //! smaller `k` satisfied later, or a lower floor) still needs. The shared
 //! scan only ever descends a child when *some* member's own threshold
-//! admits it, so no member can starve another.
+//! admits it, so no member can starve another. The one floor that is shared
+//! is a parallel run's: every seed subtree of the *same* request publishes
+//! its local k-th best support, a lower bound on the global one.
 //!
 //! # Deadlines
 //!
-//! Each request may carry its own deadline. Streaming members check it at
-//! every emission (exactly where a solo run's `DeadlineSink` sits behind
-//! the emission gate) and detach without disturbing their siblings; basis
-//! and ranked members observe it at their final drain, again matching the
-//! solo path.
+//! Each batch request may carry its own deadline. Its member's output is
+//! wrapped in a [`DeadlineSink`], exactly like a solo run's: streaming
+//! members stop at the first emission past the deadline and detach without
+//! disturbing their siblings; basis and ranked members observe it at their
+//! final drain.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use seqdb::EventId;
@@ -58,13 +85,15 @@ use seqdb::EventId;
 use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
 use crate::constrained::ConstrainedSupportComputer;
 use crate::constraints::GapConstraints;
-use crate::engine::{MiningRequest, Mode};
+use crate::engine::{MiningReport, MiningRequest, Mode};
 use crate::growth::{SetPool, SupportComputer};
 use crate::maximal::maximal_subset;
+use crate::parallel::fan_out_shard_seeds;
 use crate::pattern::Pattern;
 use crate::prepared::PreparedRef;
 use crate::reference::closed_subset;
 use crate::result::{sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats};
+use crate::sink::{CollectSink, DeadlineSink, PatternSink};
 use crate::support::SupportSet;
 
 /// The outcome of one request executed through [`crate::PreparedDb::batch`]:
@@ -99,7 +128,10 @@ pub(crate) fn run_batch(
     deadlines: &[Option<Instant>],
 ) -> Vec<MiningResult> {
     let start = Instant::now();
-    let mut results: Vec<MiningResult> = requests.iter().map(|_| MiningResult::default()).collect();
+    let mut sinks: Vec<SlotSink> = (0..requests.len())
+        .map(|slot| SlotSink::new(deadlines.get(slot).copied().flatten()))
+        .collect();
+    let mut reports: Vec<Option<MiningReport>> = vec![None; requests.len()];
 
     // Group request slots by scan shape (linear scan: batches are small).
     let mut groups: Vec<(ScanKind, Vec<usize>)> = Vec::new();
@@ -114,38 +146,265 @@ pub(crate) fn run_batch(
         }
     }
 
+    let mut free: Vec<Option<&mut SlotSink>> = sinks.iter_mut().map(Some).collect();
     for (kind, slots) in groups {
-        match kind {
-            ScanKind::Trivial => {}
-            ScanKind::All { constraints } => {
-                run_all_scan(
-                    prepared,
-                    requests,
-                    deadlines,
-                    constraints,
-                    &slots,
-                    &mut results,
-                );
-            }
-            ScanKind::Closed { pruning } => {
-                run_closed_scan(prepared, requests, deadlines, pruning, &slots, &mut results);
+        let mut members = Vec::with_capacity(slots.len());
+        let mut owners = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let sink = free.get_mut(slot).and_then(Option::take);
+            let (Some(request), Some(sink)) = (requests.get(slot), sink) else {
+                continue;
+            };
+            let sink: &mut dyn PatternSink = sink;
+            members.push(Member::new(request, sink, None));
+            owners.push(slot);
+        }
+        for (slot, report) in owners.into_iter().zip(walk(prepared, kind, members)) {
+            if let Some(entry) = reports.get_mut(slot) {
+                *entry = Some(report);
             }
         }
     }
 
     let elapsed = start.elapsed();
-    for result in &mut results {
-        result.outcome.stats.set_elapsed(elapsed);
+    sinks
+        .into_iter()
+        .zip(reports)
+        .map(|(sink, report)| {
+            let report = report.unwrap_or_else(empty_report);
+            let mut stats = report.stats;
+            stats.set_elapsed(elapsed);
+            MiningResult {
+                outcome: MiningOutcome {
+                    patterns: sink.into_patterns(),
+                    stats,
+                    truncated: report.truncated,
+                },
+                emitted: report.emitted,
+                cancelled: report.cancelled,
+            }
+        })
+        .collect()
+}
+
+/// Runs one request, pushing every reported pattern through `sink`: a
+/// batch of one under sequential execution, a per-seed fan-out merged in
+/// seed order under [`crate::ExecutionPolicy::Parallel`]. Elapsed time is
+/// the caller's.
+pub(crate) fn run_solo(
+    prepared: PreparedRef<'_>,
+    request: &MiningRequest,
+    sink: &mut dyn PatternSink,
+) -> MiningReport {
+    let kind = scan_kind(request);
+    if kind == ScanKind::Trivial {
+        return empty_report();
     }
-    results
+    let threads = request.execution.effective_threads();
+    if threads > 1 {
+        return run_parallel(prepared, request, kind, threads, sink);
+    }
+    let member = Member::new(request, sink, None);
+    walk(prepared, kind, vec![member])
+        .pop()
+        .unwrap_or_else(empty_report)
+}
+
+/// One sequential walk for a group of members; returns their reports in
+/// member order.
+fn walk<O: Output>(
+    prepared: PreparedRef<'_>,
+    kind: ScanKind,
+    members: Vec<Member<'_, O>>,
+) -> Vec<MiningReport> {
+    let mut scan = Scan::new(members);
+    let plan = Plan::new(prepared, kind, &mut scan.members);
+    plan.with_ctx(prepared, |ctx| scan.resume(ctx));
+    scan.members.into_iter().map(Member::finish).collect()
+}
+
+/// The parallel form of [`run_solo`]: the seed subtrees fan out through the
+/// two-level (shard × seed) queue, each walked by its own one-member scan
+/// that buffers what the member would emit, and the buffers are merged into
+/// the caller's member in seed order — the sequential emission order.
+///
+/// A streaming member's buffer is gated and capped per seed (a seed can
+/// never contribute more than `max_patterns` emissions), a basis member's
+/// per-seed basis is capped the same way and the merged basis is capped
+/// again, and a top-k member's seeds share one support floor. Counters sum
+/// over every seed walked.
+fn run_parallel(
+    prepared: PreparedRef<'_>,
+    request: &MiningRequest,
+    kind: ScanKind,
+    threads: usize,
+    sink: &mut dyn PatternSink,
+) -> MiningReport {
+    let mut member = Member::new(request, sink, None);
+    let plan = Plan::new(prepared, kind, std::slice::from_mut(&mut member));
+    let eligible = member.eligible.clone();
+    let floor = AtomicU64::new(member.floor);
+    let sc = prepared.support_computer();
+    let seeds = fan_out_shard_seeds(
+        threads,
+        prepared.parts.index.num_shards(),
+        plan.events.len(),
+        |i, shard| {
+            let mut fragment = SupportSet::new();
+            if let Some(&seed) = plan.events.get(i) {
+                sc.initial_support_fragment_into(seed, shard, &mut fragment);
+            }
+            fragment
+        },
+        |i, fragments| {
+            let mut initial = SupportSet::new();
+            for fragment in &fragments {
+                initial.append_fragment(fragment);
+            }
+            let mut seed_member = Member::new(request, Vec::new(), Some(&floor));
+            seed_member.set_eligible(eligible.clone());
+            let mut scan = Scan::new(vec![seed_member]);
+            scan.next_seed = plan.events.len();
+            plan.with_ctx(prepared, |ctx| {
+                scan.start_seed(ctx, i, initial);
+                scan.resume(ctx);
+            });
+            scan.members
+                .pop()
+                .map(Member::into_seed_output)
+                .unwrap_or_default()
+        },
+    );
+    for (stats, patterns) in seeds {
+        member.absorb(&stats, patterns);
+    }
+    member.finish()
+}
+
+/// A lazily advanced walk for one pull stream: a batch of one whose member
+/// parks each emitted pattern in a one-slot output, where the walk pauses
+/// until the next pull.
+pub(crate) struct PullWalk {
+    plan: Plan,
+    scan: Scan<'static, Option<MinedPattern>>,
+}
+
+impl PullWalk {
+    /// The lazy walk for `request`, or `None` when its result needs a
+    /// global pass (ranked, maximal, constrained closed) or a parallel
+    /// merge and must be materialized instead.
+    pub(crate) fn new(prepared: PreparedRef<'_>, request: &MiningRequest) -> Option<Self> {
+        if request.execution.effective_threads() > 1 {
+            return None;
+        }
+        let member = Member::new(request, None, None);
+        if !matches!(member.shape, Shape::Stream) {
+            return None;
+        }
+        let mut scan = Scan::new(vec![member]);
+        let plan = Plan::new(prepared, scan_kind(request), &mut scan.members);
+        Some(Self { plan, scan })
+    }
+
+    /// Advances the walk to the next emitted pattern; `None` once the tree
+    /// is exhausted.
+    pub(crate) fn next(&mut self, prepared: PreparedRef<'_>) -> Option<MinedPattern> {
+        let Self { plan, scan } = self;
+        plan.with_ctx(prepared, |ctx| scan.resume(ctx));
+        scan.members.first_mut().and_then(|m| m.out.take())
+    }
+
+    /// Whether the walk stopped at `max_patterns`.
+    pub(crate) fn truncated(&self) -> bool {
+        self.scan.members.first().is_some_and(|m| m.truncated)
+    }
+}
+
+/// The report of a request that never scans (ranked with `k == 0`).
+fn empty_report() -> MiningReport {
+    MiningReport {
+        stats: MiningStats::default(),
+        emitted: 0,
+        truncated: false,
+        cancelled: false,
+    }
+}
+
+/// A batch slot's collector: a [`CollectSink`], behind a [`DeadlineSink`]
+/// when the request carries a deadline.
+enum SlotSink {
+    Open(CollectSink),
+    Timed(DeadlineSink<CollectSink>),
+}
+
+impl SlotSink {
+    fn new(deadline: Option<Instant>) -> Self {
+        match deadline {
+            Some(deadline) => SlotSink::Timed(DeadlineSink::new(CollectSink::new(), deadline)),
+            None => SlotSink::Open(CollectSink::new()),
+        }
+    }
+
+    fn into_patterns(self) -> Vec<MinedPattern> {
+        match self {
+            SlotSink::Open(sink) => sink.into_patterns(),
+            SlotSink::Timed(sink) => sink.into_inner().into_patterns(),
+        }
+    }
+}
+
+impl PatternSink for SlotSink {
+    fn accept(&mut self, pattern: MinedPattern) -> ControlFlow<()> {
+        match self {
+            SlotSink::Open(sink) => sink.accept(pattern),
+            SlotSink::Timed(sink) => sink.accept(pattern),
+        }
+    }
+}
+
+/// Where a member's gated patterns go: the caller's sink (solo runs and
+/// batch slots), a buffer (one seed of a parallel run), or a one-slot
+/// hand-off to a pull stream.
+trait Output {
+    /// Takes one pattern; `Break` cancels the member's run.
+    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()>;
+
+    /// Whether a pattern waits for a puller, i.e. the walk must pause.
+    fn pending(&self) -> bool {
+        false
+    }
+}
+
+impl Output for &mut dyn PatternSink {
+    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()> {
+        self.accept(mined)
+    }
+}
+
+impl Output for Vec<MinedPattern> {
+    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()> {
+        self.push(mined);
+        ControlFlow::Continue(())
+    }
+}
+
+impl Output for Option<MinedPattern> {
+    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()> {
+        *self = Some(mined);
+        ControlFlow::Continue(())
+    }
+
+    fn pending(&self) -> bool {
+        self.is_some()
+    }
 }
 
 /// The DFS shape a request subscribes to. Requests with equal kinds share
 /// one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScanKind {
-    /// No search at all (ranked with `k == 0`): the solo engine returns an
-    /// empty, untruncated result without scanning.
+    /// No search at all (ranked with `k == 0`): the result is empty and
+    /// untruncated.
     Trivial,
     /// The GSgrow tree under one constraint set (unbounded constraints are
     /// canonicalized to [`GapConstraints::unbounded`] so equal-meaning
@@ -156,8 +415,7 @@ enum ScanKind {
     Closed { pruning: bool },
 }
 
-/// Maps a request onto the scan its solo run executes (mirror of the
-/// engine's `run_with_sink`/`collect_ranked` dispatch).
+/// Maps a request onto the scan that mines it.
 fn scan_kind(request: &MiningRequest) -> ScanKind {
     let unbounded = request.constraints.is_unbounded();
     let constraints = if unbounded {
@@ -215,32 +473,38 @@ enum BasisFinish {
     Ranked { k: usize, filter: RankedFilter },
 }
 
-/// A member's role in the shared scan.
-enum Shape {
-    /// Streams through the emission gate at every alive node (solo
-    /// streaming modes: unconstrained `All`/`Closed`, constrained `All`).
+/// A member's role in the scan.
+enum Shape<'f> {
+    /// Streams through the emission gate at every alive node it reports
+    /// (unconstrained `All`/`Closed`, constrained `All`).
     Stream,
-    /// Collects a basis (no `min_len` filter, cap mid-search) and filters
-    /// at finish time (solo basis modes: maximal, constrained closed /
-    /// maximal, ranked-over-basis).
+    /// Collects a basis (no `min_len` filter, capped mid-search) and
+    /// filters it at finish time (maximal, constrained closed / maximal,
+    /// ranked-over-basis).
     Basis {
         collected: Vec<MinedPattern>,
         truncated: bool,
         finish: BasisFinish,
     },
-    /// Per-member TSP-style top-k with its own heap and dynamic threshold
-    /// (solo `run_top_k`).
+    /// TSP-style top-k with its own heap and dynamic threshold; a parallel
+    /// run's seeds also share `floor`.
     TopK {
         k: usize,
         closed_only: bool,
         heap: BinaryHeap<Reverse<u64>>,
         collected: Vec<MinedPattern>,
+        floor: Option<&'f AtomicU64>,
     },
 }
 
 /// Maps a request onto its member role within its scan group.
-fn member_shape(request: &MiningRequest) -> Shape {
+fn member_shape<'f>(request: &MiningRequest, floor: Option<&'f AtomicU64>) -> Shape<'f> {
     let unbounded = request.constraints.is_unbounded();
+    let basis = |finish| Shape::Basis {
+        collected: Vec::new(),
+        truncated: false,
+        finish,
+    };
     if request.is_ranked() {
         let k = request.effective_k();
         if unbounded && request.base_mode() != Mode::Maximal {
@@ -249,6 +513,7 @@ fn member_shape(request: &MiningRequest) -> Shape {
                 closed_only: request.base_mode() == Mode::Closed,
                 heap: BinaryHeap::new(),
                 collected: Vec::new(),
+                floor,
             };
         }
         let filter = match (request.base_mode(), unbounded) {
@@ -257,32 +522,18 @@ fn member_shape(request: &MiningRequest) -> Shape {
             (Mode::Maximal, true) => RankedFilter::Maximal,
             (Mode::Maximal, false) => RankedFilter::ClosedThenMaximal,
         };
-        return Shape::Basis {
-            collected: Vec::new(),
-            truncated: false,
-            finish: BasisFinish::Ranked { k, filter },
-        };
+        return basis(BasisFinish::Ranked { k, filter });
     }
     match (request.base_mode(), unbounded) {
         (Mode::All, _) | (Mode::Closed | Mode::TopK, true) => Shape::Stream,
-        (Mode::Maximal, _) => Shape::Basis {
-            collected: Vec::new(),
-            truncated: false,
-            finish: BasisFinish::Maximal,
-        },
-        (Mode::Closed | Mode::TopK, false) => Shape::Basis {
-            collected: Vec::new(),
-            truncated: false,
-            finish: BasisFinish::Closed,
-        },
+        (Mode::Maximal, _) => basis(BasisFinish::Maximal),
+        (Mode::Closed | Mode::TopK, false) => basis(BasisFinish::Closed),
     }
 }
 
-/// One request's subscription to a shared scan: its thresholds and caps,
-/// its private emission gate, and its work counters.
-struct Member {
-    /// Index into `requests`/`results`.
-    slot: usize,
+/// One request's subscription to a scan: its thresholds and caps, its
+/// emission gate and output, and its work counters.
+struct Member<'f, O> {
     /// Effective support threshold: `min_sup.max(1)` (the top-k floor for
     /// [`Shape::TopK`] members).
     floor: u64,
@@ -292,35 +543,31 @@ struct Member {
     cap: Option<usize>,
     /// `max_pattern_length` — the DFS depth cap.
     max_len: Option<usize>,
-    deadline: Option<Instant>,
     /// `eligible[i]` — whether scan event `i` is frequent at this member's
     /// own floor, i.e. whether the event is in the member's solo candidate
     /// list.
     eligible: Vec<bool>,
     /// Number of `true` entries in `eligible`.
     eligible_count: u64,
-    /// Set when the member's solo run would have stopped scanning (cap hit
-    /// or deadline expired mid-stream).
+    /// Set once the member stops receiving (cap hit or output cancelled).
     detached: bool,
     stats: MiningStats,
+    /// Patterns that passed the emission gate.
     emitted: usize,
     truncated: bool,
     cancelled: bool,
-    /// Patterns that passed the emission gate, in emission order.
-    out: Vec<MinedPattern>,
-    shape: Shape,
+    out: O,
+    shape: Shape<'f>,
 }
 
-impl Member {
-    fn new(slot: usize, request: &MiningRequest, deadline: Option<Instant>) -> Member {
+impl<'f, O: Output> Member<'f, O> {
+    fn new(request: &MiningRequest, out: O, floor: Option<&'f AtomicU64>) -> Self {
         Member {
-            slot,
             floor: request.min_sup.max(1),
             min_len: request.min_len,
             keep: request.keep_support_sets,
             cap: request.max_patterns,
             max_len: request.max_pattern_length,
-            deadline,
             eligible: Vec::new(),
             eligible_count: 0,
             detached: false,
@@ -328,14 +575,28 @@ impl Member {
             emitted: 0,
             truncated: false,
             cancelled: false,
-            out: Vec::new(),
-            shape: member_shape(request),
+            out,
+            shape: member_shape(request, floor),
         }
     }
 
-    /// Whether the member's DFS may grow a pattern of length `len`.
-    fn allows_growth(&self, len: usize) -> bool {
-        self.max_len.is_none_or(|max| len < max)
+    fn set_eligible(&mut self, eligible: Vec<bool>) {
+        self.eligible_count = eligible.iter().filter(|&&e| e).count() as u64;
+        self.eligible = eligible;
+    }
+
+    fn is_topk(&self) -> bool {
+        matches!(self.shape, Shape::TopK { .. })
+    }
+
+    fn is_closed_topk(&self) -> bool {
+        matches!(
+            self.shape,
+            Shape::TopK {
+                closed_only: true,
+                ..
+            }
+        )
     }
 
     /// Whether scan event `i` is in this member's solo candidate list.
@@ -343,32 +604,57 @@ impl Member {
         self.eligible.get(i).copied().unwrap_or(false)
     }
 
-    /// The member's dynamic top-k threshold (solo `TopKState::threshold`);
-    /// the plain floor for non-top-k members.
-    fn topk_threshold(&self) -> u64 {
-        let Shape::TopK { k, heap, .. } = &self.shape else {
+    /// Whether the member's DFS grows a pattern of length `len` (top-k
+    /// members never stop scanning).
+    fn grows_at(&self, len: usize) -> bool {
+        self.max_len.is_none_or(|max| len < max) && (self.is_topk() || !self.detached)
+    }
+
+    /// Whether the member tries candidate `i` as a child of a node of
+    /// length `len` it is `alive` at.
+    fn follows(&self, alive: bool, len: usize, i: usize) -> bool {
+        alive && self.grows_at(len) && self.eligible_at(i)
+    }
+
+    /// Whether the member still starts the subtree of seed `i`.
+    fn wants_seed(&self, i: usize) -> bool {
+        self.eligible_at(i) && (self.is_topk() || !self.detached)
+    }
+
+    /// The support a node needs to be visited: the floor, or a top-k
+    /// member's dynamic threshold (the smallest support among its current
+    /// best `k`, raised by a parallel run's shared floor).
+    fn threshold(&self) -> u64 {
+        let Shape::TopK { k, heap, floor, .. } = &self.shape else {
             return self.floor;
         };
-        if heap.len() < *k {
+        let local = if heap.len() < *k {
             self.floor
         } else {
             heap.peek()
-                .map(|&Reverse(s)| s)
-                .unwrap_or(self.floor)
+                .map_or(self.floor, |&Reverse(s)| s)
                 .max(self.floor)
-        }
+        };
+        floor.map_or(local, |shared| local.max(shared.load(Ordering::Relaxed)))
     }
 
-    /// The emission gate (solo `EmitGate::forward` with the deadline sink
-    /// inlined). Returns `true` when the member must stop receiving.
-    fn gate_forward(&mut self, mined: MinedPattern) -> bool {
+    fn mined(&self, pattern: &Pattern, support: &SupportSet) -> MinedPattern {
+        let mut mined = MinedPattern::new(pattern.clone(), support.support());
+        if self.keep {
+            mined.support_set = Some(support.clone());
+        }
+        mined
+    }
+
+    /// The emission gate: counts the pattern, hands it to the output, and
+    /// applies the uniform cap. Returns `true` when the member must stop
+    /// receiving.
+    fn forward(&mut self, mined: MinedPattern) -> bool {
         self.emitted += 1;
-        if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            // A solo DeadlineSink drops the pattern and cancels the run.
+        if self.out.put(mined).is_break() {
             self.cancelled = true;
             return true;
         }
-        self.out.push(mined);
         if self.cap.is_some_and(|cap| self.emitted >= cap) {
             self.truncated = true;
             return true;
@@ -376,76 +662,129 @@ impl Member {
         false
     }
 
-    /// Streaming emission point (solo `EmitGate::emit`): `min_len` filter,
-    /// support-set retention, then the gate. A stop detaches the member
-    /// from the rest of the scan.
-    fn gate_emit(&mut self, pattern: &Pattern, support: &SupportSet) {
-        if pattern.len() < self.min_len {
-            return;
+    /// Reports a node the member's solo run reports: a streaming member
+    /// gates it (`min_len`, support-set retention, cap), a basis member
+    /// collects it. Returns `true` when a puller must take the pattern
+    /// before the walk goes on.
+    fn report(&mut self, pattern: &Pattern, support: &SupportSet) -> bool {
+        match &self.shape {
+            Shape::Stream => {
+                if pattern.len() >= self.min_len {
+                    let mined = self.mined(pattern, support);
+                    self.detached |= self.forward(mined);
+                }
+            }
+            Shape::Basis { .. } => {
+                // No `min_len` filter on a basis: a short pattern can still
+                // subsume or rank; the cap applies mid-search.
+                let mined = self.mined(pattern, support);
+                let cap = self.cap;
+                if let Shape::Basis {
+                    collected,
+                    truncated,
+                    ..
+                } = &mut self.shape
+                {
+                    collected.push(mined);
+                    if cap.is_some_and(|c| collected.len() >= c) {
+                        *truncated = true;
+                        self.detached = true;
+                    }
+                }
+            }
+            Shape::TopK { .. } => {}
         }
-        let mut mined = MinedPattern::new(pattern.clone(), support.support());
-        if self.keep {
-            mined.support_set = Some(support.clone());
-        }
-        if self.gate_forward(mined) {
-            self.detached = true;
+        self.out.pending()
+    }
+
+    /// Offers a node to a top-k member's heap, publishing the local k-th
+    /// best support to a parallel run's shared floor.
+    fn offer(&mut self, pattern: &Pattern, support: &SupportSet) {
+        let mined = self.mined(pattern, support);
+        if let Shape::TopK {
+            k,
+            heap,
+            collected,
+            floor,
+            ..
+        } = &mut self.shape
+        {
+            heap.push(Reverse(mined.support));
+            if heap.len() > *k {
+                heap.pop();
+            }
+            if let (Some(shared), Some(&Reverse(kth))) = (floor, heap.peek()) {
+                if heap.len() >= *k {
+                    shared.fetch_max(kth, Ordering::Relaxed);
+                }
+            }
+            collected.push(mined);
         }
     }
 
-    /// Drains a pre-collected list through the gate (solo
-    /// `EmitGate::drain`).
-    fn gate_drain(&mut self, patterns: Vec<MinedPattern>) {
+    /// Drains a finished list through the gate (`min_len` filter first).
+    fn drain(&mut self, patterns: Vec<MinedPattern>) {
         for mined in patterns {
-            if mined.pattern.len() < self.min_len {
-                continue;
-            }
-            if self.gate_forward(mined) {
+            if mined.pattern.len() >= self.min_len && self.forward(mined) {
+                self.detached = true;
                 break;
             }
         }
     }
 
-    /// Basis collection point (solo `Collector::emit`): no `min_len`
-    /// filter, cap applied mid-search. A full basis detaches the member.
-    fn collect_basis(&mut self, pattern: &Pattern, support: &SupportSet) {
-        let mut mined = MinedPattern::new(pattern.clone(), support.support());
-        if self.keep {
-            mined.support_set = Some(support.clone());
-        }
-        let cap = self.cap;
-        let Shape::Basis {
-            collected,
-            truncated,
-            ..
-        } = &mut self.shape
-        else {
-            return;
-        };
-        collected.push(mined);
-        if cap.is_some_and(|c| collected.len() >= c) {
-            *truncated = true;
-            self.detached = true;
+    /// Merges one parallel seed's counters and buffered output: a
+    /// streaming member drains it through its gate at once (seed order is
+    /// emission order), basis and top-k members collect it for
+    /// [`Member::finish`].
+    fn absorb(&mut self, stats: &MiningStats, patterns: Vec<MinedPattern>) {
+        self.stats.merge(stats);
+        match &mut self.shape {
+            Shape::Stream => {
+                if !self.detached {
+                    self.drain(patterns);
+                }
+            }
+            Shape::Basis { collected, .. } | Shape::TopK { collected, .. } => {
+                collected.extend(patterns);
+            }
         }
     }
 
-    /// Finishes the member after its scan: applies the basis filter or the
-    /// top-k sort, drains through the gate, and writes the result slot.
-    fn finish(&mut self, results: &mut [MiningResult]) {
-        let shape = std::mem::replace(&mut self.shape, Shape::Stream);
-        match shape {
+    /// What one parallel seed hands back: its counters and its buffered
+    /// output (gated patterns, basis, or top-k candidates).
+    fn into_seed_output(self) -> (MiningStats, Vec<MinedPattern>)
+    where
+        O: Into<Vec<MinedPattern>>,
+    {
+        let patterns = match self.shape {
+            Shape::Stream => self.out.into(),
+            Shape::Basis { collected, .. } | Shape::TopK { collected, .. } => collected,
+        };
+        (self.stats, patterns)
+    }
+
+    /// Finishes the member after its walk: applies the basis filter or the
+    /// top-k sort and drains the result through the gate.
+    fn finish(mut self) -> MiningReport {
+        match std::mem::replace(&mut self.shape, Shape::Stream) {
             Shape::Stream => {}
             Shape::TopK { k, collected, .. } => {
-                // Solo `finish_top_k`: report sort, truncate to k, drain.
                 let mut patterns = collected;
                 sort_patterns_for_report(&mut patterns);
                 patterns.truncate(k);
-                self.gate_drain(patterns);
+                self.drain(patterns);
             }
             Shape::Basis {
-                collected,
-                truncated,
+                mut collected,
+                mut truncated,
                 finish,
             } => {
+                // A merged parallel basis is capped to the prefix the
+                // sequential walk would have stopped at.
+                if let Some(cap) = self.cap.filter(|&cap| collected.len() >= cap) {
+                    collected.truncate(cap);
+                    truncated = true;
+                }
                 self.truncated |= truncated;
                 let patterns = match finish {
                     BasisFinish::Closed => closed_subset(&collected),
@@ -465,579 +804,473 @@ impl Member {
                         patterns
                     }
                 };
-                self.gate_drain(patterns);
+                self.drain(patterns);
             }
         }
-        let Some(result) = results.get_mut(self.slot) else {
-            return;
-        };
-        result.outcome.patterns = std::mem::take(&mut self.out);
-        result.outcome.stats = self.stats.clone();
-        result.outcome.truncated = self.truncated;
-        result.emitted = self.emitted;
-        result.cancelled = self.cancelled;
+        MiningReport {
+            stats: self.stats,
+            emitted: self.emitted,
+            truncated: self.truncated,
+            cancelled: self.cancelled,
+        }
     }
 }
 
-/// Builds the member table of one scan group and its per-member event
-/// eligibility over the shared scan's candidate list.
-fn build_members(
-    requests: &[MiningRequest],
-    deadlines: &[Option<Instant>],
-    slots: &[usize],
-) -> Vec<Member> {
-    let mut members = Vec::with_capacity(slots.len());
-    for &slot in slots {
-        let Some(request) = requests.get(slot) else {
-            continue;
-        };
-        let deadline = deadlines.get(slot).copied().flatten();
-        members.push(Member::new(slot, request, deadline));
-    }
-    members
-}
-
-/// Fills each member's eligibility bitmap: scan event `i` is eligible for a
-/// member exactly when its total occurrence count clears the member's own
-/// floor — i.e. the member's solo candidate list, as a mask over the shared
-/// (lower-threshold) candidate list.
-fn fill_eligibility(prepared: PreparedRef<'_>, events: &[EventId], members: &mut [Member]) {
-    for member in members.iter_mut() {
-        member.eligible = events
-            .iter()
-            .map(|e| {
-                prepared
-                    .parts
-                    .occurrence_counts
-                    .get(e.index())
-                    .copied()
-                    .unwrap_or(0)
-                    >= member.floor
-            })
-            .collect();
-        member.eligible_count = member.eligible.iter().filter(|&&b| b).count() as u64;
-    }
-}
-
-/// Runs one shared GSgrow scan (plain or constrained) for `slots`.
-fn run_all_scan(
-    prepared: PreparedRef<'_>,
-    requests: &[MiningRequest],
-    deadlines: &[Option<Instant>],
-    constraints: GapConstraints,
-    slots: &[usize],
-    results: &mut [MiningResult],
-) {
-    let mut members = build_members(requests, deadlines, slots);
-    let Some(t_min) = members.iter().map(|m| m.floor).min() else {
-        return;
-    };
-    let events = prepared.parts.frequent_events(t_min);
-    fill_eligibility(prepared, &events, &mut members);
-    let sc = prepared.support_computer();
-    let csc = if constraints.is_unbounded() {
-        None
-    } else {
-        Some(ConstrainedSupportComputer::with_support_computer(
-            prepared.support_computer(),
-            constraints,
-        ))
-    };
-    // The closure checker is only consulted by closed-only top-k members
-    // (solo `run_top_k` with `closed_only`); its verdict is independent of
-    // which threshold built the candidate list, because candidates are
-    // viability-filtered by the visited pattern's support.
-    let need_checker = members.iter().any(|m| {
-        matches!(
-            m.shape,
-            Shape::TopK {
-                closed_only: true,
-                ..
-            }
-        )
-    });
-    let checker = if need_checker {
-        Some(ClosureChecker::new(&sc, &events))
-    } else {
-        None
-    };
-
-    let mut scan = AllScan {
-        sc: &sc,
-        csc: csc.as_ref(),
-        checker: checker.as_ref(),
-        events: &events,
-        t_min,
-        members: &mut members,
-        pool: SetPool::new(),
-        scratch: CheckScratch::new(),
-        alive: Vec::new(),
-    };
-    scan.run();
-
-    for member in &mut members {
-        member.finish(results);
-    }
-}
-
-/// The shared GSgrow walk: one DFS over the group's candidate events at
-/// `t_min`, with per-member routing. `alive` holds one flags-frame per
-/// open DFS level (members-length each); a member is alive at a node iff
-/// its solo DFS visits that node.
-struct AllScan<'m, 'a, 'b> {
-    sc: &'a SupportComputer<'b>,
-    csc: Option<&'a ConstrainedSupportComputer<'b>>,
-    checker: Option<&'a ClosureChecker<'a, 'b>>,
-    events: &'a [EventId],
+/// The query-side setup of one scan: its shape, the candidate events at
+/// the group's minimum threshold, and the closure checker's candidate
+/// table. Owns no borrow of the database, so a pull stream can keep it
+/// next to the preparation it walks.
+struct Plan {
+    kind: ScanKind,
+    /// Frequent events at `t_min`, in candidate order.
+    events: Vec<EventId>,
+    /// `(event, total occurrences)` of `events` for the closure checker;
+    /// empty when no member consults it.
+    candidates: Vec<(EventId, u64)>,
+    /// The smallest member threshold.
     t_min: u64,
-    members: &'m mut [Member],
+    /// Grow every child of a node before descending into any: closure
+    /// verdicts need the append-equal flag of the whole child pass.
+    eager: bool,
+    /// Count one growth per followed edge: GSgrow's streaming and basis
+    /// members pay per edge, while CloGSgrow pays its child pass on entry
+    /// and top-k members pay theirs at the node.
+    counts_edges: bool,
+}
+
+impl Plan {
+    /// Plans the scan for `members` and fills in each member's eligibility
+    /// over the shared candidate list.
+    fn new<O: Output>(
+        prepared: PreparedRef<'_>,
+        kind: ScanKind,
+        members: &mut [Member<'_, O>],
+    ) -> Self {
+        let t_min = members.iter().map(|m| m.floor).min().unwrap_or(1);
+        let events = prepared.parts.frequent_events(t_min);
+        let counts = &prepared.parts.occurrence_counts;
+        let count = |e: EventId| counts.get(e.index()).copied().unwrap_or(0);
+        for member in members.iter_mut() {
+            let floor = member.floor;
+            member.set_eligible(events.iter().map(|&e| count(e) >= floor).collect());
+        }
+        let eager =
+            matches!(kind, ScanKind::Closed { .. }) || members.iter().any(Member::is_closed_topk);
+        let counts_edges =
+            matches!(kind, ScanKind::All { .. }) && members.iter().any(|m| !m.is_topk());
+        let candidates = if eager {
+            events.iter().map(|&e| (e, count(e))).collect()
+        } else {
+            Vec::new()
+        };
+        Plan {
+            kind,
+            events,
+            candidates,
+            t_min,
+            eager,
+            counts_edges,
+        }
+    }
+
+    /// Runs `f` with the growth and closure machinery of this plan bound to
+    /// `prepared` (every piece borrows; building them is O(1)).
+    fn with_ctx<R>(&self, prepared: PreparedRef<'_>, f: impl FnOnce(&Ctx<'_, '_>) -> R) -> R {
+        let sc = prepared.support_computer();
+        let csc = match self.kind {
+            ScanKind::All { constraints } if !constraints.is_unbounded() => {
+                Some(ConstrainedSupportComputer::with_support_computer(
+                    prepared.support_computer(),
+                    constraints,
+                ))
+            }
+            _ => None,
+        };
+        let checker = self
+            .eager
+            .then(|| ClosureChecker::from_candidates(&sc, &self.candidates));
+        f(&Ctx {
+            sc: &sc,
+            csc: csc.as_ref(),
+            checker: checker.as_ref(),
+            plan: self,
+        })
+    }
+}
+
+/// A plan bound to a prepared database for the length of one walk step.
+struct Ctx<'c, 'a> {
+    sc: &'c SupportComputer<'a>,
+    csc: Option<&'c ConstrainedSupportComputer<'a>>,
+    checker: Option<&'c ClosureChecker<'c, 'a>>,
+    plan: &'c Plan,
+}
+
+impl Ctx<'_, '_> {
+    /// Instance growth of `support` by `event` (Algorithm 2, or its
+    /// constrained form).
+    fn grow(&self, support: &SupportSet, event: EventId, out: &mut SupportSet) {
+        match self.csc {
+            Some(csc) => csc.instance_growth_into(support, event, out),
+            None => self
+                .sc
+                .instance_growth_into(support, event, usize::MAX, out),
+        }
+    }
+}
+
+/// One open node of the walk.
+struct Frame {
+    pattern: Pattern,
+    /// Index of the next candidate event to try as a child edge.
+    next: usize,
+    /// Whether any member grows this node.
+    grows: bool,
+}
+
+/// The explicit-stack walk over one plan's pattern tree.
+struct Scan<'f, O> {
+    members: Vec<Member<'f, O>>,
+    frames: Vec<Frame>,
+    /// Leftmost support sets of the open path, root first: the prefix
+    /// stack the closure check reads.
+    path: Vec<SupportSet>,
+    /// `alive[d * members.len() + j]`: member `j`'s solo run visits the
+    /// open node at depth `d`.
+    alive: Vec<bool>,
+    /// Per-depth child buffers of an eager plan, index-aligned with the
+    /// plan's events and reused across nodes.
+    children: Vec<Vec<Option<SupportSet>>>,
     pool: SetPool,
     scratch: CheckScratch,
-    alive: Vec<bool>,
+    /// The next seed (index into the plan's events) to start.
+    next_seed: usize,
+    /// A pull output holds a pattern: the walk pauses.
+    paused: bool,
 }
 
-impl AllScan<'_, '_, '_> {
-    fn run(&mut self) {
-        let mut stack: Vec<SupportSet> = Vec::new();
-        for (i, &seed) in self.events.iter().enumerate() {
-            // Skip the seed entirely when no member can use it — solo runs
-            // that stopped (or never listed the event) compute nothing
-            // here, and top-k members never stop scanning seeds.
-            let needed = self.members.iter().any(|m| {
-                m.eligible_at(i) && (matches!(m.shape, Shape::TopK { .. }) || !m.detached)
-            });
-            if !needed {
+impl<'f, O: Output> Scan<'f, O> {
+    fn new(members: Vec<Member<'f, O>>) -> Self {
+        Scan {
+            members,
+            frames: Vec::new(),
+            path: Vec::new(),
+            alive: Vec::new(),
+            children: Vec::new(),
+            pool: SetPool::new(),
+            scratch: CheckScratch::new(),
+            next_seed: 0,
+            paused: false,
+        }
+    }
+
+    fn is_alive(&self, depth: usize, j: usize) -> bool {
+        self.alive
+            .get(depth * self.members.len() + j)
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// Walks until the tree is exhausted or a pull output has received a
+    /// pattern (the next call goes on right after it).
+    fn resume(&mut self, ctx: &Ctx<'_, '_>) {
+        loop {
+            if std::mem::take(&mut self.paused) {
+                return;
+            }
+            if !self.frames.is_empty() {
+                self.advance(ctx);
                 continue;
             }
-            let initial = self.sc.initial_support_set(seed);
-            let sup = initial.support();
-            let base = self.alive.len();
-            let mut any = false;
-            for member in self.members.iter_mut() {
-                let flag = if matches!(member.shape, Shape::TopK { .. }) {
-                    member.eligible_at(i) && sup >= member.topk_threshold()
-                } else {
-                    member.eligible_at(i) && !member.detached && sup >= member.floor
-                };
-                any |= flag;
-                self.alive.push(flag);
+            let i = self.next_seed;
+            let Some(&seed) = ctx.plan.events.get(i) else {
+                return;
+            };
+            self.next_seed += 1;
+            if self.members.iter().any(|m| m.wants_seed(i)) {
+                let mut initial = self.pool.take();
+                ctx.sc.initial_support_set_into(seed, &mut initial);
+                self.start_seed(ctx, i, initial);
             }
-            if any {
-                stack.push(initial);
-                self.node(&Pattern::single(seed), &mut stack, base);
-                if let Some(done) = stack.pop() {
-                    self.pool.give(done);
-                }
-            } else {
+        }
+    }
+
+    /// Enters the subtree of seed `i` (one iteration of the outer loop of
+    /// Algorithms 3 and 4) from its leftmost support set `initial`.
+    fn start_seed(&mut self, ctx: &Ctx<'_, '_>, i: usize, initial: SupportSet) {
+        let sup = initial.support();
+        let mut any = false;
+        for member in &self.members {
+            let alive = member.wants_seed(i) && sup >= member.threshold();
+            any |= alive;
+            self.alive.push(alive);
+        }
+        match ctx.plan.events.get(i) {
+            Some(&seed) if any => self.enter(ctx, Pattern::single(seed), initial),
+            _ => {
+                self.alive.truncate(self.frames.len() * self.members.len());
                 self.pool.give(initial);
             }
-            self.alive.truncate(base);
         }
     }
 
-    /// Visits one shared DFS node whose prefix support sets (including its
-    /// own, on top) are held by `stack`; `base` indexes this node's alive
-    /// frame.
-    fn node(&mut self, pattern: &Pattern, stack: &mut Vec<SupportSet>, base: usize) {
+    /// Visits a node whose alive flags were just pushed: counts it, reports
+    /// or ranks it, grows its children when the plan is eager, and opens its
+    /// frame — unless landmark border checking prunes the subtree.
+    fn enter(&mut self, ctx: &Ctx<'_, '_>, pattern: Pattern, support: SupportSet) {
+        let plan = ctx.plan;
+        let depth = self.frames.len();
         let len = pattern.len();
-        let sup = stack.last().map_or(0, SupportSet::support);
+        let sup = support.support();
+        self.path.push(support);
+        let grows = |scan: &Self| {
+            scan.members
+                .iter()
+                .enumerate()
+                .any(|(j, m)| scan.is_alive(depth, j) && m.grows_at(len))
+        };
 
-        // 1. Per-member visit: count the node and stream/collect it
-        //    (solo: `visited += 1` then emit, before any growth).
-        for (j, member) in self.members.iter_mut().enumerate() {
-            if !self.alive.get(base + j).copied().unwrap_or(false) {
-                continue;
-            }
-            member.stats.visited += 1;
-            match member.shape {
-                Shape::Stream => {
-                    if let Some(support) = stack.last() {
-                        member.gate_emit(pattern, support);
-                    }
+        let ScanKind::Closed { pruning } = plan.kind else {
+            // GSgrow: report the node before growing it.
+            for j in 0..self.members.len() {
+                if !self.is_alive(depth, j) {
+                    continue;
                 }
-                Shape::Basis { .. } => {
-                    if let Some(support) = stack.last() {
-                        member.collect_basis(pattern, support);
-                    }
+                if let (Some(member), Some(set)) = (self.members.get_mut(j), self.path.last()) {
+                    member.stats.visited += 1;
+                    self.paused |= member.report(&pattern, set);
                 }
-                Shape::TopK { .. } => {}
             }
-        }
+            let grows = grows(self);
+            let append_equal = plan.eager && grows && self.grow_children(ctx, depth, sup);
+            self.rank(ctx, &pattern, depth, append_equal);
+            self.frames.push(Frame {
+                pattern,
+                next: 0,
+                grows,
+            });
+            return;
+        };
 
-        // 2. Shared child computation, once for the whole group, kept when
-        //    the grown support clears the batch threshold. Index-aligned
-        //    with `events` so eligibility masks route per edge.
-        let mut need_children = false;
-        for (j, member) in self.members.iter().enumerate() {
-            if !self.alive.get(base + j).copied().unwrap_or(false) {
-                continue;
-            }
-            let grows = member.allows_growth(len);
-            if matches!(member.shape, Shape::TopK { .. }) {
-                need_children |= grows;
-            } else {
-                need_children |= !member.detached && grows;
-            }
-        }
-        let mut children: Vec<Option<SupportSet>> = Vec::new();
-        let mut append_equal = false;
-        if need_children {
-            children.reserve(self.events.len());
-            for &event in self.events {
-                let mut grown = self.pool.take();
-                if let Some(support) = stack.last() {
-                    match self.csc {
-                        Some(csc) => csc.instance_growth_into(support, event, &mut grown),
-                        None => {
-                            self.sc
-                                .instance_growth_into(support, event, usize::MAX, &mut grown);
-                        }
-                    }
-                }
-                append_equal |= grown.support() == sup;
-                if grown.support() >= self.t_min {
-                    children.push(Some(grown));
-                } else {
-                    self.pool.give(grown);
-                    children.push(None);
+        // CloGSgrow: the append children are grown before the verdict, even
+        // at the depth cap (the verdict needs `append_equal`), so every
+        // alive member pays one growth per candidate of its own here.
+        for j in 0..self.members.len() {
+            if self.is_alive(depth, j) {
+                if let Some(member) = self.members.get_mut(j) {
+                    member.stats.visited += 1;
+                    member.stats.instance_growths += member.eligible_count;
                 }
             }
         }
-
-        // 3. Top-k processing (solo `TopKState::descend` after its child
-        //    pass): growth counters, then qualification against the
-        //    member's own dynamic threshold. The closure verdict is
-        //    memoized per append-equal flag — a member capped at this depth
-        //    computes no children solo, so its flag is forced false.
-        let mut verdict_when_growing: Option<bool> = None;
-        let mut verdict_when_capped: Option<bool> = None;
-        let mut need_growing = false;
-        let mut need_capped = false;
-        for (j, member) in self.members.iter().enumerate() {
-            if !self.alive.get(base + j).copied().unwrap_or(false) {
+        let append_equal = self.grow_children(ctx, depth, sup);
+        let verdict = ctx.checker.map_or(ClosureStatus::Closed, |checker| {
+            checker.check(&pattern, &self.path, append_equal, &mut self.scratch)
+        });
+        for j in 0..self.members.len() {
+            if !self.is_alive(depth, j) {
                 continue;
             }
-            let Shape::TopK { closed_only, .. } = member.shape else {
+            let (Some(member), Some(set)) = (self.members.get_mut(j), self.path.last()) else {
                 continue;
             };
-            if !closed_only || len < member.min_len || sup < member.topk_threshold() {
-                continue;
-            }
-            if member.allows_growth(len) {
-                need_growing = true;
-            } else {
-                need_capped = true;
-            }
-        }
-        if need_growing {
-            verdict_when_growing = Some(self.closed_verdict(pattern, stack, append_equal));
-        }
-        if need_capped {
-            verdict_when_capped = Some(self.closed_verdict(pattern, stack, false));
-        }
-        for (j, member) in self.members.iter_mut().enumerate() {
-            if !self.alive.get(base + j).copied().unwrap_or(false) {
-                continue;
-            }
-            let grows = member.allows_growth(len);
-            let threshold = member.topk_threshold();
-            let eligible_count = member.eligible_count;
-            let min_len = member.min_len;
-            let keep = member.keep;
-            let Shape::TopK {
-                k,
-                closed_only,
-                heap,
-                collected,
-            } = &mut member.shape
-            else {
-                continue;
-            };
-            if grows {
-                member.stats.instance_growths += eligible_count;
-            }
-            if len < min_len || sup < threshold {
-                continue;
-            }
-            let qualifies = if *closed_only {
-                let verdict = if grows {
-                    verdict_when_growing
-                } else {
-                    verdict_when_capped
-                };
-                verdict.unwrap_or(false)
-            } else {
-                true
-            };
-            if qualifies {
-                heap.push(Reverse(sup));
-                if heap.len() > *k {
-                    heap.pop();
+            match verdict {
+                ClosureStatus::Prune if pruning => member.stats.landmark_border_prunes += 1,
+                ClosureStatus::Prune | ClosureStatus::NonClosed => {
+                    member.stats.non_closed_filtered += 1;
                 }
-                let mut mined = MinedPattern::new(pattern.clone(), sup);
-                if keep {
-                    mined.support_set = stack.last().cloned();
-                }
-                collected.push(mined);
+                ClosureStatus::Closed => self.paused |= member.report(&pattern, set),
             }
         }
-
-        // 4. Per-edge descent: growth counters for streaming/basis members
-        //    (solo counts one growth per candidate event, stopping when the
-        //    member stops), then per-member child aliveness. Top-k members
-        //    re-read their dynamic threshold at the moment of descent,
-        //    exactly like the solo search.
-        if !need_children {
+        if pruning && verdict == ClosureStatus::Prune {
+            // Theorem 5: no pattern with this prefix is closed — the whole
+            // subtree is skipped for every member (members not alive here
+            // have no alive descendants).
+            self.close(depth);
             return;
         }
-        for i in 0..self.events.len() {
-            let Some(&event) = self.events.get(i) else {
-                continue;
-            };
-            let child = children.get_mut(i).and_then(Option::take);
-            let child_sup = child.as_ref().map_or(0, SupportSet::support);
-            let frame = self.alive.len();
-            let mut any = false;
-            for (j, member) in self.members.iter_mut().enumerate() {
-                let parent_alive = self.alive.get(base + j).copied().unwrap_or(false);
-                let mut child_alive = false;
-                if parent_alive {
-                    if matches!(member.shape, Shape::TopK { .. }) {
-                        child_alive = member.allows_growth(len)
-                            && member.eligible_at(i)
-                            && child_sup >= member.topk_threshold();
-                    } else if !member.detached && member.allows_growth(len) && member.eligible_at(i)
-                    {
-                        member.stats.instance_growths += 1;
-                        child_alive = child_sup >= member.floor;
-                    }
-                }
-                any |= child_alive;
-                self.alive.push(child_alive);
-            }
-            if any {
-                if let Some(set) = child {
-                    stack.push(set);
-                    self.node(&pattern.grow(event), stack, frame);
-                    if let Some(done) = stack.pop() {
-                        self.pool.give(done);
-                    }
-                }
-            } else if let Some(set) = child {
-                self.pool.give(set);
-            }
-            self.alive.truncate(frame);
-        }
+        let grows = grows(self);
+        self.frames.push(Frame {
+            pattern,
+            next: 0,
+            grows,
+        });
     }
 
-    /// One closure check against this node's prefix stack (only reachable
-    /// when the group carries a closed-only top-k member, which implies the
-    /// checker was built).
-    fn closed_verdict(&mut self, pattern: &Pattern, stack: &[SupportSet], flag: bool) -> bool {
-        let Some(checker) = self.checker else {
+    /// Grows every child of the node at `depth` into that depth's buffer,
+    /// keeping those that clear `t_min`; returns whether some append
+    /// extension has the node's own support `sup`.
+    fn grow_children(&mut self, ctx: &Ctx<'_, '_>, depth: usize, sup: u64) -> bool {
+        if self.children.len() <= depth {
+            self.children.resize_with(depth + 1, Vec::new);
+        }
+        let (Some(parent), Some(children)) = (self.path.last(), self.children.get_mut(depth))
+        else {
             return false;
         };
-        checker.check(pattern, stack, flag, &mut self.scratch) == ClosureStatus::Closed
-    }
-}
-
-/// Runs one shared CloGSgrow scan for `slots`.
-fn run_closed_scan(
-    prepared: PreparedRef<'_>,
-    requests: &[MiningRequest],
-    deadlines: &[Option<Instant>],
-    pruning: bool,
-    slots: &[usize],
-    results: &mut [MiningResult],
-) {
-    let mut members = build_members(requests, deadlines, slots);
-    let Some(t_min) = members.iter().map(|m| m.floor).min() else {
-        return;
-    };
-    let events = prepared.parts.frequent_events(t_min);
-    fill_eligibility(prepared, &events, &mut members);
-    let sc = prepared.support_computer();
-    let checker = ClosureChecker::new(&sc, &events);
-
-    let mut scan = ClosedScan {
-        sc: &sc,
-        checker: &checker,
-        events: &events,
-        t_min,
-        pruning,
-        members: &mut members,
-        pool: SetPool::new(),
-        scratch: CheckScratch::new(),
-        alive: Vec::new(),
-    };
-    scan.run();
-
-    for member in &mut members {
-        member.finish(results);
-    }
-}
-
-/// The shared CloGSgrow walk. One closure/landmark verdict is computed per
-/// node and shared by every alive member: the verdict only depends on the
-/// pattern, its prefix supports, and the append-equal flag — all of which
-/// are identical across members at a shared node (CloGSgrow computes its
-/// append children unconditionally, so no member's flag diverges).
-struct ClosedScan<'m, 'a, 'b> {
-    sc: &'a SupportComputer<'b>,
-    checker: &'a ClosureChecker<'a, 'b>,
-    events: &'a [EventId],
-    t_min: u64,
-    pruning: bool,
-    members: &'m mut [Member],
-    pool: SetPool,
-    scratch: CheckScratch,
-    alive: Vec<bool>,
-}
-
-impl ClosedScan<'_, '_, '_> {
-    fn run(&mut self) {
-        let mut stack: Vec<SupportSet> = Vec::new();
-        for (i, &seed) in self.events.iter().enumerate() {
-            let needed = self.members.iter().any(|m| m.eligible_at(i) && !m.detached);
-            if !needed {
-                continue;
-            }
-            let initial = self.sc.initial_support_set(seed);
-            let sup = initial.support();
-            let base = self.alive.len();
-            let mut any = false;
-            for member in self.members.iter_mut() {
-                let flag = member.eligible_at(i) && !member.detached && sup >= member.floor;
-                any |= flag;
-                self.alive.push(flag);
-            }
-            if any {
-                stack.push(initial);
-                self.node(&Pattern::single(seed), &mut stack, base);
-                if let Some(done) = stack.pop() {
-                    self.pool.give(done);
-                }
-            } else {
-                self.pool.give(initial);
-            }
-            self.alive.truncate(base);
-        }
-    }
-
-    fn node(&mut self, pattern: &Pattern, stack: &mut Vec<SupportSet>, base: usize) {
-        let len = pattern.len();
-        let sup = stack.last().map_or(0, SupportSet::support);
-
-        // 1. Per-member visit + growth counters. CloGSgrow computes its
-        //    append children before any cap check, so every alive member
-        //    pays one growth per event of its own candidate list here.
-        for (j, member) in self.members.iter_mut().enumerate() {
-            if !self.alive.get(base + j).copied().unwrap_or(false) {
-                continue;
-            }
-            member.stats.visited += 1;
-            member.stats.instance_growths += member.eligible_count;
-        }
-
-        // 2. Shared child computation (always: the verdict needs the
-        //    append-equal flag even at depth caps).
-        let mut children: Vec<Option<SupportSet>> = Vec::with_capacity(self.events.len());
+        children.clear();
         let mut append_equal = false;
-        for &event in self.events {
+        for &event in &ctx.plan.events {
             let mut grown = self.pool.take();
-            if let Some(support) = stack.last() {
-                self.sc
-                    .instance_growth_into(support, event, usize::MAX, &mut grown);
-            }
+            ctx.grow(parent, event, &mut grown);
             append_equal |= grown.support() == sup;
-            if grown.support() >= self.t_min {
+            if grown.support() >= ctx.plan.t_min {
                 children.push(Some(grown));
             } else {
                 self.pool.give(grown);
                 children.push(None);
             }
         }
+        append_equal
+    }
 
-        // 3. One shared verdict for every alive member.
-        let verdict = self
-            .checker
-            .check(pattern, stack, append_equal, &mut self.scratch);
-        match verdict {
-            ClosureStatus::Prune if self.pruning => {
-                // Theorem 5: no pattern with this prefix is closed — the
-                // whole subtree is skipped for every member (sound because
-                // members not alive here have no alive descendants).
-                for (j, member) in self.members.iter_mut().enumerate() {
-                    if self.alive.get(base + j).copied().unwrap_or(false) {
-                        member.stats.landmark_border_prunes += 1;
-                    }
-                }
-                for set in children.into_iter().flatten() {
-                    self.pool.give(set);
-                }
-                return;
+    /// Top-k members at a GSgrow node: one growth per candidate when the
+    /// member grows the node, then qualification against the member's own
+    /// dynamic threshold. The closure verdict is computed once per
+    /// append-equal flag — a member capped at this depth grows no children,
+    /// so its flag is `false`.
+    fn rank(&mut self, ctx: &Ctx<'_, '_>, pattern: &Pattern, depth: usize, append_equal: bool) {
+        let len = pattern.len();
+        let mut verdict_growing: Option<bool> = None;
+        let mut verdict_capped: Option<bool> = None;
+        for j in 0..self.members.len() {
+            if !self.is_alive(depth, j) {
+                continue;
             }
-            ClosureStatus::Prune | ClosureStatus::NonClosed => {
-                for (j, member) in self.members.iter_mut().enumerate() {
-                    if self.alive.get(base + j).copied().unwrap_or(false) {
-                        member.stats.non_closed_filtered += 1;
-                    }
-                }
-            }
-            ClosureStatus::Closed => {
-                for (j, member) in self.members.iter_mut().enumerate() {
-                    if !self.alive.get(base + j).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    match member.shape {
-                        Shape::Stream => {
-                            if let Some(support) = stack.last() {
-                                member.gate_emit(pattern, support);
-                            }
-                        }
-                        Shape::Basis { .. } => {
-                            if let Some(support) = stack.last() {
-                                member.collect_basis(pattern, support);
-                            }
-                        }
-                        Shape::TopK { .. } => {}
-                    }
-                }
-            }
-        }
-
-        // 4. Per-edge descent over the kept children.
-        for i in 0..self.events.len() {
-            let Some(&event) = self.events.get(i) else {
+            let (Some(member), Some(set)) = (self.members.get_mut(j), self.path.last()) else {
                 continue;
             };
-            let child = children.get_mut(i).and_then(Option::take);
-            let child_sup = child.as_ref().map_or(0, SupportSet::support);
-            let frame = self.alive.len();
-            let mut any = false;
-            for (j, member) in self.members.iter().enumerate() {
-                let parent_alive = self.alive.get(base + j).copied().unwrap_or(false);
-                let child_alive = parent_alive
-                    && !member.detached
-                    && member.allows_growth(len)
-                    && member.eligible_at(i)
-                    && child_sup >= member.floor;
-                any |= child_alive;
-                self.alive.push(child_alive);
+            let Shape::TopK { closed_only, .. } = member.shape else {
+                continue;
+            };
+            let grows = member.grows_at(len);
+            if grows {
+                member.stats.instance_growths += member.eligible_count;
             }
-            if any {
-                if let Some(set) = child {
-                    stack.push(set);
-                    self.node(&pattern.grow(event), stack, frame);
-                    if let Some(done) = stack.pop() {
-                        self.pool.give(done);
+            if len < member.min_len || set.support() < member.threshold() {
+                continue;
+            }
+            let qualifies = !closed_only || {
+                let memo = if grows {
+                    &mut verdict_growing
+                } else {
+                    &mut verdict_capped
+                };
+                *memo.get_or_insert_with(|| {
+                    ctx.checker.is_some_and(|checker| {
+                        checker.check(
+                            pattern,
+                            &self.path,
+                            grows && append_equal,
+                            &mut self.scratch,
+                        ) == ClosureStatus::Closed
+                    })
+                })
+            };
+            if qualifies {
+                member.offer(pattern, set);
+            }
+        }
+    }
+
+    /// Advances the top frame by one child edge: enters the next child some
+    /// member follows, or closes the frame when its edges are exhausted.
+    /// Edges are examined after the previous child's subtree is done, so
+    /// every member sees its own current state (detachment, top-k
+    /// threshold) — exactly when its solo DFS would.
+    fn advance(&mut self, ctx: &Ctx<'_, '_>) {
+        let plan = ctx.plan;
+        let m = self.members.len();
+        let depth = self.frames.len().saturating_sub(1);
+        let base = depth * m;
+        let next = 'edges: {
+            let Some(frame) = self.frames.last_mut() else {
+                return;
+            };
+            let len = frame.pattern.len();
+            while frame.grows {
+                let i = frame.next;
+                let Some(&event) = plan.events.get(i) else {
+                    break;
+                };
+                frame.next += 1;
+                let mut child = if plan.eager {
+                    self.children
+                        .get_mut(depth)
+                        .and_then(|c| c.get_mut(i))
+                        .and_then(Option::take)
+                } else {
+                    None
+                };
+                if plan.eager && child.is_none() && !plan.counts_edges {
+                    // Below `t_min`: no member follows the edge, and none
+                    // counts it.
+                    continue;
+                }
+                let mut wanted = false;
+                for (j, member) in self.members.iter_mut().enumerate() {
+                    let parent_alive = self.alive.get(base + j).copied().unwrap_or(false);
+                    if member.follows(parent_alive, len, i) {
+                        wanted = true;
+                        if plan.counts_edges && !member.is_topk() {
+                            member.stats.instance_growths += 1;
+                        }
                     }
                 }
-            } else if let Some(set) = child {
+                if wanted && !plan.eager {
+                    if let Some(parent) = self.path.last() {
+                        let mut grown = self.pool.take();
+                        ctx.grow(parent, event, &mut grown);
+                        child = Some(grown);
+                    }
+                }
+                let Some(set) = child else {
+                    continue;
+                };
+                let sup = set.support();
+                // Every member's threshold is at least `t_min`.
+                if !wanted || sup < plan.t_min {
+                    self.pool.give(set);
+                    continue;
+                }
+                let mut any = false;
+                for (j, member) in self.members.iter().enumerate() {
+                    let parent_alive = self.alive.get(base + j).copied().unwrap_or(false);
+                    let alive = member.follows(parent_alive, len, i) && sup >= member.threshold();
+                    any |= alive;
+                    self.alive.push(alive);
+                }
+                if any {
+                    break 'edges Some((frame.pattern.grow(event), set));
+                }
+                self.alive.truncate(base + m);
                 self.pool.give(set);
             }
-            self.alive.truncate(frame);
+            None
+        };
+        match next {
+            Some((pattern, set)) => self.enter(ctx, pattern, set),
+            None => {
+                self.frames.pop();
+                self.close(depth);
+            }
         }
+    }
+
+    /// Releases what the node at `depth` held: its support set, its unused
+    /// children, and its alive flags.
+    fn close(&mut self, depth: usize) {
+        if let Some(set) = self.path.pop() {
+            self.pool.give(set);
+        }
+        if let Some(children) = self.children.get_mut(depth) {
+            for slot in children.iter_mut() {
+                if let Some(set) = slot.take() {
+                    self.pool.give(set);
+                }
+            }
+        }
+        self.alive.truncate(depth * self.members.len());
     }
 }
 

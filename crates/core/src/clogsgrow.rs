@@ -9,202 +9,18 @@
 //!   the whole subtree is skipped;
 //! * **closure checking** (`CCheck`, Theorem 4) — `P` is emitted only when
 //!   no extension of `P` has equal support.
-
-use std::ops::ControlFlow;
-
-use seqdb::{EventId, SequenceDatabase};
-
-use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
-use crate::config::MiningConfig;
-use crate::engine::{Miner, Mode};
-use crate::growth::{SetPool, SupportComputer};
-use crate::pattern::Pattern;
-use crate::prepared::PreparedRef;
-use crate::result::{MiningOutcome, MiningStats};
-use crate::support::SupportSet;
-
-/// Mines the closed frequent repetitive gapped subsequences of `db` with
-/// respect to `config.min_sup` (Algorithm 4, CloGSgrow).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Miner::new(db).from_config(config).mode(Mode::Closed).run()`; for \
-            repeated queries prepare once (`PreparedDb::new`) or open a \
-            snapshot (`Miner::from_snapshot`) instead of re-indexing per call"
-)]
-pub fn mine_closed(db: &SequenceDatabase, config: &MiningConfig) -> MiningOutcome {
-    Miner::new(db).from_config(config).mode(Mode::Closed).run()
-}
-
-/// Streaming CloGSgrow core: runs the DFS of Algorithm 4 and hands every
-/// *closed* frequent pattern to `emit`. The search stops when `emit`
-/// returns [`ControlFlow::Break`]. Returns the search statistics (elapsed
-/// time is the caller's responsibility).
-pub(crate) fn mine_closed_streaming(
-    prepared: PreparedRef<'_>,
-    config: &MiningConfig,
-    emit: &mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-) -> MiningStats {
-    let sc = prepared.support_computer();
-    let min_sup = config.effective_min_sup();
-    let events = prepared.parts.frequent_events(min_sup);
-    let checker = ClosureChecker::new(&sc, &events);
-    let mut stats = MiningStats::default();
-    for &seed in &events {
-        let initial = sc.initial_support_set(seed);
-        let (seed_stats, flow) =
-            mine_closed_seed(&sc, &checker, config, min_sup, &events, seed, initial, emit);
-        stats.merge(&seed_stats);
-        if flow.is_break() {
-            break;
-        }
-    }
-    stats
-}
-
-/// Mines the closed patterns of the DFS subtree rooted at `seed` (one
-/// iteration of Algorithm 4's outer loop), starting from the
-/// caller-supplied `initial` leftmost support set of the seed. Like
-/// GSgrow's, the per-seed subtrees are fully independent — the closure and
-/// landmark-border checks only consult the (shared, immutable) database —
-/// so per-seed results can be concatenated in seed order to reproduce the
-/// sequential stream.
-#[allow(clippy::too_many_arguments)] // internal dispatch, not an API
-pub(crate) fn mine_closed_seed(
-    sc: &SupportComputer<'_>,
-    checker: &ClosureChecker<'_, '_>,
-    config: &MiningConfig,
-    min_sup: u64,
-    events: &[EventId],
-    seed: EventId,
-    initial: SupportSet,
-    emit: &mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-) -> (MiningStats, ControlFlow<()>) {
-    let mut miner = CloGsGrow {
-        sc,
-        config,
-        min_sup,
-        frequent_events: events,
-        checker,
-        stats: MiningStats::default(),
-        stopped: false,
-        pool: SetPool::new(),
-        scratch: CheckScratch::new(),
-        emit,
-    };
-    let support = initial;
-    if support.support() >= min_sup {
-        let mut stack = vec![support];
-        miner.mine(&Pattern::single(seed), &mut stack);
-        debug_assert_eq!(stack.len(), 1);
-    }
-    let flow = if miner.stopped {
-        ControlFlow::Break(())
-    } else {
-        ControlFlow::Continue(())
-    };
-    (miner.stats, flow)
-}
-
-struct CloGsGrow<'a, 'b, 'e> {
-    sc: &'a SupportComputer<'b>,
-    config: &'a MiningConfig,
-    min_sup: u64,
-    frequent_events: &'a [EventId],
-    checker: &'a ClosureChecker<'a, 'b>,
-    stats: MiningStats,
-    stopped: bool,
-    /// Recycles support sets across growth attempts and finished subtrees.
-    pool: SetPool,
-    /// Ping/pong buffers for the closure check's extension growth.
-    scratch: CheckScratch,
-    emit: &'e mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-}
-
-impl CloGsGrow<'_, '_, '_> {
-    /// Visits pattern `P` whose prefix support sets (including `P`'s own)
-    /// are on `stack`.
-    fn mine(&mut self, pattern: &Pattern, stack: &mut Vec<SupportSet>) {
-        self.stats.visited += 1;
-        let support = stack.last().expect("stack holds P's support set").support();
-
-        // Compute the append children unconditionally: even at the
-        // max_pattern_length cap (where they will not be recursed into) the
-        // closed/non-closed verdict needs `append_equal` — Theorem 4 covers
-        // append extensions.
-        let mut children: Vec<(EventId, SupportSet)> = Vec::new();
-        let mut append_equal = false;
-        for &event in self.frequent_events {
-            self.stats.instance_growths += 1;
-            let mut grown = self.pool.take();
-            self.sc.instance_growth_into(
-                stack.last().expect("support set"),
-                event,
-                usize::MAX,
-                &mut grown,
-            );
-            if grown.support() == support {
-                append_equal = true;
-            }
-            if grown.support() >= self.min_sup {
-                children.push((event, grown));
-            } else {
-                self.pool.give(grown);
-            }
-        }
-
-        match self
-            .checker
-            .check(pattern, stack, append_equal, &mut self.scratch)
-        {
-            ClosureStatus::Prune if self.config.use_landmark_pruning => {
-                self.stats.landmark_border_prunes += 1;
-                self.reclaim(children);
-                return;
-            }
-            // Ablation mode (Theorem 5 disabled): a prunable pattern is
-            // still non-closed, so it is suppressed from the output but its
-            // subtree is explored like any other non-closed pattern.
-            ClosureStatus::Prune | ClosureStatus::NonClosed => {
-                self.stats.non_closed_filtered += 1;
-            }
-            ClosureStatus::Closed => {
-                let set = stack.last().expect("support set");
-                if (self.emit)(pattern, set).is_break() {
-                    self.stopped = true;
-                }
-            }
-        }
-
-        if self.stopped || !self.config.allows_growth(pattern.len()) {
-            self.reclaim(children);
-            return;
-        }
-        let mut children = children.into_iter();
-        for (event, grown) in children.by_ref() {
-            if self.stopped {
-                self.pool.give(grown);
-                break;
-            }
-            stack.push(grown);
-            self.mine(&pattern.grow(event), stack);
-            let done = stack.pop().expect("pushed above");
-            self.pool.give(done);
-        }
-        self.reclaim(children.collect());
-    }
-
-    /// Returns unused child support sets to the pool.
-    fn reclaim(&mut self, children: Vec<(EventId, SupportSet)>) {
-        for (_, set) in children {
-            self.pool.give(set);
-        }
-    }
-}
+//!
+//! Both checks live in [`crate::closure`]; the walk is the crate's one DFS
+//! driver in [`crate::batch`], whose Closed scan applies them at every
+//! node. This module holds the algorithm's tests.
 
 #[cfg(test)]
 mod tests {
 
-    use super::*;
+    use seqdb::SequenceDatabase;
+
+    use crate::config::MiningConfig;
+    use crate::pattern::Pattern;
     use crate::reference::{closed_subset, pattern_set};
 
     fn all_patterns(

@@ -89,9 +89,9 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
     }
 
     /// Creates a checker borrowing a precomputed `(event, total
-    /// occurrences)` candidate table — used when the table outlives the
-    /// checker (the pull-based pattern stream rebuilds the checker per
-    /// step, O(1) with a borrowed table).
+    /// occurrences)` candidate table, in O(1) — the DFS driver keeps the
+    /// table in its plan and rebinds the checker for every step of a pull
+    /// stream.
     pub(crate) fn from_candidates(
         sc: &'a SupportComputer<'b>,
         candidates: &'a [(EventId, u64)],

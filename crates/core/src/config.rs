@@ -1,4 +1,5 @@
-//! Mining configuration shared by GSgrow and CloGSgrow.
+//! Mining configuration: the DFS knobs of a run as one value, imported into
+//! a request with [`crate::Miner::from_config`].
 
 /// Configuration of a mining run.
 ///
@@ -73,7 +74,7 @@ impl MiningConfig {
     }
 
     /// Returns `true` if a pattern of length `len` may still be grown.
-    pub(crate) fn allows_growth(&self, len: usize) -> bool {
+    pub fn allows_growth(&self, len: usize) -> bool {
         self.max_pattern_length.is_none_or(|max| len < max)
     }
 }

@@ -1,7 +1,7 @@
 //! Gap-constrained repetitive mining (the paper's future-work direction).
 //!
-//! This module extends instance growth (Algorithm 2), `supComp`
-//! (Algorithm 1), and the two miners to honour [`GapConstraints`]: bounds on
+//! This module extends instance growth (Algorithm 2) and `supComp`
+//! (Algorithm 1) to honour [`GapConstraints`]: bounds on
 //! the gap between successive pattern events and on the total window an
 //! instance may span. The concluding section of the paper names this
 //! extension explicitly ("mining approximate repetitive patterns with gap
@@ -23,14 +23,14 @@
 //! * `sup_C` is **prefix anti-monotone**: dropping trailing events of a
 //!   pattern never decreases the value, because every grown instance of
 //!   `P ◦ e` extends an instance of `P`. This is what the depth-first search
-//!   needs for completeness, so [`mine_all_constrained`] enumerates *every*
+//!   needs for completeness, so constrained `All` mining enumerates *every*
 //!   pattern whose constrained support reaches `min_sup`.
 //! * `sup_C` is **not** anti-monotone under arbitrary super-patterns: with a
 //!   `max_gap`, inserting an event can *increase* the support (the classic
 //!   example is contiguous matching, `max_gap = 0`, where `ABC` may occur
 //!   often while `AC` never occurs contiguously). Consequently the landmark
 //!   border pruning of Theorem 5 is not sound under constraints and
-//!   [`mine_closed_constrained`] instead filters the complete frequent set —
+//!   constrained `Closed` mining instead filters the complete frequent set —
 //!   a pattern is reported iff no frequent super-pattern has the same
 //!   constrained support.
 //! * `sup_C(P) ≤ sup(P)`: constraining can only remove admissible instances.
@@ -49,20 +49,14 @@
 //! the probe). `RGS_FORCE_SCALAR=1` pins this path to the scalar reference
 //! kernels; the equivalence suite asserts bit-identical outcomes either way.
 
-use std::ops::ControlFlow;
-
 use seqdb::{EventId, SequenceDatabase};
 
-use crate::config::MiningConfig;
 use crate::constraints::GapConstraints;
-use crate::engine::{Miner, Mode};
-use crate::growth::{SetPool, SupportComputer};
+use crate::growth::SupportComputer;
 use crate::instance::Landmark;
 use crate::instbuf::InstanceBuffer;
 use crate::kernel;
 use crate::pattern::Pattern;
-use crate::prepared::PreparedRef;
-use crate::result::{MiningOutcome, MiningStats};
 use crate::support::SupportSet;
 
 /// A [`SupportComputer`] paired with gap/window constraints.
@@ -181,165 +175,13 @@ pub fn constrained_support(
     ConstrainedSupportComputer::new(db, constraints).support(&Pattern::new(pattern.to_vec()))
 }
 
-/// Mines **all** patterns whose constrained repetitive support reaches
-/// `config.min_sup` under `constraints` (constrained GSgrow).
-///
-/// With [`GapConstraints::unbounded`] the result is identical to
-/// [`crate::mine_all`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Miner::new(db).from_config(config).mode(Mode::All).constraints(constraints).run()`; \
-            for repeated queries prepare once (`PreparedDb::new`) or open a \
-            snapshot (`Miner::from_snapshot`) instead of re-indexing per call"
-)]
-pub fn mine_all_constrained(
-    db: &SequenceDatabase,
-    config: &MiningConfig,
-    constraints: GapConstraints,
-) -> MiningOutcome {
-    Miner::new(db)
-        .from_config(config)
-        .mode(Mode::All)
-        .constraints(constraints)
-        .run()
-}
-
-/// Streaming constrained-GSgrow core: hands every constrained-frequent
-/// pattern, with its constrained leftmost support set, to `emit`. The
-/// search stops when `emit` returns [`ControlFlow::Break`]. Returns the
-/// search statistics (elapsed time is the caller's responsibility).
-pub(crate) fn mine_all_constrained_streaming(
-    prepared: PreparedRef<'_>,
-    config: &MiningConfig,
-    constraints: GapConstraints,
-    emit: &mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-) -> MiningStats {
-    let csc =
-        ConstrainedSupportComputer::with_support_computer(prepared.support_computer(), constraints);
-    let min_sup = config.effective_min_sup();
-    let events = prepared.parts.frequent_events(min_sup);
-    let mut stats = MiningStats::default();
-    for &seed in &events {
-        let initial = csc.initial_support_set(seed);
-        let (seed_stats, flow) =
-            mine_all_constrained_seed(&csc, config, min_sup, &events, seed, initial, emit);
-        stats.merge(&seed_stats);
-        if flow.is_break() {
-            break;
-        }
-    }
-    stats
-}
-
-/// Mines the constrained DFS subtree rooted at `seed` (one iteration of the
-/// constrained miner's outer loop), starting from the caller-supplied
-/// `initial` support set of the seed (constraints never restrict single
-/// events). Subtrees of distinct seeds are independent, so per-seed
-/// emissions concatenated in seed order reproduce the sequential stream
-/// exactly.
-pub(crate) fn mine_all_constrained_seed(
-    csc: &ConstrainedSupportComputer<'_>,
-    config: &MiningConfig,
-    min_sup: u64,
-    events: &[EventId],
-    seed: EventId,
-    initial: SupportSet,
-    emit: &mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-) -> (MiningStats, ControlFlow<()>) {
-    let mut miner = ConstrainedMiner {
-        csc,
-        config,
-        min_sup,
-        frequent_events: events,
-        stats: MiningStats::default(),
-        stopped: false,
-        pool: SetPool::new(),
-        emit,
-    };
-    let support = initial;
-    if support.support() >= min_sup {
-        miner.mine(&Pattern::single(seed), support);
-    }
-    let flow = if miner.stopped {
-        ControlFlow::Break(())
-    } else {
-        ControlFlow::Continue(())
-    };
-    (miner.stats, flow)
-}
-
-/// Mines the **closed** constrained-frequent patterns: the subset of
-/// [`mine_all_constrained`]'s output with no frequent super-pattern of equal
-/// constrained support.
-///
-/// Because constrained support is not anti-monotone under arbitrary
-/// super-patterns (see the module documentation), the landmark border
-/// pruning of Theorem 5 cannot be applied here; closedness is determined by
-/// filtering the complete frequent set, which is sound because prefix
-/// anti-monotonicity guarantees the frequent set is complete.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Miner::new(db).from_config(config).mode(Mode::Closed).constraints(constraints).run()`; \
-            for repeated queries prepare once (`PreparedDb::new`) or open a \
-            snapshot (`Miner::from_snapshot`) instead of re-indexing per call"
-)]
-pub fn mine_closed_constrained(
-    db: &SequenceDatabase,
-    config: &MiningConfig,
-    constraints: GapConstraints,
-) -> MiningOutcome {
-    Miner::new(db)
-        .from_config(config)
-        .mode(Mode::Closed)
-        .constraints(constraints)
-        .run()
-}
-
-struct ConstrainedMiner<'a, 'b, 'e> {
-    csc: &'a ConstrainedSupportComputer<'b>,
-    config: &'a MiningConfig,
-    min_sup: u64,
-    frequent_events: &'a [EventId],
-    stats: MiningStats,
-    stopped: bool,
-    /// Recycles support sets across growth attempts (see
-    /// [`crate::growth::SetPool`]).
-    pool: SetPool,
-    emit: &'e mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-}
-
-impl ConstrainedMiner<'_, '_, '_> {
-    fn mine(&mut self, pattern: &Pattern, support: SupportSet) {
-        self.stats.visited += 1;
-        if (self.emit)(pattern, &support).is_break() {
-            self.stopped = true;
-        }
-        if self.stopped || !self.config.allows_growth(pattern.len()) {
-            self.pool.give(support);
-            return;
-        }
-        let events = self.frequent_events;
-        for &event in events {
-            if self.stopped {
-                break;
-            }
-            self.stats.instance_growths += 1;
-            let mut grown = self.pool.take();
-            self.csc.instance_growth_into(&support, event, &mut grown);
-            if grown.support() >= self.min_sup {
-                self.mine(&pattern.grow(event), grown);
-            } else {
-                self.pool.give(grown);
-            }
-        }
-        self.pool.give(support);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MiningConfig;
+    use crate::engine::{Miner, Mode};
     use crate::reference::pattern_set;
+    use crate::result::MiningOutcome;
     use crate::support::{are_valid_instances, is_non_redundant};
 
     /// Table III: S1 = ABCACBDDB, S2 = ACDBACADD.

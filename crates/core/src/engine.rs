@@ -3,15 +3,15 @@
 //! The paper defines a single search skeleton — instance growth embedded in
 //! a depth-first pattern growth — that GSgrow, CloGSgrow, and every
 //! extension (top-k, maximal, gap-constrained) specialize. This module
-//! exposes that skeleton through one composable API:
+//! exposes that skeleton through one composable API; every run walks it
+//! through the one DFS driver in [`crate::batch`]:
 //!
 //! * [`Miner`] — a builder over a [`SequenceDatabase`]: pick a support
 //!   threshold, a [`Mode`], optional [`GapConstraints`], an optional top-k
 //!   ranking, caps and ablation switches, then [`Miner::run`].
 //! * [`MiningRequest`] — the plain-data description of a run, where every
-//!   option is orthogonal. Combinations the legacy free functions could not
-//!   express — gap-constrained top-k, constrained maximal — compose here
-//!   for free.
+//!   option is orthogonal, so combinations such as gap-constrained top-k
+//!   or constrained maximal compose for free.
 //! * [`MiningSession`] — a prepared request bound to a database; run it to
 //!   a [`MiningOutcome`], or stream it through a
 //!   [`PatternSink`] with
@@ -40,30 +40,18 @@
 //! assert!(constrained_topk.len() <= 5);
 //! ```
 
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use seqdb::SequenceDatabase;
 
-use crate::clogsgrow::{mine_closed_seed, mine_closed_streaming};
-use crate::closure::ClosureChecker;
+use crate::batch::run_solo;
 use crate::config::MiningConfig;
-use crate::constrained::{
-    mine_all_constrained_seed, mine_all_constrained_streaming, ConstrainedSupportComputer,
-};
 use crate::constraints::GapConstraints;
-use crate::gsgrow::{mine_all_seed, mine_all_streaming};
-use crate::maximal::maximal_subset;
-use crate::parallel::fan_out_shard_seeds;
-use crate::pattern::Pattern;
 use crate::prepared::{PreparedDb, PreparedParts, PreparedRef};
-use crate::reference::closed_subset;
-use crate::result::{MinedPattern, MiningOutcome, MiningStats};
+use crate::result::{MiningOutcome, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 use crate::stream::PatternStream;
-use crate::support::SupportSet;
-use crate::topk::{run_top_k, run_top_k_parallel, TopKParams};
 
 /// Default `k` when [`Mode::TopK`] is selected without an explicit
 /// [`Miner::top_k`] call.
@@ -200,19 +188,6 @@ impl MiningRequest {
             mode => mode,
         }
     }
-
-    /// The legacy [`MiningConfig`] equivalent of this request's DFS knobs
-    /// (`max_patterns` stays `None`: capping is the emission gate's job,
-    /// both in the engine and in the pattern stream).
-    pub(crate) fn to_config(&self) -> MiningConfig {
-        MiningConfig {
-            min_sup: self.min_sup,
-            max_pattern_length: self.max_pattern_length,
-            max_patterns: None, // capping is the emit gate's job
-            keep_support_sets: self.keep_support_sets,
-            use_landmark_pruning: self.use_landmark_pruning,
-        }
-    }
 }
 
 /// Where a mining run gets its (prepared) database from.
@@ -234,6 +209,24 @@ impl DbHandle<'_> {
             DbHandle::Raw(db) => db,
             DbHandle::Prepared(prepared) => prepared.database(),
             DbHandle::Shared(prepared) => prepared.database(),
+        }
+    }
+
+    /// Runs `f` on the prepared view of this database. A raw database's
+    /// parts are prepared into `parts` on first use and reused from there
+    /// by later calls; a snapshot lends its own.
+    pub(crate) fn with_view<R>(
+        &self,
+        parts: &mut Option<PreparedParts>,
+        f: impl FnOnce(PreparedRef<'_>) -> R,
+    ) -> R {
+        match self {
+            DbHandle::Raw(db) => {
+                let parts = parts.get_or_insert_with(|| PreparedParts::build(db));
+                f(PreparedRef { db, parts })
+            }
+            DbHandle::Prepared(prepared) => f(prepared.as_prepared_ref()),
+            DbHandle::Shared(prepared) => f(prepared.as_prepared_ref()),
         }
     }
 }
@@ -316,9 +309,8 @@ impl<'a> Miner<'a> {
         }
     }
 
-    /// Imports the DFS knobs of a legacy [`MiningConfig`] (threshold, caps,
-    /// support-set retention, pruning ablation). Used by the deprecated
-    /// free-function shims; new code should set options directly.
+    /// Imports the DFS knobs of a [`MiningConfig`] (threshold, caps,
+    /// support-set retention, pruning ablation).
     pub fn from_config(mut self, config: &MiningConfig) -> Self {
         self.request.min_sup = config.min_sup;
         self.request.max_pattern_length = config.max_pattern_length;
@@ -445,7 +437,8 @@ pub struct MiningReport {
     pub emitted: usize,
     /// `true` when the run stopped because `max_patterns` was reached.
     pub truncated: bool,
-    /// `true` when the sink cancelled the run via [`ControlFlow::Break`].
+    /// `true` when the sink cancelled the run via
+    /// [`ControlFlow::Break`](std::ops::ControlFlow::Break).
     pub cancelled: bool,
 }
 
@@ -521,451 +514,26 @@ impl MiningSession<'_> {
     /// and for constrained `All` under sequential execution; after the
     /// necessary global filter — or the deterministic parallel merge — for
     /// everything else). The sink can cancel at any emission point by
-    /// returning [`ControlFlow::Break`].
+    /// returning [`ControlFlow::Break`](std::ops::ControlFlow::Break).
     pub fn run_with_sink(&self, sink: &mut dyn PatternSink) -> MiningReport {
         let start = Instant::now();
-        let parts_storage;
-        let prepared: PreparedRef<'_> = match &self.db {
-            DbHandle::Raw(db) => {
-                parts_storage = PreparedParts::build(db);
-                PreparedRef {
-                    db,
-                    parts: &parts_storage,
-                }
-            }
-            DbHandle::Prepared(prepared) => prepared.as_prepared_ref(),
-            DbHandle::Shared(prepared) => {
-                let prepared: &PreparedDb = prepared;
-                prepared.as_prepared_ref()
-            }
-        };
-
-        let req = &self.request;
-        let config = req.to_config();
-        let mut gate = EmitGate {
-            sink,
-            min_len: req.min_len,
-            keep: req.keep_support_sets,
-            cap: req.max_patterns,
-            emitted: 0,
-            truncated: false,
-            cancelled: false,
-        };
-
-        let threads = req.execution.effective_threads();
-        let mut stats = if req.is_ranked() {
-            let (patterns, stats, truncated) = self.collect_ranked(prepared, &config, threads);
-            gate.truncated |= truncated;
-            gate.drain(patterns);
-            stats
-        } else {
-            match (req.base_mode(), req.constraints.is_unbounded()) {
-                // The three incrementally streamable modes: parallel runs
-                // buffer per seed and drain the deterministic merge; the
-                // global-filter modes below are thread-aware through their
-                // basis collectors.
-                (Mode::All, true) | (Mode::Closed, true) | (Mode::All, false) if threads > 1 => {
-                    let (patterns, stats) = self.mine_merged_parallel(
-                        prepared,
-                        &config,
-                        threads,
-                        req.base_mode(),
-                        req.min_len,
-                        req.keep_support_sets,
-                        req.max_patterns,
-                    );
-                    gate.drain(patterns);
-                    stats
-                }
-                (Mode::All, true) => {
-                    mine_all_streaming(prepared, &config, &mut |p, s| gate.emit(p, s))
-                }
-                (Mode::Closed, true) => {
-                    mine_closed_streaming(prepared, &config, &mut |p, s| gate.emit(p, s))
-                }
-                (Mode::All, false) => mine_all_constrained_streaming(
-                    prepared,
-                    &config,
-                    req.constraints,
-                    &mut |p, s| gate.emit(p, s),
-                ),
-                (Mode::Maximal, true) => {
-                    let (patterns, stats, truncated) =
-                        self.collect_closed_basis(prepared, &config, threads);
-                    gate.truncated |= truncated;
-                    gate.drain(maximal_subset(&patterns));
-                    stats
-                }
-                (Mode::Closed, false) => {
-                    let (patterns, stats, truncated) =
-                        self.collect_constrained_basis(prepared, &config, threads);
-                    gate.truncated |= truncated;
-                    gate.drain(closed_subset(&patterns));
-                    stats
-                }
-                (Mode::Maximal, false) => {
-                    let (patterns, stats, truncated) =
-                        self.collect_constrained_basis(prepared, &config, threads);
-                    gate.truncated |= truncated;
-                    gate.drain(maximal_subset(&patterns));
-                    stats
-                }
-                (Mode::TopK, _) => unreachable!("TopK resolves to a ranked run"),
-            }
-        };
-
-        stats.set_elapsed(start.elapsed());
-        MiningReport {
-            stats,
-            emitted: gate.emitted,
-            truncated: gate.truncated,
-            cancelled: gate.cancelled,
-        }
-    }
-
-    /// Fans the frequent seeds of one streaming mode (`All`/`Closed`
-    /// unbounded, constrained `All`) out across workers through the
-    /// two-level (shard × seed) queue and returns the merged pattern list
-    /// in sequential emission order: the grid phase computes each seed's
-    /// per-shard initial support fragments, the seed phase glues them (in
-    /// shard order, which is global sequence order) and mines the subtree
-    /// with shard-routed support computation. With one shard the fragment
-    /// *is* the initial support set — the unsharded path is the same code.
-    ///
-    /// `min_len`, `keep`, and the per-seed `cap` mirror the emission gate:
-    /// within a single seed's buffer only the first `cap` patterns can ever
-    /// be emitted globally (earlier seeds can only push them further back),
-    /// so capping each buffer bounds memory without changing the output.
-    #[allow(clippy::too_many_arguments)] // internal dispatch, not an API
-    fn mine_merged_parallel(
-        &self,
-        prepared: PreparedRef<'_>,
-        config: &MiningConfig,
-        threads: usize,
-        mode: Mode,
-        min_len: usize,
-        keep: bool,
-        cap: Option<usize>,
-    ) -> (Vec<MinedPattern>, MiningStats) {
-        let req = &self.request;
-        let min_sup = config.effective_min_sup();
-        let events = prepared.parts.frequent_events(min_sup);
-        let num_shards = prepared.parts.index.num_shards();
-        let sc = prepared.support_computer();
-        let unbounded = req.constraints.is_unbounded();
-        let checker = if mode == Mode::Closed {
-            Some(ClosureChecker::new(&sc, &events))
-        } else {
-            None
-        };
-        let csc = if unbounded {
-            None
-        } else {
-            Some(ConstrainedSupportComputer::with_support_computer(
-                prepared.support_computer(),
-                req.constraints,
-            ))
-        };
-
-        let buffers = fan_out_shard_seeds(
-            threads,
-            num_shards,
-            events.len(),
-            |i, shard| {
-                let mut fragment = SupportSet::new();
-                sc.initial_support_fragment_into(events[i], shard, &mut fragment);
-                fragment
-            },
-            |i, fragments| {
-                let seed = events[i];
-                let mut initial = SupportSet::new();
-                for fragment in &fragments {
-                    initial.append_fragment(fragment);
-                }
-                let mut patterns: Vec<MinedPattern> = Vec::new();
-                let mut emit = |p: &Pattern, s: &SupportSet| -> ControlFlow<()> {
-                    if p.len() < min_len {
-                        return ControlFlow::Continue(());
-                    }
-                    let mut mined = MinedPattern::new(p.clone(), s.support());
-                    if keep {
-                        mined.support_set = Some(s.clone());
-                    }
-                    patterns.push(mined);
-                    if cap.is_some_and(|c| patterns.len() >= c) {
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                };
-                let (stats, _) = match (mode, unbounded) {
-                    (Mode::All, true) => {
-                        mine_all_seed(&sc, config, min_sup, &events, seed, initial, &mut emit)
-                    }
-                    (Mode::Closed, true) => mine_closed_seed(
-                        &sc,
-                        checker.as_ref().expect("closed checker"),
-                        config,
-                        min_sup,
-                        &events,
-                        seed,
-                        initial,
-                        &mut emit,
-                    ),
-                    (Mode::All, false) => mine_all_constrained_seed(
-                        csc.as_ref().expect("constrained computer"),
-                        config,
-                        min_sup,
-                        &events,
-                        seed,
-                        initial,
-                        &mut emit,
-                    ),
-                    _ => unreachable!("only streaming modes are merged in parallel"),
-                };
-                (patterns, stats)
-            },
-        );
-
-        let mut stats = MiningStats::default();
-        let mut merged = Vec::new();
-        for (patterns, seed_stats) in buffers {
-            stats.merge(&seed_stats);
-            merged.extend(patterns);
-        }
-        (merged, stats)
-    }
-
-    /// Ranked runs: the best `k` patterns of the base mode, sorted by
-    /// support, then length, then lexicographically.
-    fn collect_ranked(
-        &self,
-        prepared: PreparedRef<'_>,
-        config: &MiningConfig,
-        threads: usize,
-    ) -> (Vec<MinedPattern>, MiningStats, bool) {
-        let req = &self.request;
-        let k = req.effective_k();
-        if k == 0 {
-            return (Vec::new(), MiningStats::default(), false);
-        }
-        if req.constraints.is_unbounded() && req.base_mode() != Mode::Maximal {
-            // The optimized TSP-style search with a dynamically raised
-            // threshold (Apriori lets it prune subtrees below the current
-            // k-th best support).
-            let params = TopKParams {
-                k,
-                min_len: req.min_len,
-                closed_only: req.base_mode() == Mode::Closed,
-                min_sup_floor: req.min_sup.max(1),
-                max_pattern_length: req.max_pattern_length,
-                keep_support_sets: req.keep_support_sets,
-            };
-            let (patterns, stats) = if threads > 1 {
-                run_top_k_parallel(prepared, &params, threads)
-            } else {
-                run_top_k(prepared, &params)
-            };
-            return (patterns, stats, false);
-        }
-        // General path (constrained and/or maximal): materialize the base
-        // family, rank, truncate. A truncated basis means the ranking may
-        // have missed better patterns, so the flag must propagate.
-        let (basis, stats, truncated) = if req.constraints.is_unbounded() {
-            self.collect_closed_basis(prepared, config, threads)
-        } else {
-            self.collect_constrained_basis(prepared, config, threads)
-        };
-        let mut patterns = match req.base_mode() {
-            Mode::All => basis,
-            Mode::Closed => closed_subset(&basis),
-            Mode::Maximal => maximal_subset(&if req.constraints.is_unbounded() {
-                basis
-            } else {
-                closed_subset(&basis)
-            }),
-            Mode::TopK => unreachable!("base_mode never returns TopK"),
-        };
-        patterns.retain(|mp| mp.pattern.len() >= self.request.min_len);
-        crate::result::sort_patterns_for_report(&mut patterns);
-        patterns.truncate(k);
-        (patterns, stats, truncated)
-    }
-
-    /// Runs CloGSgrow, collecting the closed set as the basis for maximal
-    /// filtering. Honors the pattern cap mid-search for safety (sequential)
-    /// or by truncating the deterministic merge to the same prefix
-    /// (parallel).
-    fn collect_closed_basis(
-        &self,
-        prepared: PreparedRef<'_>,
-        config: &MiningConfig,
-        threads: usize,
-    ) -> (Vec<MinedPattern>, MiningStats, bool) {
-        if threads > 1 {
-            let (patterns, stats) = self.mine_merged_parallel(
-                prepared,
-                config,
-                threads,
-                Mode::Closed,
-                0,
-                config.keep_support_sets,
-                self.request.max_patterns,
-            );
-            return cap_basis(patterns, stats, self.request.max_patterns);
-        }
-        let mut collector = Collector::new(config, self.request.max_patterns);
-        let stats = mine_closed_streaming(prepared, config, &mut |p, s| collector.emit(p, s));
-        (collector.patterns, stats, collector.truncated)
-    }
-
-    /// Runs constrained GSgrow, collecting the complete constrained-frequent
-    /// set as the basis for closed/maximal filtering under constraints
-    /// (Theorem 5 pruning is unsound there, so filtering the complete set is
-    /// the sound construction — see [`crate::constrained`]).
-    fn collect_constrained_basis(
-        &self,
-        prepared: PreparedRef<'_>,
-        config: &MiningConfig,
-        threads: usize,
-    ) -> (Vec<MinedPattern>, MiningStats, bool) {
-        if threads > 1 {
-            let (patterns, stats) = self.mine_merged_parallel(
-                prepared,
-                config,
-                threads,
-                Mode::All,
-                0,
-                config.keep_support_sets,
-                self.request.max_patterns,
-            );
-            return cap_basis(patterns, stats, self.request.max_patterns);
-        }
-        let mut collector = Collector::new(config, self.request.max_patterns);
-        let stats = mine_all_constrained_streaming(
-            prepared,
-            config,
-            self.request.constraints,
-            &mut |p, s| collector.emit(p, s),
-        );
-        (collector.patterns, stats, collector.truncated)
-    }
-}
-
-/// Applies the uniform pattern cap to a merged parallel basis: the
-/// sequential collector stops exactly at `cap` patterns in DFS order, so
-/// truncating the seed-ordered merge to the same prefix (and flagging it)
-/// reproduces its result bit for bit.
-fn cap_basis(
-    mut patterns: Vec<MinedPattern>,
-    stats: MiningStats,
-    cap: Option<usize>,
-) -> (Vec<MinedPattern>, MiningStats, bool) {
-    let truncated = cap.is_some_and(|c| patterns.len() >= c);
-    if let Some(c) = cap {
-        patterns.truncate(c);
-    }
-    (patterns, stats, truncated)
-}
-
-/// Internal collector used for basis runs (closed set for maximal mining,
-/// constrained-frequent set for constrained closed/maximal).
-struct Collector {
-    patterns: Vec<MinedPattern>,
-    keep: bool,
-    cap: Option<usize>,
-    truncated: bool,
-}
-
-impl Collector {
-    fn new(config: &MiningConfig, cap: Option<usize>) -> Self {
-        Self {
-            patterns: Vec::new(),
-            keep: config.keep_support_sets,
-            // Basis runs respect the uniform cap mid-search as a safety
-            // valve (a truncated basis makes the result a best-effort
-            // frontier, exactly like the legacy functions); the final
-            // emission applies the cap again.
-            cap,
-            truncated: false,
-        }
-    }
-
-    fn emit(&mut self, pattern: &Pattern, support: &SupportSet) -> ControlFlow<()> {
-        let mut mined = MinedPattern::new(pattern.clone(), support.support());
-        if self.keep {
-            mined.support_set = Some(support.clone());
-        }
-        self.patterns.push(mined);
-        if let Some(cap) = self.cap {
-            if self.patterns.len() >= cap {
-                self.truncated = true;
-                return ControlFlow::Break(());
-            }
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-/// The emission gate between the search and the user sink: applies the
-/// minimum-length filter, support-set retention, the uniform pattern cap,
-/// and records how the run ended.
-struct EmitGate<'s> {
-    sink: &'s mut dyn PatternSink,
-    min_len: usize,
-    keep: bool,
-    cap: Option<usize>,
-    emitted: usize,
-    truncated: bool,
-    cancelled: bool,
-}
-
-impl EmitGate<'_> {
-    /// Emission point for streaming searches.
-    fn emit(&mut self, pattern: &Pattern, support: &SupportSet) -> ControlFlow<()> {
-        if pattern.len() < self.min_len {
-            return ControlFlow::Continue(());
-        }
-        let mut mined = MinedPattern::new(pattern.clone(), support.support());
-        if self.keep {
-            mined.support_set = Some(support.clone());
-        }
-        self.forward(mined)
-    }
-
-    /// Emission point for pre-collected result lists.
-    fn drain(&mut self, patterns: Vec<MinedPattern>) {
-        for mined in patterns {
-            if mined.pattern.len() < self.min_len {
-                continue;
-            }
-            if self.forward(mined).is_break() {
-                break;
-            }
-        }
-    }
-
-    fn forward(&mut self, mined: MinedPattern) -> ControlFlow<()> {
-        self.emitted += 1;
-        if self.sink.accept(mined).is_break() {
-            self.cancelled = true;
-            return ControlFlow::Break(());
-        }
-        if let Some(cap) = self.cap {
-            if self.emitted >= cap {
-                self.truncated = true;
-                return ControlFlow::Break(());
-            }
-        }
-        ControlFlow::Continue(())
+        let mut report = self.db.with_view(&mut None, |prepared| {
+            run_solo(prepared, &self.request, sink)
+        });
+        report.stats.set_elapsed(start.elapsed());
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
 
+    use std::ops::ControlFlow;
+
     use super::*;
     use crate::constrained::constrained_support;
     use crate::reference::pattern_set;
+    use crate::result::MinedPattern;
 
     fn constrained_all(
         db: &seqdb::SequenceDatabase,

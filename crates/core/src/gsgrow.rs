@@ -6,95 +6,14 @@
 //! the current pattern `P` to `P ◦ e` by extending `P`'s leftmost support
 //! set (Algorithm 2), and recurses while the support stays at or above
 //! `min_sup` (Apriori property, Theorem 1).
-
-use std::ops::ControlFlow;
-use std::time::Instant;
+//!
+//! The walk itself is the crate's one DFS driver in [`crate::batch`]
+//! (`Mode::All` requests run its GSgrow scan); this module holds the
+//! frequent-event scan of line 1 and the algorithm's tests.
 
 use seqdb::{EventId, SequenceDatabase};
 
-use crate::config::MiningConfig;
-use crate::engine::{Miner, Mode};
-use crate::growth::{SetPool, SupportComputer};
-use crate::pattern::Pattern;
-use crate::prepared::PreparedRef;
-use crate::result::{MiningOutcome, MiningStats};
-use crate::support::SupportSet;
-
-/// Mines all frequent repetitive gapped subsequences of `db` with respect to
-/// `config.min_sup` (Algorithm 3, GSgrow).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Miner::new(db).from_config(config).mode(Mode::All).run()`; for \
-            repeated queries prepare once (`PreparedDb::new`) or open a \
-            snapshot (`Miner::from_snapshot`) instead of re-indexing per call"
-)]
-pub fn mine_all(db: &SequenceDatabase, config: &MiningConfig) -> MiningOutcome {
-    Miner::new(db).from_config(config).mode(Mode::All).run()
-}
-
-/// Streaming GSgrow core: runs the DFS of Algorithm 3 and hands every
-/// frequent pattern, with its leftmost support set, to `emit`. The search
-/// stops when `emit` returns [`ControlFlow::Break`]. Returns the search
-/// statistics (elapsed time is the caller's responsibility).
-pub(crate) fn mine_all_streaming(
-    prepared: PreparedRef<'_>,
-    config: &MiningConfig,
-    emit: &mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-) -> MiningStats {
-    let sc = prepared.support_computer();
-    let min_sup = config.effective_min_sup();
-    let events = prepared.parts.frequent_events(min_sup);
-    let mut stats = MiningStats::default();
-    for &seed in &events {
-        let initial = sc.initial_support_set(seed);
-        let (seed_stats, flow) = mine_all_seed(&sc, config, min_sup, &events, seed, initial, emit);
-        stats.merge(&seed_stats);
-        if flow.is_break() {
-            break;
-        }
-    }
-    stats
-}
-
-/// Mines the complete DFS subtree rooted at the single-event pattern
-/// `seed` (one iteration of Algorithm 3's outer loop), starting from the
-/// caller-supplied `initial` leftmost support set of the seed — either
-/// computed whole ([`SupportComputer::initial_support_set`]) or assembled
-/// from per-shard fragments by the two-level work queue. Subtrees of
-/// distinct seeds are independent, which is what makes first-level
-/// parallelism deterministic: running the seeds in any order and
-/// concatenating the per-seed emissions in seed order reproduces the
-/// sequential stream exactly.
-pub(crate) fn mine_all_seed(
-    sc: &SupportComputer<'_>,
-    config: &MiningConfig,
-    min_sup: u64,
-    events: &[EventId],
-    seed: EventId,
-    initial: SupportSet,
-    emit: &mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-) -> (MiningStats, ControlFlow<()>) {
-    let mut miner = GsGrow {
-        sc,
-        config,
-        min_sup,
-        frequent_events: events,
-        stats: MiningStats::default(),
-        stopped: false,
-        pool: SetPool::new(),
-        emit,
-    };
-    let support = initial;
-    if support.support() >= min_sup {
-        miner.mine_fre(&Pattern::single(seed), support);
-    }
-    let flow = if miner.stopped {
-        ControlFlow::Break(())
-    } else {
-        ControlFlow::Continue(())
-    };
-    (miner.stats, flow)
-}
+use crate::growth::SupportComputer;
 
 /// The single events whose repetitive support (total occurrence count)
 /// reaches `min_sup`; only these can appear in frequent patterns (Apriori).
@@ -109,140 +28,12 @@ pub(crate) fn frequent_events(
         .collect()
 }
 
-struct GsGrow<'a, 'b, 'e> {
-    sc: &'a SupportComputer<'b>,
-    config: &'a MiningConfig,
-    min_sup: u64,
-    frequent_events: &'a [EventId],
-    stats: MiningStats,
-    stopped: bool,
-    /// Recycles support sets across growth attempts: failed growths hand
-    /// their buffer straight back, finished subtrees return theirs on the
-    /// way up, so steady-state growth never touches the heap.
-    pool: SetPool,
-    emit: &'e mut dyn FnMut(&Pattern, &SupportSet) -> ControlFlow<()>,
-}
-
-impl GsGrow<'_, '_, '_> {
-    /// `mineFre(SeqDB, P, I)`: emits `P` and recursively grows it. The
-    /// support set is returned to the pool when the subtree is done.
-    fn mine_fre(&mut self, pattern: &Pattern, support: SupportSet) {
-        self.stats.visited += 1;
-        if (self.emit)(pattern, &support).is_break() {
-            self.stopped = true;
-        }
-        if self.stopped || !self.config.allows_growth(pattern.len()) {
-            self.pool.give(support);
-            return;
-        }
-        let events = self.frequent_events;
-        for &event in events {
-            if self.stopped {
-                break;
-            }
-            self.stats.instance_growths += 1;
-            let mut grown = self.pool.take();
-            self.sc
-                .instance_growth_into(&support, event, usize::MAX, &mut grown);
-            if grown.support() >= self.min_sup {
-                self.mine_fre(&pattern.grow(event), grown);
-            } else {
-                self.pool.give(grown);
-            }
-        }
-        self.pool.give(support);
-    }
-}
-
-/// Computes only the mining statistics (no pattern materialization) — a
-/// light-weight variant used by benchmarks that measure runtime and pattern
-/// counts for very large outputs.
-pub fn count_all(db: &SequenceDatabase, config: &MiningConfig) -> MiningStats {
-    let start = Instant::now();
-    let sc = SupportComputer::new(db);
-    let min_sup = config.effective_min_sup();
-    let events = frequent_events(&sc, db, min_sup);
-    let mut stats = MiningStats::default();
-
-    #[allow(clippy::too_many_arguments)] // internal DFS state, not an API
-    fn recurse(
-        sc: &SupportComputer<'_>,
-        config: &MiningConfig,
-        events: &[EventId],
-        min_sup: u64,
-        depth: usize,
-        support: SupportSet,
-        stats: &mut MiningStats,
-        budget: &mut Option<usize>,
-        pool: &mut SetPool,
-    ) {
-        stats.visited += 1;
-        if let Some(b) = budget {
-            if *b == 0 {
-                pool.give(support);
-                return;
-            }
-            *b -= 1;
-        }
-        if !config.allows_growth(depth) {
-            pool.give(support);
-            return;
-        }
-        for &event in events {
-            stats.instance_growths += 1;
-            let mut grown = pool.take();
-            sc.instance_growth_into(&support, event, usize::MAX, &mut grown);
-            if grown.support() >= min_sup {
-                recurse(
-                    sc,
-                    config,
-                    events,
-                    min_sup,
-                    depth + 1,
-                    grown,
-                    stats,
-                    budget,
-                    pool,
-                );
-            } else {
-                pool.give(grown);
-            }
-            if matches!(budget, Some(0)) {
-                break;
-            }
-        }
-        pool.give(support);
-    }
-
-    let mut budget = config.max_patterns;
-    let mut pool = SetPool::new();
-    for &event in &events {
-        let support = sc.initial_support_set(event);
-        if support.support() >= min_sup {
-            recurse(
-                &sc,
-                config,
-                &events,
-                min_sup,
-                1,
-                support,
-                &mut stats,
-                &mut budget,
-                &mut pool,
-            );
-        }
-        if matches!(budget, Some(0)) {
-            break;
-        }
-    }
-    stats.set_elapsed(start.elapsed());
-    stats
-}
-
 #[cfg(test)]
 mod tests {
 
     use super::*;
+    use crate::config::MiningConfig;
+    use crate::pattern::Pattern;
     use crate::reference::{enumerate_frequent, pattern_set};
 
     fn all_patterns(
@@ -349,16 +140,6 @@ mod tests {
         let mined = all_patterns(&db, &MiningConfig::new(1));
         assert!(mined.is_empty());
         assert!(!mined.truncated);
-    }
-
-    #[test]
-    fn count_all_agrees_with_mine_all_on_visited_nodes() {
-        let db = running_example();
-        let config = MiningConfig::new(2);
-        let mined = all_patterns(&db, &config);
-        let counted = count_all(&db, &config);
-        assert_eq!(counted.visited, mined.stats.visited);
-        assert_eq!(counted.visited as usize, mined.len());
     }
 
     #[test]

@@ -17,8 +17,12 @@
 //! * the case-study **post-processing** pipeline of §IV-B (density filter,
 //!   maximality filter, ranking by length),
 //! * the extensions the paper's conclusion sketches: gap/window-constrained
-//!   mining ([`constrained`]), top-k mining ([`topk`]), and maximal pattern
-//!   mining ([`maximal`]).
+//!   mining ([`constrained`]), top-k mining ([`Miner::top_k`]), and maximal
+//!   pattern mining ([`maximal`]).
+//!
+//! Every run walks the pattern tree through one DFS driver ([`batch`]):
+//! solo runs, pull streams, parallel runs and request batches all step the
+//! same explicit-stack walker.
 //!
 //! # Quick start — prepare once, query many
 //!
@@ -141,25 +145,20 @@
 //! let longest = session.stream().take(5).max_by_key(|mp| mp.pattern.len());
 //! assert!(longest.is_some());
 //! ```
-//!
-//! The six free functions of the 0.1 API ([`mine_all`], [`mine_closed`],
-//! [`mine_top_k`], [`mine_maximal`], [`mine_all_constrained`],
-//! [`mine_closed_constrained`]) remain available as deprecated shims that
-//! delegate to the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod canonical;
-pub mod clogsgrow;
+mod clogsgrow;
 pub mod closure;
 pub mod config;
 pub mod constrained;
 pub mod constraints;
 pub mod engine;
 pub mod growth;
-pub mod gsgrow;
+mod gsgrow;
 pub mod instance;
 pub mod instbuf;
 pub mod json;
@@ -175,28 +174,20 @@ pub mod sink;
 pub mod snapshot;
 pub mod stream;
 pub mod support;
-pub mod topk;
+mod topk;
 
 pub use batch::MiningResult;
 pub use canonical::canonical_key;
-#[allow(deprecated)]
-pub use clogsgrow::mine_closed;
 pub use config::MiningConfig;
-#[allow(deprecated)]
-pub use constrained::{
-    constrained_support, mine_all_constrained, mine_closed_constrained, ConstrainedSupportComputer,
-};
+pub use constrained::{constrained_support, ConstrainedSupportComputer};
 pub use constraints::GapConstraints;
 pub use engine::{
     ExecutionPolicy, Miner, MiningReport, MiningRequest, MiningSession, Mode, DEFAULT_TOP_K,
 };
 pub use growth::{instance_growth, repetitive_support, support_set, SupportComputer};
-#[allow(deprecated)]
-pub use gsgrow::mine_all;
 pub use instance::{Instance, Landmark};
 pub use instbuf::InstanceBuffer;
-#[allow(deprecated)]
-pub use maximal::{is_maximal, mine_maximal};
+pub use maximal::is_maximal;
 pub use pattern::Pattern;
 pub use postprocess::{postprocess, PostProcessConfig};
 pub use prepared::{ImageInfo, PreparedDb, ShardFootprint};
@@ -205,5 +196,3 @@ pub use seqdb::SnapshotError;
 pub use sink::{BudgetSink, CollectSink, CountSink, DeadlineSink, PatternSink};
 pub use stream::PatternStream;
 pub use support::SupportSet;
-#[allow(deprecated)]
-pub use topk::{mine_top_k, TopKConfig};

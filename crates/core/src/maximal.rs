@@ -9,41 +9,21 @@
 //! *maximality* filter keeps only patterns not subsumed by a longer reported
 //! pattern).
 //!
-//! Two entry points are provided:
-//!
-//! * [`mine_maximal`] — the maximal subset of the frequent patterns, derived
-//!   from a complete closed-pattern run (a pattern that is not closed cannot
-//!   be maximal, so CloGSgrow's output is a sound starting point);
-//! * [`is_maximal`] — a direct definition-level check for a single pattern,
-//!   used by tests and by callers who already have a candidate.
+//! `Mode::Maximal` runs keep the patterns of a complete closed-pattern run
+//! with no frequent proper super-pattern ([`maximal_subset`]). That is
+//! sound: if `P` has a frequent proper super-pattern `Q`, then `Q` has a
+//! closed super-pattern `Q'` with `sup(Q') = sup(Q) ≥ min_sup` (Lemma 2),
+//! and `Q'` is also a proper super-pattern of `P`, so the subsumption is
+//! witnessed inside the closed set. [`is_maximal`] is a direct
+//! definition-level check for a single pattern, used by tests and by
+//! callers who already have a candidate.
 
 use seqdb::{EventId, SequenceDatabase};
 
-use crate::config::MiningConfig;
-use crate::engine::{Miner, Mode};
 use crate::growth::SupportComputer;
 use crate::gsgrow::frequent_events;
 use crate::pattern::Pattern;
-use crate::result::{MinedPattern, MiningOutcome};
-
-/// Mines the maximal frequent repetitive gapped subsequences of `db`.
-///
-/// Internally runs CloGSgrow (maximal ⊆ closed) and keeps the patterns with
-/// no frequent proper super-pattern. The super-pattern test is performed
-/// against the closed result, which is sound: if `P` has a frequent proper
-/// super-pattern `Q`, then `Q` has a closed super-pattern `Q'` with
-/// `sup(Q') = sup(Q) ≥ min_sup` (Lemma 2), and `Q'` is also a proper
-/// super-pattern of `P`, so the subsumption is witnessed inside the closed
-/// set.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Miner::new(db).from_config(config).mode(Mode::Maximal).run()`; for \
-            repeated queries prepare once (`PreparedDb::new`) or open a \
-            snapshot (`Miner::from_snapshot`) instead of re-indexing per call"
-)]
-pub fn mine_maximal(db: &SequenceDatabase, config: &MiningConfig) -> MiningOutcome {
-    Miner::new(db).from_config(config).mode(Mode::Maximal).run()
-}
+use crate::result::MinedPattern;
 
 /// Filters a set of mined patterns down to the maximal ones: patterns not
 /// properly contained in any other pattern of the set.
@@ -90,6 +70,7 @@ pub fn is_maximal(db: &SequenceDatabase, pattern: &Pattern, min_sup: u64) -> boo
 mod tests {
 
     use super::*;
+    use crate::config::MiningConfig;
 
     fn all_patterns(
         db: &seqdb::SequenceDatabase,

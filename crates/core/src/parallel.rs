@@ -1,7 +1,7 @@
 //! Parallel execution: a two-level (shard × seed) work queue feeding
 //! deterministic seed-order merges.
 //!
-//! Every miner in this crate shares the same outer loop: for each frequent
+//! The DFS driver ([`crate::batch`]) has one outer loop: for each frequent
 //! single event (the *seed*), mine the DFS subtree rooted at it. The
 //! subtrees are fully independent — they only read the immutable prepared
 //! database (flat [`seqdb::SeqStore`] and CSR-index arenas, borrowed as

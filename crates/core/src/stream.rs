@@ -9,12 +9,13 @@
 //!
 //! For the configurations the engine can emit incrementally — `All` and
 //! `Closed` without gap constraints, and constrained `All`, under
-//! sequential execution — the stream drives an explicit-stack version of
-//! the same DFS and does only as much search as has been pulled. The
-//! remaining configurations (ranked, maximal, closed-constrained, parallel
-//! execution) require a global pass; those are materialized on stream
-//! creation and then iterated. In every case the yielded sequence is
-//! identical to [`MiningOutcome::patterns`](crate::MiningOutcome).
+//! sequential execution — the stream steps the engine's own walk (see
+//! [`crate::batch`]), which pauses after every emission, so it does only as
+//! much search as has been pulled. The remaining configurations (ranked,
+//! maximal, closed-constrained, parallel execution) require a global pass;
+//! those are materialized on stream creation and then iterated. In every
+//! case the yielded sequence is identical to
+//! [`MiningOutcome::patterns`](crate::MiningOutcome).
 //!
 //! ```
 //! use seqdb::SequenceDatabase;
@@ -40,133 +41,50 @@
 //! ```
 
 use std::iter::FusedIterator;
-use std::sync::Arc;
 
-use seqdb::{EventId, SequenceDatabase};
-
-use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
-use crate::config::MiningConfig;
-use crate::constrained::ConstrainedSupportComputer;
-use crate::constraints::GapConstraints;
-use crate::engine::{DbHandle, MiningSession, Mode};
-use crate::growth::SetPool;
-use crate::pattern::Pattern;
-use crate::prepared::{PreparedDb, PreparedParts, PreparedRef};
+use crate::batch::PullWalk;
+use crate::engine::{DbHandle, MiningSession};
+use crate::prepared::PreparedParts;
 use crate::result::MinedPattern;
-use crate::support::SupportSet;
 
 /// A pull-based iterator over the patterns of one mining run, in engine
 /// emission order. Created by [`MiningSession::stream`].
 pub struct PatternStream<'a> {
     state: StreamState<'a>,
-    min_len: usize,
-    keep: bool,
-    cap: Option<usize>,
     emitted: usize,
     truncated: bool,
     done: bool,
 }
 
-/// Where a lazy stream's prepared database lives. The DFS machines below
-/// hold no references into it — they receive a fresh [`PreparedRef`] on
-/// every step — so the stream can own the preparation without
-/// self-reference. Buffered streams never construct one (their run has
-/// already resolved the database), so raw sources are prepared at most
-/// once per stream.
-enum StreamSource<'a> {
-    /// Lazily prepared from a borrowed raw database ([`crate::Miner::new`]).
-    Raw {
-        db: &'a SequenceDatabase,
-        parts: PreparedParts,
-    },
-    /// Borrowing a caller-owned [`PreparedDb`].
-    Prepared(&'a PreparedDb),
-    /// Co-owning a shared snapshot.
-    Shared(Arc<PreparedDb>),
-}
-
-impl<'a> StreamSource<'a> {
-    fn new(session: &MiningSession<'a>) -> Self {
-        match &session.db {
-            DbHandle::Raw(db) => StreamSource::Raw {
-                db,
-                parts: PreparedParts::build(db),
-            },
-            DbHandle::Prepared(prepared) => StreamSource::Prepared(prepared),
-            DbHandle::Shared(prepared) => StreamSource::Shared(Arc::clone(prepared)),
-        }
-    }
-
-    fn prepared_ref(&self) -> PreparedRef<'_> {
-        match self {
-            StreamSource::Raw { db, parts } => PreparedRef { db, parts },
-            StreamSource::Prepared(prepared) => prepared.as_prepared_ref(),
-            StreamSource::Shared(prepared) => prepared.as_prepared_ref(),
-        }
-    }
-}
-
 enum StreamState<'a> {
-    /// Explicit-stack GSgrow DFS (plain or gap-constrained).
-    LazyAll(StreamSource<'a>, LazyAll),
-    /// Explicit-stack CloGSgrow DFS.
-    LazyClosed(StreamSource<'a>, LazyClosed),
+    /// The engine's walk, advanced one emission per pull. The walk holds no
+    /// borrow of the database: every step binds it to the session's
+    /// database afresh, with a raw database's parts prepared once, here.
+    Lazy {
+        db: DbHandle<'a>,
+        parts: Option<PreparedParts>,
+        walk: Box<PullWalk>,
+    },
     /// Materialized result for configurations that need a global pass.
     Buffered(std::vec::IntoIter<MinedPattern>),
 }
 
 impl<'a> PatternStream<'a> {
     pub(crate) fn new(session: &'a MiningSession<'a>) -> Self {
-        let request = session.request();
-        let sequential = request.execution.effective_threads() <= 1;
-        let lazy_mode = if request.is_ranked() || !sequential {
-            None
-        } else {
-            match (request.base_mode(), request.constraints.is_unbounded()) {
-                (Mode::All, _) => Some(Mode::All),
-                (Mode::Closed, true) => Some(Mode::Closed),
-                _ => None,
-            }
-        };
-
-        let (state, truncated) = match lazy_mode {
-            Some(mode) => {
-                let source = StreamSource::new(session);
-                let prepared = source.prepared_ref();
-                let config = request.to_config();
-                let min_sup = config.effective_min_sup();
-                let events = prepared.parts.frequent_events(min_sup);
-                let state = if mode == Mode::Closed {
-                    let candidates = events
-                        .iter()
-                        .map(|&e| (e, prepared.parts.occurrence_counts[e.index()]))
-                        .collect();
-                    let machine = LazyClosed {
-                        config,
-                        min_sup,
-                        events,
-                        candidates,
-                        next_seed: 0,
-                        stack: Vec::new(),
-                        sup_stack: Vec::new(),
-                        pool: SetPool::new(),
-                        scratch: CheckScratch::new(),
-                    };
-                    StreamState::LazyClosed(source, machine)
-                } else {
-                    let machine = LazyAll {
-                        constraints: request.constraints,
-                        config,
-                        min_sup,
-                        events,
-                        next_seed: 0,
-                        stack: Vec::new(),
-                        pool: SetPool::new(),
-                    };
-                    StreamState::LazyAll(source, machine)
-                };
-                (state, false)
-            }
+        let db = session.db.clone();
+        let mut parts = None;
+        let walk = db.with_view(&mut parts, |prepared| {
+            PullWalk::new(prepared, session.request())
+        });
+        let (state, truncated) = match walk {
+            Some(walk) => (
+                StreamState::Lazy {
+                    db,
+                    parts,
+                    walk: Box::new(walk),
+                },
+                false,
+            ),
             None => {
                 let outcome = session.run();
                 (
@@ -175,18 +93,8 @@ impl<'a> PatternStream<'a> {
                 )
             }
         };
-
-        // The buffered path has already applied the gate inside `run()`;
-        // only lazy streams filter here.
-        let gated = matches!(
-            state,
-            StreamState::LazyAll(..) | StreamState::LazyClosed(..)
-        );
         PatternStream {
             state,
-            min_len: if gated { request.min_len } else { 0 },
-            keep: request.keep_support_sets,
-            cap: if gated { request.max_patterns } else { None },
             emitted: 0,
             truncated,
             done: false,
@@ -213,38 +121,20 @@ impl Iterator for PatternStream<'_> {
         if self.done {
             return None;
         }
-        loop {
-            let candidate = match &mut self.state {
-                StreamState::LazyAll(source, lazy) => lazy.advance(source.prepared_ref()),
-                StreamState::LazyClosed(source, lazy) => lazy.advance(source.prepared_ref()),
-                StreamState::Buffered(iter) => {
-                    let mined = iter.next();
-                    if mined.is_none() {
-                        self.done = true;
-                    } else {
-                        self.emitted += 1;
-                    }
-                    return mined;
-                }
-            };
-            let Some((pattern, support)) = candidate else {
-                self.done = true;
-                return None;
-            };
-            if pattern.len() < self.min_len {
-                continue;
+        let mined = match &mut self.state {
+            StreamState::Lazy { db, parts, walk } => {
+                let mined = db.with_view(parts, |prepared| walk.next(prepared));
+                self.truncated = walk.truncated();
+                self.done = self.truncated;
+                mined
             }
-            let mut mined = MinedPattern::new(pattern, support.support());
-            if self.keep {
-                mined.support_set = Some(support);
-            }
-            self.emitted += 1;
-            if self.cap.is_some_and(|c| self.emitted >= c) {
-                self.truncated = true;
-                self.done = true;
-            }
-            return Some(mined);
+            StreamState::Buffered(iter) => iter.next(),
+        };
+        match mined {
+            Some(_) => self.emitted += 1,
+            None => self.done = true,
         }
+        mined
     }
 }
 
@@ -257,248 +147,5 @@ impl std::fmt::Debug for PatternStream<'_> {
             .field("truncated", &self.truncated)
             .field("done", &self.done)
             .finish_non_exhaustive()
-    }
-}
-
-/// One node of the explicit-stack GSgrow DFS: the pattern, its leftmost
-/// support set, and the next candidate extension event to try.
-struct AllFrame {
-    pattern: Pattern,
-    support: SupportSet,
-    next_child: usize,
-}
-
-/// Explicit-stack form of the GSgrow recursion (Algorithm 3), one emitted
-/// pattern per [`LazyAll::advance`] call. Holds no references into the
-/// prepared database, so the stream can own both.
-struct LazyAll {
-    constraints: GapConstraints,
-    config: MiningConfig,
-    min_sup: u64,
-    events: Vec<EventId>,
-    next_seed: usize,
-    stack: Vec<AllFrame>,
-    /// Recycles support sets across growth attempts and popped frames.
-    pool: SetPool,
-}
-
-impl LazyAll {
-    fn advance(&mut self, prepared: PreparedRef<'_>) -> Option<(Pattern, SupportSet)> {
-        // With unbounded constraints the constrained growth degenerates to
-        // exactly Algorithm 2, so one grower serves both dispatch arms.
-        let csc = ConstrainedSupportComputer::with_support_computer(
-            prepared.support_computer(),
-            self.constraints,
-        );
-        loop {
-            if self.stack.is_empty() {
-                // Next seed subtree.
-                let seed = loop {
-                    if self.next_seed >= self.events.len() {
-                        return None;
-                    }
-                    let event = self.events[self.next_seed];
-                    self.next_seed += 1;
-                    let support = csc.initial_support_set(event);
-                    if support.support() >= self.min_sup {
-                        break (event, support);
-                    }
-                };
-                let (event, support) = seed;
-                let pattern = Pattern::single(event);
-                self.stack.push(AllFrame {
-                    pattern: pattern.clone(),
-                    support: support.clone(),
-                    next_child: 0,
-                });
-                return Some((pattern, support));
-            }
-
-            let top = self.stack.last_mut().expect("non-empty stack");
-            if !self.config.allows_growth(top.pattern.len()) {
-                let frame = self.stack.pop().expect("non-empty stack");
-                self.pool.give(frame.support);
-                continue;
-            }
-            let mut next = None;
-            while top.next_child < self.events.len() {
-                let event = self.events[top.next_child];
-                top.next_child += 1;
-                let mut grown = self.pool.take();
-                csc.instance_growth_into(&top.support, event, &mut grown);
-                if grown.support() >= self.min_sup {
-                    next = Some((top.pattern.grow(event), grown));
-                    break;
-                }
-                self.pool.give(grown);
-            }
-            match next {
-                Some((pattern, support)) => {
-                    self.stack.push(AllFrame {
-                        pattern: pattern.clone(),
-                        support: support.clone(),
-                        next_child: 0,
-                    });
-                    return Some((pattern, support));
-                }
-                None => {
-                    let frame = self.stack.pop().expect("non-empty stack");
-                    self.pool.give(frame.support);
-                }
-            }
-        }
-    }
-}
-
-/// One node of the explicit-stack CloGSgrow DFS: the pattern, its frequent
-/// append children (computed at visit time for the closure verdict), and
-/// the next child to descend into. The node's own support set lives on the
-/// parallel `sup_stack` (the checker needs the whole prefix stack).
-struct ClosedFrame {
-    pattern: Pattern,
-    children: Vec<(EventId, SupportSet)>,
-    next_child: usize,
-}
-
-/// What visiting one closed-DFS node produced.
-enum Visit {
-    /// Subtree pruned by landmark border checking: nothing was pushed.
-    Pruned,
-    /// Node entered (frame pushed); `Some` when the pattern is closed and
-    /// must be emitted.
-    Entered(Option<(Pattern, SupportSet)>),
-}
-
-/// Explicit-stack form of the CloGSgrow recursion (Algorithm 4).
-struct LazyClosed {
-    config: MiningConfig,
-    min_sup: u64,
-    events: Vec<EventId>,
-    /// `(event, total occurrences)` for the closure checker, precomputed so
-    /// each step builds the checker in O(1).
-    candidates: Vec<(EventId, u64)>,
-    next_seed: usize,
-    stack: Vec<ClosedFrame>,
-    sup_stack: Vec<SupportSet>,
-    /// Recycles support sets across growth attempts and popped frames.
-    pool: SetPool,
-    /// Ping/pong buffers for the closure check's extension growth.
-    scratch: CheckScratch,
-}
-
-impl LazyClosed {
-    fn advance(&mut self, prepared: PreparedRef<'_>) -> Option<(Pattern, SupportSet)> {
-        let sc = prepared.support_computer();
-        loop {
-            if self.stack.is_empty() {
-                let (event, support) = loop {
-                    if self.next_seed >= self.events.len() {
-                        return None;
-                    }
-                    let event = self.events[self.next_seed];
-                    self.next_seed += 1;
-                    let support = sc.initial_support_set(event);
-                    if support.support() >= self.min_sup {
-                        break (event, support);
-                    }
-                };
-                match self.visit(&sc, Pattern::single(event), support) {
-                    Visit::Pruned => continue,
-                    Visit::Entered(Some(emit)) => return Some(emit),
-                    Visit::Entered(None) => continue,
-                }
-            }
-
-            let top = self.stack.last_mut().expect("non-empty stack");
-            if !self.config.allows_growth(top.pattern.len()) || top.next_child >= top.children.len()
-            {
-                let frame = self.stack.pop().expect("non-empty stack");
-                for (_, set) in frame.children.into_iter().skip(frame.next_child) {
-                    self.pool.give(set);
-                }
-                if let Some(set) = self.sup_stack.pop() {
-                    self.pool.give(set);
-                }
-                continue;
-            }
-            let (event, grown) = {
-                let child = &mut top.children[top.next_child];
-                top.next_child += 1;
-                (child.0, std::mem::take(&mut child.1))
-            };
-            let pattern = top.pattern.grow(event);
-            match self.visit(&sc, pattern, grown) {
-                Visit::Pruned => continue,
-                Visit::Entered(Some(emit)) => return Some(emit),
-                Visit::Entered(None) => continue,
-            }
-        }
-    }
-
-    /// Visits one node: computes its append children, runs the combined
-    /// closure / landmark-border check, and pushes the node's frame unless
-    /// the subtree is pruned. Mirrors `CloGsGrow::mine` line for line.
-    fn visit(
-        &mut self,
-        sc: &crate::growth::SupportComputer<'_>,
-        pattern: Pattern,
-        support: SupportSet,
-    ) -> Visit {
-        let checker = ClosureChecker::from_candidates(sc, &self.candidates);
-        let sup = support.support();
-        self.sup_stack.push(support);
-
-        // Children are computed unconditionally: even at the length cap the
-        // closure verdict needs `append_equal` (Theorem 4 covers append
-        // extensions) — mirrors `CloGsGrow::mine`.
-        let mut children: Vec<(EventId, SupportSet)> = Vec::new();
-        let mut append_equal = false;
-        for &event in &self.events {
-            let mut grown = self.pool.take();
-            sc.instance_growth_into(
-                self.sup_stack.last().expect("support set"),
-                event,
-                usize::MAX,
-                &mut grown,
-            );
-            if grown.support() == sup {
-                append_equal = true;
-            }
-            if grown.support() >= self.min_sup {
-                children.push((event, grown));
-            } else {
-                self.pool.give(grown);
-            }
-        }
-
-        match checker.check(&pattern, &self.sup_stack, append_equal, &mut self.scratch) {
-            ClosureStatus::Prune if self.config.use_landmark_pruning => {
-                if let Some(set) = self.sup_stack.pop() {
-                    self.pool.give(set);
-                }
-                for (_, set) in children {
-                    self.pool.give(set);
-                }
-                Visit::Pruned
-            }
-            ClosureStatus::Prune | ClosureStatus::NonClosed => {
-                self.stack.push(ClosedFrame {
-                    pattern,
-                    children,
-                    next_child: 0,
-                });
-                Visit::Entered(None)
-            }
-            ClosureStatus::Closed => {
-                let emit_support = self.sup_stack.last().expect("support set").clone();
-                let emit = (pattern.clone(), emit_support);
-                self.stack.push(ClosedFrame {
-                    pattern,
-                    children,
-                    next_child: 0,
-                });
-                Visit::Entered(Some(emit))
-            }
-        }
     }
 }

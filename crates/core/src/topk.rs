@@ -9,353 +9,18 @@
 //!
 //! The search is the same prefix DFS as GSgrow; the Apriori property lets
 //! the miner prune any subtree whose root support is already below the
-//! current dynamic threshold, because no descendant can beat it.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use seqdb::{EventId, SequenceDatabase};
-
-use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
-use crate::engine::{Miner, Mode};
-use crate::growth::{SetPool, SupportComputer};
-use crate::parallel::fan_out_seeds;
-use crate::pattern::Pattern;
-use crate::prepared::PreparedRef;
-use crate::result::{MinedPattern, MiningOutcome, MiningStats};
-use crate::support::SupportSet;
-
-/// Configuration for [`mine_top_k`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopKConfig {
-    /// How many patterns to return.
-    pub k: usize,
-    /// Only patterns of at least this length compete for the top-k slots
-    /// (length-1 patterns are trivially the most frequent, so `min_len = 2`
-    /// is a sensible exploratory default).
-    pub min_len: usize,
-    /// When `true`, only *closed* patterns (Definition 2.6, verified by the
-    /// closure check of Theorem 4) occupy top-k slots.
-    pub closed_only: bool,
-    /// A hard floor on the support: patterns below this never qualify even
-    /// if fewer than `k` better patterns exist.
-    pub min_sup_floor: u64,
-    /// Optional cap on pattern length for the DFS.
-    pub max_pattern_length: Option<usize>,
-}
-
-impl TopKConfig {
-    /// Top-k closed patterns of length at least 2 with no support floor.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            min_len: 2,
-            closed_only: true,
-            min_sup_floor: 1,
-            max_pattern_length: None,
-        }
-    }
-
-    /// Sets the minimum qualifying pattern length.
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len;
-        self
-    }
-
-    /// Includes non-closed patterns in the ranking.
-    pub fn including_non_closed(mut self) -> Self {
-        self.closed_only = false;
-        self
-    }
-
-    /// Sets a hard floor on the support of qualifying patterns.
-    pub fn with_min_sup_floor(mut self, floor: u64) -> Self {
-        self.min_sup_floor = floor.max(1);
-        self
-    }
-
-    /// Caps the pattern length explored by the DFS.
-    pub fn with_max_pattern_length(mut self, max_len: usize) -> Self {
-        self.max_pattern_length = Some(max_len);
-        self
-    }
-}
-
-/// Mines the `k` most frequent (optionally closed) repetitive gapped
-/// subsequences of length at least `config.min_len`.
-///
-/// The result is sorted by descending support, then by descending length,
-/// then lexicographically; ties at the k-th support value are broken by that
-/// order, so the result always has at most `k` patterns.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Miner::new(db).min_sup(floor).mode(Mode::Closed).top_k(k).min_len(2).run()`; \
-            for repeated queries prepare once (`PreparedDb::new`) or open a \
-            snapshot (`Miner::from_snapshot`) instead of re-indexing per call"
-)]
-pub fn mine_top_k(db: &SequenceDatabase, config: &TopKConfig) -> MiningOutcome {
-    let mut miner = Miner::new(db)
-        .min_sup(config.min_sup_floor)
-        .mode(if config.closed_only {
-            Mode::Closed
-        } else {
-            Mode::All
-        })
-        .top_k(config.k)
-        .min_len(config.min_len);
-    if let Some(len) = config.max_pattern_length {
-        miner = miner.max_pattern_length(len);
-    }
-    miner.run()
-}
-
-/// Internal parameters of the dynamic-threshold top-k search, built by the
-/// engine from a [`crate::MiningRequest`].
-pub(crate) struct TopKParams {
-    /// How many patterns to return.
-    pub k: usize,
-    /// Minimum qualifying pattern length.
-    pub min_len: usize,
-    /// Restrict the ranking to closed patterns (Theorem 4 check).
-    pub closed_only: bool,
-    /// Hard floor on qualifying supports.
-    pub min_sup_floor: u64,
-    /// Optional DFS pattern-length cap.
-    pub max_pattern_length: Option<usize>,
-    /// Attach the leftmost support set to every reported pattern.
-    pub keep_support_sets: bool,
-}
-
-/// The dynamic-threshold top-k search (TSP-style): returns the sorted,
-/// truncated top-k list plus search statistics. Elapsed time is the
-/// caller's responsibility.
-pub(crate) fn run_top_k(
-    prepared: PreparedRef<'_>,
-    params: &TopKParams,
-) -> (Vec<MinedPattern>, MiningStats) {
-    let mut stats = MiningStats::default();
-    if params.k == 0 {
-        return (Vec::new(), stats);
-    }
-    let sc = prepared.support_computer();
-    let events = prepared.parts.frequent_events(params.min_sup_floor.max(1));
-    let checker = ClosureChecker::new(&sc, &events);
-    let mut state = TopKState {
-        sc: &sc,
-        checker: &checker,
-        params,
-        events: &events,
-        // Min-heap over the supports currently occupying top-k slots.
-        heap: BinaryHeap::new(),
-        collected: Vec::new(),
-        visited: 0,
-        growths: 0,
-        pool: SetPool::new(),
-        scratch: CheckScratch::new(),
-        shared_floor: None,
-    };
-    for &event in &events {
-        let support = sc.initial_support_set(event);
-        if support.support() >= state.threshold() {
-            let mut stack = vec![support];
-            state.descend(&Pattern::single(event), &mut stack);
-        }
-    }
-    stats.visited = state.visited;
-    stats.instance_growths = state.growths;
-    let collected = state.collected;
-    (finish_top_k(collected, params.k), stats)
-}
-
-/// Parallel dynamic-threshold top-k: seed subtrees are fanned out across
-/// workers that share the current support floor through an atomic.
-///
-/// Each worker keeps a *local* top-k heap; whenever its heap holds `k`
-/// entries, its k-th best support is a lower bound on the global k-th best
-/// (a subset's k-th largest never exceeds the superset's), so publishing it
-/// via `fetch_max` only ever prunes subtrees that cannot reach the final
-/// top-k. Every pattern with support at or above the true k-th best is
-/// therefore collected by some worker, and the final sort under the total
-/// report order (support desc, length desc, lexicographic) makes the merged
-/// result bit-identical to the sequential one.
-pub(crate) fn run_top_k_parallel(
-    prepared: PreparedRef<'_>,
-    params: &TopKParams,
-    threads: usize,
-) -> (Vec<MinedPattern>, MiningStats) {
-    let mut stats = MiningStats::default();
-    if params.k == 0 {
-        return (Vec::new(), stats);
-    }
-    let sc = prepared.support_computer();
-    let events = prepared.parts.frequent_events(params.min_sup_floor.max(1));
-    let checker = ClosureChecker::new(&sc, &events);
-    let floor = AtomicU64::new(params.min_sup_floor.max(1));
-    let results = fan_out_seeds(threads, events.len(), |i| {
-        let mut state = TopKState {
-            sc: &sc,
-            checker: &checker,
-            params,
-            events: &events,
-            heap: BinaryHeap::new(),
-            collected: Vec::new(),
-            visited: 0,
-            growths: 0,
-            pool: SetPool::new(),
-            scratch: CheckScratch::new(),
-            shared_floor: Some(&floor),
-        };
-        let support = sc.initial_support_set(events[i]);
-        if support.support() >= state.threshold() {
-            let mut stack = vec![support];
-            state.descend(&Pattern::single(events[i]), &mut stack);
-        }
-        (state.collected, state.visited, state.growths)
-    });
-    let mut collected = Vec::new();
-    for (patterns, visited, growths) in results {
-        collected.extend(patterns);
-        stats.visited += visited;
-        stats.instance_growths += growths;
-    }
-    (finish_top_k(collected, params.k), stats)
-}
-
-/// Sorts the collected candidates under the canonical report order and
-/// keeps the best `k` — the deterministic merge shared by the sequential
-/// and parallel searches.
-fn finish_top_k(mut collected: Vec<MinedPattern>, k: usize) -> Vec<MinedPattern> {
-    crate::result::sort_patterns_for_report(&mut collected);
-    collected.truncate(k);
-    collected
-}
-
-struct TopKState<'a, 'b> {
-    sc: &'a SupportComputer<'b>,
-    checker: &'a ClosureChecker<'a, 'b>,
-    params: &'a TopKParams,
-    events: &'a [EventId],
-    heap: BinaryHeap<Reverse<u64>>,
-    collected: Vec<MinedPattern>,
-    visited: u64,
-    growths: u64,
-    /// Recycles support sets across growth attempts (see
-    /// [`crate::growth::SetPool`]).
-    pool: SetPool,
-    /// Ping/pong buffers for the closure check's extension growth.
-    scratch: CheckScratch,
-    /// In parallel runs, the support floor shared across workers; `None`
-    /// for the sequential search.
-    shared_floor: Option<&'a AtomicU64>,
-}
-
-impl TopKState<'_, '_> {
-    /// The dynamic support threshold: while fewer than `k` qualifying
-    /// patterns have been found it is the configured floor, afterwards it is
-    /// the smallest support among the current top-k. In parallel runs the
-    /// shared floor published by other workers raises it further.
-    fn threshold(&self) -> u64 {
-        let local = if self.heap.len() < self.params.k {
-            self.params.min_sup_floor.max(1)
-        } else {
-            self.heap
-                .peek()
-                .map(|Reverse(s)| *s)
-                .unwrap_or(self.params.min_sup_floor)
-                .max(self.params.min_sup_floor)
-        };
-        match self.shared_floor {
-            Some(floor) => local.max(floor.load(Ordering::Relaxed)),
-            None => local,
-        }
-    }
-
-    fn allows_growth(&self, len: usize) -> bool {
-        self.params.max_pattern_length.is_none_or(|max| len < max)
-    }
-
-    /// Visits `pattern`, whose prefix support sets (including its own, on
-    /// top) are held by `stack`.
-    fn descend(&mut self, pattern: &Pattern, stack: &mut Vec<SupportSet>) {
-        self.visited += 1;
-        let sup = stack.last().expect("support of pattern").support();
-
-        // Compute the append children up front: they are needed both for the
-        // closure verdict (append extensions with equal support) and for the
-        // recursion.
-        let events = self.events;
-        let mut children: Vec<(EventId, SupportSet)> = Vec::new();
-        let mut append_equal = false;
-        if self.allows_growth(pattern.len()) {
-            for &event in events {
-                self.growths += 1;
-                let mut grown = self.pool.take();
-                self.sc.instance_growth_into(
-                    stack.last().expect("support set"),
-                    event,
-                    usize::MAX,
-                    &mut grown,
-                );
-                if grown.support() == sup {
-                    append_equal = true;
-                }
-                if grown.support() >= 1 {
-                    children.push((event, grown));
-                } else {
-                    self.pool.give(grown);
-                }
-            }
-        }
-
-        if pattern.len() >= self.params.min_len && sup >= self.threshold() {
-            let qualifies = if self.params.closed_only {
-                self.checker
-                    .check(pattern, stack, append_equal, &mut self.scratch)
-                    == ClosureStatus::Closed
-            } else {
-                true
-            };
-            if qualifies {
-                self.heap.push(Reverse(sup));
-                if self.heap.len() > self.params.k {
-                    self.heap.pop();
-                }
-                // With k local entries, the local k-th best is a sound lower
-                // bound on the global k-th best: publish it to the other
-                // workers.
-                if let (Some(floor), Some(&Reverse(kth))) = (self.shared_floor, self.heap.peek()) {
-                    if self.heap.len() >= self.params.k {
-                        floor.fetch_max(kth, Ordering::Relaxed);
-                    }
-                }
-                let mut mined = MinedPattern::new(pattern.clone(), sup);
-                if self.params.keep_support_sets {
-                    mined.support_set = Some(stack.last().expect("support set").clone());
-                }
-                self.collected.push(mined);
-            }
-        }
-
-        for (event, grown) in children {
-            // Apriori pruning against the *current* dynamic threshold: no
-            // pattern in this subtree can have higher support than `grown`.
-            if grown.support() >= self.threshold() {
-                stack.push(grown);
-                self.descend(&pattern.grow(event), stack);
-                let done = stack.pop().expect("pushed above");
-                self.pool.give(done);
-            } else {
-                self.pool.give(grown);
-            }
-        }
-    }
-}
+//! current dynamic threshold, because no descendant can beat it. Requests
+//! ask for it with [`crate::Miner::top_k`]; the crate's one DFS driver in
+//! [`crate::batch`] runs it as a top-k member of a GSgrow scan. This module
+//! holds its tests.
 
 #[cfg(test)]
 mod tests {
 
-    use super::*;
+    use seqdb::SequenceDatabase;
+
+    use crate::engine::{Miner, Mode};
+    use crate::growth::SupportComputer;
 
     fn all_patterns(
         db: &seqdb::SequenceDatabase,
@@ -377,23 +42,15 @@ mod tests {
             .run()
     }
 
-    fn top_k_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::TopKConfig,
-    ) -> crate::MiningOutcome {
-        let mut miner = crate::Miner::new(db)
-            .min_sup(config.min_sup_floor)
-            .mode(if config.closed_only {
-                crate::Mode::Closed
-            } else {
-                crate::Mode::All
-            })
-            .top_k(config.k)
-            .min_len(config.min_len);
-        if let Some(len) = config.max_pattern_length {
-            miner = miner.max_pattern_length(len);
-        }
-        miner.run()
+    /// A ranked run: the `k` best patterns of length at least `min_len`,
+    /// closed ones only when `closed_only`, with no support floor.
+    fn top_k(db: &SequenceDatabase, k: usize, min_len: usize, closed_only: bool) -> Miner<'_> {
+        let mode = if closed_only { Mode::Closed } else { Mode::All };
+        Miner::new(db)
+            .min_sup(1)
+            .mode(mode)
+            .top_k(k)
+            .min_len(min_len)
     }
 
     use crate::config::MiningConfig;
@@ -409,7 +66,7 @@ mod tests {
     #[test]
     fn top_k_returns_at_most_k_patterns_sorted_by_support() {
         let db = running_example();
-        let outcome = top_k_patterns(&db, &TopKConfig::new(5));
+        let outcome = top_k(&db, 5, 2, true).run();
         assert!(outcome.len() <= 5);
         assert!(!outcome.is_empty());
         for w in outcome.patterns.windows(2) {
@@ -426,7 +83,7 @@ mod tests {
         // multiset) with sorting the full closed result.
         let db = running_example();
         for k in [1, 3, 5, 10] {
-            let topk = top_k_patterns(&db, &TopKConfig::new(k));
+            let topk = top_k(&db, k, 2, true).run();
             let mut full = closed_patterns(&db, &MiningConfig::new(1));
             full.patterns.retain(|mp| mp.pattern.len() >= 2);
             full.sort_for_report();
@@ -440,7 +97,7 @@ mod tests {
     fn top_k_including_non_closed_matches_exhaustive_all_mining() {
         let db = simple_example();
         for k in [1, 4, 8] {
-            let topk = top_k_patterns(&db, &TopKConfig::new(k).including_non_closed());
+            let topk = top_k(&db, k, 2, false).run();
             let mut full = all_patterns(&db, &MiningConfig::new(1));
             full.patterns.retain(|mp| mp.pattern.len() >= 2);
             full.sort_for_report();
@@ -453,10 +110,7 @@ mod tests {
     #[test]
     fn min_len_one_lets_single_events_compete() {
         let db = running_example();
-        let outcome = top_k_patterns(
-            &db,
-            &TopKConfig::new(3).with_min_len(1).including_non_closed(),
-        );
+        let outcome = top_k(&db, 3, 1, false).run();
         // The best support is 5 (A, D, and the length-2 pattern AD all reach
         // it); the length-desc tie-break puts AD first, and the single
         // events are allowed to occupy the remaining slots.
@@ -469,8 +123,7 @@ mod tests {
     #[test]
     fn support_floor_filters_low_support_patterns() {
         let db = running_example();
-        let config = TopKConfig::new(50).with_min_sup_floor(3);
-        let outcome = top_k_patterns(&db, &config);
+        let outcome = top_k(&db, 50, 2, true).min_sup(3).run();
         assert!(!outcome.is_empty());
         for mp in &outcome.patterns {
             assert!(mp.support >= 3, "{mp:?}");
@@ -480,20 +133,15 @@ mod tests {
     #[test]
     fn k_zero_and_empty_database_yield_empty_results() {
         let db = running_example();
-        assert!(top_k_patterns(&db, &TopKConfig::new(0)).is_empty());
+        assert!(top_k(&db, 0, 2, true).run().is_empty());
         let empty = SequenceDatabase::new();
-        assert!(top_k_patterns(&empty, &TopKConfig::new(5)).is_empty());
+        assert!(top_k(&empty, 5, 2, true).run().is_empty());
     }
 
     #[test]
     fn max_pattern_length_caps_exploration() {
         let db = running_example();
-        let outcome = top_k_patterns(
-            &db,
-            &TopKConfig::new(10)
-                .including_non_closed()
-                .with_max_pattern_length(2),
-        );
+        let outcome = top_k(&db, 10, 2, false).max_pattern_length(2).run();
         assert!(outcome.max_pattern_length() <= 2);
     }
 
@@ -501,7 +149,7 @@ mod tests {
     fn every_reported_pattern_has_its_true_support() {
         let db = simple_example();
         let sc = SupportComputer::new(&db);
-        let outcome = top_k_patterns(&db, &TopKConfig::new(6));
+        let outcome = top_k(&db, 6, 2, true).run();
         for mp in &outcome.patterns {
             assert_eq!(sc.support(&mp.pattern), mp.support);
         }

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use rgs_core::reference::{max_non_overlapping, max_non_overlapping_constrained, pattern_set};
 use rgs_core::{
     constrained_support, repetitive_support, GapConstraints, Miner, MiningConfig, MiningOutcome,
-    Mode, TopKConfig,
+    Mode,
 };
 use seqdb::{EventId, SequenceDatabase};
 
@@ -32,20 +32,21 @@ fn mine_constrained(
         .run()
 }
 
-fn top_k_patterns(db: &SequenceDatabase, config: &TopKConfig) -> MiningOutcome {
-    let mut miner = Miner::new(db)
-        .min_sup(config.min_sup_floor)
-        .mode(if config.closed_only {
-            Mode::Closed
-        } else {
-            Mode::All
-        })
-        .top_k(config.k)
-        .min_len(config.min_len);
-    if let Some(len) = config.max_pattern_length {
-        miner = miner.max_pattern_length(len);
-    }
-    miner.run()
+/// The `k` best patterns of length at least `min_len` with support at
+/// least 1, closed ones only when `closed_only`.
+fn top_k_patterns(
+    db: &SequenceDatabase,
+    k: usize,
+    min_len: usize,
+    closed_only: bool,
+) -> MiningOutcome {
+    let mode = if closed_only { Mode::Closed } else { Mode::All };
+    Miner::new(db)
+        .min_sup(1)
+        .mode(mode)
+        .top_k(k)
+        .min_len(min_len)
+        .run()
 }
 
 /// Small random databases over up to 4 events: 1–4 sequences of length 0–9.
@@ -179,11 +180,7 @@ fn top_k_matches_sorted_exhaustive_mining() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let k = rng.gen_range(1..8usize);
-        let config = TopKConfig::new(k)
-            .with_min_len(1)
-            .including_non_closed()
-            .with_min_sup_floor(1);
-        let topk = top_k_patterns(&db, &config);
+        let topk = top_k_patterns(&db, k, 1, false);
         let mut full = mine(&db, &MiningConfig::new(1), Mode::All);
         full.sort_for_report();
         let expected: Vec<u64> = full.patterns.iter().take(k).map(|mp| mp.support).collect();
@@ -199,8 +196,7 @@ fn top_k_closed_matches_sorted_closed_mining() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let k = rng.gen_range(1..6usize);
-        let config = TopKConfig::new(k).with_min_len(2).with_min_sup_floor(1);
-        let topk = top_k_patterns(&db, &config);
+        let topk = top_k_patterns(&db, k, 2, true);
         let mut closed = mine(&db, &MiningConfig::new(1), Mode::Closed);
         closed.patterns.retain(|mp| mp.pattern.len() >= 2);
         closed.sort_for_report();

@@ -1,6 +1,6 @@
 //! Repo-specific static-analysis lints behind `cargo run -p xtask -- audit`.
 //!
-//! Six rule families, each tuned to an invariant this workspace actually
+//! Five rule families, each tuned to an invariant this workspace actually
 //! relies on (rustc/clippy cannot express them):
 //!
 //! * **safety** — every `unsafe` block and `unsafe impl`, workspace-wide,
@@ -16,8 +16,9 @@
 //!   arm `fn foo_scalar` beside it; the scalar kernels are pinned
 //!   first-class fallbacks (`RGS_FORCE_SCALAR`).
 //! * **panic-free hot paths** — the zero-alloc mining loops
-//!   (`core/src/{support,instbuf,closure,constrained}.rs`,
-//!   `seqdb/src/{store,index,shard,simd}.rs`) and the serving request
+//!   (`core/src/{support,instbuf,closure,constrained,kernel}.rs`,
+//!   `seqdb/src/{store,index,shard,simd}.rs`), the crate's one DFS driver
+//!   (`core/src/batch.rs`), and the serving request
 //!   path (`serve/src/{worker,cache}.rs` — a panicking worker thread
 //!   would silently shrink the pool) may not use `.unwrap()`,
 //!   `.expect(...)`, `panic!`-family macros, or bare slice indexing.
@@ -27,11 +28,6 @@
 //!   `seqdb/src/{store,index,shard,snapshot,snapshot_verify}.rs` may not
 //!   use lossy `as` casts; the checked helpers in `seqdb::cast` (or
 //!   widening `as u64`) are required.
-//! * **deprecated** — the six 0.1.x shims (`mine_all`, `mine_closed`,
-//!   `mine_top_k`, `mine_maximal`, `mine_all_constrained`,
-//!   `mine_closed_constrained`) may only be *called* from
-//!   `tests/api_equivalence.rs`, which pins their equivalence to the
-//!   `Miner` API until removal.
 //!
 //! Any finding can be waived in place with
 //! `// audit:allow(<rule>): <reason>` on the offending line or the line
@@ -68,20 +64,6 @@ const CAST_CHECKED_FILES: [&str; 6] = [
     "crates/seqdb/src/snapshot.rs",
     "crates/seqdb/src/snapshot_verify.rs",
 ];
-
-/// The deprecated 0.1.x shims; call sites are confined to the API
-/// equivalence suite.
-const DEPRECATED_SHIMS: [&str; 6] = [
-    "mine_all",
-    "mine_closed",
-    "mine_top_k",
-    "mine_maximal",
-    "mine_all_constrained",
-    "mine_closed_constrained",
-];
-
-/// The one file allowed to call the deprecated shims (repo-relative).
-const SHIM_EXEMPT_FILE: &str = "tests/api_equivalence.rs";
 
 /// Lossy `as` casts banned in [`CAST_CHECKED_FILES`]. Widening (`as u64`)
 /// stays legal; everything that can truncate or wrap must go through
@@ -164,9 +146,6 @@ pub fn audit_file(relative: &Path, source: &str, report: &mut AuditReport) {
     }
     if CAST_CHECKED_FILES.contains(&rel.as_str()) {
         check_lossy_casts(&file, report);
-    }
-    if rel != SHIM_EXEMPT_FILE {
-        check_deprecated_shims(&file, report);
     }
 }
 
@@ -737,39 +716,6 @@ fn check_lossy_casts(file: &FileContext<'_>, report: &mut AuditReport) {
     }
 }
 
-/// Rule `deprecated`: the 0.1.x shims may only be called from the API
-/// equivalence suite. Definitions (`fn mine_all(`) are fine anywhere.
-fn check_deprecated_shims(file: &FileContext<'_>, report: &mut AuditReport) {
-    let code = &file.code;
-    let bytes = code.as_bytes();
-    for shim in DEPRECATED_SHIMS {
-        let needle = format!("{shim}(");
-        let mut from = 0;
-        while let Some(found) = code[from..].find(&needle) {
-            let at = from + found;
-            from = at + needle.len();
-            if at > 0 && is_ident_byte(bytes[at - 1]) {
-                continue;
-            }
-            // A definition, not a call: `fn mine_all(`.
-            let before = code[..at].trim_end();
-            if before.ends_with("fn") {
-                continue;
-            }
-            let line = file.line_of(at);
-            file.push(
-                report,
-                line,
-                "deprecated",
-                format!(
-                    "call to deprecated shim `{shim}` outside {SHIM_EXEMPT_FILE} \
-                     (use the `Miner` builder API)"
-                ),
-            );
-        }
-    }
-}
-
 // --- file walking -----------------------------------------------------------
 
 fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
@@ -910,25 +856,6 @@ mod tests {
         assert_eq!(report.violations[0].rule, "cast");
         assert_eq!(report.violations[0].line, 2);
         assert!(audit_source("crates/core/src/engine.rs", bad).is_clean());
-    }
-
-    #[test]
-    fn deprecated_shim_calls_are_confined_to_the_equivalence_suite() {
-        let call = "fn t() {\n    let _ = mine_all(&db, &config);\n}\n";
-        let report = audit_source("crates/core/tests/property.rs", call);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "deprecated");
-        assert!(audit_source("tests/api_equivalence.rs", call).is_clean());
-        // Definitions are fine anywhere.
-        let def = "pub fn mine_all(db: &Db, config: &Cfg) -> Out {\n    todo()\n}\n";
-        assert!(audit_source("crates/core/src/gsgrow.rs", def).is_clean());
-        // `mine_all_constrained` is its own shim, not a `mine_all` call.
-        let other = "fn t() {\n    let _ = mine_all_constrained(&db, &config, c);\n}\n";
-        let report = audit_source("crates/core/tests/x.rs", other);
-        assert_eq!(report.violations.len(), 1);
-        assert!(report.violations[0]
-            .message
-            .contains("mine_all_constrained"));
     }
 
     #[test]

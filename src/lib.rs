@@ -101,10 +101,6 @@ pub use seqdb;
 pub use synthgen;
 
 /// Convenience re-exports of the most commonly used items.
-///
-/// The deprecated 0.1 free functions (`mine_all`, `mine_closed`, …) are
-/// still re-exported so existing code keeps compiling; migrate to
-/// [`Miner`](rgs_core::Miner) — see the crate README for the mapping.
 pub mod prelude {
     pub use rgs_core::ShardFootprint;
     pub use rgs_core::{
@@ -112,12 +108,7 @@ pub mod prelude {
         BudgetSink, CollectSink, CountSink, DeadlineSink, ExecutionPolicy, GapConstraints,
         Instance, Landmark, MinedPattern, Miner, MiningConfig, MiningOutcome, MiningReport,
         MiningRequest, MiningResult, MiningSession, Mode, Pattern, PatternSink, PatternStream,
-        PostProcessConfig, PreparedDb, SupportComputer, SupportSet, TopKConfig,
-    };
-    #[allow(deprecated)]
-    pub use rgs_core::{
-        mine_all, mine_all_constrained, mine_closed, mine_closed_constrained, mine_maximal,
-        mine_top_k,
+        PostProcessConfig, PreparedDb, SupportComputer, SupportSet,
     };
     pub use rgs_features::{
         extract_features, ClassId, Classifier, FeatureMatrix, LabeledDatabase, SelectionMethod,
