@@ -756,10 +756,10 @@ fn run_stats(source: &Loaded) -> ExitCode {
         );
     }
     println!("shards:                {}", stats.num_shards);
-    // The growth-kernel dispatch decision for this process: runtime CPU
-    // detection, pinnable to the scalar reference kernels with
-    // RGS_FORCE_SCALAR=1. Surfaced here so throughput reports always name
-    // the backend they ran on.
+    // The growth-kernel dispatch decision for this process (runtime CPU
+    // detection: `avx2` runs the block compare, `scalar` does not).
+    // Surfaced here so throughput reports always name the backend they
+    // ran on.
     println!(
         "kernel backend:        {} (cpu: {})",
         seqdb::simd::active_backend().name(),

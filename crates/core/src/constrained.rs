@@ -41,13 +41,12 @@
 //! maximum. [`crate::reference::max_non_overlapping_constrained`] provides a
 //! brute-force exact maximum for small inputs, used by the property tests.
 //!
-//! Constrained growth shares the batched kernel path: per-instance
-//! `min_gap`/`max_window` lower bounds are *gathered* into lane arrays and
-//! folded with the leftmost-growth watermark, so the same 8-lane
-//! [`seqdb::simd`] compare that drives unconstrained batches also advances
-//! constrained lanes (the `max_gap` upper-bound check stays per-lane, after
-//! the probe). `RGS_FORCE_SCALAR=1` pins this path to the scalar reference
-//! kernels; the equivalence suite asserts bit-identical outcomes either way.
+//! Constrained growth runs the kernel's serial probe loop
+//! (`kernel::grow_constrained`): each probe's lower bound folds the
+//! per-instance `min_gap`/`max_window` bound with the leftmost-growth
+//! watermark, and the `max_gap` upper-bound check follows the probe. A
+//! rejected position is not consumed, so the unconstrained kernel's block
+//! compare, which consumes every slot it proves, has no constrained twin.
 
 use seqdb::{EventId, SequenceDatabase};
 

@@ -173,7 +173,14 @@ impl<'a> SupportComputer<'a> {
         // once, the cursor advances through the sequence's whole run
         // (gallop + branch-free search), and run boundaries are detected
         // inline instead of by a separate pre-scan.
-        kernel::grow_unconstrained(self.index(), event, support.instances(), target, out);
+        kernel::grow_unconstrained(
+            self.index(),
+            event,
+            support.instances(),
+            target,
+            seqdb::simd::active_backend(),
+            out,
+        );
     }
 
     /// `supComp(SeqDB, P)` (Algorithm 1): the leftmost support set of an

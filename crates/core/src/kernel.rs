@@ -1,5 +1,5 @@
-//! Batched, branch-free growth kernels: whole-pass instance advancement
-//! over resolved posting rows, vectorized when the CPU allows it.
+//! The growth kernels: whole-pass instance advancement over resolved
+//! posting rows, with one optional 64-lane block compare.
 //!
 //! The per-call probe `next(S, e, lowest)` (Algorithm 2, line 9) pays the
 //! full price on every invocation: derive the `(sequence, event)` CSR slot,
@@ -11,79 +11,57 @@
 //! `lowest_exclusive` is monotone in them. So the row can be resolved
 //! *once* and advanced monotonically through the whole run.
 //!
-//! Two implementations share that structure, dispatched per pass on
-//! [`seqdb::simd::active_backend`]:
+//! Both kernels advance a [`PostingCursor`] one probe at a time: each probe
+//! gallops forward from the previous landmark and falls back to a
+//! branch-free binary search over the galloped bracket, so a run of `k`
+//! probes over a row of length `L` costs amortized `O(L + k·log stride)`.
 //!
-//! * The **scalar kernels** (`*_scalar`) advance a
-//!   [`PostingCursor`](seqdb::PostingCursor) one probe at a time: each
-//!   probe gallops forward from the previous landmark and falls back to a
-//!   branch-free binary search over the galloped bracket. A run of `k`
-//!   probes over a row of length `L` costs amortized `O(L + k·log stride)`.
-//!   These remain first-class — `RGS_FORCE_SCALAR` (or
-//!   [`seqdb::simd::force_backend`]) pins every pass to them.
+//! The unconstrained kernel adds a **block compare**: one [`gt_mask64`] of
+//! the next [`BLOCK_LANES`] row positions at the cursor against the `last`
+//! positions of the next [`BLOCK_LANES`] instances. It is tried only when
+//! the run's row has at least a block of positions (decided once per run),
+//! at least a block remains at the cursor, and instance `i + 63` is still
+//! in the run — one load, since instances are sorted by `(seq, last)`. By
+//! the identity `pp(t) <= j  ⟺  t < row[j]` on a strictly ascending row,
+//! every lane in the mask's *leading all-pass prefix* takes the next
+//! consecutive row slot, so those `m` instances advance with no search: one
+//! bulk `SupportSet::push_grown` emission and an `m`-slot
+//! [`PostingCursor::advance`] replace `m` probes.
 //!
-//! * The **batched kernels** (`*_batched`) gather consecutive instances of
-//!   the run into one lane group (the slice is already `(seq, last)`-sorted,
-//!   so grouping is a flat pass) and try the **whole-batch fast path**:
-//!   one vector compare of the gathered bounds against the row window at
-//!   the consumed watermark — [`gt_mask64`] over
-//!   [`BLOCK_LANES`] lanes while at least a
-//!   block's worth of run and row remain (the unconstrained kernel's
-//!   steady state on long runs), [`gt_mask8`] over
-//!   [`MAX_LANES`] lanes on run tails and in the
-//!   constrained kernel. By the identity `pp(t) <= j  ⟺  t < row[j]` on a
-//!   strictly ascending row, every lane in the mask's *leading all-pass
-//!   prefix* is proven to take the next consecutive row slot (induction
-//!   below), so those `m` instances advance with zero per-lane searches:
-//!   one vector compare plus a bulk `SupportSet::push_grown` emission
-//!   (grown instances constructed straight into the backing vector) and an
-//!   `m`-slot [`PostingCursor::advance`](seqdb::PostingCursor::advance)
-//!   replace `m` probe calls. The lane that breaks the prefix (a watermark
-//!   jump, a gap-window miss, or the row tail) is answered by the **same
-//!   serial engine the scalar kernels run** — a
-//!   [`PostingCursor`](seqdb::PostingCursor) probe, gallop + branch-free
-//!   binary search — so the fallback is bit-identical by *sharing code*,
-//!   not by reimplementation. A batch with no passing prefix runs entirely
-//!   on the serial engine: dominance-free stretches pay one wasted vector
-//!   compare per attempted width, not per instance — and runs shorter than
-//!   [`MAX_LANES`] (the pattern tree's long tail)
-//!   skip the window machinery entirely.
+//! - Induction (consuming; `at` = consumed count, so `row[at - 1]` is the
+//!   last emitted position): if `last_i < row[at + i]` for every lane
+//!   `i < m`, then probe `i`'s bound `max(emitted_{i-1}, last_i)` is below
+//!   `row[at + i]` (the previous lane emitted `row[at + i - 1]`), and
+//!   everything before slot `at + i` is already consumed — so probe `i`
+//!   returns exactly `row[at + i]` and consumes it.
 //!
-//!   - unconstrained induction (consuming; `at` = consumed count, so
-//!     `row[at - 1]` is the last emitted position): if
-//!     `last_i < row[at + i]` for every lane `i < m`, then probe `i`'s
-//!     bound `max(emitted_{i-1}, last_i)` is below `row[at + i]` (the
-//!     previous lane emitted `row[at + i - 1]`), and everything before
-//!     slot `at + i` is already consumed — so probe `i` returns exactly
-//!     `row[at + i]` and consumes it.
-//!   - constrained induction (non-consuming): the gathered bounds fold
-//!     the accepted-position watermark in —
-//!     `b_i = max(lowest_exclusive(last_i), last_position)` — and a
-//!     second compare checks `row[at + i] <= highest_inclusive_i`. On the
-//!     aligned prefix where both masks pass, candidate `i` is exactly
-//!     `row[at + i]` and is accepted, which advances the watermark to the
-//!     next slot; the cursor then skips the `m` accepted positions (every
-//!     later bound is at least the last accepted position, so the skip
-//!     matches what the next probe's prefix-discard would do anyway).
+//! The lane that breaks the prefix runs on the serial probe, and a block
+//! with no dominated lane hands the next `COOL_DOWN` (8) probes to it, so
+//! dominance-free stretches pay one compare per eight instances.
+//! Emission order, the `target` early exit and the run-tail skip on row
+//! exhaustion do not depend on the block compare, so output is
+//! **bit-identical** with it on or off — pinned by the tests here and the
+//! cross-backend sweep in `width_kernel_equivalence.rs`.
 //!
-//!   Emission order, the `target` early exit, and the run-tail skip on
-//!   row exhaustion are placed exactly as in the scalar kernels, so the
-//!   two paths are **bit-identical by construction** — pinned by the
-//!   differential tests here, the seeded property suite in `seqdb`
-//!   (`posting_cursor.rs`), and the forced-scalar cross-backend sweep in
-//!   `width_kernel_equivalence.rs`.
+//! The block compare runs on [`KernelBackend::Avx2`]; under
+//! [`KernelBackend::Scalar`] (detected, or forced through
+//! [`seqdb::simd::force_backend`]) the kernel is the serial loop alone.
 //!
 //! The kernels also fuse **run detection** into the same pass: a support
 //! set stores its instances sorted by `(seq, last)`, so a sequence's run is
 //! found by watching `seq` change under a single forward index — not by a
 //! separate `take_while` pre-scan that touches every instance twice.
 
-use seqdb::simd::{gt_mask64, gt_mask8, KernelBackend, BLOCK_LANES, FULL_MASK8, MAX_LANES};
-use seqdb::{EventId, MultiCursor, ShardedIndex};
+use seqdb::simd::{gt_mask64, KernelBackend, BLOCK_LANES};
+use seqdb::{EventId, PostingCursor, ShardedIndex};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
 use crate::support::SupportSet;
+
+/// Serial probes the unconstrained kernel runs after a block compare found
+/// no dominated lane, before it tries the next block.
+const COOL_DOWN: usize = 8;
 
 /// One unconstrained extension pass (Algorithm 2): grows every instance of
 /// `instances` (sorted by `(seq, last)`) by `event`, appending the grown
@@ -97,96 +75,72 @@ use crate::support::SupportSet;
 /// reach `target` grown instances (the caller is about to discard the set
 /// as infrequent anyway).
 ///
-/// Dispatches on [`seqdb::simd::active_backend`]: the scalar cursor loop
-/// under `Scalar` (forced or detected), the lane-batched vectorized pass
-/// otherwise — same output either way, bit for bit.
-#[inline]
+/// `backend` switches the block compare (module docs) on
+/// ([`KernelBackend::Avx2`]) or off ([`KernelBackend::Scalar`]) — same
+/// output either way, bit for bit.
 pub(crate) fn grow_unconstrained(
     index: &ShardedIndex,
     event: EventId,
     instances: &[Instance],
     target: usize,
-    out: &mut SupportSet,
-) {
-    match seqdb::simd::active_backend() {
-        KernelBackend::Scalar => grow_unconstrained_scalar(index, event, instances, target, out),
-        backend => grow_unconstrained_batched(index, event, instances, target, backend, out),
-    }
-}
-
-/// One gap-constrained extension pass: like [`grow_unconstrained`], but
-/// each probe's window is bounded by `constraints` relative to the instance
-/// being grown.
-///
-/// A position outside the window rejects only the current instance (the
-/// probe does **not** consume it — the same position may satisfy the next
-/// instance's window, whose bounds differ); row exhaustion ends the run for
-/// every remaining instance of the sequence. Backend dispatch as in
-/// [`grow_unconstrained`].
-#[inline]
-pub(crate) fn grow_constrained(
-    index: &ShardedIndex,
-    event: EventId,
-    constraints: &GapConstraints,
-    instances: &[Instance],
-    out: &mut SupportSet,
-) {
-    match seqdb::simd::active_backend() {
-        KernelBackend::Scalar => grow_constrained_scalar(index, event, constraints, instances, out),
-        backend => grow_constrained_batched(index, event, constraints, instances, backend, out),
-    }
-}
-
-/// One full extension layer, kernel work only: grows every support set in
-/// `seeds` by every event in `events` (the exact grow calls one `mineFre`
-/// level issues), reusing a single output buffer across all pairs, and
-/// returns the total number of instances emitted.
-///
-/// This is the benchmark entry point for the growth kernels themselves:
-/// unlike timing a whole mining run — where support counting, closure
-/// checks, and tree bookkeeping dilute the kernel's share of the wall
-/// clock — every cycle spent here is kernel time, so a scalar-vs-vector
-/// ratio of this function measures the kernels and nothing else. Dispatch
-/// goes through `grow_unconstrained`, honoring the active (or forced)
-/// backend.
-#[must_use]
-pub fn grow_layer(index: &ShardedIndex, seeds: &[SupportSet], events: &[EventId]) -> u64 {
-    let mut out = SupportSet::new();
-    let mut emitted = 0u64;
-    for seed in seeds {
-        for &event in events {
-            out.clear();
-            grow_unconstrained(index, event, seed.instances(), usize::MAX, &mut out);
-            emitted += out.instances().len() as u64;
-        }
-    }
-    emitted
-}
-
-/// The pinned scalar unconstrained pass: one consuming
-/// [`PostingCursor`](seqdb::PostingCursor) probe per instance.
-fn grow_unconstrained_scalar(
-    index: &ShardedIndex,
-    event: EventId,
-    instances: &[Instance],
-    target: usize,
+    backend: KernelBackend,
     out: &mut SupportSet,
 ) {
     let total = instances.len();
+    let mut bounds = [0u32; BLOCK_LANES];
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
-        let Some(mut cursor) = index.cursor(seq as usize, event) else {
-            // Out-of-range ids resolve no cursor: skip the whole run.
-            while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-                i += 1;
-            }
+        let Some(row) = index.event_positions(seq as usize, event) else {
+            // Out-of-range ids resolve no row: skip the whole run.
+            i = run_end(instances, i, seq);
             continue;
         };
+        let mut cursor = PostingCursor::new(row);
         let mut last_position = 0u32;
+        let mut blocks = backend != KernelBackend::Scalar && row.len() >= BLOCK_LANES;
+        // Serial probes left before the next block attempt.
+        let mut serial = 0usize;
         while let Some(instance) = instances.get(i) {
             if instance.seq != seq {
                 break;
+            }
+            if blocks && serial > 0 {
+                serial -= 1;
+            } else if blocks {
+                let at = row.len() - cursor.remaining();
+                let window = row.get(at..).and_then(<[u32]>::first_chunk::<BLOCK_LANES>);
+                let lanes = instances
+                    .get(i..)
+                    .and_then(<[Instance]>::first_chunk::<BLOCK_LANES>)
+                    .filter(|lanes| lanes.last().is_some_and(|tail| tail.seq == seq));
+                if let (Some(window), Some(lanes)) = (window, lanes) {
+                    for (bound, lane) in bounds.iter_mut().zip(lanes) {
+                        *bound = lane.last;
+                    }
+                    let m = gt_mask64(window, &bounds, backend).trailing_ones() as usize;
+                    if let Some(&pos) = m.checked_sub(1).and_then(|tail| window.get(tail)) {
+                        out.push_grown(
+                            seq,
+                            lanes.get(..m).unwrap_or(&[]),
+                            window.get(..m).unwrap_or(&[]),
+                        );
+                        cursor.advance(m);
+                        last_position = pos;
+                        i += m;
+                        // A partial prefix hands just the breaking lane to
+                        // the serial probe; a full block retries at once.
+                        serial = usize::from(m < BLOCK_LANES);
+                        continue;
+                    }
+                    // No dominated lane: this probe and the next
+                    // `COOL_DOWN - 1` run serially.
+                    serial = COOL_DOWN - 1;
+                } else {
+                    // Fewer than a block of row or run is left, and both
+                    // only shrink: the rest of the run is serial.
+                    blocks = false;
+                }
             }
             // The consuming probe is sound here: the watermark makes every
             // later bound at least the emitted position, so an emitted
@@ -201,9 +155,7 @@ fn grow_unconstrained_scalar(
                     // Row exhausted: the remaining instances of this run
                     // end even further right, so none of them can be
                     // extended either — skip the run's tail.
-                    while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-                        i += 1;
-                    }
+                    i = run_end(instances, i, seq);
                     break;
                 }
             }
@@ -216,9 +168,15 @@ fn grow_unconstrained_scalar(
     }
 }
 
-/// The pinned scalar constrained pass: one non-consuming cursor probe per
-/// instance.
-fn grow_constrained_scalar(
+/// One gap-constrained extension pass: like [`grow_unconstrained`], but
+/// each probe's window is bounded by `constraints` relative to the instance
+/// being grown.
+///
+/// A position outside the window rejects only the current instance (the
+/// probe does **not** consume it — the same position may satisfy the next
+/// instance's window, whose bounds differ); row exhaustion ends the run for
+/// every remaining instance of the sequence.
+pub(crate) fn grow_constrained(
     index: &ShardedIndex,
     event: EventId,
     constraints: &GapConstraints,
@@ -229,10 +187,7 @@ fn grow_constrained_scalar(
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
         let Some(mut cursor) = index.cursor(seq as usize, event) else {
-            // Out-of-range ids resolve no cursor: skip the whole run.
-            while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-                i += 1;
-            }
+            i = run_end(instances, i, seq);
             continue;
         };
         let mut last_position = 0u32;
@@ -257,9 +212,7 @@ fn grow_constrained_scalar(
                 // stays at the cursor front for the next instance.
                 Some(_) => i += 1,
                 None => {
-                    while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-                        i += 1;
-                    }
+                    i = run_end(instances, i, seq);
                     break;
                 }
             }
@@ -267,277 +220,46 @@ fn grow_constrained_scalar(
     }
 }
 
-/// Collects the `last` bounds of up to [`MAX_LANES`] consecutive instances
-/// of sequence `seq` starting at `instances[i]`, mapped through `bound`.
-/// Returns the lane count (0 when the run is over).
+/// The index of the first instance at or after `i` outside sequence `seq`.
 #[inline]
-fn gather_lanes(
-    instances: &[Instance],
-    i: usize,
-    seq: u32,
-    bounds: &mut [u32; MAX_LANES],
-    bound: impl Fn(&Instance) -> u32,
-) -> usize {
-    let mut k = 0usize;
-    for slot in bounds.iter_mut() {
-        match instances.get(i + k) {
-            Some(inst) if inst.seq == seq => {
-                *slot = bound(inst);
-                k += 1;
-            }
-            _ => break,
-        }
+fn run_end(instances: &[Instance], mut i: usize, seq: u32) -> usize {
+    while instances.get(i).is_some_and(|inst| inst.seq == seq) {
+        i += 1;
     }
-    k
+    i
 }
 
-/// The vectorized unconstrained pass: whole-block window compares advance
-/// every dominated leading lane through consecutive row slots with zero
-/// searches; the lane that breaks the prefix (and dominance-free
-/// stretches) run on the scalar kernels' own [`PostingCursor`] probes.
-/// Bit-identical to [`grow_unconstrained_scalar`] (see the module docs for
-/// the proof sketch).
+/// One full extension layer, kernel work only: grows every support set in
+/// `seeds` by every event in `events` (the exact grow calls one `mineFre`
+/// level issues), reusing a single output buffer across all pairs, and
+/// returns the total number of instances emitted.
 ///
-/// Two block widths, chosen by how much of the run remains:
-/// - **Block mode** ([`BLOCK_LANES`] = 64 lanes): one [`gt_mask64`]
-///   compare plus one bulk [`SupportSet::push_grown`] emission per 64
-///   instances. Long runs — the regime this kernel exists for — spend
-///   nearly all their lanes here, where the per-block bookkeeping
-///   (watermark update, probe advance, loop control) is amortized 64
-///   ways.
-/// - **Batch mode** ([`MAX_LANES`] = 8 lanes): the same structure at
-///   vector-register width, for run tails of 8..64 lanes.
-/// - Runs (or remainders) shorter than 8 lanes go straight to the serial
-///   probes: the pattern tree's long tail must not pay any window
-///   bookkeeping.
-fn grow_unconstrained_batched(
-    index: &ShardedIndex,
-    event: EventId,
-    instances: &[Instance],
-    target: usize,
-    backend: KernelBackend,
-    out: &mut SupportSet,
-) {
-    let total = instances.len();
-    let mut bounds = [0u32; BLOCK_LANES];
-    let mut i = 0usize;
-    while let Some(head) = instances.get(i) {
-        let seq = head.seq;
-        // One boundary scan per run replaces the per-lane sequence check
-        // the gather loops would otherwise repeat.
-        let mut run_end = i;
-        while instances.get(run_end).is_some_and(|inst| inst.seq == seq) {
-            run_end += 1;
-        }
-        let Some(row) = index.event_positions(seq as usize, event) else {
-            i = run_end;
-            continue;
-        };
-        // The serial engine — literally the scalar kernel's cursor.
-        // `probe`'s consumed count is the window's resume index:
-        // everything before it is emitted.
-        let mut probe = seqdb::PostingCursor::new(row);
-        let mut last_position = 0u32;
-        while i < run_end {
-            // Whole-block fast path: every lane in the mask's leading
-            // all-pass prefix provably takes the next consecutive row slot
-            // (module docs) — emit them in bulk, no searches.
-            let mut m = 0usize;
-            let mut attempted = 0usize;
-            let at = row.len() - probe.remaining();
-            if run_end - i >= BLOCK_LANES {
-                if let (Some(window), Some(lanes)) = (
-                    row.get(at..at + BLOCK_LANES)
-                        .and_then(|w| <&[u32; BLOCK_LANES]>::try_from(w).ok()),
-                    instances.get(i..i + BLOCK_LANES),
-                ) {
-                    for (b, inst) in bounds.iter_mut().zip(lanes.iter()) {
-                        *b = inst.last;
-                    }
-                    m = gt_mask64(window, &bounds, backend).trailing_ones() as usize;
-                    attempted = BLOCK_LANES;
-                }
-            } else if run_end - i >= MAX_LANES {
-                if let (Some(window), Some(lane_bounds)) = (
-                    row.get(at..at + MAX_LANES)
-                        .and_then(|w| <&[u32; MAX_LANES]>::try_from(w).ok()),
-                    bounds.first_chunk_mut::<MAX_LANES>(),
-                ) {
-                    for (b, inst) in lane_bounds
-                        .iter_mut()
-                        .zip(instances.get(i..).unwrap_or(&[]).iter())
-                    {
-                        *b = inst.last;
-                    }
-                    m = gt_mask8(window, lane_bounds, backend).trailing_ones() as usize;
-                    attempted = MAX_LANES;
-                }
-            }
-            if m > 0 {
-                out.push_grown(
-                    seq,
-                    instances.get(i..i + m).unwrap_or(&[]),
-                    row.get(at..at + m).unwrap_or(&[]),
-                );
-                probe.advance(m);
-                last_position = row.get(at + m - 1).copied().unwrap_or(last_position);
-                i += m;
-                if m == attempted {
-                    continue;
-                }
-            }
-            // Serial lanes: just the prefix-breaking lane when some lanes
-            // went fast (the next iteration re-tries the vector window
-            // right after it), a batch worth of lanes when dominance is
-            // absent (re-trying the window per lane would pay the block
-            // bookkeeping per probe for nothing).
-            let serial_lanes = if m > 0 { 1 } else { MAX_LANES };
-            let mut exhausted = false;
-            for _ in 0..serial_lanes {
-                if i >= run_end {
-                    break;
-                }
-                let Some(instance) = instances.get(i) else {
-                    break;
-                };
-                match probe.next_after_consuming(last_position.max(instance.last)) {
-                    Some(pos) => {
-                        last_position = pos;
-                        out.push(Instance::new(seq, instance.first, pos));
-                        i += 1;
-                    }
-                    None => {
-                        // Row exhausted: the remaining instances of this
-                        // run end even further right — skip the tail.
-                        i = run_end;
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            if exhausted {
-                break;
-            }
-        }
-        i = i.max(run_end);
-        // Same placement as the scalar kernel: checked once per run.
-        if target != usize::MAX && out.instances().len() + (total - i) < target {
-            return;
+/// This is the benchmark entry point for the growth kernels themselves:
+/// unlike timing a whole mining run — where support counting, closure
+/// checks, and tree bookkeeping dilute the kernel's share of the wall
+/// clock — every cycle spent here is kernel time, so a scalar-vs-vector
+/// ratio of this function measures the kernels and nothing else. It runs
+/// on the active (or forced) backend.
+#[must_use]
+pub fn grow_layer(index: &ShardedIndex, seeds: &[SupportSet], events: &[EventId]) -> u64 {
+    let backend = seqdb::simd::active_backend();
+    let mut out = SupportSet::new();
+    let mut emitted = 0u64;
+    for seed in seeds {
+        for &event in events {
+            out.clear();
+            grow_unconstrained(
+                index,
+                event,
+                seed.instances(),
+                usize::MAX,
+                backend,
+                &mut out,
+            );
+            emitted += out.instances().len() as u64;
         }
     }
-}
-
-/// The vectorized constrained pass: two whole-batch vector compares (the
-/// watermark-folded lower bounds below the window, the window inside the
-/// gap limits) accept every lane of the aligned all-pass prefix at
-/// consecutive row slots; the prefix-breaking lane (and dominance-free
-/// batches) run on the scalar kernels' own non-consuming
-/// [`PostingCursor`](seqdb::PostingCursor) probes. Bit-identical to
-/// [`grow_constrained_scalar`].
-fn grow_constrained_batched(
-    index: &ShardedIndex,
-    event: EventId,
-    constraints: &GapConstraints,
-    instances: &[Instance],
-    backend: KernelBackend,
-    out: &mut SupportSet,
-) {
-    let mut bounds = [0u32; MAX_LANES];
-    let mut highs = [0u32; MAX_LANES];
-    let mut i = 0usize;
-    while let Some(head) = instances.get(i) {
-        let seq = head.seq;
-        let Some(row) = index.event_positions(seq as usize, event) else {
-            while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-                i += 1;
-            }
-            continue;
-        };
-        let mut probe = seqdb::PostingCursor::new(row);
-        let mut batch = MultiCursor::with_backend(row, backend);
-        let mut last_position = 0u32;
-        let mut exhausted = false;
-        loop {
-            // The gathered bounds fold the accepted-position watermark in:
-            // the fast path's window compare needs the full probe bound
-            // (an accepted position is *not* consumed, so the next
-            // candidate must be strictly past the watermark, not just past
-            // the lane's own gap bound).
-            let k = gather_lanes(instances, i, seq, &mut bounds, |inst| {
-                constraints.lowest_exclusive(inst.last).max(last_position)
-            });
-            if k == 0 {
-                break;
-            }
-            // Whole-batch fast path: the aligned prefix where the
-            // watermark chain dominates (first compare) *and* every
-            // consecutive candidate lands inside its lane's gap window
-            // (second compare) is accepted at consecutive row slots
-            // (module docs carry the induction). Full batches only — the
-            // same short-run shield as the unconstrained kernel.
-            let mut m = 0usize;
-            if k == MAX_LANES {
-                batch.set_base(row.len() - probe.remaining());
-                if let Some(window) = batch.window() {
-                    let lanes = instances.get(i..).unwrap_or(&[]);
-                    for (h, inst) in highs.iter_mut().zip(lanes.iter()).take(k) {
-                        *h = constraints.highest_inclusive(inst.first, inst.last);
-                    }
-                    let dom = gt_mask8(window, &bounds, backend);
-                    let acc = !gt_mask8(window, &highs, backend) & FULL_MASK8;
-                    m = ((dom & acc).trailing_ones() as usize).min(k);
-                    if m > 0 {
-                        out.push_grown(
-                            seq,
-                            lanes.get(..m).unwrap_or(&[]),
-                            window.get(..m).unwrap_or(&[]),
-                        );
-                        // The skipped positions are all `<= ` every later
-                        // probe bound (each is at most the new watermark), so
-                        // consuming them matches the next probe's
-                        // prefix-discard exactly.
-                        probe.advance(m);
-                        last_position = window.get(m - 1).copied().unwrap_or(last_position);
-                        i += m;
-                        if m == k {
-                            continue;
-                        }
-                    }
-                }
-            }
-            // Serial lanes: the prefix-breaking lane (watermark jump,
-            // gap-window reject, or row tail) when some lanes went fast,
-            // the whole batch when dominance is absent.
-            let serial_lanes = if m > 0 { 1 } else { k };
-            for _ in 0..serial_lanes {
-                let Some(instance) = instances.get(i) else {
-                    break;
-                };
-                let lowest = last_position.max(constraints.lowest_exclusive(instance.last));
-                let highest = constraints.highest_inclusive(instance.first, instance.last);
-                match probe.next_after(lowest) {
-                    Some(pos) if pos <= highest => {
-                        last_position = pos;
-                        out.push(Instance::new(seq, instance.first, pos));
-                        i += 1;
-                    }
-                    // Window miss: reject this instance only; the position
-                    // stays at the cursor front for the next instance.
-                    Some(_) => i += 1,
-                    None => {
-                        while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-                            i += 1;
-                        }
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            if exhausted {
-                break;
-            }
-        }
-    }
+    emitted
 }
 
 #[cfg(test)]
@@ -557,10 +279,45 @@ mod tests {
             .collect()
     }
 
+    fn grow(
+        index: &ShardedIndex,
+        event: EventId,
+        instances: &[Instance],
+        target: usize,
+        backend: KernelBackend,
+    ) -> Vec<Instance> {
+        let mut out = SupportSet::new();
+        grow_unconstrained(index, event, instances, target, backend, &mut out);
+        out.instances().to_vec()
+    }
+
+    fn grow_gapped(
+        index: &ShardedIndex,
+        event: EventId,
+        constraints: &GapConstraints,
+        instances: &[Instance],
+    ) -> Vec<Instance> {
+        let mut out = SupportSet::new();
+        grow_constrained(index, event, constraints, instances, &mut out);
+        out.instances().to_vec()
+    }
+
     /// The naive per-call loop the unconstrained kernel replaces.
     fn naive_unconstrained(
         index: &ShardedIndex,
         event: EventId,
+        instances: &[Instance],
+    ) -> Vec<Instance> {
+        naive_constrained(index, event, &GapConstraints::unbounded(), instances)
+    }
+
+    /// The naive per-call loop the constrained kernel replaces: one
+    /// `next(S, e, lowest)` per instance, a window check, and a dead run
+    /// once the row is exhausted.
+    fn naive_constrained(
+        index: &ShardedIndex,
+        event: EventId,
+        constraints: &GapConstraints,
         instances: &[Instance],
     ) -> Vec<Instance> {
         let mut out = Vec::new();
@@ -576,12 +333,14 @@ mod tests {
             if dead {
                 continue;
             }
-            let lowest = last_position.max(instance.last);
+            let lowest = last_position.max(constraints.lowest_exclusive(instance.last));
+            let highest = constraints.highest_inclusive(instance.first, instance.last);
             match index.next(instance.seq as usize, event, lowest) {
-                Some(pos) => {
+                Some(pos) if pos <= highest => {
                     last_position = pos;
                     out.push(Instance::new(instance.seq, instance.first, pos));
                 }
+                Some(_) => {}
                 None => dead = true,
             }
         }
@@ -605,9 +364,10 @@ mod tests {
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
             let expected = naive_unconstrained(&index, event, &instances);
-            let mut out = SupportSet::new();
-            grow_unconstrained(&index, event, &instances, usize::MAX, &mut out);
-            assert_eq!(out.instances(), expected.as_slice(), "event {event:?}");
+            for backend in backends_under_test() {
+                let got = grow(&index, event, &instances, usize::MAX, backend);
+                assert_eq!(got, expected, "event {event:?} backend {backend}");
+            }
         }
     }
 
@@ -619,20 +379,15 @@ mod tests {
         let instances = multi_run_instances();
         // An unreachable target aborts after the first sequence's run —
         // in every backend, at the same instance count.
+        let target = instances.len() + 1;
+        let scalar = grow(&index, b, &instances, target, KernelBackend::Scalar);
+        assert!(scalar.len() < instances.len());
         for backend in backends_under_test() {
-            let mut scalar = SupportSet::new();
-            grow_unconstrained_scalar(&index, b, &instances, instances.len() + 1, &mut scalar);
-            let mut batched = SupportSet::new();
-            grow_unconstrained_batched(
-                &index,
-                b,
-                &instances,
-                instances.len() + 1,
-                backend,
-                &mut batched,
+            assert_eq!(
+                grow(&index, b, &instances, target, backend),
+                scalar,
+                "{backend}"
             );
-            assert!(scalar.instances().len() < instances.len());
-            assert_eq!(scalar.instances(), batched.instances(), "{backend}");
         }
     }
 
@@ -650,18 +405,13 @@ mod tests {
             Instance::new(0, 2, 6),
             Instance::new(0, 4, 7),
         ];
-        let expected = [Instance::new(0, 2, 7), Instance::new(0, 4, 8)];
         // (1,3): next D after 3 is 7, gap too large — rejected, not consumed.
         // (2,6): next D after 6 is 7, contiguous — emitted.
         // (4,7): next D after 7 is 8, contiguous — emitted.
-        let mut out = SupportSet::new();
-        grow_constrained_scalar(&index, d, &contiguous, &instances, &mut out);
-        assert_eq!(out.instances(), &expected);
-        for backend in backends_under_test() {
-            let mut batched = SupportSet::new();
-            grow_constrained_batched(&index, d, &contiguous, &instances, backend, &mut batched);
-            assert_eq!(batched.instances(), &expected, "{backend}");
-        }
+        assert_eq!(
+            grow_gapped(&index, d, &contiguous, &instances),
+            [Instance::new(0, 2, 7), Instance::new(0, 4, 8)]
+        );
     }
 
     #[test]
@@ -671,19 +421,15 @@ mod tests {
         let unbounded = GapConstraints::unbounded();
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
-            let mut plain = SupportSet::new();
-            grow_unconstrained(&index, event, &instances, usize::MAX, &mut plain);
-            let mut constrained = SupportSet::new();
-            grow_constrained(&index, event, &unbounded, &instances, &mut constrained);
             assert_eq!(
-                plain.instances(),
-                constrained.instances(),
+                grow(&index, event, &instances, usize::MAX, KernelBackend::Scalar),
+                grow_gapped(&index, event, &unbounded, &instances),
                 "event {event:?}"
             );
         }
     }
 
-    /// Deterministic LCG for the differential sweep.
+    /// Deterministic LCG for the differential sweeps.
     struct Lcg(u64);
     impl Lcg {
         fn next(&mut self) -> u64 {
@@ -695,18 +441,32 @@ mod tests {
         }
     }
 
-    /// Random database + random right-shift-sorted instance slices: every
-    /// batched backend must reproduce the scalar kernels bit for bit, runs
-    /// longer and shorter than one lane group included.
+    /// Random databases + random right-shift-sorted instance slices: the
+    /// kernel under every backend — block compare on and off — and the
+    /// constrained kernel must reproduce the naive probes bit for bit, on
+    /// rows and runs both shorter and longer than one block.
     #[test]
     fn batched_kernels_match_scalar_on_seeded_inputs() {
         let mut rng = Lcg(0xD1CE);
-        let alphabet = ["A", "B", "C", "D", "E"];
+        let grids = [
+            GapConstraints::unbounded(),
+            GapConstraints::max_gap(0),
+            GapConstraints::max_gap(2),
+            GapConstraints::gap_range(1, 3),
+            GapConstraints::max_window(5),
+        ];
         for round in 0..30 {
+            // Every third round is dense (two symbols, ~300 events a row)
+            // so posting rows and runs reach past one block.
+            let (alphabet, max_len) = if round % 3 == 0 {
+                (&["A", "B"][..], 300)
+            } else {
+                (&["A", "B", "C", "D", "E"][..], 40)
+            };
             let num_seqs = 1 + (rng.next() % 4) as usize;
             let rows: Vec<String> = (0..num_seqs)
                 .map(|_| {
-                    let len = (rng.next() % 40) as usize;
+                    let len = (rng.next() % max_len) as usize;
                     (0..len)
                         .map(|_| alphabet[(rng.next() % alphabet.len() as u64) as usize])
                         .collect()
@@ -717,71 +477,127 @@ mod tests {
             let index = ShardedIndex::single(db.inverted_index());
 
             // Right-shift-sorted instances with duplicate-heavy runs, some
-            // spanning several lane groups (> 8 per sequence).
+            // spanning several blocks.
             let mut instances = Vec::new();
             for (seq, row) in rows.iter().enumerate() {
                 if row.is_empty() {
                     continue;
                 }
-                let count = (rng.next() % 20) as usize;
+                let count = (rng.next() % 160) as usize;
                 let mut last = 0u32;
                 for _ in 0..count {
-                    last = (last + 1 + (rng.next() % 3) as u32).min(row.len() as u32);
+                    last = (last + (rng.next() % 3) as u32).clamp(1, row.len() as u32);
                     let first = 1 + (rng.next() as u32 % last);
-                    instances.push(Instance::new(seq as u32, first.min(last), last));
-                    if last == row.len() as u32 {
-                        break;
-                    }
+                    instances.push(Instance::new(seq as u32, first, last));
                 }
             }
 
-            let grids = [
-                GapConstraints::unbounded(),
-                GapConstraints::max_gap(0),
-                GapConstraints::max_gap(2),
-                GapConstraints::gap_range(1, 3),
-                GapConstraints::max_window(5),
-            ];
             for event in db.catalog().ids() {
-                let mut scalar = SupportSet::new();
-                grow_unconstrained_scalar(&index, event, &instances, usize::MAX, &mut scalar);
+                let expected = naive_unconstrained(&index, event, &instances);
                 for backend in backends_under_test() {
-                    let mut batched = SupportSet::new();
-                    grow_unconstrained_batched(
-                        &index,
-                        event,
-                        &instances,
-                        usize::MAX,
-                        backend,
-                        &mut batched,
-                    );
                     assert_eq!(
-                        scalar.instances(),
-                        batched.instances(),
+                        grow(&index, event, &instances, usize::MAX, backend),
+                        expected,
                         "round {round} event {event:?} backend {backend} (unconstrained)"
                     );
                 }
                 for constraints in &grids {
-                    let mut scalar = SupportSet::new();
-                    grow_constrained_scalar(&index, event, constraints, &instances, &mut scalar);
-                    for backend in backends_under_test() {
-                        let mut batched = SupportSet::new();
-                        grow_constrained_batched(
-                            &index,
-                            event,
-                            constraints,
-                            &instances,
-                            backend,
-                            &mut batched,
-                        );
-                        assert_eq!(
-                            scalar.instances(),
-                            batched.instances(),
-                            "round {round} event {event:?} backend {backend} ({constraints:?})"
-                        );
-                    }
+                    assert_eq!(
+                        grow_gapped(&index, event, constraints, &instances),
+                        naive_constrained(&index, event, constraints, &instances),
+                        "round {round} event {event:?} ({constraints:?})"
+                    );
                 }
             }
         }
+    }
+
+    /// A database of `"B" * b + "A" * a` rows, its index, and `A`, whose
+    /// posting row in sequence `s` is `b_s + 1 ..= b_s + a_s`.
+    fn b_then_a(rows: &[(usize, usize)]) -> (ShardedIndex, EventId) {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|&(b, a)| "B".repeat(b) + &"A".repeat(a))
+            .collect();
+        let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let db = SequenceDatabase::from_str_rows(&refs);
+        let a = db.catalog().id("A").expect("A interned");
+        (ShardedIndex::single(db.inverted_index()), a)
+    }
+
+    /// The instances `(seq, k, k)` for each `k` in `lasts`.
+    fn ending_at(seq: u32, lasts: impl Iterator<Item = u32>) -> Vec<Instance> {
+        lasts.map(|last| Instance::new(seq, last, last)).collect()
+    }
+
+    /// Grows `instances` under every backend and checks each against the
+    /// scalar backend, and that against the naive probe when no `target`
+    /// is set; returns the scalar result.
+    fn check_backends(
+        index: &ShardedIndex,
+        event: EventId,
+        instances: &[Instance],
+        target: usize,
+        what: &str,
+    ) -> Vec<Instance> {
+        let scalar = grow(index, event, instances, target, KernelBackend::Scalar);
+        if target == usize::MAX {
+            assert_eq!(
+                scalar,
+                naive_unconstrained(index, event, instances),
+                "{what}"
+            );
+        }
+        for backend in backends_under_test() {
+            assert_eq!(
+                grow(index, event, instances, target, backend),
+                scalar,
+                "{what} backend {backend}"
+            );
+        }
+        scalar
+    }
+
+    /// Block boundaries under both backends: runs of 63/64/65/128/129
+    /// instances ending on `B`s, grown into rows of 63/64/65 `A`s — every
+    /// lane dominated, so only the run and row lengths decide whether a
+    /// block fits.
+    #[test]
+    fn block_boundaries_match_the_naive_probe() {
+        for run in [63usize, 64, 65, 128, 129] {
+            for left in [63usize, 64, 65] {
+                let (index, a) = b_then_a(&[(run, left)]);
+                let instances = ending_at(0, 1..=run as u32);
+                let grown = check_backends(&index, a, &instances, usize::MAX, "boundary");
+                assert_eq!(grown.len(), run.min(left), "run {run} left {left}");
+            }
+        }
+    }
+
+    /// The block's serial hand-offs under both backends: a block whose
+    /// first lane fails (the cool-down), a partial dominated prefix, and
+    /// the `target` early exit right after a full block.
+    #[test]
+    fn block_hand_offs_match_the_naive_probe() {
+        // First lane fails: `A` self-extension, so lane 0's bound equals
+        // the row's first position; the cool-down's serial probes then
+        // move the cursor past the bounds and blocks take over.
+        let (index, a) = b_then_a(&[(0, 400)]);
+        check_backends(&index, a, &ending_at(0, 1..=150), usize::MAX, "first lane");
+
+        // Partial prefix: 40 lanes end on `B`s and are dominated, then a
+        // jump into the `A`s breaks the prefix at lane 40.
+        let (index, a) = b_then_a(&[(40, 400)]);
+        let instances = ending_at(0, (1..=40).chain(200..=300));
+        check_backends(&index, a, &instances, usize::MAX, "partial prefix");
+
+        // Target early exit right after a block: sequence 0 grows all 64
+        // instances in one block, and sequence 1's 8 cannot lift the
+        // count to 100, so the pass stops before growing them.
+        let (index, a) = b_then_a(&[(64, 64), (8, 8)]);
+        let mut instances = ending_at(0, 1..=64);
+        instances.extend(ending_at(1, 1..=8));
+        let grown = check_backends(&index, a, &instances, 100, "target exit");
+        assert_eq!(grown.len(), 64);
     }
 }

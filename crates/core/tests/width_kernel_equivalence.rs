@@ -168,9 +168,9 @@ fn snapshot_round_trips_re_narrow_wide_columns_and_stay_bit_identical() {
 
 #[test]
 fn forced_scalar_and_vectorized_backends_mine_bit_identically() {
-    // The vectorized growth kernels are an *execution strategy*, never a
-    // semantic: pinning the process to the scalar reference kernels (the
-    // `RGS_FORCE_SCALAR` escape hatch) must reproduce every pattern AND
+    // The growth kernel's block compare is an *execution strategy*, never
+    // a semantic: pinning the process to the scalar backend (block compare
+    // off, via `force_backend`) must reproduce every pattern AND
     // every deterministic search counter — visited nodes, growth calls,
     // closure filters, landmark prunes — across the full mode x constraint
     // grid. Only wall-clock time may differ.

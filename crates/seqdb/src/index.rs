@@ -260,18 +260,6 @@ impl InvertedIndex {
         self.event_positions(seq, event).map(PostingCursor::new)
     }
 
-    /// Resolves the posting row of `(seq, event)` once and returns a
-    /// batched [`MultiCursor`](crate::MultiCursor) over it (up to 8
-    /// monotone probes per pass on the
-    /// [`active_backend`](crate::simd::active_backend)), or `None` when
-    /// the ids are out of range. The vectorized growth kernels use this;
-    /// [`InvertedIndex::cursor`] remains the scalar path.
-    #[inline]
-    pub fn multi_cursor(&self, seq: usize, event: EventId) -> Option<crate::MultiCursor<'_>> {
-        self.event_positions(seq, event)
-            .map(crate::MultiCursor::new)
-    }
-
     /// Number of occurrences of `event` in sequence `seq`.
     pub fn count_in_sequence(&self, seq: usize, event: EventId) -> usize {
         self.event_positions(seq, event).map_or(0, <[u32]>::len)

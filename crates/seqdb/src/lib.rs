@@ -22,11 +22,10 @@
 //!   and handing growth kernels a [`PostingCursor`] that resolves a
 //!   `(sequence, event)` row once and advances through a whole extension
 //!   pass with galloping + branch-free search,
-//! * [`simd`] — the vectorized sibling of the cursor: a [`MultiCursor`]
-//!   answers up to 8 monotone probes per pass with runtime-dispatched
-//!   AVX2/SSE2 intrinsics or a portable u64 SWAR fallback
-//!   ([`KernelBackend`]), bit-identical to the scalar path by contract and
-//!   overridable via `RGS_FORCE_SCALAR` / [`simd::force_backend`],
+//! * [`simd`] — the growth kernel's 64-lane block compare
+//!   ([`simd::gt_mask64`]): runtime-detected AVX2 ([`KernelBackend`]),
+//!   switched off under `Scalar` via [`simd::force_backend`], with
+//!   bit-identical mining output either way,
 //! * [`ShardMap`], [`ShardedSeqStore`], [`ShardedIndex`] — the
 //!   [`shard`] layer: the store split at sequence boundaries into zero-copy
 //!   per-shard windows (boundaries chosen by event mass), with per-shard
@@ -118,7 +117,7 @@ pub use index::{InvertedIndex, PostingCursor};
 pub use sequence::Sequence;
 pub use shard::{ShardMap, ShardedIndex, ShardedSeqStore};
 pub use shared::SharedSlice;
-pub use simd::{KernelBackend, MultiCursor};
+pub use simd::KernelBackend;
 pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};
 pub use stats::DatabaseStats;
 pub use store::{EventColumn, EventsIter, SeqStore, SeqView};

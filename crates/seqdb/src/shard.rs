@@ -537,17 +537,6 @@ impl ShardedIndex {
         self.shards.get(shard)?.cursor(local, event)
     }
 
-    /// The batched sibling of [`ShardedIndex::cursor`]: resolves the
-    /// posting row once and returns a [`MultiCursor`](crate::MultiCursor)
-    /// answering up to 8 monotone probes per vectorized pass (see
-    /// [`simd`](crate::simd)). The vectorized growth kernels call this
-    /// once per (sequence, event) run.
-    #[inline]
-    pub fn multi_cursor(&self, seq: usize, event: EventId) -> Option<crate::MultiCursor<'_>> {
-        self.event_positions(seq, event)
-            .map(crate::MultiCursor::new)
-    }
-
     /// Number of occurrences of `event` in global sequence `seq`.
     pub fn count_in_sequence(&self, seq: usize, event: EventId) -> usize {
         self.event_positions(seq, event).map_or(0, <[u32]>::len)

@@ -1,53 +1,30 @@
-//! SIMD/SWAR batched posting probes: the [`MultiCursor`] behind the
-//! vectorized growth kernels, plus kernel-backend detection.
+//! The growth kernel's 64-lane block compare, plus kernel-backend
+//! detection.
 //!
 //! A [`PostingCursor`](crate::PostingCursor) answers one monotone
-//! `next_after(lowest)` probe at a time. One growth pass, however, extends a
-//! whole *run* of instances against the same `(sequence, event)` posting
-//! row, and the successive bounds along that run are non-decreasing — so up
-//! to [`MAX_LANES`] probes can be answered in one sweep over the row. The
-//! [`MultiCursor`] does exactly that: it resolves a row once and turns a
-//! batch of sorted bounds into absolute *partition points* (`pp(t)` = number
-//! of row positions `<= t`), from which the kernels in `rgs-core` rebuild
-//! the scalar cursor's answers bit-for-bit (see `core::kernel` for the
-//! fix-up chains that re-introduce the per-instance watermark).
+//! `next_after(lowest)` probe at a time. Along one run of an unconstrained
+//! growth pass, though, the next [`BLOCK_LANES`] instances regularly take
+//! the next [`BLOCK_LANES`] row slots one by one. [`gt_mask64`] checks that
+//! in one call: a per-lane unsigned `row[at + i] > last_i` compare whose
+//! leading all-pass prefix is exactly the run of lanes that advance with no
+//! search (`core::kernel` carries the induction proof).
 //!
-//! The inner primitive is `count_le_from`: count the row elements `<= t`
-//! starting at a resume index, scanning forward in vector-width chunks with
-//! a branchless compare-and-popcount per chunk and an early exit on the
-//! first chunk that contains an element `> t` (the row is sorted, so every
-//! later element is `> t` too). Four interchangeable backends implement it:
+//! Two backends implement it:
 //!
-//! * **`avx2`** — 8 x `u32` lanes per 256-bit compare (16 x `u16` when the
-//!   row packs narrow), behind runtime detection;
-//! * **`sse2`** — 4 x `u32` lanes per 128-bit compare (8 x `u16` packed
-//!   narrow), always available on `x86_64`;
-//! * **`swar`** — portable `u64` SWAR: 4 x `u16` or 2 x `u32` lanes per
-//!   64-bit word using the carry-trick unsigned compare, no intrinsics;
-//! * **`scalar`** — `partition_point` on the remaining suffix, the pinned
-//!   reference the other three must match exactly.
+//! * **`avx2`** — eight 256-bit compares, behind runtime detection;
+//! * **`scalar`** — 64 branchless compare-and-shift lanes, the pinned
+//!   reference the AVX2 arm must match exactly.
 //!
-//! On top of the counting primitive sits the whole-batch fast path
-//! [`gt_mask8`]: one vector compare of the next [`MAX_LANES`] row positions
-//! against a full batch of lane bounds. When every lane passes, the growth
-//! kernels prove (see `core::kernel`) that the serial watermark chain
-//! dominates every lane's partition point, so the whole batch advances
-//! through consecutive row slots — eight probes collapse into a single
-//! 256-bit (or two 128-bit) compare with no per-lane search at all. That
-//! is the common case on dense rows and the source of the vectorized
-//! kernels' speedup; the counting sweep is the general-case fallback.
-//!
-//! Backend choice is a process-wide property ([`active_backend`]): runtime
-//! CPU detection via `is_x86_feature_detected!`, overridable by the
-//! `RGS_FORCE_SCALAR` environment variable (any value but `0`) or
-//! programmatically by [`force_backend`] — the override keeps the scalar
-//! kernels first-class so scalar/vector equivalence is testable on every
-//! machine. All four backends are bit-identical by contract; the adversarial
-//! suite in `tests/posting_cursor.rs` pins them against each other and
-//! against the naive probe on seeded rows.
+//! The growth kernel runs the block compare only on `avx2`: a portable
+//! 64-lane compare does not beat the serial probe loop, so under `scalar`
+//! the kernel is that loop alone. Backend choice is a process-wide property
+//! ([`active_backend`]): runtime CPU detection via
+//! `is_x86_feature_detected!`, overridable by [`force_backend`] so the
+//! equivalence suites and the benches can run both paths in one process.
+//! Both produce bit-identical mining output by contract.
 
 // This is the third module (after `shared` and `snapshot`) that opts in to
-// `unsafe`: x86 intrinsics and their raw-pointer vector loads. Safety
+// `unsafe`: the AVX2 intrinsics and their raw-pointer vector loads. Safety
 // arguments are local and documented on every block, and the xtask audit
 // enforces `// SAFETY:` on each unsafe block and `#[target_feature]` fn.
 #![allow(unsafe_code)]
@@ -55,89 +32,61 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Maximum number of probes one [`MultiCursor::partition_points`] batch
-/// answers — sized so a whole batch of `u32` bounds fits one 256-bit lane.
-pub const MAX_LANES: usize = 8;
+/// Lanes in one block compare.
+pub const BLOCK_LANES: usize = 64;
 
-/// The compare-and-count implementation the growth kernels run on.
+/// The implementation the growth kernel's block compare runs on.
 ///
 /// Ordered fastest-first; [`active_backend`] picks the best one the CPU
-/// supports. Every backend produces bit-identical results — the choice is
-/// purely a throughput decision, which is what makes [`force_backend`] and
-/// the `RGS_FORCE_SCALAR` override safe to flip at any time.
+/// supports. Both backends mine bit-identically — the choice is purely a
+/// throughput decision, which is what makes [`force_backend`] safe to flip
+/// at any time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// 256-bit AVX2 compares (8 x `u32` / 16 x packed `u16` lanes).
+    /// 256-bit AVX2 compares (8 x `u32` lanes each).
     Avx2,
-    /// 128-bit SSE2 compares (4 x `u32` / 8 x packed `u16` lanes);
-    /// baseline on `x86_64`.
-    Sse2,
-    /// Portable `u64` SWAR compares (2 x `u32` / 4 x `u16` lanes); the
-    /// non-x86 fallback, no intrinsics.
-    Swar,
-    /// One `partition_point` per probe — the pinned reference path.
+    /// No block compare: the serial probe loop alone.
     Scalar,
 }
 
 impl KernelBackend {
     /// The lowercase name reported in stats and bench JSON
-    /// (`avx2`/`sse2`/`swar`/`scalar`).
+    /// (`avx2`/`scalar`).
     pub fn name(self) -> &'static str {
         match self {
             Self::Avx2 => "avx2",
-            Self::Sse2 => "sse2",
-            Self::Swar => "swar",
             Self::Scalar => "scalar",
         }
     }
 
     /// All backends, fastest first.
-    pub fn all() -> [Self; 4] {
-        [Self::Avx2, Self::Sse2, Self::Swar, Self::Scalar]
+    pub fn all() -> [Self; 2] {
+        [Self::Avx2, Self::Scalar]
     }
 
-    /// Whether this process can actually execute the backend. `Swar` and
-    /// `Scalar` run everywhere; the x86 backends require the matching
-    /// instruction set (SSE2 is part of the `x86_64` baseline, AVX2 is
-    /// runtime-detected).
+    /// Whether this process can actually execute the backend: `Scalar`
+    /// runs everywhere, `Avx2` needs the runtime-detected instruction set.
     pub fn is_available(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            Self::Sse2 => true,
             #[cfg(not(target_arch = "x86_64"))]
-            Self::Avx2 | Self::Sse2 => false,
-            Self::Swar | Self::Scalar => true,
-        }
-    }
-
-    /// This backend if the CPU supports it, otherwise the fastest available
-    /// one. [`MultiCursor`] routes every requested backend through this so
-    /// a forced-but-unsupported choice degrades instead of faulting.
-    pub fn available_or_best(self) -> Self {
-        if self.is_available() {
-            self
-        } else {
-            detect_hardware()
+            Self::Avx2 => false,
+            Self::Scalar => true,
         }
     }
 
     fn encode(self) -> u8 {
         match self {
             Self::Avx2 => 1,
-            Self::Sse2 => 2,
-            Self::Swar => 3,
-            Self::Scalar => 4,
+            Self::Scalar => 2,
         }
     }
 
     fn decode(code: u8) -> Option<Self> {
         match code {
             1 => Some(Self::Avx2),
-            2 => Some(Self::Sse2),
-            3 => Some(Self::Swar),
-            4 => Some(Self::Scalar),
+            2 => Some(Self::Scalar),
             _ => None,
         }
     }
@@ -149,55 +98,42 @@ impl std::fmt::Display for KernelBackend {
     }
 }
 
-/// Programmatic override slot: 0 = none, else `KernelBackend::encode + 0`.
+/// Programmatic override slot: 0 = none, else `KernelBackend::encode`.
 static FORCED: AtomicU8 = AtomicU8::new(0);
-/// The environment + CPU decision, computed once per process.
+/// The CPU decision, computed once per process.
 static DETECTED: OnceLock<KernelBackend> = OnceLock::new();
 /// Human-readable CPU feature summary, computed once per process.
 static FEATURES: OnceLock<String> = OnceLock::new();
 
-/// The fastest backend this CPU can execute, ignoring every override.
-fn detect_hardware() -> KernelBackend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            KernelBackend::Avx2
-        } else {
-            KernelBackend::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        KernelBackend::Swar
-    }
-}
-
+/// The fastest backend this CPU can execute.
 fn detect() -> KernelBackend {
-    if std::env::var_os("RGS_FORCE_SCALAR").is_some_and(|v| v != "0") {
-        return KernelBackend::Scalar;
+    if KernelBackend::Avx2.is_available() {
+        KernelBackend::Avx2
+    } else {
+        KernelBackend::Scalar
     }
-    detect_hardware()
 }
 
-/// The backend the growth kernels dispatch on right now: the
-/// [`force_backend`] override if one is set, else the once-per-process
-/// decision (`RGS_FORCE_SCALAR` environment override, then CPU detection).
+/// The backend the growth kernel dispatches on right now: the
+/// [`force_backend`] override if one is set, else the once-per-process CPU
+/// detection.
 pub fn active_backend() -> KernelBackend {
     KernelBackend::decode(FORCED.load(Ordering::Relaxed))
         .unwrap_or_else(|| *DETECTED.get_or_init(detect))
 }
 
 /// Forces every subsequent [`active_backend`] call to report `backend`
-/// (clamped to an available one), or clears the override with `None`.
+/// (or the detected one if the CPU cannot run it), or clears the override
+/// with `None`.
 ///
-/// This is the programmatic twin of the `RGS_FORCE_SCALAR` environment
-/// variable: the equivalence suites use it to run the same mining pass
-/// under two backends in one process, and the bench harness uses it to
-/// measure the scalar path on vector-capable hardware. Because all
-/// backends are bit-identical, flipping the override concurrently with
-/// running kernels changes throughput only, never results.
+/// `Some(KernelBackend::Scalar)` switches the block compare off. The
+/// equivalence suites use this to run the same mining pass both ways in
+/// one process, and the bench harness to measure the serial path on
+/// AVX2 hardware. Because both are bit-identical, flipping the override
+/// concurrently with running kernels changes throughput only, never
+/// results.
 pub fn force_backend(backend: Option<KernelBackend>) {
-    let code = backend.map_or(0, |b| b.available_or_best().encode());
+    let code = backend.map_or(0, |b| if b.is_available() { b } else { detect() }.encode());
     FORCED.store(code, Ordering::Relaxed);
 }
 
@@ -223,588 +159,28 @@ pub fn detected_features() -> &'static str {
     })
 }
 
-/// A resolved posting row answering batches of monotone probes — the
-/// vectorized sibling of [`PostingCursor`](crate::PostingCursor).
-///
-/// Like the scalar cursor it exploits the run invariant (successive bounds
-/// never decrease) to scan the row strictly forward: `base` is the number
-/// of positions already known `<= ` every future bound, and each batch
-/// resumes counting there. Unlike the scalar cursor it answers in
-/// *absolute partition points* rather than positions, because the growth
-/// kernels need the index form to thread their per-instance watermark
-/// through a batch (see `core::kernel`). [`MultiCursor::next_after_batch`]
-/// is the position-form convenience the property suite pins directly
-/// against [`PostingCursor::next_after`](crate::PostingCursor::next_after).
-#[derive(Debug, Clone)]
-pub struct MultiCursor<'a> {
-    /// The full posting row (1-based positions, strictly ascending).
-    row: &'a [u32],
-    /// Resume index: every element below it is known `<= ` all future
-    /// probe bounds, so counting restarts here. Never decreases.
-    base: usize,
-    /// The compare backend, guaranteed executable on this CPU.
-    backend: KernelBackend,
-}
-
-impl<'a> MultiCursor<'a> {
-    /// Wraps a sorted posting row, dispatching on [`active_backend`].
-    #[inline]
-    pub fn new(row: &'a [u32]) -> Self {
-        Self::with_backend(row, active_backend())
-    }
-
-    /// Wraps a sorted posting row with an explicit backend (clamped to an
-    /// available one — requesting AVX2 on a CPU without it silently uses
-    /// the best supported path, which is bit-identical anyway).
-    #[inline]
-    pub fn with_backend(row: &'a [u32], backend: KernelBackend) -> Self {
-        Self {
-            row,
-            base: 0,
-            backend: backend.available_or_best(),
-        }
-    }
-
-    /// The wrapped row.
-    #[inline]
-    pub fn row(&self) -> &'a [u32] {
-        self.row
-    }
-
-    /// The current resume index (number of positions permanently skipped).
-    #[inline]
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// The backend this cursor compares with (after availability clamping).
-    #[inline]
-    pub fn backend(&self) -> KernelBackend {
-        self.backend
-    }
-
-    /// Advances the resume index. The caller asserts that every row element
-    /// below `base` is `<= ` every future probe bound — the unconstrained
-    /// kernel uses this to fold its consuming watermark into the cursor
-    /// (the emitted index + 1 always dominates the batch's last partition
-    /// point). Moving backwards is a contract violation and is ignored.
-    #[inline]
-    pub fn set_base(&mut self, base: usize) {
-        debug_assert!(
-            base >= self.base,
-            "MultiCursor base must not move backwards ({base} after {})",
-            self.base
-        );
-        self.base = base.max(self.base).min(self.row.len());
-    }
-
-    /// The next [`MAX_LANES`] row positions at the resume index as a full
-    /// vector lane array, or `None` when fewer than a whole window
-    /// remains. This is the operand of the growth kernels' whole-batch
-    /// fast path: one [`gt_mask8`] compare of a gathered bound batch
-    /// against this window decides how many leading lanes advance through
-    /// consecutive row slots with no per-lane search at all
-    /// (`core::kernel` carries the induction proof).
-    #[inline]
-    #[must_use]
-    pub fn window(&self) -> Option<&'a [u32; MAX_LANES]> {
-        self.row
-            .get(self.base..self.base.checked_add(MAX_LANES)?)?
-            .try_into()
-            .ok()
-    }
-
-    /// Answers up to [`MAX_LANES`] probes in one forward sweep: writes the
-    /// absolute partition point `pp(t)` (number of row positions `<= t`,
-    /// clamped to at least the resume index) for each bound into `out`, and
-    /// advances the resume index to the last batch member's partition
-    /// point. Returns the number of lanes written.
-    ///
-    /// Bounds must be non-decreasing (the run invariant); each lane resumes
-    /// the count where the previous lane stopped, so a whole batch costs
-    /// one monotone pass over the row regardless of lane count. The clamp
-    /// to the resume index is exact whenever the caller's contract holds
-    /// (`base <= pp(t)` for every future `t`), and deliberately saturating
-    /// when a kernel has already consumed past `pp(t)` — the kernels take
-    /// `max(watermark, pp)` anyway, so a clamped value never changes their
-    /// answer (pinned by the equivalence suites).
-    #[inline]
-    pub fn partition_points(&mut self, bounds: &[u32], out: &mut [usize; MAX_LANES]) -> usize {
-        debug_assert!(bounds.len() <= MAX_LANES, "at most {MAX_LANES} lanes");
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] <= w[1]),
-            "MultiCursor bounds must be non-decreasing"
-        );
-        let mut from = self.base;
-        let lanes = bounds.len().min(MAX_LANES);
-        for (&t, slot) in bounds.iter().zip(out.iter_mut()).take(lanes) {
-            from += count_le_from(self.row, from, t, self.backend);
-            *slot = from;
-        }
-        self.base = from;
-        lanes
-    }
-
-    /// Position-form convenience over [`Self::partition_points`]: the
-    /// smallest row position `> bound` for each non-decreasing bound, or
-    /// `None` where the row is exhausted — exactly what a fresh
-    /// [`PostingCursor`](crate::PostingCursor) answers for the same probe
-    /// chain, pinned by the seeded property suite.
-    #[inline]
-    pub fn next_after_batch(
-        &mut self,
-        bounds: &[u32],
-        out: &mut [Option<u32>; MAX_LANES],
-    ) -> usize {
-        let mut points = [0usize; MAX_LANES];
-        let lanes = self.partition_points(bounds, &mut points);
-        for (slot, &pp) in out.iter_mut().zip(points.iter()).take(lanes) {
-            *slot = self.row.get(pp).copied();
-        }
-        lanes
-    }
-}
-
-/// Counts the elements of `row[from..]` that are `<= bound`, early-exiting
-/// at the first element `> bound` (sound because rows are sorted). This is
-/// the primitive every backend implements; the scalar arm is the reference
-/// the vector arms must match bit-for-bit.
-#[inline]
-fn count_le_from(row: &[u32], from: usize, bound: u32, backend: KernelBackend) -> usize {
-    let rest = row.get(from..).unwrap_or(&[]);
-    // The scalar cursor's two-compare shortcut, shared by every backend:
-    // mid-run probes overwhelmingly advance by 0 or 1 positions, and one
-    // or two compares answer those outright.
-    match rest.first() {
-        None => return 0,
-        Some(&head) if head > bound => return 0,
-        _ => {}
-    }
-    if rest.get(1).is_none_or(|&next| next > bound) {
-        return 1;
-    }
-    if rest.len() < 16 {
-        // Too short for the vector sweep to beat a branch-free binary
-        // search — and short suffixes would pay the dispatch (the AVX2 arm
-        // is an outlined call: `#[target_feature]` blocks inlining into
-        // baseline code) without ever filling a vector step.
-        return count_le_scalar(rest, bound);
-    }
-    match backend {
-        KernelBackend::Scalar => count_le_scalar(rest, bound),
-        KernelBackend::Swar => count_le_swar(rest, bound),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline instruction set, so
-        // the target-feature function is always executable here.
-        KernelBackend::Sse2 => unsafe { count_le_sse2(rest, bound) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `MultiCursor::with_backend` clamps the backend through
-        // `available_or_best`, so Avx2 here implies
-        // `is_x86_feature_detected!("avx2")` returned true in this process.
-        KernelBackend::Avx2 => unsafe { count_le_avx2(rest, bound) },
-        #[cfg(not(target_arch = "x86_64"))]
-        // Unreachable after availability clamping; keep it total and
-        // bit-identical rather than panicking in a hot path.
-        KernelBackend::Sse2 | KernelBackend::Avx2 => count_le_swar(rest, bound),
-    }
-}
-
-/// Reference implementation: one branch-free `partition_point` over the
-/// remaining suffix. Every vector backend below must return exactly this.
-#[inline]
-fn count_le_scalar(rest: &[u32], bound: u32) -> usize {
-    rest.partition_point(|&p| p <= bound)
-}
-
-/// Reinterpret a `u32` bit pattern as `i32` (what the x86 compare
-/// intrinsics take) without a lossy-looking `as` cast.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn bits_i32(x: u32) -> i32 {
-    i32::from_ne_bytes(x.to_ne_bytes())
-}
-
-/// Reinterpret an `i32` movemask result (always non-negative here) as
-/// `u32` for popcounts.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn bits_u32(x: i32) -> u32 {
-    u32::from_ne_bytes(x.to_ne_bytes())
-}
-
-/// Portable SWAR backend: packs posting positions into `u64` words —
-/// 4 x `u16` lanes when the row fits narrow, 2 x `u32` lanes below
-/// `2^31`, scalar otherwise — and counts `<= bound` lanes with the
-/// carry-trick unsigned compare (`((t | H) - x) & H` has the lane-top bit
-/// set exactly when `x <= t`, for lane values below the top bit).
-#[inline]
-fn count_le_swar(rest: &[u32], bound: u32) -> usize {
-    let Some(&max) = rest.last() else { return 0 };
-    if max >= 0x8000_0000 {
-        // The carry trick needs the top bit clear; 1-based positions this
-        // large mean a > 2 GiB-event sequence — correctness over speed.
-        return count_le_scalar(rest, bound);
-    }
-    // All elements are < 2^31, so clamping the bound there preserves the
-    // count exactly (any bound >= max counts the whole suffix either way).
-    let bound = bound.min(0x7FFF_FFFF);
-    if max < 0x8000 {
-        count_le_swar16(rest, bound.min(0x7FFF))
-    } else {
-        count_le_swar32(rest, bound)
-    }
-}
-
-/// SWAR over 4 x `u16` lanes per `u64` word. Caller guarantees every
-/// element and the bound are below `0x8000` (lane top bit clear).
-#[inline]
-fn count_le_swar16(rest: &[u32], bound: u32) -> usize {
-    const LANE_TOP: u64 = 0x8000_8000_8000_8000;
-    let spread = u64::from(bound) * 0x0001_0001_0001_0001;
-    let mut chunks = rest.chunks_exact(4);
-    let mut count = 0usize;
-    for chunk in chunks.by_ref() {
-        let (Some(&a), Some(&b), Some(&c), Some(&d)) =
-            (chunk.first(), chunk.get(1), chunk.get(2), chunk.get(3))
-        else {
-            break;
-        };
-        let packed = u64::from(a) | u64::from(b) << 16 | u64::from(c) << 32 | u64::from(d) << 48;
-        // Lane-wise `x <= bound`: (bound | top) - x keeps the lane top bit
-        // iff no borrow, i.e. iff x <= bound; lanes never borrow into each
-        // other because both operands have the top bit pattern arranged so
-        // each 16-bit subtraction stays within its lane.
-        let le = ((spread | LANE_TOP).wrapping_sub(packed)) & LANE_TOP;
-        if le == LANE_TOP {
-            count += 4;
-        } else {
-            // Sorted chunk: the `<=` lanes form a prefix, so the popcount
-            // is the exact number of qualifying elements — stop here.
-            return count + le.count_ones() as usize;
-        }
-    }
-    for &x in chunks.remainder() {
-        if x <= bound {
-            count += 1;
-        } else {
-            break;
-        }
-    }
-    count
-}
-
-/// SWAR over 2 x `u32` lanes per `u64` word. Caller guarantees every
-/// element and the bound are below `2^31` (lane top bit clear).
-#[inline]
-fn count_le_swar32(rest: &[u32], bound: u32) -> usize {
-    const LANE_TOP: u64 = 0x8000_0000_8000_0000;
-    let spread = u64::from(bound) * 0x0000_0001_0000_0001;
-    let mut chunks = rest.chunks_exact(2);
-    let mut count = 0usize;
-    for chunk in chunks.by_ref() {
-        let (Some(&a), Some(&b)) = (chunk.first(), chunk.get(1)) else {
-            break;
-        };
-        let packed = u64::from(a) | u64::from(b) << 32;
-        // Same carry-trick compare as the u16 variant, 32-bit lanes.
-        let le = ((spread | LANE_TOP).wrapping_sub(packed)) & LANE_TOP;
-        if le == LANE_TOP {
-            count += 2;
-        } else {
-            return count + le.count_ones() as usize;
-        }
-    }
-    for &x in chunks.remainder() {
-        if x <= bound {
-            count += 1;
-        } else {
-            break;
-        }
-    }
-    count
-}
-
-/// SSE2 backend: 128-bit compares, always available on `x86_64`. Wide rows
-/// compare 4 x `u32` lanes per step (unsigned order restored by XOR-ing the
-/// sign bit before the signed compare); rows whose positions fit `u16`
-/// pack 8 positions per step with `packssdw` first.
-// SAFETY: SSE2 is part of the x86_64 baseline, so this function is
-// executable on every x86_64 CPU; the attribute exists only to let the
-// intrinsics be called without per-call unsafe blocks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[inline]
-fn count_le_sse2(rest: &[u32], bound: u32) -> usize {
-    use std::arch::x86_64::{
-        _mm_castsi128_ps, _mm_cmpgt_epi16, _mm_cmpgt_epi32, _mm_loadu_si128, _mm_movemask_epi8,
-        _mm_movemask_ps, _mm_packs_epi32, _mm_set1_epi16, _mm_set1_epi32, _mm_xor_si128,
-    };
-    let Some(&max) = rest.last() else { return 0 };
-    let len = rest.len();
-    let mut count = 0usize;
-    if max < 0x8000 {
-        // Narrow-packable row: `packssdw` is exact for inputs <= 0x7FFF,
-        // giving 8 x u16 lanes per compare. Clamping the bound to 0x7FFF
-        // preserves the count (no element exceeds it), and both sides
-        // being non-negative makes the signed compare already unsigned.
-        let probe = _mm_set1_epi16(i16::try_from(bound.min(0x7FFF)).unwrap_or(i16::MAX));
-        while count + 8 <= len {
-            // SAFETY: count + 8 <= len, so both 16-byte loads read inside
-            // the `rest` slice.
-            let (lo, hi) = unsafe {
-                (
-                    _mm_loadu_si128(rest.as_ptr().add(count).cast()),
-                    _mm_loadu_si128(rest.as_ptr().add(count + 4).cast()),
-                )
-            };
-            let packed = _mm_packs_epi32(lo, hi);
-            let gt = _mm_cmpgt_epi16(packed, probe);
-            let mask = bits_u32(_mm_movemask_epi8(gt));
-            if mask == 0 {
-                count += 8;
-            } else {
-                // Sorted chunk: `<=` lanes form a prefix; each u16 lane
-                // contributes two mask bits, so halve the popcount.
-                return count + (16 - mask.count_ones() as usize) / 2;
-            }
-        }
-    } else {
-        let probe = _mm_xor_si128(_mm_set1_epi32(bits_i32(bound)), _mm_set1_epi32(i32::MIN));
-        while count + 4 <= len {
-            // SAFETY: count + 4 <= len, so the 16-byte load reads inside
-            // the `rest` slice.
-            let x = unsafe { _mm_loadu_si128(rest.as_ptr().add(count).cast()) };
-            let biased = _mm_xor_si128(x, _mm_set1_epi32(i32::MIN));
-            let gt = _mm_cmpgt_epi32(biased, probe);
-            let mask = bits_u32(_mm_movemask_ps(_mm_castsi128_ps(gt)));
-            if mask == 0 {
-                count += 4;
-            } else {
-                return count + (4 - mask.count_ones() as usize);
-            }
-        }
-    }
-    for &x in rest.get(count..).unwrap_or(&[]) {
-        if x <= bound {
-            count += 1;
-        } else {
-            break;
-        }
-    }
-    count
-}
-
-/// AVX2 backend: 256-bit compares — 8 x `u32` lanes per step, or 16 x
-/// packed `u16` lanes for narrow rows (`packssdw` interleaves 128-bit
-/// halves, which is irrelevant here because only the popcount is used,
-/// never lane order).
-///
-// SAFETY: callers must ensure AVX2 is available (`count_le_from` only
-// reaches this arm after `available_or_best` confirmed runtime detection).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn count_le_avx2(rest: &[u32], bound: u32) -> usize {
-    use std::arch::x86_64::{
-        _mm256_castsi256_ps, _mm256_cmpgt_epi16, _mm256_cmpgt_epi32, _mm256_loadu_si256,
-        _mm256_movemask_epi8, _mm256_movemask_ps, _mm256_packs_epi32, _mm256_set1_epi16,
-        _mm256_set1_epi32, _mm256_xor_si256,
-    };
-    let Some(&max) = rest.last() else { return 0 };
-    let len = rest.len();
-    let mut count = 0usize;
-    if max < 0x8000 {
-        // Same non-negative-signed-compare shortcut as the SSE2 narrow
-        // path, 16 packed u16 lanes per step.
-        let probe = _mm256_set1_epi16(i16::try_from(bound.min(0x7FFF)).unwrap_or(i16::MAX));
-        while count + 16 <= len {
-            // SAFETY: count + 16 <= len, so both 32-byte loads read inside
-            // the `rest` slice.
-            let (lo, hi) = unsafe {
-                (
-                    _mm256_loadu_si256(rest.as_ptr().add(count).cast()),
-                    _mm256_loadu_si256(rest.as_ptr().add(count + 8).cast()),
-                )
-            };
-            let packed = _mm256_packs_epi32(lo, hi);
-            let gt = _mm256_cmpgt_epi16(packed, probe);
-            let mask = bits_u32(_mm256_movemask_epi8(gt));
-            if mask == 0 {
-                count += 16;
-            } else {
-                return count + (32 - mask.count_ones() as usize) / 2;
-            }
-        }
-    } else {
-        let probe = _mm256_xor_si256(
-            _mm256_set1_epi32(bits_i32(bound)),
-            _mm256_set1_epi32(i32::MIN),
-        );
-        while count + 8 <= len {
-            // SAFETY: count + 8 <= len, so the 32-byte load reads inside
-            // the `rest` slice.
-            let x = unsafe { _mm256_loadu_si256(rest.as_ptr().add(count).cast()) };
-            let biased = _mm256_xor_si256(x, _mm256_set1_epi32(i32::MIN));
-            let gt = _mm256_cmpgt_epi32(biased, probe);
-            let mask = bits_u32(_mm256_movemask_ps(_mm256_castsi256_ps(gt)));
-            if mask == 0 {
-                count += 8;
-            } else {
-                return count + (8 - mask.count_ones() as usize);
-            }
-        }
-    }
-    for &x in rest.get(count..).unwrap_or(&[]) {
-        if x <= bound {
-            count += 1;
-        } else {
-            break;
-        }
-    }
-    count
-}
-
-/// All [`MAX_LANES`] mask bits set — the "every lane passed" result of
-/// [`gt_mask8`].
-pub const FULL_MASK8: u32 = (1 << MAX_LANES) - 1;
-
-/// Per-lane unsigned `a[i] > b[i]` over one full batch of [`MAX_LANES`]
-/// `u32` lanes, as a bitmask (bit `i` set iff lane `i` compares greater).
-///
-/// This is the growth kernels' whole-batch fast path: with `a` = the next
-/// [`MAX_LANES`] row positions at the watermark and `b` = the batch's lane
-/// bounds, a result of [`FULL_MASK8`] proves every lane's partition point
-/// is dominated by the serial watermark chain, so the batch advances
-/// through consecutive row slots with no per-lane search (`core::kernel`
-/// carries the induction proof). The same primitive with the roles of the
-/// operands swapped answers the constrained kernels' "all lanes inside the
-/// window" acceptance test (`mask == 0` for `a[i] <= b[i]` everywhere).
-#[inline]
-#[must_use]
-pub fn gt_mask8(a: &[u32; MAX_LANES], b: &[u32; MAX_LANES], backend: KernelBackend) -> u32 {
-    match backend {
-        KernelBackend::Scalar | KernelBackend::Swar => gt_mask8_scalar(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline instruction set, so
-        // the target-feature function is always executable here.
-        KernelBackend::Sse2 => unsafe { gt_mask8_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: kernels only pass backends clamped through
-        // `available_or_best`, so Avx2 here implies
-        // `is_x86_feature_detected!("avx2")` returned true in this process.
-        KernelBackend::Avx2 => unsafe { gt_mask8_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        // Unreachable after availability clamping; keep it total.
-        KernelBackend::Sse2 | KernelBackend::Avx2 => gt_mask8_scalar(a, b),
-    }
-}
-
-/// Reference implementation: eight branchless compare-and-shift lanes.
-/// This is also the SWAR-backend path — with full-range `u32` lanes a
-/// carry-trick compare would first have to clear both operands' top bits,
-/// costing more than the eight `setcc`s the compiler emits for this loop.
-#[inline]
-fn gt_mask8_scalar(a: &[u32; MAX_LANES], b: &[u32; MAX_LANES]) -> u32 {
-    let mut mask = 0u32;
-    for (lane, (&x, &t)) in a.iter().zip(b.iter()).enumerate() {
-        mask |= u32::from(x > t) << lane;
-    }
-    mask
-}
-
-/// SSE2 batch compare: two 128-bit compares cover the eight lanes.
-/// Unsigned order is restored by XOR-ing the sign bit into both operands
-/// before the signed compare. Fully inlinable into baseline callers.
-// SAFETY: SSE2 is part of the x86_64 baseline, so this function is
-// executable on every x86_64 CPU; the attribute exists only to let the
-// intrinsics be called without per-call unsafe blocks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[inline]
-fn gt_mask8_sse2(a: &[u32; MAX_LANES], b: &[u32; MAX_LANES]) -> u32 {
-    use std::arch::x86_64::{
-        _mm_castsi128_ps, _mm_cmpgt_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi32,
-        _mm_xor_si128,
-    };
-    let bias = _mm_set1_epi32(i32::MIN);
-    // SAFETY: both arrays are exactly MAX_LANES = 8 u32s (32 bytes), so
-    // each 16-byte load reads inside its array.
-    let (a_lo, a_hi, b_lo, b_hi) = unsafe {
-        (
-            _mm_loadu_si128(a.as_ptr().cast()),
-            _mm_loadu_si128(a.as_ptr().add(4).cast()),
-            _mm_loadu_si128(b.as_ptr().cast()),
-            _mm_loadu_si128(b.as_ptr().add(4).cast()),
-        )
-    };
-    let gt_lo = _mm_cmpgt_epi32(_mm_xor_si128(a_lo, bias), _mm_xor_si128(b_lo, bias));
-    let gt_hi = _mm_cmpgt_epi32(_mm_xor_si128(a_hi, bias), _mm_xor_si128(b_hi, bias));
-    bits_u32(_mm_movemask_ps(_mm_castsi128_ps(gt_lo)))
-        | bits_u32(_mm_movemask_ps(_mm_castsi128_ps(gt_hi))) << 4
-}
-
-/// AVX2 batch compare: one 256-bit compare covers all eight lanes, with
-/// the same sign-bias trick as the SSE2 variant. One outlined call per
-/// batch (the attribute blocks inlining into baseline callers), amortized
-/// over eight probes.
-// SAFETY: callers must ensure AVX2 is available (`gt_mask8` only reaches
-// this arm after `available_or_best` confirmed runtime detection).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn gt_mask8_avx2(a: &[u32; MAX_LANES], b: &[u32; MAX_LANES]) -> u32 {
-    use std::arch::x86_64::{
-        _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_loadu_si256, _mm256_movemask_ps,
-        _mm256_set1_epi32, _mm256_xor_si256,
-    };
-    let bias = _mm256_set1_epi32(i32::MIN);
-    // SAFETY: both arrays are exactly MAX_LANES = 8 u32s (32 bytes), so
-    // each 32-byte load reads the whole array and nothing else.
-    let (av, bv) = unsafe {
-        (
-            _mm256_loadu_si256(a.as_ptr().cast()),
-            _mm256_loadu_si256(b.as_ptr().cast()),
-        )
-    };
-    let gt = _mm256_cmpgt_epi32(_mm256_xor_si256(av, bias), _mm256_xor_si256(bv, bias));
-    bits_u32(_mm256_movemask_ps(_mm256_castsi256_ps(gt)))
-}
-
-/// Lanes in one block-mode compare: eight [`gt_mask8`] batches fused into a
-/// single call so long instance runs amortize the per-batch bookkeeping
-/// (gather, dispatch, watermark update) over 64 lanes instead of 8.
-pub const BLOCK_LANES: usize = 8 * MAX_LANES;
-
 /// Per-lane unsigned `a[i] > b[i]` over one [`BLOCK_LANES`] block, as a
 /// 64-bit mask (bit `i` set iff lane `i` compares greater).
 ///
-/// The wide sibling of [`gt_mask8`]: the unconstrained growth kernel uses
-/// it when at least [`BLOCK_LANES`] instances of one run and as many row
-/// positions remain, where the dominated prefix regularly spans whole
-/// blocks and the 8-lane batch loop's fixed costs stop paying for
-/// themselves. `u64::MAX` proves all 64 lanes advance through consecutive
-/// row slots.
+/// With `a` = the next [`BLOCK_LANES`] row positions at the growth cursor
+/// and `b` = the next instances' `last` positions, the mask's trailing ones
+/// count the lanes that advance through consecutive row slots with no
+/// search; `u64::MAX` proves all 64 do.
 #[inline]
 #[must_use]
 pub fn gt_mask64(a: &[u32; BLOCK_LANES], b: &[u32; BLOCK_LANES], backend: KernelBackend) -> u64 {
     match backend {
-        KernelBackend::Scalar | KernelBackend::Swar => gt_mask64_scalar(a, b),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline instruction set, so
-        // the target-feature function is always executable here.
-        KernelBackend::Sse2 => unsafe { gt_mask64_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: kernels only pass backends clamped through
-        // `available_or_best`, so Avx2 here implies
-        // `is_x86_feature_detected!("avx2")` returned true in this process.
-        KernelBackend::Avx2 => unsafe { gt_mask64_avx2(a, b) },
-        #[cfg(not(target_arch = "x86_64"))]
-        // Unreachable after availability clamping; keep it total.
-        KernelBackend::Sse2 | KernelBackend::Avx2 => gt_mask64_scalar(a, b),
+        KernelBackend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: the guard just confirmed AVX2 at runtime.
+            unsafe { gt_mask64_avx2(a, b) }
+        }
+        // Scalar, or Avx2 requested on a CPU without it.
+        _ => gt_mask64_scalar(a, b),
     }
 }
 
-/// Reference implementation: 64 branchless compare-and-shift lanes (also
-/// the SWAR-backend path, for the same full-range-`u32` reason as
-/// [`gt_mask8_scalar`]).
+/// Reference implementation: 64 branchless compare-and-shift lanes.
 #[inline]
 fn gt_mask64_scalar(a: &[u32; BLOCK_LANES], b: &[u32; BLOCK_LANES]) -> u64 {
     let mut mask = 0u64;
@@ -814,37 +190,34 @@ fn gt_mask64_scalar(a: &[u32; BLOCK_LANES], b: &[u32; BLOCK_LANES]) -> u64 {
     mask
 }
 
-/// SSE2 block compare: the eight [`gt_mask8_sse2`] batches, fused. Inside
-/// a matching `#[target_feature]` context the per-batch calls are safe and
-/// inline cleanly.
-// SAFETY: SSE2 is part of the x86_64 baseline, so this function is
-// executable on every x86_64 CPU; the attribute exists only to let the
-// per-batch target-feature helpers be called without unsafe blocks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[inline]
-fn gt_mask64_sse2(a: &[u32; BLOCK_LANES], b: &[u32; BLOCK_LANES]) -> u64 {
-    let (a_batches, _) = a.as_chunks::<MAX_LANES>();
-    let (b_batches, _) = b.as_chunks::<MAX_LANES>();
-    let mut mask = 0u64;
-    for (batch, (x, t)) in a_batches.iter().zip(b_batches.iter()).enumerate() {
-        mask |= u64::from(gt_mask8_sse2(x, t)) << (batch * MAX_LANES);
-    }
-    mask
-}
-
 /// AVX2 block compare: eight 256-bit compares, one outlined call per
-/// 64-lane block.
-// SAFETY: callers must ensure AVX2 is available (`gt_mask64` only reaches
-// this arm after `available_or_best` confirmed runtime detection).
+/// 64-lane block. Unsigned order is restored by XOR-ing the sign bit into
+/// both operands before the signed compare.
+// SAFETY: callers must ensure AVX2 is available (`gt_mask64` checks it at
+// runtime before every call).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gt_mask64_avx2(a: &[u32; BLOCK_LANES], b: &[u32; BLOCK_LANES]) -> u64 {
-    let (a_batches, _) = a.as_chunks::<MAX_LANES>();
-    let (b_batches, _) = b.as_chunks::<MAX_LANES>();
+    use std::arch::x86_64::{
+        _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_loadu_si256, _mm256_movemask_ps,
+        _mm256_set1_epi32, _mm256_xor_si256,
+    };
+    let bias = _mm256_set1_epi32(i32::MIN);
+    let (a_chunks, _) = a.as_chunks::<8>();
+    let (b_chunks, _) = b.as_chunks::<8>();
     let mut mask = 0u64;
-    for (batch, (x, t)) in a_batches.iter().zip(b_batches.iter()).enumerate() {
-        mask |= u64::from(gt_mask8_avx2(x, t)) << (batch * MAX_LANES);
+    for (chunk, (x, t)) in a_chunks.iter().zip(b_chunks).enumerate() {
+        // SAFETY: each chunk is exactly 8 u32s (32 bytes), so each 32-byte
+        // load reads the whole chunk and nothing else.
+        let (xv, tv) = unsafe {
+            (
+                _mm256_loadu_si256(x.as_ptr().cast()),
+                _mm256_loadu_si256(t.as_ptr().cast()),
+            )
+        };
+        let gt = _mm256_cmpgt_epi32(_mm256_xor_si256(xv, bias), _mm256_xor_si256(tv, bias));
+        let lanes = u32::from_ne_bytes(_mm256_movemask_ps(_mm256_castsi256_ps(gt)).to_ne_bytes());
+        mask |= u64::from(lanes) << (chunk * 8);
     }
     mask
 }
@@ -872,94 +245,15 @@ mod tests {
             .collect()
     }
 
-    /// Strictly ascending row with pseudo-random strides, max value capped
-    /// to exercise the narrow (u16) and wide (u32) packing paths.
-    fn seeded_row(seed: u64, len: usize, stride_cap: u64) -> Vec<u32> {
-        let mut rng = Lcg(seed);
-        let mut row = Vec::with_capacity(len);
-        let mut pos = 0u64;
-        for _ in 0..len {
-            pos += 1 + rng.next() % stride_cap;
-            if pos > u64::from(u32::MAX) {
-                break;
-            }
-            row.push(u32::try_from(pos).expect("capped above"));
-        }
-        row
-    }
-
-    #[test]
-    fn every_backend_matches_partition_point_on_seeded_rows() {
-        for backend in backends_under_test() {
-            for (seed, len, stride) in [
-                (1u64, 0usize, 3u64),
-                (2, 1, 3),
-                (3, 7, 3),
-                (4, 33, 5),
-                (5, 64, 2),
-                (6, 129, 1000),       // wide values past u16
-                (7, 200, 40_000_000), // values past 2^31 -> scalar clamp path
-            ] {
-                let row = seeded_row(seed, len, stride);
-                let mut rng = Lcg(seed ^ 0xBEEF);
-                let mut bound = 0u32;
-                let mut from = 0usize;
-                for _ in 0..50 {
-                    bound = bound.saturating_add(u32::try_from(rng.next() % 97).expect("< 97"));
-                    let expected = row.partition_point(|&p| p <= bound);
-                    let got = from + count_le_from(&row, from, bound, backend);
-                    assert_eq!(got, expected, "{backend} len {len} bound {bound}");
-                    from = expected;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_cursor_matches_naive_next_per_lane() {
-        for backend in backends_under_test() {
-            let row = seeded_row(42, 61, 7);
-            let mut cursor = MultiCursor::with_backend(&row, backend);
-            let bounds = [0u32, 3, 3, 10, 50, 51, 52, 600];
-            let mut out = [None; MAX_LANES];
-            assert_eq!(cursor.next_after_batch(&bounds, &mut out), 8);
-            for (lane, &bound) in bounds.iter().enumerate() {
-                let expected = row
-                    .get(row.partition_point(|&p| p <= bound)..)
-                    .and_then(<[u32]>::first)
-                    .copied();
-                assert_eq!(out[lane], expected, "{backend} lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_points_resume_and_clamp_to_base() {
-        let row = [2u32, 4, 6, 8, 10];
-        let mut cursor = MultiCursor::with_backend(&row, KernelBackend::Scalar);
-        let mut out = [0usize; MAX_LANES];
-        assert_eq!(cursor.partition_points(&[5], &mut out), 1);
-        assert_eq!(out[0], 2);
-        assert_eq!(cursor.base(), 2);
-        // A consuming kernel can push the base past the next bound's true
-        // partition point; the clamp saturates instead of moving back.
-        cursor.set_base(4);
-        assert_eq!(cursor.partition_points(&[5, 20], &mut out), 2);
-        assert_eq!(&out[..2], &[4, 5]);
-        assert_eq!(cursor.base(), 5);
-    }
-
     #[test]
     fn force_backend_round_trips_and_clamps() {
         let before = active_backend();
         force_backend(Some(KernelBackend::Scalar));
         assert_eq!(active_backend(), KernelBackend::Scalar);
-        force_backend(Some(KernelBackend::Swar));
-        assert_eq!(active_backend(), KernelBackend::Swar);
-        // An unavailable request degrades to the best available backend
-        // rather than faulting mid-mine.
-        let clamped = KernelBackend::Avx2.available_or_best();
-        assert!(clamped.is_available());
+        // An unavailable request degrades to the detected backend rather
+        // than faulting mid-mine.
+        force_backend(Some(KernelBackend::Avx2));
+        assert!(active_backend().is_available());
         force_backend(None);
         assert_eq!(active_backend(), before);
     }
@@ -973,51 +267,6 @@ mod tests {
         }
         #[cfg(target_arch = "x86_64")]
         assert!(features.contains("sse2"));
-    }
-
-    #[test]
-    fn gt_mask8_matches_scalar_across_backends_and_ranges() {
-        let mut rng = Lcg(0xFACE);
-        for round in 0..200 {
-            let mut a = [0u32; MAX_LANES];
-            let mut b = [0u32; MAX_LANES];
-            // Mix small values, near-equal pairs, and values past 2^31 so
-            // the sign-bias trick is exercised on both sides of the bit.
-            for lane in 0..MAX_LANES {
-                let scale = match rng.next() % 3 {
-                    0 => 1,
-                    1 => 1 << 16,
-                    _ => 1 << 28,
-                };
-                a[lane] = u32::try_from(rng.next() % 97)
-                    .expect("< 97")
-                    .wrapping_mul(scale);
-                b[lane] = match rng.next() % 4 {
-                    0 => a[lane],
-                    1 => a[lane].wrapping_add(1),
-                    2 => a[lane].wrapping_sub(1),
-                    _ => u32::try_from(rng.next() % 97)
-                        .expect("< 97")
-                        .wrapping_mul(scale),
-                };
-            }
-            let expected = gt_mask8_scalar(&a, &b);
-            for backend in backends_under_test() {
-                assert_eq!(
-                    gt_mask8(&a, &b, backend),
-                    expected,
-                    "round {round} backend {backend} a {a:?} b {b:?}"
-                );
-            }
-            assert!(expected <= FULL_MASK8);
-        }
-        let max = [u32::MAX; MAX_LANES];
-        let zero = [0u32; MAX_LANES];
-        for backend in backends_under_test() {
-            assert_eq!(gt_mask8(&max, &zero, backend), FULL_MASK8, "{backend}");
-            assert_eq!(gt_mask8(&zero, &max, backend), 0, "{backend}");
-            assert_eq!(gt_mask8(&max, &max, backend), 0, "{backend}");
-        }
     }
 
     #[test]
@@ -1059,22 +308,6 @@ mod tests {
             assert_eq!(gt_mask64(&max, &zero, backend), u64::MAX, "{backend}");
             assert_eq!(gt_mask64(&zero, &max, backend), 0, "{backend}");
             assert_eq!(gt_mask64(&max, &max, backend), 0, "{backend}");
-        }
-    }
-
-    #[test]
-    fn empty_and_single_element_rows_are_safe_everywhere() {
-        for backend in backends_under_test() {
-            let mut empty = MultiCursor::with_backend(&[], backend);
-            let mut out = [Some(0u32); MAX_LANES];
-            assert_eq!(empty.next_after_batch(&[0, 1, 2], &mut out), 3);
-            assert_eq!(&out[..3], &[None, None, None]);
-
-            let row = [7u32];
-            let mut single = MultiCursor::with_backend(&row, backend);
-            let mut pts = [0usize; MAX_LANES];
-            assert_eq!(single.partition_points(&[0, 6, 7, 8], &mut pts), 4);
-            assert_eq!(&pts[..4], &[0, 0, 1, 1]);
         }
     }
 }

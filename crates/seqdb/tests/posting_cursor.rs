@@ -226,168 +226,3 @@ fn cursor_rows_are_identical_at_both_store_widths() {
         }
     }
 }
-
-/// Drives one row through the same non-decreasing bound chain twice — a
-/// scalar [`seqdb::PostingCursor`] probe per bound, and the batched
-/// [`seqdb::MultiCursor`] on `backend` in chunks of `lane_count` — and
-/// asserts the answers match lane by lane.
-fn check_multi_cursor_chain(
-    row: &[u32],
-    bounds: &[u32],
-    lane_count: usize,
-    backend: seqdb::KernelBackend,
-) {
-    let mut scalar = seqdb::PostingCursor::new(row);
-    let mut multi = seqdb::MultiCursor::with_backend(row, backend);
-    let mut out = [None; seqdb::simd::MAX_LANES];
-    for batch in bounds.chunks(lane_count) {
-        let lanes = multi.next_after_batch(batch, &mut out);
-        assert_eq!(lanes, batch.len(), "lane count for batch {batch:?}");
-        for (lane, (&bound, &got)) in batch.iter().zip(out.iter()).enumerate() {
-            let expected = scalar.next_after(bound);
-            assert_eq!(
-                got,
-                expected,
-                "lane {lane} bound {bound} of batch {batch:?} on {} \
-                 (row {row:?})",
-                backend.name(),
-            );
-        }
-        assert!(
-            multi.base() <= row.len(),
-            "resume index {} ran past the row",
-            multi.base()
-        );
-    }
-}
-
-#[test]
-fn multi_cursor_matches_the_scalar_cursor_at_every_lane_count() {
-    // Every available backend, every lane count 1..=8, seeded random rows
-    // plus a bound chain full of duplicates (the same target probed by
-    // several lanes of one batch — the constrained kernel's gathered-run
-    // shape) and jumps past the row's end.
-    for backend in seqdb::KernelBackend::all() {
-        if !backend.is_available() {
-            continue;
-        }
-        for lane_count in 1..=seqdb::simd::MAX_LANES {
-            for seed in 0..12u64 {
-                let mut rng = Lcg::new(seed ^ (lane_count as u64) << 32);
-                let alphabet = rng.below(5) + 1;
-                let db = random_db(&mut rng, 3, alphabet, 48);
-                let index = db.inverted_index();
-                for seq in 0..db.num_sequences() {
-                    for event in db.catalog().ids() {
-                        let row: &[u32] = index.event_positions(seq, event).unwrap_or(&[]);
-                        let top = row.last().copied().unwrap_or(0) + 2;
-                        let mut bounds = Vec::with_capacity(40);
-                        let mut lowest = 0u32;
-                        while bounds.len() < 40 {
-                            // Duplicate targets are the common case: a run
-                            // of identical bounds, then a small or large
-                            // monotone step.
-                            for _ in 0..=rng.below(3) {
-                                bounds.push(lowest);
-                            }
-                            lowest = match rng.below(6) {
-                                0..=3 => lowest.saturating_add(rng.below(3) as u32 + 1),
-                                4 => lowest.saturating_add(7),
-                                _ => top.max(lowest),
-                            };
-                        }
-                        check_multi_cursor_chain(row, &bounds, lane_count, backend);
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn multi_cursor_survives_the_adversarial_rows() {
-    // The same adversarial database as the scalar suite: stride-1 run,
-    // single occurrence, empty sequence, interleaved rows.
-    let db = SequenceDatabase::from_str_rows(&["AAAAAAAA", "B", "", "ABABAB"]);
-    let index = db.inverted_index();
-    let a = db.catalog().id("A").expect("A interned");
-    let b = db.catalog().id("B").expect("B interned");
-
-    for backend in seqdb::KernelBackend::all() {
-        if !backend.is_available() {
-            continue;
-        }
-        // Exhausted-from-the-start rows answer None in every lane and out
-        // of range resolves no cursor at all.
-        for (seq, event) in [(1, a), (2, a), (2, b)] {
-            let row = index.event_positions(seq, event).unwrap_or(&[]);
-            let mut multi = seqdb::MultiCursor::with_backend(row, backend);
-            let mut out = [Some(9); seqdb::simd::MAX_LANES];
-            let lanes = multi.next_after_batch(&[0, 0, 5, 9], &mut out);
-            assert_eq!(lanes, 4);
-            assert!(
-                out.iter().take(lanes).all(Option::is_none),
-                "empty row must answer None on {}",
-                backend.name()
-            );
-        }
-        assert!(index.multi_cursor(4, a).is_none(), "seq id out of range");
-
-        // A full batch of duplicate bounds on the stride-1 run: only the
-        // first distinct bound value advances the row, every duplicate
-        // lane re-reads the same partition point.
-        let row = index.event_positions(0, a).expect("A covers S0");
-        check_multi_cursor_chain(row, &[0, 0, 0, 0, 1, 1, 2, 2, 3, 8, 8, 8], 4, backend);
-
-        // Probes at and past the row's last position exhaust and stay
-        // exhausted — including a whole batch past the end.
-        let row = index.event_positions(3, b).expect("B occurs in S3");
-        check_multi_cursor_chain(row, &[5, 6, 6, 7, 100, 200], 3, backend);
-
-        // Interleaved rows keep independent cursors, as in the scalar
-        // suite.
-        let a_row = index.event_positions(3, a).expect("A occurs in S3");
-        check_multi_cursor_chain(a_row, &[0, 3, 5, 5], 2, backend);
-    }
-}
-
-#[test]
-fn multi_cursor_agrees_across_backends_and_store_widths() {
-    // One long stride-1-heavy database (block-sized rows: > 64 positions,
-    // the whole-block fast path's regime) probed on every available
-    // backend at both event-column widths: every combination must produce
-    // the byte-identical answer chain the scalar cursor produces.
-    let rows: Vec<String> = (0..3)
-        .map(|r| {
-            (0..100)
-                .map(|i| if (i + r) % 7 == 0 { 'B' } else { 'A' })
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
-    let narrow_db = SequenceDatabase::from_str_rows(&refs);
-    let mut wide_db = narrow_db.clone();
-    wide_db.widen_store();
-
-    let bounds: Vec<u32> = (0..96u32).flat_map(|i| [i, i]).collect();
-    for db in [&narrow_db, &wide_db] {
-        let index = db.inverted_index();
-        for backend in seqdb::KernelBackend::all() {
-            if !backend.is_available() {
-                continue;
-            }
-            for seq in 0..db.num_sequences() {
-                for event in db.catalog().ids() {
-                    let row: &[u32] = index.event_positions(seq, event).unwrap_or(&[]);
-                    assert!(
-                        event != db.catalog().id("A").expect("A interned") || row.len() > 64,
-                        "the dominant row must be block-sized"
-                    );
-                    for lane_count in [1, 5, seqdb::simd::MAX_LANES] {
-                        check_multi_cursor_chain(row, &bounds, lane_count, backend);
-                    }
-                }
-            }
-        }
-    }
-}

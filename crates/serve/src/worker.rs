@@ -299,9 +299,9 @@ fn stats_body(ctx: &ServeContext) -> String {
     ));
 
     // Which growth-kernel backend every mining worker in this process
-    // dispatches to (runtime CPU detection, overridable via
-    // RGS_FORCE_SCALAR) — operators comparing throughput across machines
-    // need this next to the latency histograms, not in a CPU spec sheet.
+    // dispatches to (runtime CPU detection) — operators comparing
+    // throughput across machines need this next to the latency
+    // histograms, not in a CPU spec sheet.
     out.push_str(&format!(
         "\"kernel\":{{\"backend\":\"{}\",\"cpu_features\":\"{}\"}},",
         seqdb::simd::active_backend().name(),

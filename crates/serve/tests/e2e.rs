@@ -477,7 +477,7 @@ fn healthz_reports_the_snapshot_identity() {
     );
 
     // ... and the growth-kernel backend the workers dispatch to, so
-    // operators can tell vectorized and forced-scalar deployments apart.
+    // operators can tell AVX2 and scalar deployments apart.
     let kernel = stats.get("kernel").expect("kernel");
     let backend = kernel
         .get("backend")
@@ -489,7 +489,7 @@ fn healthz_reports_the_snapshot_identity() {
         "served backend must match the in-process dispatch decision"
     );
     assert!(
-        ["scalar", "swar", "sse2", "avx2"].contains(&backend),
+        ["scalar", "avx2"].contains(&backend),
         "unknown backend name {backend}"
     );
     assert!(kernel.get("cpu_features").and_then(Value::as_str).is_some());

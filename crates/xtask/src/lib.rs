@@ -12,9 +12,9 @@
 //!   `target_feature`, but it still has to be written down where the
 //!   specialized code lives.
 //! * **simd-fallback** — a file defining a vector specialization
-//!   (`fn foo_sse2`/`_avx2`/`_swar`) must define the portable reference
-//!   arm `fn foo_scalar` beside it; the scalar kernels are pinned
-//!   first-class fallbacks (`RGS_FORCE_SCALAR`).
+//!   (`fn foo_avx2`, or a `_sse2`/`_swar` arm) must define the portable
+//!   reference arm `fn foo_scalar` beside it: the vector arm is pinned
+//!   bit-identical to it, and it runs on CPUs without the instruction set.
 //! * **panic-free hot paths** — the zero-alloc mining loops
 //!   (`core/src/{support,instbuf,closure,constrained,kernel}.rs`,
 //!   `seqdb/src/{store,index,shard,simd}.rs`), the crate's one DFS driver
@@ -547,9 +547,9 @@ const SIMD_SUFFIXES: [&str; 3] = ["_sse2", "_avx2", "_swar"];
 /// Rule `simd-fallback`: a file defining a vector specialization
 /// (`fn foo_sse2` / `fn foo_avx2` / `fn foo_swar`) must also define the
 /// portable reference arm `fn foo_scalar` in the same file. The scalar
-/// kernels are pinned, first-class fallbacks (`RGS_FORCE_SCALAR`), not
-/// historical leftovers — a vector path without its reference twin has
-/// nothing to be bit-identical *to*.
+/// arms are pinned, first-class fallbacks, not historical leftovers — a
+/// vector path without its reference twin has nothing to be
+/// bit-identical *to*.
 fn check_simd_fallback_pairing(file: &FileContext<'_>, report: &mut AuditReport) {
     let code = &file.code;
     let mut from = 0;
