@@ -1092,7 +1092,7 @@ fn print_usage() {
            --shards N      partition the store into N shards at sequence\n\
                            boundaries (balanced by event mass); mining output\n\
                            is bit-identical, per-shard indexes build in\n\
-                           parallel, and snapshot build writes a v2 image\n\
+                           parallel, and snapshot build writes a v4 image\n\
                            whose shard subsets map independently\n\
            --format json   emit one JSON document with the MiningReport and\n\
                            the reported patterns instead of text output\n"

@@ -144,10 +144,11 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
             .candidates
             .iter()
             .filter(|&&(event, total)| {
+                let mut rows = self.sc.index().event_rows(event);
                 total >= support
                     && per_sequence_counts
                         .iter()
-                        .all(|&(seq, count)| self.sc.index().count_in_sequence(seq, event) >= count)
+                        .all(|&(seq, count)| rows.row(seq).map_or(0, <[u32]>::len) >= count)
             })
             .map(|&(event, _)| event)
             .collect();

@@ -28,7 +28,7 @@
 //! next to the mining DFS — so it is deliberately *not* routed through the
 //! batched [`crate::kernel`] tiers that vectorize the hot growth pass.
 
-use seqdb::{EventId, ShardedIndex};
+use seqdb::{EventId, PostingCursor, ShardedIndex};
 
 use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
@@ -152,6 +152,8 @@ impl InstanceBuffer {
         spare_positions.clear();
 
         let len = seqs.len();
+        let mut rows = index.event_rows(event);
+        rows.restrict(seqs.iter().map(|&seq| seq as usize));
         let mut i = 0;
         while i < len {
             let Some(rest) = seqs.get(i..) else { break };
@@ -160,12 +162,18 @@ impl InstanceBuffer {
             // Within one sequence: greedy right-shift-order extension with
             // the strictly-increasing `last_position` watermark of
             // Algorithm 2, line 5. The `(seq, event)` posting row is
-            // resolved once per run and advanced by a monotone cursor
-            // instead of re-searching the whole row per instance.
-            let Some(mut cursor) = index.cursor(seq as usize, event) else {
-                i = end;
-                continue;
+            // resolved once per run (forward-only, through the pass's row
+            // handle) and advanced by a monotone cursor instead of
+            // re-searching the whole row per instance.
+            let Some((hit, row)) = rows.next_row(seq as usize) else {
+                break;
             };
+            if hit != seq as usize {
+                // No sequence from `seq` up to `hit` holds the event.
+                i += rest.iter().take_while(|&&s| (s as usize) < hit).count();
+                continue;
+            }
+            let mut cursor = PostingCursor::new(row);
             let mut last_position = 0u32;
             for j in i..end {
                 let Some(landmark) = positions.get(j * stride..(j + 1) * stride) else {

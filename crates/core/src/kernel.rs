@@ -2,14 +2,17 @@
 //! posting rows, with one optional 64-lane block compare.
 //!
 //! The per-call probe `next(S, e, lowest)` (Algorithm 2, line 9) pays the
-//! full price on every invocation: derive the `(sequence, event)` CSR slot,
+//! full price on every invocation: resolve the `(sequence, event)` row,
 //! binary-search the entire posting row, return one position. But one
-//! extension pass processes all instances of a sequence **consecutively and
-//! in right-shift order**, and along that run the probe's `lowest` bound is
-//! non-decreasing — the `last_position` watermark only grows, instance
-//! `last` positions are sorted, and the constrained lower bound
-//! `lowest_exclusive` is monotone in them. So the row can be resolved
-//! *once* and advanced monotonically through the whole run.
+//! extension pass fixes the event and processes all instances of a
+//! sequence **consecutively and in right-shift order**, and along that run
+//! the probe's `lowest` bound is non-decreasing — the `last_position`
+//! watermark only grows, instance `last` positions are sorted, and the
+//! constrained lower bound `lowest_exclusive` is monotone in them. So each
+//! pass takes one [`seqdb::EventRows`] handle for its event, which resolves
+//! each sequence's row *once* moving forward only (one add and two loads on
+//! a dense event, a forward gallop along the ids on a sparse one), and the
+//! row is advanced monotonically through the whole run.
 //!
 //! Both kernels advance a [`PostingCursor`] one probe at a time: each probe
 //! gallops forward from the previous landmark and falls back to a
@@ -88,75 +91,83 @@ pub(crate) fn grow_unconstrained(
 ) {
     let total = instances.len();
     let mut bounds = [0u32; BLOCK_LANES];
+    let mut rows = index.event_rows(event);
+    rows.restrict(instances.iter().map(|inst| inst.seq as usize));
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
-        let Some(row) = index.event_positions(seq as usize, event) else {
-            // Out-of-range ids resolve no row: skip the whole run.
-            i = run_end(instances, i, seq);
-            continue;
+        // The next sequence at or after `seq` that may hold the event; when
+        // none is left, no remaining instance can grow.
+        let Some((hit, row)) = rows.next_row(seq as usize) else {
+            break;
         };
-        let mut cursor = PostingCursor::new(row);
-        let mut last_position = 0u32;
-        let mut blocks = backend != KernelBackend::Scalar && row.len() >= BLOCK_LANES;
-        // Serial probes left before the next block attempt.
-        let mut serial = 0usize;
-        while let Some(instance) = instances.get(i) {
-            if instance.seq != seq {
-                break;
-            }
-            if blocks && serial > 0 {
-                serial -= 1;
-            } else if blocks {
-                let at = row.len() - cursor.remaining();
-                let window = row.get(at..).and_then(<[u32]>::first_chunk::<BLOCK_LANES>);
-                let lanes = instances
-                    .get(i..)
-                    .and_then(<[Instance]>::first_chunk::<BLOCK_LANES>)
-                    .filter(|lanes| lanes.last().is_some_and(|tail| tail.seq == seq));
-                if let (Some(window), Some(lanes)) = (window, lanes) {
-                    for (bound, lane) in bounds.iter_mut().zip(lanes) {
-                        *bound = lane.last;
-                    }
-                    let m = gt_mask64(window, &bounds, backend).trailing_ones() as usize;
-                    if let Some(&pos) = m.checked_sub(1).and_then(|tail| window.get(tail)) {
-                        out.push_grown(
-                            seq,
-                            lanes.get(..m).unwrap_or(&[]),
-                            window.get(..m).unwrap_or(&[]),
-                        );
-                        cursor.advance(m);
-                        last_position = pos;
-                        i += m;
-                        // A partial prefix hands just the breaking lane to
-                        // the serial probe; a full block retries at once.
-                        serial = usize::from(m < BLOCK_LANES);
-                        continue;
-                    }
-                    // No dominated lane: this probe and the next
-                    // `COOL_DOWN - 1` run serially.
-                    serial = COOL_DOWN - 1;
-                } else {
-                    // Fewer than a block of row or run is left, and both
-                    // only shrink: the rest of the run is serial.
-                    blocks = false;
-                }
-            }
-            // The consuming probe is sound here: the watermark makes every
-            // later bound at least the emitted position, so an emitted
-            // position can never be the answer again within this run.
-            match cursor.next_after_consuming(last_position.max(instance.last)) {
-                Some(pos) => {
-                    last_position = pos;
-                    out.push(Instance::new(seq, instance.first, pos));
-                    i += 1;
-                }
-                None => {
-                    // Row exhausted: the remaining instances of this run
-                    // end even further right, so none of them can be
-                    // extended either — skip the run's tail.
-                    i = run_end(instances, i, seq);
+        if hit != seq as usize {
+            // No sequence from `seq` up to `hit` holds the event: skip
+            // their runs wholesale.
+            i = skip_to(instances, i, hit);
+        } else {
+            let mut cursor = PostingCursor::new(row);
+            let mut last_position = 0u32;
+            let mut blocks = backend != KernelBackend::Scalar && row.len() >= BLOCK_LANES;
+            // Serial probes left before the next block attempt.
+            let mut serial = 0usize;
+            while let Some(instance) = instances.get(i) {
+                if instance.seq != seq {
                     break;
+                }
+                if blocks && serial > 0 {
+                    serial -= 1;
+                } else if blocks {
+                    let at = row.len() - cursor.remaining();
+                    let window = row.get(at..).and_then(<[u32]>::first_chunk::<BLOCK_LANES>);
+                    let lanes = instances
+                        .get(i..)
+                        .and_then(<[Instance]>::first_chunk::<BLOCK_LANES>)
+                        .filter(|lanes| lanes.last().is_some_and(|tail| tail.seq == seq));
+                    if let (Some(window), Some(lanes)) = (window, lanes) {
+                        for (bound, lane) in bounds.iter_mut().zip(lanes) {
+                            *bound = lane.last;
+                        }
+                        let m = gt_mask64(window, &bounds, backend).trailing_ones() as usize;
+                        if let Some(&pos) = m.checked_sub(1).and_then(|tail| window.get(tail)) {
+                            out.push_grown(
+                                seq,
+                                lanes.get(..m).unwrap_or(&[]),
+                                window.get(..m).unwrap_or(&[]),
+                            );
+                            cursor.advance(m);
+                            last_position = pos;
+                            i += m;
+                            // A partial prefix hands just the breaking lane to
+                            // the serial probe; a full block retries at once.
+                            serial = usize::from(m < BLOCK_LANES);
+                            continue;
+                        }
+                        // No dominated lane: this probe and the next
+                        // `COOL_DOWN - 1` run serially.
+                        serial = COOL_DOWN - 1;
+                    } else {
+                        // Fewer than a block of row or run is left, and both
+                        // only shrink: the rest of the run is serial.
+                        blocks = false;
+                    }
+                }
+                // The consuming probe is sound here: the watermark makes every
+                // later bound at least the emitted position, so an emitted
+                // position can never be the answer again within this run.
+                match cursor.next_after_consuming(last_position.max(instance.last)) {
+                    Some(pos) => {
+                        last_position = pos;
+                        out.push(Instance::new(seq, instance.first, pos));
+                        i += 1;
+                    }
+                    None => {
+                        // Row exhausted: the remaining instances of this run
+                        // end even further right, so none of them can be
+                        // extended either — skip the run's tail.
+                        i = run_end(instances, i, seq);
+                        break;
+                    }
                 }
             }
         }
@@ -183,13 +194,19 @@ pub(crate) fn grow_constrained(
     instances: &[Instance],
     out: &mut SupportSet,
 ) {
+    let mut rows = index.event_rows(event);
+    rows.restrict(instances.iter().map(|inst| inst.seq as usize));
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
-        let Some(mut cursor) = index.cursor(seq as usize, event) else {
-            i = run_end(instances, i, seq);
-            continue;
+        let Some((hit, row)) = rows.next_row(seq as usize) else {
+            break;
         };
+        if hit != seq as usize {
+            i = skip_to(instances, i, hit);
+            continue;
+        }
+        let mut cursor = PostingCursor::new(row);
         let mut last_position = 0u32;
         while let Some(instance) = instances.get(i) {
             if instance.seq != seq {
@@ -218,6 +235,19 @@ pub(crate) fn grow_constrained(
             }
         }
     }
+}
+
+/// The index of the first instance at or after `i` in a sequence at or
+/// after `seq` (instances are sorted by sequence).
+#[inline]
+fn skip_to(instances: &[Instance], mut i: usize, seq: usize) -> usize {
+    while instances
+        .get(i)
+        .is_some_and(|inst| (inst.seq as usize) < seq)
+    {
+        i += 1;
+    }
+    i
 }
 
 /// The index of the first instance at or after `i` outside sequence `seq`.

@@ -2,9 +2,9 @@
 //! how it comes back out with zero copies.
 //!
 //! The format layer — header, section table, checksum, `mmap` — lives in
-//! [`seqdb::snapshot`]; this module is the *composition*. A format v3 image
-//! (what this build writes) holds the global sections plus one section
-//! triple per shard:
+//! [`seqdb::snapshot`]; this module is the *composition*. A format v4 image
+//! (the only one this build writes or reads) holds the global sections plus
+//! six sections per shard:
 //!
 //! | section | contents |
 //! |---|---|
@@ -16,22 +16,30 @@
 //! | `event.order` | the frequency-pruned candidate event order |
 //! | `shard.table` | the [`seqdb::ShardMap`] boundaries (`u64`, shards + 1) |
 //! | `shard.store.offsets` ×N | shard `k`'s local CSR offsets (rebased to 0) |
-//! | `shard.index.offsets` ×N | shard `k`'s index CSR ranges |
+//! | `shard.index.row_dir` ×N | shard `k`'s per-event row directory (`num_events + 1`) |
+//! | `shard.index.id_dir` ×N | shard `k`'s per-event sparse-id directory (`num_events + 1`) |
+//! | `shard.index.row_offsets` ×N | shard `k`'s row boundaries (rows + 1) |
+//! | `shard.index.ids` ×N | shard `k`'s sparse sequence ids |
 //! | `shard.index.positions` ×N | shard `k`'s flat positions arena |
 //!
-//! A shard's event window is **not** duplicated: it is a zero-copy
-//! [`seqdb::SharedSlice`] window of `store.events`, delimited by the shard
-//! table and the global offsets — so one mapped file can hand every process
-//! (or, later, every node) its shard subset without copying. Format v1
-//! images (a single global `index.offsets`/`index.positions` pair, no
-//! shard table) still open, as one shard.
+//! The five index sections are the columns of the shard's event-major
+//! [`seqdb::InvertedIndex`] ([`seqdb::IndexColumns`]), each mapped back
+//! zero-copy. Their layout is canonical for the data (the dense/sparse rule
+//! is fixed, not an option), so a reopened image equals the preparation
+//! that wrote it. A shard's event window is **not** duplicated: it is a
+//! zero-copy [`seqdb::SharedSlice`] window of `store.events`, delimited by
+//! the shard table and the global offsets — so one mapped file can hand
+//! every process (or, later, every node) its shard subset without copying.
 //!
-//! The `store.events` section is written **narrowest-fit** (format v3):
-//! when every event id fits `u16` the arena is serialized at 2 bytes per
-//! element and mapped back as an [`seqdb::EventColumn::Narrow`] column —
-//! half the on-disk and resident event bytes. Larger alphabets stay at 4
-//! bytes. Opening dispatches on the section's recorded element size, so
-//! wide v1/v2 images (and wide v3 images) keep opening unchanged.
+//! The `store.events` section is written **narrowest-fit**: when every
+//! event id fits `u16` the arena is serialized at 2 bytes per element and
+//! mapped back as an [`seqdb::EventColumn::Narrow`] column — half the
+//! on-disk and resident event bytes. Larger alphabets stay at 4 bytes;
+//! opening dispatches on the section's recorded element size.
+//!
+//! Images of formats 1–3 do not open: [`PreparedDb::open_snapshot`] returns
+//! [`SnapshotError::Unsupported`] naming the version and
+//! `rgs-mine snapshot build`, which regenerates the image.
 //!
 //! Opening reconstructs every array as a [`seqdb::SharedSlice`] borrowing
 //! the mapped image and cross-checks the sections (dimensions against
@@ -55,13 +63,13 @@ use seqdb::snapshot::{
     SnapshotWriter,
 };
 use seqdb::{
-    EventColumn, EventWidth, InvertedIndex, SeqStore, SequenceDatabase, ShardMap, ShardedIndex,
-    ShardedSeqStore, SnapshotError,
+    EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase, ShardMap,
+    ShardedIndex, ShardedSeqStore, SnapshotError,
 };
 
 use crate::prepared::{ImageInfo, PreparedDb, PreparedParts};
 
-/// Serializes `prepared` to `path` in one pass (format v3); returns bytes
+/// Serializes `prepared` to `path` in one pass (format v4); returns bytes
 /// written.
 pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, SnapshotError> {
     let db = prepared.database();
@@ -82,9 +90,9 @@ pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, 
     let parts = prepared.parts();
 
     // Narrowest-fit event column: an already-narrow column serializes its
-    // u16 arena as-is; a wide column whose ids all fit u16 (e.g. one mapped
-    // from a pre-v3 wide image) is re-narrowed for the new image; only a
-    // genuinely large alphabet stays at 4 bytes per event.
+    // u16 arena as-is; a wide column whose ids all fit u16 (a database
+    // built wide on purpose) is re-narrowed for the image; only a genuinely
+    // large alphabet stays at 4 bytes per event.
     let column = db.store().event_column();
     let renarrowed: Option<Vec<u16>> = if column.is_narrow() {
         None
@@ -115,27 +123,23 @@ pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, 
         )
         .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
     for k in 0..store_shards.num_shards() {
-        let shard_store = store_shards.shard(k);
-        let shard_index = index.shard(k);
-        writer
-            .section(
-                section_id::shard_store_offsets(k as u32),
-                SectionPayload::U32s(shard_store.offsets()),
-            )
-            .section(
-                section_id::shard_index_offsets(k as u32),
-                SectionPayload::U32s(shard_index.offsets()),
-            )
-            .section(
-                section_id::shard_index_positions(k as u32),
-                SectionPayload::U32s(shard_index.positions()),
-            );
+        writer.section(
+            section_id::shard_store_offsets(k as u32),
+            SectionPayload::U32s(store_shards.shard(k).offsets()),
+        );
+        let columns = index.shard(k).columns().as_slices();
+        for (id, column) in section_id::shard_index_columns(k as u32)
+            .into_iter()
+            .zip(columns)
+        {
+            writer.section(id, SectionPayload::U32s(column));
+        }
     }
     writer.write_to_path(path)
 }
 
-/// Opens and cross-validates an image (format v1, v2 or v3), reconstructing
-/// every arena as a zero-copy slice over it.
+/// Opens and cross-validates a format v4 image, reconstructing every arena
+/// as a zero-copy slice over it.
 pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
     let image = std::sync::Arc::new(SnapshotImage::open(path)?);
 
@@ -186,11 +190,8 @@ pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
         ));
     }
 
-    let (store_shards, index) = if image.version() >= 2 {
-        open_shards(&image, &store, num_sequences, num_events, total_length)?
-    } else {
-        open_v1_single_shard(&image, &store, num_sequences, num_events, total_length)?
-    };
+    let (store_shards, index) =
+        open_shards(&image, &store, num_sequences, num_events, total_length)?;
 
     let occurrence_counts = image.shared_u64s(section_id::EVENT_COUNTS)?;
     if occurrence_counts.len() != num_events {
@@ -220,38 +221,8 @@ pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
     Ok(PreparedDb::from_parts(db, store_shards, parts, Some(info)))
 }
 
-/// Format v1: a single global index pair and no shard table — reconstructed
-/// as one shard whose window spans the whole store.
-fn open_v1_single_shard(
-    image: &std::sync::Arc<SnapshotImage>,
-    store: &SeqStore,
-    num_sequences: usize,
-    num_events: usize,
-    total_length: usize,
-) -> Result<(ShardedSeqStore, ShardedIndex), SnapshotError> {
-    let index = InvertedIndex::from_shared_parts(
-        image.shared_u32s(section_id::INDEX_OFFSETS)?,
-        image.shared_u32s(section_id::INDEX_POSITIONS)?,
-        num_sequences,
-        num_events,
-    )
-    .map_err(corrupt)?;
-    if index.positions().len() != total_length {
-        return Err(corrupt(format!(
-            "index positions arena holds {} entries but meta records {total_length}",
-            index.positions().len()
-        )));
-    }
-    // The image-backed store columns are shared, so the full-range window
-    // is zero-copy.
-    let store_shards =
-        ShardedSeqStore::from_store_with_map(store.clone(), ShardMap::single(num_sequences));
-    Ok((store_shards, ShardedIndex::single(index)))
-}
-
-/// Format v2: shard table plus one (store offsets, index offsets, index
-/// positions) section triple per shard. Event windows are zero-copy slices
-/// of the global arena.
+/// The shard table plus, per shard, its store offsets and five index
+/// columns. Event windows are zero-copy slices of the global arena.
 fn open_shards(
     image: &std::sync::Arc<SnapshotImage>,
     store: &SeqStore,
@@ -281,13 +252,17 @@ fn open_shards(
             image.shared_u32s(section_id::shard_store_offsets(k as u32))?,
         )
         .map_err(|detail| corrupt(format!("shard {k}: {detail}")))?;
-        let shard_index = InvertedIndex::from_shared_parts(
-            image.shared_u32s(section_id::shard_index_offsets(k as u32))?,
-            image.shared_u32s(section_id::shard_index_positions(k as u32))?,
-            range.len(),
-            num_events,
-        )
-        .map_err(|detail| corrupt(format!("shard {k}: {detail}")))?;
+        let [row_dir, id_dir, row_offsets, ids, positions] =
+            section_id::shard_index_columns(k as u32);
+        let columns = IndexColumns {
+            row_dir: image.shared_u32s(row_dir)?,
+            id_dir: image.shared_u32s(id_dir)?,
+            row_offsets: image.shared_u32s(row_offsets)?,
+            ids: image.shared_u32s(ids)?,
+            positions: image.shared_u32s(positions)?,
+        };
+        let shard_index = InvertedIndex::from_shared_parts(columns, range.len(), num_events)
+            .map_err(|detail| corrupt(format!("shard {k}: {detail}")))?;
         positions_total += shard_index.positions().len();
         shard_stores.push(shard_store);
         shard_indexes.push(shard_index);
@@ -307,7 +282,7 @@ fn open_shards(
 #[cfg(test)]
 mod tests {
     use crate::{Miner, Mode, PreparedDb};
-    use seqdb::snapshot::{section_id, SectionPayload, SnapshotImage, SnapshotWriter};
+    use seqdb::snapshot::SnapshotImage;
     use seqdb::SequenceDatabase;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -351,61 +326,32 @@ mod tests {
     }
 
     #[test]
-    fn v1_images_still_open_as_a_single_shard() {
-        // Hand-compose a version-1 image: the old eight-section layout with
-        // one global index pair and no shard table.
+    fn pre_v4_images_are_unsupported_and_name_the_rebuild_command() {
+        // Patch a freshly written image's header to format 3 and re-seal it:
+        // the bytes are intact, but this build no longer reads the version.
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let index = db.inverted_index();
-        let counts = index.total_counts();
-        let order: Vec<seqdb::EventId> = db
-            .catalog()
-            .ids()
-            .filter(|e| counts[e.index()] > 0)
-            .collect();
-        let meta = [
-            db.num_sequences() as u64,
-            db.num_events() as u64,
-            db.total_length() as u64,
-        ];
-        let catalog_bytes = seqdb::snapshot::catalog_to_bytes(db.catalog());
-        // v1 images only ever carried wide arenas.
-        let wide_events = db.store().event_column().to_wide_vec();
-        let path = temp_path("v1-compat");
-        let mut writer = SnapshotWriter::new().with_version(1);
-        writer
-            .section(section_id::META, SectionPayload::U64s(&meta))
-            .section(
-                section_id::STORE_EVENTS,
-                SectionPayload::EventIds(&wide_events),
-            )
-            .section(
-                section_id::STORE_OFFSETS,
-                SectionPayload::U32s(db.store().offsets()),
-            )
-            .section(
-                section_id::INDEX_OFFSETS,
-                SectionPayload::U32s(index.offsets()),
-            )
-            .section(
-                section_id::INDEX_POSITIONS,
-                SectionPayload::U32s(index.positions()),
-            )
-            .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
-            .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-            .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
-        writer.write_to_path(&path).expect("write v1");
-        assert_eq!(SnapshotImage::open(&path).expect("open image").version(), 1);
+        let path = temp_path("pre-v4");
+        PreparedDb::new(&db).write_snapshot(&path).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let checksum = seqdb::snapshot::checksum_of(&bytes);
+        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
 
-        let reopened = PreparedDb::open_snapshot(&path).expect("open v1");
-        assert_eq!(reopened.shard_count(), 1);
-        let fresh = PreparedDb::new(&db);
-        for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
-            assert_eq!(
-                reopened.miner().min_sup(2).mode(mode).run().patterns,
-                fresh.miner().min_sup(2).mode(mode).run().patterns,
-                "{mode:?} diverges on a v1 image"
-            );
-        }
+        let err = PreparedDb::open_snapshot(&path).unwrap_err();
+        assert!(matches!(err, seqdb::SnapshotError::Unsupported(_)), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("version 3"), "{message}");
+        assert!(message.contains("rgs-mine snapshot build"), "{message}");
+
+        let report = seqdb::snapshot::verify::verify_bytes(&bytes);
+        assert_eq!(report.version, Some(3));
+        let finding = report.violations.first().expect("version violation");
+        assert!(finding.detail.contains("version 3"), "{finding}");
+        assert!(
+            finding.detail.contains("rgs-mine snapshot build"),
+            "{finding}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,5 +1,5 @@
-//! Seeded corruption sweep over **every section** of a sharded (v2)
-//! snapshot image: `seqdb::snapshot::verify` must flag each mutation and
+//! Seeded corruption sweep over **every section** of a sharded (v4)
+//! snapshot image, at one to seven shards: `seqdb::snapshot::verify` must flag each mutation and
 //! must never panic, distinguishing pure bit rot (checksum breakage with
 //! intact sections) from resealed images whose payloads violate the
 //! cross-section invariants.
@@ -9,7 +9,9 @@ use seqdb::snapshot::verify::{self, ViolationKind};
 use seqdb::snapshot::{checksum_of, section_id};
 use seqdb::SequenceDatabase;
 
-/// Builds a format-v2 image via the real writer path and returns its bytes.
+/// Builds a format-v4 image via the real writer path and returns its bytes.
+/// `E` occurs in one sequence only, so its shard stores it sparse (with a
+/// sparse id) while `A`..`D` are dense everywhere.
 fn image_bytes(shards: usize) -> Vec<u8> {
     let db = SequenceDatabase::from_str_rows(&[
         "ABCACBDDB",
@@ -18,6 +20,7 @@ fn image_bytes(shards: usize) -> Vec<u8> {
         "DDAACB",
         "CABDC",
         "BBADCA",
+        "EAEBE",
     ]);
     let prepared = PreparedDb::from_database_sharded(db, shards, 1);
     let path = std::env::temp_dir().join(format!(
@@ -80,8 +83,8 @@ fn splitmix(state: &mut u64) -> u64 {
 
 #[test]
 fn every_written_image_verifies_clean_across_shard_counts() {
-    // Shard count 1 exercises the v1 (flat) encoding, 2..=7 the v2
-    // sharded encoding with every shard-table shape the writer produces.
+    // Every shard-table shape the writer produces, from one shard (the
+    // unsharded preparation) to seven.
     for shards in 1..=7usize {
         let report = verify::verify_bytes(&image_bytes(shards));
         assert!(
@@ -93,11 +96,17 @@ fn every_written_image_verifies_clean_across_shard_counts() {
 
 #[test]
 fn bit_rot_in_every_section_is_reported_as_checksum_breakage() {
-    let image = image_bytes(3);
+    for shards in 1..=7usize {
+        bit_rot_sweep(shards);
+    }
+}
+
+fn bit_rot_sweep(shards: usize) {
+    let image = image_bytes(shards);
     let table = sections(&image);
     assert!(
         table.iter().any(|s| s.id == section_id::SHARD_TABLE),
-        "fixture must be a sharded (v2) image"
+        "fixture must carry a shard table"
     );
     let mut rng = 0xD1CE_u64;
     for section in &table {
@@ -201,21 +210,33 @@ fn corrupt_section(bytes: &mut [u8], section: &Section) -> bool {
             let wrong = read_u64(bytes, last) + 1;
             bytes[last..last + 8].copy_from_slice(&wrong.to_le_bytes());
         }
-        // Per-shard sections, keyed by their role within the triple.
+        // Per-shard sections, keyed by their role within the shard.
         id => {
             let Some(shard) = section_id::shard_of(id) else {
                 panic!("unexpected section id {id} in fixture image");
             };
-            if id == section_id::shard_store_offsets(shard) {
-                // Last rebased offset no longer matches the global window.
+            let [row_dir, id_dir, row_offsets, ids, _positions] =
+                section_id::shard_index_columns(shard);
+            if [
+                section_id::shard_store_offsets(shard),
+                row_dir,
+                id_dir,
+                row_offsets,
+            ]
+            .contains(&id)
+            {
+                // Store offsets: the last rebased offset no longer matches
+                // the global window. Directories and row offsets: the
+                // column no longer ends at the rows / ids / positions count.
                 let last = at + (section.count as usize - 1) * 4;
                 let wrong = read_u32(bytes, last) + 1;
                 bytes[last..last + 4].copy_from_slice(&wrong.to_le_bytes());
-            } else if id == section_id::shard_index_offsets(shard) {
-                // CSR no longer ends at the positions count.
-                let last = at + (section.count as usize - 1) * 4;
-                let wrong = read_u32(bytes, last) + 1;
-                bytes[last..last + 4].copy_from_slice(&wrong.to_le_bytes());
+            } else if id == ids {
+                // A sparse id past the shard's sequences.
+                if section.count == 0 {
+                    return false;
+                }
+                bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             } else {
                 // A 0 position: positions are 1-based by construction.
                 if section.count == 0 {
@@ -230,7 +251,8 @@ fn corrupt_section(bytes: &mut [u8], section: &Section) -> bool {
 
 #[test]
 fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure() {
-    for shards in [2, 3] {
+    let mut sparse_ids = 0usize;
+    for shards in 1..=7usize {
         let image = image_bytes(shards);
         let mut sweep = 0usize;
         for section in sections(&image) {
@@ -257,7 +279,13 @@ fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure(
                 section.id,
             );
             sweep += 1;
+            if section_id::name(section.id) == "shard.index.ids" {
+                sparse_ids += 1;
+            }
         }
         assert!(sweep >= 8, "sweep covered only {sweep} sections");
     }
+    // A one-sequence shard stores every event it holds dense, so only some
+    // shard counts carry a sparse id — but the sweep must reach one.
+    assert!(sparse_ids > 0, "no sparse-id section was mutated");
 }

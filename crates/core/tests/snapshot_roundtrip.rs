@@ -277,6 +277,7 @@ fn cross_section_inconsistencies_are_rejected() {
         db.num_events() as u64,
         db.total_length() as u64,
     ];
+    let shard_table = [0u64, db.num_sequences() as u64];
     let mut writer = SnapshotWriter::new();
     writer
         .section(section_id::META, SectionPayload::U64s(&meta))
@@ -288,17 +289,20 @@ fn cross_section_inconsistencies_are_rejected() {
             section_id::STORE_OFFSETS,
             SectionPayload::U32s(db.store().offsets()),
         )
-        .section(
-            section_id::INDEX_OFFSETS,
-            SectionPayload::U32s(index.offsets()),
-        )
-        .section(
-            section_id::INDEX_POSITIONS,
-            SectionPayload::U32s(index.positions()),
-        )
         .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
         .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-        .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
+        .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order))
+        .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table))
+        .section(
+            section_id::shard_store_offsets(0),
+            SectionPayload::U32s(db.store().offsets()),
+        );
+    for (id, column) in section_id::shard_index_columns(0)
+        .into_iter()
+        .zip(index.columns().as_slices())
+    {
+        writer.section(id, SectionPayload::U32s(column));
+    }
     let path = temp_path("inconsistent");
     writer.write_to_path(&path).expect("write");
     let err = PreparedDb::open_snapshot(&path).unwrap_err();

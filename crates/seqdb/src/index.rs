@@ -1,4 +1,4 @@
-//! The *inverted event index* of §III-D, in columnar CSR layout.
+//! The *inverted event index* of §III-D, laid out event-major.
 //!
 //! For each sequence `Si` and event `e`, the index stores the ordered list
 //! `L_{e,Si} = { j | Si[j] = e }` of 1-based positions at which `e` occurs.
@@ -7,46 +7,197 @@
 //!
 //! # Layout
 //!
-//! All position lists live in **one** flat `positions` arena; a CSR offsets
-//! table with one slot per `(sequence, event)` pair marks where each list
-//! begins and ends. A posting list is therefore a plain `&[u32]` slice into
-//! the arena — zero pointer chasing, one cache line per short list, and the
-//! whole index is two `Vec`s (compare the seed's `Vec<Vec<Vec<u32>>>`,
-//! which paid one heap allocation and one pointer hop per non-empty list).
+//! Only the lists that exist are stored. Per event, the **rows** of the
+//! sequences that contain it are kept in ascending sequence order; each row
+//! is a range of **one** flat positions arena, which is concatenated in
+//! (event, sequence) order. Row boundaries are shared, so `rows` rows cost
+//! `rows + 1` offsets. One rule, fixed by the data, decides how an event
+//! stores its rows ([`dense_rule`]):
+//!
+//! * **dense** when the event occurs in at least half of the sequences: one
+//!   row per sequence (empty rows included), so sequence `s` is row `s` and
+//!   resolving it is one add and two loads;
+//! * **sparse** otherwise: one row per sequence that contains the event,
+//!   plus that sequence's id in an ascending id list.
+//!
+//! Two directories of `num_events + 1` entries mark where each event's rows
+//! and ids start. An event is dense exactly when it has rows but no ids, so
+//! no kind flag is stored. The whole index takes
+//! `4·total + 4·(rows + 1) + 4·ids + 8·(events + 1)` bytes — linear in the
+//! data, never in sequences × alphabet.
+//!
+//! Growth passes fix the event and walk sequences in ascending order, so
+//! they resolve rows through a forward-only handle
+//! ([`ShardedIndex::event_rows`](crate::ShardedIndex::event_rows)) that
+//! gallops along a sparse event's ids. The random-access API below keeps a
+//! binary search over them.
 
 use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
 use crate::database::SequenceDatabase;
 use crate::shared::SharedSlice;
 
-/// Per-database inverted event index in CSR layout.
+/// The storage rule: an event present in `containing` of `num_sequences`
+/// sequences stores one row per sequence (dense) when it occurs in at least
+/// half of them, and one row per containing sequence plus its id (sparse)
+/// otherwise. An event that occurs nowhere is sparse with no rows.
 ///
-/// Slot `seq * num_events + event.index()` of the offsets table delimits the
-/// sorted, 1-based position list of `event` in `seq` inside the flat
-/// positions arena. Lookups never hash and never chase pointers.
+/// Building, reconstruction and the snapshot verifier all apply this one
+/// function, so an index's layout is canonical for its data.
+#[inline]
+pub fn dense_rule(containing: usize, num_sequences: usize) -> bool {
+    containing > 0 && containing.saturating_mul(2) >= num_sequences
+}
+
+/// The five columns of an [`InvertedIndex`], in snapshot section order.
 ///
-/// Both columns are [`SharedSlice`]s, so an index can be rebuilt from a
-/// database ([`InvertedIndex::build`]) or reconstructed zero-copy from a
-/// [`snapshot`](crate::snapshot) image
-/// ([`InvertedIndex::from_shared_parts`]) — queries are identical either
-/// way.
+/// Each is a [`SharedSlice`], so a column is either built in memory or a
+/// zero-copy window of a [`snapshot`](crate::snapshot) image.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IndexColumns {
+    /// `row_dir[e]..row_dir[e + 1]` are event `e`'s rows (`num_events + 1`
+    /// entries).
+    pub row_dir: SharedSlice<u32>,
+    /// `id_dir[e]..id_dir[e + 1]` are event `e`'s sparse sequence ids in
+    /// [`Self::ids`]; an empty range with rows marks a dense event
+    /// (`num_events + 1` entries).
+    pub id_dir: SharedSlice<u32>,
+    /// Row `r` is `positions[row_offsets[r]..row_offsets[r + 1]]` (rows + 1
+    /// entries, ending at the arena length).
+    pub row_offsets: SharedSlice<u32>,
+    /// The sparse events' sequence ids, ascending within each event.
+    pub ids: SharedSlice<u32>,
+    /// Every posting list, concatenated in (event, sequence) order. Its
+    /// length is the database's total length.
+    pub positions: SharedSlice<u32>,
+}
+
+impl IndexColumns {
+    /// The columns as plain slices, in section order: row directory, id
+    /// directory, row offsets, sparse ids, positions.
+    pub fn as_slices(&self) -> [&[u32]; 5] {
+        [
+            &self.row_dir,
+            &self.id_dir,
+            &self.row_offsets,
+            &self.ids,
+            &self.positions,
+        ]
+    }
+}
+
+/// Per-database inverted event index, event-major (module docs).
+///
+/// Lookups never hash and never allocate; every column is a
+/// [`SharedSlice`], so an index can be rebuilt from a database
+/// ([`InvertedIndex::build`]) or reconstructed zero-copy from a
+/// [`snapshot`](crate::snapshot) image ([`InvertedIndex::from_shared_parts`])
+/// — queries are identical either way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvertedIndex {
-    /// CSR offsets: slot `s * num_events + e` holds the arena range
-    /// `offsets[slot]..offsets[slot + 1]`. Length `slots + 1` (with a
-    /// leading implicit 0 stored explicitly).
-    offsets: SharedSlice<u32>,
-    /// All position lists, concatenated in slot order. Length equals the
-    /// database's total length.
-    positions: SharedSlice<u32>,
+    columns: IndexColumns,
     num_events: usize,
     num_sequences: usize,
 }
 
+/// The resolved rows of one event inside one index: what a row lookup
+/// needs, borrowed once per event.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct EventView<'a> {
+    /// This event's row boundaries (rows + 1 entries, or none).
+    bounds: &'a [u32],
+    /// This event's sparse sequence ids; empty for a dense event.
+    pub(crate) ids: &'a [u32],
+    /// The whole positions arena.
+    positions: &'a [u32],
+}
+
+impl<'a> EventView<'a> {
+    /// Row `r` of the event (empty past the last row).
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &'a [u32] {
+        match (self.bounds.get(r), self.bounds.get(r + 1)) {
+            (Some(&start), Some(&end)) => self
+                .positions
+                .get(u32_to_usize(start)..u32_to_usize(end))
+                .unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+
+    /// Whether the event has any rows (every dense event does).
+    #[inline]
+    pub(crate) fn has_rows(&self) -> bool {
+        self.bounds.len() > 1
+    }
+
+    /// The positions of the event in (local) sequence `seq`: direct on a
+    /// dense event, a binary search over the ids on a sparse one.
+    #[inline]
+    fn lookup(&self, seq: usize) -> &'a [u32] {
+        if self.ids.is_empty() {
+            return self.row(seq);
+        }
+        match usize_to_u32(seq).map(|seq| self.ids.binary_search(&seq)) {
+            Some(Ok(r)) => self.row(r),
+            _ => &[],
+        }
+    }
+
+    /// Number of rows (dense: every sequence; sparse: containing ones).
+    fn num_rows(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
+    }
+
+    /// The non-empty rows with their (local) sequence ids, ascending.
+    fn rows(self) -> impl Iterator<Item = (usize, &'a [u32])> {
+        (0..self.num_rows()).filter_map(move |r| {
+            let seq = if self.ids.is_empty() {
+                r
+            } else {
+                u32_to_usize(*self.ids.get(r)?)
+            };
+            let row = self.row(r);
+            (!row.is_empty()).then_some((seq, row))
+        })
+    }
+}
+
+/// The range `dir[i]..dir[i + 1]`, or `None` past the directory's end.
+#[inline]
+fn dir_range(dir: &[u32], i: usize) -> Option<std::ops::Range<usize>> {
+    match (dir.get(i), dir.get(i + 1)) {
+        (Some(&start), Some(&end)) => Some(u32_to_usize(start)..u32_to_usize(end)),
+        _ => None,
+    }
+}
+
+/// Checks one monotone offsets column: starts at 0, never decreases, ends
+/// at `end`. The error names the column.
+fn check_offsets(column: &[u32], end: usize, what: &str) -> Result<(), String> {
+    if column.first() != Some(&0) {
+        return Err(format!(
+            "index {what} start at {}, not 0",
+            column.first().map_or("nothing".to_owned(), u32::to_string)
+        ));
+    }
+    if let Some((a, b)) = column
+        .iter()
+        .zip(column.iter().skip(1))
+        .find(|(a, b)| a > b)
+    {
+        return Err(format!("index {what} are not monotone ({a} > {b})"));
+    }
+    let last = u32_to_usize(column.last().copied().unwrap_or(0));
+    if last != end {
+        return Err(format!("index {what} end at {last}, expected {end}"));
+    }
+    Ok(())
+}
+
 impl InvertedIndex {
     /// Builds the index for `db` in two passes over the flat event arena
-    /// (`O(total_length)` time and space; a counting pass sizes the CSR
-    /// ranges, a fill pass scatters the positions).
+    /// (`O(total_length + num_events)` time and space).
     pub fn build(db: &SequenceDatabase) -> Self {
         Self::build_for_store(db.store(), db.num_events())
     }
@@ -54,155 +205,265 @@ impl InvertedIndex {
     /// Builds the index for a bare [`SeqStore`](crate::SeqStore) over an alphabet of
     /// `num_events` events. This is the shard-level entry point: a sharded
     /// database indexes each per-shard store window independently (and in
-    /// parallel) against the **global** alphabet, so slot layout and posting
-    /// lists line up across shards.
+    /// parallel) against the **global** alphabet, so posting lists line up
+    /// across shards.
+    ///
+    /// A counting pass sizes every event's rows, ids and positions; a fill
+    /// pass scatters them. Scratch is a handful of per-event counters — no
+    /// table ever grows with sequences × events.
     ///
     /// # Panics
     ///
     /// Panics when the store references an event id `>= num_events`.
     pub fn build_for_store(store: &crate::store::SeqStore, num_events: usize) -> Self {
         let num_sequences = store.num_sequences();
-        let slots = num_sequences * num_events;
-        // The CSR offsets are u32: a wrapped count would silently misalign
-        // every posting list, so fail loudly instead (the store enforces
-        // the same ceiling on its own offsets).
+        // Every offset and id is u32: a wrapped count would silently
+        // misalign every posting list, so fail loudly instead (the store
+        // enforces the same ceiling on its own offsets).
         assert!(
-            usize_to_u32(store.total_length()).is_some(),
-            "InvertedIndex offsets are u32: more than u32::MAX total events"
+            usize_to_u32(store.total_length()).is_some() && usize_to_u32(num_sequences).is_some(),
+            "InvertedIndex offsets are u32: more than u32::MAX total events or sequences"
         );
 
-        // Pass 1: count occurrences per (sequence, event) slot, shifted by
-        // one so the in-place prefix sum turns counts into offsets.
-        let mut offsets = vec![0u32; slots + 1];
+        // Pass 1: per event, total occurrences and the number of sequences
+        // containing it (`seen[e]` = 1 + the last sequence that counted it).
+        let mut totals = vec![0u32; num_events];
+        let mut containing = vec![0u32; num_events];
+        let mut seen = vec![0usize; num_events];
         for (seq, view) in store.iter().enumerate() {
-            let base = seq * num_events;
             for event in view.iter_events() {
+                let e = event.index();
                 assert!(
-                    event.index() < num_events,
-                    "store references event id {} outside the {num_events}-event alphabet",
-                    event.index()
+                    e < num_events,
+                    "store references event id {e} outside the {num_events}-event alphabet"
                 );
-                // In bounds: asserted just above, and `base + num_events <= slots`.
-                if let Some(count) = offsets.get_mut(base + event.index() + 1) {
-                    *count += 1;
+                if let (Some(total), Some(mark), Some(count)) =
+                    (totals.get_mut(e), seen.get_mut(e), containing.get_mut(e))
+                {
+                    *total += 1;
+                    if *mark != seq + 1 {
+                        *mark = seq + 1;
+                        *count += 1;
+                    }
                 }
             }
-        }
-        let mut running = 0u32;
-        for offset in &mut offsets {
-            running += *offset;
-            *offset = running;
         }
 
-        // Pass 2: scatter 1-based positions into the arena. Within one
-        // sequence events are visited in position order, so every slot's
-        // list comes out sorted ascending. Bounds: the cursor slot exists
-        // (asserted in pass 1) and the cursor value stays below the next
-        // offset, which is at most the arena length.
+        // Directories and each event's first arena slot, by prefix sums.
+        // Ids and arena slots are bounded by `total_length` (asserted to fit
+        // u32 above); rows by twice the (sequence, event) pairs, since a
+        // dense event's rows are at most twice its containing count — so
+        // the row count alone is checked.
+        let mut row_dir = Vec::with_capacity(num_events + 1);
+        let mut id_dir = Vec::with_capacity(num_events + 1);
+        let mut cursor = Vec::with_capacity(num_events);
+        let (mut rows, mut ids, mut start) = (0usize, 0u32, 0u32);
+        let mut dense = Vec::new();
+        for (e, (&count, &total)) in containing.iter().zip(&totals).enumerate() {
+            row_dir.push(rows);
+            id_dir.push(ids);
+            cursor.push(start);
+            if dense_rule(u32_to_usize(count), num_sequences) {
+                dense.push(e);
+                rows += num_sequences;
+            } else {
+                rows += u32_to_usize(count);
+                ids += count;
+            }
+            start += total;
+        }
+        row_dir.push(rows);
+        id_dir.push(ids);
+        assert!(
+            usize_to_u32(rows).is_some(),
+            "InvertedIndex offsets are u32: more than u32::MAX posting rows"
+        );
+        let row_dir: Vec<u32> = row_dir
+            .into_iter()
+            .map(|r| usize_to_u32(r).unwrap_or(u32::MAX))
+            .collect();
+
+        // Pass 2: scatter. A dense event opens its row for every sequence;
+        // a sparse one opens a row (and records the id) at its first
+        // occurrence in a sequence. Sequences are visited in ascending
+        // order and positions ascending within each, so every row comes
+        // out sorted and every event's rows and ids ascend.
+        let mut row_offsets = vec![0u32; rows + 1];
+        let mut seq_ids = vec![0u32; u32_to_usize(ids)];
         let mut positions = vec![0u32; store.total_length()];
-        let mut cursor: Vec<u32> = offsets.get(..slots).unwrap_or(&[]).to_vec();
+        let mut opened = vec![0u32; num_events];
+        seen.fill(0);
         for (seq, view) in store.iter().enumerate() {
-            let base = seq * num_events;
-            for (pos, event) in view.iter_positions() {
-                let Some(c) = cursor.get_mut(base + event.index()) else {
+            let seq_u32 = usize_to_u32(seq).unwrap_or(u32::MAX);
+            for &e in &dense {
+                let (Some(&base), Some(&at)) = (row_dir.get(e), cursor.get(e)) else {
                     continue;
                 };
-                if let Some(target) = positions.get_mut(u32_to_usize(*c)) {
-                    *target = usize_to_u32(pos).unwrap_or(u32::MAX);
+                if let Some(slot) = row_offsets.get_mut(u32_to_usize(base) + seq) {
+                    *slot = at;
                 }
-                *c += 1;
             }
+            for (pos, event) in view.iter_positions() {
+                let e = event.index();
+                let (Some(at), Some(mark)) = (cursor.get_mut(e), seen.get_mut(e)) else {
+                    continue;
+                };
+                if *mark != seq + 1 {
+                    *mark = seq + 1;
+                    let sparse = id_dir.get(e) != id_dir.get(e + 1);
+                    if let (true, Some(k), Some(&row_base), Some(&id_base)) =
+                        (sparse, opened.get_mut(e), row_dir.get(e), id_dir.get(e))
+                    {
+                        if let Some(slot) = row_offsets.get_mut(u32_to_usize(row_base + *k)) {
+                            *slot = *at;
+                        }
+                        if let Some(slot) = seq_ids.get_mut(u32_to_usize(id_base + *k)) {
+                            *slot = seq_u32;
+                        }
+                        *k += 1;
+                    }
+                }
+                if let Some(slot) = positions.get_mut(u32_to_usize(*at)) {
+                    *slot = usize_to_u32(pos).unwrap_or(u32::MAX);
+                }
+                *at += 1;
+            }
+        }
+        if let Some(sentinel) = row_offsets.last_mut() {
+            *sentinel = start;
         }
 
         Self {
-            offsets: offsets.into(),
-            positions: positions.into(),
+            columns: IndexColumns {
+                row_dir: row_dir.into(),
+                id_dir: id_dir.into(),
+                row_offsets: row_offsets.into(),
+                ids: seq_ids.into(),
+                positions: positions.into(),
+            },
             num_events,
             num_sequences,
         }
     }
 
-    /// Reassembles an index from its two CSR columns, typically zero-copy
+    /// Reassembles an index from its five columns, typically zero-copy
     /// slices of a [`snapshot`](crate::snapshot) image. Every structural
-    /// invariant is checked; the error string names the violated one.
+    /// invariant is checked — directory shapes, the [`dense_rule`] for each
+    /// event, ascending in-range sparse ids, non-empty sparse rows, and
+    /// strictly ascending 1-based posting lists — in one linear pass; the
+    /// error string names the violated one.
     pub fn from_shared_parts(
-        offsets: SharedSlice<u32>,
-        positions: SharedSlice<u32>,
+        columns: IndexColumns,
         num_sequences: usize,
         num_events: usize,
     ) -> Result<Self, String> {
-        let slots = num_sequences
-            .checked_mul(num_events)
-            .ok_or("index slot count overflows")?;
-        if offsets.len() != slots + 1 {
-            return Err(format!(
-                "index offsets hold {} entries, expected {} ({num_sequences} sequences x \
-                 {num_events} events + 1)",
-                offsets.len(),
-                slots + 1
-            ));
+        let index = Self {
+            columns,
+            num_events,
+            num_sequences,
+        };
+        let IndexColumns {
+            row_dir,
+            id_dir,
+            row_offsets,
+            ids,
+            positions,
+        } = &index.columns;
+        let dirs = [(row_dir, "row directory"), (id_dir, "id directory")];
+        for (dir, what) in dirs {
+            if dir.len() != num_events + 1 {
+                return Err(format!(
+                    "index {what} holds {} entries, expected {} ({num_events} events + 1)",
+                    dir.len(),
+                    num_events + 1
+                ));
+            }
         }
-        if offsets.first() != Some(&0) {
-            return Err(format!(
-                "index offsets start at {}, not 0",
-                offsets.first().copied().unwrap_or(0)
-            ));
+        check_offsets(
+            row_dir,
+            row_offsets.len().saturating_sub(1),
+            "row directory entries",
+        )?;
+        check_offsets(id_dir, ids.len(), "id directory entries")?;
+        check_offsets(row_offsets, positions.len(), "row offsets")?;
+
+        for e in 0..num_events {
+            let view = index.view(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
+            let rows = view.num_rows();
+            if view.ids.is_empty() && rows > 0 {
+                // Dense: exactly one row per sequence, and the event occurs
+                // in enough of them to earn it.
+                let containing = view.rows().count();
+                if rows != num_sequences || !dense_rule(containing, num_sequences) {
+                    return Err(format!(
+                        "index event {e} is stored dense with {rows} rows but occurs in \
+                         {containing} of {num_sequences} sequences"
+                    ));
+                }
+            } else {
+                if rows != view.ids.len() || dense_rule(rows, num_sequences) {
+                    return Err(format!(
+                        "index event {e} is stored sparse with {rows} rows and {} ids over \
+                         {num_sequences} sequences",
+                        view.ids.len()
+                    ));
+                }
+                if let Some((a, b)) = view
+                    .ids
+                    .iter()
+                    .zip(view.ids.iter().skip(1))
+                    .find(|(a, b)| a >= b)
+                {
+                    return Err(format!(
+                        "index event {e}: sparse ids are not strictly ascending ({a} then {b})"
+                    ));
+                }
+                if let Some(&id) = view
+                    .ids
+                    .last()
+                    .filter(|&&id| u32_to_usize(id) >= num_sequences)
+                {
+                    return Err(format!(
+                        "index event {e}: sparse id {id} is out of range for {num_sequences} \
+                         sequences"
+                    ));
+                }
+                if let Some(r) = (0..rows).find(|&r| view.row(r).is_empty()) {
+                    return Err(format!("index event {e}: sparse row {r} is empty"));
+                }
+            }
         }
-        if let Some((a, b)) = offsets
-            .iter()
-            .zip(offsets.iter().skip(1))
-            .find(|(a, b)| a > b)
-        {
-            return Err(format!("index offsets are not monotone ({a} > {b})"));
-        }
-        let last = u32_to_usize(offsets.last().copied().unwrap_or(0));
-        if last != positions.len() {
-            return Err(format!(
-                "index offsets end at {last} but the positions arena holds {} entries",
-                positions.len()
-            ));
-        }
-        // Each slot's posting list must be strictly ascending and 1-based:
-        // `next` binary-searches it, so an unsorted list would silently
-        // skip occurrences instead of failing. One linear pass over the
-        // arena, same cost class as the offset checks above.
-        for slot in 0..slots {
-            let range = match (offsets.get(slot), offsets.get(slot + 1)) {
-                (Some(&a), Some(&b)) => u32_to_usize(a)..u32_to_usize(b),
-                // Unreachable: offsets.len() == slots + 1 was checked above.
-                _ => 0..0,
+        // Each posting list must be strictly ascending and 1-based: `next`
+        // binary-searches it, so an unsorted list would silently skip
+        // occurrences instead of failing.
+        for r in 0..row_offsets.len().saturating_sub(1) {
+            let list = match dir_range(row_offsets, r) {
+                Some(range) => positions.get(range).unwrap_or(&[]),
+                None => &[],
             };
-            let list = positions.get(range).unwrap_or(&[]);
             if list.first() == Some(&0) {
                 return Err(format!(
-                    "index positions for slot {slot} start at 0 (positions are 1-based)"
+                    "index positions for row {r} start at 0 (positions are 1-based)"
                 ));
             }
             if let Some((a, b)) = list.iter().zip(list.iter().skip(1)).find(|(a, b)| a >= b) {
                 return Err(format!(
-                    "index positions for slot {slot} are not strictly ascending \
-                     ({a} then {b})"
+                    "index positions for row {r} are not strictly ascending ({a} then {b})"
                 ));
             }
         }
-        Ok(Self {
-            offsets,
-            positions,
-            num_events,
-            num_sequences,
-        })
+        Ok(index)
     }
 
-    /// The CSR offsets column: slot `s * num_events + e` delimits the arena
-    /// range of `(sequence s, event e)`. Exposed for snapshot serialization.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    /// The five columns, for snapshot serialization.
+    pub fn columns(&self) -> &IndexColumns {
+        &self.columns
     }
 
-    /// The flat positions arena (all posting lists concatenated in slot
-    /// order). Exposed for snapshot serialization.
+    /// The flat positions arena (all posting lists concatenated in
+    /// (event, sequence) order).
     pub fn positions(&self) -> &[u32] {
-        &self.positions
+        &self.columns.positions
     }
 
     /// Number of sequences covered by the index.
@@ -215,17 +476,48 @@ impl InvertedIndex {
         self.num_events
     }
 
+    /// Number of events stored dense (one row per sequence).
+    pub fn dense_events(&self) -> usize {
+        (0..self.num_events)
+            .filter(|&e| {
+                let rows = dir_range(&self.columns.row_dir, e).map_or(0, |r| r.len());
+                let ids = dir_range(&self.columns.id_dir, e).map_or(0, |r| r.len());
+                rows > 0 && ids == 0
+            })
+            .count()
+    }
+
+    /// The rows of `event`, resolved once (empty for an out-of-range id).
+    #[inline]
+    pub(crate) fn view(&self, event: EventId) -> EventView<'_> {
+        let e = event.index();
+        let (Some(rows), Some(ids)) = (
+            dir_range(&self.columns.row_dir, e),
+            dir_range(&self.columns.id_dir, e),
+        ) else {
+            return EventView::default();
+        };
+        EventView {
+            bounds: self
+                .columns
+                .row_offsets
+                .get(rows.start..rows.end + 1)
+                .unwrap_or(&[]),
+            ids: self.columns.ids.get(ids).unwrap_or(&[]),
+            positions: &self.columns.positions,
+        }
+    }
+
     /// The `next(S, e, lowest)` subroutine (Algorithm 2, line 9): the
     /// smallest 1-based position `l` in sequence `seq` with `l > lowest` and
     /// `S[l] = event`, or `None` (the paper's `∞`) when no such position
     /// exists.
     ///
-    /// This is the *naive reference* probe: every call re-derives the CSR
-    /// slot (one multiply plus two bounds-checked offset loads) and runs an
-    /// independent `partition_point` over the whole row. Hot loops resolve
-    /// the row **once** via [`InvertedIndex::cursor`] instead and advance a
-    /// [`PostingCursor`] through it; the property suite pins the cursor
-    /// bit-identical to this probe.
+    /// This is the *naive reference* probe: every call resolves the row
+    /// (a binary search on a sparse event) and runs an independent
+    /// `partition_point` over it. Hot loops resolve each row **once** via
+    /// an event-row handle and advance a [`PostingCursor`] through it; the
+    /// property suite pins both bit-identical to this probe.
     #[inline]
     pub fn next(&self, seq: usize, event: EventId, lowest: u32) -> Option<u32> {
         let list = self.event_positions(seq, event)?;
@@ -234,27 +526,19 @@ impl InvertedIndex {
     }
 
     /// All positions of `event` in sequence `seq` (sorted ascending) as a
-    /// slice into the flat arena, or `None` when the sequence id or event id
-    /// is out of range.
-    ///
-    /// This is the *cached row handle*: it pays the CSR slot derivation
-    /// exactly once, and every probe a caller performs against the returned
-    /// slice (or a [`PostingCursor`] over it) is a plain slice operation.
+    /// slice into the flat arena — empty when the event does not occur
+    /// there — or `None` when the sequence id or event id is out of range.
     #[inline]
     pub fn event_positions(&self, seq: usize, event: EventId) -> Option<&[u32]> {
         if seq >= self.num_sequences || event.index() >= self.num_events {
             return None;
         }
-        let slot = seq * self.num_events + event.index();
-        let start = u32_to_usize(*self.offsets.get(slot)?);
-        let end = u32_to_usize(*self.offsets.get(slot + 1)?);
-        self.positions.get(start..end)
+        Some(self.view(event).lookup(seq))
     }
 
     /// Resolves the posting row of `(seq, event)` once and returns a
     /// monotone [`PostingCursor`] over it, or `None` when the ids are out
-    /// of range. The growth kernel calls this once per (sequence, event)
-    /// run instead of [`InvertedIndex::next`] once per instance.
+    /// of range.
     #[inline]
     pub fn cursor(&self, seq: usize, event: EventId) -> Option<PostingCursor<'_>> {
         self.event_positions(seq, event).map(PostingCursor::new)
@@ -266,37 +550,39 @@ impl InvertedIndex {
     }
 
     /// Total number of occurrences of `event` in the whole database, i.e.
-    /// the repetitive support of the single-event pattern `event`.
+    /// the repetitive support of the single-event pattern `event` — the
+    /// length of the event's arena range, O(1).
     pub fn total_count(&self, event: EventId) -> usize {
-        (0..self.num_sequences)
-            .map(|s| self.count_in_sequence(s, event))
-            .sum()
+        let view = self.view(event);
+        match (view.bounds.first(), view.bounds.last()) {
+            (Some(&start), Some(&end)) => u32_to_usize(end - start),
+            _ => 0,
+        }
     }
 
-    /// Total occurrence counts of every event in one pass: entry `i` is
+    /// Total occurrence counts of every event: entry `i` is
     /// [`Self::total_count`] of `EventId(i)`. This is the bulk form used to
     /// prepare a database once and answer frequent-event scans per query
     /// without touching the index again.
     pub fn total_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.num_events];
-        for seq in 0..self.num_sequences {
-            let base = seq * self.num_events;
-            for (event, count) in counts.iter_mut().enumerate() {
-                let slot = base + event;
-                if let (Some(&a), Some(&b)) = (self.offsets.get(slot), self.offsets.get(slot + 1)) {
-                    *count += u64::from(b - a);
-                }
-            }
-        }
-        counts
+        (0..self.num_events)
+            .map(|e| {
+                let total = self.total_count(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
+                crate::cast::usize_to_u64(total)
+            })
+            .collect()
     }
 
     /// Number of sequences in which `event` occurs at least once (classical
-    /// sequence support of a single event).
+    /// sequence support of a single event): the id count of a sparse event,
+    /// the non-empty rows of a dense one.
     pub fn sequence_count(&self, event: EventId) -> usize {
-        (0..self.num_sequences)
-            .filter(|&s| self.count_in_sequence(s, event) > 0)
-            .count()
+        let view = self.view(event);
+        if view.ids.is_empty() {
+            view.rows().count()
+        } else {
+            view.ids.len()
+        }
     }
 
     /// Iterates over the sequences in which `event` occurs, yielding the
@@ -305,20 +591,52 @@ impl InvertedIndex {
         &self,
         event: EventId,
     ) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        (0..self.num_sequences).filter_map(move |seq| {
-            self.event_positions(seq, event)
-                .filter(|p| !p.is_empty())
-                .map(|p| (seq, p))
-        })
+        self.view(event).rows()
     }
 
-    /// Bytes of live data held by the index (positions arena + CSR offsets
-    /// table) — the number the `stats` CLI and the columnar-store benchmark
-    /// report, and the index's contribution to a snapshot image. Counts
-    /// lengths, not capacities, so it is deterministic for a given database.
+    /// Bytes of live data held by the index (all five columns) — the number
+    /// the `stats` CLI and the columnar-store benchmark report, and the
+    /// index's contribution to a snapshot image. Counts lengths, not
+    /// capacities, so it is deterministic for a given database.
     pub fn heap_bytes(&self) -> usize {
-        (self.positions.len() + self.offsets.len()) * std::mem::size_of::<u32>()
+        self.columns
+            .as_slices()
+            .iter()
+            .map(|column| std::mem::size_of_val(*column))
+            .sum()
     }
+}
+
+/// The length of the leading run of the ascending `row` whose entries
+/// satisfy the monotone predicate `before` (true, then false), found by
+/// galloping from the front: probe indices 1, 3, 7, 15, ... until one
+/// fails, then a branch-free binary search inside the bracket. Costs
+/// `O(log run)` instead of `O(log row)`, which is what forward-only
+/// cursors want.
+#[inline]
+pub(crate) fn gallop(row: &[u32], before: impl Fn(u32) -> bool) -> usize {
+    if !row.first().is_some_and(|&p| before(p)) {
+        return 0;
+    }
+    // On exit, index (hi - 1) / 2 was the last probe known to pass (index
+    // 0 checked above), so the run ends in ((hi - 1) / 2, min(hi + 1, len)).
+    let len = row.len();
+    let mut hi = 1usize;
+    while row.get(hi).is_some_and(|&p| before(p)) {
+        hi = hi * 2 + 1;
+    }
+    let mut base = (hi - 1) / 2 + 1;
+    let mut size = hi.saturating_add(1).min(len) - base;
+    // Each halving is a bounds-checked load plus a conditional add the
+    // compiler lowers to a select/cmov, never a data-dependent branch.
+    while size > 1 {
+        let half = size / 2;
+        let mid = base + half;
+        // In bounds: mid < base + size <= min(hi + 1, len) <= len.
+        base += usize::from(row.get(mid).is_some_and(|&p| before(p))) * half;
+        size -= half;
+    }
+    base + usize::from(row.get(base).is_some_and(|&p| before(p)))
 }
 
 /// A resolved posting row with a forward-only, monotone probe cursor.
@@ -329,18 +647,16 @@ impl InvertedIndex {
 /// computer's `last_position` watermark only ever grows. The cursor
 /// exploits this by permanently discarding the row prefix `<= lowest` on
 /// every probe, so a whole run costs `O(row_len + k · log(stride))`
-/// amortized instead of `k` independent `O(log row_len)` searches that
-/// each re-derive the CSR slot.
+/// amortized instead of `k` independent `O(log row_len)` searches.
 ///
 /// Each probe **gallops** from the previous landmark (doubling strides —
 /// cheap for the short strides that dominate real runs) and finishes with
-/// a **branch-free binary search** inside the bracketed window (a
-/// conditional-move select per halving, no hard-to-predict compare
-/// branch). The returned position is *not* consumed: under gap constraints
-/// a position rejected for one instance (`pos > highest`) can legitimately
-/// be the answer for the next instance, whose window differs. Only the
-/// prefix `<= lowest` is dropped, which is always safe because `lowest`
-/// never decreases.
+/// a **branch-free binary search** inside the bracketed window. The
+/// returned position is *not* consumed: under gap constraints a position
+/// rejected for one instance (`pos > highest`) can legitimately be the
+/// answer for the next instance, whose window differs. Only the prefix
+/// `<= lowest` is dropped, which is always safe because `lowest` never
+/// decreases.
 ///
 /// `next_after(lowest)` returns exactly what
 /// `row.partition_point(|&p| p <= lowest)` followed by `row.get(..)` would
@@ -402,10 +718,6 @@ impl<'a> PostingCursor<'a> {
             // cleared the prefix — by far the common case mid-run.
             return Some(front);
         }
-        // Gallop: probe indices 1, 3, 7, 15, ... until one exceeds
-        // `lowest` (or the row ends). On exit, index (hi - 1) / 2 was the
-        // last probe known `<= lowest` (index 0 checked above), so the
-        // partition point lies in ((hi - 1) / 2, min(hi + 1, len)).
         let len = self.rest.len();
         let mut hi = 1usize;
         while self.rest.get(hi).is_some_and(|&p| p <= lowest) {
@@ -413,14 +725,9 @@ impl<'a> PostingCursor<'a> {
         }
         let mut base = (hi - 1) / 2 + 1;
         let mut size = hi.saturating_add(1).min(len) - base;
-        // Branch-free binary search for the partition point inside the
-        // bracket: each halving is a bounds-checked load plus a
-        // conditional add the compiler lowers to a select/cmov, never a
-        // data-dependent branch.
         while size > 1 {
             let half = size / 2;
             let mid = base + half;
-            // In bounds: mid < base + size <= min(hi + 1, len) <= len.
             base += usize::from(self.rest.get(mid).is_some_and(|&p| p <= lowest)) * half;
             size -= half;
         }
@@ -618,5 +925,52 @@ mod tests {
         assert_eq!(index.total_count(ghost), 0);
         assert_eq!(index.event_positions(0, ghost), Some(&[][..]));
         assert_eq!(index.sequences_with_event(ghost).count(), 0);
+    }
+
+    #[test]
+    fn the_dense_rule_picks_each_events_layout() {
+        // Four sequences: A in all four and B in two are dense (at least
+        // half), C in one is sparse, GHOST nowhere has no rows at all.
+        let mut builder = crate::database::DatabaseBuilder::new();
+        builder.intern("GHOST");
+        for row in [&["A", "B"][..], &["A", "C", "A"], &["A", "B"], &["A"]] {
+            builder.push_tokens(row.iter().copied());
+        }
+        let db = builder.finish();
+        let index = db.inverted_index();
+        let id = |label| db.catalog().id(label).unwrap();
+        let cols = index.columns();
+        let rows = |e: EventId| dir_range(&cols.row_dir, e.index()).unwrap().len();
+        let ids = |e: EventId| dir_range(&cols.id_dir, e.index()).unwrap().len();
+        assert_eq!((rows(id("A")), ids(id("A"))), (4, 0));
+        assert_eq!((rows(id("B")), ids(id("B"))), (4, 0));
+        assert_eq!((rows(id("C")), ids(id("C"))), (1, 1));
+        assert_eq!((rows(id("GHOST")), ids(id("GHOST"))), (0, 0));
+        assert_eq!(index.dense_events(), 2);
+        assert_eq!(&cols.ids[..], &[1]);
+        // 4·total + 4·(rows + 1) + 4·ids + 8·(events + 1).
+        assert_eq!(index.heap_bytes(), 4 * 8 + 4 * 10 + 4 + 8 * 5);
+        assert_eq!(index.event_positions(1, id("A")), Some(&[1u32, 3][..]));
+        assert_eq!(index.event_positions(1, id("B")), Some(&[][..]));
+        assert_eq!(index.event_positions(0, id("C")), Some(&[][..]));
+        assert_eq!(index.event_positions(1, id("C")), Some(&[2u32][..]));
+        assert_eq!(index.sequence_count(id("B")), 2);
+
+        // Reconstruction accepts exactly this layout.
+        let back = InvertedIndex::from_shared_parts(cols.clone(), 4, db.num_events()).unwrap();
+        assert_eq!(back, index);
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point() {
+        let row = [2u32, 4, 6, 8, 10, 12, 14, 16, 18];
+        for bound in 0..=20u32 {
+            assert_eq!(
+                gallop(&row, |p| p <= bound),
+                row.partition_point(|&p| p <= bound),
+                "bound {bound}"
+            );
+        }
+        assert_eq!(gallop(&[], |_| true), 0);
     }
 }

@@ -13,19 +13,24 @@
 //!   windows. After [`SeqStore::share`] every window's event arena is a
 //!   zero-copy [`SharedSlice`](crate::SharedSlice) view into the parent
 //!   arena;
-//! * [`ShardedIndex`] — one [`InvertedIndex`] per shard over the global
-//!   alphabet, built in parallel, answering every query of the flat index
-//!   API with **global** sequence ids (a single-shard instance routes with
-//!   zero overhead, so the unsharded path is unchanged).
+//! * [`ShardedIndex`] — one event-major [`InvertedIndex`] per shard over
+//!   the global alphabet, built in parallel, answering every query of the
+//!   flat index API with **global** sequence ids (a single-shard instance
+//!   routes with zero overhead, so the unsharded path is unchanged);
+//! * [`EventRows`] — the growth passes' forward-only row handle for one
+//!   event, crossing shard boundaries without allocating.
 //!
-//! Because each shard's posting lists are exactly the corresponding rows of
-//! the global index, every routed query returns bit-identical answers —
-//! which is what makes sharded mining bit-identical to unsharded mining
-//! upstream in `rgs-core`.
+//! Each shard applies the dense/sparse rule
+//! ([`dense_rule`](crate::index::dense_rule)) to its own sequences, so an
+//! event can be dense in one shard and sparse in the next; the posting
+//! lists themselves are exactly the corresponding lists of the global
+//! index, so every routed query returns bit-identical answers — which is
+//! what makes sharded mining bit-identical to unsharded mining upstream in
+//! `rgs-core`.
 
 use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
-use crate::index::{InvertedIndex, PostingCursor};
+use crate::index::{gallop, EventView, InvertedIndex, PostingCursor};
 use crate::store::SeqStore;
 
 /// Narrows a sequence count/boundary to the `u32` a [`ShardMap`] stores,
@@ -298,8 +303,8 @@ impl ShardedSeqStore {
     }
 }
 
-/// One [`InvertedIndex`] per shard over the **global** alphabet, answering
-/// the flat index's query API with global sequence ids.
+/// One event-major [`InvertedIndex`] per shard over the **global**
+/// alphabet, answering the flat index's query API with global sequence ids.
 ///
 /// Shard `k` indexes the sequences `map.range(k)` renumbered to
 /// `0..range.len()`; a global query locates the shard through a
@@ -346,7 +351,7 @@ fn routing_table(map: &ShardMap) -> Vec<u32> {
 
 /// Below this many total events, [`ShardedIndex::build`] always builds its
 /// shard indexes inline even when asked for threads: spawning scoped
-/// workers costs tens of microseconds, while a two-pass CSR build over a
+/// workers costs tens of microseconds, while a two-pass index build over a
 /// corpus this small finishes in single-digit microseconds per shard
 /// (BENCH_shard.json measured `prepare_speedup: 0.451` — a 2.2× *slowdown* —
 /// on a 10k-event corpus before this cutoff existed).
@@ -517,9 +522,8 @@ impl ShardedIndex {
 
     /// All positions of `event` in global sequence `seq`, sorted ascending.
     ///
-    /// Like [`InvertedIndex::event_positions`], this is the cached row
-    /// handle: routing (one table load) and CSR slot derivation happen
-    /// once, and the caller probes the returned slice directly.
+    /// Routing is one table load; the row lookup is direct on a dense
+    /// event and a binary search over the ids on a sparse one.
     #[inline]
     pub fn event_positions(&self, seq: usize, event: EventId) -> Option<&[u32]> {
         let (shard, local) = self.locate(seq)?;
@@ -527,14 +531,34 @@ impl ShardedIndex {
     }
 
     /// Resolves the posting row of `(seq, event)` once — one routing-table
-    /// load plus one CSR slot derivation — and returns a monotone
-    /// [`PostingCursor`] over it. The growth kernel calls this once per
-    /// (sequence, event) run instead of [`ShardedIndex::next`] once per
-    /// instance.
+    /// load plus one row lookup — and returns a monotone [`PostingCursor`]
+    /// over it. Growth passes, which fix the event and walk sequences in
+    /// ascending order, resolve rows through [`Self::event_rows`] instead.
     #[inline]
     pub fn cursor(&self, seq: usize, event: EventId) -> Option<PostingCursor<'_>> {
         let (shard, local) = self.locate(seq)?;
         self.shards.get(shard)?.cursor(local, event)
+    }
+
+    /// A forward-only row handle for `event`: [`EventRows::row`] resolves
+    /// the posting row of each sequence a growth pass visits, in ascending
+    /// sequence order, without allocating — one add and two loads on a
+    /// dense event, a forward gallop along the ids on a sparse one.
+    #[inline]
+    pub fn event_rows(&self, event: EventId) -> EventRows<'_> {
+        // Shard 0 is loaded up front (an empty one is skipped on first use).
+        let first = self.shards.first();
+        EventRows {
+            index: self,
+            event,
+            start: 0,
+            len: first.map_or(0, InvertedIndex::num_sequences),
+            view: first.map(|shard| shard.view(event)).unwrap_or_default(),
+            at: 0,
+            runs: None,
+            #[cfg(debug_assertions)]
+            prev_seq: 0,
+        }
     }
 
     /// Number of occurrences of `event` in global sequence `seq`.
@@ -596,10 +620,214 @@ impl ShardedIndex {
             .map(move |(local, positions)| (base + local, positions))
     }
 
-    /// Bytes of live data held across all shard indexes (positions arenas +
-    /// CSR offset tables).
+    /// Bytes of live data held across all shard indexes (every column of
+    /// every shard).
     pub fn heap_bytes(&self) -> usize {
         self.shards.iter().map(InvertedIndex::heap_bytes).sum()
+    }
+}
+
+/// Ids a sparse lookup compares at once before it falls back to galloping.
+const STEP_LANES: usize = 8;
+
+/// The number of leading `ids` (ascending) below `target`. The first
+/// [`STEP_LANES`] are counted in one branch-free compare — consecutive
+/// lookups of a growth pass usually pass only a few ids — and only a longer
+/// stride gallops.
+#[inline(always)]
+fn skip_below(ids: &[u32], target: u32) -> usize {
+    match ids.first_chunk::<STEP_LANES>() {
+        Some(lanes) => {
+            let step = lanes.iter().filter(|&&id| id < target).count();
+            if step < STEP_LANES {
+                step
+            } else {
+                step + gallop(ids.get(step..).unwrap_or(&[]), |id| id < target)
+            }
+        }
+        None => ids.iter().take_while(|&&id| id < target).count(),
+    }
+}
+
+/// Sequences one [`RunSet`] window covers.
+const RUN_SET_SPAN: usize = 1024;
+
+/// The sequences a growth pass has instances in, as a bitmap over a window
+/// of consecutive ids. [`EventRows::next_row`] passes a sparse event's ids
+/// outside the set one cheap bit test each, so a pass does not stop at
+/// sequences it has no instances in. Sequences outside the window are
+/// admitted (the set is a filter, never a proof of absence).
+#[derive(Debug, Clone)]
+struct RunSet {
+    base: usize,
+    span: usize,
+    words: [u64; RUN_SET_SPAN / 64],
+}
+
+impl RunSet {
+    /// The set of `seqs` (ascending), or `None` when they span more than
+    /// the window.
+    fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Option<Self> {
+        let base = seqs.clone().next()?;
+        let span = seqs.clone().next_back()?.checked_sub(base)? + 1;
+        if span > RUN_SET_SPAN {
+            return None;
+        }
+        let mut set = Self {
+            base,
+            span,
+            words: [0; RUN_SET_SPAN / 64],
+        };
+        // Ascending input: build each word in a register, store it once.
+        let (mut at, mut word) = (0usize, 0u64);
+        for bit in seqs.map(|seq| seq - base) {
+            if bit / 64 != at {
+                if let Some(slot) = set.words.get_mut(at) {
+                    *slot = word;
+                }
+                (at, word) = (bit / 64, 0);
+            }
+            word |= 1 << (bit % 64);
+        }
+        if let Some(slot) = set.words.get_mut(at) {
+            *slot = word;
+        }
+        Some(set)
+    }
+
+    /// Whether a run may sit in `seq`: in the set, or outside its window.
+    #[inline(always)]
+    fn admits(&self, seq: usize) -> bool {
+        let bit = seq.wrapping_sub(self.base);
+        bit >= self.span
+            || self
+                .words
+                .get(bit / 64)
+                .is_some_and(|w| w >> (bit % 64) & 1 == 1)
+    }
+}
+
+/// The rows of one event across every shard, resolved forward-only.
+///
+/// A growth pass fixes the event and visits instances in `(seq, last)`
+/// order, so the sequences it asks for never decrease. The handle keeps the
+/// current shard's view of the event and, on a sparse event, the first id not
+/// yet passed: each lookup steps forward from there instead of
+/// binary-searching the whole id list, and moving to the next shard is a
+/// routing lookup, not an allocation. Sequences must be asked for in
+/// non-decreasing order (checked in debug builds); asking for the same
+/// sequence again is fine.
+#[derive(Debug, Clone)]
+pub struct EventRows<'a> {
+    index: &'a ShardedIndex,
+    event: EventId,
+    /// The loaded shard covers global sequences `start..start + len`.
+    start: usize,
+    len: usize,
+    view: EventView<'a>,
+    /// Sparse views: index of the first id not below the last lookup.
+    at: usize,
+    /// The sequences the pass asks for, when known ([`Self::restrict`]).
+    runs: Option<RunSet>,
+    /// Monotonicity guard: lookups must use non-decreasing sequences.
+    #[cfg(debug_assertions)]
+    prev_seq: usize,
+}
+
+impl<'a> EventRows<'a> {
+    /// The positions of the handle's event in global sequence `seq` —
+    /// empty when it does not occur there — or `None` when `seq` is out of
+    /// range. Equal to [`ShardedIndex::event_positions`] for every `seq`
+    /// asked in non-decreasing order.
+    #[inline]
+    pub fn row(&mut self, seq: usize) -> Option<&'a [u32]> {
+        if seq >= self.index.num_sequences() {
+            return None;
+        }
+        Some(match self.next_row(seq) {
+            Some((at, row)) if at == seq => row,
+            _ => &[],
+        })
+    }
+
+    /// The first sequence at or after global sequence `seq` whose row may
+    /// hold the handle's event, with that row; `None` when no later
+    /// sequence holds it.
+    ///
+    /// A dense event answers `seq` itself with one add and two loads (its
+    /// row may be empty). A sparse event answers the next sequence that
+    /// holds it, found by stepping forward along its ids — so a growth pass
+    /// skips every run in between without looking each one up — and, after
+    /// [`Self::restrict`], the next one that the pass has instances in.
+    #[inline(always)]
+    pub fn next_row(&mut self, mut seq: usize) -> Option<(usize, &'a [u32])> {
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(
+                seq >= self.prev_seq,
+                "EventRows lookups must use non-decreasing sequences ({seq} after {})",
+                self.prev_seq
+            );
+            self.prev_seq = seq;
+        }
+        loop {
+            let mut local = seq.wrapping_sub(self.start);
+            if local >= self.len {
+                self.load(seq)?;
+                local = seq - self.start;
+            }
+            let ids = self.view.ids;
+            if ids.is_empty() {
+                if self.view.has_rows() {
+                    return Some((seq, self.view.row(local)));
+                }
+            } else {
+                // `local < len <= num_sequences`, which fits u32.
+                let target = usize_to_u32(local).unwrap_or(u32::MAX);
+                self.at += skip_below(ids.get(self.at..).unwrap_or(&[]), target);
+                while let Some(&id) = ids.get(self.at) {
+                    let hit = self.start + u32_to_usize(id);
+                    if self.runs.as_ref().is_none_or(|runs| runs.admits(hit)) {
+                        return Some((hit, self.view.row(self.at)));
+                    }
+                    self.at += 1;
+                }
+            }
+            // No row at or after `seq` in this shard: try the next one.
+            seq = self.start + self.len;
+        }
+    }
+
+    /// Tells the handle which sequences the pass will ask for (`seqs`,
+    /// ascending): [`Self::next_row`] then passes a sparse event's other
+    /// sequences with one bit test each instead of answering them. Only a
+    /// filter — answers for the sequences asked stay exact — and a no-op
+    /// on a dense event or when `seqs` span more than a few thousand ids.
+    #[inline]
+    pub fn restrict(&mut self, seqs: impl DoubleEndedIterator<Item = usize> + Clone) {
+        if !self.view.ids.is_empty() || self.index.shards.len() > 1 {
+            self.runs = RunSet::of(seqs);
+        }
+    }
+
+    /// Loads the shard owning `seq`; `None` when `seq` is out of range.
+    #[cold]
+    fn load(&mut self, seq: usize) -> Option<()> {
+        let index = self.index;
+        let shard = if index.shards.len() == 1 {
+            0
+        } else {
+            index.map.shard_of(seq)?
+        };
+        let range = index.map.range(shard);
+        if !range.contains(&seq) {
+            return None;
+        }
+        self.start = range.start;
+        self.len = range.len();
+        self.view = index.shards.get(shard)?.view(self.event);
+        self.at = 0;
+        Some(())
     }
 }
 

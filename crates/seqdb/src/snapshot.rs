@@ -2,36 +2,34 @@
 //! aligned on-disk format for the columnar arenas, opened with zero copies.
 //!
 //! A prepared database is a handful of contiguous arrays (the
-//! [`crate::SeqStore`] event arena and CSR offsets, the
-//! [`crate::InvertedIndex`] positions arena and
-//! per-`(sequence, event)` ranges, the per-event counts, the catalog — see
-//! [`crate::SeqStore`], [`crate::InvertedIndex`]). This module serializes
+//! [`crate::SeqStore`] event arena and CSR offsets, each shard's
+//! event-major [`crate::InvertedIndex`] columns, the per-event counts, the
+//! catalog — see [`crate::SeqStore`], [`crate::InvertedIndex`]). This module serializes
 //! those arrays into **one file** and maps them back as borrowed slices, so
 //! a cold start is an `mmap` plus one checksum scan instead of re-tokenizing
 //! and re-indexing the corpus. `ARCHITECTURE.md` at the repository root
 //! walks the format byte by byte.
 //!
-//! # File layout (versions 1 through 3)
+//! # File layout (version 4)
 //!
-//! The container layout is identical across versions; only the section
-//! *composition* differs. Version 1 images carry one global inverted-index
-//! pair ([`section_id::INDEX_OFFSETS`] / [`section_id::INDEX_POSITIONS`]);
-//! version 2 images carry a [`section_id::SHARD_TABLE`] plus, per shard,
-//! local store offsets and an index pair (ids from
-//! [`section_id::shard_store_offsets`] and friends), so one file can hand
-//! each process — or, later, each node — a shard subset. Version 3 adds
-//! **width-tagged event sections**: [`section_id::STORE_EVENTS`] may carry
-//! 2-byte elements (a narrow `u16` arena, written when the alphabet fits)
-//! — the existing per-section `elem_size` field *is* the width tag, so no
-//! new header fields are needed and the narrow arena maps back zero-copy.
-//! Old images still open (as a single shard, at the wide `u32` width); the
-//! composition rules live in `rgs-core::snapshot`.
+//! An image carries the global sections plus a [`section_id::SHARD_TABLE`]
+//! and, per shard, its local store offsets and the five columns of its
+//! event-major index (ids from [`section_id::shard_store_offsets`] and
+//! [`section_id::shard_index_columns`]), so one file can hand each process
+//! — or, later, each node — a shard subset. [`section_id::STORE_EVENTS`]
+//! is **width-tagged**: it carries 2-byte elements (a narrow `u16` arena)
+//! when the alphabet fits and 4-byte ones otherwise — the per-section
+//! `elem_size` field *is* the width tag, and the narrow arena maps back
+//! zero-copy. This build reads version 4 only: an older image is
+//! [`SnapshotError::Unsupported`] and is rebuilt in milliseconds with
+//! `rgs-mine snapshot build`. The composition rules live in
+//! `rgs-core::snapshot`.
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  "RGS1SNAP"
-//!      8     4  format version (u32 LE) = 1, 2, or 3
+//!      8     4  format version (u32 LE) = 4
 //!     12     4  endianness marker (u32 LE) = 0x0A0B_0C0D
 //!     16     8  file length in bytes (u64 LE)
 //!     24     8  FNV-1a 64 checksum (u64 LE) of every file byte EXCEPT
@@ -80,20 +78,35 @@ use crate::shared::{event_ids_as_u32s, SharedSlice};
 /// The 8-byte magic at offset 0 of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RGS1SNAP";
 
-/// The newest format version this build writes and reads.
+/// The format version this build writes.
 ///
-/// Version 2 adds the shard layer: a [`section_id::SHARD_TABLE`] section
-/// with the sequence-boundary partition, per-shard store-offset sections,
-/// and per-shard index sections in place of the global index pair. Version
-/// 3 adds narrow event columns: [`section_id::STORE_EVENTS`] may carry
-/// 2-byte (`u16`) elements when the alphabet fits, tagged by the section's
-/// `elem_size` field. Version 1 files (single global index, no shard
-/// table) still open — the reader treats them as one shard — and v1/v2
-/// event arenas are always 4-byte.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 4 stores each shard's inverted index event-major (two
+/// directories, row offsets, sparse sequence ids and positions; see
+/// [`crate::InvertedIndex`]) in place of the per-`(sequence, event)`
+/// offsets table of versions 1–3.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
-/// The oldest format version this build still reads.
-pub const SNAPSHOT_VERSION_MIN: u32 = 1;
+/// The oldest format version this build reads — the current one: no code
+/// writes an older layout, and `rgs-mine snapshot build` regenerates an
+/// image from its corpus in milliseconds.
+pub const SNAPSHOT_VERSION_MIN: u32 = 4;
+
+/// Why an image stamped `version` cannot be read, or `None` when it can.
+/// Shared by [`SnapshotImage::open`] and the [`verify`] layer.
+pub fn version_error(version: u32) -> Option<String> {
+    if (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
+        None
+    } else if version < SNAPSHOT_VERSION_MIN {
+        Some(format!(
+            "format version {version} predates format {SNAPSHOT_VERSION}, the only one this \
+             build reads; rebuild the image from its corpus with `rgs-mine snapshot build`"
+        ))
+    } else {
+        Some(format!(
+            "format version {version}; this build reads format {SNAPSHOT_VERSION} only"
+        ))
+    }
+}
 
 /// Alignment (bytes) of every section payload within the file.
 pub const SECTION_ALIGN: u64 = 64;
@@ -110,24 +123,17 @@ const ENTRY_LEN: u64 = 32;
 /// Well-known section identifiers.
 ///
 /// The format itself is agnostic to ids; this registry fixes what the
-/// prepared-database composition in `rgs-core` writes. Ids are stable
-/// across versions — new sections get new ids.
+/// prepared-database composition in `rgs-core` writes.
 pub mod section_id {
     /// `u64` triple `[num_sequences, num_events, total_length]`.
     pub const META: u32 = 1;
-    /// The [`SeqStore`](crate::SeqStore) event arena. Element size 4
-    /// (`u32` per event) in every version; format v3 additionally allows
-    /// element size 2 (`u16` per event) when the alphabet fits a narrow
-    /// column — the section's `elem_size` field is the width tag.
+    /// The [`SeqStore`](crate::SeqStore) event arena: element size 2
+    /// (`u16` per event) when the alphabet fits a narrow column, 4 (`u32`)
+    /// otherwise — the section's `elem_size` field is the width tag.
     pub const STORE_EVENTS: u32 = 2;
     /// The [`SeqStore`](crate::SeqStore) CSR offsets (`u32`, one per
     /// sequence plus a sentinel).
     pub const STORE_OFFSETS: u32 = 3;
-    /// The [`InvertedIndex`](crate::InvertedIndex) CSR offsets (`u32`, one
-    /// per `(sequence, event)` slot plus a sentinel).
-    pub const INDEX_OFFSETS: u32 = 4;
-    /// The [`InvertedIndex`](crate::InvertedIndex) positions arena (`u32`).
-    pub const INDEX_POSITIONS: u32 = 5;
     /// The serialized [`EventCatalog`](crate::EventCatalog) (length-prefixed
     /// UTF-8 labels; see [`catalog_to_bytes`](crate::snapshot::catalog_to_bytes)).
     pub const CATALOG: u32 = 6;
@@ -135,29 +141,39 @@ pub mod section_id {
     pub const EVENT_COUNTS: u32 = 7;
     /// The frequency-pruned candidate event order (`u32` event ids).
     pub const EVENT_ORDER: u32 = 8;
-    /// Format v2: the [`ShardMap`](crate::ShardMap) boundaries (`u64`, one
-    /// per shard plus a sentinel).
+    /// The [`ShardMap`](crate::ShardMap) boundaries (`u64`, one per shard
+    /// plus a sentinel).
     pub const SHARD_TABLE: u32 = 9;
 
-    /// First id of the per-shard section range; shard `k` owns the three
-    /// ids `SHARD_BASE + 3k .. SHARD_BASE + 3k + 3`.
+    /// First id of the per-shard section range; shard `k` owns the
+    /// [`SHARD_STRIDE`] ids starting at `SHARD_BASE + SHARD_STRIDE * k`.
     pub const SHARD_BASE: u32 = 0x1000;
 
-    /// Format v2: shard `k`'s local CSR store offsets (`u32`, rebased to
-    /// start at 0; the shard's events are a window of
-    /// [`STORE_EVENTS`]).
+    /// Sections per shard: the store offsets, then the five index columns.
+    pub const SHARD_STRIDE: u32 = 6;
+
+    /// Names of the per-shard sections, in id order.
+    const SHARD_NAMES: [&str; 6] = [
+        "shard.store.offsets",
+        "shard.index.row_dir",
+        "shard.index.id_dir",
+        "shard.index.row_offsets",
+        "shard.index.ids",
+        "shard.index.positions",
+    ];
+
+    /// Shard `k`'s local CSR store offsets (`u32`, rebased to start at 0;
+    /// the shard's events are a window of [`STORE_EVENTS`]).
     pub fn shard_store_offsets(k: u32) -> u32 {
-        SHARD_BASE + 3 * k
+        SHARD_BASE + SHARD_STRIDE * k
     }
 
-    /// Format v2: shard `k`'s inverted-index CSR offsets (`u32`).
-    pub fn shard_index_offsets(k: u32) -> u32 {
-        SHARD_BASE + 3 * k + 1
-    }
-
-    /// Format v2: shard `k`'s inverted-index positions arena (`u32`).
-    pub fn shard_index_positions(k: u32) -> u32 {
-        SHARD_BASE + 3 * k + 2
+    /// Shard `k`'s five inverted-index columns (`u32` each), in the order of
+    /// [`IndexColumns::as_slices`](crate::IndexColumns::as_slices): row
+    /// directory, id directory, row offsets, sparse ids, positions.
+    pub fn shard_index_columns(k: u32) -> [u32; 5] {
+        let base = shard_store_offsets(k);
+        [base + 1, base + 2, base + 3, base + 4, base + 5]
     }
 
     /// Human-readable name of a well-known section id (for `snapshot info`).
@@ -166,24 +182,21 @@ pub mod section_id {
             META => "meta",
             STORE_EVENTS => "store.events",
             STORE_OFFSETS => "store.offsets",
-            INDEX_OFFSETS => "index.offsets",
-            INDEX_POSITIONS => "index.positions",
             CATALOG => "catalog",
             EVENT_COUNTS => "event.counts",
             EVENT_ORDER => "event.order",
             SHARD_TABLE => "shard.table",
-            id if id >= SHARD_BASE => match (id - SHARD_BASE) % 3 {
-                0 => "shard.store.offsets",
-                1 => "shard.index.offsets",
-                _ => "shard.index.positions",
-            },
+            id if id >= SHARD_BASE => {
+                let role = crate::cast::u32_to_usize((id - SHARD_BASE) % SHARD_STRIDE);
+                SHARD_NAMES.get(role).copied().unwrap_or("unknown")
+            }
             _ => "unknown",
         }
     }
 
     /// The shard number a per-shard section id belongs to, if any.
     pub fn shard_of(id: u32) -> Option<u32> {
-        (id >= SHARD_BASE).then(|| (id - SHARD_BASE) / 3)
+        (id >= SHARD_BASE).then(|| (id - SHARD_BASE) / SHARD_STRIDE)
     }
 }
 
@@ -294,7 +307,7 @@ pub mod verify;
 pub enum SectionPayload<'a> {
     /// Raw bytes (`elem_size` 1).
     Bytes(&'a [u8]),
-    /// Packed `u16`s (`elem_size` 2) — the narrow event arena of format v3.
+    /// Packed `u16`s (`elem_size` 2) — the narrow event arena.
     U16s(&'a [u16]),
     /// Packed `u32`s (`elem_size` 4).
     U32s(&'a [u32]),
@@ -423,43 +436,15 @@ impl<W: Write> HashingWriter<W> {
 /// serialize everything in one pass with [`SnapshotWriter::write_to_path`].
 /// Payloads are borrowed, so writing a multi-gigabyte prepared database
 /// never copies an arena.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotWriter<'a> {
     sections: Vec<(u32, SectionPayload<'a>)>,
-    version: u32,
-}
-
-impl Default for SnapshotWriter<'_> {
-    fn default() -> Self {
-        Self {
-            sections: Vec::new(),
-            version: SNAPSHOT_VERSION,
-        }
-    }
 }
 
 impl<'a> SnapshotWriter<'a> {
     /// Creates an empty writer targeting the current format version.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the format version stamped into the header. The payload
-    /// layout is entirely the caller's (the format layer is agnostic to
-    /// section composition); this exists so compatibility tests and
-    /// downgrade tooling can emit version-1 images.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a version outside
-    /// `[SNAPSHOT_VERSION_MIN, SNAPSHOT_VERSION]`.
-    pub fn with_version(mut self, version: u32) -> Self {
-        assert!(
-            (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version),
-            "unsupported snapshot version {version}"
-        );
-        self.version = version;
-        self
     }
 
     /// Appends a section. Panics on a duplicate id — that is a programming
@@ -524,7 +509,7 @@ impl<'a> SnapshotWriter<'a> {
         // Header. The checksum field is written as a placeholder and patched
         // after the pass; it is the only region excluded from the hash.
         out.write_hashed(&SNAPSHOT_MAGIC)?;
-        out.write_hashed(&self.version.to_le_bytes())?;
+        out.write_hashed(&SNAPSHOT_VERSION.to_le_bytes())?;
         out.write_hashed(&ENDIAN_MARKER.to_le_bytes())?;
         out.write_hashed(&file_len.to_le_bytes())?;
         out.write_raw(&0u64.to_le_bytes())?;
@@ -782,11 +767,8 @@ impl SnapshotImage {
             return Err(corrupt("bad magic: not a snapshot file"));
         }
         let version = read_u32(data, 8);
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
-            return Err(SnapshotError::Unsupported(format!(
-                "format version {version}; this build reads versions \
-                 {SNAPSHOT_VERSION_MIN} through {SNAPSHOT_VERSION}"
-            )));
+        if let Some(detail) = version_error(version) {
+            return Err(SnapshotError::Unsupported(detail));
         }
         let endian = read_u32(data, 12);
         if endian != ENDIAN_MARKER {
@@ -891,7 +873,8 @@ impl SnapshotImage {
         Ok((sections, version))
     }
 
-    /// The format version stamped into the header (1 through 3).
+    /// The format version stamped into the header (always
+    /// [`SNAPSHOT_VERSION`] for an image that opened).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -975,7 +958,7 @@ impl SnapshotImage {
         Ok(unsafe { std::slice::from_raw_parts(ptr.cast::<T>(), count) })
     }
 
-    /// Section `id` as a borrowed `&[u16]` (a v3 narrow event arena).
+    /// Section `id` as a borrowed `&[u16]` (a narrow event arena).
     pub fn u16s(&self, id: u32) -> Result<&[u16], SnapshotError> {
         self.typed::<u16>(id)
     }
@@ -991,7 +974,7 @@ impl SnapshotImage {
     }
 
     /// Section `id` as a zero-copy [`SharedSlice<u16>`] that co-owns this
-    /// image (a v3 narrow event arena).
+    /// image (a narrow event arena).
     pub fn shared_u16s(self: &Arc<Self>, id: u32) -> Result<SharedSlice<u16>, SnapshotError> {
         let slice = self.u16s(id)?;
         let (ptr, len) = (slice.as_ptr(), slice.len());

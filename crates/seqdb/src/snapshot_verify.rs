@@ -1,7 +1,7 @@
 //! Deep static verification of snapshot images.
 //!
 //! [`verify_bytes`] proves (or refutes) every cross-section invariant of a
-//! v1–v3 prepared-database image **directly on the bytes** — no
+//! format v4 prepared-database image **directly on the bytes** — no
 //! `PreparedDb`, no `mmap`, no in-place reinterpretation — so it is safe to
 //! point at untrusted or suspect files. Unlike
 //! [`SnapshotImage::open`](super::SnapshotImage::open), which fails fast on
@@ -19,16 +19,24 @@
 //!   field itself;
 //! * **layout** — the cross-section semantics of the prepared-database
 //!   composition: `meta` arity, store CSR offsets monotone and ending at
-//!   the arena length, the event arena's element width legal for the
-//!   header version (narrow `u16` arenas need format v3),
+//!   the arena length, the event arena's element width (2 or 4 bytes),
 //!   every arena event inside the catalog alphabet,
 //!   catalog bijectivity (label count = alphabet size, no duplicates,
 //!   valid UTF-8, no trailing bytes), per-event counts equal to an actual
 //!   recount of the arena, the candidate order exactly the occurring
-//!   events in id order, index CSR shape and strictly-ascending 1-based
-//!   posting lists whose every position lands on the right event, the
-//!   shard table partitioning `0..num_sequences` exactly, and per-shard
-//!   store offsets windowing the global CSR table entry for entry.
+//!   events in id order, the shard table partitioning `0..num_sequences`
+//!   exactly, per-shard store offsets windowing the global CSR table entry
+//!   for entry, and each shard's event-major index: monotone directories,
+//!   every event dense or sparse exactly as
+//!   [`dense_rule`] says, strictly ascending
+//!   in-range sparse ids, monotone row offsets ending at the arena length,
+//!   and strictly ascending 1-based rows whose every position lands on
+//!   that event in that sequence of the global store.
+//!
+//! Index sections are read element by element straight from the payload
+//! bytes — never collected — so verifying costs no memory proportional to
+//! the index. An image of an older format stops at the version check with
+//! a structure violation naming `rgs-mine snapshot build`.
 //!
 //! The three kinds are reported separately so callers can distinguish a
 //! structurally-valid-but-bit-flipped image (checksum only) from genuine
@@ -43,9 +51,10 @@ use std::path::Path;
 use crate::cast::{u32_to_usize, u64_to_usize, usize_to_u64};
 
 use super::{
-    checksum_of, section_id, SectionEntry, ENDIAN_MARKER, ENTRY_LEN, HEADER_LEN, SECTION_ALIGN,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN,
+    checksum_of, section_id, version_error, SectionEntry, ENDIAN_MARKER, ENTRY_LEN, HEADER_LEN,
+    SECTION_ALIGN, SNAPSHOT_MAGIC,
 };
+use crate::index::dense_rule;
 
 /// Which layer of the format a [`Violation`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,14 +274,8 @@ impl<'a> Verifier<'a> {
         }
         let version = u32_at(data, 8).unwrap_or(0);
         self.report.version = Some(version);
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
-            self.structure(
-                8,
-                format!(
-                    "format version {version}; this build reads versions \
-                     {SNAPSHOT_VERSION_MIN} through {SNAPSHOT_VERSION}"
-                ),
-            );
+        if let Some(detail) = version_error(version) {
+            self.structure(8, detail);
             return None;
         }
         let endian = u32_at(data, 12).unwrap_or(0);
@@ -530,28 +533,19 @@ impl<'a> Verifier<'a> {
             }
         };
 
-        // store.events: element width legal for the header version (narrow
-        // u16 arenas need format v3), every event inside the alphabet.
-        let narrow_allowed = matches!(self.report.version, Some(v) if v >= 3);
+        // store.events: a narrow (2-byte) or wide (4-byte) arena, every
+        // event inside the alphabet.
         let events_entry = match Self::find(sections, section_id::STORE_EVENTS) {
             None => {
                 self.layout_section(section_id::STORE_EVENTS, "section is missing".to_owned());
                 None
             }
             Some(&entry) => {
-                if !(entry.elem_size == 4 || (narrow_allowed && entry.elem_size == 2)) {
-                    let allowed = if narrow_allowed {
-                        "2 or 4"
-                    } else {
-                        "4 (narrow u16 arenas need format v3)"
-                    };
+                if !matches!(entry.elem_size, 2 | 4) {
                     self.layout(
                         &entry,
                         0,
-                        format!(
-                            "holds {}-byte elements, expected {allowed}",
-                            entry.elem_size
-                        ),
+                        format!("holds {}-byte elements, expected 2 or 4", entry.elem_size),
                     );
                     None
                 } else if entry.count != usize_to_u64(meta.total_length) {
@@ -670,26 +664,13 @@ impl<'a> Verifier<'a> {
             }
         }
 
-        // The index layer: global pair (v1) or shard table + triples (v2).
-        if self.report.version == Some(1) {
-            self.check_index_pair(
-                sections,
-                section_id::INDEX_OFFSETS,
-                section_id::INDEX_POSITIONS,
-                meta.num_sequences,
-                meta,
-                &arena,
-                (store_csr_ok).then_some((&store_offsets, 0)),
-                "index",
-            );
-        } else {
-            self.check_shards(
-                sections,
-                meta,
-                &arena,
-                store_csr_ok.then_some(&store_offsets),
-            );
-        }
+        // The index layer: the shard table and each shard's sections.
+        self.check_shards(
+            sections,
+            meta,
+            &arena,
+            store_csr_ok.then_some(&store_offsets),
+        );
     }
 
     fn check_catalog(&mut self, sections: &[SectionEntry], meta: Meta) {
@@ -760,105 +741,167 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Checks one inverted-index (offsets, positions) pair covering
-    /// `num_sequences` local sequences. `store_window` is the validated
-    /// global store CSR column plus the first covered global sequence — when
-    /// present, every position is checked to land on the right event of the
-    /// right sequence in the global arena.
-    #[allow(clippy::too_many_arguments)]
-    fn check_index_pair(
+    /// Checks one shard's event-major index (its five column sections)
+    /// covering `num_sequences` local sequences; returns the positions
+    /// count for the whole-image total. `store_window` is the validated
+    /// global store CSR column plus the shard's first global sequence —
+    /// when present, every position is checked to land on its event in
+    /// its sequence of the global arena. Columns are read in place.
+    fn check_shard_index(
         &mut self,
         sections: &[SectionEntry],
-        offsets_id: u32,
-        positions_id: u32,
+        shard: u32,
         num_sequences: usize,
         meta: Meta,
         arena: &[u32],
-        store_window: Option<(&Vec<u32>, usize)>,
-        what: &str,
+        store_window: Option<(&[u32], usize)>,
     ) -> u64 {
-        let slots = usize_to_u64(num_sequences) * usize_to_u64(meta.num_events);
-        let offsets_entry = self.expect_section(sections, offsets_id, 4, Some(slots + 1));
-        let positions_entry = self.expect_section(sections, positions_id, 4, None);
-        let (Some(offsets_entry), Some(positions_entry)) = (offsets_entry, positions_entry) else {
+        let what = format!("shard {shard} index");
+        let dir_count = Some(usize_to_u64(meta.num_events) + 1);
+        let [row_dir_id, id_dir_id, row_offsets_id, ids_id, positions_id] =
+            section_id::shard_index_columns(shard);
+        let row_dir = self.expect_section(sections, row_dir_id, 4, dir_count);
+        let id_dir = self.expect_section(sections, id_dir_id, 4, dir_count);
+        let row_offsets = self.expect_section(sections, row_offsets_id, 4, None);
+        let ids = self.expect_section(sections, ids_id, 4, None);
+        let Some(positions) = self.expect_section(sections, positions_id, 4, None) else {
             return 0;
         };
-        let positions_count = positions_entry.count;
-        if !self.check_csr_u32(&offsets_entry, positions_count, what) {
-            return positions_count;
+        let (Some(row_dir), Some(id_dir), Some(row_offsets), Some(ids)) =
+            (row_dir, id_dir, row_offsets, ids)
+        else {
+            return positions.count;
+        };
+        if row_offsets.count == 0 {
+            self.layout(
+                &row_offsets,
+                0,
+                format!("{what} row offsets are empty (the sentinel is missing)"),
+            );
+            return positions.count;
         }
-        let offsets: Vec<u32> = iter_u32(self.payload(&offsets_entry)).collect();
-        let positions: Vec<u32> = iter_u32(self.payload(&positions_entry)).collect();
+        let rows_ok = self.check_csr_u32(
+            &row_dir,
+            row_offsets.count - 1,
+            &format!("{what} row directory"),
+        );
+        let ids_ok = self.check_csr_u32(&id_dir, ids.count, &format!("{what} id directory"));
+        let offsets_ok = self.check_csr_u32(&row_offsets, positions.count, &format!("{what} row"));
+        if !(rows_ok && ids_ok && offsets_ok) {
+            return positions.count;
+        }
 
-        for local_seq in 0..num_sequences {
-            // The bounds of the owning sequence in the global arena.
-            let seq_window = store_window.and_then(|(global_offsets, seq_base)| {
-                let global_seq = seq_base + local_seq;
-                let start = *global_offsets.get(global_seq)?;
-                let end = *global_offsets.get(global_seq + 1)?;
-                Some((u32_to_usize(start), u32_to_usize(end)))
-            });
-            for event in 0..meta.num_events {
-                let slot = local_seq * meta.num_events + event;
-                let (Some(&from), Some(&to)) = (offsets.get(slot), offsets.get(slot + 1)) else {
-                    continue;
-                };
-                let mut prev = 0u32;
-                for i in u32_to_usize(from)..u32_to_usize(to) {
-                    let Some(&pos) = positions.get(i) else {
-                        continue;
-                    };
-                    if pos == 0 {
+        let (row_dir_bytes, id_dir_bytes) = (self.payload(&row_dir), self.payload(&id_dir));
+        let (offset_bytes, id_bytes) = (self.payload(&row_offsets), self.payload(&ids));
+        let position_bytes = self.payload(&positions);
+        let dir = |bytes: &[u8], e: usize| match (elem_u32(bytes, e), elem_u32(bytes, e + 1)) {
+            (Some(start), Some(end)) => u32_to_usize(start)..u32_to_usize(end),
+            _ => 0..0,
+        };
+        for event in 0..meta.num_events {
+            let (rows, event_ids) = (dir(row_dir_bytes, event), dir(id_dir_bytes, event));
+            let dense = event_ids.is_empty() && !rows.is_empty();
+            let containing = if dense {
+                rows.clone()
+                    .filter(|&r| !dir(offset_bytes, r).is_empty())
+                    .count()
+            } else {
+                event_ids.len()
+            };
+            // The layout must be the one the rule picks for this data.
+            let shape_ok = if dense {
+                rows.len() == num_sequences
+            } else {
+                rows.len() == event_ids.len()
+            };
+            if !shape_ok || dense != dense_rule(containing, num_sequences) {
+                self.layout(
+                    &row_dir,
+                    usize_to_u64(event),
+                    format!(
+                        "{what} event {event}: stored {} with {} rows and {} ids, but it \
+                         occurs in {containing} of {num_sequences} sequences",
+                        if dense { "dense" } else { "sparse" },
+                        rows.len(),
+                        event_ids.len()
+                    ),
+                );
+                return positions.count;
+            }
+            for (j, r) in rows.enumerate() {
+                let seq = if dense {
+                    j
+                } else {
+                    let at = event_ids.start + j;
+                    let id = elem_u32(id_bytes, at).map_or(usize::MAX, u32_to_usize);
+                    let prev = at
+                        .checked_sub(1)
+                        .filter(|&p| p >= event_ids.start)
+                        .and_then(|p| elem_u32(id_bytes, p));
+                    if id >= num_sequences || prev.is_some_and(|p| u32_to_usize(p) >= id) {
                         self.layout(
-                            &positions_entry,
-                            usize_to_u64(i),
-                            format!("{what} slot {slot}: position 0 (positions are 1-based)"),
-                        );
-                        return positions_count;
-                    }
-                    if pos <= prev && prev != 0 {
-                        self.layout(
-                            &positions_entry,
-                            usize_to_u64(i),
+                            &ids,
+                            usize_to_u64(at),
                             format!(
-                                "{what} slot {slot}: positions not strictly ascending \
-                                 ({prev} then {pos})"
+                                "{what} event {event}: sparse id {id} is out of range or not \
+                                 strictly ascending (shard has {num_sequences} sequences)"
                             ),
                         );
-                        return positions_count;
+                        return positions.count;
+                    }
+                    id
+                };
+                let row = dir(offset_bytes, r);
+                if !dense && row.is_empty() {
+                    self.layout(
+                        &row_offsets,
+                        usize_to_u64(r),
+                        format!("{what} event {event}: sparse row {j} is empty"),
+                    );
+                    return positions.count;
+                }
+                // The bounds of the owning sequence in the global arena.
+                let seq_window = store_window.and_then(|(global_offsets, seq_base)| {
+                    let start = *global_offsets.get(seq_base + seq)?;
+                    let end = *global_offsets.get(seq_base + seq + 1)?;
+                    Some((u32_to_usize(start), u32_to_usize(end)))
+                });
+                let mut prev = 0u32;
+                for i in row {
+                    let pos = elem_u32(position_bytes, i).unwrap_or(0);
+                    let at = usize_to_u64(i);
+                    if pos == 0 || pos <= prev {
+                        self.layout(
+                            &positions,
+                            at,
+                            format!(
+                                "{what} event {event}, sequence {seq}: position {pos} after \
+                                 {prev} (positions are 1-based and strictly ascending)"
+                            ),
+                        );
+                        return positions.count;
                     }
                     prev = pos;
                     if let Some((start, end)) = seq_window {
                         let global = start + u32_to_usize(pos) - 1;
-                        if global >= end {
+                        let actual = arena.get(global).copied().unwrap_or(u32::MAX);
+                        if global >= end || u32_to_usize(actual) != event {
                             self.layout(
-                                &positions_entry,
-                                usize_to_u64(i),
+                                &positions,
+                                at,
                                 format!(
-                                    "{what} slot {slot}: position {pos} exceeds the \
-                                     {}-event sequence",
+                                    "{what} event {event}, sequence {seq}: position {pos} \
+                                     does not land on event {event} in the {}-event sequence",
                                     end - start
                                 ),
                             );
-                            return positions_count;
-                        }
-                        let actual = arena.get(global).copied().unwrap_or(u32::MAX);
-                        if u32_to_usize(actual) != event {
-                            self.layout(
-                                &positions_entry,
-                                usize_to_u64(i),
-                                format!(
-                                    "{what} slot {slot}: position {pos} lands on event \
-                                     {actual}, not {event}"
-                                ),
-                            );
-                            return positions_count;
+                            return positions.count;
                         }
                     }
                 }
             }
         }
-        positions_count
+        positions.count
     }
 
     fn check_shards(
@@ -983,16 +1026,14 @@ impl<'a> Verifier<'a> {
                 }
             }
 
-            // Shard index pair, cross-checked against the global arena.
-            positions_total += self.check_index_pair(
+            // Shard index, cross-checked against the global arena.
+            positions_total += self.check_shard_index(
                 sections,
-                section_id::shard_index_offsets(shard_id),
-                section_id::shard_index_positions(shard_id),
+                shard_id,
                 range_len,
                 meta,
                 arena,
-                store_offsets.map(|offsets| (offsets, start)),
-                &format!("shard {k} index"),
+                store_offsets.map(|offsets| (offsets.as_slice(), start)),
             );
         }
         if u64_to_usize(positions_total) != Some(meta.total_length) {
@@ -1018,11 +1059,14 @@ mod tests {
         std::env::temp_dir().join(format!("seqdb-verify-{}-{tag}.bin", std::process::id()))
     }
 
-    /// Hand-composes a valid v1 prepared image (mirrors the composition in
-    /// `rgs-core`, which this crate cannot depend on).
-    fn v1_image_bytes() -> Vec<u8> {
-        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
+    /// Hand-composes a valid single-shard v4 prepared image (mirrors the
+    /// composition in `rgs-core`, which this crate cannot depend on), with
+    /// a narrow (`u16`) or wide (`u32`) event arena. `E` occurs in one of
+    /// three sequences, so the index holds sparse and dense events.
+    fn v4_image_bytes(narrow: bool) -> Vec<u8> {
+        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
         let index = InvertedIndex::build(&db);
+        assert!(index.dense_events() > 0 && index.dense_events() < db.num_events());
         let counts = index.total_counts();
         let order: Vec<crate::EventId> = db
             .catalog()
@@ -1035,72 +1079,27 @@ mod tests {
             db.total_length() as u64,
         ];
         let catalog_bytes = super::super::catalog_to_bytes(db.catalog());
-        // v1/v2 event arenas are always wide (u32), whatever the build width.
-        let wide_events = db.store().event_column().to_wide_vec();
-        let path = temp_path("compose-v1");
-        let mut writer = SnapshotWriter::new().with_version(1);
-        writer
-            .section(section_id::META, SectionPayload::U64s(&meta))
-            .section(
-                section_id::STORE_EVENTS,
-                SectionPayload::EventIds(&wide_events),
+        let column = db.store().event_column();
+        let wide = column.to_wide_vec();
+        let events = if narrow {
+            SectionPayload::U16s(
+                column
+                    .narrow_slice()
+                    .expect("a 5-event alphabet builds narrow"),
             )
-            .section(
-                section_id::STORE_OFFSETS,
-                SectionPayload::U32s(db.store().offsets()),
-            )
-            .section(
-                section_id::INDEX_OFFSETS,
-                SectionPayload::U32s(index.offsets()),
-            )
-            .section(
-                section_id::INDEX_POSITIONS,
-                SectionPayload::U32s(index.positions()),
-            )
-            .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
-            .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-            .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
-        writer.write_to_path(&path).expect("write v1");
-        let bytes = std::fs::read(&path).expect("read back");
-        std::fs::remove_file(&path).ok();
-        bytes
-    }
-
-    /// Re-seals a mutated image so only layout violations remain.
-    fn reseal(bytes: &mut [u8]) {
-        let checksum = checksum_of(bytes);
-        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
-    }
-
-    /// Hand-composes a valid single-shard v3 image with a narrow (`u16`)
-    /// event arena.
-    fn v3_narrow_image_bytes() -> Vec<u8> {
-        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let index = InvertedIndex::build(&db);
-        let counts = index.total_counts();
-        let order: Vec<crate::EventId> = db
-            .catalog()
-            .ids()
-            .filter(|e| counts[e.index()] > 0)
-            .collect();
-        let meta = [
-            db.num_sequences() as u64,
-            db.num_events() as u64,
-            db.total_length() as u64,
-        ];
-        let catalog_bytes = super::super::catalog_to_bytes(db.catalog());
-        let narrow = db
-            .store()
-            .event_column()
-            .narrow_slice()
-            .expect("a 4-event alphabet builds narrow")
-            .to_vec();
+        } else {
+            SectionPayload::EventIds(&wide)
+        };
         let shard_table = [0u64, db.num_sequences() as u64];
-        let path = temp_path("compose-v3");
+        let path = temp_path(if narrow {
+            "compose-narrow"
+        } else {
+            "compose-wide"
+        });
         let mut writer = SnapshotWriter::new();
         writer
             .section(section_id::META, SectionPayload::U64s(&meta))
-            .section(section_id::STORE_EVENTS, SectionPayload::U16s(&narrow))
+            .section(section_id::STORE_EVENTS, events)
             .section(
                 section_id::STORE_OFFSETS,
                 SectionPayload::U32s(db.store().offsets()),
@@ -1112,57 +1111,129 @@ mod tests {
             .section(
                 section_id::shard_store_offsets(0),
                 SectionPayload::U32s(db.store().offsets()),
-            )
-            .section(
-                section_id::shard_index_offsets(0),
-                SectionPayload::U32s(index.offsets()),
-            )
-            .section(
-                section_id::shard_index_positions(0),
-                SectionPayload::U32s(index.positions()),
             );
-        writer.write_to_path(&path).expect("write v3");
+        for (id, column) in section_id::shard_index_columns(0)
+            .into_iter()
+            .zip(index.columns().as_slices())
+        {
+            writer.section(id, SectionPayload::U32s(column));
+        }
+        writer.write_to_path(&path).expect("write v4");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::remove_file(&path).ok();
         bytes
     }
 
-    #[test]
-    fn a_narrow_v3_image_verifies_clean() {
-        let bytes = v3_narrow_image_bytes();
-        let report = verify_bytes(&bytes);
-        assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(3));
+    /// Re-seals a mutated image so only layout violations remain.
+    fn reseal(bytes: &mut [u8]) {
+        let checksum = checksum_of(bytes);
+        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
     }
 
     #[test]
-    fn a_narrow_arena_in_a_pre_v3_image_is_a_layout_violation() {
-        let mut bytes = v3_narrow_image_bytes();
-        // Downgrade the header version to 2 and re-seal: the narrow arena
-        // stays structurally valid but is illegal for the claimed version.
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    fn a_narrow_v4_image_verifies_clean() {
+        let bytes = v4_image_bytes(true);
+        let report = verify_bytes(&bytes);
+        assert!(report.is_clean(), "{:#?}", report.violations);
+        assert_eq!(report.version, Some(4));
+    }
+
+    #[test]
+    fn a_pre_v4_header_is_unsupported_and_names_the_rebuild() {
+        let mut bytes = v4_image_bytes(true);
+        // Downgrade the header version to 3 and re-seal: the sections stay
+        // intact, but this build reads format 4 only.
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
         reseal(&mut bytes);
         let report = verify_bytes(&bytes);
+        assert_eq!(report.version, Some(3));
         assert!(
-            report.has(ViolationKind::Layout),
+            report.has(ViolationKind::Structure),
             "{:#?}",
             report.violations
         );
-        assert!(!report.has(ViolationKind::Structure));
+        assert!(!report.has(ViolationKind::Checksum));
+        let rendered = report.violations[0].to_string();
+        assert!(rendered.contains("rgs-mine snapshot build"), "{rendered}");
     }
 
     #[test]
-    fn a_valid_v1_image_verifies_clean() {
-        let bytes = v1_image_bytes();
+    fn a_valid_wide_v4_image_verifies_clean() {
+        let bytes = v4_image_bytes(false);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(1));
-        assert_eq!(report.section_count, 8);
+        assert_eq!(report.version, Some(4));
+        assert_eq!(report.section_count, 13);
+    }
+
+    /// Overwrites element `elem` of the `u32` section `id` and re-seals.
+    fn patch_u32(bytes: &mut [u8], id: u32, elem: usize, value: u32) {
+        let count = u32_to_usize(u32_at(bytes, 32).unwrap());
+        let base = (0..count)
+            .map(|i| 64 + i * 32)
+            .find(|&base| u32_at(bytes, base) == Some(id))
+            .expect("section present");
+        let at = u64_to_usize(u64_at(bytes, base + 8).unwrap()).unwrap() + elem * 4;
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(bytes);
+    }
+
+    #[test]
+    fn each_v4_index_invariant_is_a_layout_violation() {
+        // Fixture index: events A..D dense (rows 0..12, three per event), E
+        // sparse (row 12, id 2); row_offsets[3..=6] delimit B's rows.
+        let pristine = v4_image_bytes(false);
+        let [row_dir, id_dir, row_offsets, ids, positions] = section_id::shard_index_columns(0);
+        let cases: [(&str, u32, usize, u32, &str); 7] = [
+            ("row directory out of order", row_dir, 1, 99, "monotone"),
+            ("id directory off its end", id_dir, 5, 0, "end at"),
+            ("row offsets off the arena", row_offsets, 13, 1, "end at"),
+            // B keeps three rows but only one holds positions: too few
+            // sequences for the dense layout.
+            ("dense rule", row_offsets, 4, 5, "occurs in 1 of 3"),
+            ("sparse id past the shard", ids, 0, 7, "out of range"),
+            ("0-based position", positions, 0, 0, "1-based"),
+            (
+                "position on the wrong event",
+                positions,
+                0,
+                2,
+                "does not land",
+            ),
+        ];
+        let b_start = {
+            let report = verify_bytes(&pristine);
+            assert!(report.is_clean(), "{:#?}", report.violations);
+            let index = InvertedIndex::build(&SequenceDatabase::from_str_rows(&[
+                "ABCACBDDB",
+                "ACDBACADD",
+                "AEEA",
+            ]));
+            assert_eq!(&index.columns().row_dir[..], &[0, 3, 6, 9, 12, 13]);
+            assert_eq!(&index.columns().ids[..], &[2]);
+            index.columns().row_offsets[5]
+        };
+        for (what, section, elem, value, needle) in cases {
+            let value = if what == "dense rule" { b_start } else { value };
+            let mut bytes = pristine.clone();
+            patch_u32(&mut bytes, section, elem, value);
+            let report = verify_bytes(&bytes);
+            assert!(
+                report.has(ViolationKind::Layout) && !report.has(ViolationKind::Checksum),
+                "{what}: {:#?}",
+                report.violations
+            );
+            assert!(
+                report.violations.iter().any(|v| v.detail.contains(needle)),
+                "{what}: expected {needle:?} in {:#?}",
+                report.violations
+            );
+        }
     }
 
     #[test]
     fn a_bit_flip_in_a_payload_is_caught_by_the_checksum() {
-        let mut bytes = v1_image_bytes();
+        let mut bytes = v4_image_bytes(false);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let report = verify_bytes(&bytes);
@@ -1172,7 +1243,7 @@ mod tests {
 
     #[test]
     fn a_resealed_layout_mutation_is_distinguished_from_bit_rot() {
-        let mut bytes = v1_image_bytes();
+        let mut bytes = v4_image_bytes(false);
         // Patch the meta event count (element 1) to a nonsense value and
         // re-seal the checksum: structurally valid, semantically broken.
         let report_clean = verify_bytes(&bytes);
@@ -1199,7 +1270,7 @@ mod tests {
 
     #[test]
     fn checksum_only_breakage_is_classified_as_bit_rot() {
-        let mut bytes = v1_image_bytes();
+        let mut bytes = v4_image_bytes(false);
         // Corrupt the checksum field itself: every section stays intact.
         bytes[24] ^= 0xFF;
         let report = verify_bytes(&bytes);
@@ -1208,7 +1279,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_inputs_never_panic() {
-        let bytes = v1_image_bytes();
+        let bytes = v4_image_bytes(false);
         for len in 0..bytes.len().min(256) {
             let report = verify_bytes(&bytes[..len]);
             assert!(!report.is_clean(), "prefix of {len} bytes verified clean");
@@ -1220,7 +1291,7 @@ mod tests {
 
     #[test]
     fn violations_carry_section_and_byte_offsets() {
-        let mut bytes = v1_image_bytes();
+        let mut bytes = v4_image_bytes(false);
         bytes[16] ^= 0x01; // recorded file length
         let report = verify_bytes(&bytes);
         let length_violation = report

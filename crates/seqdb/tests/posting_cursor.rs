@@ -3,7 +3,9 @@
 //! `partition_point` probe it replaces, over adversarial posting rows:
 //! empty rows, probes at or past the row's last position, single-occurrence
 //! events, and stride-1 runs (consecutive positions, where galloping's
-//! fast path must not skip), at both event-column widths.
+//! fast path must not skip), at both event-column widths — and every public
+//! query of the event-major index (plus the growth passes' forward-only row
+//! handle) against a plain scan of the store, at the dense/sparse boundary.
 
 use seqdb::{EventId, SequenceDatabase};
 
@@ -225,4 +227,179 @@ fn cursor_rows_are_identical_at_both_store_widths() {
             }
         }
     }
+}
+
+/// The positions of `event` in sequence `seq`, by scanning the store.
+fn scan(db: &SequenceDatabase, seq: usize, event: EventId) -> Vec<u32> {
+    db.sequence(seq)
+        .map(|view| {
+            view.iter_events()
+                .enumerate()
+                .filter(|&(_, e)| e == event)
+                .map(|(i, _)| i as u32 + 1)
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// A corpus of `ns` sequences (every fourth one empty when `empties`) whose
+/// events sit exactly at the dense/sparse boundary: `ONE` in one sequence,
+/// `LO`/`MID`/`HI` in `ns/2 − 1`, `ns/2` and `ns/2 + 1`, `ALL` in every
+/// non-empty one, `NONE` interned but never used, plus random filler.
+fn boundary_db(rng: &mut Lcg, ns: usize, empties: bool) -> SequenceDatabase {
+    let mut rows: Vec<Vec<&str>> = vec![Vec::new(); ns];
+    let live: Vec<usize> = (0..ns).filter(|s| !(empties && s % 4 == 1)).collect();
+    let pick = |rng: &mut Lcg, k: usize| -> Vec<usize> {
+        // k distinct live sequences, chosen by a seeded partial shuffle.
+        let mut pool = live.clone();
+        for i in 0..k.min(pool.len()) {
+            let j = i + rng.below((pool.len() - i) as u64) as usize;
+            pool.swap(i, j);
+        }
+        pool.truncate(k.min(live.len()));
+        pool
+    };
+    let half = ns / 2;
+    for (label, k) in [
+        ("ONE", 1),
+        ("LO", half - 1),
+        ("MID", half),
+        ("HI", half + 1),
+    ] {
+        for s in pick(rng, k) {
+            for _ in 0..=rng.below(3) {
+                rows[s].push(label);
+            }
+        }
+    }
+    for &s in &live {
+        rows[s].push("ALL");
+        for _ in 0..rng.below(4) {
+            rows[s].push(["x", "y", "z"][rng.below(3) as usize]);
+        }
+    }
+    // Shuffle each row so positions interleave.
+    for row in &mut rows {
+        for i in (1..row.len()).rev() {
+            let j = rng.below(i as u64 + 1) as usize;
+            row.swap(i, j);
+        }
+    }
+    let mut builder = seqdb::DatabaseBuilder::new();
+    builder.intern("NONE");
+    for row in &rows {
+        builder.push_tokens(row.iter().copied());
+    }
+    builder.finish()
+}
+
+/// Shard maps with some empty shards: `[0, ns]`, three shards with an
+/// empty middle one, and seven with empty first and last shards.
+fn shard_maps(ns: u32) -> Vec<Vec<u32>> {
+    vec![
+        vec![0, ns],
+        vec![0, ns / 3, ns / 3, ns],
+        vec![0, 0, 2, ns / 2, ns / 2 + 1, ns - 3, ns, ns],
+    ]
+}
+
+#[test]
+fn every_index_query_matches_a_store_scan_across_layouts_and_shards() {
+    use seqdb::{ShardMap, ShardedIndex, ShardedSeqStore};
+    let mut dense_seen = 0usize;
+    for seed in 0..6u64 {
+        let mut rng = Lcg::new(0x51DE ^ seed);
+        let ns = 20 + seed as usize % 3;
+        let db = boundary_db(&mut rng, ns, seed % 2 == 0);
+        let flat = db.inverted_index();
+        dense_seen += flat.dense_events();
+        let mut store = db.store().clone();
+        store.share();
+        for bounds in shard_maps(ns as u32) {
+            let map = ShardMap::from_bounds(bounds.clone(), ns).expect("valid map");
+            let sharded = ShardedSeqStore::from_store_with_map(store.clone(), map);
+            let index = ShardedIndex::build(&sharded, db.num_events(), 1);
+            assert_eq!(index.total_counts(), flat.total_counts(), "{bounds:?}");
+            for event in db.catalog().ids() {
+                let rows: Vec<Vec<u32>> = (0..ns).map(|s| scan(&db, s, event)).collect();
+                let containing: Vec<usize> = (0..ns).filter(|&s| !rows[s].is_empty()).collect();
+                let total: usize = rows.iter().map(Vec::len).sum();
+                assert_eq!(index.total_count(event), total);
+                assert_eq!(flat.total_count(event), total);
+                assert_eq!(index.sequence_count(event), containing.len());
+                assert_eq!(flat.sequence_count(event), containing.len());
+                let listed: Vec<(usize, Vec<u32>)> = index
+                    .sequences_with_event(event)
+                    .map(|(s, p)| (s, p.to_vec()))
+                    .collect();
+                let expected: Vec<(usize, Vec<u32>)> =
+                    containing.iter().map(|&s| (s, rows[s].clone())).collect();
+                assert_eq!(listed, expected, "event {event:?} {bounds:?}");
+                let by_shard: Vec<(usize, Vec<u32>)> = (0..index.num_shards())
+                    .flat_map(|k| {
+                        index
+                            .shard_sequences_with_event(k, event)
+                            .map(|(s, p)| (s, p.to_vec()))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                assert_eq!(by_shard, expected);
+
+                let mut rows_handle = index.event_rows(event);
+                for (seq, row) in rows.iter().enumerate() {
+                    let row = &row[..];
+                    assert_eq!(index.event_positions(seq, event), Some(row));
+                    assert_eq!(flat.event_positions(seq, event), Some(row));
+                    assert_eq!(index.count_in_sequence(seq, event), row.len());
+                    assert_eq!(rows_handle.row(seq), Some(row), "seq {seq} {bounds:?}");
+                    let mut cursor = index.cursor(seq, event).expect("in range");
+                    for lowest in 0..=row.last().copied().unwrap_or(0) + 1 {
+                        let naive = naive_next(row, lowest);
+                        assert_eq!(index.next(seq, event, lowest), naive);
+                        assert_eq!(flat.next(seq, event, lowest), naive);
+                        assert_eq!(cursor.next_after(lowest), naive);
+                    }
+                }
+                assert_eq!(rows_handle.row(ns), None, "past the last sequence");
+                assert_eq!(index.event_positions(ns, event), None);
+                assert!(index.cursor(ns, event).is_none());
+
+                // Handles that skip sequences — including ones a sparse event
+                // is missing from — answer exactly, restricted or not.
+                for restricted in [false, true] {
+                    let asked: Vec<usize> = (0..ns).filter(|_| rng.below(3) == 0).collect();
+                    let mut handle = index.event_rows(event);
+                    if restricted {
+                        handle.restrict(asked.iter().copied());
+                    }
+                    for &seq in &asked {
+                        assert_eq!(handle.row(seq), Some(&rows[seq][..]), "seq {seq}");
+                    }
+                }
+                // `next_row`: the answer is the first sequence at or after
+                // the one asked that may hold the event; none in between do.
+                let mut handle = index.event_rows(event);
+                let mut seq = 0;
+                while seq < ns {
+                    match handle.next_row(seq) {
+                        Some((at, row)) => {
+                            assert!(at >= seq && at < ns);
+                            assert_eq!(row, &rows[at][..]);
+                            assert!((seq..at).all(|s| rows[s].is_empty()));
+                            seq = at + 1 + rng.below(2) as usize;
+                        }
+                        None => {
+                            assert!((seq..ns).all(|s| rows[s].is_empty()));
+                            break;
+                        }
+                    }
+                }
+            }
+            // Out-of-range events resolve nothing.
+            let ghost = EventId(db.num_events() as u32);
+            assert_eq!(index.total_count(ghost), 0);
+            assert_eq!(index.event_positions(0, ghost), None);
+        }
+    }
+    assert!(dense_seen > 0, "the corpora must exercise the dense layout");
 }

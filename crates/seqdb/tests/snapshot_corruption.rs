@@ -276,49 +276,218 @@ fn store_reconstruction_validates_csr_invariants() {
     assert_eq!(store.num_sequences(), 2);
 }
 
+/// Five index columns from literal vectors.
+fn columns(
+    row_dir: &[u32],
+    id_dir: &[u32],
+    row_offsets: &[u32],
+    ids: &[u32],
+    positions: &[u32],
+) -> seqdb::IndexColumns {
+    seqdb::IndexColumns {
+        row_dir: row_dir.to_vec().into(),
+        id_dir: id_dir.to_vec().into(),
+        row_offsets: row_offsets.to_vec().into(),
+        ids: ids.to_vec().into(),
+        positions: positions.to_vec().into(),
+    }
+}
+
 #[test]
 fn index_reconstruction_validates_csr_invariants() {
-    use seqdb::{InvertedIndex, SharedSlice};
-    let positions: SharedSlice<u32> = vec![1, 2].into();
+    use seqdb::{InvertedIndex, SequenceDatabase};
+    // S0 = A, S1 = A, S2 = AB: A is dense (three rows), B sparse (row and
+    // id for S2 only).
+    let good = columns(
+        &[0, 3, 4],
+        &[0, 0, 1],
+        &[0, 1, 2, 3, 4],
+        &[2],
+        &[1, 1, 1, 2],
+    );
+    let built = SequenceDatabase::from_str_rows(&["A", "A", "AB"]).inverted_index();
+    assert_eq!(
+        built.columns(),
+        &good,
+        "the fixture is what the builder writes"
+    );
+    let reject = |cols: seqdb::IndexColumns, sequences: usize, events: usize, needle: &str| {
+        let err = InvertedIndex::from_shared_parts(cols, sequences, events).unwrap_err();
+        assert!(err.contains(needle), "expected {needle:?} in: {err}");
+    };
 
-    let wrong_len: SharedSlice<u32> = vec![0, 2].into();
-    assert!(
-        InvertedIndex::from_shared_parts(wrong_len, positions.clone(), 1, 2)
-            .unwrap_err()
-            .contains("entries")
+    // Directory shapes: one entry per event plus a sentinel, monotone,
+    // ending at the row / id counts.
+    reject(
+        columns(&[0, 3], &[0, 0, 1], &[0, 1, 2, 3, 4], &[2], &[1, 1, 1, 2]),
+        3,
+        2,
+        "entries",
+    );
+    reject(
+        columns(&[0, 3, 4], &[0, 1], &[0, 1, 2, 3, 4], &[2], &[1, 1, 1, 2]),
+        3,
+        2,
+        "entries",
+    );
+    reject(
+        columns(
+            &[0, 5, 4],
+            &[0, 0, 1],
+            &[0, 1, 2, 3, 4],
+            &[2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "monotone",
+    );
+    reject(
+        columns(
+            &[0, 3, 3],
+            &[0, 0, 1],
+            &[0, 1, 2, 3, 4],
+            &[2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "end at",
+    );
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 1, 0],
+            &[0, 1, 2, 3, 4],
+            &[2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "monotone",
+    );
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 0, 2],
+            &[0, 1, 2, 3, 4],
+            &[2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "end at",
     );
 
-    let not_monotone: SharedSlice<u32> = vec![0, 2, 1].into();
-    assert!(
-        InvertedIndex::from_shared_parts(not_monotone, positions.clone(), 1, 2)
-            .unwrap_err()
-            .contains("monotone")
+    // Row offsets: start at 0, monotone, end at the arena length.
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 0, 1],
+            &[1, 1, 2, 3, 4],
+            &[2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "start",
+    );
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 0, 1],
+            &[0, 2, 1, 3, 4],
+            &[2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "monotone",
+    );
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 0, 1],
+            &[0, 1, 2, 3, 4],
+            &[2],
+            &[1, 1, 1, 2, 3],
+        ),
+        3,
+        2,
+        "end at",
+    );
+
+    // Each event is dense or sparse exactly as the rule says: B claimed
+    // dense with one row; B dense with three rows but in one sequence; A
+    // stored sparse although it is in every sequence; B with more ids than
+    // rows.
+    reject(
+        columns(&[0, 3, 4], &[0, 0, 0], &[0, 1, 2, 3, 4], &[], &[1, 1, 1, 2]),
+        3,
+        2,
+        "dense",
+    );
+    reject(
+        columns(
+            &[0, 3, 6],
+            &[0, 0, 0],
+            &[0, 1, 2, 3, 3, 3, 4],
+            &[],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "dense",
+    );
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 3, 4],
+            &[0, 1, 2, 3, 4],
+            &[0, 1, 2, 2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "sparse",
+    );
+    reject(
+        columns(
+            &[0, 3, 4],
+            &[0, 0, 2],
+            &[0, 1, 2, 3, 4],
+            &[2, 2],
+            &[1, 1, 1, 2],
+        ),
+        3,
+        2,
+        "sparse",
+    );
+
+    // Sparse ids (five sequences, one event in two of them): strictly
+    // ascending, inside the shard, and each naming a non-empty row.
+    let sparse =
+        |ids: &[u32], row_offsets: &[u32]| columns(&[0, 2], &[0, 2], row_offsets, ids, &[1, 1]);
+    assert!(InvertedIndex::from_shared_parts(sparse(&[1, 3], &[0, 1, 2]), 5, 1).is_ok());
+    reject(sparse(&[3, 1], &[0, 1, 2]), 5, 1, "ascending");
+    reject(sparse(&[1, 1], &[0, 1, 2]), 5, 1, "ascending");
+    reject(sparse(&[1, 5], &[0, 1, 2]), 5, 1, "out of range");
+    reject(
+        columns(&[0, 2], &[0, 2], &[0, 0, 2], &[1, 3], &[1, 2]),
+        5,
+        1,
+        "empty",
     );
 
     // Unsorted or 0-based posting lists would break the binary search in
     // `next` silently, so reconstruction must reject them.
-    let offsets_one_slot: SharedSlice<u32> = vec![0, 2].into();
-    let unsorted: SharedSlice<u32> = vec![2, 1].into();
-    assert!(
-        InvertedIndex::from_shared_parts(offsets_one_slot.clone(), unsorted, 1, 1)
-            .unwrap_err()
-            .contains("ascending")
-    );
-    let duplicate: SharedSlice<u32> = vec![2, 2].into();
-    assert!(
-        InvertedIndex::from_shared_parts(offsets_one_slot.clone(), duplicate, 1, 1)
-            .unwrap_err()
-            .contains("ascending")
-    );
-    let zero_based: SharedSlice<u32> = vec![0, 1].into();
-    assert!(
-        InvertedIndex::from_shared_parts(offsets_one_slot, zero_based, 1, 1)
-            .unwrap_err()
-            .contains("1-based")
-    );
+    let one_row = |positions: &[u32]| columns(&[0, 1], &[0, 0], &[0, 2], &[], positions);
+    reject(one_row(&[2, 1]), 1, 1, "ascending");
+    reject(one_row(&[2, 2]), 1, 1, "ascending");
+    reject(one_row(&[0, 1]), 1, 1, "1-based");
 
-    let good: SharedSlice<u32> = vec![0, 1, 2].into();
-    let index = InvertedIndex::from_shared_parts(good, positions, 1, 2).expect("valid CSR");
+    let index = InvertedIndex::from_shared_parts(good, 3, 2).expect("valid index");
     assert_eq!(index.num_events(), 2);
-    assert_eq!(index.event_positions(0, EventId(0)), Some(&[1u32][..]));
+    assert_eq!(index.event_positions(2, EventId(1)), Some(&[2u32][..]));
+    assert_eq!(index.event_positions(0, EventId(1)), Some(&[][..]));
 }
