@@ -4,7 +4,7 @@
 //! at the repository root.
 //!
 //! Since the columnar-storage refactor the module also measures the storage
-//! layer itself ([`run_columnar`]): CSR index build time, store/index byte
+//! layer itself ([`run_columnar`]): index build time, store/index byte
 //! footprints, bytes per compressed instance, and instance-growth
 //! throughput on the Fig. 2/5/6 workloads — written to
 //! `BENCH_columnar_store.json` so regressions against the PR 2 baseline
@@ -195,11 +195,11 @@ pub struct ColumnarWorkload {
     /// memory- and time-bounded, while the growths/second rate stays
     /// representative.
     pub pattern_cap: usize,
-    /// Best-of-N wall time of one CSR inverted-index build.
+    /// Best-of-N wall time of one inverted-index build.
     pub index_build_seconds: f64,
     /// Live bytes of the flat event store (arena + CSR offsets).
     pub store_bytes: usize,
-    /// Live bytes of the CSR inverted index (positions arena + offsets).
+    /// Live bytes of the inverted index (every column).
     pub index_bytes: usize,
     /// `(store_bytes + index_bytes) / total_length`.
     pub bytes_per_event: f64,
@@ -250,6 +250,68 @@ pub struct ColumnarStoreReport {
     pub fig2_closed_seconds: f64,
     /// Per-workload storage measurements (Fig. 2, 5, 6).
     pub workloads: Vec<ColumnarWorkload>,
+    /// The Fig. 3 Gazelle corpus at paper scale, whatever `scale` says —
+    /// the corpus whose index a per-`(sequence, event)` layout blew up.
+    pub gazelle_paper: PaperScaleRow,
+}
+
+/// Preparation cost and footprint of one corpus at paper scale.
+#[derive(Debug, Clone)]
+pub struct PaperScaleRow {
+    /// Dataset description (name + stats summary).
+    pub dataset: String,
+    /// Best-of-N wall time of `PreparedDb::new` (index build, counts,
+    /// event order).
+    pub prepare_seconds: f64,
+    /// Live bytes of the flat event store.
+    pub store_bytes: usize,
+    /// Live bytes of the inverted index (every column).
+    pub index_bytes: usize,
+    /// Events the index stores dense (one row per sequence).
+    pub dense_events: usize,
+    /// `(store_bytes + index_bytes) / total_length`.
+    pub bytes_per_event: f64,
+    /// `PreparedDb::heap_bytes` of the preparation.
+    pub heap_bytes: usize,
+}
+
+impl PaperScaleRow {
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"dataset\": {}, \"prepare_seconds\": {:.6}, \"store_bytes\": {}, \
+             \"index_bytes\": {}, \"dense_events\": {}, \"bytes_per_event\": {:.3}, \
+             \"heap_bytes\": {}}}",
+            escape(&self.dataset),
+            self.prepare_seconds,
+            self.store_bytes,
+            self.index_bytes,
+            self.dense_events,
+            self.bytes_per_event,
+            self.heap_bytes,
+        )
+    }
+}
+
+/// Measures the preparation of the Fig. 3 Gazelle corpus at paper scale.
+fn gazelle_paper_row(repeats: usize) -> PaperScaleRow {
+    let (name, db) = datasets::fig3_dataset(Scale::Paper);
+    let (prepare_seconds, prepared) = best_of(repeats, || PreparedDb::new(&db));
+    let store_bytes = db.store().heap_bytes();
+    let index = prepared.index();
+    let index_bytes = index.heap_bytes();
+    PaperScaleRow {
+        dataset: format!("{name}: {}", db.stats().summary()),
+        prepare_seconds,
+        store_bytes,
+        index_bytes,
+        dense_events: index
+            .shards()
+            .iter()
+            .map(seqdb::InvertedIndex::dense_events)
+            .sum(),
+        bytes_per_event: (store_bytes + index_bytes) as f64 / db.total_length().max(1) as f64,
+        heap_bytes: prepared.heap_bytes(),
+    }
 }
 
 impl ColumnarStoreReport {
@@ -263,11 +325,12 @@ impl ColumnarStoreReport {
         format!(
             "{{\n  \"benchmark\": \"columnar_store\",\n  \"scale\": {},\n  \
              \"baseline\": {},\n  \"fig2_closed_seconds\": {:.6},\n  \
-             \"workloads\": [\n{}\n  ]\n}}\n",
+             \"workloads\": [\n{}\n  ],\n  \"gazelle_paper\": {}\n}}\n",
             escape(&self.scale),
             escape(&self.baseline),
             self.fig2_closed_seconds,
             workloads.join(",\n"),
+            self.gazelle_paper.to_json(),
         )
     }
 }
@@ -360,6 +423,7 @@ pub fn run_columnar(scale: Scale, repeats: usize) -> ColumnarStoreReport {
         baseline: "BENCH_prepared_engine.json (PR 2)".to_owned(),
         fig2_closed_seconds,
         workloads,
+        gazelle_paper: gazelle_paper_row(repeats),
     }
 }
 
@@ -1370,6 +1434,15 @@ mod tests {
                 growth_seconds: 0.5,
                 growths_per_second: 10_000.0,
             }],
+            gazelle_paper: PaperScaleRow {
+                dataset: "toy".into(),
+                prepare_seconds: 0.01,
+                store_bytes: 1024,
+                index_bytes: 2048,
+                dense_events: 0,
+                bytes_per_event: 12.0,
+                heap_bytes: 3072,
+            },
         };
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"columnar_store\""));

@@ -144,6 +144,8 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
             .candidates
             .iter()
             .filter(|&&(event, total)| {
+                // Sequences ascend, so one forward-only row handle serves
+                // the whole scan.
                 let mut rows = self.sc.index().event_rows(event);
                 total >= support
                     && per_sequence_counts

@@ -56,7 +56,7 @@
 //! separate `take_while` pre-scan that touches every instance twice.
 
 use seqdb::simd::{gt_mask64, KernelBackend, BLOCK_LANES};
-use seqdb::{EventId, PostingCursor, ShardedIndex};
+use seqdb::{EventId, EventRows, PostingCursor, RunSet, ShardedIndex};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
@@ -80,19 +80,24 @@ const COOL_DOWN: usize = 8;
 ///
 /// `backend` switches the block compare (module docs) on
 /// ([`KernelBackend::Avx2`]) or off ([`KernelBackend::Scalar`]) — same
-/// output either way, bit for bit.
+/// output either way, bit for bit. `runs` is the [`RunSet`] of
+/// `instances` when the caller keeps one (it is built here otherwise).
 pub(crate) fn grow_unconstrained(
     index: &ShardedIndex,
     event: EventId,
     instances: &[Instance],
+    runs: Option<&RunSet>,
     target: usize,
     backend: KernelBackend,
     out: &mut SupportSet,
 ) {
     let total = instances.len();
     let mut bounds = [0u32; BLOCK_LANES];
+    let mut built = None;
     let mut rows = index.event_rows(event);
-    rows.restrict(instances.iter().map(|inst| inst.seq as usize));
+    if let Some(runs) = pass_runs(&rows, runs, &mut built, run_seqs(instances)) {
+        rows.restrict(runs);
+    }
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
@@ -192,10 +197,14 @@ pub(crate) fn grow_constrained(
     event: EventId,
     constraints: &GapConstraints,
     instances: &[Instance],
+    runs: Option<&RunSet>,
     out: &mut SupportSet,
 ) {
+    let mut built = None;
     let mut rows = index.event_rows(event);
-    rows.restrict(instances.iter().map(|inst| inst.seq as usize));
+    if let Some(runs) = pass_runs(&rows, runs, &mut built, run_seqs(instances)) {
+        rows.restrict(runs);
+    }
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
@@ -237,6 +246,25 @@ pub(crate) fn grow_constrained(
     }
 }
 
+/// The sequences of `instances`, ascending.
+pub(crate) fn run_seqs(
+    instances: &[Instance],
+) -> impl DoubleEndedIterator<Item = usize> + Clone + '_ {
+    instances.iter().map(|inst| inst.seq as usize)
+}
+
+/// The [`RunSet`] a pass over `seqs` filters its row handle through: the
+/// caller's, else one built into `built` when the handle wants one.
+#[inline]
+pub(crate) fn pass_runs<'r>(
+    rows: &EventRows<'_>,
+    given: Option<&'r RunSet>,
+    built: &'r mut Option<RunSet>,
+    seqs: impl DoubleEndedIterator<Item = usize> + Clone,
+) -> Option<&'r RunSet> {
+    given.or_else(|| rows.wants_runs().then(|| &*built.insert(RunSet::of(seqs))))
+}
+
 /// The index of the first instance at or after `i` in a sequence at or
 /// after `seq` (instances are sorted by sequence).
 #[inline]
@@ -276,12 +304,15 @@ pub fn grow_layer(index: &ShardedIndex, seeds: &[SupportSet], events: &[EventId]
     let mut out = SupportSet::new();
     let mut emitted = 0u64;
     for seed in seeds {
+        // One run set per seed, lent to every pass — as the miner does.
+        let runs = RunSet::of(run_seqs(seed.instances()));
         for &event in events {
             out.clear();
             grow_unconstrained(
                 index,
                 event,
                 seed.instances(),
+                Some(&runs),
                 usize::MAX,
                 backend,
                 &mut out,
@@ -317,7 +348,7 @@ mod tests {
         backend: KernelBackend,
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_unconstrained(index, event, instances, target, backend, &mut out);
+        grow_unconstrained(index, event, instances, None, target, backend, &mut out);
         out.instances().to_vec()
     }
 
@@ -328,7 +359,7 @@ mod tests {
         instances: &[Instance],
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_constrained(index, event, constraints, instances, &mut out);
+        grow_constrained(index, event, constraints, instances, None, &mut out);
         out.instances().to_vec()
     }
 

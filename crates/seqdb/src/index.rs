@@ -195,6 +195,31 @@ fn check_offsets(column: &[u32], end: usize, what: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Pass-1 counts of one event in [`InvertedIndex::build_for_store`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Occurrences.
+    total: u32,
+    /// Sequences holding it.
+    containing: u32,
+    /// 1 + the last sequence that counted it.
+    seen: u32,
+}
+
+/// Pass-2 cursors of one event in [`InvertedIndex::build_for_store`].
+#[derive(Debug, Clone, Copy)]
+struct Fill {
+    /// Next free slot of the event's positions range.
+    at: u32,
+    /// 1 + the last sequence that opened a sparse row.
+    seen: u32,
+    /// Dense: the event's first row. Sparse: its next row.
+    row: u32,
+    /// Sparse: its next id slot.
+    id: u32,
+    sparse: bool,
+}
+
 impl InvertedIndex {
     /// Builds the index for `db` in two passes over the flat event arena
     /// (`O(total_length + num_events)` time and space).
@@ -226,62 +251,61 @@ impl InvertedIndex {
         );
 
         // Pass 1: per event, total occurrences and the number of sequences
-        // containing it (`seen[e]` = 1 + the last sequence that counted it).
-        let mut totals = vec![0u32; num_events];
-        let mut containing = vec![0u32; num_events];
-        let mut seen = vec![0usize; num_events];
+        // containing it (`seen` = 1 + the last sequence that counted it).
+        let mut tally = vec![Tally::default(); num_events];
         for (seq, view) in store.iter().enumerate() {
+            let mark = usize_to_u32(seq + 1).unwrap_or(u32::MAX);
             for event in view.iter_events() {
                 let e = event.index();
                 assert!(
                     e < num_events,
                     "store references event id {e} outside the {num_events}-event alphabet"
                 );
-                if let (Some(total), Some(mark), Some(count)) =
-                    (totals.get_mut(e), seen.get_mut(e), containing.get_mut(e))
-                {
-                    *total += 1;
-                    if *mark != seq + 1 {
-                        *mark = seq + 1;
-                        *count += 1;
-                    }
+                if let Some(t) = tally.get_mut(e) {
+                    t.total += 1;
+                    t.containing += u32::from(t.seen != mark);
+                    t.seen = mark;
                 }
             }
         }
 
-        // Directories and each event's first arena slot, by prefix sums.
-        // Ids and arena slots are bounded by `total_length` (asserted to fit
+        // Directories and each event's fill cursors, by prefix sums. Ids
+        // and arena slots are bounded by `total_length` (asserted to fit
         // u32 above); rows by twice the (sequence, event) pairs, since a
         // dense event's rows are at most twice its containing count — so
         // the row count alone is checked.
         let mut row_dir = Vec::with_capacity(num_events + 1);
         let mut id_dir = Vec::with_capacity(num_events + 1);
-        let mut cursor = Vec::with_capacity(num_events);
-        let (mut rows, mut ids, mut start) = (0usize, 0u32, 0u32);
+        let mut fill = Vec::with_capacity(num_events);
         let mut dense = Vec::new();
-        for (e, (&count, &total)) in containing.iter().zip(&totals).enumerate() {
-            row_dir.push(rows);
+        let (mut rows, mut ids, mut start) = (0usize, 0u32, 0u32);
+        for (e, t) in tally.iter().enumerate() {
+            let row = usize_to_u32(rows).unwrap_or(u32::MAX);
+            row_dir.push(row);
             id_dir.push(ids);
-            cursor.push(start);
-            if dense_rule(u32_to_usize(count), num_sequences) {
+            let sparse = !dense_rule(u32_to_usize(t.containing), num_sequences);
+            fill.push(Fill {
+                at: start,
+                seen: 0,
+                row,
+                id: ids,
+                sparse,
+            });
+            if sparse {
+                rows += u32_to_usize(t.containing);
+                ids += t.containing;
+            } else {
                 dense.push(e);
                 rows += num_sequences;
-            } else {
-                rows += u32_to_usize(count);
-                ids += count;
             }
-            start += total;
+            start += t.total;
         }
-        row_dir.push(rows);
-        id_dir.push(ids);
         assert!(
             usize_to_u32(rows).is_some(),
             "InvertedIndex offsets are u32: more than u32::MAX posting rows"
         );
-        let row_dir: Vec<u32> = row_dir
-            .into_iter()
-            .map(|r| usize_to_u32(r).unwrap_or(u32::MAX))
-            .collect();
+        row_dir.push(usize_to_u32(rows).unwrap_or(u32::MAX));
+        id_dir.push(ids);
 
         // Pass 2: scatter. A dense event opens its row for every sequence;
         // a sparse one opens a row (and records the id) at its first
@@ -291,42 +315,32 @@ impl InvertedIndex {
         let mut row_offsets = vec![0u32; rows + 1];
         let mut seq_ids = vec![0u32; u32_to_usize(ids)];
         let mut positions = vec![0u32; store.total_length()];
-        let mut opened = vec![0u32; num_events];
-        seen.fill(0);
         for (seq, view) in store.iter().enumerate() {
             let seq_u32 = usize_to_u32(seq).unwrap_or(u32::MAX);
-            for &e in &dense {
-                let (Some(&base), Some(&at)) = (row_dir.get(e), cursor.get(e)) else {
-                    continue;
-                };
-                if let Some(slot) = row_offsets.get_mut(u32_to_usize(base) + seq) {
-                    *slot = at;
+            for f in dense.iter().filter_map(|&e| fill.get(e)) {
+                if let Some(slot) = row_offsets.get_mut(u32_to_usize(f.row) + seq) {
+                    *slot = f.at;
                 }
             }
             for (pos, event) in view.iter_positions() {
-                let e = event.index();
-                let (Some(at), Some(mark)) = (cursor.get_mut(e), seen.get_mut(e)) else {
+                let Some(f) = fill.get_mut(event.index()) else {
                     continue;
                 };
-                if *mark != seq + 1 {
-                    *mark = seq + 1;
-                    let sparse = id_dir.get(e) != id_dir.get(e + 1);
-                    if let (true, Some(k), Some(&row_base), Some(&id_base)) =
-                        (sparse, opened.get_mut(e), row_dir.get(e), id_dir.get(e))
-                    {
-                        if let Some(slot) = row_offsets.get_mut(u32_to_usize(row_base + *k)) {
-                            *slot = *at;
-                        }
-                        if let Some(slot) = seq_ids.get_mut(u32_to_usize(id_base + *k)) {
-                            *slot = seq_u32;
-                        }
-                        *k += 1;
+                if f.sparse && f.seen != seq_u32 + 1 {
+                    f.seen = seq_u32 + 1;
+                    if let Some(slot) = row_offsets.get_mut(u32_to_usize(f.row)) {
+                        *slot = f.at;
                     }
+                    if let Some(slot) = seq_ids.get_mut(u32_to_usize(f.id)) {
+                        *slot = seq_u32;
+                    }
+                    f.row += 1;
+                    f.id += 1;
                 }
-                if let Some(slot) = positions.get_mut(u32_to_usize(*at)) {
+                if let Some(slot) = positions.get_mut(u32_to_usize(f.at)) {
                     *slot = usize_to_u32(pos).unwrap_or(u32::MAX);
                 }
-                *at += 1;
+                f.at += 1;
             }
         }
         if let Some(sentinel) = row_offsets.last_mut() {
@@ -718,20 +732,7 @@ impl<'a> PostingCursor<'a> {
             // cleared the prefix — by far the common case mid-run.
             return Some(front);
         }
-        let len = self.rest.len();
-        let mut hi = 1usize;
-        while self.rest.get(hi).is_some_and(|&p| p <= lowest) {
-            hi = hi * 2 + 1;
-        }
-        let mut base = (hi - 1) / 2 + 1;
-        let mut size = hi.saturating_add(1).min(len) - base;
-        while size > 1 {
-            let half = size / 2;
-            let mid = base + half;
-            base += usize::from(self.rest.get(mid).is_some_and(|&p| p <= lowest)) * half;
-            size -= half;
-        }
-        let idx = base + usize::from(self.rest.get(base).is_some_and(|&p| p <= lowest));
+        let idx = gallop(self.rest, |p| p <= lowest);
         // idx <= len, so the suffix always exists; `unwrap_or` keeps the
         // path panic-free.
         self.rest = self.rest.get(idx..).unwrap_or(&[]);

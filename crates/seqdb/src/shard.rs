@@ -653,31 +653,39 @@ fn skip_below(ids: &[u32], target: u32) -> usize {
 const RUN_SET_SPAN: usize = 1024;
 
 /// The sequences a growth pass has instances in, as a bitmap over a window
-/// of consecutive ids. [`EventRows::next_row`] passes a sparse event's ids
-/// outside the set one cheap bit test each, so a pass does not stop at
-/// sequences it has no instances in. Sequences outside the window are
-/// admitted (the set is a filter, never a proof of absence).
+/// of consecutive ids. Given one ([`EventRows::restrict`]),
+/// [`EventRows::next_row`] passes a sparse event's ids outside the set one
+/// cheap bit test each, so a pass does not stop at sequences it has no
+/// instances in. Sequences outside the window are admitted — the set is a
+/// filter, never a proof of absence — and sequences spanning more than
+/// the window (about a thousand ids) give a set that admits everything.
+///
+/// A depth-first miner grows one node's instances by every candidate
+/// event, so it builds the node's set once and lends it to every pass.
 #[derive(Debug, Clone)]
-struct RunSet {
+pub struct RunSet {
     base: usize,
+    /// Window length; 0 admits every sequence.
     span: usize,
     words: [u64; RUN_SET_SPAN / 64],
 }
 
 impl RunSet {
-    /// The set of `seqs` (ascending), or `None` when they span more than
-    /// the window.
-    fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Option<Self> {
-        let base = seqs.clone().next()?;
-        let span = seqs.clone().next_back()?.checked_sub(base)? + 1;
-        if span > RUN_SET_SPAN {
-            return None;
-        }
+    /// The set of `seqs` (ascending).
+    pub fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Self {
         let mut set = Self {
-            base,
-            span,
+            base: 0,
+            span: 0,
             words: [0; RUN_SET_SPAN / 64],
         };
+        let (Some(base), Some(last)) = (seqs.clone().next(), seqs.clone().next_back()) else {
+            return set;
+        };
+        let span = last.saturating_sub(base) + 1;
+        if span > RUN_SET_SPAN {
+            return set;
+        }
+        (set.base, set.span) = (base, span);
         // Ascending input: build each word in a register, store it once.
         let (mut at, mut word) = (0usize, 0u64);
         for bit in seqs.map(|seq| seq - base) {
@@ -692,7 +700,7 @@ impl RunSet {
         if let Some(slot) = set.words.get_mut(at) {
             *slot = word;
         }
-        Some(set)
+        set
     }
 
     /// Whether a run may sit in `seq`: in the set, or outside its window.
@@ -728,7 +736,7 @@ pub struct EventRows<'a> {
     /// Sparse views: index of the first id not below the last lookup.
     at: usize,
     /// The sequences the pass asks for, when known ([`Self::restrict`]).
-    runs: Option<RunSet>,
+    runs: Option<&'a RunSet>,
     /// Monotonicity guard: lookups must use non-decreasing sequences.
     #[cfg(debug_assertions)]
     prev_seq: usize,
@@ -787,7 +795,7 @@ impl<'a> EventRows<'a> {
                 self.at += skip_below(ids.get(self.at..).unwrap_or(&[]), target);
                 while let Some(&id) = ids.get(self.at) {
                     let hit = self.start + u32_to_usize(id);
-                    if self.runs.as_ref().is_none_or(|runs| runs.admits(hit)) {
+                    if self.runs.is_none_or(|runs| runs.admits(hit)) {
                         return Some((hit, self.view.row(self.at)));
                     }
                     self.at += 1;
@@ -798,15 +806,22 @@ impl<'a> EventRows<'a> {
         }
     }
 
-    /// Tells the handle which sequences the pass will ask for (`seqs`,
-    /// ascending): [`Self::next_row`] then passes a sparse event's other
-    /// sequences with one bit test each instead of answering them. Only a
-    /// filter — answers for the sequences asked stay exact — and a no-op
-    /// on a dense event or when `seqs` span more than a few thousand ids.
+    /// Whether a [`RunSet`] would pay off for this handle: its event is
+    /// sparse in the loaded shard, or the index has several shards.
     #[inline]
-    pub fn restrict(&mut self, seqs: impl DoubleEndedIterator<Item = usize> + Clone) {
-        if !self.view.ids.is_empty() || self.index.shards.len() > 1 {
-            self.runs = RunSet::of(seqs);
+    pub fn wants_runs(&self) -> bool {
+        !self.view.ids.is_empty() || self.index.shards.len() > 1
+    }
+
+    /// Tells the handle which sequences the pass will ask for: from then
+    /// on [`Self::next_row`] passes a sparse event's other sequences with
+    /// one bit test each instead of answering them. Only a filter — rows
+    /// of the sequences in `runs` stay exact — and a no-op on a handle
+    /// that does not [want](Self::wants_runs) it.
+    #[inline]
+    pub fn restrict(&mut self, runs: &'a RunSet) {
+        if runs.span > 0 && self.wants_runs() {
+            self.runs = Some(runs);
         }
     }
 

@@ -93,7 +93,7 @@ pub const SNAPSHOT_VERSION_MIN: u32 = 4;
 
 /// Why an image stamped `version` cannot be read, or `None` when it can.
 /// Shared by [`SnapshotImage::open`] and the [`verify`] layer.
-pub fn version_error(version: u32) -> Option<String> {
+pub(crate) fn version_error(version: u32) -> Option<String> {
     if (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
         None
     } else if version < SNAPSHOT_VERSION_MIN {
