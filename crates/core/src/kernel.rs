@@ -11,8 +11,9 @@
 //! constrained lower bound `lowest_exclusive` is monotone in them. So each
 //! pass takes one [`seqdb::EventRows`] handle for its event, which resolves
 //! each sequence's row *once* moving forward only (one add and two loads on
-//! a dense event, a forward gallop along the ids on a sparse one), and the
-//! row is advanced monotonically through the whole run.
+//! a dense event, a forward step along the ids on a sparse one, passing the
+//! sequences the pass's [`seqdb::RunSet`] has no instances in), and the row
+//! is advanced monotonically through the whole run.
 //!
 //! Both kernels advance a [`PostingCursor`] one probe at a time: each probe
 //! gallops forward from the previous landmark and falls back to a

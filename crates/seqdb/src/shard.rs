@@ -688,7 +688,7 @@ impl RunSet {
         (set.base, set.span) = (base, span);
         // Ascending input: build each word in a register, store it once.
         let (mut at, mut word) = (0usize, 0u64);
-        for bit in seqs.map(|seq| seq - base) {
+        for bit in seqs.map(|seq| seq.wrapping_sub(base)) {
             if bit / 64 != at {
                 if let Some(slot) = set.words.get_mut(at) {
                     *slot = word;
