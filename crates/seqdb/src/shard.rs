@@ -543,7 +543,7 @@ impl ShardedIndex {
     /// A forward-only row handle for `event`: [`EventRows::row`] resolves
     /// the posting row of each sequence a growth pass visits, in ascending
     /// sequence order, without allocating — one add and two loads on a
-    /// dense event, a forward gallop along the ids on a sparse one.
+    /// dense event, a forward step along the ids on a sparse one.
     #[inline]
     pub fn event_rows(&self, event: EventId) -> EventRows<'_> {
         // Shard 0 is loaded up front (an empty one is skipped on first use).
