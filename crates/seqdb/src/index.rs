@@ -29,8 +29,8 @@
 //! Growth passes fix the event and walk sequences in ascending order, so
 //! they resolve rows through a forward-only handle
 //! ([`ShardedIndex::event_rows`](crate::ShardedIndex::event_rows)) that
-//! gallops along a sparse event's ids. The random-access API below keeps a
-//! binary search over them.
+//! steps forward along a sparse event's ids. The random-access API below
+//! keeps a binary search over them.
 
 use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
@@ -129,6 +129,12 @@ impl<'a> EventView<'a> {
     #[inline]
     pub(crate) fn has_rows(&self) -> bool {
         self.bounds.len() > 1
+    }
+
+    /// Whether the event is stored dense: rows but no ids.
+    #[inline]
+    fn is_dense(&self) -> bool {
+        self.ids.is_empty() && self.has_rows()
     }
 
     /// The positions of the event in (local) sequence `seq`: direct on a
@@ -404,7 +410,7 @@ impl InvertedIndex {
         for e in 0..num_events {
             let view = index.view(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
             let rows = view.num_rows();
-            if view.ids.is_empty() && rows > 0 {
+            if view.is_dense() {
                 // Dense: exactly one row per sequence, and the event occurs
                 // in enough of them to earn it.
                 let containing = view.rows().count();
@@ -494,9 +500,8 @@ impl InvertedIndex {
     pub fn dense_events(&self) -> usize {
         (0..self.num_events)
             .filter(|&e| {
-                let rows = dir_range(&self.columns.row_dir, e).map_or(0, |r| r.len());
-                let ids = dir_range(&self.columns.id_dir, e).map_or(0, |r| r.len());
-                rows > 0 && ids == 0
+                self.view(EventId(usize_to_u32(e).unwrap_or(u32::MAX)))
+                    .is_dense()
             })
             .count()
     }
