@@ -36,6 +36,7 @@ use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
 use crate::database::SequenceDatabase;
 use crate::shared::SharedSlice;
+use crate::width::EventWidth;
 
 /// The storage rule: an event present in `containing` of `num_sequences`
 /// sequences stores one row per sequence (dense) when it occurs in at least
@@ -247,22 +248,41 @@ impl InvertedIndex {
     ///
     /// Panics when the store references an event id `>= num_events`.
     pub fn build_for_store(store: &crate::store::SeqStore, num_events: usize) -> Self {
-        let num_sequences = store.num_sequences();
         // Every offset and id is u32: a wrapped count would silently
         // misalign every posting list, so fail loudly instead (the store
         // enforces the same ceiling on its own offsets).
         assert!(
-            usize_to_u32(store.total_length()).is_some() && usize_to_u32(num_sequences).is_some(),
+            usize_to_u32(store.total_length()).is_some()
+                && usize_to_u32(store.num_sequences()).is_some(),
             "InvertedIndex offsets are u32: more than u32::MAX total events or sequences"
         );
+        // Both passes run over the arena at its native width.
+        let column = store.event_column();
+        match (column.narrow_slice(), column.wide_slice()) {
+            (Some(events), _) => Self::build_rows(events, store.offsets(), num_events),
+            (None, Some(events)) => Self::build_rows(events, store.offsets(), num_events),
+            (None, None) => Self::build_rows::<u16>(&[], &[0], num_events),
+        }
+    }
+
+    /// [`Self::build_for_store`] over an event arena of width `T` and its
+    /// CSR `offsets` (one per sequence plus a sentinel).
+    fn build_rows<T: EventWidth>(events: &[T], offsets: &[u32], num_events: usize) -> Self {
+        let num_sequences = offsets.len().saturating_sub(1);
+        let sequences = || {
+            offsets
+                .iter()
+                .zip(offsets.iter().skip(1))
+                .map(|(&a, &b)| events.get(u32_to_usize(a)..u32_to_usize(b)).unwrap_or(&[]))
+        };
 
         // Pass 1: per event, total occurrences and the number of sequences
         // containing it (`seen` = 1 + the last sequence that counted it).
         let mut tally = vec![Tally::default(); num_events];
-        for (seq, view) in store.iter().enumerate() {
+        for (seq, row) in sequences().enumerate() {
             let mark = usize_to_u32(seq + 1).unwrap_or(u32::MAX);
-            for event in view.iter_events() {
-                let e = event.index();
+            for &event in row {
+                let e = event.to_event().index();
                 assert!(
                     e < num_events,
                     "store references event id {e} outside the {num_events}-event alphabet"
@@ -320,16 +340,16 @@ impl InvertedIndex {
         // out sorted and every event's rows and ids ascend.
         let mut row_offsets = vec![0u32; rows + 1];
         let mut seq_ids = vec![0u32; u32_to_usize(ids)];
-        let mut positions = vec![0u32; store.total_length()];
-        for (seq, view) in store.iter().enumerate() {
+        let mut positions = vec![0u32; events.len()];
+        for (seq, row) in sequences().enumerate() {
             let seq_u32 = usize_to_u32(seq).unwrap_or(u32::MAX);
             for f in dense.iter().filter_map(|&e| fill.get(e)) {
                 if let Some(slot) = row_offsets.get_mut(u32_to_usize(f.row) + seq) {
                     *slot = f.at;
                 }
             }
-            for (pos, event) in view.iter_positions() {
-                let Some(f) = fill.get_mut(event.index()) else {
+            for (i, &event) in row.iter().enumerate() {
+                let Some(f) = fill.get_mut(event.to_event().index()) else {
                     continue;
                 };
                 if f.sparse && f.seen != seq_u32 + 1 {
@@ -344,7 +364,7 @@ impl InvertedIndex {
                     f.id += 1;
                 }
                 if let Some(slot) = positions.get_mut(u32_to_usize(f.at)) {
-                    *slot = usize_to_u32(pos).unwrap_or(u32::MAX);
+                    *slot = usize_to_u32(i + 1).unwrap_or(u32::MAX);
                 }
                 f.at += 1;
             }
