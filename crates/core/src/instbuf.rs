@@ -152,12 +152,7 @@ impl InstanceBuffer {
         spare_positions.clear();
 
         let len = seqs.len();
-        let mut built = None;
         let mut rows = index.event_rows(event);
-        let run_seqs = seqs.iter().map(|&seq| seq as usize);
-        if let Some(runs) = crate::kernel::pass_runs(&rows, None, &mut built, run_seqs) {
-            rows.restrict(runs);
-        }
         let mut i = 0;
         while i < len {
             let Some(rest) = seqs.get(i..) else { break };

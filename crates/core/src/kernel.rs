@@ -11,9 +11,8 @@
 //! constrained lower bound `lowest_exclusive` is monotone in them. So each
 //! pass takes one [`seqdb::EventRows`] handle for its event, which resolves
 //! each sequence's row *once* moving forward only (one add and two loads on
-//! a dense event, a forward step along the ids on a sparse one, passing the
-//! sequences the pass's [`seqdb::RunSet`] has no instances in), and the row
-//! is advanced monotonically through the whole run.
+//! a dense event, a gallop forward along the ids on a sparse one), and the
+//! row is advanced monotonically through the whole run.
 //!
 //! Both kernels advance a [`PostingCursor`] one probe at a time: each probe
 //! gallops forward from the previous landmark and falls back to a
@@ -57,7 +56,7 @@
 //! separate `take_while` pre-scan that touches every instance twice.
 
 use seqdb::simd::{gt_mask64, KernelBackend, BLOCK_LANES};
-use seqdb::{EventId, EventRows, PostingCursor, RunSet, ShardedIndex};
+use seqdb::{EventId, PostingCursor, ShardedIndex};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
@@ -81,24 +80,18 @@ const COOL_DOWN: usize = 8;
 ///
 /// `backend` switches the block compare (module docs) on
 /// ([`KernelBackend::Avx2`]) or off ([`KernelBackend::Scalar`]) — same
-/// output either way, bit for bit. `runs` is the [`RunSet`] of
-/// `instances` when the caller keeps one (it is built here otherwise).
+/// output either way, bit for bit.
 pub(crate) fn grow_unconstrained(
     index: &ShardedIndex,
     event: EventId,
     instances: &[Instance],
-    runs: Option<&RunSet>,
     target: usize,
     backend: KernelBackend,
     out: &mut SupportSet,
 ) {
     let total = instances.len();
     let mut bounds = [0u32; BLOCK_LANES];
-    let mut built = None;
     let mut rows = index.event_rows(event);
-    if let Some(runs) = pass_runs(&rows, runs, &mut built, run_seqs(instances)) {
-        rows.restrict(runs);
-    }
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
@@ -198,14 +191,9 @@ pub(crate) fn grow_constrained(
     event: EventId,
     constraints: &GapConstraints,
     instances: &[Instance],
-    runs: Option<&RunSet>,
     out: &mut SupportSet,
 ) {
-    let mut built = None;
     let mut rows = index.event_rows(event);
-    if let Some(runs) = pass_runs(&rows, runs, &mut built, run_seqs(instances)) {
-        rows.restrict(runs);
-    }
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
@@ -247,25 +235,6 @@ pub(crate) fn grow_constrained(
     }
 }
 
-/// The sequences of `instances`, ascending.
-pub(crate) fn run_seqs(
-    instances: &[Instance],
-) -> impl DoubleEndedIterator<Item = usize> + Clone + '_ {
-    instances.iter().map(|inst| inst.seq as usize)
-}
-
-/// The [`RunSet`] a pass over `seqs` filters its row handle through: the
-/// caller's, else one built into `built` when the handle wants one.
-#[inline]
-pub(crate) fn pass_runs<'r>(
-    rows: &EventRows<'_>,
-    given: Option<&'r RunSet>,
-    built: &'r mut Option<RunSet>,
-    seqs: impl DoubleEndedIterator<Item = usize> + Clone,
-) -> Option<&'r RunSet> {
-    given.or_else(|| rows.wants_runs().then(|| &*built.insert(RunSet::of(seqs))))
-}
-
 /// The index of the first instance at or after `i` in a sequence at or
 /// after `seq` (instances are sorted by sequence).
 #[inline]
@@ -305,15 +274,12 @@ pub fn grow_layer(index: &ShardedIndex, seeds: &[SupportSet], events: &[EventId]
     let mut out = SupportSet::new();
     let mut emitted = 0u64;
     for seed in seeds {
-        // One run set per seed, lent to every pass — as the miner does.
-        let runs = RunSet::of(run_seqs(seed.instances()));
         for &event in events {
             out.clear();
             grow_unconstrained(
                 index,
                 event,
                 seed.instances(),
-                Some(&runs),
                 usize::MAX,
                 backend,
                 &mut out,
@@ -349,7 +315,7 @@ mod tests {
         backend: KernelBackend,
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_unconstrained(index, event, instances, None, target, backend, &mut out);
+        grow_unconstrained(index, event, instances, target, backend, &mut out);
         out.instances().to_vec()
     }
 
@@ -360,7 +326,7 @@ mod tests {
         instances: &[Instance],
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_constrained(index, event, constraints, instances, None, &mut out);
+        grow_constrained(index, event, constraints, instances, &mut out);
         out.instances().to_vec()
     }
 

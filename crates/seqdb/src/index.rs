@@ -29,7 +29,7 @@
 //! Growth passes fix the event and walk sequences in ascending order, so
 //! they resolve rows through a forward-only handle
 //! ([`ShardedIndex::event_rows`](crate::ShardedIndex::event_rows)) that
-//! steps forward along a sparse event's ids. The random-access API below
+//! gallops forward along a sparse event's ids. The random-access API below
 //! keeps a binary search over them.
 
 use crate::cast::{u32_to_usize, usize_to_u32};

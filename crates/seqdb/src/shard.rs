@@ -543,7 +543,7 @@ impl ShardedIndex {
     /// A forward-only row handle for `event`: [`EventRows::row`] resolves
     /// the posting row of each sequence a growth pass visits, in ascending
     /// sequence order, without allocating — one add and two loads on a
-    /// dense event, a forward step along the ids on a sparse one.
+    /// dense event, a forward gallop along the ids on a sparse one.
     #[inline]
     pub fn event_rows(&self, event: EventId) -> EventRows<'_> {
         // Shard 0 is loaded up front (an empty one is skipped on first use).
@@ -555,7 +555,6 @@ impl ShardedIndex {
             len: first.map_or(0, InvertedIndex::num_sequences),
             view: first.map(|shard| shard.view(event)).unwrap_or_default(),
             at: 0,
-            runs: None,
             #[cfg(debug_assertions)]
             prev_seq: 0,
         }
@@ -627,100 +626,12 @@ impl ShardedIndex {
     }
 }
 
-/// Ids a sparse lookup compares at once before it falls back to galloping.
-const STEP_LANES: usize = 8;
-
-/// The number of leading `ids` (ascending) below `target`. The first
-/// [`STEP_LANES`] are counted in one branch-free compare — consecutive
-/// lookups of a growth pass usually pass only a few ids — and only a longer
-/// stride gallops.
-#[inline(always)]
-fn skip_below(ids: &[u32], target: u32) -> usize {
-    match ids.first_chunk::<STEP_LANES>() {
-        Some(lanes) => {
-            let step = lanes.iter().filter(|&&id| id < target).count();
-            if step < STEP_LANES {
-                step
-            } else {
-                step + gallop(ids.get(step..).unwrap_or(&[]), |id| id < target)
-            }
-        }
-        None => ids.iter().take_while(|&&id| id < target).count(),
-    }
-}
-
-/// Sequences one [`RunSet`] window covers.
-const RUN_SET_SPAN: usize = 1024;
-
-/// The sequences a growth pass has instances in, as a bitmap over a window
-/// of consecutive ids. Given one ([`EventRows::restrict`]),
-/// [`EventRows::next_row`] passes a sparse event's ids outside the set one
-/// cheap bit test each, so a pass does not stop at sequences it has no
-/// instances in. Sequences outside the window are admitted — the set is a
-/// filter, never a proof of absence — and sequences spanning more than
-/// the window (about a thousand ids) give a set that admits everything.
-///
-/// A depth-first miner grows one node's instances by every candidate
-/// event, so it builds the node's set once and lends it to every pass.
-#[derive(Debug, Clone)]
-pub struct RunSet {
-    base: usize,
-    /// Window length; 0 admits every sequence.
-    span: usize,
-    words: [u64; RUN_SET_SPAN / 64],
-}
-
-impl RunSet {
-    /// The set of `seqs` (ascending).
-    pub fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Self {
-        let mut set = Self {
-            base: 0,
-            span: 0,
-            words: [0; RUN_SET_SPAN / 64],
-        };
-        let (Some(base), Some(last)) = (seqs.clone().next(), seqs.clone().next_back()) else {
-            return set;
-        };
-        let span = last.saturating_sub(base) + 1;
-        if span > RUN_SET_SPAN {
-            return set;
-        }
-        (set.base, set.span) = (base, span);
-        // Ascending input: build each word in a register, store it once.
-        let (mut at, mut word) = (0usize, 0u64);
-        for bit in seqs.map(|seq| seq.wrapping_sub(base)) {
-            if bit / 64 != at {
-                if let Some(slot) = set.words.get_mut(at) {
-                    *slot = word;
-                }
-                (at, word) = (bit / 64, 0);
-            }
-            word |= 1 << (bit % 64);
-        }
-        if let Some(slot) = set.words.get_mut(at) {
-            *slot = word;
-        }
-        set
-    }
-
-    /// Whether a run may sit in `seq`: in the set, or outside its window.
-    #[inline(always)]
-    fn admits(&self, seq: usize) -> bool {
-        let bit = seq.wrapping_sub(self.base);
-        bit >= self.span
-            || self
-                .words
-                .get(bit / 64)
-                .is_some_and(|w| w >> (bit % 64) & 1 == 1)
-    }
-}
-
 /// The rows of one event across every shard, resolved forward-only.
 ///
 /// A growth pass fixes the event and visits instances in `(seq, last)`
 /// order, so the sequences it asks for never decrease. The handle keeps the
 /// current shard's view of the event and, on a sparse event, the first id not
-/// yet passed: each lookup steps forward from there instead of
+/// yet passed: each lookup gallops forward from there instead of
 /// binary-searching the whole id list, and moving to the next shard is a
 /// routing lookup, not an allocation. Sequences must be asked for in
 /// non-decreasing order (checked in debug builds); asking for the same
@@ -735,8 +646,6 @@ pub struct EventRows<'a> {
     view: EventView<'a>,
     /// Sparse views: index of the first id not below the last lookup.
     at: usize,
-    /// The sequences the pass asks for, when known ([`Self::restrict`]).
-    runs: Option<&'a RunSet>,
     /// Monotonicity guard: lookups must use non-decreasing sequences.
     #[cfg(debug_assertions)]
     prev_seq: usize,
@@ -764,9 +673,8 @@ impl<'a> EventRows<'a> {
     ///
     /// A dense event answers `seq` itself with one add and two loads (its
     /// row may be empty). A sparse event answers the next sequence that
-    /// holds it, found by stepping forward along its ids — so a growth pass
-    /// skips every run in between without looking each one up — and, after
-    /// [`Self::restrict`], the next one that the pass has instances in.
+    /// holds it, found by galloping forward along its ids — so a growth
+    /// pass skips every run in between without looking each one up.
     #[inline(always)]
     pub fn next_row(&mut self, mut seq: usize) -> Option<(usize, &'a [u32])> {
         #[cfg(debug_assertions)]
@@ -792,13 +700,9 @@ impl<'a> EventRows<'a> {
             } else {
                 // `local < len <= num_sequences`, which fits u32.
                 let target = usize_to_u32(local).unwrap_or(u32::MAX);
-                self.at += skip_below(ids.get(self.at..).unwrap_or(&[]), target);
-                while let Some(&id) = ids.get(self.at) {
-                    let hit = self.start + u32_to_usize(id);
-                    if self.runs.is_none_or(|runs| runs.admits(hit)) {
-                        return Some((hit, self.view.row(self.at)));
-                    }
-                    self.at += 1;
+                self.at += gallop(ids.get(self.at..).unwrap_or(&[]), |id| id < target);
+                if let Some(&id) = ids.get(self.at) {
+                    return Some((self.start + u32_to_usize(id), self.view.row(self.at)));
                 }
             }
             // No row at or after `seq` in this shard: try the next one.
@@ -806,41 +710,15 @@ impl<'a> EventRows<'a> {
         }
     }
 
-    /// Whether a [`RunSet`] would pay off for this handle: its event is
-    /// sparse in the loaded shard, or the index has several shards.
-    #[inline]
-    pub fn wants_runs(&self) -> bool {
-        !self.view.ids.is_empty() || self.index.shards.len() > 1
-    }
-
-    /// Tells the handle which sequences the pass will ask for: from then
-    /// on [`Self::next_row`] passes a sparse event's other sequences with
-    /// one bit test each instead of answering them. Only a filter — rows
-    /// of the sequences in `runs` stay exact — and a no-op on a handle
-    /// that does not [want](Self::wants_runs) it.
-    #[inline]
-    pub fn restrict(&mut self, runs: &'a RunSet) {
-        if runs.span > 0 && self.wants_runs() {
-            self.runs = Some(runs);
-        }
-    }
-
     /// Loads the shard owning `seq`; `None` when `seq` is out of range.
     #[cold]
     fn load(&mut self, seq: usize) -> Option<()> {
         let index = self.index;
-        let shard = if index.shards.len() == 1 {
-            0
-        } else {
-            index.map.shard_of(seq)?
-        };
-        let range = index.map.range(shard);
-        if !range.contains(&seq) {
-            return None;
-        }
-        self.start = range.start;
-        self.len = range.len();
-        self.view = index.shards.get(shard)?.view(self.event);
+        let (shard, local) = index.locate(seq)?;
+        let loaded = index.shards.get(shard)?;
+        self.start = seq - local;
+        self.len = loaded.num_sequences();
+        self.view = loaded.view(self.event);
         self.at = 0;
         Some(())
     }
