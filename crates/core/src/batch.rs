@@ -80,13 +80,14 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use seqdb::EventId;
+use seqdb::{EventId, RunSet};
 
 use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
 use crate::constrained::ConstrainedSupportComputer;
 use crate::constraints::GapConstraints;
 use crate::engine::{MiningReport, MiningRequest, Mode};
 use crate::growth::{SetPool, SupportComputer};
+use crate::kernel::run_seqs;
 use crate::maximal::maximal_subset;
 use crate::parallel::fan_out_shard_seeds;
 use crate::pattern::Pattern;
@@ -909,12 +910,20 @@ struct Ctx<'c, 'a> {
 impl Ctx<'_, '_> {
     /// Instance growth of `support` by `event` (Algorithm 2, or its
     /// constrained form).
-    fn grow(&self, support: &SupportSet, event: EventId, out: &mut SupportSet) {
+    /// `runs` is `support`'s [`RunSet`] when the caller grows it by many
+    /// events.
+    fn grow(
+        &self,
+        support: &SupportSet,
+        runs: Option<&RunSet>,
+        event: EventId,
+        out: &mut SupportSet,
+    ) {
         match self.csc {
-            Some(csc) => csc.instance_growth_into(support, event, out),
+            Some(csc) => csc.instance_growth_within(support, runs, event, out),
             None => self
                 .sc
-                .instance_growth_into(support, event, usize::MAX, out),
+                .instance_growth_within(support, runs, event, usize::MAX, out),
         }
     }
 }
@@ -935,6 +944,9 @@ struct Scan<'f, O> {
     /// Leftmost support sets of the open path, root first: the prefix
     /// stack the closure check reads.
     path: Vec<SupportSet>,
+    /// Index-aligned with `path`: each open node's [`RunSet`], built when
+    /// the node first grows a child and lent to every growth pass of it.
+    runs: Vec<Option<RunSet>>,
     /// `alive[d * members.len() + j]`: member `j`'s solo run visits the
     /// open node at depth `d`.
     alive: Vec<bool>,
@@ -955,6 +967,7 @@ impl<'f, O: Output> Scan<'f, O> {
             members,
             frames: Vec::new(),
             path: Vec::new(),
+            runs: Vec::new(),
             alive: Vec::new(),
             children: Vec::new(),
             pool: SetPool::new(),
@@ -1023,6 +1036,7 @@ impl<'f, O: Output> Scan<'f, O> {
         let len = pattern.len();
         let sup = support.support();
         self.path.push(support);
+        self.runs.push(None);
         let grows = |scan: &Self| {
             scan.members
                 .iter()
@@ -1104,15 +1118,19 @@ impl<'f, O: Output> Scan<'f, O> {
         if self.children.len() <= depth {
             self.children.resize_with(depth + 1, Vec::new);
         }
-        let (Some(parent), Some(children)) = (self.path.last(), self.children.get_mut(depth))
-        else {
+        let (Some(parent), Some(runs), Some(children)) = (
+            self.path.last(),
+            self.runs.last_mut(),
+            self.children.get_mut(depth),
+        ) else {
             return false;
         };
         children.clear();
         let mut append_equal = false;
+        let runs = &*runs.get_or_insert_with(|| RunSet::of(run_seqs(parent.instances())));
         for &event in &ctx.plan.events {
             let mut grown = self.pool.take();
-            ctx.grow(parent, event, &mut grown);
+            ctx.grow(parent, Some(runs), event, &mut grown);
             append_equal |= grown.support() == sup;
             if grown.support() >= ctx.plan.t_min {
                 children.push(Some(grown));
@@ -1218,9 +1236,11 @@ impl<'f, O: Output> Scan<'f, O> {
                     }
                 }
                 if wanted && !plan.eager {
-                    if let Some(parent) = self.path.last() {
+                    if let (Some(parent), Some(runs)) = (self.path.last(), self.runs.last_mut()) {
+                        let runs =
+                            &*runs.get_or_insert_with(|| RunSet::of(run_seqs(parent.instances())));
                         let mut grown = self.pool.take();
-                        ctx.grow(parent, event, &mut grown);
+                        ctx.grow(parent, Some(runs), event, &mut grown);
                         child = Some(grown);
                     }
                 }
@@ -1263,6 +1283,7 @@ impl<'f, O: Output> Scan<'f, O> {
         if let Some(set) = self.path.pop() {
             self.pool.give(set);
         }
+        self.runs.pop();
         if let Some(children) = self.children.get_mut(depth) {
             for slot in children.iter_mut() {
                 if let Some(set) = slot.take() {

@@ -48,7 +48,7 @@
 //! rejected position is not consumed, so the unconstrained kernel's block
 //! compare, which consumes every slot it proves, has no constrained twin.
 
-use seqdb::{EventId, SequenceDatabase};
+use seqdb::{EventId, RunSet, SequenceDatabase};
 
 use crate::constraints::GapConstraints;
 use crate::growth::SupportComputer;
@@ -112,6 +112,18 @@ impl<'a> ConstrainedSupportComputer<'a> {
     /// allocation is reused (cleared first) — the hot-loop form, recycled
     /// through the miners' set pools.
     pub fn instance_growth_into(&self, support: &SupportSet, event: EventId, out: &mut SupportSet) {
+        self.instance_growth_within(support, None, event, out);
+    }
+
+    /// [`Self::instance_growth_into`] with the [`RunSet`] of `support`
+    /// supplied by a caller that grows the same set by many events.
+    pub(crate) fn instance_growth_within(
+        &self,
+        support: &SupportSet,
+        runs: Option<&RunSet>,
+        event: EventId,
+        out: &mut SupportSet,
+    ) {
         out.clear();
         // One fused constrained pass: each posting row is resolved once and
         // swept across the sequence's whole run — a window miss rejects
@@ -122,6 +134,7 @@ impl<'a> ConstrainedSupportComputer<'a> {
             event,
             &self.constraints,
             support.instances(),
+            runs,
             out,
         );
     }

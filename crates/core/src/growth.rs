@@ -14,7 +14,7 @@
 //! instances to grow, in what order, into which support set); the kernel
 //! owns the *mechanics* of finding each lane's next admissible position.
 
-use seqdb::{EventId, InvertedIndex, SequenceDatabase, ShardedIndex};
+use seqdb::{EventId, InvertedIndex, RunSet, SequenceDatabase, ShardedIndex};
 
 use crate::instance::{Instance, Landmark};
 use crate::kernel;
@@ -168,6 +168,19 @@ impl<'a> SupportComputer<'a> {
         target: usize,
         out: &mut SupportSet,
     ) {
+        self.instance_growth_within(support, None, event, target, out);
+    }
+
+    /// [`Self::instance_growth_into`] with the [`RunSet`] of `support`
+    /// supplied by a caller that grows the same set by many events.
+    pub(crate) fn instance_growth_within(
+        &self,
+        support: &SupportSet,
+        runs: Option<&RunSet>,
+        event: EventId,
+        target: usize,
+        out: &mut SupportSet,
+    ) {
         out.clear();
         // One fused pass: each `(sequence, event)` posting row is resolved
         // once, the cursor advances through the sequence's whole run
@@ -177,6 +190,7 @@ impl<'a> SupportComputer<'a> {
             self.index(),
             event,
             support.instances(),
+            runs,
             target,
             seqdb::simd::active_backend(),
             out,

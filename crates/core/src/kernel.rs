@@ -12,7 +12,10 @@
 //! pass takes one [`seqdb::EventRows`] handle for its event, which resolves
 //! each sequence's row *once* moving forward only (one add and two loads on
 //! a dense event, a gallop forward along the ids on a sparse one), and the
-//! row is advanced monotonically through the whole run.
+//! row is advanced monotonically through the whole run. A caller that grows
+//! one support set by many events lends the passes the set's
+//! [`seqdb::RunSet`], so a sparse event's handle passes the sequences the
+//! set has no instances in with one bit test each.
 //!
 //! Both kernels advance a [`PostingCursor`] one probe at a time: each probe
 //! gallops forward from the previous landmark and falls back to a
@@ -56,7 +59,7 @@
 //! separate `take_while` pre-scan that touches every instance twice.
 
 use seqdb::simd::{gt_mask64, KernelBackend, BLOCK_LANES};
-use seqdb::{EventId, PostingCursor, ShardedIndex};
+use seqdb::{EventId, PostingCursor, RunSet, ShardedIndex};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
@@ -80,11 +83,13 @@ const COOL_DOWN: usize = 8;
 ///
 /// `backend` switches the block compare (module docs) on
 /// ([`KernelBackend::Avx2`]) or off ([`KernelBackend::Scalar`]) — same
-/// output either way, bit for bit.
+/// output either way, bit for bit. `runs`, when given, is the [`RunSet`]
+/// of `instances`.
 pub(crate) fn grow_unconstrained(
     index: &ShardedIndex,
     event: EventId,
     instances: &[Instance],
+    runs: Option<&RunSet>,
     target: usize,
     backend: KernelBackend,
     out: &mut SupportSet,
@@ -92,6 +97,9 @@ pub(crate) fn grow_unconstrained(
     let total = instances.len();
     let mut bounds = [0u32; BLOCK_LANES];
     let mut rows = index.event_rows(event);
+    if let Some(runs) = runs {
+        rows.restrict(runs);
+    }
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
@@ -191,9 +199,13 @@ pub(crate) fn grow_constrained(
     event: EventId,
     constraints: &GapConstraints,
     instances: &[Instance],
+    runs: Option<&RunSet>,
     out: &mut SupportSet,
 ) {
     let mut rows = index.event_rows(event);
+    if let Some(runs) = runs {
+        rows.restrict(runs);
+    }
     let mut i = 0usize;
     while let Some(head) = instances.get(i) {
         let seq = head.seq;
@@ -235,6 +247,13 @@ pub(crate) fn grow_constrained(
     }
 }
 
+/// The sequences of `instances`, ascending.
+pub(crate) fn run_seqs(
+    instances: &[Instance],
+) -> impl DoubleEndedIterator<Item = usize> + Clone + '_ {
+    instances.iter().map(|inst| inst.seq as usize)
+}
+
 /// The index of the first instance at or after `i` in a sequence at or
 /// after `seq` (instances are sorted by sequence).
 #[inline]
@@ -274,12 +293,15 @@ pub fn grow_layer(index: &ShardedIndex, seeds: &[SupportSet], events: &[EventId]
     let mut out = SupportSet::new();
     let mut emitted = 0u64;
     for seed in seeds {
+        // One run set per seed, lent to every pass — as the miner does.
+        let runs = RunSet::of(run_seqs(seed.instances()));
         for &event in events {
             out.clear();
             grow_unconstrained(
                 index,
                 event,
                 seed.instances(),
+                Some(&runs),
                 usize::MAX,
                 backend,
                 &mut out,
@@ -315,7 +337,7 @@ mod tests {
         backend: KernelBackend,
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_unconstrained(index, event, instances, target, backend, &mut out);
+        grow_unconstrained(index, event, instances, None, target, backend, &mut out);
         out.instances().to_vec()
     }
 
@@ -326,7 +348,7 @@ mod tests {
         instances: &[Instance],
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_constrained(index, event, constraints, instances, &mut out);
+        grow_constrained(index, event, constraints, instances, None, &mut out);
         out.instances().to_vec()
     }
 

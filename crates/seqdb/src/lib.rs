@@ -16,12 +16,13 @@
 //!   `u32` otherwise) and compares events at that native width,
 //! * [`Sequence`] and [`SequenceDatabase`] — the database model (a thin
 //!   facade over the store) with builders and statistics,
-//! * [`InvertedIndex`] — the *inverted event index* of §III-D of the paper
-//!   in the same CSR layout (flat positions arena + per-`(sequence, event)`
-//!   ranges), answering `next(S, e, lowest)` queries in `O(log L)` time
-//!   and handing growth kernels a [`PostingCursor`] that resolves a
-//!   `(sequence, event)` row once and advances through a whole extension
-//!   pass with galloping + branch-free search,
+//! * [`InvertedIndex`] — the *inverted event index* of §III-D of the paper,
+//!   event-major and linear in the data (per event, the rows of the
+//!   sequences that contain it over one flat positions arena; an event in
+//!   at least half the sequences stores a row per sequence), answering
+//!   `next(S, e, lowest)` queries in `O(log L)` time and handing growth
+//!   kernels a [`PostingCursor`] that advances through a resolved row with
+//!   galloping + branch-free search,
 //! * [`simd`] — the growth kernel's 64-lane block compare
 //!   ([`simd::gt_mask64`]): runtime-detected AVX2 ([`KernelBackend`]),
 //!   switched off under `Scalar` via [`simd::force_backend`], with
@@ -29,7 +30,8 @@
 //! * [`ShardMap`], [`ShardedSeqStore`], [`ShardedIndex`] — the
 //!   [`shard`] layer: the store split at sequence boundaries into zero-copy
 //!   per-shard windows (boundaries chosen by event mass), with per-shard
-//!   indexes built in parallel and queried through global sequence ids,
+//!   indexes built in parallel and queried through global sequence ids;
+//!   [`EventRows`] resolves one event's rows forward-only for a growth pass,
 //! * [`SharedSlice`] — the owned-or-mapped buffer backing every columnar
 //!   arena, so the same read path serves in-memory builds and zero-copy
 //!   snapshot loads,
@@ -62,7 +64,7 @@
 //!
 //! The format layer is generic over sections; this round-trips the two
 //! columns of a store through one image file with zero copies on the way
-//! back. A small alphabet builds a narrow (`u16`) arena, which format v3
+//! back. A small alphabet builds a narrow (`u16`) arena, which the format
 //! writes and maps at 2 bytes per event (see `rgs-core::PreparedDb` for
 //! the full prepared-database composition):
 //!
@@ -113,9 +115,9 @@ pub mod width;
 
 pub use catalog::{EventCatalog, EventId};
 pub use database::{DatabaseBuilder, SequenceDatabase};
-pub use index::{InvertedIndex, PostingCursor};
+pub use index::{IndexColumns, InvertedIndex, PostingCursor};
 pub use sequence::Sequence;
-pub use shard::{ShardMap, ShardedIndex, ShardedSeqStore};
+pub use shard::{EventRows, RunSet, ShardMap, ShardedIndex, ShardedSeqStore};
 pub use shared::SharedSlice;
 pub use simd::KernelBackend;
 pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};

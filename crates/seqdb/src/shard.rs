@@ -555,6 +555,7 @@ impl ShardedIndex {
             len: first.map_or(0, InvertedIndex::num_sequences),
             view: first.map(|shard| shard.view(event)).unwrap_or_default(),
             at: 0,
+            runs: None,
             #[cfg(debug_assertions)]
             prev_seq: 0,
         }
@@ -626,6 +627,73 @@ impl ShardedIndex {
     }
 }
 
+/// Sequences one [`RunSet`] window covers.
+const RUN_SET_SPAN: usize = 1024;
+
+/// The sequences a support set has instances in, as a bitmap over a window
+/// of [`RUN_SET_SPAN`] consecutive ids (128 bytes, no heap).
+///
+/// A depth-first miner grows one node's instances by every candidate
+/// event, so it builds the node's set once and lends it to every pass
+/// ([`EventRows::restrict`]). A sparse event's handle then passes the ids of
+/// sequences outside the set with one bit test each, instead of returning
+/// them to the pass one lookup at a time. Sequences outside the window are
+/// admitted — the set is a filter, never a proof of absence — so a set whose
+/// sequences span more than the window admits everything.
+#[derive(Debug, Clone)]
+pub struct RunSet {
+    base: usize,
+    /// Window length; 0 admits every sequence.
+    span: usize,
+    words: [u64; RUN_SET_SPAN / 64],
+}
+
+impl RunSet {
+    /// The set of `seqs` (ascending).
+    pub fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Self {
+        let mut set = Self {
+            base: 0,
+            span: 0,
+            words: [0; RUN_SET_SPAN / 64],
+        };
+        let (Some(base), Some(last)) = (seqs.clone().next(), seqs.clone().next_back()) else {
+            return set;
+        };
+        let span = last.saturating_sub(base) + 1;
+        if span > RUN_SET_SPAN {
+            return set;
+        }
+        (set.base, set.span) = (base, span);
+        // Ascending input: build each word in a register, store it once.
+        let (mut at, mut word) = (0usize, 0u64);
+        for bit in seqs.map(|seq| seq.wrapping_sub(base)) {
+            if bit / 64 != at {
+                if let Some(slot) = set.words.get_mut(at) {
+                    *slot = word;
+                }
+                (at, word) = (bit / 64, 0);
+            }
+            word |= 1 << (bit % 64);
+        }
+        if let Some(slot) = set.words.get_mut(at) {
+            *slot = word;
+        }
+        set
+    }
+
+    /// Whether `seq` may hold an instance: in the set, or outside its
+    /// window.
+    #[inline(always)]
+    fn admits(&self, seq: usize) -> bool {
+        let bit = seq.wrapping_sub(self.base);
+        bit >= self.span
+            || self
+                .words
+                .get(bit / 64)
+                .is_some_and(|w| w >> (bit % 64) & 1 == 1)
+    }
+}
+
 /// The rows of one event across every shard, resolved forward-only.
 ///
 /// A growth pass fixes the event and visits instances in `(seq, last)`
@@ -646,6 +714,8 @@ pub struct EventRows<'a> {
     view: EventView<'a>,
     /// Sparse views: index of the first id not below the last lookup.
     at: usize,
+    /// The sequences the pass asks for, when lent ([`Self::restrict`]).
+    runs: Option<&'a RunSet>,
     /// Monotonicity guard: lookups must use non-decreasing sequences.
     #[cfg(debug_assertions)]
     prev_seq: usize,
@@ -674,7 +744,8 @@ impl<'a> EventRows<'a> {
     /// A dense event answers `seq` itself with one add and two loads (its
     /// row may be empty). A sparse event answers the next sequence that
     /// holds it, found by galloping forward along its ids — so a growth
-    /// pass skips every run in between without looking each one up.
+    /// pass skips every run in between without looking each one up — and,
+    /// after [`Self::restrict`], the next such sequence the set admits.
     #[inline(always)]
     pub fn next_row(&mut self, mut seq: usize) -> Option<(usize, &'a [u32])> {
         #[cfg(debug_assertions)]
@@ -701,13 +772,26 @@ impl<'a> EventRows<'a> {
                 // `local < len <= num_sequences`, which fits u32.
                 let target = usize_to_u32(local).unwrap_or(u32::MAX);
                 self.at += gallop(ids.get(self.at..).unwrap_or(&[]), |id| id < target);
-                if let Some(&id) = ids.get(self.at) {
-                    return Some((self.start + u32_to_usize(id), self.view.row(self.at)));
+                while let Some(&id) = ids.get(self.at) {
+                    let hit = self.start + u32_to_usize(id);
+                    if self.runs.is_none_or(|runs| runs.admits(hit)) {
+                        return Some((hit, self.view.row(self.at)));
+                    }
+                    self.at += 1;
                 }
             }
             // No row at or after `seq` in this shard: try the next one.
             seq = self.start + self.len;
         }
+    }
+
+    /// Tells the handle which sequences the pass will ask for: from then on
+    /// [`Self::next_row`] passes a sparse event's ids outside `runs` with one
+    /// bit test each. Only a filter — rows of the sequences in `runs` stay
+    /// exact; a dense event ignores it.
+    #[inline]
+    pub fn restrict(&mut self, runs: &'a RunSet) {
+        self.runs = Some(runs);
     }
 
     /// Loads the shard owning `seq`; `None` when `seq` is out of range.
@@ -755,6 +839,21 @@ mod tests {
         // The huge sequence alone is shard 0; all tiny rows are shard 1.
         assert_eq!(map.range(0), 0..1);
         assert_eq!(map.range(1), 1..11);
+    }
+
+    #[test]
+    fn a_run_set_filters_inside_its_window_and_admits_outside_it() {
+        let set = RunSet::of([100usize, 101, 164, 1123].into_iter());
+        for seq in 0..2000 {
+            let inside = (100..=1123).contains(&seq);
+            let member = [100, 101, 164, 1123].contains(&seq);
+            assert_eq!(set.admits(seq), !inside || member, "seq {seq}");
+        }
+        // Sequences wider apart than the window: the set admits everything.
+        let wide = RunSet::of([0usize, RUN_SET_SPAN].into_iter());
+        assert!((0..2 * RUN_SET_SPAN).all(|seq| wide.admits(seq)));
+        let empty = RunSet::of(std::iter::empty());
+        assert!(empty.admits(0) && empty.admits(7));
     }
 
     #[test]

@@ -365,10 +365,14 @@ fn every_index_query_matches_a_store_scan_across_layouts_and_shards() {
                 assert!(index.cursor(ns, event).is_none());
 
                 // Handles that skip sequences — including ones a sparse event
-                // is missing from — answer exactly.
-                for _ in 0..2 {
+                // is missing from — answer exactly, restricted or not.
+                for restricted in [false, true] {
                     let asked: Vec<usize> = (0..ns).filter(|_| rng.below(3) == 0).collect();
+                    let runs = seqdb::RunSet::of(asked.iter().copied());
                     let mut handle = index.event_rows(event);
+                    if restricted {
+                        handle.restrict(&runs);
+                    }
                     for &seq in &asked {
                         assert_eq!(handle.row(seq), Some(&rows[seq][..]), "seq {seq}");
                     }
