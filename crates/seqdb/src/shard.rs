@@ -631,7 +631,7 @@ impl ShardedIndex {
 const RUN_SET_SPAN: usize = 1024;
 
 /// The sequences a support set has instances in, as a bitmap over a window
-/// of [`RUN_SET_SPAN`] consecutive ids (128 bytes, no heap).
+/// of 1024 consecutive ids (128 bytes, no heap).
 ///
 /// A depth-first miner grows one node's instances by every candidate
 /// event, so it builds the node's set once and lends it to every pass
