@@ -17,6 +17,25 @@
 //! slot `j` shares the prefix `e1..ej`, whose leftmost support set is
 //! already on the stack, so only the events from `e'` onwards need to be
 //! re-grown (with early abort as soon as the support falls below `sup(P)`).
+//!
+//! **Each distinct extension is grown once.** Inserting `e` before `P[j]`
+//! when `P[j] = e` spells the same sequence as inserting it one slot later,
+//! so all insertions of `e` into one run of `e` in `P` (a maximal block of
+//! equal events) give the same extension. The leftmost support set is a
+//! function of the pattern alone, so they share their support set and their
+//! landmark-border verdict. The check grows such an extension only at its
+//! run's **end**, by skipping every `(slot j, event e)` with `e = P[j]`:
+//!
+//! * an interior run `P[i..=k]` of `e` is grown once, at slot `k + 1`;
+//! * a run that ends `P` is grown once, as the append `P ◦ P[len-1]`: one
+//!   growth of `P`'s own support set by `P[len-1]`, and none when the
+//!   caller's `append_has_equal_support` flag is already set. Appends never
+//!   meet the landmark border condition (their instances end strictly later
+//!   than `P`'s), so this extension can only make `P` non-closed.
+//!
+//! A check therefore grows at most `len · |viable|` extensions, each a chain
+//! of at most `len + 1` instance growths. For `P = A^k` the extension
+//! `A^(k+1)` costs one growth, not one per slot.
 
 use std::borrow::Cow;
 
@@ -26,17 +45,21 @@ use crate::growth::SupportComputer;
 use crate::pattern::Pattern;
 use crate::support::SupportSet;
 
-/// Reusable scratch buffers for the closure check's extension growth.
+/// Reusable scratch buffers for the closure check.
 ///
 /// `ClosureChecker::extension_support` chains one instance growth per
 /// suffix event; with a ping/pong pair of support sets the whole chain runs
-/// in the two buffers below, so a warm scratch makes every closure check
-/// allocation-free. Each DFS (and each parallel worker) owns one scratch;
-/// the checker itself stays shared and immutable.
+/// in the two buffers below. The per-sequence instance counts of `P` and
+/// the viable candidate events are refilled in place on every call, so a
+/// warm scratch makes every closure check allocation-free. Each DFS (and
+/// each parallel worker) owns one scratch; the checker itself stays shared
+/// and immutable.
 #[derive(Debug, Default)]
 pub struct CheckScratch {
     a: SupportSet,
     b: SupportSet,
+    counts: Vec<(usize, usize)>,
+    viable: Vec<EventId>,
 }
 
 impl CheckScratch {
@@ -112,7 +135,9 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
     ///   all append children anyway, so this information is free. Append
     ///   extensions can never trigger the landmark border condition (their
     ///   instances end strictly later than `P`'s), so they only matter for
-    ///   the closed/non-closed verdict.
+    ///   the closed/non-closed verdict. A caller that did not grow the
+    ///   appends passes `false`; the check still finds `P ◦ P[len-1]`, the
+    ///   extension every insertion into `P`'s trailing run spells.
     pub fn check(
         &self,
         pattern: &Pattern,
@@ -120,46 +145,93 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         append_has_equal_support: bool,
         scratch: &mut CheckScratch,
     ) -> ClosureStatus {
+        // The viable list is taken out of the scratch for the scan, so the
+        // growth buffers can be borrowed beside it; putting it back keeps
+        // its capacity.
+        let mut viable = std::mem::take(&mut scratch.viable);
+        let verdict = self.scan_slots(
+            pattern,
+            prefix_stack,
+            append_has_equal_support,
+            &mut viable,
+            scratch,
+        );
+        scratch.viable = viable;
+        verdict
+    }
+
+    /// Refills `viable` with the candidate events that can yield an
+    /// equal-support extension of the pattern whose support set is
+    /// `support_set`.
+    ///
+    /// If sup(P') = sup(P) then, per sequence, P' has exactly as many
+    /// non-overlapping instances as P (per-sequence maxima are monotone and
+    /// the totals are equal), and each of those instances consumes a
+    /// distinct occurrence of the inserted event. An event that occurs fewer
+    /// times than that in some sequence where P has instances can therefore
+    /// never yield an equal-support extension — filtering it out here keeps
+    /// the per-slot scan cheap.
+    fn fill_viable(
+        &self,
+        support_set: &SupportSet,
+        counts: &mut Vec<(usize, usize)>,
+        viable: &mut Vec<EventId>,
+    ) {
+        let support = support_set.support();
+        counts.clear();
+        counts.extend(
+            support_set
+                .per_sequence()
+                .map(|(seq, instances)| (seq, instances.len())),
+        );
+        viable.clear();
+        viable.extend(
+            self.candidates
+                .iter()
+                .filter(|&&(event, total)| {
+                    if total < support {
+                        return false;
+                    }
+                    // Sequences ascend, so one forward-only row handle serves
+                    // the whole scan.
+                    let mut rows = self.sc.index().event_rows(event);
+                    counts
+                        .iter()
+                        .all(|&(seq, count)| rows.row(seq).map_or(0, <[u32]>::len) >= count)
+                })
+                .map(|&(event, _)| event),
+        );
+    }
+
+    /// Grows each distinct single-insertion extension of `pattern` by a
+    /// `viable` event once (see the module docs for the run rule) and
+    /// derives the verdict.
+    fn scan_slots(
+        &self,
+        pattern: &Pattern,
+        prefix_stack: &[SupportSet],
+        append_has_equal_support: bool,
+        viable: &mut Vec<EventId>,
+        scratch: &mut CheckScratch,
+    ) -> ClosureStatus {
         let Some(support_set) = prefix_stack.last() else {
             // The empty pattern has no extensions on the stack to compare
             // against; it is never emitted, so the verdict is moot.
             return ClosureStatus::Closed;
         };
-        let support = support_set.support();
         debug_assert_eq!(prefix_stack.len(), pattern.len());
-
-        // Per-sequence instance counts of P. If sup(P') = sup(P) then, per
-        // sequence, P' has exactly as many non-overlapping instances as P
-        // (per-sequence maxima are monotone and the totals are equal), and
-        // each of those instances consumes a distinct occurrence of the
-        // inserted event. An event that occurs fewer times than that in some
-        // sequence where P has instances can therefore never yield an
-        // equal-support extension — filtering it out here keeps the
-        // per-slot scan below cheap.
-        let per_sequence_counts: Vec<(usize, usize)> = support_set
-            .per_sequence()
-            .map(|(seq, instances)| (seq, instances.len()))
-            .collect();
-        let viable: Vec<EventId> = self
-            .candidates
-            .iter()
-            .filter(|&&(event, total)| {
-                // Sequences ascend, so one forward-only row handle serves
-                // the whole scan.
-                let mut rows = self.sc.index().event_rows(event);
-                total >= support
-                    && per_sequence_counts
-                        .iter()
-                        .all(|&(seq, count)| rows.row(seq).map_or(0, <[u32]>::len) >= count)
-            })
-            .map(|&(event, _)| event)
-            .collect();
-
+        self.fill_viable(support_set, &mut scratch.counts, viable);
+        let support = support_set.support();
+        let events = pattern.events();
         let mut non_closed = append_has_equal_support;
         // Slots 0..len: slot j inserts e' before pattern event j; slot 0 is a
-        // prepend. Slot len (append) is covered by `append_has_equal_support`.
-        for slot in 0..pattern.len() {
-            for &event in &viable {
+        // prepend. Inserting e' = P[j] there spells the same pattern as
+        // slot j + 1, so only the run's end is grown.
+        for (slot, &at_slot) in events.iter().enumerate() {
+            for &event in viable.iter() {
+                if event == at_slot {
+                    continue;
+                }
                 if let Some(extension) =
                     self.extension_support(pattern, prefix_stack, slot, event, support, scratch)
                 {
@@ -168,6 +240,26 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
                         return ClosureStatus::Prune;
                     }
                 }
+            }
+        }
+        // Slot len (append) is covered by `append_has_equal_support`, except
+        // that the trailing run's insertions all spell `P ◦ P[len-1]`, which
+        // the loop above skipped. Callers may pass `false` without growing
+        // the appends, so grow that one here; as an append it can never meet
+        // the landmark border, only make `P` non-closed.
+        if !non_closed {
+            if let Some(&last) = events.last() {
+                non_closed = viable.contains(&last)
+                    && self
+                        .extension_support(
+                            pattern,
+                            prefix_stack,
+                            events.len(),
+                            last,
+                            support,
+                            scratch,
+                        )
+                        .is_some();
             }
         }
         if non_closed {
@@ -193,7 +285,7 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         scratch: &'s mut CheckScratch,
     ) -> Option<&'s SupportSet> {
         let target_usize = target as usize;
-        let CheckScratch { a, b } = scratch;
+        let CheckScratch { a, b, .. } = scratch;
         let (mut current, mut spare): (&mut SupportSet, &mut SupportSet) = (a, b);
         // Leftmost support set of e1..e_slot ◦ e'.
         if slot == 0 {

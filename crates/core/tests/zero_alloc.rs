@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rgs_core::closure::{CheckScratch, ClosureChecker, ClosureStatus};
 use rgs_core::{GapConstraints, InstanceBuffer, Pattern, SupportComputer, SupportSet};
 use seqdb::SequenceDatabase;
 
@@ -164,4 +165,27 @@ fn steady_state_growth_allocates_nothing() {
             ssc.instance_growth_into(&sharded_base, event, usize::MAX, &mut grown);
         }
     });
+
+    // 6. The closure check (Theorems 4 and 5): the per-sequence instance
+    //    counts, the viable events and the extension chain all live in the
+    //    warm scratch — on a pattern with an interior run (`ADDA`), one with
+    //    a trailing run (`ACDD`, grown once as an append) and one the
+    //    landmark border prunes (`ABBA`).
+    let checker = ClosureChecker::new(&sc, &events);
+    let mut scratch = CheckScratch::new();
+    for (text, expected) in [
+        ("ADDA", ClosureStatus::Closed),
+        ("ACDD", ClosureStatus::Closed),
+        ("ABBA", ClosureStatus::Prune),
+    ] {
+        let pattern = Pattern::new(db.pattern_from_str(text).unwrap());
+        let stack: Vec<SupportSet> = (1..=pattern.len())
+            .map(|len| sc.support_set(&pattern.prefix(len)))
+            .collect();
+        let label = format!("ClosureChecker::check on {text}");
+        assert_zero_alloc(&label, 100, || {
+            let verdict = checker.check(&pattern, &stack, false, &mut scratch);
+            assert_eq!(verdict, expected, "{text}");
+        });
+    }
 }
