@@ -19,8 +19,8 @@
 //! `--only` restricts the run to one benchmark (and its output file) —
 //! CI uses `--only snapshot` / `--only sharded` so each artifact job pays
 //! only for its own suite. The sharded suite (`BENCH_shard.json`) measures
-//! flat vs sharded prepare time, per-shard byte footprints, and
-//! shard-parallel growth throughput against the PR 3 columnar baseline.
+//! the one preparation, per-range byte footprints, and range-parallel
+//! growth throughput against the PR 3 columnar baseline.
 //! The growth suite (`BENCH_growth_kernel.json`) measures the growth
 //! kernel on the active backend (and with the block compare forced off,
 //! same process) on long-sequence workloads; `--growth-floor` compares the
@@ -252,19 +252,19 @@ fn main() -> ExitCode {
     }
 
     if phases.3 {
-        // Sharded stores: flat vs sharded prepare, per-shard bytes, and
-        // shard-parallel growth throughput against the PR 3 baseline, with
+        // Sequence ranges: the one preparation, per-range bytes, and
+        // range-parallel growth throughput against the PR 3 baseline, with
         // the bit-identity check.
         let sharded = prepared_bench::run_sharded(scale, shards, threads, repeats);
         let sharded_json = sharded.to_json();
         println!("{sharded_json}");
         for w in &sharded.workloads {
             println!(
-                "# {}: {} shards, prepare {:.2}x, growth {:.2}x ({:.0} growths/s), \
+                "# {}: {} ranges, prepare {:.6}s, growth {:.2}x ({:.0} growths/s), \
                  identical output: {}",
                 w.dataset,
                 w.shards,
-                w.prepare_speedup,
+                w.prepare_seconds,
                 w.growth_speedup,
                 w.growths_per_second,
                 w.output_identical,

@@ -304,11 +304,7 @@ fn gazelle_paper_row(repeats: usize) -> PaperScaleRow {
         prepare_seconds,
         store_bytes,
         index_bytes,
-        dense_events: index
-            .shards()
-            .iter()
-            .map(seqdb::InvertedIndex::dense_events)
-            .sum(),
+        dense_events: index.dense_events(),
         bytes_per_event: (store_bytes + index_bytes) as f64 / db.total_length().max(1) as f64,
         heap_bytes: prepared.heap_bytes(),
     }
@@ -1052,27 +1048,24 @@ pub fn check_batch_floor(report: &BatchReport, min_speedup: f64) -> Result<(), S
     Ok(())
 }
 
-/// Per-shard byte footprint of one sharded workload.
+/// The byte footprint of one sequence range of a sharded workload.
 #[derive(Debug, Clone)]
-pub struct ShardBytes {
-    /// Shard number.
-    pub shard: usize,
-    /// Sequences in the shard.
+pub struct RangeBytes {
+    /// Range number.
+    pub range: usize,
+    /// Sequences in the range.
     pub sequences: usize,
-    /// Events in the shard (its share of the arena).
+    /// Events in the range (its share of the arena).
     pub events: usize,
-    /// Bytes of the shard's store window.
+    /// Bytes of the range's share of the store (events and offsets).
     pub store_bytes: usize,
-    /// Bytes of the shard's CSR inverted index.
-    pub index_bytes: usize,
 }
 
-impl ShardBytes {
+impl RangeBytes {
     fn to_json(&self) -> String {
         format!(
-            "{{\"shard\": {}, \"sequences\": {}, \"events\": {}, \
-             \"store_bytes\": {}, \"index_bytes\": {}}}",
-            self.shard, self.sequences, self.events, self.store_bytes, self.index_bytes,
+            "{{\"range\": {}, \"sequences\": {}, \"events\": {}, \"store_bytes\": {}}}",
+            self.range, self.sequences, self.events, self.store_bytes,
         )
     }
 }
@@ -1082,66 +1075,62 @@ impl ShardBytes {
 pub struct ShardWorkload {
     /// Dataset description (name + stats summary).
     pub dataset: String,
-    /// Shard count of the sharded preparation.
+    /// Sequence ranges of the sharded preparation.
     pub shards: usize,
     /// Support threshold of the growth-throughput measurement.
     pub min_sup: u64,
-    /// Best-of-N wall time of a flat [`PreparedDb::new`] (single index
-    /// build — the PR 3 baseline's preparation path).
-    pub flat_prepare_seconds: f64,
-    /// Best-of-N wall time of `PreparedDb::new_sharded` (per-shard indexes
-    /// built on the benchmark's worker threads).
-    pub sharded_prepare_seconds: f64,
-    /// `flat_prepare_seconds / sharded_prepare_seconds`.
-    pub prepare_speedup: f64,
-    /// Per-shard store/index byte footprints.
-    pub shard_bytes: Vec<ShardBytes>,
+    /// Best-of-N wall time of `PreparedDb::new_sharded`: one index build
+    /// plus the range map.
+    pub prepare_seconds: f64,
+    /// Bytes of the one inverted index all ranges share.
+    pub index_bytes: usize,
+    /// Per-range store footprints.
+    pub ranges: Vec<RangeBytes>,
     /// The growth workload measured: `"closed"` (full closed mining,
-    /// flat-sequential vs shard-parallel — the Fig. 2 comparison against
+    /// flat-sequential vs range-parallel — the Fig. 2 comparison against
     /// the PR 3 baseline's `fig2_closed_seconds`) or `"all-capped"`
-    /// (pattern-capped sequential GSgrow on both sides, isolating the
-    /// shard *routing* overhead — used on the Fig. 5/6 datasets whose
-    /// closed output explodes at their thresholds).
+    /// (pattern-capped sequential GSgrow on both sides — used on the
+    /// Fig. 5/6 datasets whose closed output explodes at their thresholds).
     pub growth_workload: String,
+    /// Worker threads of the sharded growth run (1 for `"all-capped"`).
+    pub growth_threads: usize,
     /// Instance growths performed by one growth run (see
     /// `growth_workload`).
     pub instance_growths: u64,
     /// Best-of-N wall time of the growth run on the **flat** snapshot,
     /// sequential.
     pub flat_growth_seconds: f64,
-    /// Best-of-N wall time of the same run on the sharded snapshot
-    /// (shard-parallel for the closed workload via the two-level
-    /// shard × seed queue; sequential for the capped workload, where a
-    /// per-seed pattern cap would inflate parallel buffers).
+    /// Best-of-N wall time of the same run on the sharded snapshot, on
+    /// `growth_threads` workers (a per-seed pattern cap would inflate
+    /// parallel buffers, so the capped workload stays sequential).
     pub sharded_growth_seconds: f64,
     /// `instance_growths / sharded_growth_seconds`.
     pub growths_per_second: f64,
     /// `flat_growth_seconds / sharded_growth_seconds`.
     pub growth_speedup: f64,
-    /// Whether the sharded parallel pattern stream was bit-identical to
-    /// the flat sequential one.
+    /// Whether the sharded pattern stream was bit-identical to the flat
+    /// sequential one.
     pub output_identical: bool,
 }
 
 impl ShardWorkload {
     fn to_json(&self) -> String {
-        let shard_bytes: Vec<String> = self.shard_bytes.iter().map(ShardBytes::to_json).collect();
+        let ranges: Vec<String> = self.ranges.iter().map(RangeBytes::to_json).collect();
         format!(
             "{{\"dataset\": {}, \"shards\": {}, \"min_sup\": {}, \
-             \"flat_prepare_seconds\": {:.6}, \"sharded_prepare_seconds\": {:.6}, \
-             \"prepare_speedup\": {:.3}, \"shard_bytes\": [{}], \
-             \"growth_workload\": {}, \
+             \"prepare_seconds\": {:.6}, \"index_bytes\": {}, \"ranges\": [{}], \
+             \"growth_workload\": {}, \"growth_threads\": {}, \
              \"instance_growths\": {}, \"flat_growth_seconds\": {:.6}, \
              \"sharded_growth_seconds\": {:.6}, \"growths_per_second\": {:.0}, \
              \"growth_speedup\": {:.3}, \"output_identical\": {}}}",
             escape(&self.dataset),
             self.shards,
             self.min_sup,
-            self.flat_prepare_seconds,
-            self.sharded_prepare_seconds,
-            self.prepare_speedup,
-            shard_bytes.join(", "),
+            self.prepare_seconds,
+            self.index_bytes,
+            ranges.join(", "),
             escape(&self.growth_workload),
+            self.growth_threads,
             self.instance_growths,
             self.flat_growth_seconds,
             self.sharded_growth_seconds,
@@ -1157,10 +1146,8 @@ impl ShardWorkload {
 pub struct ShardReport {
     /// Benchmark scale (dev/paper).
     pub scale: String,
-    /// Shard count used throughout.
+    /// Range count used throughout.
     pub shards: usize,
-    /// Worker threads of the sharded measurements.
-    pub threads: usize,
     /// CPUs actually available — the ceiling on any parallel speedup.
     pub available_parallelism: usize,
     /// The PR 3 baseline file whose `growth_seconds` matches
@@ -1180,11 +1167,10 @@ impl ShardReport {
             .collect();
         format!(
             "{{\n  \"benchmark\": \"sharded_store\",\n  \"scale\": {},\n  \
-             \"shards\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \
+             \"shards\": {},\n  \"available_parallelism\": {},\n  \
              \"baseline\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
             escape(&self.scale),
             self.shards,
-            self.threads,
             self.available_parallelism,
             escape(&self.baseline),
             workloads.join(",\n"),
@@ -1201,10 +1187,9 @@ enum GrowthWorkload {
     AllCapped,
 }
 
-/// Measures one workload's sharding paths: prepare time flat vs sharded
-/// (parallel per-shard index builds), per-shard byte footprints, and a
-/// growth run flat vs sharded, with the bit-identity check the whole
-/// refactor rests on.
+/// Measures one workload's sharding paths: the one preparation, the
+/// per-range byte footprints, and a growth run flat vs sharded, with the
+/// bit-identity check the whole split rests on.
 fn shard_workload(
     name: &str,
     db: &seqdb::SequenceDatabase,
@@ -1214,27 +1199,24 @@ fn shard_workload(
     repeats: usize,
     growth: GrowthWorkload,
 ) -> ShardWorkload {
-    let (flat_prepare_seconds, flat) = best_of(repeats, || PreparedDb::new(db));
-    let (sharded_prepare_seconds, sharded) =
-        best_of(repeats, || PreparedDb::new_sharded(db, shards, threads));
+    let flat = PreparedDb::new(db);
+    let (prepare_seconds, sharded) = best_of(repeats, || PreparedDb::new_sharded(db, shards));
 
-    let shard_bytes: Vec<ShardBytes> = sharded
+    let ranges: Vec<RangeBytes> = sharded
         .shard_footprints()
         .into_iter()
-        .map(|f| ShardBytes {
-            shard: f.shard,
+        .map(|f| RangeBytes {
+            range: f.shard,
             sequences: f.sequences,
             events: f.events,
             store_bytes: f.store_bytes,
-            index_bytes: f.index_bytes,
         })
         .collect();
 
     // Closed mining (the paper's headline algorithm) has bounded output,
-    // so the shard-parallel run pays no per-seed cap inflation; the capped
+    // so the range-parallel run pays no per-seed cap inflation; the capped
     // GSgrow workload must stay sequential on both sides (a per-seed
-    // pattern cap would multiply parallel work) and isolates the pure
-    // shard-routing overhead instead.
+    // pattern cap would multiply parallel work).
     let run = |prepared: &PreparedDb, run_threads: usize| {
         let mut sink = CountSink::new();
         let mut miner = prepared.miner().min_sup(min_sup).threads(run_threads);
@@ -1273,10 +1255,10 @@ fn shard_workload(
             GrowthWorkload::Closed => "closed".to_owned(),
             GrowthWorkload::AllCapped => "all-capped".to_owned(),
         },
-        flat_prepare_seconds,
-        sharded_prepare_seconds,
-        prepare_speedup: flat_prepare_seconds / sharded_prepare_seconds.max(1e-12),
-        shard_bytes,
+        growth_threads: sharded_threads,
+        prepare_seconds,
+        index_bytes: sharded.index().heap_bytes(),
+        ranges,
         instance_growths,
         flat_growth_seconds,
         sharded_growth_seconds,
@@ -1289,10 +1271,9 @@ fn shard_workload(
 /// Runs the sharding benchmark: the Fig. 2 closed-mining workload at its
 /// lowest sweep threshold (the PR 2/3 benchmarks' heaviest setting that
 /// still terminates comfortably) compared flat-sequential vs
-/// shard-parallel, plus the Fig. 5/6 datasets — whose closed output
-/// explodes at their thresholds — measured with the pattern-capped
-/// sequential GSgrow run the columnar/snapshot benches use, isolating the
-/// shard-routing overhead.
+/// range-parallel on `threads` workers, plus the Fig. 5/6 datasets —
+/// whose closed output explodes at their thresholds — measured with the
+/// pattern-capped sequential GSgrow run the columnar/snapshot benches use.
 pub fn run_sharded(scale: Scale, shards: usize, threads: usize, repeats: usize) -> ShardReport {
     let mut workloads = Vec::new();
 
@@ -1334,7 +1315,6 @@ pub fn run_sharded(scale: Scale, shards: usize, threads: usize, repeats: usize) 
     ShardReport {
         scale: format!("{scale:?}").to_lowercase(),
         shards,
-        threads,
         available_parallelism: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
@@ -1493,7 +1473,6 @@ mod tests {
         let report = ShardReport {
             scale: "dev".into(),
             shards: 4,
-            threads: 4,
             available_parallelism: 1,
             baseline: "BENCH_columnar_store.json (PR 3)".into(),
             workloads: vec![ShardWorkload {
@@ -1501,15 +1480,14 @@ mod tests {
                 shards: 4,
                 min_sup: 4,
                 growth_workload: "closed".into(),
-                flat_prepare_seconds: 0.02,
-                sharded_prepare_seconds: 0.01,
-                prepare_speedup: 2.0,
-                shard_bytes: vec![ShardBytes {
-                    shard: 0,
+                growth_threads: 4,
+                prepare_seconds: 0.01,
+                index_bytes: 888,
+                ranges: vec![RangeBytes {
+                    range: 0,
                     sequences: 10,
                     events: 100,
                     store_bytes: 444,
-                    index_bytes: 888,
                 }],
                 instance_growths: 1000,
                 flat_growth_seconds: 0.5,
@@ -1523,6 +1501,7 @@ mod tests {
         assert!(json.contains("\"benchmark\": \"sharded_store\""));
         assert!(json.contains("\"output_identical\": true"));
         assert!(json.contains("\"store_bytes\": 444"));
+        assert!(json.contains("\"index_bytes\": 888"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -1543,13 +1522,18 @@ mod tests {
         assert!(capped.output_identical, "capped sharded output diverged");
         assert!(w.output_identical, "sharded output diverged");
         assert_eq!(w.shards, 2);
-        assert_eq!(w.shard_bytes.len(), 2);
+        assert_eq!(w.ranges.len(), 2);
         assert_eq!(
-            w.shard_bytes.iter().map(|b| b.events).sum::<usize>(),
+            w.ranges.iter().map(|b| b.events).sum::<usize>(),
             db.total_length()
         );
+        assert_eq!(
+            w.ranges.iter().map(|b| b.store_bytes).sum::<usize>(),
+            db.store().heap_bytes()
+        );
+        assert_eq!(w.index_bytes, db.inverted_index().heap_bytes());
         assert!(w.instance_growths > 0);
-        assert!(w.flat_prepare_seconds >= 0.0 && w.sharded_prepare_seconds >= 0.0);
+        assert!(w.prepare_seconds >= 0.0);
     }
 
     #[test]

@@ -232,11 +232,11 @@ fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
     if let Some(path) = &options.snapshot {
         return match PreparedDb::open_snapshot(path) {
             // --shards N re-partitions an image prepared with a different
-            // shard count (windows re-derive zero-copy; indexes rebuild),
-            // so the flag means the same thing on every subcommand.
-            Ok(prepared) if options.shards > 1 && prepared.shard_count() != options.shards => Ok(
-                Loaded::Prepared(Box::new(prepared.reshard(options.shards, options.threads))),
-            ),
+            // shard count (only the range map is recomputed), so the flag
+            // means the same thing on every subcommand.
+            Ok(prepared) if options.shards > 1 && prepared.shard_count() != options.shards => {
+                Ok(Loaded::Prepared(Box::new(prepared.reshard(options.shards))))
+            }
             Ok(prepared) => Ok(Loaded::Prepared(Box::new(prepared))),
             Err(err) => {
                 eprintln!("error: cannot open snapshot {}: {err}", path.display());
@@ -278,7 +278,6 @@ fn from_text(db: SequenceDatabase, options: &Options) -> Loaded {
         Loaded::Prepared(Box::new(PreparedDb::from_database_sharded(
             db,
             options.shards,
-            options.threads,
         )))
     } else {
         Loaded::Text(db)
@@ -368,12 +367,10 @@ fn run_snapshot_build(options: &Options) -> ExitCode {
         Err(code) => return code,
     };
     let prepared = match source {
-        Loaded::Text(db) => PreparedDb::from_database_sharded(db, options.shards, options.threads),
+        Loaded::Text(db) => PreparedDb::from_database_sharded(db, options.shards),
         // Rebuilding an image from an image is a copy, but a valid one
         // (and, with --shards, a re-partitioning one).
-        Loaded::Prepared(prepared) if options.shards > 1 => {
-            prepared.reshard(options.shards, options.threads)
-        }
+        Loaded::Prepared(prepared) if options.shards > 1 => prepared.reshard(options.shards),
         Loaded::Prepared(prepared) => *prepared,
     };
     match prepared.write_snapshot(out) {
@@ -435,10 +432,7 @@ fn run_snapshot_info(options: &Options) -> ExitCode {
     }
     println!("sections:  (name, id, offset, bytes, elements)");
     for entry in image.sections() {
-        let name = match section_id::shard_of(entry.id) {
-            Some(shard) => format!("{}[{shard}]", section_id::name(entry.id)),
-            None => section_id::name(entry.id).to_owned(),
-        };
+        let name = section_id::name(entry.id);
         println!(
             "  {name:24} id={:<6} @{:>10} {:>12} bytes  {:>12} x {}B",
             entry.id, entry.offset, entry.byte_len, entry.count, entry.elem_size,
@@ -765,12 +759,15 @@ fn run_stats(source: &Loaded) -> ExitCode {
         seqdb::simd::active_backend().name(),
         seqdb::simd::detected_features()
     );
+    // The ranges of the one store and index that parallel runs split
+    // along; the directories and sentinels count in range 0.
     if let Loaded::Prepared(prepared) = source {
         if prepared.shard_count() > 1 {
             for f in prepared.shard_footprints() {
+                let seqs = prepared.shard_map().range(f.shard);
                 println!(
-                    "  shard {:<3} {:>8} sequences  {:>10} events  {:>12} store B  {:>12} index B",
-                    f.shard, f.sequences, f.events, f.store_bytes, f.index_bytes,
+                    "  range {:<3} seqs {:>8}..{:<8} {:>10} events  {:>12} store B  {:>12} index B",
+                    f.shard, seqs.start, seqs.end, f.events, f.store_bytes, f.index_bytes,
                 );
             }
         }
@@ -1254,7 +1251,7 @@ mod tests {
         assert_eq!(parse(&["--demo"]).shards, 1);
         let flat = parse(&["--demo", "--min-sup", "2"]);
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let sharded = PreparedDb::from_database_sharded(db.clone(), 2, 1);
+        let sharded = PreparedDb::from_database_sharded(db.clone(), 2);
         assert_eq!(
             options.apply(sharded.miner()).run().patterns,
             flat.miner(&db).run().patterns,
@@ -1267,7 +1264,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let image = dir.join(format!("rgs-cli-shards-{}.snap", std::process::id()));
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AABB"]);
-        PreparedDb::from_database_sharded(db.clone(), 2, 1)
+        PreparedDb::from_database_sharded(db.clone(), 2)
             .write_snapshot(&image)
             .expect("write");
         let options = parse(&["--snapshot", image.to_str().unwrap(), "--min-sup", "2"]);
@@ -1280,6 +1277,34 @@ mod tests {
             source.miner(&options).run().patterns,
             options.miner(&db).run().patterns
         );
+        std::fs::remove_file(&image).ok();
+
+        // The same 2-range build through `snapshot build --shards 2` from a
+        // text corpus, then `--snapshot`: the ranges and patterns survive.
+        let input = dir.join(format!("rgs-cli-shards-{}.txt", std::process::id()));
+        std::fs::write(&input, "A B C A C B D D B\nA C D B A C A D D\nA A B B\n").expect("input");
+        let build = parse(&[
+            "snapshot",
+            "build",
+            "--input",
+            input.to_str().unwrap(),
+            "--shards",
+            "2",
+            "--out",
+            image.to_str().unwrap(),
+        ]);
+        assert_eq!(run_snapshot_build(&build), ExitCode::SUCCESS);
+        let source = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
+        let Loaded::Prepared(ref prepared) = source else {
+            panic!("snapshot source must be prepared");
+        };
+        assert_eq!(prepared.shard_count(), 2);
+        assert_eq!(prepared.image_version(), Some(5));
+        assert_eq!(
+            source.miner(&options).run().patterns,
+            options.miner(&db).run().patterns
+        );
+        std::fs::remove_file(&input).ok();
         std::fs::remove_file(&image).ok();
     }
 

@@ -225,7 +225,7 @@ fn walk<O: Output>(
 }
 
 /// The parallel form of [`run_solo`]: the seed subtrees fan out through the
-/// two-level (shard × seed) queue, each walked by its own one-member scan
+/// two-level (range × seed) queue, each walked by its own one-member scan
 /// that buffers what the member would emit, and the buffers are merged into
 /// the caller's member in seed order — the sequential emission order.
 ///
@@ -248,7 +248,7 @@ fn run_parallel(
     let sc = prepared.support_computer();
     let seeds = fan_out_shard_seeds(
         threads,
-        prepared.parts.index.num_shards(),
+        sc.shard_count(),
         plan.events.len(),
         |i, shard| {
             let mut fragment = SupportSet::new();

@@ -217,13 +217,17 @@ impl DbHandle<'_> {
     /// by later calls; a snapshot lends its own.
     pub(crate) fn with_view<R>(
         &self,
-        parts: &mut Option<PreparedParts>,
+        parts: &mut Option<Box<PreparedParts>>,
         f: impl FnOnce(PreparedRef<'_>) -> R,
     ) -> R {
         match self {
             DbHandle::Raw(db) => {
-                let parts = parts.get_or_insert_with(|| PreparedParts::build(db));
-                f(PreparedRef { db, parts })
+                let parts = parts.get_or_insert_with(|| Box::new(PreparedParts::build(db)));
+                f(PreparedRef {
+                    db,
+                    parts,
+                    shards: None,
+                })
             }
             DbHandle::Prepared(prepared) => f(prepared.as_prepared_ref()),
             DbHandle::Shared(prepared) => f(prepared.as_prepared_ref()),

@@ -14,7 +14,9 @@
 //! instances to grow, in what order, into which support set); the kernel
 //! owns the *mechanics* of finding each lane's next admissible position.
 
-use seqdb::{EventId, InvertedIndex, RunSet, SequenceDatabase, ShardedIndex};
+use std::ops::Range;
+
+use seqdb::{EventId, InvertedIndex, RunSet, SequenceDatabase, ShardMap};
 
 use crate::instance::{Instance, Landmark};
 use crate::kernel;
@@ -30,51 +32,61 @@ use crate::support::{reconstruct_landmarks_impl, SupportSet};
 /// from a longer-lived snapshot such as a
 /// [`PreparedDb`](crate::PreparedDb) ([`SupportComputer::borrowed`], O(1)).
 ///
-/// Since the sharding refactor the index is a [`ShardedIndex`]: one CSR
-/// index per shard, queried through global sequence ids. A single-shard
-/// index routes with zero overhead, and a multi-shard one returns
-/// bit-identical answers (posting lists are the same rows, split), so every
-/// support computation — and therefore every mining mode — is oblivious to
-/// the partition.
+/// A computer borrowed from a sharded [`PreparedDb`](crate::PreparedDb)
+/// also knows its [`ShardMap`], whose sequence ranges split an initial
+/// support set into fragments ([`Self::initial_support_fragment_into`]);
+/// every support computation is oblivious to the ranges.
 #[derive(Debug)]
 pub struct SupportComputer<'a> {
     db: &'a SequenceDatabase,
     index: IndexHandle<'a>,
+    /// `None` is one range over the whole database.
+    shards: Option<&'a ShardMap>,
 }
 
-/// Owned-or-borrowed storage for the (sharded) inverted index.
+/// Owned-or-borrowed storage for the inverted index.
 #[derive(Debug)]
 enum IndexHandle<'a> {
-    Owned(ShardedIndex),
-    Borrowed(&'a ShardedIndex),
+    Owned(InvertedIndex),
+    Borrowed(&'a InvertedIndex),
 }
 
 impl<'a> SupportComputer<'a> {
     /// Builds the inverted index for `db` and wraps both.
     pub fn new(db: &'a SequenceDatabase) -> Self {
-        Self {
-            index: IndexHandle::Owned(ShardedIndex::single(db.inverted_index())),
-            db,
-        }
+        Self::with_index(db, db.inverted_index())
     }
 
-    /// Wraps a database together with a pre-built flat index (treated as a
-    /// single shard).
+    /// Wraps a database together with a pre-built index.
     pub fn with_index(db: &'a SequenceDatabase, index: InvertedIndex) -> Self {
         Self {
             db,
-            index: IndexHandle::Owned(ShardedIndex::single(index)),
+            index: IndexHandle::Owned(index),
+            shards: None,
         }
     }
 
     /// Wraps a database together with a borrowed pre-built index — O(1), no
     /// index construction. This is how queries share the index owned by a
     /// [`PreparedDb`](crate::PreparedDb).
-    pub fn borrowed(db: &'a SequenceDatabase, index: &'a ShardedIndex) -> Self {
+    pub fn borrowed(db: &'a SequenceDatabase, index: &'a InvertedIndex) -> Self {
         Self {
             db,
             index: IndexHandle::Borrowed(index),
+            shards: None,
         }
+    }
+
+    /// This computer with its initial support sets split along the ranges
+    /// of `map` ([`Self::initial_support_fragment_into`]).
+    pub fn with_shards(mut self, map: &'a ShardMap) -> Self {
+        self.shards = Some(map);
+        self
+    }
+
+    /// Number of sequence ranges the initial support sets split into.
+    pub fn shard_count(&self) -> usize {
+        self.shards.map_or(1, ShardMap::num_shards)
     }
 
     /// The underlying database.
@@ -82,8 +94,8 @@ impl<'a> SupportComputer<'a> {
         self.db
     }
 
-    /// The underlying (sharded) inverted index.
-    pub fn index(&self) -> &ShardedIndex {
+    /// The underlying inverted index.
+    pub fn index(&self) -> &InvertedIndex {
         match &self.index {
             IndexHandle::Owned(index) => index,
             IndexHandle::Borrowed(index) => index,
@@ -102,27 +114,34 @@ impl<'a> SupportComputer<'a> {
     /// [`Self::initial_support_set`] writing into a caller-provided set
     /// whose allocation is reused (cleared first).
     pub fn initial_support_set_into(&self, event: EventId, out: &mut SupportSet) {
-        out.clear();
-        for (seq, positions) in self.index().sequences_with_event(event) {
-            for &pos in positions {
-                out.push(Instance::new(seq as u32, pos, pos));
-            }
-        }
+        self.initial_support_in(event, 0..self.db.num_sequences(), out);
     }
 
     /// The fragment of [`Self::initial_support_set`] contributed by one
-    /// shard: every occurrence of `event` inside `shard`'s sequence range,
-    /// with **global** sequence ids. Fragments concatenated in shard order
-    /// are exactly the full initial support set — this per-`(seed, shard)`
-    /// unit is what the two-level parallel work queue fans out.
+    /// sequence range: every occurrence of `event` inside range `shard` of
+    /// the [`ShardMap`] (range 0 is the whole database when there is
+    /// none). Fragments concatenated in range order are exactly the full
+    /// initial support set — this per-`(seed, range)` unit is what the
+    /// two-level parallel work queue fans out.
     pub fn initial_support_fragment_into(
         &self,
         event: EventId,
         shard: usize,
         out: &mut SupportSet,
     ) {
+        let seqs = match self.shards {
+            Some(map) => map.range(shard),
+            None if shard == 0 => 0..self.db.num_sequences(),
+            None => 0..0,
+        };
+        self.initial_support_in(event, seqs, out);
+    }
+
+    /// Every occurrence of `event` in the sequences `seqs`, in position
+    /// order, written into `out` (cleared first).
+    fn initial_support_in(&self, event: EventId, seqs: Range<usize>, out: &mut SupportSet) {
         out.clear();
-        for (seq, positions) in self.index().shard_sequences_with_event(shard, event) {
+        for (seq, positions) in self.index().sequences_with_event_in(event, seqs) {
             for &pos in positions {
                 out.push(Instance::new(seq as u32, pos, pos));
             }

@@ -28,7 +28,7 @@
 //! next to the mining DFS — so it is deliberately *not* routed through the
 //! batched [`crate::kernel`] tiers that vectorize the hot growth pass.
 
-use seqdb::{EventId, PostingCursor, ShardedIndex};
+use seqdb::{EventId, InvertedIndex, PostingCursor};
 
 use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
@@ -118,7 +118,7 @@ impl InstanceBuffer {
     /// Seeds the buffer with every occurrence of `event`: the leftmost
     /// support set of the single-event pattern, with stride 1 (line 1 of
     /// Algorithm 1). Reuses the buffer's capacity.
-    pub fn seed(&mut self, index: &ShardedIndex, event: EventId) {
+    pub fn seed(&mut self, index: &InvertedIndex, event: EventId) {
         self.clear();
         self.stride = 1;
         for (seq, positions) in index.sequences_with_event(event) {
@@ -138,7 +138,7 @@ impl InstanceBuffer {
     /// The next generation is written into the spare columns (capacity
     /// retained across calls) and swapped in — zero allocations once the
     /// buffers are warm.
-    pub fn grow(&mut self, index: &ShardedIndex, event: EventId, constraints: &GapConstraints) {
+    pub fn grow(&mut self, index: &InvertedIndex, event: EventId, constraints: &GapConstraints) {
         let stride = self.stride;
         debug_assert!(stride > 0, "grow() needs a seeded buffer");
         let Self {
@@ -218,7 +218,7 @@ impl InstanceBuffer {
     /// [`ConstrainedSupportComputer::support_landmarks`](crate::constrained::ConstrainedSupportComputer::support_landmarks).
     pub fn reconstruct(
         &mut self,
-        index: &ShardedIndex,
+        index: &InvertedIndex,
         pattern: &Pattern,
         constraints: &GapConstraints,
     ) {
@@ -276,7 +276,7 @@ mod tests {
         // Table IV: the leftmost support set of ACB is
         // {(1,<1,3,6>), (1,<4,5,9>), (2,<1,2,4>)}.
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let mut buffer = InstanceBuffer::new();
         buffer.reconstruct(&index, &pattern(&db, "ACB"), &GapConstraints::unbounded());
         assert_eq!(buffer.len(), 3);
@@ -297,7 +297,7 @@ mod tests {
     fn constrained_reconstruct_respects_max_gap() {
         // Contiguous AC: (1,<4,5>), (2,<1,2>), (2,<5,6>).
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let mut buffer = InstanceBuffer::new();
         buffer.reconstruct(&index, &pattern(&db, "AC"), &GapConstraints::max_gap(0));
         assert_eq!(
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn empty_pattern_and_dead_pattern_clear_the_buffer() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let mut buffer = InstanceBuffer::new();
         buffer.reconstruct(&index, &Pattern::empty(), &GapConstraints::unbounded());
         assert!(buffer.is_empty());
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn buffer_is_reusable_across_patterns() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let mut buffer = InstanceBuffer::new();
         buffer.reconstruct(&index, &pattern(&db, "ACB"), &GapConstraints::unbounded());
         let first = buffer.to_landmarks();
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn seed_yields_every_occurrence_in_order() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let a = db.catalog().id("A").unwrap();
         let mut buffer = InstanceBuffer::new();
         buffer.seed(&index, a);

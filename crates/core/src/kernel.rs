@@ -59,7 +59,7 @@
 //! separate `take_while` pre-scan that touches every instance twice.
 
 use seqdb::simd::{gt_mask64, KernelBackend, BLOCK_LANES};
-use seqdb::{EventId, PostingCursor, RunSet, ShardedIndex};
+use seqdb::{EventId, InvertedIndex, PostingCursor, RunSet};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
@@ -86,7 +86,7 @@ const COOL_DOWN: usize = 8;
 /// output either way, bit for bit. `runs`, when given, is the [`RunSet`]
 /// of `instances`.
 pub(crate) fn grow_unconstrained(
-    index: &ShardedIndex,
+    index: &InvertedIndex,
     event: EventId,
     instances: &[Instance],
     runs: Option<&RunSet>,
@@ -195,7 +195,7 @@ pub(crate) fn grow_unconstrained(
 /// instance's window, whose bounds differ); row exhaustion ends the run for
 /// every remaining instance of the sequence.
 pub(crate) fn grow_constrained(
-    index: &ShardedIndex,
+    index: &InvertedIndex,
     event: EventId,
     constraints: &GapConstraints,
     instances: &[Instance],
@@ -288,7 +288,7 @@ fn run_end(instances: &[Instance], mut i: usize, seq: u32) -> usize {
 /// ratio of this function measures the kernels and nothing else. It runs
 /// on the active (or forced) backend.
 #[must_use]
-pub fn grow_layer(index: &ShardedIndex, seeds: &[SupportSet], events: &[EventId]) -> u64 {
+pub fn grow_layer(index: &InvertedIndex, seeds: &[SupportSet], events: &[EventId]) -> u64 {
     let backend = seqdb::simd::active_backend();
     let mut out = SupportSet::new();
     let mut emitted = 0u64;
@@ -330,7 +330,7 @@ mod tests {
     }
 
     fn grow(
-        index: &ShardedIndex,
+        index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
         target: usize,
@@ -342,7 +342,7 @@ mod tests {
     }
 
     fn grow_gapped(
-        index: &ShardedIndex,
+        index: &InvertedIndex,
         event: EventId,
         constraints: &GapConstraints,
         instances: &[Instance],
@@ -354,7 +354,7 @@ mod tests {
 
     /// The naive per-call loop the unconstrained kernel replaces.
     fn naive_unconstrained(
-        index: &ShardedIndex,
+        index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
     ) -> Vec<Instance> {
@@ -365,7 +365,7 @@ mod tests {
     /// `next(S, e, lowest)` per instance, a window check, and a dead run
     /// once the row is exhausted.
     fn naive_constrained(
-        index: &ShardedIndex,
+        index: &InvertedIndex,
         event: EventId,
         constraints: &GapConstraints,
         instances: &[Instance],
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn unconstrained_kernel_matches_the_per_call_probe() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
             let expected = naive_unconstrained(&index, event, &instances);
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn unconstrained_kernel_honors_the_target_early_exit() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let b = db.catalog().id("B").expect("B interned");
         let instances = multi_run_instances();
         // An unreachable target aborts after the first sequence's run —
@@ -447,7 +447,7 @@ mod tests {
         // ending at 3 cannot reach 7, but the rejected position 7 must stay
         // available for a later instance ending at 6.
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let d = db.catalog().id("D").expect("D interned");
         let contiguous = GapConstraints::max_gap(0);
         let instances = vec![
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn unbounded_constraints_degenerate_to_the_unconstrained_kernel() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let unbounded = GapConstraints::unbounded();
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
@@ -524,7 +524,7 @@ mod tests {
                 .collect();
             let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
             let db = SequenceDatabase::from_str_rows(&refs);
-            let index = ShardedIndex::single(db.inverted_index());
+            let index = db.inverted_index();
 
             // Right-shift-sorted instances with duplicate-heavy runs, some
             // spanning several blocks.
@@ -564,7 +564,7 @@ mod tests {
 
     /// A database of `"B" * b + "A" * a` rows, its index, and `A`, whose
     /// posting row in sequence `s` is `b_s + 1 ..= b_s + a_s`.
-    fn b_then_a(rows: &[(usize, usize)]) -> (ShardedIndex, EventId) {
+    fn b_then_a(rows: &[(usize, usize)]) -> (InvertedIndex, EventId) {
         let rows: Vec<String> = rows
             .iter()
             .map(|&(b, a)| "B".repeat(b) + &"A".repeat(a))
@@ -572,7 +572,7 @@ mod tests {
         let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
         let db = SequenceDatabase::from_str_rows(&refs);
         let a = db.catalog().id("A").expect("A interned");
-        (ShardedIndex::single(db.inverted_index()), a)
+        (db.inverted_index(), a)
     }
 
     /// The instances `(seq, k, k)` for each `k` in `lasts`.
@@ -584,7 +584,7 @@ mod tests {
     /// scalar backend, and that against the naive probe when no `target`
     /// is set; returns the scalar result.
     fn check_backends(
-        index: &ShardedIndex,
+        index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
         target: usize,

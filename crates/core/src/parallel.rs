@@ -1,4 +1,4 @@
-//! Parallel execution: a two-level (shard × seed) work queue feeding
+//! Parallel execution: a two-level (range × seed) work queue feeding
 //! deterministic seed-order merges.
 //!
 //! The DFS driver ([`crate::batch`]) has one outer loop: for each frequent
@@ -16,17 +16,17 @@
 //! # The two levels
 //!
 //! Under a sharded [`PreparedDb`](crate::PreparedDb) the work decomposes
-//! one level further. A seed's *initial support set* is the concatenation,
-//! in shard order, of per-shard fragments (every occurrence of the seed
-//! inside one shard) — per-`(seed, shard)` units with no mutual
-//! dependencies at all, fanned out first by [`fan_out_shard_seeds`]. The
-//! *subtree DFS* that consumes the assembled set stays seed-granular by
-//! necessity: whether a pattern is grown depends on its support **summed
-//! across shards** (the threshold test of Algorithms 3/4), so shards
-//! cannot explore the tree independently without approximating — instead
-//! every growth step inside a subtree routes its `next` queries through
-//! the per-shard indexes and sums exactly. Per-shard index *builds* at
-//! prepare time fan out the same way (the shard level with one seed).
+//! one level further. Its [`seqdb::ShardMap`] splits the sequences into
+//! ranges of the one index, and a seed's *initial support set* is the
+//! concatenation, in range order, of per-range fragments (every occurrence
+//! of the seed inside one range, a slice of its rows) — per-`(seed, range)`
+//! units with no mutual dependencies at all, fanned out first by
+//! [`fan_out_shard_seeds`]. The *subtree DFS* that consumes the assembled
+//! set stays seed-granular by necessity: whether a pattern is grown depends
+//! on its support **summed across ranges** (the threshold test of
+//! Algorithms 3/4), so ranges cannot explore the tree independently
+//! without approximating — instead every growth step inside a subtree
+//! reads the whole index, which answers every sequence exactly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -74,8 +74,8 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The two-level (shard × seed) fan-out: a grid phase computes one
-/// *fragment* per `(seed, shard)` pair — `num_seeds * num_shards`
+/// The two-level (range × seed) fan-out: a grid phase computes one
+/// *fragment* per `(seed, range)` pair — `num_seeds * num_shards`
 /// independent tasks pulled from one atomic queue — then the seed phase
 /// hands each seed its fragments (in shard order) and mines the subtree,
 /// with results returned **in seed order**.
@@ -83,10 +83,10 @@ where
 /// Both phases load-balance dynamically; the barrier between them is what
 /// keeps the construction simple and deterministic. The grid phase does
 /// hold every seed's fragments at once — the price of cross-seed fragment
-/// parallelism — so it only runs when there are actually multiple shards;
-/// with one shard (or one thread, or one seed) each seed's fragment is
-/// computed inside its own worker, which keeps single-shard parallel runs
-/// at the pre-sharding peak memory of O(threads) live support sets.
+/// parallelism — so it only runs when there are actually multiple ranges;
+/// with one range (or one thread, or one seed) each seed's fragment is
+/// computed inside its own worker, which keeps single-range parallel runs
+/// at a peak memory of O(threads) live support sets.
 pub(crate) fn fan_out_shard_seeds<P, R, PF, SF>(
     threads: usize,
     num_shards: usize,

@@ -4,7 +4,7 @@
 //! interning, the inverted event index of §III-D, and the per-event
 //! occurrence counts behind the frequent-event scan of Algorithms 3 and 4.
 //! [`PreparedDb`] performs that work exactly once and owns the result — the
-//! event catalog, the sequences, the [`ShardedIndex`], the occurrence
+//! event catalog, the sequences, the [`InvertedIndex`], the occurrence
 //! counts, and the frequency-pruned event order — as an immutable snapshot
 //! that any number of queries (and threads: the snapshot is `Send + Sync`
 //! and `Arc`-shareable) can borrow.
@@ -31,10 +31,11 @@
 //! ```
 
 use std::path::Path;
+use std::sync::Arc;
 
 use seqdb::{
-    DatabaseStats, EventCatalog, EventId, SequenceDatabase, ShardedIndex, ShardedSeqStore,
-    SharedSlice, SnapshotError,
+    DatabaseStats, EventCatalog, EventId, InvertedIndex, SequenceDatabase, ShardMap, SharedSlice,
+    SnapshotError,
 };
 
 use crate::engine::{Miner, MiningRequest};
@@ -52,10 +53,8 @@ use crate::growth::SupportComputer;
 /// the difference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PreparedParts {
-    /// The inverted event index of §III-D — one CSR index per shard,
-    /// queried through global sequence ids (a single shard when the
-    /// database was prepared flat).
-    pub index: ShardedIndex,
+    /// The inverted event index of §III-D over the whole database.
+    pub index: InvertedIndex,
     /// `occurrence_counts[event.index()]` = total occurrences of `event`,
     /// i.e. the repetitive support of the single-event pattern.
     pub occurrence_counts: SharedSlice<u64>,
@@ -66,19 +65,9 @@ pub(crate) struct PreparedParts {
 }
 
 impl PreparedParts {
-    /// Builds the parts in one pass over `db` (single shard).
+    /// Builds the parts in one pass over `db`.
     pub fn build(db: &SequenceDatabase) -> Self {
-        Self::from_index(db, ShardedIndex::single(db.inverted_index()))
-    }
-
-    /// Builds the parts over a sharded store: one index per shard, built on
-    /// up to `threads` workers. Counts and event order are identical to the
-    /// flat build (per-shard totals sum exactly).
-    pub fn build_sharded(db: &SequenceDatabase, store: &ShardedSeqStore, threads: usize) -> Self {
-        Self::from_index(db, ShardedIndex::build(store, db.num_events(), threads))
-    }
-
-    fn from_index(db: &SequenceDatabase, index: ShardedIndex) -> Self {
+        let index = db.inverted_index();
         let occurrence_counts = index.total_counts();
         let event_order = db
             .catalog()
@@ -117,13 +106,20 @@ impl PreparedParts {
 pub(crate) struct PreparedRef<'a> {
     pub db: &'a SequenceDatabase,
     pub parts: &'a PreparedParts,
+    /// The sequence ranges parallel runs split the seeds' initial support
+    /// sets along; `None` is one range over the whole database.
+    pub shards: Option<&'a ShardMap>,
 }
 
 impl<'a> PreparedRef<'a> {
     /// A borrowed-index support computer over this view (O(1): no index is
     /// built).
     pub fn support_computer(self) -> SupportComputer<'a> {
-        SupportComputer::borrowed(self.db, &self.parts.index)
+        let sc = SupportComputer::borrowed(self.db, &self.parts.index);
+        match self.shards {
+            Some(map) => sc.with_shards(map),
+            None => sc,
+        }
     }
 }
 
@@ -138,7 +134,8 @@ impl<'a> PreparedRef<'a> {
 pub struct ImageInfo {
     /// The FNV-1a 64 full-file checksum from the image header.
     pub checksum: u64,
-    /// The snapshot format version (1 through 3).
+    /// The snapshot format version (always 5, the only one this build
+    /// reads).
     pub version: u32,
 }
 
@@ -153,12 +150,13 @@ pub struct ImageInfo {
 /// requests from many threads.
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
-    db: SequenceDatabase,
-    /// The store split into per-shard windows (a single full-range window
-    /// when prepared flat). After `share_store` the windows alias the
-    /// database's arena, so this costs offset tables, not event copies.
-    store_shards: ShardedSeqStore,
-    parts: PreparedParts,
+    /// The database and its prepared parts sit behind `Arc`s, so a clone or
+    /// a [`PreparedDb::reshard`] shares them instead of copying.
+    db: Arc<SequenceDatabase>,
+    parts: Arc<PreparedParts>,
+    /// The sequence ranges parallel runs split their work along (one range
+    /// when prepared flat).
+    shards: ShardMap,
     /// `Some` when this preparation was reconstructed from a snapshot
     /// image, `None` for heap builds.
     image: Option<ImageInfo>,
@@ -169,7 +167,7 @@ impl PartialEq for PreparedDb {
         // `image` is provenance, not content: a snapshot reopened from disk
         // equals the heap-built preparation it was written from (the
         // round-trip suites assert exactly that).
-        self.db == other.db && self.store_shards == other.store_shards && self.parts == other.parts
+        self.db == other.db && self.parts == other.parts && self.shards == other.shards
     }
 }
 
@@ -183,46 +181,41 @@ impl PreparedDb {
 
     /// Prepares a snapshot taking ownership of `db` (no clone).
     pub fn from_database(db: SequenceDatabase) -> Self {
-        Self::from_database_sharded(db, 1, 1)
+        Self::from_database_sharded(db, 1)
     }
 
-    /// [`PreparedDb::new`] with the store partitioned into `shards` shards
-    /// at event-mass-balanced sequence boundaries.
-    pub fn new_sharded(db: &SequenceDatabase, shards: usize, threads: usize) -> Self {
-        Self::from_database_sharded(db.clone(), shards, threads)
+    /// [`PreparedDb::new`] with the sequences split into `shards` ranges at
+    /// event-mass-balanced boundaries.
+    pub fn new_sharded(db: &SequenceDatabase, shards: usize) -> Self {
+        Self::from_database_sharded(db.clone(), shards)
     }
 
-    /// Prepares a sharded snapshot taking ownership of `db`: the flat store
-    /// is promoted to shared storage and split into per-shard zero-copy
-    /// windows, and one inverted index per shard is built on up to
-    /// `threads` workers. Every query — and every mining mode — over the
-    /// sharded snapshot is bit-identical to the flat preparation; only the
-    /// physical layout (and the parallelism it unlocks) changes.
-    pub fn from_database_sharded(mut db: SequenceDatabase, shards: usize, threads: usize) -> Self {
-        db.share_store();
-        let store_shards = ShardedSeqStore::from_store(db.store().clone(), shards);
-        let parts = PreparedParts::build_sharded(&db, &store_shards, threads);
+    /// Prepares a snapshot taking ownership of `db`, with its sequences
+    /// split into `shards` event-mass-balanced ranges of the one index.
+    /// Every query — and every mining mode — is bit-identical to the flat
+    /// preparation; the ranges only decide how parallel runs split the
+    /// seeds' initial support sets.
+    pub fn from_database_sharded(db: SequenceDatabase, shards: usize) -> Self {
+        let parts = PreparedParts::build(&db);
+        let shards = ShardMap::by_event_mass(db.store().offsets(), shards);
         Self {
-            db,
-            store_shards,
-            parts,
+            db: Arc::new(db),
+            parts: Arc::new(parts),
+            shards,
             image: None,
         }
     }
 
-    /// Re-prepares this snapshot with a different shard count (the
-    /// rebalance path): the shared arena is re-windowed — no event is
-    /// copied — and per-shard indexes are rebuilt on up to `threads`
-    /// workers. Image provenance carries over: the corpus bytes are
-    /// unchanged, and mining output is shard-invariant, so the checksum
+    /// This snapshot with its sequences split into `shards` ranges instead:
+    /// the map is recomputed, and the database and index are shared, not
+    /// rebuilt or copied. Image provenance carries over: the corpus bytes
+    /// are unchanged, and mining output is shard-invariant, so the checksum
     /// still identifies the result set.
-    pub fn reshard(&self, shards: usize, threads: usize) -> Self {
-        let store_shards = self.store_shards.rebalance(shards);
-        let parts = PreparedParts::build_sharded(&self.db, &store_shards, threads);
+    pub fn reshard(&self, shards: usize) -> Self {
         Self {
-            db: self.db.clone(),
-            store_shards,
-            parts,
+            db: Arc::clone(&self.db),
+            parts: Arc::clone(&self.parts),
+            shards: ShardMap::by_event_mass(self.db.store().offsets(), shards),
             image: self.image,
         }
     }
@@ -254,14 +247,14 @@ impl PreparedDb {
     /// loader's constructor), recording which image it came from.
     pub(crate) fn from_parts(
         db: SequenceDatabase,
-        store_shards: ShardedSeqStore,
         parts: PreparedParts,
+        shards: ShardMap,
         image: Option<ImageInfo>,
     ) -> Self {
         Self {
-            db,
-            store_shards,
-            parts,
+            db: Arc::new(db),
+            parts: Arc::new(parts),
+            shards,
             image,
         }
     }
@@ -284,8 +277,8 @@ impl PreparedDb {
         self.image.map(|info| info.checksum)
     }
 
-    /// The snapshot format version (1 through 3) of the backing image,
-    /// `None` for heap builds.
+    /// The snapshot format version of the backing image (always 5, the
+    /// only one this build reads), `None` for heap builds.
     pub fn image_version(&self) -> Option<u32> {
         self.image.map(|info| info.version)
     }
@@ -295,39 +288,51 @@ impl PreparedDb {
         self.db.catalog()
     }
 
-    /// The (sharded) inverted event index built at preparation time.
-    pub fn index(&self) -> &ShardedIndex {
+    /// The inverted event index built at preparation time.
+    pub fn index(&self) -> &InvertedIndex {
         &self.parts.index
     }
 
-    /// Number of shards this snapshot is partitioned into (1 when prepared
-    /// flat).
+    /// Number of sequence ranges this snapshot is split into (1 when
+    /// prepared flat).
     pub fn shard_count(&self) -> usize {
-        self.store_shards.num_shards()
+        self.shards.num_shards()
     }
 
-    /// The per-shard store windows.
-    pub fn store_shards(&self) -> &ShardedSeqStore {
-        &self.store_shards
+    /// The sequence ranges parallel runs split their work along.
+    pub fn shard_map(&self) -> &ShardMap {
+        &self.shards
     }
 
-    /// Per-shard footprint breakdown: sequences, events, and the store /
-    /// index byte contributions of each shard. Summed over shards this
-    /// matches the whole-database numbers (the store column counts each
-    /// shard's window — arena slice plus local offsets — so the total can
-    /// exceed [`seqdb::SeqStore::heap_bytes`] of the flat store only by the
-    /// duplicated offset tables).
+    /// Per-range footprint breakdown: sequences, events, and the store and
+    /// index bytes of each range. Summed over the ranges these are exactly
+    /// [`seqdb::SeqStore::heap_bytes`] and [`InvertedIndex::heap_bytes`]:
+    /// the parts no range owns — the store's offsets sentinel, the index's
+    /// two directories and its row-offsets sentinel — count in range 0.
     pub fn shard_footprints(&self) -> Vec<ShardFootprint> {
+        let store = self.db.store();
+        let index = &self.parts.index;
+        let whole = 0..self.db.num_sequences();
+        // The store's offsets sentinel and the index's directories.
+        let shared_store = std::mem::size_of::<u32>();
+        let shared_index = index.heap_bytes() - index.range_bytes(whole);
         (0..self.shard_count())
             .map(|k| {
-                let store = self.store_shards.shard(k);
-                let index = self.parts.index.shard(k);
+                let range = self.shards.range(k);
+                let events = range.clone().map(|seq| store.seq_len(seq)).sum::<usize>();
+                let (store_extra, index_extra) = if k == 0 {
+                    (shared_store, shared_index)
+                } else {
+                    (0, 0)
+                };
                 ShardFootprint {
                     shard: k,
-                    sequences: store.num_sequences(),
-                    events: store.total_length(),
-                    store_bytes: store.heap_bytes(),
-                    index_bytes: index.heap_bytes(),
+                    sequences: range.len(),
+                    events,
+                    store_bytes: store.element_bytes() * events
+                        + std::mem::size_of::<u32>() * range.len()
+                        + store_extra,
+                    index_bytes: index.range_bytes(range) + index_extra,
                 }
             })
             .collect()
@@ -363,26 +368,20 @@ impl PreparedDb {
     }
 
     /// Heap bytes held by the snapshot's arenas: the columnar event store,
-    /// the CSR inverted index (summed over shards), and — under sharding —
-    /// the per-shard window tables (local offsets plus the shard map; the
-    /// windows alias the shared event arena, which is counted once). These
-    /// are the flat buffers every query (and every parallel worker, through
+    /// the inverted index and the shard map's boundaries. These are the
+    /// flat buffers every query (and every parallel worker, through
     /// `PreparedRef` slices) shares without copying.
     pub fn heap_bytes(&self) -> usize {
-        let window_overhead = if self.shard_count() > 1 {
-            self.store_shards.window_overhead_bytes()
-        } else {
-            0
-        };
-        self.db.store().heap_bytes() + self.parts.index.heap_bytes() + window_overhead
+        self.db.store().heap_bytes()
+            + self.parts.index.heap_bytes()
+            + std::mem::size_of_val(self.shards.bounds())
     }
 
     /// Proves the cross-component invariants of this live snapshot — the
     /// same composition rules `seqdb::snapshot::verify` checks statically on
     /// an image file: store/catalog dimension agreement, every arena event
-    /// inside the alphabet, the shard map partitioning the sequence range
-    /// exactly with each shard window matching the global CSR table,
-    /// occurrence counts equal to an actual recount, and the candidate
+    /// inside the alphabet, the shard map covering the sequence range,
+    /// the index covering the database, occurrence counts equal to an actual recount, and the candidate
     /// order being exactly the occurring events in catalog order.
     ///
     /// Returns every violated invariant as a human-readable message;
@@ -420,51 +419,21 @@ impl PreparedDb {
             ));
         }
 
-        // The shard layer: store windows and indexes agree with the map,
-        // and the map partitions the sequence range exactly.
-        let shards = &self.store_shards;
-        if shards.map().num_sequences() != num_sequences {
+        // The shard map covers the sequences (its constructors enforce
+        // that it partitions them), and the index covers the database.
+        if self.shards.num_sequences() != num_sequences {
             violations.push(format!(
                 "shard map covers {} sequences, database has {num_sequences}",
-                shards.map().num_sequences()
+                self.shards.num_sequences()
             ));
         }
-        if self.parts.index.num_shards() != shards.num_shards() {
+        let index = &self.parts.index;
+        if index.num_sequences() != num_sequences || index.num_events() != num_events {
             violations.push(format!(
-                "{} index shards for {} store shards",
-                self.parts.index.num_shards(),
-                shards.num_shards()
-            ));
-        }
-        let mut covered = 0usize;
-        let mut windowed = 0usize;
-        for k in 0..shards.num_shards() {
-            let range = shards.map().range(k);
-            if range.start != covered {
-                violations.push(format!(
-                    "shard {k} starts at sequence {} but the previous shard ends at {covered}",
-                    range.start
-                ));
-            }
-            covered = range.end;
-            let window = shards.shard(k);
-            if window.num_sequences() != range.len() {
-                violations.push(format!(
-                    "shard {k} window holds {} sequences, its map range holds {}",
-                    window.num_sequences(),
-                    range.len()
-                ));
-            }
-            windowed += window.total_length();
-        }
-        if covered != num_sequences {
-            violations.push(format!(
-                "shard map ends at sequence {covered}, database has {num_sequences}"
-            ));
-        }
-        if windowed != total_length {
-            violations.push(format!(
-                "shard windows hold {windowed} events in total, database has {total_length}"
+                "index covers {}x{} sequences x events, database has \
+                 {num_sequences}x{num_events}",
+                index.num_sequences(),
+                index.num_events()
             ));
         }
 
@@ -534,23 +503,26 @@ impl PreparedDb {
         PreparedRef {
             db: &self.db,
             parts: &self.parts,
+            shards: Some(&self.shards),
         }
     }
 }
 
-/// The byte footprint of one shard of a [`PreparedDb`], as reported by
-/// [`PreparedDb::shard_footprints`] and the `rgs-mine stats` breakdown.
+/// The byte footprint of one sequence range of a [`PreparedDb`], as
+/// reported by [`PreparedDb::shard_footprints`] and the `rgs-mine stats`
+/// breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardFootprint {
-    /// Shard number (0-based, map order).
+    /// Range number (0-based, map order).
     pub shard: usize,
-    /// Sequences in the shard.
+    /// Sequences in the range.
     pub sequences: usize,
-    /// Total events in the shard (its share of the arena).
+    /// Total events in the range (its share of the arena).
     pub events: usize,
-    /// Bytes of the shard's store window (arena slice + local offsets).
+    /// Bytes of the range's share of the store: its events and offsets.
     pub store_bytes: usize,
-    /// Bytes of the shard's CSR inverted index.
+    /// Bytes of the range's share of the index: its rows, ids and
+    /// positions (plus the directories, in range 0).
     pub index_bytes: usize,
 }
 
@@ -608,9 +580,9 @@ mod tests {
         let db = running_example();
         assert_eq!(PreparedDb::new(&db).verify_invariants(), Ok(()));
         for shards in [2, 3, 7] {
-            let prepared = PreparedDb::new_sharded(&db, shards, 2);
+            let prepared = PreparedDb::new_sharded(&db, shards);
             assert_eq!(prepared.verify_invariants(), Ok(()), "{shards} shards");
-            assert_eq!(prepared.reshard(1, 1).verify_invariants(), Ok(()));
+            assert_eq!(prepared.reshard(1).verify_invariants(), Ok(()));
         }
     }
 

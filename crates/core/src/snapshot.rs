@@ -2,34 +2,30 @@
 //! how it comes back out with zero copies.
 //!
 //! The format layer — header, section table, checksum, `mmap` — lives in
-//! [`seqdb::snapshot`]; this module is the *composition*. A format v4 image
-//! (the only one this build writes or reads) holds the global sections plus
-//! six sections per shard:
+//! [`seqdb::snapshot`]; this module is the *composition*. A format v5 image
+//! (the only one this build writes or reads) holds twelve sections:
 //!
 //! | section | contents |
 //! |---|---|
 //! | `meta` | `[num_sequences, num_events, total_length]` as `u64`s |
-//! | `store.events` | the flat [`seqdb::SeqStore`] event arena (global), at its narrowest width |
+//! | `store.events` | the flat [`seqdb::SeqStore`] event arena, at its narrowest width |
 //! | `store.offsets` | the store's CSR offsets (per sequence + sentinel) |
 //! | `catalog` | the interned event labels, length-prefixed UTF-8 |
 //! | `event.counts` | per-event total occurrence counts (`u64`) |
 //! | `event.order` | the frequency-pruned candidate event order |
-//! | `shard.table` | the [`seqdb::ShardMap`] boundaries (`u64`, shards + 1) |
-//! | `shard.store.offsets` ×N | shard `k`'s local CSR offsets (rebased to 0) |
-//! | `shard.index.row_dir` ×N | shard `k`'s per-event row directory (`num_events + 1`) |
-//! | `shard.index.id_dir` ×N | shard `k`'s per-event sparse-id directory (`num_events + 1`) |
-//! | `shard.index.row_offsets` ×N | shard `k`'s row boundaries (rows + 1) |
-//! | `shard.index.ids` ×N | shard `k`'s sparse sequence ids |
-//! | `shard.index.positions` ×N | shard `k`'s flat positions arena |
+//! | `shard.table` | the [`seqdb::ShardMap`] boundaries (`u64`, ranges + 1) |
+//! | `index.row_dir` | the per-event row directory (`num_events + 1`) |
+//! | `index.id_dir` | the per-event sparse-id directory (`num_events + 1`) |
+//! | `index.row_offsets` | the row boundaries (rows + 1) |
+//! | `index.ids` | the sparse sequence ids |
+//! | `index.positions` | the flat positions arena |
 //!
-//! The five index sections are the columns of the shard's event-major
+//! The five index sections are the columns of the event-major
 //! [`seqdb::InvertedIndex`] ([`seqdb::IndexColumns`]), each mapped back
 //! zero-copy. Their layout is canonical for the data (the dense/sparse rule
 //! is fixed, not an option), so a reopened image equals the preparation
-//! that wrote it. A shard's event window is **not** duplicated: it is a
-//! zero-copy [`seqdb::SharedSlice`] window of `store.events`, delimited by
-//! the shard table and the global offsets — so one mapped file can hand
-//! every process (or, later, every node) its shard subset without copying.
+//! that wrote it. The index covers the whole corpus with global sequence
+//! ids, so a shard-table range needs no section of its own.
 //!
 //! The `store.events` section is written **narrowest-fit**: when every
 //! event id fits `u16` the arena is serialized at 2 bytes per element and
@@ -37,7 +33,7 @@
 //! on-disk and resident event bytes. Larger alphabets stay at 4 bytes;
 //! opening dispatches on the section's recorded element size.
 //!
-//! Images of formats 1–3 do not open: [`PreparedDb::open_snapshot`] returns
+//! Images of formats 1–4 do not open: [`PreparedDb::open_snapshot`] returns
 //! [`SnapshotError::Unsupported`] naming the version and
 //! `rgs-mine snapshot build`, which regenerates the image.
 //!
@@ -47,8 +43,8 @@
 //! `num_events`, event-order ids against the alphabet), so a reopened
 //! snapshot upholds the same invariants as one built by
 //! [`PreparedDb::new`]. The only owned reconstructions are the catalog
-//! (label strings want owned storage) and interior shards' local offset
-//! rebasing checks — both tiny next to the arenas.
+//! (label strings want owned storage) and the shard table's few `u32`
+//! boundaries.
 //!
 //! Entry points: [`PreparedDb::write_snapshot`],
 //! [`PreparedDb::open_snapshot`], and
@@ -64,25 +60,23 @@ use seqdb::snapshot::{
 };
 use seqdb::{
     EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase, ShardMap,
-    ShardedIndex, ShardedSeqStore, SnapshotError,
+    SnapshotError,
 };
 
 use crate::prepared::{ImageInfo, PreparedDb, PreparedParts};
 
-/// Serializes `prepared` to `path` in one pass (format v4); returns bytes
+/// Serializes `prepared` to `path` in one pass (format v5); returns bytes
 /// written.
 pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, SnapshotError> {
     let db = prepared.database();
-    let index = prepared.index();
-    let store_shards = prepared.store_shards();
     let meta = [
         db.num_sequences() as u64,
         db.num_events() as u64,
         db.total_length() as u64,
     ];
     let catalog_bytes = catalog_to_bytes(db.catalog());
-    let shard_table: Vec<u64> = store_shards
-        .map()
+    let shard_table: Vec<u64> = prepared
+        .shard_map()
         .bounds()
         .iter()
         .map(|&b| u64::from(b))
@@ -122,23 +116,16 @@ pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, 
             SectionPayload::EventIds(&parts.event_order),
         )
         .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
-    for k in 0..store_shards.num_shards() {
-        writer.section(
-            section_id::shard_store_offsets(k as u32),
-            SectionPayload::U32s(store_shards.shard(k).offsets()),
-        );
-        let columns = index.shard(k).columns().as_slices();
-        for (id, column) in section_id::shard_index_columns(k as u32)
-            .into_iter()
-            .zip(columns)
-        {
-            writer.section(id, SectionPayload::U32s(column));
-        }
+    for (id, column) in section_id::INDEX_COLUMNS
+        .into_iter()
+        .zip(prepared.index().columns().as_slices())
+    {
+        writer.section(id, SectionPayload::U32s(column));
     }
     writer.write_to_path(path)
 }
 
-/// Opens and cross-validates a format v4 image, reconstructing every arena
+/// Opens and cross-validates a format v5 image, reconstructing every arena
 /// as a zero-copy slice over it.
 pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
     let image = std::sync::Arc::new(SnapshotImage::open(path)?);
@@ -190,8 +177,29 @@ pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
         ));
     }
 
-    let (store_shards, index) =
-        open_shards(&image, &store, num_sequences, num_events, total_length)?;
+    let table = image.u64s(section_id::SHARD_TABLE)?;
+    let bounds: Vec<u32> = table
+        .iter()
+        .map(|&b| u32::try_from(b).map_err(|_| corrupt(format!("shard boundary {b} overflows"))))
+        .collect::<Result<_, _>>()?;
+    let shards = ShardMap::from_bounds(bounds, num_sequences).map_err(corrupt)?;
+
+    let [row_dir, id_dir, row_offsets, ids, positions] = section_id::INDEX_COLUMNS;
+    let columns = IndexColumns {
+        row_dir: image.shared_u32s(row_dir)?,
+        id_dir: image.shared_u32s(id_dir)?,
+        row_offsets: image.shared_u32s(row_offsets)?,
+        ids: image.shared_u32s(ids)?,
+        positions: image.shared_u32s(positions)?,
+    };
+    let index =
+        InvertedIndex::from_shared_parts(columns, num_sequences, num_events).map_err(corrupt)?;
+    if index.positions().len() != total_length {
+        return Err(corrupt(format!(
+            "index positions hold {} entries but meta records {total_length}",
+            index.positions().len()
+        )));
+    }
 
     let occurrence_counts = image.shared_u64s(section_id::EVENT_COUNTS)?;
     if occurrence_counts.len() != num_events {
@@ -218,65 +226,7 @@ pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
         checksum: image.checksum(),
         version: image.version(),
     };
-    Ok(PreparedDb::from_parts(db, store_shards, parts, Some(info)))
-}
-
-/// The shard table plus, per shard, its store offsets and five index
-/// columns. Event windows are zero-copy slices of the global arena.
-fn open_shards(
-    image: &std::sync::Arc<SnapshotImage>,
-    store: &SeqStore,
-    num_sequences: usize,
-    num_events: usize,
-    total_length: usize,
-) -> Result<(ShardedSeqStore, ShardedIndex), SnapshotError> {
-    let table = image.u64s(section_id::SHARD_TABLE)?;
-    let bounds: Vec<u32> = table
-        .iter()
-        .map(|&b| u32::try_from(b).map_err(|_| corrupt(format!("shard boundary {b} overflows"))))
-        .collect::<Result<_, _>>()?;
-    let map = ShardMap::from_bounds(bounds, num_sequences).map_err(corrupt)?;
-
-    // Shard event windows slice the (already width-dispatched) global
-    // column; the mapped backing makes them zero-copy at either width.
-    let global_events = store.event_column();
-    let global_offsets = store.offsets();
-    let mut shard_stores = Vec::with_capacity(map.num_shards());
-    let mut shard_indexes = Vec::with_capacity(map.num_shards());
-    let mut positions_total = 0usize;
-    for k in 0..map.num_shards() {
-        let range = map.range(k);
-        let event_range = global_offsets[range.start] as usize..global_offsets[range.end] as usize;
-        let shard_store = SeqStore::from_shared_parts(
-            global_events.window(event_range),
-            image.shared_u32s(section_id::shard_store_offsets(k as u32))?,
-        )
-        .map_err(|detail| corrupt(format!("shard {k}: {detail}")))?;
-        let [row_dir, id_dir, row_offsets, ids, positions] =
-            section_id::shard_index_columns(k as u32);
-        let columns = IndexColumns {
-            row_dir: image.shared_u32s(row_dir)?,
-            id_dir: image.shared_u32s(id_dir)?,
-            row_offsets: image.shared_u32s(row_offsets)?,
-            ids: image.shared_u32s(ids)?,
-            positions: image.shared_u32s(positions)?,
-        };
-        let shard_index = InvertedIndex::from_shared_parts(columns, range.len(), num_events)
-            .map_err(|detail| corrupt(format!("shard {k}: {detail}")))?;
-        positions_total += shard_index.positions().len();
-        shard_stores.push(shard_store);
-        shard_indexes.push(shard_index);
-    }
-    if positions_total != total_length {
-        return Err(corrupt(format!(
-            "shard index positions hold {positions_total} entries in total but meta \
-             records {total_length}"
-        )));
-    }
-    let store_shards =
-        ShardedSeqStore::from_parts(store.clone(), shard_stores, map.clone()).map_err(corrupt)?;
-    let index = ShardedIndex::from_parts(shard_indexes, map, num_events).map_err(corrupt)?;
-    Ok((store_shards, index))
+    Ok(PreparedDb::from_parts(db, parts, shards, Some(info)))
 }
 
 #[cfg(test)]
@@ -311,7 +261,7 @@ mod tests {
         let db =
             SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AAAA", "BCBC", "DDDD"]);
         for shards in [2, 3] {
-            let prepared = PreparedDb::new_sharded(&db, shards, 1);
+            let prepared = PreparedDb::new_sharded(&db, shards);
             let path = temp_path(&format!("sharded-{shards}"));
             prepared.write_snapshot(&path).expect("write");
             let reopened = PreparedDb::open_snapshot(&path).expect("open");
@@ -326,14 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_images_are_unsupported_and_name_the_rebuild_command() {
-        // Patch a freshly written image's header to format 3 and re-seal it:
+    fn pre_v5_images_are_unsupported_and_name_the_rebuild_command() {
+        // Patch a freshly written image's header to format 4 and re-seal it:
         // the bytes are intact, but this build no longer reads the version.
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let path = temp_path("pre-v4");
+        let path = temp_path("pre-v5");
         PreparedDb::new(&db).write_snapshot(&path).expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
         let checksum = seqdb::snapshot::checksum_of(&bytes);
         bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite");
@@ -341,13 +291,13 @@ mod tests {
         let err = PreparedDb::open_snapshot(&path).unwrap_err();
         assert!(matches!(err, seqdb::SnapshotError::Unsupported(_)), "{err}");
         let message = err.to_string();
-        assert!(message.contains("version 3"), "{message}");
+        assert!(message.contains("version 4"), "{message}");
         assert!(message.contains("rgs-mine snapshot build"), "{message}");
 
         let report = seqdb::snapshot::verify::verify_bytes(&bytes);
-        assert_eq!(report.version, Some(3));
+        assert_eq!(report.version, Some(4));
         let finding = report.violations.first().expect("version violation");
-        assert!(finding.detail.contains("version 3"), "{finding}");
+        assert!(finding.detail.contains("version 4"), "{finding}");
         assert!(
             finding.detail.contains("rgs-mine snapshot build"),
             "{finding}"
@@ -371,10 +321,7 @@ mod tests {
         // Provenance is identity, not content: reopen still equals the
         // heap build, and resharding the mapped corpus keeps the identity.
         assert_eq!(reopened, prepared);
-        assert_eq!(
-            reopened.reshard(2, 1).image_checksum(),
-            Some(image.checksum())
-        );
+        assert_eq!(reopened.reshard(2).image_checksum(), Some(image.checksum()));
         std::fs::remove_file(&path).ok();
     }
 

@@ -62,7 +62,7 @@ enum StreamState<'a> {
     /// database afresh, with a raw database's parts prepared once, here.
     Lazy {
         db: DbHandle<'a>,
-        parts: Option<PreparedParts>,
+        parts: Option<Box<PreparedParts>>,
         walk: Box<PullWalk>,
     },
     /// Materialized result for configurations that need a global pass.

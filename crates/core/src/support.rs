@@ -11,7 +11,7 @@
 //! order. [`SupportSet::reconstruct_landmarks`] rebuilds full landmarks when
 //! they are needed for reporting.
 
-use seqdb::{EventId, SequenceDatabase, ShardedIndex};
+use seqdb::{EventId, InvertedIndex, SequenceDatabase};
 
 use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
@@ -68,8 +68,8 @@ impl SupportSet {
 
     /// Appends a whole fragment whose instances all follow this set in
     /// `(seq, last)` order — the assembly step of the two-level work queue,
-    /// gluing per-shard fragments together in shard order (shard order *is*
-    /// global sequence order, so the result equals the unsharded set).
+    /// gluing per-range fragments together in range order (range order
+    /// *is* global sequence order, so the result equals the whole set).
     pub(crate) fn append_fragment(&mut self, fragment: &SupportSet) {
         debug_assert!(
             match (self.instances.last(), fragment.instances.first()) {
@@ -156,7 +156,7 @@ impl SupportSet {
     /// positions are recomputed by replaying the greedy instance growth of
     /// Algorithm 2 on the inverted index. The result corresponds instance by
     /// instance to [`Self::instances`].
-    pub fn reconstruct_landmarks(&self, index: &ShardedIndex, pattern: &Pattern) -> Vec<Landmark> {
+    pub fn reconstruct_landmarks(&self, index: &InvertedIndex, pattern: &Pattern) -> Vec<Landmark> {
         reconstruct_landmarks_impl(index, pattern)
             .into_iter()
             .take(self.instances.len())
@@ -186,7 +186,10 @@ impl<'a> Iterator for PerSequence<'a> {
 /// the verbose API in [`crate::growth`], and (with real constraints) the
 /// constrained miner in [`crate::constrained`] — one loop instead of the
 /// seed's copy-paste twins.
-pub(crate) fn reconstruct_landmarks_impl(index: &ShardedIndex, pattern: &Pattern) -> Vec<Landmark> {
+pub(crate) fn reconstruct_landmarks_impl(
+    index: &InvertedIndex,
+    pattern: &Pattern,
+) -> Vec<Landmark> {
     let mut buffer = InstanceBuffer::new();
     buffer.reconstruct(index, pattern, &GapConstraints::unbounded());
     buffer.to_landmarks()
@@ -262,7 +265,7 @@ mod tests {
         // Table IV: the leftmost support set of ACB is
         // {(1,<1,3,6>), (1,<4,5,9>), (2,<1,2,4>)}.
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let pattern = Pattern::new(db.pattern_from_str("ACB").unwrap());
         let landmarks = reconstruct_landmarks_impl(&index, &pattern);
         assert_eq!(
@@ -281,7 +284,7 @@ mod tests {
     fn reconstruct_landmarks_of_aca_allows_reuse_at_different_indices() {
         // Example 3.1 step 3': I_ACA = {(1,<1,3,4>), (2,<1,2,5>), (2,<5,6,7>)}.
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         let pattern = Pattern::new(db.pattern_from_str("ACA").unwrap());
         let landmarks = reconstruct_landmarks_impl(&index, &pattern);
         assert_eq!(
@@ -320,7 +323,7 @@ mod tests {
     #[test]
     fn empty_pattern_has_no_landmarks() {
         let db = running_example();
-        let index = ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         assert!(reconstruct_landmarks_impl(&index, &Pattern::empty()).is_empty());
     }
 

@@ -110,7 +110,7 @@ fn assert_matches_oracle(
     patterns: &[Vec<EventId>],
 ) -> Vec<ClosureStatus> {
     let flat = PreparedDb::new(db);
-    let sharded = PreparedDb::new_sharded(db, 3, 1);
+    let sharded = PreparedDb::new_sharded(db, 3);
     let mut seen = Vec::new();
     for prepared in [&flat, &sharded] {
         let sc = prepared.support_computer();

@@ -205,7 +205,7 @@ fn reconstructed_landmarks_compress_back_to_the_reported_instances() {
             .mode(Mode::All)
             .keep_support_sets()
             .run();
-        let index = seqdb::ShardedIndex::single(db.inverted_index());
+        let index = db.inverted_index();
         for mined in &outcome.patterns {
             let set = mined.support_set.as_ref().expect("requested");
             let landmarks = set.reconstruct_landmarks(&index, &mined.pattern);

@@ -176,8 +176,8 @@ fn record<'a>(miner: impl Fn() -> Miner<'a>, catalog: &EventCatalog) -> String {
 fn walk_reproduces_the_pinned_grid() {
     let paper = paper_db();
     let random = random_db();
-    let paper_sharded = PreparedDb::new_sharded(&paper, 3, 1);
-    let random_sharded = PreparedDb::new_sharded(&random, 3, 1);
+    let paper_sharded = PreparedDb::new_sharded(&paper, 3);
+    let random_sharded = PreparedDb::new_sharded(&random, 3);
     let pinned: Vec<&str> = GOLDEN.lines().filter(|l| !l.starts_with('#')).collect();
     let cases = cases();
     assert_eq!(pinned.len(), cases.len(), "golden table size");

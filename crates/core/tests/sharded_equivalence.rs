@@ -50,7 +50,7 @@ fn sharded_mining_is_bit_identical_across_modes_and_constraints() {
         let db = random_db(seed);
         let flat = PreparedDb::new(&db);
         for shards in SHARD_COUNTS {
-            let sharded = PreparedDb::new_sharded(&db, shards, 2);
+            let sharded = PreparedDb::new_sharded(&db, shards);
             assert!(sharded.shard_count() >= 1 && sharded.shard_count() <= shards.max(1));
             for (mode, constraints) in workloads() {
                 for min_sup in [2, 3] {
@@ -94,7 +94,7 @@ fn sharded_parallel_execution_matches_sequential_and_flat() {
         let db = random_db(seed);
         let flat = PreparedDb::new(&db);
         for shards in SHARD_COUNTS {
-            let sharded = PreparedDb::new_sharded(&db, shards, 2);
+            let sharded = PreparedDb::new_sharded(&db, shards);
             for (mode, constraints) in workloads() {
                 let expected = flat
                     .miner()
@@ -128,7 +128,7 @@ fn sharded_parallel_execution_matches_sequential_and_flat() {
 fn sharded_streams_and_caps_behave_like_flat_ones() {
     let db = random_db(77);
     let flat = PreparedDb::new(&db);
-    let sharded = PreparedDb::new_sharded(&db, 3, 1);
+    let sharded = PreparedDb::new_sharded(&db, 3);
 
     let expected = flat.miner().min_sup(2).mode(Mode::Closed).run();
     let session = sharded.miner().min_sup(2).mode(Mode::Closed).session();
@@ -146,7 +146,7 @@ fn sharded_streams_and_caps_behave_like_flat_ones() {
 #[test]
 fn shard_bookkeeping_is_consistent() {
     let db = random_db(5);
-    let sharded = PreparedDb::new_sharded(&db, 3, 2);
+    let sharded = PreparedDb::new_sharded(&db, 3);
     assert_eq!(sharded.shard_count(), 3);
     assert_eq!(sharded.stats().num_shards, 3);
 
@@ -167,12 +167,53 @@ fn shard_bookkeeping_is_consistent() {
     assert!(sharded.heap_bytes() >= flat.database().store().heap_bytes());
 
     // Resharding re-partitions the same data and keeps mining identical.
-    let resharded = sharded.reshard(2, 1);
+    let resharded = sharded.reshard(2);
     assert_eq!(resharded.shard_count(), 2);
     assert_eq!(
         resharded.miner().min_sup(2).run().patterns,
         flat.miner().min_sup(2).run().patterns
     );
+
+    // One index for every range count: the footprints split exactly the
+    // one index and the one store, directories and sentinels counted once.
+    assert_eq!(
+        footprints.iter().map(|f| f.index_bytes).sum::<usize>(),
+        sharded.index().heap_bytes()
+    );
+    assert_eq!(
+        footprints.iter().map(|f| f.store_bytes).sum::<usize>(),
+        db.store().heap_bytes()
+    );
+    assert_eq!(sharded.index().heap_bytes(), flat.index().heap_bytes());
+    // Three ranges cost the flat preparation plus only their map bounds.
+    let map_bytes = |p: &PreparedDb| std::mem::size_of_val(p.shard_map().bounds());
+    assert_eq!(sharded.shard_map().bounds().len(), 4);
+    assert_eq!(
+        sharded.heap_bytes() - map_bytes(&sharded),
+        flat.heap_bytes() - map_bytes(&flat)
+    );
+
+    // Resharding is free: it shares the index arena instead of rebuilding.
+    let arena = |p: &PreparedDb| p.index().positions().as_ptr();
+    assert_eq!(arena(&resharded), arena(&sharded));
+    assert_eq!(arena(&flat.reshard(3)), arena(&flat));
+
+    // ... and so is resharding a reopened v5 image, whose arena is the
+    // mapped file's.
+    let path =
+        std::env::temp_dir().join(format!("rgs-shard-bookkeeping-{}.snap", std::process::id()));
+    sharded.write_snapshot(&path).expect("write");
+    let reopened = PreparedDb::open_snapshot(&path).expect("open");
+    assert_eq!(reopened.image_version(), Some(5));
+    assert_eq!(reopened.shard_count(), 3);
+    let rereshard = reopened.reshard(2);
+    assert_eq!(arena(&rereshard), arena(&reopened));
+    assert_eq!(rereshard.shard_map(), resharded.shard_map());
+    assert_eq!(
+        rereshard.miner().min_sup(2).run().patterns,
+        flat.miner().min_sup(2).run().patterns
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -181,7 +222,7 @@ fn occurrence_counts_and_frequent_events_are_partition_independent() {
         let db = random_db(seed);
         let flat = PreparedDb::new(&db);
         for shards in SHARD_COUNTS {
-            let sharded = PreparedDb::new_sharded(&db, shards, 2);
+            let sharded = PreparedDb::new_sharded(&db, shards);
             for event in db.catalog().ids() {
                 assert_eq!(
                     flat.occurrence_count(event),

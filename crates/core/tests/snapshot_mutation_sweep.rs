@@ -1,6 +1,6 @@
-//! Seeded corruption sweep over **every section** of a sharded (v4)
-//! snapshot image, at one to seven shards: `seqdb::snapshot::verify` must flag each mutation and
-//! must never panic, distinguishing pure bit rot (checksum breakage with
+//! Seeded corruption sweep over **every section** of a sharded (v5)
+//! snapshot image, at one to seven shard-table ranges:
+//! `seqdb::snapshot::verify` must flag each mutation and must never panic, distinguishing pure bit rot (checksum breakage with
 //! intact sections) from resealed images whose payloads violate the
 //! cross-section invariants.
 
@@ -9,9 +9,9 @@ use seqdb::snapshot::verify::{self, ViolationKind};
 use seqdb::snapshot::{checksum_of, section_id};
 use seqdb::SequenceDatabase;
 
-/// Builds a format-v4 image via the real writer path and returns its bytes.
-/// `E` occurs in one sequence only, so its shard stores it sparse (with a
-/// sparse id) while `A`..`D` are dense everywhere.
+/// Builds a format-v5 image via the real writer path and returns its bytes.
+/// `E` occurs in one sequence only, so the index stores it sparse (with a
+/// sparse id) while `A`..`D` are dense.
 fn image_bytes(shards: usize) -> Vec<u8> {
     let db = SequenceDatabase::from_str_rows(&[
         "ABCACBDDB",
@@ -22,7 +22,7 @@ fn image_bytes(shards: usize) -> Vec<u8> {
         "BBADCA",
         "EAEBE",
     ]);
-    let prepared = PreparedDb::from_database_sharded(db, shards, 1);
+    let prepared = PreparedDb::from_database_sharded(db, shards);
     let path = std::env::temp_dir().join(format!(
         "rgs-mutation-sweep-{}-{shards}.snap",
         std::process::id()
@@ -210,41 +210,28 @@ fn corrupt_section(bytes: &mut [u8], section: &Section) -> bool {
             let wrong = read_u64(bytes, last) + 1;
             bytes[last..last + 8].copy_from_slice(&wrong.to_le_bytes());
         }
-        // Per-shard sections, keyed by their role within the shard.
-        id => {
-            let Some(shard) = section_id::shard_of(id) else {
-                panic!("unexpected section id {id} in fixture image");
-            };
-            let [row_dir, id_dir, row_offsets, ids, _positions] =
-                section_id::shard_index_columns(shard);
-            if [
-                section_id::shard_store_offsets(shard),
-                row_dir,
-                id_dir,
-                row_offsets,
-            ]
-            .contains(&id)
-            {
-                // Store offsets: the last rebased offset no longer matches
-                // the global window. Directories and row offsets: the
-                // column no longer ends at the rows / ids / positions count.
-                let last = at + (section.count as usize - 1) * 4;
-                let wrong = read_u32(bytes, last) + 1;
-                bytes[last..last + 4].copy_from_slice(&wrong.to_le_bytes());
-            } else if id == ids {
-                // A sparse id past the shard's sequences.
-                if section.count == 0 {
-                    return false;
-                }
-                bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            } else {
-                // A 0 position: positions are 1-based by construction.
-                if section.count == 0 {
-                    return false;
-                }
-                bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
-            }
+        // Directories and row offsets: the column no longer ends at the
+        // rows / ids / positions count.
+        section_id::INDEX_ROW_DIR | section_id::INDEX_ID_DIR | section_id::INDEX_ROW_OFFSETS => {
+            let last = at + (section.count as usize - 1) * 4;
+            let wrong = read_u32(bytes, last) + 1;
+            bytes[last..last + 4].copy_from_slice(&wrong.to_le_bytes());
         }
+        // A sparse id past the store's sequences.
+        section_id::INDEX_IDS => {
+            if section.count == 0 {
+                return false;
+            }
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        // A 0 position: positions are 1-based by construction.
+        section_id::INDEX_POSITIONS => {
+            if section.count == 0 {
+                return false;
+            }
+            bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+        }
+        id => panic!("unexpected section id {id} in fixture image"),
     }
     true
 }
@@ -279,13 +266,15 @@ fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure(
                 section.id,
             );
             sweep += 1;
-            if section_id::name(section.id) == "shard.index.ids" {
+            if section_id::name(section.id) == "index.ids" {
                 sparse_ids += 1;
             }
         }
         assert!(sweep >= 8, "sweep covered only {sweep} sections");
+        // One index for the whole corpus: every section is mutated, the
+        // sparse ids included, whatever the range count.
+        assert_eq!(sweep, sections(&image).len(), "{shards} ranges");
     }
-    // A one-sequence shard stores every event it holds dense, so only some
-    // shard counts carry a sparse id — but the sweep must reach one.
     assert!(sparse_ids > 0, "no sparse-id section was mutated");
+    assert_eq!(sparse_ids, 7, "the sparse-id section at every range count");
 }

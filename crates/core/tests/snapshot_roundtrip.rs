@@ -261,8 +261,7 @@ fn cross_section_inconsistencies_are_rejected() {
 
     let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
     let prepared = PreparedDb::new(&db);
-    // A single-shard preparation's shard-0 index is exactly the flat index.
-    let index = prepared.index().shard(0);
+    let index = prepared.index();
     let catalog_bytes = catalog_to_bytes(db.catalog());
     let counts: Vec<u64> = db
         .catalog()
@@ -292,12 +291,8 @@ fn cross_section_inconsistencies_are_rejected() {
         .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
         .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
         .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order))
-        .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table))
-        .section(
-            section_id::shard_store_offsets(0),
-            SectionPayload::U32s(db.store().offsets()),
-        );
-    for (id, column) in section_id::shard_index_columns(0)
+        .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
+    for (id, column) in section_id::INDEX_COLUMNS
         .into_iter()
         .zip(index.columns().as_slices())
     {

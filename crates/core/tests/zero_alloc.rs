@@ -86,7 +86,7 @@ fn steady_state_growth_allocates_nothing() {
         "ACDBACADDACDBACADD",
         "ABCABCAABBCCABCABC",
     ]);
-    let index = seqdb::ShardedIndex::single(db.inverted_index());
+    let index = db.inverted_index();
     let sc = SupportComputer::borrowed(&db, &index);
     let pattern = Pattern::new(db.pattern_from_str("ACBD").unwrap());
     let events: Vec<_> = db.catalog().ids().collect();
@@ -138,7 +138,7 @@ fn steady_state_growth_allocates_nothing() {
     //    shard map. Routing is a binary search over the boundaries — no
     //    heap — so steady-state sharded growth must stay allocation-free
     //    too.
-    let sharded = rgs_core::PreparedDb::new_sharded(&db, 3, 1);
+    let sharded = rgs_core::PreparedDb::new_sharded(&db, 3);
     assert_eq!(sharded.shard_count(), 3);
     let ssc = sharded.support_computer();
     let mut support = SupportSet::new();

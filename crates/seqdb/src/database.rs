@@ -116,14 +116,6 @@ impl SequenceDatabase {
         InvertedIndex::build(self)
     }
 
-    /// Promotes the store's columns into shared (`Arc`-owned) storage so
-    /// per-shard [`SeqStore::window`]s alias the arena with zero copies.
-    /// No event is copied; reads are unaffected. See
-    /// [`crate::ShardedSeqStore`].
-    pub fn share_store(&mut self) {
-        self.store.share();
-    }
-
     /// Computes summary statistics (used by the experiment harness).
     pub fn stats(&self) -> DatabaseStats {
         DatabaseStats::compute(self)
@@ -245,18 +237,6 @@ impl DatabaseBuilder {
             store: self.store,
         }
     }
-
-    /// Finalizes the builder into a database plus a
-    /// [`ShardedSeqStore`](crate::ShardedSeqStore): the flat store is
-    /// promoted to shared storage and split into `shards` per-shard windows
-    /// at event-mass-balanced sequence boundaries. The database and every
-    /// window alias the same event arena — nothing is copied.
-    pub fn finish_sharded(self, shards: usize) -> (SequenceDatabase, crate::ShardedSeqStore) {
-        let mut db = self.finish();
-        db.share_store();
-        let sharded = crate::ShardedSeqStore::from_store(db.store.clone(), shards);
-        (db, sharded)
-    }
 }
 
 #[cfg(test)]
@@ -340,35 +320,6 @@ mod tests {
             vec![EventId(0), EventId(1), EventId(1)]
         );
         assert_eq!(db.sequence(1).unwrap().to_vec(), vec![EventId(1)]);
-    }
-
-    #[test]
-    fn finish_sharded_splits_zero_copy_windows() {
-        let mut builder = DatabaseBuilder::new();
-        builder.push_tokens(["a", "b", "c", "d"]);
-        builder.push_tokens(["e", "f"]);
-        builder.push_tokens(["g", "h"]);
-        let (db, sharded) = builder.finish_sharded(2);
-        assert_eq!(sharded.num_shards(), 2);
-        assert_eq!(
-            sharded
-                .shards()
-                .iter()
-                .map(super::super::store::SeqStore::total_length)
-                .sum::<usize>(),
-            db.total_length()
-        );
-        assert!(db.store().is_shared());
-        // Shard 0 aliases the database's (narrow) arena.
-        assert_eq!(
-            sharded
-                .shard(0)
-                .event_column()
-                .narrow_slice()
-                .unwrap()
-                .as_ptr(),
-            db.store().event_column().narrow_slice().unwrap().as_ptr()
-        );
     }
 
     #[test]

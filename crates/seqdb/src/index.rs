@@ -26,11 +26,18 @@
 //! `4·total + 4·(rows + 1) + 4·ids + 8·(events + 1)` bytes — linear in the
 //! data, never in sequences × alphabet.
 //!
+//! Sequence ids are global: one index covers the whole corpus, and a
+//! [`ShardMap`](crate::ShardMap) range of it is a slice of a dense event's
+//! rows or a `partition_point` over a sparse one's ids
+//! ([`InvertedIndex::sequences_with_event_in`]).
+//!
 //! Growth passes fix the event and walk sequences in ascending order, so
 //! they resolve rows through a forward-only handle
-//! ([`ShardedIndex::event_rows`](crate::ShardedIndex::event_rows)) that
-//! gallops forward along a sparse event's ids. The random-access API below
-//! keeps a binary search over them.
+//! ([`InvertedIndex::event_rows`]) that gallops forward along a sparse
+//! event's ids. The random-access API below keeps a binary search over
+//! them.
+
+use std::ops::Range;
 
 use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
@@ -101,6 +108,11 @@ pub struct InvertedIndex {
     num_sequences: usize,
 }
 
+/// The name the index had when each shard kept one of its own; the
+/// `perfbench` harness still spells it, so it stays as an alias of the one
+/// index.
+pub type ShardedIndex = InvertedIndex;
+
 /// The resolved rows of one event inside one index: what a row lookup
 /// needs, borrowed once per event.
 #[derive(Debug, Clone, Copy, Default)]
@@ -138,8 +150,8 @@ impl<'a> EventView<'a> {
         self.ids.is_empty() && self.has_rows()
     }
 
-    /// The positions of the event in (local) sequence `seq`: direct on a
-    /// dense event, a binary search over the ids on a sparse one.
+    /// The positions of the event in sequence `seq`: direct on a dense
+    /// event, a binary search over the ids on a sparse one.
     #[inline]
     fn lookup(&self, seq: usize) -> &'a [u32] {
         if self.ids.is_empty() {
@@ -156,9 +168,22 @@ impl<'a> EventView<'a> {
         self.bounds.len().saturating_sub(1)
     }
 
-    /// The non-empty rows with their (local) sequence ids, ascending.
-    fn rows(self) -> impl Iterator<Item = (usize, &'a [u32])> {
-        (0..self.num_rows()).filter_map(move |r| {
+    /// The rows of the sequences in `seqs`: a slice of a dense event's
+    /// rows, or the ids between two partition points of a sparse one.
+    fn row_range(&self, seqs: Range<usize>) -> Range<usize> {
+        if self.ids.is_empty() {
+            let rows = self.num_rows();
+            seqs.start.min(rows)..seqs.end.min(rows)
+        } else {
+            let at = |seq: usize| self.ids.partition_point(|&id| u32_to_usize(id) < seq);
+            at(seqs.start)..at(seqs.end)
+        }
+    }
+
+    /// The non-empty rows of the sequences in `seqs`, with their sequence
+    /// ids, ascending.
+    fn rows_in(self, seqs: Range<usize>) -> impl Iterator<Item = (usize, &'a [u32])> {
+        self.row_range(seqs).filter_map(move |r| {
             let seq = if self.ids.is_empty() {
                 r
             } else {
@@ -172,7 +197,7 @@ impl<'a> EventView<'a> {
 
 /// The range `dir[i]..dir[i + 1]`, or `None` past the directory's end.
 #[inline]
-fn dir_range(dir: &[u32], i: usize) -> Option<std::ops::Range<usize>> {
+fn dir_range(dir: &[u32], i: usize) -> Option<Range<usize>> {
     match (dir.get(i), dir.get(i + 1)) {
         (Some(&start), Some(&end)) => Some(u32_to_usize(start)..u32_to_usize(end)),
         _ => None,
@@ -234,11 +259,8 @@ impl InvertedIndex {
         Self::build_for_store(db.store(), db.num_events())
     }
 
-    /// Builds the index for a bare [`SeqStore`](crate::SeqStore) over an alphabet of
-    /// `num_events` events. This is the shard-level entry point: a sharded
-    /// database indexes each per-shard store window independently (and in
-    /// parallel) against the **global** alphabet, so posting lists line up
-    /// across shards.
+    /// Builds the index for a bare [`SeqStore`](crate::SeqStore) over an
+    /// alphabet of `num_events` events.
     ///
     /// A counting pass sizes every event's rows, ids and positions; a fill
     /// pass scatters them. Scratch is a handful of per-event counters — no
@@ -433,7 +455,7 @@ impl InvertedIndex {
             if view.is_dense() {
                 // Dense: exactly one row per sequence, and the event occurs
                 // in enough of them to earn it.
-                let containing = view.rows().count();
+                let containing = view.rows_in(0..num_sequences).count();
                 if rows != num_sequences || !dense_rule(containing, num_sequences) {
                     return Err(format!(
                         "index event {e} is stored dense with {rows} rows but occurs in \
@@ -618,7 +640,7 @@ impl InvertedIndex {
     pub fn sequence_count(&self, event: EventId) -> usize {
         let view = self.view(event);
         if view.ids.is_empty() {
-            view.rows().count()
+            view.rows_in(0..self.num_sequences).count()
         } else {
             view.ids.len()
         }
@@ -630,7 +652,36 @@ impl InvertedIndex {
         &self,
         event: EventId,
     ) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        self.view(event).rows()
+        self.sequences_with_event_in(event, 0..self.num_sequences)
+    }
+
+    /// [`Self::sequences_with_event`] restricted to the sequences in `seqs`
+    /// — one [`ShardMap`](crate::ShardMap) range. Finding the range is a
+    /// slice of a dense event's rows or two `partition_point`s over a
+    /// sparse one's ids; ranges of a partition concatenated in order are
+    /// exactly the whole iteration.
+    pub fn sequences_with_event_in(
+        &self,
+        event: EventId,
+        seqs: Range<usize>,
+    ) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        self.view(event).rows_in(seqs)
+    }
+
+    /// A forward-only row handle for `event`: [`EventRows::row`] resolves
+    /// the posting row of each sequence a growth pass visits, in ascending
+    /// sequence order, without allocating — one add and two loads on a
+    /// dense event, a forward gallop along the ids on a sparse one.
+    #[inline]
+    pub fn event_rows(&self, event: EventId) -> EventRows<'_> {
+        EventRows {
+            view: self.view(event),
+            num_sequences: self.num_sequences,
+            at: 0,
+            runs: None,
+            #[cfg(debug_assertions)]
+            prev_seq: 0,
+        }
     }
 
     /// Bytes of live data held by the index (all five columns) — the number
@@ -643,6 +694,176 @@ impl InvertedIndex {
             .iter()
             .map(|column| std::mem::size_of_val(*column))
             .sum()
+    }
+
+    /// Bytes of the rows, ids and positions that belong to the sequences in
+    /// `seqs`. Summed over the ranges of a partition this is
+    /// [`Self::heap_bytes`] minus the parts no range owns: the two
+    /// directories and the row-offsets sentinel.
+    pub fn range_bytes(&self, seqs: Range<usize>) -> usize {
+        let words: usize = (0..self.num_events)
+            .map(|e| {
+                let view = self.view(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
+                let rows = view.row_range(seqs.clone());
+                let positions = match (view.bounds.get(rows.start), view.bounds.get(rows.end)) {
+                    (Some(&start), Some(&end)) => u32_to_usize(end - start),
+                    _ => 0,
+                };
+                let ids = if view.ids.is_empty() { 0 } else { rows.len() };
+                rows.len() + ids + positions
+            })
+            .sum();
+        words * std::mem::size_of::<u32>()
+    }
+}
+
+/// Sequences one [`RunSet`] window covers.
+const RUN_SET_SPAN: usize = 1024;
+
+/// The sequences a support set has instances in, as a bitmap over a window
+/// of 1024 consecutive ids (128 bytes, no heap).
+///
+/// A depth-first miner grows one node's instances by every candidate
+/// event, so it builds the node's set once and lends it to every pass
+/// ([`EventRows::restrict`]). A sparse event's handle then passes the ids of
+/// sequences outside the set with one bit test each, instead of returning
+/// them to the pass one lookup at a time. Sequences outside the window are
+/// admitted — the set is a filter, never a proof of absence — so a set whose
+/// sequences span more than the window admits everything.
+#[derive(Debug, Clone)]
+pub struct RunSet {
+    base: usize,
+    /// Window length; 0 admits every sequence.
+    span: usize,
+    words: [u64; RUN_SET_SPAN / 64],
+}
+
+impl RunSet {
+    /// The set of `seqs` (ascending).
+    pub fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Self {
+        let mut set = Self {
+            base: 0,
+            span: 0,
+            words: [0; RUN_SET_SPAN / 64],
+        };
+        let (Some(base), Some(last)) = (seqs.clone().next(), seqs.clone().next_back()) else {
+            return set;
+        };
+        let span = last.saturating_sub(base) + 1;
+        if span > RUN_SET_SPAN {
+            return set;
+        }
+        (set.base, set.span) = (base, span);
+        // Ascending input: build each word in a register, store it once.
+        let (mut at, mut word) = (0usize, 0u64);
+        for bit in seqs.map(|seq| seq.wrapping_sub(base)) {
+            if bit / 64 != at {
+                if let Some(slot) = set.words.get_mut(at) {
+                    *slot = word;
+                }
+                (at, word) = (bit / 64, 0);
+            }
+            word |= 1 << (bit % 64);
+        }
+        if let Some(slot) = set.words.get_mut(at) {
+            *slot = word;
+        }
+        set
+    }
+
+    /// Whether `seq` may hold an instance: in the set, or outside its
+    /// window.
+    #[inline(always)]
+    fn admits(&self, seq: usize) -> bool {
+        let bit = seq.wrapping_sub(self.base);
+        bit >= self.span
+            || self
+                .words
+                .get(bit / 64)
+                .is_some_and(|w| w >> (bit % 64) & 1 == 1)
+    }
+}
+
+/// The rows of one event, resolved forward-only.
+///
+/// A growth pass fixes the event and visits instances in `(seq, last)`
+/// order, so the sequences it asks for never decrease. The handle keeps the
+/// event's view and, on a sparse event, the first id not yet passed: each
+/// lookup gallops forward from there instead of binary-searching the whole
+/// id list. Sequences must be asked for in non-decreasing order (checked in
+/// debug builds); asking for the same sequence again is fine.
+#[derive(Debug, Clone)]
+pub struct EventRows<'a> {
+    view: EventView<'a>,
+    num_sequences: usize,
+    /// Sparse views: index of the first id not below the last lookup.
+    at: usize,
+    /// The sequences the pass asks for, when lent ([`Self::restrict`]).
+    runs: Option<&'a RunSet>,
+    /// Monotonicity guard: lookups must use non-decreasing sequences.
+    #[cfg(debug_assertions)]
+    prev_seq: usize,
+}
+
+impl<'a> EventRows<'a> {
+    /// The positions of the handle's event in sequence `seq` — empty when
+    /// it does not occur there — or `None` when `seq` is out of range.
+    /// Equal to [`InvertedIndex::event_positions`] for every `seq` asked in
+    /// non-decreasing order.
+    #[inline]
+    pub fn row(&mut self, seq: usize) -> Option<&'a [u32]> {
+        if seq >= self.num_sequences {
+            return None;
+        }
+        Some(match self.next_row(seq) {
+            Some((at, row)) if at == seq => row,
+            _ => &[],
+        })
+    }
+
+    /// The first sequence at or after `seq` whose row may hold the handle's
+    /// event, with that row; `None` when no later sequence holds it.
+    ///
+    /// A dense event answers `seq` itself with one add and two loads (its
+    /// row may be empty). A sparse event answers the next sequence that
+    /// holds it, found by galloping forward along its ids — so a growth
+    /// pass skips every run in between without looking each one up — and,
+    /// after [`Self::restrict`], the next such sequence the set admits.
+    #[inline(always)]
+    pub fn next_row(&mut self, seq: usize) -> Option<(usize, &'a [u32])> {
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(
+                seq >= self.prev_seq,
+                "EventRows lookups must use non-decreasing sequences ({seq} after {})",
+                self.prev_seq
+            );
+            self.prev_seq = seq;
+        }
+        let ids = self.view.ids;
+        if ids.is_empty() {
+            // Dense (one row per sequence), or no rows at all.
+            return (seq < self.view.num_rows()).then(|| (seq, self.view.row(seq)));
+        }
+        let target = usize_to_u32(seq)?;
+        self.at += gallop(ids.get(self.at..).unwrap_or(&[]), |id| id < target);
+        while let Some(&id) = ids.get(self.at) {
+            let hit = u32_to_usize(id);
+            if self.runs.is_none_or(|runs| runs.admits(hit)) {
+                return Some((hit, self.view.row(self.at)));
+            }
+            self.at += 1;
+        }
+        None
+    }
+
+    /// Tells the handle which sequences the pass will ask for: from then on
+    /// [`Self::next_row`] passes a sparse event's ids outside `runs` with one
+    /// bit test each. Only a filter — rows of the sequences in `runs` stay
+    /// exact; a dense event ignores it.
+    #[inline]
+    pub fn restrict(&mut self, runs: &'a RunSet) {
+        self.runs = Some(runs);
     }
 }
 
@@ -985,6 +1206,34 @@ mod tests {
         // Reconstruction accepts exactly this layout.
         let back = InvertedIndex::from_shared_parts(cols.clone(), 4, db.num_events()).unwrap();
         assert_eq!(back, index);
+    }
+
+    #[test]
+    fn a_run_set_filters_inside_its_window_and_admits_outside_it() {
+        let set = RunSet::of([100usize, 101, 164, 1123].into_iter());
+        for seq in 0..2000 {
+            let inside = (100..=1123).contains(&seq);
+            let member = [100, 101, 164, 1123].contains(&seq);
+            assert_eq!(set.admits(seq), !inside || member, "seq {seq}");
+        }
+        // Sequences wider apart than the window: the set admits everything.
+        let wide = RunSet::of([0usize, RUN_SET_SPAN].into_iter());
+        assert!((0..2 * RUN_SET_SPAN).all(|seq| wide.admits(seq)));
+        let empty = RunSet::of(std::iter::empty());
+        assert!(empty.admits(0) && empty.admits(7));
+    }
+
+    #[test]
+    fn range_bytes_split_the_index_with_the_directories_left_over() {
+        let db = running_example();
+        let index = db.inverted_index();
+        let n = db.num_sequences();
+        let whole = index.range_bytes(0..n);
+        // Directories (8 bytes per event + 8) and the row-offsets sentinel.
+        assert_eq!(index.heap_bytes() - whole, 8 * (db.num_events() + 1) + 4);
+        for cut in 0..=n {
+            assert_eq!(index.range_bytes(0..cut) + index.range_bytes(cut..n), whole);
+        }
     }
 
     #[test]

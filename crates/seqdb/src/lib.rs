@@ -20,18 +20,17 @@
 //!   event-major and linear in the data (per event, the rows of the
 //!   sequences that contain it over one flat positions arena; an event in
 //!   at least half the sequences stores a row per sequence), answering
-//!   `next(S, e, lowest)` queries in `O(log L)` time and handing growth
+//!   `next(S, e, lowest)` queries in `O(log L)` time, handing growth
 //!   kernels a [`PostingCursor`] that advances through a resolved row with
-//!   galloping + branch-free search,
+//!   galloping + branch-free search, and resolving one event's rows
+//!   forward-only for a growth pass through [`EventRows`],
 //! * [`simd`] — the growth kernel's 64-lane block compare
 //!   ([`simd::gt_mask64`]): runtime-detected AVX2 ([`KernelBackend`]),
 //!   switched off under `Scalar` via [`simd::force_backend`], with
 //!   bit-identical mining output either way,
-//! * [`ShardMap`], [`ShardedSeqStore`], [`ShardedIndex`] — the
-//!   [`shard`] layer: the store split at sequence boundaries into zero-copy
-//!   per-shard windows (boundaries chosen by event mass), with per-shard
-//!   indexes built in parallel and queried through global sequence ids;
-//!   [`EventRows`] resolves one event's rows forward-only for a growth pass,
+//! * [`ShardMap`] — the [`shard`] layer: the corpus split at sequence
+//!   boundaries (chosen by event mass) into ranges of the one store and
+//!   the one index, the work units of parallel mining,
 //! * [`SharedSlice`] — the owned-or-mapped buffer backing every columnar
 //!   arena, so the same read path serves in-memory builds and zero-copy
 //!   snapshot loads,
@@ -115,9 +114,9 @@ pub mod width;
 
 pub use catalog::{EventCatalog, EventId};
 pub use database::{DatabaseBuilder, SequenceDatabase};
-pub use index::{IndexColumns, InvertedIndex, PostingCursor};
+pub use index::{EventRows, IndexColumns, InvertedIndex, PostingCursor, RunSet, ShardedIndex};
 pub use sequence::Sequence;
-pub use shard::{EventRows, RunSet, ShardMap, ShardedIndex, ShardedSeqStore};
+pub use shard::ShardMap;
 pub use shared::SharedSlice;
 pub use simd::KernelBackend;
 pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};

@@ -110,9 +110,7 @@ impl<T: Copy + Send + Sync + 'static> SharedSlice<T> {
     ///
     /// The `Vec` is moved into an `Arc` — no element is copied — and this
     /// slice becomes a full-range window over it. Mapped slices (snapshot
-    /// windows or already-promoted slices) are left untouched. This is the
-    /// preparation step behind zero-copy sharding: promote the flat arena
-    /// once, then hand out per-shard windows that are plain `Arc` bumps.
+    /// windows or already-promoted slices) are left untouched.
     pub fn share(&mut self) {
         if self.is_mapped() {
             return;

@@ -2,25 +2,24 @@
 //! aligned on-disk format for the columnar arenas, opened with zero copies.
 //!
 //! A prepared database is a handful of contiguous arrays (the
-//! [`crate::SeqStore`] event arena and CSR offsets, each shard's
-//! event-major [`crate::InvertedIndex`] columns, the per-event counts, the
-//! catalog — see [`crate::SeqStore`], [`crate::InvertedIndex`]). This module serializes
-//! those arrays into **one file** and maps them back as borrowed slices, so
-//! a cold start is an `mmap` plus one checksum scan instead of re-tokenizing
-//! and re-indexing the corpus. `ARCHITECTURE.md` at the repository root
-//! walks the format byte by byte.
+//! [`crate::SeqStore`] event arena and CSR offsets, the five columns of the
+//! event-major [`crate::InvertedIndex`], the per-event counts, the catalog,
+//! the [`crate::ShardMap`] boundaries). This module serializes those arrays
+//! into **one file** and maps them back as borrowed slices, so a cold start
+//! is an `mmap` plus one checksum scan instead of re-tokenizing and
+//! re-indexing the corpus. `ARCHITECTURE.md` at the repository root walks
+//! the format byte by byte.
 //!
-//! # File layout (version 4)
+//! # File layout (version 5)
 //!
-//! An image carries the global sections plus a [`section_id::SHARD_TABLE`]
-//! and, per shard, its local store offsets and the five columns of its
-//! event-major index (ids from [`section_id::shard_store_offsets`] and
-//! [`section_id::shard_index_columns`]), so one file can hand each process
-//! — or, later, each node — a shard subset. [`section_id::STORE_EVENTS`]
+//! An image carries the global sections, a [`section_id::SHARD_TABLE`] of
+//! sequence ranges, and one set of index columns at the fixed ids
+//! [`section_id::INDEX_COLUMNS`]: the index covers the whole corpus, and a
+//! range of it needs no section of its own. [`section_id::STORE_EVENTS`]
 //! is **width-tagged**: it carries 2-byte elements (a narrow `u16` arena)
 //! when the alphabet fits and 4-byte ones otherwise — the per-section
 //! `elem_size` field *is* the width tag, and the narrow arena maps back
-//! zero-copy. This build reads version 4 only: an older image is
+//! zero-copy. This build reads version 5 only: an older image is
 //! [`SnapshotError::Unsupported`] and is rebuilt in milliseconds with
 //! `rgs-mine snapshot build`. The composition rules live in
 //! `rgs-core::snapshot`.
@@ -29,7 +28,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  "RGS1SNAP"
-//!      8     4  format version (u32 LE) = 4
+//!      8     4  format version (u32 LE) = 5
 //!     12     4  endianness marker (u32 LE) = 0x0A0B_0C0D
 //!     16     8  file length in bytes (u64 LE)
 //!     24     8  FNV-1a 64 checksum (u64 LE) of every file byte EXCEPT
@@ -80,16 +79,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RGS1SNAP";
 
 /// The format version this build writes.
 ///
-/// Version 4 stores each shard's inverted index event-major (two
-/// directories, row offsets, sparse sequence ids and positions; see
-/// [`crate::InvertedIndex`]) in place of the per-`(sequence, event)`
-/// offsets table of versions 1–3.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Version 5 stores one event-major inverted index for the whole corpus
+/// (two directories, row offsets, sparse sequence ids and positions; see
+/// [`crate::InvertedIndex`]) in place of version 4's index and rebased
+/// store offsets per shard.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// The oldest format version this build reads — the current one: no code
 /// writes an older layout, and `rgs-mine snapshot build` regenerates an
 /// image from its corpus in milliseconds.
-pub const SNAPSHOT_VERSION_MIN: u32 = 4;
+pub const SNAPSHOT_VERSION_MIN: u32 = 5;
 
 /// Why an image stamped `version` cannot be read, or `None` when it can.
 /// Shared by [`SnapshotImage::open`] and the [`verify`] layer.
@@ -141,40 +140,29 @@ pub mod section_id {
     pub const EVENT_COUNTS: u32 = 7;
     /// The frequency-pruned candidate event order (`u32` event ids).
     pub const EVENT_ORDER: u32 = 8;
-    /// The [`ShardMap`](crate::ShardMap) boundaries (`u64`, one per shard
+    /// The [`ShardMap`](crate::ShardMap) boundaries (`u64`, one per range
     /// plus a sentinel).
     pub const SHARD_TABLE: u32 = 9;
+    /// The index's per-event row directory (`u32`, `num_events + 1`).
+    pub const INDEX_ROW_DIR: u32 = 10;
+    /// The index's per-event sparse-id directory (`u32`, `num_events + 1`).
+    pub const INDEX_ID_DIR: u32 = 11;
+    /// The index's row boundaries (`u32`, rows + 1).
+    pub const INDEX_ROW_OFFSETS: u32 = 12;
+    /// The index's sparse sequence ids (`u32`).
+    pub const INDEX_IDS: u32 = 13;
+    /// The index's flat positions arena (`u32`, one per event occurrence).
+    pub const INDEX_POSITIONS: u32 = 14;
 
-    /// First id of the per-shard section range; shard `k` owns the
-    /// [`SHARD_STRIDE`] ids starting at `SHARD_BASE + SHARD_STRIDE * k`.
-    pub const SHARD_BASE: u32 = 0x1000;
-
-    /// Sections per shard: the store offsets, then the five index columns.
-    pub const SHARD_STRIDE: u32 = 6;
-
-    /// Names of the per-shard sections, in id order.
-    const SHARD_NAMES: [&str; 6] = [
-        "shard.store.offsets",
-        "shard.index.row_dir",
-        "shard.index.id_dir",
-        "shard.index.row_offsets",
-        "shard.index.ids",
-        "shard.index.positions",
+    /// The five index columns, in the order of
+    /// [`IndexColumns::as_slices`](crate::IndexColumns::as_slices).
+    pub const INDEX_COLUMNS: [u32; 5] = [
+        INDEX_ROW_DIR,
+        INDEX_ID_DIR,
+        INDEX_ROW_OFFSETS,
+        INDEX_IDS,
+        INDEX_POSITIONS,
     ];
-
-    /// Shard `k`'s local CSR store offsets (`u32`, rebased to start at 0;
-    /// the shard's events are a window of [`STORE_EVENTS`]).
-    pub fn shard_store_offsets(k: u32) -> u32 {
-        SHARD_BASE + SHARD_STRIDE * k
-    }
-
-    /// Shard `k`'s five inverted-index columns (`u32` each), in the order of
-    /// [`IndexColumns::as_slices`](crate::IndexColumns::as_slices): row
-    /// directory, id directory, row offsets, sparse ids, positions.
-    pub fn shard_index_columns(k: u32) -> [u32; 5] {
-        let base = shard_store_offsets(k);
-        [base + 1, base + 2, base + 3, base + 4, base + 5]
-    }
 
     /// Human-readable name of a well-known section id (for `snapshot info`).
     pub fn name(id: u32) -> &'static str {
@@ -186,17 +174,13 @@ pub mod section_id {
             EVENT_COUNTS => "event.counts",
             EVENT_ORDER => "event.order",
             SHARD_TABLE => "shard.table",
-            id if id >= SHARD_BASE => {
-                let role = crate::cast::u32_to_usize((id - SHARD_BASE) % SHARD_STRIDE);
-                SHARD_NAMES.get(role).copied().unwrap_or("unknown")
-            }
+            INDEX_ROW_DIR => "index.row_dir",
+            INDEX_ID_DIR => "index.id_dir",
+            INDEX_ROW_OFFSETS => "index.row_offsets",
+            INDEX_IDS => "index.ids",
+            INDEX_POSITIONS => "index.positions",
             _ => "unknown",
         }
-    }
-
-    /// The shard number a per-shard section id belongs to, if any.
-    pub fn shard_of(id: u32) -> Option<u32> {
-        (id >= SHARD_BASE).then(|| (id - SHARD_BASE) / SHARD_STRIDE)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deep static verification of snapshot images.
 //!
 //! [`verify_bytes`] proves (or refutes) every cross-section invariant of a
-//! format v4 prepared-database image **directly on the bytes** — no
+//! format v5 prepared-database image **directly on the bytes** — no
 //! `PreparedDb`, no `mmap`, no in-place reinterpretation — so it is safe to
 //! point at untrusted or suspect files. Unlike
 //! [`SnapshotImage::open`](super::SnapshotImage::open), which fails fast on
@@ -25,13 +25,11 @@
 //!   valid UTF-8, no trailing bytes), per-event counts equal to an actual
 //!   recount of the arena, the candidate order exactly the occurring
 //!   events in id order, the shard table partitioning `0..num_sequences`
-//!   exactly, per-shard store offsets windowing the global CSR table entry
-//!   for entry, and each shard's event-major index: monotone directories,
-//!   every event dense or sparse exactly as
-//!   [`dense_rule`] says, strictly ascending
-//!   in-range sparse ids, monotone row offsets ending at the arena length,
-//!   and strictly ascending 1-based rows whose every position lands on
-//!   that event in that sequence of the global store.
+//!   exactly, and the one event-major index: monotone directories, every
+//!   event dense or sparse exactly as [`dense_rule`] says, strictly
+//!   ascending in-range sparse ids, monotone row offsets ending at the
+//!   arena length, and strictly ascending 1-based rows whose every
+//!   position lands on that event in that sequence of the global store.
 //!
 //! Index sections are read element by element straight from the payload
 //! bytes — never collected — so verifying costs no memory proportional to
@@ -664,12 +662,13 @@ impl<'a> Verifier<'a> {
             }
         }
 
-        // The index layer: the shard table and each shard's sections.
-        self.check_shards(
+        // The shard table, then the one index against the global arena.
+        self.check_shard_table(sections, meta);
+        self.check_index(
             sections,
             meta,
             &arena,
-            store_csr_ok.then_some(&store_offsets),
+            store_csr_ok.then_some(store_offsets.as_slice()),
         );
     }
 
@@ -741,54 +740,50 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Checks one shard's event-major index (its five column sections)
-    /// covering `num_sequences` local sequences; returns the positions
-    /// count for the whole-image total. `store_window` is the validated
-    /// global store CSR column plus the shard's first global sequence —
-    /// when present, every position is checked to land on its event in
-    /// its sequence of the global arena. Columns are read in place.
-    fn check_shard_index(
+    /// Checks the event-major index (its five column sections) over all
+    /// `meta.num_sequences` sequences. `store_offsets` is the validated
+    /// global store CSR column — when present, every position is checked
+    /// to land on its event in its sequence of the arena. Columns are read
+    /// in place.
+    fn check_index(
         &mut self,
         sections: &[SectionEntry],
-        shard: u32,
-        num_sequences: usize,
         meta: Meta,
         arena: &[u32],
-        store_window: Option<(&[u32], usize)>,
-    ) -> u64 {
-        let what = format!("shard {shard} index");
+        store_offsets: Option<&[u32]>,
+    ) {
+        let num_sequences = meta.num_sequences;
         let dir_count = Some(usize_to_u64(meta.num_events) + 1);
         let [row_dir_id, id_dir_id, row_offsets_id, ids_id, positions_id] =
-            section_id::shard_index_columns(shard);
+            section_id::INDEX_COLUMNS;
         let row_dir = self.expect_section(sections, row_dir_id, 4, dir_count);
         let id_dir = self.expect_section(sections, id_dir_id, 4, dir_count);
         let row_offsets = self.expect_section(sections, row_offsets_id, 4, None);
         let ids = self.expect_section(sections, ids_id, 4, None);
-        let Some(positions) = self.expect_section(sections, positions_id, 4, None) else {
-            return 0;
-        };
-        let (Some(row_dir), Some(id_dir), Some(row_offsets), Some(ids)) =
-            (row_dir, id_dir, row_offsets, ids)
+        let positions = self.expect_section(
+            sections,
+            positions_id,
+            4,
+            Some(usize_to_u64(meta.total_length)),
+        );
+        let (Some(row_dir), Some(id_dir), Some(row_offsets), Some(ids), Some(positions)) =
+            (row_dir, id_dir, row_offsets, ids, positions)
         else {
-            return positions.count;
+            return;
         };
         if row_offsets.count == 0 {
             self.layout(
                 &row_offsets,
                 0,
-                format!("{what} row offsets are empty (the sentinel is missing)"),
+                "index row offsets are empty (the sentinel is missing)".to_owned(),
             );
-            return positions.count;
+            return;
         }
-        let rows_ok = self.check_csr_u32(
-            &row_dir,
-            row_offsets.count - 1,
-            &format!("{what} row directory"),
-        );
-        let ids_ok = self.check_csr_u32(&id_dir, ids.count, &format!("{what} id directory"));
-        let offsets_ok = self.check_csr_u32(&row_offsets, positions.count, &format!("{what} row"));
+        let rows_ok = self.check_csr_u32(&row_dir, row_offsets.count - 1, "index row directory");
+        let ids_ok = self.check_csr_u32(&id_dir, ids.count, "index id directory");
+        let offsets_ok = self.check_csr_u32(&row_offsets, positions.count, "index row");
         if !(rows_ok && ids_ok && offsets_ok) {
-            return positions.count;
+            return;
         }
 
         let (row_dir_bytes, id_dir_bytes) = (self.payload(&row_dir), self.payload(&id_dir));
@@ -819,14 +814,14 @@ impl<'a> Verifier<'a> {
                     &row_dir,
                     usize_to_u64(event),
                     format!(
-                        "{what} event {event}: stored {} with {} rows and {} ids, but it \
+                        "index event {event}: stored {} with {} rows and {} ids, but it \
                          occurs in {containing} of {num_sequences} sequences",
                         if dense { "dense" } else { "sparse" },
                         rows.len(),
                         event_ids.len()
                     ),
                 );
-                return positions.count;
+                return;
             }
             for (j, r) in rows.enumerate() {
                 let seq = if dense {
@@ -843,11 +838,11 @@ impl<'a> Verifier<'a> {
                             &ids,
                             usize_to_u64(at),
                             format!(
-                                "{what} event {event}: sparse id {id} is out of range or not \
-                                 strictly ascending (shard has {num_sequences} sequences)"
+                                "index event {event}: sparse id {id} is out of range or not \
+                                 strictly ascending (the store has {num_sequences} sequences)"
                             ),
                         );
-                        return positions.count;
+                        return;
                     }
                     id
                 };
@@ -856,14 +851,14 @@ impl<'a> Verifier<'a> {
                     self.layout(
                         &row_offsets,
                         usize_to_u64(r),
-                        format!("{what} event {event}: sparse row {j} is empty"),
+                        format!("index event {event}: sparse row {j} is empty"),
                     );
-                    return positions.count;
+                    return;
                 }
-                // The bounds of the owning sequence in the global arena.
-                let seq_window = store_window.and_then(|(global_offsets, seq_base)| {
-                    let start = *global_offsets.get(seq_base + seq)?;
-                    let end = *global_offsets.get(seq_base + seq + 1)?;
+                // The bounds of the owning sequence in the arena.
+                let seq_window = store_offsets.and_then(|offsets| {
+                    let start = *offsets.get(seq)?;
+                    let end = *offsets.get(seq + 1)?;
                     Some((u32_to_usize(start), u32_to_usize(end)))
                 });
                 let mut prev = 0u32;
@@ -875,11 +870,11 @@ impl<'a> Verifier<'a> {
                             &positions,
                             at,
                             format!(
-                                "{what} event {event}, sequence {seq}: position {pos} after \
+                                "index event {event}, sequence {seq}: position {pos} after \
                                  {prev} (positions are 1-based and strictly ascending)"
                             ),
                         );
-                        return positions.count;
+                        return;
                     }
                     prev = pos;
                     if let Some((start, end)) = seq_window {
@@ -890,27 +885,22 @@ impl<'a> Verifier<'a> {
                                 &positions,
                                 at,
                                 format!(
-                                    "{what} event {event}, sequence {seq}: position {pos} \
+                                    "index event {event}, sequence {seq}: position {pos} \
                                      does not land on event {event} in the {}-event sequence",
                                     end - start
                                 ),
                             );
-                            return positions.count;
+                            return;
                         }
                     }
                 }
             }
         }
-        positions.count
     }
 
-    fn check_shards(
-        &mut self,
-        sections: &[SectionEntry],
-        meta: Meta,
-        arena: &[u32],
-        store_offsets: Option<&Vec<u32>>,
-    ) {
+    /// Checks that the shard table partitions `0..num_sequences` exactly:
+    /// starts at 0, never decreases, ends at the sequence count.
+    fn check_shard_table(&mut self, sections: &[SectionEntry], meta: Meta) {
         let Some(table_entry) = self.expect_section(sections, section_id::SHARD_TABLE, 8, None)
         else {
             return;
@@ -932,8 +922,6 @@ impl<'a> Verifier<'a> {
             );
             return;
         }
-        // The table must partition 0..num_sequences exactly.
-        let mut partition_ok = true;
         if table.first() != Some(&0) {
             self.layout(
                 &table_entry,
@@ -943,7 +931,6 @@ impl<'a> Verifier<'a> {
                     table.first().copied().unwrap_or(0)
                 ),
             );
-            partition_ok = false;
         }
         if let Some(i) = (1..table.len()).find(|&i| table.get(i) < table.get(i - 1)) {
             self.layout(
@@ -951,7 +938,6 @@ impl<'a> Verifier<'a> {
                 usize_to_u64(i),
                 "shard table boundaries are not monotone".to_owned(),
             );
-            partition_ok = false;
         }
         if table.last() != Some(&usize_to_u64(meta.num_sequences)) {
             self.layout(
@@ -961,88 +947,6 @@ impl<'a> Verifier<'a> {
                     "shard table ends at {} but meta records {} sequences",
                     table.last().copied().unwrap_or(0),
                     meta.num_sequences
-                ),
-            );
-            partition_ok = false;
-        }
-        let num_shards = table.len() - 1;
-
-        // No per-shard section may reference a shard the table doesn't have.
-        for entry in sections {
-            if let Some(shard) = section_id::shard_of(entry.id) {
-                if u32_to_usize(shard) >= num_shards {
-                    self.layout(
-                        entry,
-                        0,
-                        format!("references shard {shard}, but the table has {num_shards}"),
-                    );
-                }
-            }
-        }
-        if !partition_ok {
-            return;
-        }
-
-        let mut positions_total = 0u64;
-        for k in 0..num_shards {
-            let Some(shard_id) = crate::cast::usize_to_u32(k) else {
-                break;
-            };
-            let (start, end) = match (
-                table.get(k).copied().and_then(u64_to_usize),
-                table.get(k + 1).copied().and_then(u64_to_usize),
-            ) {
-                (Some(start), Some(end)) => (start, end),
-                _ => continue,
-            };
-            let range_len = end - start;
-
-            // Shard store offsets: exactly the global CSR rows, rebased to 0
-            // (the shard's events are a window of the global arena).
-            if let Some(entry) = self.expect_section(
-                sections,
-                section_id::shard_store_offsets(shard_id),
-                4,
-                Some(usize_to_u64(range_len) + 1),
-            ) {
-                if let Some(global) = store_offsets {
-                    let payload = self.payload(&entry);
-                    let base = global.get(start).copied().unwrap_or(0);
-                    for i in 0..=range_len {
-                        let recorded = elem_u32(payload, i).unwrap_or(0);
-                        let expected = global.get(start + i).copied().unwrap_or(0) - base;
-                        if recorded != expected {
-                            self.layout(
-                                &entry,
-                                usize_to_u64(i),
-                                format!(
-                                    "shard {k} offset {i} is {recorded}, but the global CSR \
-                                     window requires {expected}"
-                                ),
-                            );
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Shard index, cross-checked against the global arena.
-            positions_total += self.check_shard_index(
-                sections,
-                shard_id,
-                range_len,
-                meta,
-                arena,
-                store_offsets.map(|offsets| (offsets.as_slice(), start)),
-            );
-        }
-        if u64_to_usize(positions_total) != Some(meta.total_length) {
-            self.layout_section(
-                section_id::SHARD_TABLE,
-                format!(
-                    "shard index positions hold {positions_total} entries in total but meta \
-                     records {}",
-                    meta.total_length
                 ),
             );
         }
@@ -1059,11 +963,11 @@ mod tests {
         std::env::temp_dir().join(format!("seqdb-verify-{}-{tag}.bin", std::process::id()))
     }
 
-    /// Hand-composes a valid single-shard v4 prepared image (mirrors the
+    /// Hand-composes a valid single-range v5 prepared image (mirrors the
     /// composition in `rgs-core`, which this crate cannot depend on), with
     /// a narrow (`u16`) or wide (`u32`) event arena. `E` occurs in one of
     /// three sequences, so the index holds sparse and dense events.
-    fn v4_image_bytes(narrow: bool) -> Vec<u8> {
+    fn v5_image_bytes(narrow: bool) -> Vec<u8> {
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
         let index = InvertedIndex::build(&db);
         assert!(index.dense_events() > 0 && index.dense_events() < db.num_events());
@@ -1107,18 +1011,14 @@ mod tests {
             .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
             .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
             .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order))
-            .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table))
-            .section(
-                section_id::shard_store_offsets(0),
-                SectionPayload::U32s(db.store().offsets()),
-            );
-        for (id, column) in section_id::shard_index_columns(0)
+            .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
+        for (id, column) in section_id::INDEX_COLUMNS
             .into_iter()
             .zip(index.columns().as_slices())
         {
             writer.section(id, SectionPayload::U32s(column));
         }
-        writer.write_to_path(&path).expect("write v4");
+        writer.write_to_path(&path).expect("write v5");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::remove_file(&path).ok();
         bytes
@@ -1131,18 +1031,18 @@ mod tests {
     }
 
     #[test]
-    fn a_narrow_v4_image_verifies_clean() {
-        let bytes = v4_image_bytes(true);
+    fn a_narrow_v5_image_verifies_clean() {
+        let bytes = v5_image_bytes(true);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(4));
+        assert_eq!(report.version, Some(5));
     }
 
     #[test]
     fn a_pre_v4_header_is_unsupported_and_names_the_rebuild() {
-        let mut bytes = v4_image_bytes(true);
+        let mut bytes = v5_image_bytes(true);
         // Downgrade the header version to 3 and re-seal: the sections stay
-        // intact, but this build reads format 4 only.
+        // intact, but this build reads format 5 only.
         bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
         reseal(&mut bytes);
         let report = verify_bytes(&bytes);
@@ -1158,12 +1058,12 @@ mod tests {
     }
 
     #[test]
-    fn a_valid_wide_v4_image_verifies_clean() {
-        let bytes = v4_image_bytes(false);
+    fn a_valid_wide_v5_image_verifies_clean() {
+        let bytes = v5_image_bytes(false);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(4));
-        assert_eq!(report.section_count, 13);
+        assert_eq!(report.version, Some(5));
+        assert_eq!(report.section_count, 12);
     }
 
     /// Overwrites element `elem` of the `u32` section `id` and re-seals.
@@ -1179,11 +1079,11 @@ mod tests {
     }
 
     #[test]
-    fn each_v4_index_invariant_is_a_layout_violation() {
+    fn each_v5_index_invariant_is_a_layout_violation() {
         // Fixture index: events A..D dense (rows 0..12, three per event), E
         // sparse (row 12, id 2); row_offsets[3..=6] delimit B's rows.
-        let pristine = v4_image_bytes(false);
-        let [row_dir, id_dir, row_offsets, ids, positions] = section_id::shard_index_columns(0);
+        let pristine = v5_image_bytes(false);
+        let [row_dir, id_dir, row_offsets, ids, positions] = section_id::INDEX_COLUMNS;
         let cases: [(&str, u32, usize, u32, &str); 7] = [
             ("row directory out of order", row_dir, 1, 99, "monotone"),
             ("id directory off its end", id_dir, 5, 0, "end at"),
@@ -1191,7 +1091,7 @@ mod tests {
             // B keeps three rows but only one holds positions: too few
             // sequences for the dense layout.
             ("dense rule", row_offsets, 4, 5, "occurs in 1 of 3"),
-            ("sparse id past the shard", ids, 0, 7, "out of range"),
+            ("sparse id past the store", ids, 0, 7, "out of range"),
             ("0-based position", positions, 0, 0, "1-based"),
             (
                 "position on the wrong event",
@@ -1233,7 +1133,7 @@ mod tests {
 
     #[test]
     fn a_bit_flip_in_a_payload_is_caught_by_the_checksum() {
-        let mut bytes = v4_image_bytes(false);
+        let mut bytes = v5_image_bytes(false);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let report = verify_bytes(&bytes);
@@ -1243,7 +1143,7 @@ mod tests {
 
     #[test]
     fn a_resealed_layout_mutation_is_distinguished_from_bit_rot() {
-        let mut bytes = v4_image_bytes(false);
+        let mut bytes = v5_image_bytes(false);
         // Patch the meta event count (element 1) to a nonsense value and
         // re-seal the checksum: structurally valid, semantically broken.
         let report_clean = verify_bytes(&bytes);
@@ -1270,7 +1170,7 @@ mod tests {
 
     #[test]
     fn checksum_only_breakage_is_classified_as_bit_rot() {
-        let mut bytes = v4_image_bytes(false);
+        let mut bytes = v5_image_bytes(false);
         // Corrupt the checksum field itself: every section stays intact.
         bytes[24] ^= 0xFF;
         let report = verify_bytes(&bytes);
@@ -1279,7 +1179,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_inputs_never_panic() {
-        let bytes = v4_image_bytes(false);
+        let bytes = v5_image_bytes(false);
         for len in 0..bytes.len().min(256) {
             let report = verify_bytes(&bytes[..len]);
             assert!(!report.is_clean(), "prefix of {len} bytes verified clean");
@@ -1291,7 +1191,7 @@ mod tests {
 
     #[test]
     fn violations_carry_section_and_byte_offsets() {
-        let mut bytes = v4_image_bytes(false);
+        let mut bytes = v5_image_bytes(false);
         bytes[16] ^= 0x01; // recorded file length
         let report = verify_bytes(&bytes);
         let length_violation = report

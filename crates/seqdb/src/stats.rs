@@ -43,9 +43,9 @@ pub struct DatabaseStats {
     /// `store_bytes_wide - store_bytes` is the narrow-column saving the
     /// stats CLI prints.
     pub store_bytes_wide: usize,
-    /// Number of shards the store is partitioned into (1 for a flat,
-    /// unsharded database; [`DatabaseStats::compute`] always reports 1 —
-    /// callers holding a sharded store fill it via
+    /// Number of sequence ranges the database is split into (1 for a flat
+    /// database; [`DatabaseStats::compute`] always reports 1 — callers
+    /// holding a [`ShardMap`](crate::ShardMap) fill it via
     /// [`DatabaseStats::with_shards`]).
     pub num_shards: usize,
 }

@@ -219,36 +219,6 @@ impl EventColumn {
             Self::Wide(v) => v.iter().filter(|&&x| x == event).count(),
         }
     }
-
-    /// Promotes owned storage into shared (`Arc`-owned) storage so that
-    /// [`EventColumn::window`]s are zero-copy. See [`SharedSlice::share`].
-    pub fn share(&mut self) {
-        match self {
-            Self::Narrow(v) => v.share(),
-            Self::Wide(v) => v.share(),
-        }
-    }
-
-    /// Returns `true` when the column borrows shared/mapped storage.
-    pub fn is_mapped(&self) -> bool {
-        match self {
-            Self::Narrow(v) => v.is_mapped(),
-            Self::Wide(v) => v.is_mapped(),
-        }
-    }
-
-    /// A sub-window of the column at the same width. Zero-copy on shared
-    /// columns, a copy on owned ones — see [`SharedSlice::window`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is out of bounds or inverted.
-    pub fn window(&self, range: std::ops::Range<usize>) -> Self {
-        match self {
-            Self::Narrow(v) => Self::Narrow(v.window(range)),
-            Self::Wide(v) => Self::Wide(v.window(range)),
-        }
-    }
 }
 
 impl PartialEq for EventColumn {
@@ -489,58 +459,6 @@ impl SeqStore {
     /// The CSR offsets table (one entry per sequence plus a sentinel).
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
-    }
-
-    /// Promotes both columns into shared (`Arc`-owned) storage so that
-    /// [`SeqStore::window`] can hand out zero-copy per-shard views. No
-    /// event is copied; snapshot-backed stores are already shared.
-    pub fn share(&mut self) {
-        self.events.share();
-        self.offsets.share();
-    }
-
-    /// Returns `true` when both columns are shared (mapped) storage, i.e.
-    /// windows of this store are zero-copy.
-    pub fn is_shared(&self) -> bool {
-        self.events.is_mapped() && self.offsets.is_mapped()
-    }
-
-    /// A store holding exactly the sequences `seq_range` of this store.
-    ///
-    /// The returned store renumbers the sequences to `0..len`: its CSR
-    /// offsets start at 0 again. On a shared store ([`SeqStore::share`] or a
-    /// snapshot-backed one) the event arena of the window is a **zero-copy**
-    /// [`SharedSlice`] view into this store's arena (at the same width); the
-    /// offsets column is zero-copy too when the window starts at the
-    /// beginning of the arena and is otherwise rebased into a fresh table
-    /// (4 bytes per sequence — negligible next to the event mass).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `seq_range` exceeds [`SeqStore::num_sequences`].
-    pub fn window(&self, seq_range: std::ops::Range<usize>) -> SeqStore {
-        assert!(
-            seq_range.start <= seq_range.end && seq_range.end <= self.num_sequences(),
-            "window {seq_range:?} out of bounds for a store of {} sequences",
-            self.num_sequences()
-        );
-        // The assert above makes every lookup below in-bounds; the
-        // `unwrap_or` fallbacks are unreachable and keep the path panic-free.
-        let base = self.offsets.get(seq_range.start).copied().unwrap_or(0);
-        let end = self.offsets.get(seq_range.end).copied().unwrap_or(base);
-        let events = self.events.window(u32_to_usize(base)..u32_to_usize(end));
-        let offsets = if base == 0 {
-            self.offsets.window(seq_range.start..seq_range.end + 1)
-        } else {
-            self.offsets
-                .get(seq_range.start..seq_range.end + 1)
-                .unwrap_or(&[])
-                .iter()
-                .map(|&o| o - base)
-                .collect::<Vec<u32>>()
-                .into()
-        };
-        SeqStore { events, offsets }
     }
 
     /// Bytes of live data held by the store (arena + offsets table) —
@@ -878,39 +796,6 @@ mod tests {
             ids(&[5, 7])
         );
         assert_eq!(s.view(0).unwrap().iter_events_from(9).count(), 0);
-    }
-
-    #[test]
-    fn windows_slice_out_sequence_ranges_with_local_numbering() {
-        let mut s = store(&[&[1, 2, 3], &[], &[4, 5], &[6]]);
-        s.share();
-        assert!(s.is_shared());
-
-        let head = s.window(0..2);
-        assert_eq!(head.num_sequences(), 2);
-        assert_eq!(head.offsets(), &[0, 3, 3]);
-        assert_eq!(head.view(0).unwrap(), s.view(0).unwrap());
-        // Leading window: both columns alias the parent (zero copy), at the
-        // parent's (narrow) width.
-        assert_eq!(
-            head.event_column().narrow_slice().unwrap().as_ptr(),
-            s.event_column().narrow_slice().unwrap().as_ptr()
-        );
-
-        let tail = s.window(2..4);
-        assert_eq!(tail.num_sequences(), 2);
-        assert_eq!(tail.offsets(), &[0, 2, 3]);
-        assert_eq!(tail.view(0).unwrap().to_vec(), ids(&[4, 5]));
-        assert_eq!(tail.view(1).unwrap().to_vec(), ids(&[6]));
-        // The event arena still aliases the parent at the right offset.
-        assert_eq!(
-            tail.event_column().narrow_slice().unwrap().as_ptr(),
-            s.event_column().narrow_slice().unwrap()[3..].as_ptr()
-        );
-
-        let empty = s.window(1..1);
-        assert!(empty.is_empty());
-        assert_eq!(empty.offsets(), &[3 - 3]);
     }
 
     #[test]

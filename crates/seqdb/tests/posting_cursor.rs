@@ -305,102 +305,120 @@ fn shard_maps(ns: u32) -> Vec<Vec<u32>> {
 
 #[test]
 fn every_index_query_matches_a_store_scan_across_layouts_and_shards() {
-    use seqdb::{ShardMap, ShardedIndex, ShardedSeqStore};
+    use seqdb::ShardMap;
     let mut dense_seen = 0usize;
     for seed in 0..6u64 {
         let mut rng = Lcg::new(0x51DE ^ seed);
         let ns = 20 + seed as usize % 3;
         let db = boundary_db(&mut rng, ns, seed % 2 == 0);
-        let flat = db.inverted_index();
-        dense_seen += flat.dense_events();
-        let mut store = db.store().clone();
-        store.share();
+        let index = db.inverted_index();
+        dense_seen += index.dense_events();
         for bounds in shard_maps(ns as u32) {
             let map = ShardMap::from_bounds(bounds.clone(), ns).expect("valid map");
-            let sharded = ShardedSeqStore::from_store_with_map(store.clone(), map);
-            let index = ShardedIndex::build(&sharded, db.num_events(), 1);
-            assert_eq!(index.total_counts(), flat.total_counts(), "{bounds:?}");
             for event in db.catalog().ids() {
                 let rows: Vec<Vec<u32>> = (0..ns).map(|s| scan(&db, s, event)).collect();
                 let containing: Vec<usize> = (0..ns).filter(|&s| !rows[s].is_empty()).collect();
                 let total: usize = rows.iter().map(Vec::len).sum();
                 assert_eq!(index.total_count(event), total);
-                assert_eq!(flat.total_count(event), total);
                 assert_eq!(index.sequence_count(event), containing.len());
-                assert_eq!(flat.sequence_count(event), containing.len());
                 let listed: Vec<(usize, Vec<u32>)> = index
                     .sequences_with_event(event)
                     .map(|(s, p)| (s, p.to_vec()))
                     .collect();
                 let expected: Vec<(usize, Vec<u32>)> =
                     containing.iter().map(|&s| (s, rows[s].clone())).collect();
-                assert_eq!(listed, expected, "event {event:?} {bounds:?}");
-                let by_shard: Vec<(usize, Vec<u32>)> = (0..index.num_shards())
-                    .flat_map(|k| {
-                        index
-                            .shard_sequences_with_event(k, event)
-                            .map(|(s, p)| (s, p.to_vec()))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                assert_eq!(by_shard, expected);
-
-                let mut rows_handle = index.event_rows(event);
-                for (seq, row) in rows.iter().enumerate() {
-                    let row = &row[..];
-                    assert_eq!(index.event_positions(seq, event), Some(row));
-                    assert_eq!(flat.event_positions(seq, event), Some(row));
-                    assert_eq!(index.count_in_sequence(seq, event), row.len());
-                    assert_eq!(rows_handle.row(seq), Some(row), "seq {seq} {bounds:?}");
-                    let mut cursor = index.cursor(seq, event).expect("in range");
-                    for lowest in 0..=row.last().copied().unwrap_or(0) + 1 {
-                        let naive = naive_next(row, lowest);
-                        assert_eq!(index.next(seq, event, lowest), naive);
-                        assert_eq!(flat.next(seq, event, lowest), naive);
-                        assert_eq!(cursor.next_after(lowest), naive);
-                    }
+                assert_eq!(listed, expected, "event {event:?}");
+                // Each range of the map lists exactly its own sequences, and
+                // the ranges concatenated in map order list them all.
+                let mut by_range: Vec<(usize, Vec<u32>)> = Vec::new();
+                for k in 0..map.num_shards() {
+                    let range = map.range(k);
+                    let ranged: Vec<(usize, Vec<u32>)> = index
+                        .sequences_with_event_in(event, range.clone())
+                        .map(|(s, p)| (s, p.to_vec()))
+                        .collect();
+                    assert!(
+                        ranged.iter().all(|(s, _)| range.contains(s)),
+                        "event {event:?} range {range:?} {bounds:?}"
+                    );
+                    by_range.extend(ranged);
                 }
-                assert_eq!(rows_handle.row(ns), None, "past the last sequence");
-                assert_eq!(index.event_positions(ns, event), None);
-                assert!(index.cursor(ns, event).is_none());
-
-                // Handles that skip sequences — including ones a sparse event
-                // is missing from — answer exactly, restricted or not.
-                for restricted in [false, true] {
-                    let asked: Vec<usize> = (0..ns).filter(|_| rng.below(3) == 0).collect();
-                    let runs = seqdb::RunSet::of(asked.iter().copied());
-                    let mut handle = index.event_rows(event);
-                    if restricted {
-                        handle.restrict(&runs);
-                    }
-                    for &seq in &asked {
-                        assert_eq!(handle.row(seq), Some(&rows[seq][..]), "seq {seq}");
-                    }
+                assert_eq!(by_range, expected, "event {event:?} {bounds:?}");
+                // Ranges that cut the sequences anywhere, empty or reversed
+                // ones included, agree with a filter over the whole list.
+                for _ in 0..4 {
+                    let (a, b) = (
+                        rng.below(ns as u64 + 2) as usize,
+                        rng.below(ns as u64 + 2) as usize,
+                    );
+                    let ranged: Vec<usize> = index
+                        .sequences_with_event_in(event, a..b)
+                        .map(|(s, _)| s)
+                        .collect();
+                    let filtered: Vec<usize> = containing
+                        .iter()
+                        .copied()
+                        .filter(|s| (a..b).contains(s))
+                        .collect();
+                    assert_eq!(ranged, filtered, "event {event:?} range {a}..{b}");
                 }
-                // `next_row`: the answer is the first sequence at or after
-                // the one asked that may hold the event; none in between do.
+            }
+        }
+        for event in db.catalog().ids() {
+            let rows: Vec<Vec<u32>> = (0..ns).map(|s| scan(&db, s, event)).collect();
+            let mut rows_handle = index.event_rows(event);
+            for (seq, row) in rows.iter().enumerate() {
+                let row = &row[..];
+                assert_eq!(index.event_positions(seq, event), Some(row));
+                assert_eq!(index.count_in_sequence(seq, event), row.len());
+                assert_eq!(rows_handle.row(seq), Some(row), "seq {seq}");
+                let mut cursor = index.cursor(seq, event).expect("in range");
+                for lowest in 0..=row.last().copied().unwrap_or(0) + 1 {
+                    let naive = naive_next(row, lowest);
+                    assert_eq!(index.next(seq, event, lowest), naive);
+                    assert_eq!(cursor.next_after(lowest), naive);
+                }
+            }
+            assert_eq!(rows_handle.row(ns), None, "past the last sequence");
+            assert_eq!(index.event_positions(ns, event), None);
+            assert!(index.cursor(ns, event).is_none());
+
+            // Handles that skip sequences — including ones a sparse event
+            // is missing from — answer exactly, restricted or not.
+            for restricted in [false, true] {
+                let asked: Vec<usize> = (0..ns).filter(|_| rng.below(3) == 0).collect();
+                let runs = seqdb::RunSet::of(asked.iter().copied());
                 let mut handle = index.event_rows(event);
-                let mut seq = 0;
-                while seq < ns {
-                    match handle.next_row(seq) {
-                        Some((at, row)) => {
-                            assert!(at >= seq && at < ns);
-                            assert_eq!(row, &rows[at][..]);
-                            assert!((seq..at).all(|s| rows[s].is_empty()));
-                            seq = at + 1 + rng.below(2) as usize;
-                        }
-                        None => {
-                            assert!((seq..ns).all(|s| rows[s].is_empty()));
-                            break;
-                        }
+                if restricted {
+                    handle.restrict(&runs);
+                }
+                for &seq in &asked {
+                    assert_eq!(handle.row(seq), Some(&rows[seq][..]), "seq {seq}");
+                }
+            }
+            // `next_row`: the answer is the first sequence at or after the
+            // one asked that may hold the event; none in between do.
+            let mut handle = index.event_rows(event);
+            let mut seq = 0;
+            while seq < ns {
+                match handle.next_row(seq) {
+                    Some((at, row)) => {
+                        assert!(at >= seq && at < ns);
+                        assert_eq!(row, &rows[at][..]);
+                        assert!((seq..at).all(|s| rows[s].is_empty()));
+                        seq = at + 1 + rng.below(2) as usize;
+                    }
+                    None => {
+                        assert!((seq..ns).all(|s| rows[s].is_empty()));
+                        break;
                     }
                 }
             }
-            // Out-of-range events resolve nothing.
-            let ghost = EventId(db.num_events() as u32);
-            assert_eq!(index.total_count(ghost), 0);
-            assert_eq!(index.event_positions(0, ghost), None);
         }
+        // Out-of-range events resolve nothing.
+        let ghost = EventId(db.num_events() as u32);
+        assert_eq!(index.total_count(ghost), 0);
+        assert_eq!(index.event_positions(0, ghost), None);
     }
     assert!(dense_seen > 0, "the corpora must exercise the dense layout");
 }

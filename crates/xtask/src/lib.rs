@@ -842,7 +842,7 @@ mod tests {
     #[test]
     fn waivers_suppress_and_are_counted() {
         let source = "fn f(v: &[u32], i: usize) -> u32 {\n    // audit:allow(indexing): documented panic at the API boundary.\n    v[i]\n}\n";
-        let report = audit_source("crates/seqdb/src/shard.rs", source);
+        let report = audit_source("crates/seqdb/src/index.rs", source);
         assert!(report.is_clean());
         assert_eq!(report.waived, 1);
     }

@@ -52,9 +52,9 @@
 //!     .run();
 //! assert_eq!(closed.patterns, parallel.patterns);
 //!
-//! // ...and so is a sharded preparation (sequence-boundary partition,
-//! // per-shard indexes built in parallel, shard-routed queries):
-//! let sharded = PreparedDb::new_sharded(&db, 2, 2);
+//! // ...and so is a sharded preparation (sequence-boundary ranges of the
+//! // one index, the work units of parallel runs):
+//! let sharded = PreparedDb::new_sharded(&db, 2);
 //! assert_eq!(sharded.shard_count(), 2);
 //! let from_shards = sharded.miner().min_sup(2).mode(Mode::Closed).threads(4).run();
 //! assert_eq!(closed.patterns, from_shards.patterns);
@@ -115,6 +115,6 @@ pub mod prelude {
     };
     pub use seqdb::{
         DatabaseBuilder, EventCatalog, EventId, InvertedIndex, Sequence, SequenceDatabase,
-        ShardMap, ShardedIndex, ShardedSeqStore, SnapshotError,
+        ShardMap, SnapshotError,
     };
 }
