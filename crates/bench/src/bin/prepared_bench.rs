@@ -11,8 +11,7 @@
 //! prepared_bench [--scale dev|paper] [--threads N] [--shards N] [--repeats N]
 //!                [--out FILE] [--columnar-out FILE] [--snapshot-out FILE]
 //!                [--sharded-out FILE] [--growth-out FILE] [--batch-out FILE]
-//!                [--growth-floor BASELINE_FILE] [--vector-floor SPEEDUP]
-//!                [--batch-floor SPEEDUP]
+//!                [--growth-floor BASELINE_FILE] [--batch-floor SPEEDUP]
 //!                [--only prepared|columnar|snapshot|sharded|growth|batch]
 //! ```
 //!
@@ -22,12 +21,9 @@
 //! the one preparation, per-range byte footprints, and range-parallel
 //! growth throughput against the PR 3 columnar baseline.
 //! The growth suite (`BENCH_growth_kernel.json`) measures the growth
-//! kernel on the active backend (and with the block compare forced off,
-//! same process) on long-sequence workloads; `--growth-floor` compares the
-//! fresh numbers against a committed baseline file and fails the run when
-//! any workload regressed by more than 30%, and `--vector-floor 1.15`
-//! fails it when any workload runs below 0.98x scalar or no long-sequence
-//! workload reaches a 1.15x vectorized-vs-scalar speedup. The batch suite
+//! kernel's throughput on long-sequence workloads; `--growth-floor`
+//! compares the fresh numbers against a committed baseline file and fails
+//! the run when any workload regressed by more than 30%. The batch suite
 //! (`BENCH_batch.json`) mines stepped-threshold request sweeps one-by-one
 //! vs in one shared DFS pass; `--batch-floor 1.2` fails the run when any
 //! sweep's batched run is less than 1.2x the one-by-one loop or its output
@@ -51,7 +47,6 @@ fn main() -> ExitCode {
     let mut sharded_out = PathBuf::from("BENCH_shard.json");
     let mut growth_out = PathBuf::from("BENCH_growth_kernel.json");
     let mut growth_floor: Option<PathBuf> = None;
-    let mut vector_floor: Option<f64> = None;
     let mut batch_out = PathBuf::from("BENCH_batch.json");
     let mut batch_floor: Option<f64> = None;
     // Which benchmarks to run:
@@ -135,13 +130,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--vector-floor" => match need_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(speedup) => vector_floor = Some(speedup),
-                None => {
-                    eprintln!("--vector-floor needs a minimum speedup (e.g. 1.15)");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--batch-out" => match need_value(&mut i) {
                 Some(path) => batch_out = PathBuf::from(path),
                 None => {
@@ -174,7 +162,7 @@ fn main() -> ExitCode {
                      [--repeats N] [--out FILE] [--columnar-out FILE] \
                      [--snapshot-out FILE] [--sharded-out FILE] [--growth-out FILE] \
                      [--batch-out FILE] [--growth-floor BASELINE_FILE] \
-                     [--vector-floor SPEEDUP] [--batch-floor SPEEDUP] \
+                     [--batch-floor SPEEDUP] \
                      [--only prepared|columnar|snapshot|sharded|growth|batch]"
                 );
                 return ExitCode::SUCCESS;
@@ -278,7 +266,7 @@ fn main() -> ExitCode {
     }
 
     if phases.4 {
-        // Growth kernels: batched-cursor instance-growth throughput on the
+        // Growth kernel: instance-growth throughput on the
         // avg-~103/~200/~400 workloads plus the narrow-column byte savings,
         // with an optional regression floor against a committed baseline.
         let growth = prepared_bench::run_growth_kernel(scale, repeats);
@@ -287,28 +275,9 @@ fn main() -> ExitCode {
         for w in &growth.workloads {
             let saved = w.store_bytes_wide.saturating_sub(w.store_bytes);
             println!(
-                "# {}: {:.0} growths/s on {} ({:.2}x vs scalar {:.0}), \
-                 {}-byte events, {} store bytes ({} saved vs wide)",
-                w.dataset,
-                w.growths_per_second,
-                growth.backend,
-                w.vector_speedup,
-                w.scalar_growths_per_second,
-                w.event_elem_bytes,
-                w.store_bytes,
-                saved,
-            );
-        }
-        if let Some(min_speedup) = vector_floor {
-            if let Err(err) = prepared_bench::check_vector_floor(&growth, min_speedup) {
-                eprintln!("error: vectorized-kernel floor violated: {err}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "# vector floor OK (backend {}, >= {:.2}x scalar everywhere, \
-                 >= {min_speedup:.2}x on a long-sequence workload)",
-                growth.backend,
-                prepared_bench::DEFAULT_PATH_FLOOR,
+                "# {}: {:.0} growths/s, {}-byte events, {} store bytes \
+                 ({} saved vs wide)",
+                w.dataset, w.growths_per_second, w.event_elem_bytes, w.store_bytes, saved,
             );
         }
         if let Some(baseline_path) = &growth_floor {

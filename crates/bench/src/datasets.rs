@@ -181,17 +181,15 @@ const LONG_SEQ_LENGTHS: [usize; 2] = [200, 400];
 /// deliberately tiny, heavily skewed alphabet — one dominant event (~90%
 /// of all positions, a heartbeat/poll event in log terms) plus three rare
 /// ones, the extreme end of the power-law shape of real logs and protein
-/// traces. The skew is what makes this the block-parallel regime: growing
-/// the dominant event by itself pairs a dense instance run (hundreds per
+/// traces. The skew is what makes this the long-run regime: growing the
+/// dominant event by itself pairs a dense instance run (hundreds per
 /// sequence) with an equally dense posting row in perfect alternation, so
-/// every lane of a 64-wide block passes its bound and the kernels' single
-/// whole-block compare plus bulk emission replaces 64 scalar probe steps.
-/// (Uniform alphabets interleave instances and extension positions ~1:1
-/// across *different* events, which breaks the dominated prefix every few
-/// lanes; the sparse Fig. 6 shape averages only ~2 positions per row,
-/// which bounds any per-row win.) Both scales use the same CI-sized
-/// corpus: the shape, not the size, is the point — and it is generated
-/// directly from a seeded LCG so the skew is exact and reproducible.
+/// every probe takes the next row slot with no search, while growing it by
+/// a rare event exhausts the row after a few probes and skips the rest of
+/// the run. (The sparse Fig. 6 shape averages only ~2 positions per row.)
+/// Both scales use the same CI-sized corpus: the shape, not the size, is
+/// the point — and it is generated directly from a seeded LCG so the skew
+/// is exact and reproducible.
 fn dense_long_seq_dataset(_scale: Scale) -> (String, SequenceDatabase) {
     let mut state = 0x5EED_CAFE_u64;
     let mut next = move |modulus: u64| {
@@ -278,7 +276,7 @@ mod tests {
         let rows = dense.num_sequences() * dense.num_events();
         assert!(
             dense.total_length() / rows >= 15,
-            "avg posting row {} too short for the lane-parallel regime",
+            "avg posting row {} too short for the long-run regime",
             dense.total_length() / rows
         );
     }

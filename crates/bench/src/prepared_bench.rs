@@ -569,8 +569,8 @@ fn snapshot_workload(
     }
 }
 
-/// Growth-kernel measurements of one workload: batched-cursor instance
-/// growth throughput plus the narrow-column storage footprint.
+/// Growth-kernel measurements of one workload: instance growth throughput
+/// plus the narrow-column storage footprint.
 #[derive(Debug, Clone)]
 pub struct GrowthKernelWorkload {
     /// Dataset description (name + stats summary).
@@ -588,23 +588,10 @@ pub struct GrowthKernelWorkload {
     /// Instances emitted by one measured run (`GROWTH_LAYER_ITERS` full
     /// extension layers over the seed sets, kernel work only).
     pub instance_growths: u64,
-    /// Wall time of that run on the active (vectorized when the CPU
-    /// allows) kernel backend: the median layer, times the layer count.
+    /// Wall time of that run: the median layer, times the layer count.
     pub growth_seconds: f64,
-    /// `instance_growths / growth_seconds` on the active backend.
+    /// `instance_growths / growth_seconds`.
     pub growths_per_second: f64,
-    /// The same median-layer wall time with the block compare forced off
-    /// (via `seqdb::simd::force_backend`) — same machine, same process.
-    pub scalar_growth_seconds: f64,
-    /// `instance_growths / scalar_growth_seconds` (the growth counter is
-    /// bit-identical across backends, asserted at measurement time).
-    pub scalar_growths_per_second: f64,
-    /// The same-machine win of the vectorized path: the median, over
-    /// adjacent (scalar, active) layer pairs, of scalar time / active time
-    /// (~1.0 when the active backend *is* scalar, e.g. on a CPU without
-    /// AVX2). Close to, but not exactly,
-    /// `growths_per_second / scalar_growths_per_second`.
-    pub vector_speedup: f64,
 }
 
 impl GrowthKernelWorkload {
@@ -613,8 +600,7 @@ impl GrowthKernelWorkload {
             "{{\"dataset\": {}, \"min_sup\": {}, \
              \"event_elem_bytes\": {}, \"store_bytes\": {}, \"store_bytes_wide\": {}, \
              \"instance_growths\": {}, \"growth_seconds\": {:.6}, \
-             \"growths_per_second\": {:.0}, \"scalar_growth_seconds\": {:.6}, \
-             \"scalar_growths_per_second\": {:.0}, \"vector_speedup\": {:.3}}}",
+             \"growths_per_second\": {:.0}}}",
             escape(&self.dataset),
             self.min_sup,
             self.event_elem_bytes,
@@ -623,9 +609,6 @@ impl GrowthKernelWorkload {
             self.instance_growths,
             self.growth_seconds,
             self.growths_per_second,
-            self.scalar_growth_seconds,
-            self.scalar_growths_per_second,
-            self.vector_speedup,
         )
     }
 }
@@ -635,19 +618,13 @@ impl GrowthKernelWorkload {
 pub struct GrowthKernelReport {
     /// Benchmark scale (dev/paper).
     pub scale: String,
-    /// The kernel backend the vectorized numbers ran on
-    /// (`avx2`/`scalar` — see `seqdb::simd`).
-    pub backend: String,
-    /// The dispatch-relevant CPU features this machine detected (for
-    /// example `"sse2 avx2"`), so cross-container numbers carry their
-    /// hardware context instead of a prose caveat.
+    /// The vector extensions the build targets (for example `"sse2"`, see
+    /// `seqdb::simd::detected_features`), so cross-container numbers carry
+    /// their build context instead of a prose caveat.
     pub cpu_features: String,
-    /// Provenance note for the scalar comparison column.
-    pub baseline: String,
     /// Per-workload measurements: the Fig. 6 avg-~103 workload plus the
     /// avg-~200 / avg-~400 long-sequence datasets and the dense
-    /// small-alphabet long-sequence workload where posting rows are long
-    /// enough for the lane-parallel kernels to pay off.
+    /// small-alphabet long-sequence workload with the longest posting rows.
     pub workloads: Vec<GrowthKernelWorkload>,
 }
 
@@ -661,20 +638,17 @@ impl GrowthKernelReport {
             .collect();
         format!(
             "{{\n  \"benchmark\": \"growth_kernel\",\n  \"scale\": {},\n  \
-             \"backend\": {},\n  \"cpu_features\": {},\n  \
-             \"baseline\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+             \"cpu_features\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
             escape(&self.scale),
-            escape(&self.backend),
             escape(&self.cpu_features),
-            escape(&self.baseline),
             workloads.join(",\n"),
         )
     }
 }
 
 /// Layers per repeat of the growth-kernel measurement: a single layer over
-/// the seed sets takes a few milliseconds at dev scale, so each column
-/// times `repeats x GROWTH_LAYER_ITERS` layers and reports its median one
+/// the seed sets takes a few milliseconds at dev scale, so each workload
+/// times `repeats x GROWTH_LAYER_ITERS` layers and reports the median one
 /// scaled to this many layers.
 const GROWTH_LAYER_ITERS: usize = 16;
 
@@ -685,7 +659,7 @@ const GROWTH_LAYER_ITERS: usize = 16;
 /// grow calls the first `mineFre` level issues. Timing the kernel entry
 /// point directly (instead of a whole mining run) keeps support counting,
 /// closure checks, and tree bookkeeping out of the measured window, so the
-/// scalar-vs-vector ratio measures the kernels and nothing else.
+/// throughput measures the kernels and nothing else.
 fn growth_kernel_workload(
     name: &str,
     db: &seqdb::SequenceDatabase,
@@ -701,38 +675,21 @@ fn growth_kernel_workload(
         .collect();
     let events: Vec<EventId> = seeds.iter().map(|(e, _)| *e).collect();
     let seed_sets: Vec<rgs_core::SupportSet> = seeds.into_iter().map(|(_, set)| set).collect();
-    // Scalar and active (vectorized, unless overridden) layers alternate
-    // in ABBA order. Each column reports its median layer, and the speedup
-    // is the median ratio over adjacent (scalar, active) pairs: drift on a
-    // shared machine cancels within a pair, and a burst of noise in either
-    // direction cannot move a median. The bit-identity contract is
-    // asserted between the columns: they must emit the same instances.
-    let columns = [Some(seqdb::KernelBackend::Scalar), None];
-    let mut times: [Vec<f64>; 2] = Default::default();
-    let mut emitted = [0u64; 2];
-    for round in 0..repeats.max(1) * GROWTH_LAYER_ITERS {
-        for column in [round % 2, 1 - round % 2] {
-            seqdb::simd::force_backend(columns[column]);
-            let (seconds, layer) = best_of(1, || {
-                rgs_core::kernel::grow_layer(sc.index(), &seed_sets, &events)
-            });
-            times[column].push(seconds.max(1e-12));
-            emitted[column] = layer;
-        }
+    // The median layer: a burst of noise on a shared machine cannot move
+    // it.
+    let mut times = Vec::new();
+    let mut emitted = 0u64;
+    for _ in 0..repeats.max(1) * GROWTH_LAYER_ITERS {
+        let (seconds, layer) = best_of(1, || {
+            rgs_core::kernel::grow_layer(sc.index(), &seed_sets, &events)
+        });
+        times.push(seconds.max(1e-12));
+        emitted = layer;
     }
-    seqdb::simd::force_backend(None);
-    assert_eq!(
-        emitted[0], emitted[1],
-        "scalar and vectorized kernels diverged on {name}"
-    );
-    let [scalar, active] = &times;
-    let vector_speedup = median(scalar.iter().zip(active).map(|(s, a)| s / a).collect());
     // Reported per `GROWTH_LAYER_ITERS` layers, the unit of the committed
     // baselines.
-    let iters = GROWTH_LAYER_ITERS as f64;
-    let scalar_growth_seconds = median(scalar.clone()) * iters;
-    let growth_seconds = median(active.clone()) * iters;
-    let instance_growths = emitted[1] * GROWTH_LAYER_ITERS as u64;
+    let growth_seconds = median(times) * GROWTH_LAYER_ITERS as f64;
+    let instance_growths = emitted * GROWTH_LAYER_ITERS as u64;
     GrowthKernelWorkload {
         dataset: format!("{name}: {}", stats.summary()),
         min_sup,
@@ -742,9 +699,6 @@ fn growth_kernel_workload(
         instance_growths,
         growth_seconds,
         growths_per_second: instance_growths as f64 / growth_seconds,
-        scalar_growth_seconds,
-        scalar_growths_per_second: instance_growths as f64 / scalar_growth_seconds,
-        vector_speedup,
     }
 }
 
@@ -757,8 +711,7 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// Runs the growth-kernel benchmark: the Fig. 6 avg-length-~103 workload
 /// (directly comparable against the per-call-probe numbers in
 /// `BENCH_columnar_store.json`) plus the avg-~200 / avg-~400 long-sequence
-/// datasets and the skewed dense workload where batched kernels pay off
-/// the most.
+/// datasets and the skewed dense workload with the longest posting rows.
 pub fn run_growth_kernel(scale: Scale, repeats: usize) -> GrowthKernelReport {
     let min_sup = datasets::fig5_fig6_threshold(scale);
     let mut workloads = Vec::new();
@@ -774,15 +727,7 @@ pub fn run_growth_kernel(scale: Scale, repeats: usize) -> GrowthKernelReport {
 
     GrowthKernelReport {
         scale: format!("{scale:?}").to_lowercase(),
-        backend: seqdb::simd::active_backend().name().to_owned(),
         cpu_features: seqdb::simd::detected_features().to_owned(),
-        baseline: "scalar_growths_per_second: the same growth kernel with \
-                   the block compare off (force_backend(Scalar): the serial \
-                   gallop + branch-free search probe loop alone), re-measured \
-                   in this very process - vector_speedup is therefore a \
-                   same-machine, same-build comparison, never a \
-                   cross-container one"
-            .to_owned(),
         workloads,
     }
 }
@@ -831,54 +776,6 @@ pub fn check_growth_floor(
         }
     }
     Ok(())
-}
-
-/// The default-path floor: on no workload may the active backend run
-/// below this fraction of the scalar path's throughput (2% for noise).
-pub const DEFAULT_PATH_FLOOR: f64 = 0.98;
-
-/// Checks the vectorized-vs-scalar floors of a fresh growth-kernel report:
-/// **every** workload must reach [`DEFAULT_PATH_FLOOR`] (the default path
-/// is never slower than the path it replaces), and at least one
-/// **long-sequence** workload (every workload after the Fig. 6 head entry)
-/// must reach `min_speedup` (for example 1.15 = the vectorized path beats
-/// the scalar path by >= 15% on the same machine).
-///
-/// The check is skipped (Ok) when the active backend *is* scalar — that
-/// run measures `vector_speedup ~ 1.0` by construction and must not fail
-/// on it.
-pub fn check_vector_floor(report: &GrowthKernelReport, min_speedup: f64) -> Result<(), String> {
-    if report.backend == "scalar" {
-        return Ok(());
-    }
-    if let Some(slow) = report
-        .workloads
-        .iter()
-        .find(|w| w.vector_speedup < DEFAULT_PATH_FLOOR)
-    {
-        return Err(format!(
-            "{}: the default {} path runs at {:.3}x scalar, below the \
-             {DEFAULT_PATH_FLOOR:.2}x default-path floor",
-            slow.dataset, report.backend, slow.vector_speedup,
-        ));
-    }
-    let long_seq = report.workloads.get(1..).unwrap_or(&[]);
-    if long_seq.is_empty() {
-        return Err("report has no long-sequence workloads".to_owned());
-    }
-    let best = long_seq
-        .iter()
-        .map(|w| w.vector_speedup)
-        .fold(f64::MIN, f64::max);
-    if best >= min_speedup {
-        Ok(())
-    } else {
-        Err(format!(
-            "no long-sequence workload reached the {min_speedup:.2}x \
-             vectorized-vs-scalar floor on backend {} (best {best:.3}x)",
-            report.backend,
-        ))
-    }
 }
 
 /// Batch-engine measurements of one workload: a stepped-threshold request
@@ -1540,9 +1437,7 @@ mod tests {
     fn growth_kernel_report_serializes_to_balanced_json() {
         let report = GrowthKernelReport {
             scale: "dev".into(),
-            backend: "avx2".into(),
             cpu_features: "sse2 avx2".into(),
-            baseline: "same-machine scalar path (block compare off)".into(),
             workloads: vec![GrowthKernelWorkload {
                 dataset: "toy".into(),
                 min_sup: 20,
@@ -1552,18 +1447,13 @@ mod tests {
                 instance_growths: 6000,
                 growth_seconds: 0.001,
                 growths_per_second: 6_000_000.0,
-                scalar_growth_seconds: 0.0012,
-                scalar_growths_per_second: 5_000_000.0,
-                vector_speedup: 1.2,
             }],
         };
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"growth_kernel\""));
-        assert!(json.contains("\"backend\": \"avx2\""));
         assert!(json.contains("\"cpu_features\": \"sse2 avx2\""));
         assert!(json.contains("\"event_elem_bytes\": 2"));
         assert!(json.contains("\"growths_per_second\": 6000000"));
-        assert!(json.contains("\"vector_speedup\": 1.200"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -1582,9 +1472,7 @@ mod tests {
     fn growth_floor_check_accepts_equal_and_rejects_regressed_numbers() {
         let report = GrowthKernelReport {
             scale: "dev".into(),
-            backend: "avx2".into(),
             cpu_features: "sse2 avx2".into(),
-            baseline: "x".into(),
             workloads: vec![GrowthKernelWorkload {
                 dataset: "toy".into(),
                 min_sup: 20,
@@ -1594,51 +1482,17 @@ mod tests {
                 instance_growths: 6000,
                 growth_seconds: 0.001,
                 growths_per_second: 6_000_000.0,
-                scalar_growth_seconds: 0.0012,
-                scalar_growths_per_second: 5_000_000.0,
-                vector_speedup: 1.2,
             }],
         };
         let same = report.to_json();
         assert!(check_growth_floor(&report, &same, 0.3).is_ok());
-        // The vectorized-vs-scalar floor looks only at long-sequence
-        // workloads (everything after the Fig. 6 head entry); with a lone
-        // head workload there is nothing to certify.
-        assert!(check_vector_floor(&report, 1.15).is_err());
-        let mut long = report.clone();
-        long.workloads.push(GrowthKernelWorkload {
-            dataset: "long".into(),
-            vector_speedup: 1.3,
-            ..report.workloads.first().cloned().expect("head workload")
-        });
-        assert!(check_vector_floor(&long, 1.15).is_ok());
-        assert!(check_vector_floor(&long, 1.35).is_err());
-        // Every workload, head included, must hold the default-path floor
-        // even when a long-sequence workload clears the speedup floor.
-        let mut slow_head = long.clone();
-        if let Some(head) = slow_head.workloads.first_mut() {
-            head.vector_speedup = 0.97;
-        }
-        let err = check_vector_floor(&slow_head, 1.15).unwrap_err();
-        assert!(err.contains("toy") && err.contains("0.98x"), "{err}");
-        if let Some(head) = slow_head.workloads.first_mut() {
-            head.vector_speedup = DEFAULT_PATH_FLOOR;
-        }
-        assert!(check_vector_floor(&slow_head, 1.15).is_ok());
-        // ... and a slow long-sequence workload fails it too.
-        let mut slow_long = long.clone();
-        slow_long.workloads.push(GrowthKernelWorkload {
-            dataset: "slow".into(),
-            vector_speedup: 0.9,
-            ..report.workloads.first().cloned().expect("head workload")
-        });
-        assert!(check_vector_floor(&slow_long, 1.15).is_err());
-        // A scalar-backend run measures ~1.0x by construction; neither
-        // floor may fail it.
-        long.backend = "scalar".into();
-        assert!(check_vector_floor(&long, 1.35).is_ok());
-        slow_long.backend = "scalar".into();
-        assert!(check_vector_floor(&slow_long, 1.15).is_ok());
+        // Baselines written with the retired forced-scalar column still
+        // parse: only the `"growths_per_second"` values are read.
+        let old_columns = same.replace(
+            "\"growths_per_second\": 6000000",
+            "\"growths_per_second\": 6000000, \"scalar_growths_per_second\": 9000000",
+        );
+        assert!(check_growth_floor(&report, &old_columns, 0.3).is_ok());
         // 30% headroom: a baseline up to 1/0.7 of the measurement passes.
         let faster = same.replace("6000000", "8000000");
         assert!(check_growth_floor(&report, &faster, 0.3).is_ok());

@@ -53,8 +53,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rgs_core::{
-    canonical_key, json, postprocess, sort_patterns_for_report, CollectSink, GapConstraints,
-    MinedPattern, Miner, MiningRequest, Mode, PostProcessConfig, PreparedDb,
+    canonical_key, json, parse_request_body, postprocess, sort_patterns_for_report, CollectSink,
+    GapConstraints, MinedPattern, Miner, MiningRequest, Mode, PostProcessConfig, PreparedDb,
+    RequestBody,
 };
 use seqdb::snapshot::{section_id, verify, SnapshotImage};
 use seqdb::{io as seqio, SequenceDatabase};
@@ -483,109 +484,18 @@ fn run_snapshot_verify(options: &Options) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// One parsed line of a `batch` request file: the mining parameters plus
-/// the optional per-request deadline.
-#[derive(Debug, Clone, PartialEq)]
-struct BatchLine {
-    request: MiningRequest,
-    timeout_ms: Option<u64>,
-}
-
-/// Parses one request line of a `batch` file. The accepted shape is the
-/// `POST /mine` body of `rgs-serve`: a flat JSON object whose fields are
-/// all optional, with unknown fields rejected by name (a typo like
-/// `"min_supp"` silently mining with the default support would be far
-/// worse than an error).
-fn parse_batch_line(line: &str) -> Result<BatchLine, String> {
-    let value = json::parse(line).map_err(|err| format!("invalid JSON: {err}"))?;
-    let members = value
-        .as_obj()
-        .ok_or_else(|| "request must be a JSON object".to_owned())?;
-
-    let as_u64 = |name: &str, field: &json::Value| -> Result<u64, String> {
-        field
-            .as_u64()
-            .ok_or_else(|| format!("field {name:?} must be a non-negative integer"))
-    };
-    let as_u32 = |name: &str, field: &json::Value| -> Result<u32, String> {
-        u32::try_from(as_u64(name, field)?)
-            .map_err(|_| format!("field {name:?} exceeds the u32 range"))
-    };
-    let as_usize = |name: &str, field: &json::Value| -> Result<usize, String> {
-        usize::try_from(as_u64(name, field)?)
-            .map_err(|_| format!("field {name:?} exceeds the usize range"))
-    };
-
-    // `null` on any optional field means "use the default", exactly as in
-    // the serve protocol.
-    let opt_u32 = |name: &str, field: &json::Value| -> Result<Option<u32>, String> {
-        if field.is_null() {
-            Ok(None)
-        } else {
-            as_u32(name, field).map(Some)
-        }
-    };
-    let opt_usize = |name: &str, field: &json::Value| -> Result<Option<usize>, String> {
-        if field.is_null() {
-            Ok(None)
-        } else {
-            as_usize(name, field).map(Some)
-        }
-    };
-
-    let mut request = MiningRequest::default();
-    let mut timeout_ms = None;
-    for (name, field) in members {
-        match name.as_str() {
-            "min_sup" => request.min_sup = as_u64(name, field)?,
-            "mode" => {
-                request.mode = match field.as_str() {
-                    Some("all") => Mode::All,
-                    Some("closed") => Mode::Closed,
-                    Some("maximal") => Mode::Maximal,
-                    Some("top-k" | "topk" | "top_k") => Mode::TopK,
-                    Some(other) => return Err(format!("unknown mode {other:?}")),
-                    None => return Err("field \"mode\" must be a string".to_owned()),
-                }
-            }
-            "min_gap" => request.constraints.min_gap = as_u32(name, field)?,
-            "max_gap" => request.constraints.max_gap = opt_u32(name, field)?,
-            "max_window" => request.constraints.max_window = opt_u32(name, field)?,
-            "top_k" => request.top_k = opt_usize(name, field)?,
-            "min_len" => request.min_len = as_usize(name, field)?,
-            "max_len" => request.max_pattern_length = opt_usize(name, field)?,
-            "max_patterns" => request.max_patterns = opt_usize(name, field)?,
-            "timeout_ms" => {
-                timeout_ms = if field.is_null() {
-                    None
-                } else {
-                    Some(as_u64(name, field)?)
-                };
-            }
-            other => {
-                return Err(format!(
-                    "unknown field {other:?}; accepted fields: min_sup, mode, min_gap, \
-                     max_gap, max_window, top_k, min_len, max_len, max_patterns, timeout_ms"
-                ));
-            }
-        }
-    }
-    Ok(BatchLine {
-        request,
-        timeout_ms,
-    })
-}
-
-/// Parses a whole `batch` request file: one JSON object per line, blank
-/// lines and `#` comments skipped, errors prefixed with the line number.
-fn parse_batch_file(text: &str) -> Result<Vec<BatchLine>, String> {
+/// Parses a whole `batch` request file: one JSON object per line in the
+/// `POST /mine` body shape of `rgs-serve` (read by the same
+/// [`parse_request_body`]), blank lines and `#` comments skipped, errors
+/// prefixed with the line number.
+fn parse_batch_file(text: &str) -> Result<Vec<RequestBody>, String> {
     let mut lines = Vec::new();
     for (at, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let parsed = parse_batch_line(line).map_err(|err| format!("line {}: {err}", at + 1))?;
+        let parsed = parse_request_body(line).map_err(|err| format!("line {}: {err}", at + 1))?;
         lines.push(parsed);
     }
     if lines.is_empty() {
@@ -750,13 +660,10 @@ fn run_stats(source: &Loaded) -> ExitCode {
         );
     }
     println!("shards:                {}", stats.num_shards);
-    // The growth-kernel dispatch decision for this process (runtime CPU
-    // detection: `avx2` runs the block compare, `scalar` does not).
-    // Surfaced here so throughput reports always name the backend they
-    // ran on.
+    // The vector extensions this build targets, so throughput reports
+    // always name the build they ran on.
     println!(
-        "kernel backend:        {} (cpu: {})",
-        seqdb::simd::active_backend().name(),
+        "cpu features:          {}",
         seqdb::simd::detected_features()
     );
     // The ranges of the one store and index that parallel runs split
@@ -1341,9 +1248,48 @@ mod tests {
         assert_eq!(options.requests, Some(PathBuf::from("reqs.jsonl")));
     }
 
+    /// One table of bodies that a `batch` line and a `POST /mine` body
+    /// must accept or reject identically: `None` accepts, `Some(needle)`
+    /// rejects with a message naming the problem.
     #[test]
-    fn batch_lines_parse_the_mine_body_shape() {
-        let line = parse_batch_line(
+    fn batch_lines_and_mine_bodies_parse_identically() {
+        let table: [(&str, Option<&str>); 14] = [
+            ("{}", None),
+            (
+                r#"{"min_sup": 3, "mode": "top-k", "max_gap": 2, "top_k": 5, "timeout_ms": 250}"#,
+                None,
+            ),
+            (
+                r#"{"min_sup": 7, "mode": "all", "min_gap": 1, "max_window": 12, "min_len": 2, "max_len": 9, "max_patterns": 1000}"#,
+                None,
+            ),
+            (r#"{"mode": "topk"}"#, None),
+            (r#"{"max_gap": null, "timeout_ms": null}"#, None),
+            ("[1]", Some("JSON object")),
+            (r#"{"min_supp": 3}"#, Some("min_supp")),
+            (r#"{"mode": "openish"}"#, Some("openish")),
+            (r#"{"mode": 4}"#, Some("must be a string")),
+            (r#"{"min_sup": null}"#, Some("non-negative")),
+            (r#"{"min_sup": -1}"#, Some("non-negative")),
+            (r#"{"min_sup": 1.5}"#, Some("non-negative")),
+            (r#"{"min_gap": 4294967296}"#, Some("u32")),
+            ("{not json", Some("invalid JSON")),
+        ];
+        for (body, rejection) in table {
+            let batch = parse_batch_file(body);
+            let served = rgs_serve::protocol::parse_mine_request(body);
+            match (rejection, batch, served) {
+                (None, Ok(lines), Ok(served)) => assert_eq!(lines, [served], "{body}"),
+                (Some(needle), Err(batch), Err(served)) => {
+                    assert_eq!(served.status, 400, "{body}");
+                    assert!(served.message.contains(needle), "{body} -> {served:?}");
+                    assert_eq!(batch, format!("line 1: {}", served.message), "{body}");
+                }
+                (_, batch, served) => panic!("{body}: batch {batch:?} vs serve {served:?}"),
+            }
+        }
+
+        let line = parse_request_body(
             r#"{"min_sup": 3, "mode": "top-k", "max_gap": 2, "top_k": 5, "timeout_ms": 250}"#,
         )
         .expect("full line");
@@ -1352,25 +1298,9 @@ mod tests {
         assert_eq!(line.request.constraints.max_gap, Some(2));
         assert_eq!(line.request.top_k, Some(5));
         assert_eq!(line.timeout_ms, Some(250));
-
-        let defaults = parse_batch_line("{}").expect("empty object");
+        let defaults = parse_request_body("{}").expect("empty object");
         assert_eq!(defaults.request, MiningRequest::default());
         assert_eq!(defaults.timeout_ms, None);
-
-        let nulls = parse_batch_line(r#"{"max_gap": null, "timeout_ms": null}"#).expect("nulls");
-        assert_eq!(nulls.request.constraints.max_gap, None);
-        assert_eq!(nulls.timeout_ms, None);
-
-        for (bad, needle) in [
-            ("[1]", "JSON object"),
-            (r#"{"min_supp": 3}"#, "min_supp"),
-            (r#"{"mode": "openish"}"#, "openish"),
-            (r#"{"min_sup": null}"#, "non-negative"),
-            ("{not json", "invalid JSON"),
-        ] {
-            let err = parse_batch_line(bad).expect_err(bad);
-            assert!(err.contains(needle), "{bad} -> {err}");
-        }
     }
 
     #[test]

@@ -25,8 +25,13 @@
 //! The seeded property test in `crates/serve/tests/canonical_key.rs` pins
 //! both directions: equivalent requests agree, semantically different
 //! requests differ.
+//!
+//! [`parse_request_body`] is the other direction: the one reader of the
+//! flat JSON request shape shared by `POST /mine` bodies and `rgs-mine
+//! batch` lines.
 
 use crate::engine::MiningRequest;
+use crate::json::{self, Value};
 use crate::Mode;
 
 /// Version tag baked into every key so a future change to the key grammar
@@ -86,6 +91,99 @@ pub fn canonical_key(request: &MiningRequest) -> String {
         opt(request.max_pattern_length),
         opt(request.max_patterns),
     )
+}
+
+/// A parsed request body: the mining request plus its optional deadline,
+/// which is not part of the canonical key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RequestBody {
+    /// The mining parameters, canonicalized by [`canonical_key`].
+    pub request: MiningRequest,
+    /// Per-request deadline in milliseconds.
+    pub timeout_ms: Option<u64>,
+}
+
+/// Parses one flat JSON request object.
+///
+/// Every field is optional; omitted fields and `null` take the library
+/// defaults, so `{}` means "closed patterns, min_sup 2". Unknown fields are
+/// rejected by name rather than ignored: a typo like `"min_supp"` silently
+/// mining with the default support would be far worse than an error. The
+/// error message names the offending field.
+pub fn parse_request_body(text: &str) -> Result<RequestBody, String> {
+    let value = json::parse(text).map_err(|err| format!("invalid JSON: {err}"))?;
+    let members = value
+        .as_obj()
+        .ok_or_else(|| "request body must be a JSON object".to_owned())?;
+
+    let mut request = MiningRequest::default();
+    let mut timeout_ms = None;
+    for (name, field) in members {
+        match name.as_str() {
+            "min_sup" => request.min_sup = parse_u64(name, field)?,
+            "mode" => request.mode = parse_mode(field)?,
+            "min_gap" => request.constraints.min_gap = parse_u32(name, field)?,
+            "max_gap" => request.constraints.max_gap = nullable(name, field, parse_u32)?,
+            "max_window" => request.constraints.max_window = nullable(name, field, parse_u32)?,
+            "top_k" => request.top_k = nullable(name, field, parse_usize)?,
+            "min_len" => request.min_len = parse_usize(name, field)?,
+            "max_len" => request.max_pattern_length = nullable(name, field, parse_usize)?,
+            "max_patterns" => request.max_patterns = nullable(name, field, parse_usize)?,
+            "timeout_ms" => timeout_ms = nullable(name, field, parse_u64)?,
+            other => {
+                return Err(format!(
+                    "unknown field {other:?}; accepted fields: min_sup, mode, min_gap, \
+                     max_gap, max_window, top_k, min_len, max_len, max_patterns, timeout_ms"
+                ));
+            }
+        }
+    }
+    Ok(RequestBody {
+        request,
+        timeout_ms,
+    })
+}
+
+fn parse_u64(name: &str, field: &Value) -> Result<u64, String> {
+    field
+        .as_u64()
+        .ok_or_else(|| format!("field {name:?} must be a non-negative integer"))
+}
+
+fn parse_u32(name: &str, field: &Value) -> Result<u32, String> {
+    u32::try_from(parse_u64(name, field)?)
+        .map_err(|_| format!("field {name:?} exceeds the u32 range"))
+}
+
+fn parse_usize(name: &str, field: &Value) -> Result<usize, String> {
+    usize::try_from(parse_u64(name, field)?)
+        .map_err(|_| format!("field {name:?} exceeds the usize range"))
+}
+
+/// `null` means "use the default" (`None`); anything else goes to `parse`.
+fn nullable<T>(
+    name: &str,
+    field: &Value,
+    parse: fn(&str, &Value) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    if field.is_null() {
+        Ok(None)
+    } else {
+        parse(name, field).map(Some)
+    }
+}
+
+fn parse_mode(field: &Value) -> Result<Mode, String> {
+    match field.as_str() {
+        Some("all") => Ok(Mode::All),
+        Some("closed") => Ok(Mode::Closed),
+        Some("maximal") => Ok(Mode::Maximal),
+        Some("top-k" | "topk" | "top_k") => Ok(Mode::TopK),
+        Some(other) => Err(format!(
+            "unknown mode {other:?}; one of \"all\", \"closed\", \"maximal\", \"top-k\""
+        )),
+        None => Err("field \"mode\" must be a string".to_owned()),
+    }
 }
 
 #[cfg(test)]

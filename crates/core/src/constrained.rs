@@ -45,8 +45,8 @@
 //! (`kernel::grow_constrained`): each probe's lower bound folds the
 //! per-instance `min_gap`/`max_window` bound with the leftmost-growth
 //! watermark, and the `max_gap` upper-bound check follows the probe. A
-//! rejected position is not consumed, so the unconstrained kernel's block
-//! compare, which consumes every slot it proves, has no constrained twin.
+//! rejected position is not consumed: it may satisfy the next instance's
+//! window.
 
 use seqdb::{EventId, RunSet, SequenceDatabase};
 

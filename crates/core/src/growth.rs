@@ -8,11 +8,11 @@
 //! so the size of the result is exactly the repetitive support of `P ◦ e`.
 //!
 //! The growth step itself is delegated to [`crate::kernel`], which resolves
-//! each posting row once per extension pass and — since the vectorization
-//! pass — walks the per-sequence lanes through the tiered block/batch/serial
-//! kernels over [`seqdb::simd`]. This module owns the *semantics* (which
-//! instances to grow, in what order, into which support set); the kernel
-//! owns the *mechanics* of finding each lane's next admissible position.
+//! each posting row once per extension pass and advances one
+//! [`seqdb::PostingCursor`] through each sequence's run of instances. This
+//! module owns the *semantics* (which instances to grow, in what order,
+//! into which support set); the kernel owns the *mechanics* of finding each
+//! instance's next admissible position.
 
 use std::ops::Range;
 
@@ -205,15 +205,7 @@ impl<'a> SupportComputer<'a> {
         // once, the cursor advances through the sequence's whole run
         // (gallop + branch-free search), and run boundaries are detected
         // inline instead of by a separate pre-scan.
-        kernel::grow_unconstrained(
-            self.index(),
-            event,
-            support.instances(),
-            runs,
-            target,
-            seqdb::simd::active_backend(),
-            out,
-        );
+        kernel::grow_unconstrained(self.index(), event, support.instances(), runs, target, out);
     }
 
     /// `supComp(SeqDB, P)` (Algorithm 1): the leftmost support set of an

@@ -22,11 +22,12 @@
 //! and the constrained miner share a single landmark-reconstruction loop
 //! instead of the seed's copy-paste twins.
 //!
-//! Landmark reconstruction stays on the scalar [`seqdb::PostingCursor`]
-//! probe: it runs once per reported pattern (not per growth step), its
-//! per-lane bounds depend on full landmark history, and its cost is noise
-//! next to the mining DFS — so it is deliberately *not* routed through the
-//! batched [`crate::kernel`] tiers that vectorize the hot growth pass.
+//! Landmark reconstruction runs the same per-instance
+//! [`seqdb::PostingCursor`] probe loop as the hot growth pass in
+//! [`crate::kernel`], but it copies whole landmarks into the strided arena
+//! instead of pushing `(seq, first, last)` instances into a support set, so
+//! it keeps its own copy of the loop. It runs once per reported pattern, not
+//! per growth step.
 
 use seqdb::{EventId, InvertedIndex, PostingCursor};
 

@@ -1,5 +1,5 @@
 //! The growth kernels: whole-pass instance advancement over resolved
-//! posting rows, with one optional 64-lane block compare.
+//! posting rows.
 //!
 //! The per-call probe `next(S, e, lowest)` (Algorithm 2, line 9) pays the
 //! full price on every invocation: resolve the `(sequence, event)` row,
@@ -21,53 +21,24 @@
 //! gallops forward from the previous landmark and falls back to a
 //! branch-free binary search over the galloped bracket, so a run of `k`
 //! probes over a row of length `L` costs amortized `O(L + k·log stride)`.
-//!
-//! The unconstrained kernel adds a **block compare**: one [`gt_mask64`] of
-//! the next [`BLOCK_LANES`] row positions at the cursor against the `last`
-//! positions of the next [`BLOCK_LANES`] instances. It is tried only when
-//! the run's row has at least a block of positions (decided once per run),
-//! at least a block remains at the cursor, and instance `i + 63` is still
-//! in the run — one load, since instances are sorted by `(seq, last)`. By
-//! the identity `pp(t) <= j  ⟺  t < row[j]` on a strictly ascending row,
-//! every lane in the mask's *leading all-pass prefix* takes the next
-//! consecutive row slot, so those `m` instances advance with no search: one
-//! bulk `SupportSet::push_grown` emission and an `m`-slot
-//! [`PostingCursor::advance`] replace `m` probes.
-//!
-//! - Induction (consuming; `at` = consumed count, so `row[at - 1]` is the
-//!   last emitted position): if `last_i < row[at + i]` for every lane
-//!   `i < m`, then probe `i`'s bound `max(emitted_{i-1}, last_i)` is below
-//!   `row[at + i]` (the previous lane emitted `row[at + i - 1]`), and
-//!   everything before slot `at + i` is already consumed — so probe `i`
-//!   returns exactly `row[at + i]` and consumes it.
-//!
-//! The lane that breaks the prefix runs on the serial probe, and a block
-//! with no dominated lane hands the next `COOL_DOWN` (8) probes to it, so
-//! dominance-free stretches pay one compare per eight instances.
-//! Emission order, the `target` early exit and the run-tail skip on row
-//! exhaustion do not depend on the block compare, so output is
-//! **bit-identical** with it on or off — pinned by the tests here and the
-//! cross-backend sweep in `width_kernel_equivalence.rs`.
-//!
-//! The block compare runs on [`KernelBackend::Avx2`]; under
-//! [`KernelBackend::Scalar`] (detected, or forced through
-//! [`seqdb::simd::force_backend`]) the kernel is the serial loop alone.
+//! When an instance's bound is already below the cursor front the probe
+//! returns after two compares, so a long run of instances that each take
+//! the next row slot costs one compare pair per instance, with no search.
 //!
 //! The kernels also fuse **run detection** into the same pass: a support
 //! set stores its instances sorted by `(seq, last)`, so a sequence's run is
 //! found by watching `seq` change under a single forward index — not by a
-//! separate `take_while` pre-scan that touches every instance twice.
+//! separate `take_while` pre-scan that touches every instance twice. The
+//! instances a pass cannot grow — a run's tail once its row is exhausted,
+//! or the runs of sequences without the event — are skipped by a gallop
+//! over the sorted instances, so skipping `k` of them costs `O(log k)`.
 
-use seqdb::simd::{gt_mask64, KernelBackend, BLOCK_LANES};
+use seqdb::index::gallop;
 use seqdb::{EventId, InvertedIndex, PostingCursor, RunSet};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
 use crate::support::SupportSet;
-
-/// Serial probes the unconstrained kernel runs after a block compare found
-/// no dominated lane, before it tries the next block.
-const COOL_DOWN: usize = 8;
 
 /// One unconstrained extension pass (Algorithm 2): grows every instance of
 /// `instances` (sorted by `(seq, last)`) by `event`, appending the grown
@@ -79,23 +50,17 @@ const COOL_DOWN: usize = 8;
 /// instances end even further right. With `target != usize::MAX` the pass
 /// returns early once even extending every remaining instance could not
 /// reach `target` grown instances (the caller is about to discard the set
-/// as infrequent anyway).
-///
-/// `backend` switches the block compare (module docs) on
-/// ([`KernelBackend::Avx2`]) or off ([`KernelBackend::Scalar`]) — same
-/// output either way, bit for bit. `runs`, when given, is the [`RunSet`]
-/// of `instances`.
+/// as infrequent anyway). `runs`, when given, is the [`RunSet`] of
+/// `instances`.
 pub(crate) fn grow_unconstrained(
     index: &InvertedIndex,
     event: EventId,
     instances: &[Instance],
     runs: Option<&RunSet>,
     target: usize,
-    backend: KernelBackend,
     out: &mut SupportSet,
 ) {
     let total = instances.len();
-    let mut bounds = [0u32; BLOCK_LANES];
     let mut rows = index.event_rows(event);
     if let Some(runs) = runs {
         rows.restrict(runs);
@@ -115,49 +80,9 @@ pub(crate) fn grow_unconstrained(
         } else {
             let mut cursor = PostingCursor::new(row);
             let mut last_position = 0u32;
-            let mut blocks = backend != KernelBackend::Scalar && row.len() >= BLOCK_LANES;
-            // Serial probes left before the next block attempt.
-            let mut serial = 0usize;
             while let Some(instance) = instances.get(i) {
                 if instance.seq != seq {
                     break;
-                }
-                if blocks && serial > 0 {
-                    serial -= 1;
-                } else if blocks {
-                    let at = row.len() - cursor.remaining();
-                    let window = row.get(at..).and_then(<[u32]>::first_chunk::<BLOCK_LANES>);
-                    let lanes = instances
-                        .get(i..)
-                        .and_then(<[Instance]>::first_chunk::<BLOCK_LANES>)
-                        .filter(|lanes| lanes.last().is_some_and(|tail| tail.seq == seq));
-                    if let (Some(window), Some(lanes)) = (window, lanes) {
-                        for (bound, lane) in bounds.iter_mut().zip(lanes) {
-                            *bound = lane.last;
-                        }
-                        let m = gt_mask64(window, &bounds, backend).trailing_ones() as usize;
-                        if let Some(&pos) = m.checked_sub(1).and_then(|tail| window.get(tail)) {
-                            out.push_grown(
-                                seq,
-                                lanes.get(..m).unwrap_or(&[]),
-                                window.get(..m).unwrap_or(&[]),
-                            );
-                            cursor.advance(m);
-                            last_position = pos;
-                            i += m;
-                            // A partial prefix hands just the breaking lane to
-                            // the serial probe; a full block retries at once.
-                            serial = usize::from(m < BLOCK_LANES);
-                            continue;
-                        }
-                        // No dominated lane: this probe and the next
-                        // `COOL_DOWN - 1` run serially.
-                        serial = COOL_DOWN - 1;
-                    } else {
-                        // Fewer than a block of row or run is left, and both
-                        // only shrink: the rest of the run is serial.
-                        blocks = false;
-                    }
                 }
                 // The consuming probe is sound here: the watermark makes every
                 // later bound at least the emitted position, so an emitted
@@ -255,25 +180,20 @@ pub(crate) fn run_seqs(
 }
 
 /// The index of the first instance at or after `i` in a sequence at or
-/// after `seq` (instances are sorted by sequence).
+/// after `seq` (instances are sorted by sequence), galloped so skipping
+/// `k` instances costs `O(log k)`.
 #[inline]
-fn skip_to(instances: &[Instance], mut i: usize, seq: usize) -> usize {
-    while instances
-        .get(i)
-        .is_some_and(|inst| (inst.seq as usize) < seq)
-    {
-        i += 1;
-    }
-    i
+fn skip_to(instances: &[Instance], i: usize, seq: usize) -> usize {
+    let rest = instances.get(i..).unwrap_or(&[]);
+    i + gallop(rest, |inst| (inst.seq as usize) < seq)
 }
 
-/// The index of the first instance at or after `i` outside sequence `seq`.
+/// The index of the first instance at or after `i` outside sequence `seq`,
+/// galloped like [`skip_to`].
 #[inline]
-fn run_end(instances: &[Instance], mut i: usize, seq: u32) -> usize {
-    while instances.get(i).is_some_and(|inst| inst.seq == seq) {
-        i += 1;
-    }
-    i
+fn run_end(instances: &[Instance], i: usize, seq: u32) -> usize {
+    let rest = instances.get(i..).unwrap_or(&[]);
+    i + gallop(rest, |inst| inst.seq == seq)
 }
 
 /// One full extension layer, kernel work only: grows every support set in
@@ -284,12 +204,10 @@ fn run_end(instances: &[Instance], mut i: usize, seq: u32) -> usize {
 /// This is the benchmark entry point for the growth kernels themselves:
 /// unlike timing a whole mining run — where support counting, closure
 /// checks, and tree bookkeeping dilute the kernel's share of the wall
-/// clock — every cycle spent here is kernel time, so a scalar-vs-vector
-/// ratio of this function measures the kernels and nothing else. It runs
-/// on the active (or forced) backend.
+/// clock — every cycle spent here is kernel time, so its throughput
+/// measures the kernels and nothing else.
 #[must_use]
 pub fn grow_layer(index: &InvertedIndex, seeds: &[SupportSet], events: &[EventId]) -> u64 {
-    let backend = seqdb::simd::active_backend();
     let mut out = SupportSet::new();
     let mut emitted = 0u64;
     for seed in seeds {
@@ -303,7 +221,6 @@ pub fn grow_layer(index: &InvertedIndex, seeds: &[SupportSet], events: &[EventId
                 seed.instances(),
                 Some(&runs),
                 usize::MAX,
-                backend,
                 &mut out,
             );
             emitted += out.instances().len() as u64;
@@ -322,22 +239,14 @@ mod tests {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
     }
 
-    fn backends_under_test() -> Vec<KernelBackend> {
-        KernelBackend::all()
-            .into_iter()
-            .filter(|b| b.is_available())
-            .collect()
-    }
-
     fn grow(
         index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
         target: usize,
-        backend: KernelBackend,
     ) -> Vec<Instance> {
         let mut out = SupportSet::new();
-        grow_unconstrained(index, event, instances, None, target, backend, &mut out);
+        grow_unconstrained(index, event, instances, None, target, &mut out);
         out.instances().to_vec()
     }
 
@@ -413,11 +322,12 @@ mod tests {
         let index = db.inverted_index();
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
-            let expected = naive_unconstrained(&index, event, &instances);
-            for backend in backends_under_test() {
-                let got = grow(&index, event, &instances, usize::MAX, backend);
-                assert_eq!(got, expected, "event {event:?} backend {backend}");
-            }
+            let got = grow(&index, event, &instances, usize::MAX);
+            assert_eq!(
+                got,
+                naive_unconstrained(&index, event, &instances),
+                "event {event:?}"
+            );
         }
     }
 
@@ -427,18 +337,14 @@ mod tests {
         let index = db.inverted_index();
         let b = db.catalog().id("B").expect("B interned");
         let instances = multi_run_instances();
-        // An unreachable target aborts after the first sequence's run —
-        // in every backend, at the same instance count.
+        // An unreachable target aborts after the first sequence's run: the
+        // output is the unbounded pass's prefix up to that run's end.
         let target = instances.len() + 1;
-        let scalar = grow(&index, b, &instances, target, KernelBackend::Scalar);
-        assert!(scalar.len() < instances.len());
-        for backend in backends_under_test() {
-            assert_eq!(
-                grow(&index, b, &instances, target, backend),
-                scalar,
-                "{backend}"
-            );
-        }
+        let cut = grow(&index, b, &instances, target);
+        assert!(cut.len() < instances.len());
+        let full = naive_unconstrained(&index, b, &instances);
+        let first_run = full.iter().take_while(|inst| inst.seq == 0).count();
+        assert_eq!(cut, full.get(..first_run).unwrap_or(&[]));
     }
 
     #[test]
@@ -472,7 +378,7 @@ mod tests {
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
             assert_eq!(
-                grow(&index, event, &instances, usize::MAX, KernelBackend::Scalar),
+                grow(&index, event, &instances, usize::MAX),
                 grow_gapped(&index, event, &unbounded, &instances),
                 "event {event:?}"
             );
@@ -491,10 +397,9 @@ mod tests {
         }
     }
 
-    /// Random databases + random right-shift-sorted instance slices: the
-    /// kernel under every backend — block compare on and off — and the
-    /// constrained kernel must reproduce the naive probes bit for bit, on
-    /// rows and runs both shorter and longer than one block.
+    /// Random databases + random right-shift-sorted instance slices: both
+    /// kernels must reproduce the naive probes bit for bit, on rows and runs
+    /// both shorter and longer than 64 positions.
     #[test]
     fn batched_kernels_match_scalar_on_seeded_inputs() {
         let mut rng = Lcg(0xD1CE);
@@ -507,7 +412,7 @@ mod tests {
         ];
         for round in 0..30 {
             // Every third round is dense (two symbols, ~300 events a row)
-            // so posting rows and runs reach past one block.
+            // so posting rows and runs reach past 64 positions.
             let (alphabet, max_len) = if round % 3 == 0 {
                 (&["A", "B"][..], 300)
             } else {
@@ -527,7 +432,7 @@ mod tests {
             let index = db.inverted_index();
 
             // Right-shift-sorted instances with duplicate-heavy runs, some
-            // spanning several blocks.
+            // of more than a hundred instances.
             let mut instances = Vec::new();
             for (seq, row) in rows.iter().enumerate() {
                 if row.is_empty() {
@@ -543,14 +448,11 @@ mod tests {
             }
 
             for event in db.catalog().ids() {
-                let expected = naive_unconstrained(&index, event, &instances);
-                for backend in backends_under_test() {
-                    assert_eq!(
-                        grow(&index, event, &instances, usize::MAX, backend),
-                        expected,
-                        "round {round} event {event:?} backend {backend} (unconstrained)"
-                    );
-                }
+                assert_eq!(
+                    grow(&index, event, &instances, usize::MAX),
+                    naive_unconstrained(&index, event, &instances),
+                    "round {round} event {event:?} (unconstrained)"
+                );
                 for constraints in &grids {
                     assert_eq!(
                         grow_gapped(&index, event, constraints, &instances),
@@ -580,74 +482,71 @@ mod tests {
         lasts.map(|last| Instance::new(seq, last, last)).collect()
     }
 
-    /// Grows `instances` under every backend and checks each against the
-    /// scalar backend, and that against the naive probe when no `target`
-    /// is set; returns the scalar result.
-    fn check_backends(
+    /// Grows `instances` and, when no `target` is set, checks the result
+    /// against the naive probe; returns it.
+    fn check_naive(
         index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
         target: usize,
         what: &str,
     ) -> Vec<Instance> {
-        let scalar = grow(index, event, instances, target, KernelBackend::Scalar);
+        let grown = grow(index, event, instances, target);
         if target == usize::MAX {
             assert_eq!(
-                scalar,
+                grown,
                 naive_unconstrained(index, event, instances),
                 "{what}"
             );
         }
-        for backend in backends_under_test() {
-            assert_eq!(
-                grow(index, event, instances, target, backend),
-                scalar,
-                "{what} backend {backend}"
-            );
-        }
-        scalar
+        grown
     }
 
-    /// Block boundaries under both backends: runs of 63/64/65/128/129
-    /// instances ending on `B`s, grown into rows of 63/64/65 `A`s — every
-    /// lane dominated, so only the run and row lengths decide whether a
-    /// block fits.
+    /// Long runs over long rows: runs of 63/64/65/128/129 instances ending
+    /// on `B`s, grown into rows of 63/64/65 `A`s, so every instance takes
+    /// the next row slot until the row runs out.
     #[test]
     fn block_boundaries_match_the_naive_probe() {
         for run in [63usize, 64, 65, 128, 129] {
             for left in [63usize, 64, 65] {
                 let (index, a) = b_then_a(&[(run, left)]);
                 let instances = ending_at(0, 1..=run as u32);
-                let grown = check_backends(&index, a, &instances, usize::MAX, "boundary");
+                let grown = check_naive(&index, a, &instances, usize::MAX, "boundary");
                 assert_eq!(grown.len(), run.min(left), "run {run} left {left}");
             }
         }
     }
 
-    /// The block's serial hand-offs under both backends: a block whose
-    /// first lane fails (the cool-down), a partial dominated prefix, and
-    /// the `target` early exit right after a full block.
+    /// Runs where the next-slot pattern breaks: an instance whose bound
+    /// equals the row front, a jump past many row slots mid-run, and the
+    /// `target` early exit after a run of 64 instances.
     #[test]
     fn block_hand_offs_match_the_naive_probe() {
-        // First lane fails: `A` self-extension, so lane 0's bound equals
-        // the row's first position; the cool-down's serial probes then
-        // move the cursor past the bounds and blocks take over.
+        // `A` self-extension: instance 0's bound equals the row's first
+        // position, so every probe skips the slot its own `last` holds.
         let (index, a) = b_then_a(&[(0, 400)]);
-        check_backends(&index, a, &ending_at(0, 1..=150), usize::MAX, "first lane");
+        check_naive(
+            &index,
+            a,
+            &ending_at(0, 1..=150),
+            usize::MAX,
+            "self extension",
+        );
 
-        // Partial prefix: 40 lanes end on `B`s and are dominated, then a
-        // jump into the `A`s breaks the prefix at lane 40.
+        // 40 instances end on `B`s and take consecutive `A` slots, then a
+        // jump into the `A`s makes instance 40 search forward.
         let (index, a) = b_then_a(&[(40, 400)]);
         let instances = ending_at(0, (1..=40).chain(200..=300));
-        check_backends(&index, a, &instances, usize::MAX, "partial prefix");
+        check_naive(&index, a, &instances, usize::MAX, "mid-run jump");
 
-        // Target early exit right after a block: sequence 0 grows all 64
-        // instances in one block, and sequence 1's 8 cannot lift the
-        // count to 100, so the pass stops before growing them.
+        // Target early exit after a long run: sequence 0 grows all 64
+        // instances, and sequence 1's 8 cannot lift the count to 100, so
+        // the pass stops before growing them.
         let (index, a) = b_then_a(&[(64, 64), (8, 8)]);
         let mut instances = ending_at(0, 1..=64);
         instances.extend(ending_at(1, 1..=8));
-        let grown = check_backends(&index, a, &instances, 100, "target exit");
-        assert_eq!(grown.len(), 64);
+        let grown = check_naive(&index, a, &instances, 100, "target exit");
+        let full = naive_unconstrained(&index, a, &instances);
+        assert_eq!(grown, full.get(..64).unwrap_or(&[]));
     }
 }

@@ -177,7 +177,7 @@ pub mod support;
 mod topk;
 
 pub use batch::MiningResult;
-pub use canonical::canonical_key;
+pub use canonical::{canonical_key, parse_request_body, RequestBody};
 pub use config::MiningConfig;
 pub use constrained::{constrained_support, ConstrainedSupportComputer};
 pub use constraints::GapConstraints;

@@ -92,38 +92,6 @@ impl SupportSet {
         self.instances.push(instance);
     }
 
-    /// Appends the grown forms of `lanes[i]` at `positions[i]` — the
-    /// vectorized growth kernels' bulk emission when a dominated lane
-    /// prefix advances through consecutive row slots. Constructing the
-    /// grown instances straight into the backing vector (one reserve, no
-    /// staging array) is what lets block-mode emission beat the scalar
-    /// kernels' per-instance pushes. Same `(seq, last)` ordering contract
-    /// as [`Self::push`]: `positions` must be strictly increasing row
-    /// positions at or past the current tail.
-    pub(crate) fn push_grown(&mut self, seq: u32, lanes: &[Instance], positions: &[u32]) {
-        debug_assert_eq!(lanes.len(), positions.len());
-        debug_assert!(
-            match (self.instances.last(), positions.first()) {
-                (Some(prev), Some(&next)) => (prev.seq, prev.last) <= (seq, next),
-                _ => true,
-            },
-            "grown instances must be appended in (seq, last) order"
-        );
-        debug_assert!(
-            positions.windows(2).all(|w| match (w.first(), w.get(1)) {
-                (Some(a), Some(b)) => a < b,
-                _ => true,
-            }),
-            "grown positions must be strictly increasing"
-        );
-        self.instances.extend(
-            lanes
-                .iter()
-                .zip(positions.iter())
-                .map(|(inst, &pos)| Instance::new(seq, inst.first, pos)),
-        );
-    }
-
     /// Iterates over the maximal runs of instances that belong to the same
     /// sequence, yielding `(sequence index, instances)`.
     pub fn per_sequence(&self) -> impl Iterator<Item = (usize, &[Instance])> {

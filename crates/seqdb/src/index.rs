@@ -867,14 +867,14 @@ impl<'a> EventRows<'a> {
     }
 }
 
-/// The length of the leading run of the ascending `row` whose entries
-/// satisfy the monotone predicate `before` (true, then false), found by
-/// galloping from the front: probe indices 1, 3, 7, 15, ... until one
-/// fails, then a branch-free binary search inside the bracket. Costs
-/// `O(log run)` instead of `O(log row)`, which is what forward-only
-/// cursors want.
+/// The length of the leading run of `row` whose entries satisfy the
+/// monotone predicate `before` (true, then false), found by galloping from
+/// the front: probe indices 1, 3, 7, 15, ... until one fails, then a
+/// branch-free binary search inside the bracket. Costs `O(log run)`
+/// instead of `O(log row)`, which is what forward-only cursors (and the
+/// growth kernels' run skips) want.
 #[inline]
-pub(crate) fn gallop(row: &[u32], before: impl Fn(u32) -> bool) -> usize {
+pub fn gallop<T: Copy>(row: &[T], before: impl Fn(T) -> bool) -> usize {
     if !row.first().is_some_and(|&p| before(p)) {
         return 0;
     }
@@ -983,18 +983,6 @@ impl<'a> PostingCursor<'a> {
         // path panic-free.
         self.rest = self.rest.get(idx..).unwrap_or(&[]);
         self.rest.first().copied()
-    }
-
-    /// Consumes the `n` leading remaining positions without probing — the
-    /// vectorized growth kernels' bulk advance after a whole-batch vector
-    /// compare proved the next `n` positions are emitted (or accepted)
-    /// consecutively, so probing each one individually would be wasted
-    /// work (see `core::kernel`). The caller asserts that every skipped
-    /// position is `<= ` all future probe bounds — the same contract as
-    /// [`Self::next_after_consuming`], `n` positions at a time.
-    #[inline]
-    pub fn advance(&mut self, n: usize) {
-        self.rest = self.rest.get(n..).unwrap_or(&[]);
     }
 
     /// [`Self::next_after`], additionally consuming the returned position.
@@ -1246,6 +1234,6 @@ mod tests {
                 "bound {bound}"
             );
         }
-        assert_eq!(gallop(&[], |_| true), 0);
+        assert_eq!(gallop(&[], |_: u32| true), 0);
     }
 }

@@ -24,10 +24,8 @@
 //!   kernels a [`PostingCursor`] that advances through a resolved row with
 //!   galloping + branch-free search, and resolving one event's rows
 //!   forward-only for a growth pass through [`EventRows`],
-//! * [`simd`] — the growth kernel's 64-lane block compare
-//!   ([`simd::gt_mask64`]): runtime-detected AVX2 ([`KernelBackend`]),
-//!   switched off under `Scalar` via [`simd::force_backend`], with
-//!   bit-identical mining output either way,
+//! * [`simd`] — the vector extensions the build targets
+//!   ([`simd::detected_features`]), reported beside throughput numbers,
 //! * [`ShardMap`] — the [`shard`] layer: the corpus split at sequence
 //!   boundaries (chosen by event mass) into ranges of the one store and
 //!   the one index, the work units of parallel mining,
@@ -118,7 +116,6 @@ pub use index::{EventRows, IndexColumns, InvertedIndex, PostingCursor, RunSet, S
 pub use sequence::Sequence;
 pub use shard::ShardMap;
 pub use shared::SharedSlice;
-pub use simd::KernelBackend;
 pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};
 pub use stats::DatabaseStats;
 pub use store::{EventColumn, EventsIter, SeqStore, SeqView};

@@ -104,67 +104,6 @@ impl<T: Copy> SharedSlice<T> {
     }
 }
 
-impl<T: Copy + Send + Sync + 'static> SharedSlice<T> {
-    /// Promotes owned storage into shared (`Arc`-owned) storage so that any
-    /// number of [`SharedSlice::window`]s can alias it without copying.
-    ///
-    /// The `Vec` is moved into an `Arc` — no element is copied — and this
-    /// slice becomes a full-range window over it. Mapped slices (snapshot
-    /// windows or already-promoted slices) are left untouched.
-    pub fn share(&mut self) {
-        if self.is_mapped() {
-            return;
-        }
-        let vec = match std::mem::replace(&mut self.inner, Inner::Owned(Vec::new())) {
-            Inner::Owned(vec) => vec,
-            Inner::Mapped { .. } => unreachable!("checked above"),
-        };
-        let backing: Arc<Vec<T>> = Arc::new(vec);
-        let (ptr, len) = (backing.as_ptr(), backing.len());
-        let owner: Arc<dyn Any + Send + Sync> = backing;
-        // SAFETY: ptr/len point into the Vec now owned by the Arc we hold;
-        // the buffer is never mutated again (every mutation path goes
-        // through `to_mut`, which copies first) and lives as long as the
-        // owner.
-        self.inner = Inner::Mapped {
-            _owner: owner,
-            ptr,
-            len,
-        };
-    }
-
-    /// A sub-window `[range.start, range.end)` of this slice.
-    ///
-    /// For a mapped (shared) slice the window is **zero-copy**: it aliases
-    /// the same allocation and co-owns it through the `Arc`. For an owned
-    /// slice the range is copied into fresh owned storage — callers that
-    /// want many zero-copy windows should [`SharedSlice::share`] first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is out of bounds or inverted.
-    pub fn window(&self, range: std::ops::Range<usize>) -> Self {
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "window {range:?} out of bounds for a slice of length {}",
-            self.len()
-        );
-        match &self.inner {
-            Inner::Owned(vec) => vec[range].to_vec().into(),
-            Inner::Mapped { _owner, ptr, .. } => Self {
-                inner: Inner::Mapped {
-                    _owner: Arc::clone(_owner),
-                    // SAFETY: the range was bounds-checked against `len`, so
-                    // the derived pointer stays inside the owner's
-                    // allocation, which the cloned Arc keeps alive.
-                    ptr: unsafe { ptr.add(range.start) },
-                    len: range.end - range.start,
-                },
-            },
-        }
-    }
-}
-
 impl<T: Copy> Deref for SharedSlice<T> {
     type Target = [T];
 
@@ -274,44 +213,6 @@ mod tests {
         assert!(!shared.is_mapped());
         assert_eq!(&shared[..], &[7, 8, 9, 10]);
         assert_eq!(&cloned[..], &[7, 8, 9]);
-    }
-
-    #[test]
-    fn share_promotes_without_copying_and_windows_alias() {
-        let mut slice: SharedSlice<u32> = vec![1, 2, 3, 4, 5].into();
-        assert!(!slice.is_mapped());
-        slice.share();
-        assert!(slice.is_mapped());
-        assert_eq!(&slice[..], &[1, 2, 3, 4, 5]);
-        // Sharing twice is a no-op.
-        slice.share();
-
-        let window = slice.window(1..4);
-        assert!(window.is_mapped());
-        assert_eq!(&window[..], &[2, 3, 4]);
-        // The window points into the same allocation.
-        assert_eq!(window.as_slice().as_ptr(), slice[1..].as_ptr());
-        // The window keeps the data alive after the parent is dropped.
-        drop(slice);
-        assert_eq!(&window[..], &[2, 3, 4]);
-
-        let empty = window.window(3..3);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn window_of_owned_storage_copies_the_range() {
-        let slice: SharedSlice<u32> = vec![7, 8, 9].into();
-        let window = slice.window(0..2);
-        assert!(!window.is_mapped());
-        assert_eq!(&window[..], &[7, 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn window_rejects_out_of_bounds_ranges() {
-        let slice: SharedSlice<u32> = vec![1, 2].into();
-        let _ = slice.window(1..3);
     }
 
     #[test]

@@ -959,8 +959,16 @@ mod tests {
     use super::*;
     use crate::{InvertedIndex, SequenceDatabase};
 
+    /// A file name unique to this call: tests run in parallel threads of
+    /// one process and compose the same image, so the process id alone
+    /// would let one test delete another's file before it is read back.
     fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("seqdb-verify-{}-{tag}.bin", std::process::id()))
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        std::env::temp_dir().join(format!(
+            "seqdb-verify-{}-{tag}-{call}.bin",
+            std::process::id()
+        ))
     }
 
     /// Hand-composes a valid single-range v5 prepared image (mirrors the

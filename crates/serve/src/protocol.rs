@@ -1,29 +1,25 @@
 //! The wire protocol: JSON bodies in, JSON bodies out.
 //!
 //! A `POST /mine` body is a flat JSON object describing a
-//! [`MiningRequest`]. Every field is optional — omitted fields take the
-//! library defaults, so `{}` means "closed patterns, min_sup 2". Unknown
-//! fields are rejected by name rather than ignored: a typo like
-//! `"min_supp"` silently mining with the default support would be far
-//! worse than a 400.
+//! [`rgs_core::MiningRequest`], read by [`rgs_core::parse_request_body`]
+//! (the same reader as `rgs-mine batch` lines). Every field is optional —
+//! omitted fields take the library defaults, so `{}` means "closed
+//! patterns, min_sup 2". Unknown fields are rejected by name rather than
+//! ignored: a typo like `"min_supp"` silently mining with the default
+//! support would be far worse than a 400.
 //!
 //! Responses use a single envelope shape (see [`mine_response_body`]) so
 //! clients can always look at `truncated` / `deadline_exceeded` / `cached`
 //! regardless of how the request went.
 
-use rgs_core::json::{self, Value};
-use rgs_core::{MinedPattern, MiningRequest, Mode};
+use rgs_core::json;
+use rgs_core::MinedPattern;
 use seqdb::EventCatalog;
 
-/// A parsed `/mine` body: the mining request plus serve-level options that
-/// are not part of the canonical mining key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MineRequest {
-    /// The mining parameters, canonicalized by `rgs_core::canonical_key`.
-    pub request: MiningRequest,
-    /// Per-request deadline in milliseconds, overriding the server default.
-    pub timeout_ms: Option<u64>,
-}
+/// A parsed `/mine` body: the mining request plus the per-request deadline
+/// in milliseconds (overriding the server default), which is not part of
+/// the canonical mining key. The same shape `rgs-mine batch` reads.
+pub use rgs_core::RequestBody as MineRequest;
 
 /// A request the server refuses: carries the HTTP status to answer with
 /// and a message naming the offending field.
@@ -44,98 +40,13 @@ impl ProtocolError {
     }
 }
 
-/// Parses a `/mine` request body.
+/// Parses a `/mine` request body with [`rgs_core::parse_request_body`];
+/// a rejected body becomes a 400 naming the offending field.
 ///
 /// An empty body is treated as `{}`: every field at its default.
 pub fn parse_mine_request(body: &str) -> Result<MineRequest, ProtocolError> {
     let text = if body.trim().is_empty() { "{}" } else { body };
-    let value =
-        json::parse(text).map_err(|err| ProtocolError::bad(format!("invalid JSON: {err}")))?;
-    let members = value
-        .as_obj()
-        .ok_or_else(|| ProtocolError::bad("request body must be a JSON object"))?;
-
-    let mut request = MiningRequest::default();
-    let mut timeout_ms = None;
-    for (name, field) in members {
-        match name.as_str() {
-            "min_sup" => request.min_sup = parse_u64(name, field)?,
-            "mode" => request.mode = parse_mode(field)?,
-            "min_gap" => request.constraints.min_gap = parse_u32(name, field)?,
-            "max_gap" => request.constraints.max_gap = parse_opt_u32(name, field)?,
-            "max_window" => request.constraints.max_window = parse_opt_u32(name, field)?,
-            "top_k" => request.top_k = parse_opt_usize(name, field)?,
-            "min_len" => request.min_len = parse_usize(name, field)?,
-            "max_len" => request.max_pattern_length = parse_opt_usize(name, field)?,
-            "max_patterns" => request.max_patterns = parse_opt_usize(name, field)?,
-            "timeout_ms" => {
-                timeout_ms = if field.is_null() {
-                    None
-                } else {
-                    Some(parse_u64(name, field)?)
-                };
-            }
-            other => {
-                return Err(ProtocolError::bad(format!(
-                    "unknown field {other:?}; accepted fields: min_sup, mode, min_gap, \
-                     max_gap, max_window, top_k, min_len, max_len, max_patterns, timeout_ms"
-                )));
-            }
-        }
-    }
-    Ok(MineRequest {
-        request,
-        timeout_ms,
-    })
-}
-
-fn parse_u64(name: &str, field: &Value) -> Result<u64, ProtocolError> {
-    field
-        .as_u64()
-        .ok_or_else(|| ProtocolError::bad(format!("field {name:?} must be a non-negative integer")))
-}
-
-fn parse_u32(name: &str, field: &Value) -> Result<u32, ProtocolError> {
-    let raw = parse_u64(name, field)?;
-    u32::try_from(raw)
-        .map_err(|_| ProtocolError::bad(format!("field {name:?} exceeds the u32 range")))
-}
-
-fn parse_usize(name: &str, field: &Value) -> Result<usize, ProtocolError> {
-    let raw = parse_u64(name, field)?;
-    usize::try_from(raw)
-        .map_err(|_| ProtocolError::bad(format!("field {name:?} exceeds the usize range")))
-}
-
-fn parse_opt_u32(name: &str, field: &Value) -> Result<Option<u32>, ProtocolError> {
-    if field.is_null() {
-        Ok(None)
-    } else {
-        parse_u32(name, field).map(Some)
-    }
-}
-
-fn parse_opt_usize(name: &str, field: &Value) -> Result<Option<usize>, ProtocolError> {
-    if field.is_null() {
-        Ok(None)
-    } else {
-        parse_usize(name, field).map(Some)
-    }
-}
-
-fn parse_mode(field: &Value) -> Result<Mode, ProtocolError> {
-    let text = field
-        .as_str()
-        .ok_or_else(|| ProtocolError::bad("field \"mode\" must be a string"))?;
-    match text {
-        "all" => Ok(Mode::All),
-        "closed" => Ok(Mode::Closed),
-        "maximal" => Ok(Mode::Maximal),
-        "top-k" | "topk" | "top_k" => Ok(Mode::TopK),
-        other => Err(ProtocolError::bad(format!(
-            "unknown mode {other:?}; one of \"all\", \"closed\", \"maximal\", \"top-k\""
-        ))),
-    }
+    rgs_core::parse_request_body(text).map_err(ProtocolError::bad)
 }
 
 /// Renders mined patterns as a JSON array of
@@ -187,7 +98,8 @@ pub fn error_body(code: u16, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rgs_core::DEFAULT_TOP_K;
+    use rgs_core::json::Value;
+    use rgs_core::{MiningRequest, Mode, DEFAULT_TOP_K};
 
     #[test]
     fn empty_body_means_all_defaults() {

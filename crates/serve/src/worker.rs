@@ -298,13 +298,11 @@ fn stats_body(ctx: &ServeContext) -> String {
         }
     ));
 
-    // Which growth-kernel backend every mining worker in this process
-    // dispatches to (runtime CPU detection) — operators comparing
+    // The vector extensions this build targets — operators comparing
     // throughput across machines need this next to the latency
-    // histograms, not in a CPU spec sheet.
+    // histograms, not in a build log.
     out.push_str(&format!(
-        "\"kernel\":{{\"backend\":\"{}\",\"cpu_features\":\"{}\"}},",
-        seqdb::simd::active_backend().name(),
+        "\"kernel\":{{\"cpu_features\":\"{}\"}},",
         seqdb::simd::detected_features()
     ));
 
