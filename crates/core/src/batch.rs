@@ -55,6 +55,19 @@
 //! verdict covers append extensions), and so does an All-scan carrying a
 //! closed-only top-k member.
 //!
+//! That eager child pass counts every candidate child's support at an
+//! unconstrained node in one [`SiblingSweep`] over the node's sequences
+//! when `2·steps ≤ candidates·instances` (`steps` is the suffix length the
+//! sweep scans, summed in the same pass over the node's runs that builds
+//! its [`RunSet`]): the counts give the append-equal flag
+//! (`count == sup`), and only the children that clear `t_min` are grown.
+//! Otherwise each candidate gets its own kernel pass, which stops early
+//! once it cannot reach `t_min`; so does the lazy All-scan's growth of a
+//! followed edge. Both are output-neutral: a set below `t_min` is never
+//! followed, and a node's support is at least `t_min`, so it is never
+//! append-equal. `instance_growths` counts one growth per eligible
+//! candidate whichever path runs.
+//!
 //! # Why shared-floor top-k is sound (and why it is not shared)
 //!
 //! Top-k members keep *per-member* heaps and dynamic thresholds. Sharing a
@@ -87,7 +100,7 @@ use crate::constrained::ConstrainedSupportComputer;
 use crate::constraints::GapConstraints;
 use crate::engine::{MiningReport, MiningRequest, Mode};
 use crate::growth::{SetPool, SupportComputer};
-use crate::kernel::run_seqs;
+use crate::kernel::{node_runs, SiblingSweep, SweepScratch};
 use crate::maximal::maximal_subset;
 use crate::parallel::fan_out_shard_seeds;
 use crate::pattern::Pattern;
@@ -828,6 +841,9 @@ struct Plan {
     /// `(event, total occurrences)` of `events` for the closure checker;
     /// empty when no member consults it.
     candidates: Vec<(EventId, u64)>,
+    /// The one-pass child counter over `events`; `None` unless the plan
+    /// is eager.
+    sweep: Option<SiblingSweep>,
     /// The smallest member threshold.
     t_min: u64,
     /// Grow every child of a node before descending into any: closure
@@ -864,10 +880,14 @@ impl Plan {
         } else {
             Vec::new()
         };
+        // Eager plans are unconstrained: a closed-only top-k member is
+        // never gap-constrained (`member_shape`).
+        let sweep = eager.then(|| SiblingSweep::new(&events));
         Plan {
             kind,
             events,
             candidates,
+            sweep,
             t_min,
             eager,
             counts_edges,
@@ -909,9 +929,9 @@ struct Ctx<'c, 'a> {
 
 impl Ctx<'_, '_> {
     /// Instance growth of `support` by `event` (Algorithm 2, or its
-    /// constrained form).
-    /// `runs` is `support`'s [`RunSet`] when the caller grows it by many
-    /// events.
+    /// constrained form). `runs` is `support`'s [`RunSet`] when the caller
+    /// grows it by many events. The unconstrained pass may stop early once
+    /// it cannot reach `t_min` instances: the caller discards such a set.
     fn grow(
         &self,
         support: &SupportSet,
@@ -921,10 +941,18 @@ impl Ctx<'_, '_> {
     ) {
         match self.csc {
             Some(csc) => csc.instance_growth_within(support, runs, event, out),
-            None => self
-                .sc
-                .instance_growth_within(support, runs, event, usize::MAX, out),
+            None => {
+                let target = usize::try_from(self.plan.t_min).unwrap_or(usize::MAX);
+                self.sc
+                    .instance_growth_within(support, runs, event, target, out);
+            }
         }
+    }
+
+    /// The [`RunSet`] of `support` and the suffix length a sibling sweep
+    /// over it scans.
+    fn runs(&self, support: &SupportSet) -> (RunSet, u64) {
+        node_runs(self.sc.database().store(), support.instances())
     }
 }
 
@@ -944,9 +972,10 @@ struct Scan<'f, O> {
     /// Leftmost support sets of the open path, root first: the prefix
     /// stack the closure check reads.
     path: Vec<SupportSet>,
-    /// Index-aligned with `path`: each open node's [`RunSet`], built when
-    /// the node first grows a child and lent to every growth pass of it.
-    runs: Vec<Option<RunSet>>,
+    /// Index-aligned with `path`: each open node's [`RunSet`] and sweep
+    /// length, built when the node first grows a child; the set is lent to
+    /// every growth pass of it.
+    runs: Vec<Option<(RunSet, u64)>>,
     /// `alive[d * members.len() + j]`: member `j`'s solo run visits the
     /// open node at depth `d`.
     alive: Vec<bool>,
@@ -955,6 +984,7 @@ struct Scan<'f, O> {
     children: Vec<Vec<Option<SupportSet>>>,
     pool: SetPool,
     scratch: CheckScratch,
+    sweep: SweepScratch,
     /// The next seed (index into the plan's events) to start.
     next_seed: usize,
     /// A pull output holds a pattern: the walk pauses.
@@ -972,6 +1002,7 @@ impl<'f, O: Output> Scan<'f, O> {
             children: Vec::new(),
             pool: SetPool::new(),
             scratch: CheckScratch::new(),
+            sweep: SweepScratch::new(),
             next_seed: 0,
             paused: false,
         }
@@ -1114,6 +1145,12 @@ impl<'f, O: Output> Scan<'f, O> {
     /// Grows every child of the node at `depth` into that depth's buffer,
     /// keeping those that clear `t_min`; returns whether some append
     /// extension has the node's own support `sup`.
+    ///
+    /// When the plan's [`SiblingSweep`] pays at this node, one sweep counts
+    /// every child's support first and only the children that clear
+    /// `t_min` are grown. Otherwise each candidate gets its own growth pass,
+    /// cut short once it cannot reach `t_min` (such a child is dropped, and
+    /// as `sup >= t_min` it is never append-equal either).
     fn grow_children(&mut self, ctx: &Ctx<'_, '_>, depth: usize, sup: u64) -> bool {
         if self.children.len() <= depth {
             self.children.resize_with(depth + 1, Vec::new);
@@ -1126,13 +1163,37 @@ impl<'f, O: Output> Scan<'f, O> {
             return false;
         };
         children.clear();
+        let t_min = ctx.plan.t_min;
+        let (runs, steps) = &*runs.get_or_insert_with(|| ctx.runs(parent));
+        let sweep = ctx
+            .plan
+            .sweep
+            .as_ref()
+            .filter(|sweep| sweep.pays(*steps, parent.instances().len()));
         let mut append_equal = false;
-        let runs = &*runs.get_or_insert_with(|| RunSet::of(run_seqs(parent.instances())));
+        if let Some(sweep) = sweep {
+            sweep.count(
+                ctx.sc.database().store(),
+                parent.instances(),
+                &mut self.sweep,
+            );
+            for (&event, count) in ctx.plan.events.iter().zip(self.sweep.counts()) {
+                append_equal |= count == sup;
+                if count >= t_min {
+                    let mut grown = self.pool.take();
+                    ctx.grow(parent, Some(runs), event, &mut grown);
+                    children.push(Some(grown));
+                } else {
+                    children.push(None);
+                }
+            }
+            return append_equal;
+        }
         for &event in &ctx.plan.events {
             let mut grown = self.pool.take();
             ctx.grow(parent, Some(runs), event, &mut grown);
             append_equal |= grown.support() == sup;
-            if grown.support() >= ctx.plan.t_min {
+            if grown.support() >= t_min {
                 children.push(Some(grown));
             } else {
                 self.pool.give(grown);
@@ -1237,8 +1298,7 @@ impl<'f, O: Output> Scan<'f, O> {
                 }
                 if wanted && !plan.eager {
                     if let (Some(parent), Some(runs)) = (self.path.last(), self.runs.last_mut()) {
-                        let runs =
-                            &*runs.get_or_insert_with(|| RunSet::of(run_seqs(parent.instances())));
+                        let (runs, _) = &*runs.get_or_insert_with(|| ctx.runs(parent));
                         let mut grown = self.pool.take();
                         ctx.grow(parent, Some(runs), event, &mut grown);
                         child = Some(grown);
@@ -1527,5 +1587,81 @@ mod tests {
         };
         assert_eq!(result.outcome.patterns, expected.patterns);
         assert_eq!(result.outcome.stats.visited, expected.stats.visited);
+    }
+
+    /// The `k`-th capital letter.
+    fn letter(k: u32) -> char {
+        char::from_u32(u32::from('A') + k).unwrap_or('A')
+    }
+
+    /// One solo walk of `request`, with the plan's sibling sweep kept or
+    /// dropped (every node then grows its children one pass per event).
+    fn walk_with_sweep(
+        prepared: &PreparedDb,
+        request: &MiningRequest,
+        sweep: bool,
+    ) -> (Vec<MinedPattern>, MiningReport) {
+        let prepared = prepared.as_prepared_ref();
+        let mut sink = CollectSink::new();
+        let report = {
+            let member = Member::new(request, &mut sink as &mut dyn PatternSink, None);
+            let mut scan = Scan::new(vec![member]);
+            let mut plan = Plan::new(prepared, scan_kind(request), &mut scan.members);
+            assert!(plan.sweep.is_some(), "{request:?} plans no sweep");
+            if !sweep {
+                plan.sweep = None;
+            }
+            plan.with_ctx(prepared, |ctx| scan.resume(ctx));
+            scan.members.pop().map(Member::finish)
+        };
+        (sink.into_patterns(), report.unwrap_or_else(empty_report))
+    }
+
+    /// Whole closed, maximal and top-k runs with and without the sibling
+    /// sweep: patterns, order, truncation and every counter agree, on
+    /// narrow and wide stores, flat and at 3 shards.
+    #[test]
+    fn sweep_walks_match_per_event_walks() {
+        // Short rows over many events (the sweep pays) and long rows over
+        // few, repeated events (it does not).
+        let short: Vec<String> = (0u32..40)
+            .map(|i| {
+                (0u32..10)
+                    .map(|j| letter((i * 7 + j * j * 3) % 17))
+                    .collect()
+            })
+            .collect();
+        let long: Vec<String> = (0..4)
+            .map(|i| (0..60).map(|j| letter((i + j * j) % 11 % 3)).collect())
+            .collect();
+        for (rows, sups) in [(short, [5u64, 10]), (long, [40, 60])] {
+            let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+            let narrow = SequenceDatabase::from_str_rows(&refs);
+            let mut wide = narrow.clone();
+            wide.widen_store();
+            for db in [&narrow, &wide] {
+                for prepared in [PreparedDb::new(db), PreparedDb::new_sharded(db, 3)] {
+                    for min_sup in sups {
+                        let mut ranked = request(Mode::Closed, min_sup);
+                        ranked.top_k = Some(5);
+                        let mut capped = request(Mode::Closed, min_sup);
+                        capped.max_pattern_length = Some(3);
+                        capped.max_patterns = Some(7);
+                        for request in [
+                            request(Mode::Closed, min_sup),
+                            request(Mode::Maximal, min_sup),
+                            ranked,
+                            capped,
+                        ] {
+                            assert_eq!(
+                                walk_with_sweep(&prepared, &request, true),
+                                walk_with_sweep(&prepared, &request, false),
+                                "{request:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

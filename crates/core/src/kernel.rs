@@ -32,9 +32,20 @@
 //! instances a pass cannot grow — a run's tail once its row is exhausted,
 //! or the runs of sequences without the event — are skipped by a gallop
 //! over the sorted instances, so skipping `k` of them costs `O(log k)`.
+//!
+//! A node that grows its whole child pass at once need not run a full pass
+//! per candidate: [`SiblingSweep`] reads each run's sequence suffix once
+//! and counts every candidate child's support in that one scan (the greedy
+//! match of Algorithm 2 for all events at once), at a cost of the summed
+//! suffix length instead of about `candidates · instances` probes, so only
+//! the children that clear the scan's threshold are grown.
+//! [`SiblingSweep::pays`] is the rule that picks it; [`node_runs`] measures
+//! the suffix length in the same pass that builds the node's [`RunSet`].
+//! Where the per-event passes stay, their `target` early exit stops a pass
+//! that can no longer reach the scan's threshold.
 
 use seqdb::index::gallop;
-use seqdb::{EventId, InvertedIndex, PostingCursor, RunSet};
+use seqdb::{EventColumn, EventId, EventWidth, InvertedIndex, PostingCursor, RunSet, SeqStore};
 
 use crate::constraints::GapConstraints;
 use crate::instance::Instance;
@@ -169,6 +180,183 @@ pub(crate) fn grow_constrained(
                 }
             }
         }
+    }
+}
+
+/// Counts the support of every sibling `P ◦ e` of a node in one pass over
+/// the node's sequences, instead of one growth-kernel pass per candidate
+/// event.
+///
+/// Algorithm 2 matches instance `i` of `P` to the first `e` after
+/// `max(last_i, previous match)`, so one forward scan of a sequence finds
+/// that greedy match for every event at once. For each run of instances,
+/// the sweep reads the sequence's events from just after the run's first
+/// `last` to its end and keeps one pointer per candidate into the run's
+/// sorted `last` list: at position `p` holding candidate `e`, if the
+/// pointed-to `last` is below `p`, the instance grows, `e` counts one, and
+/// its pointer advances. Each candidate's count is the kernel's `support()`.
+///
+/// A sweep costs the summed suffix length of the runs (`steps`), the
+/// per-event passes about `candidates · instances`; [`Self::pays`] is the
+/// rule that picks between them. The candidate-slot table is built once per
+/// scan; the counts live in a reusable [`SweepScratch`].
+#[derive(Debug, Clone)]
+pub struct SiblingSweep {
+    /// `slots[e]`: event `e`'s index in the candidate list, or
+    /// [`NO_SLOT`] when `e` is not a candidate.
+    slots: Vec<u32>,
+    candidates: usize,
+}
+
+/// The slot of an event that is not a candidate.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Per-candidate sweep state: the running count over the node, and the
+/// pointer into the current run's instances, valid while `run` matches
+/// the scratch's run stamp.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    run: u32,
+    next: u32,
+    count: u32,
+}
+
+/// The reusable state of [`SiblingSweep::count`]: one tally per candidate,
+/// reset per node, with per-run pointers invalidated by a run stamp — so a
+/// warm sweep allocates nothing.
+#[derive(Debug, Default)]
+pub struct SweepScratch {
+    tallies: Vec<Tally>,
+    run: u32,
+}
+
+impl SweepScratch {
+    /// Creates an empty scratch (it warms up on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The candidates' supports from the last [`SiblingSweep::count`], in
+    /// candidate order.
+    pub fn counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.tallies.iter().map(|t| u64::from(t.count))
+    }
+
+    /// Starts the next run: every pointer stamped with an older run reads
+    /// as the run's first instance.
+    #[inline]
+    fn next_run(&mut self) -> u32 {
+        if self.run == u32::MAX {
+            self.tallies.iter_mut().for_each(|t| t.run = 0);
+            self.run = 0;
+        }
+        self.run += 1;
+        self.run
+    }
+}
+
+impl SiblingSweep {
+    /// The sweep over `events`, the scan's candidates in order.
+    pub fn new(events: &[EventId]) -> Self {
+        let len = events.iter().map(|e| e.index() + 1).max().unwrap_or(0);
+        let mut slots = vec![NO_SLOT; len];
+        for (slot, event) in events.iter().enumerate() {
+            if let (Some(entry), Ok(slot)) = (slots.get_mut(event.index()), u32::try_from(slot)) {
+                *entry = slot;
+            }
+        }
+        Self {
+            slots,
+            candidates: events.len(),
+        }
+    }
+
+    /// Whether one sweep over `steps` suffix positions beats one growth pass
+    /// per candidate over `instances` instances: `2·steps ≤
+    /// candidates·instances`.
+    pub fn pays(&self, steps: u64, instances: usize) -> bool {
+        let passes = (self.candidates as u64).saturating_mul(instances as u64);
+        steps.saturating_mul(2) <= passes
+    }
+
+    /// Counts every candidate's support as a child of `instances` (sorted by
+    /// `(seq, last)`, sequences of `store`) into `scratch`; read the counts
+    /// with [`SweepScratch::counts`].
+    pub fn count(&self, store: &SeqStore, instances: &[Instance], scratch: &mut SweepScratch) {
+        scratch.tallies.clear();
+        scratch.tallies.resize(self.candidates, Tally::default());
+        let offsets = store.offsets();
+        match store.event_column() {
+            EventColumn::Narrow(column) => self.count_in(column, offsets, instances, scratch),
+            EventColumn::Wide(column) => self.count_in(column, offsets, instances, scratch),
+        }
+    }
+
+    /// [`Self::count`] over an event column of one width.
+    fn count_in<W: EventWidth>(
+        &self,
+        column: &[W],
+        offsets: &[u32],
+        instances: &[Instance],
+        scratch: &mut SweepScratch,
+    ) {
+        let mut i = 0usize;
+        while let Some(head) = instances.get(i) {
+            let end = run_end(instances, i, head.seq);
+            let run = instances.get(i..end).unwrap_or(&[]);
+            i = end;
+            let stamp = scratch.next_run();
+            let (start, stop) = sequence_bounds(offsets, head.seq);
+            let suffix = column.get(start + head.last as usize..stop).unwrap_or(&[]);
+            for (pos, &event) in (head.last + 1..).zip(suffix) {
+                let Some(tally) = self
+                    .slots
+                    .get(event.to_event().index())
+                    .and_then(|&slot| scratch.tallies.get_mut(slot as usize))
+                else {
+                    continue;
+                };
+                if tally.run != stamp {
+                    tally.run = stamp;
+                    tally.next = 0;
+                }
+                if run.get(tally.next as usize).is_some_and(|i| i.last < pos) {
+                    tally.next += 1;
+                    tally.count += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The [`RunSet`] of `instances` (sorted by `(seq, last)`, sequences of
+/// `store`) and the summed suffix length a [`SiblingSweep`] over them would
+/// scan, in one pass over their runs.
+pub fn node_runs(store: &SeqStore, instances: &[Instance]) -> (RunSet, u64) {
+    let (Some(first), Some(last)) = (instances.first(), instances.last()) else {
+        return (RunSet::of(std::iter::empty()), 0);
+    };
+    let mut runs = RunSet::spanning(first.seq as usize, last.seq as usize);
+    let offsets = store.offsets();
+    let mut steps = 0u64;
+    let mut i = 0usize;
+    while let Some(head) = instances.get(i) {
+        runs.insert(head.seq as usize);
+        let (start, stop) = sequence_bounds(offsets, head.seq);
+        steps += (stop.saturating_sub(start + head.last as usize)) as u64;
+        i = run_end(instances, i, head.seq);
+    }
+    (runs, steps)
+}
+
+/// The arena range `start..stop` of sequence `seq` under CSR `offsets`
+/// (empty past the table).
+#[inline]
+fn sequence_bounds(offsets: &[u32], seq: u32) -> (usize, usize) {
+    let seq = seq as usize;
+    match (offsets.get(seq), offsets.get(seq + 1)) {
+        (Some(&start), Some(&stop)) => (start as usize, stop as usize),
+        _ => (0, 0),
     }
 }
 

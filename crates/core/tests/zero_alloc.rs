@@ -11,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rgs_core::closure::{CheckScratch, ClosureChecker, ClosureStatus};
+use rgs_core::kernel::{node_runs, SiblingSweep, SweepScratch};
 use rgs_core::{GapConstraints, InstanceBuffer, Pattern, SupportComputer, SupportSet};
 use seqdb::SequenceDatabase;
 
@@ -47,6 +48,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The `k`-th capital letter.
+fn letter(k: u32) -> char {
+    char::from_u32(u32::from('A') + k).unwrap_or('A')
+}
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -188,4 +194,49 @@ fn steady_state_growth_allocates_nothing() {
             assert_eq!(verdict, expected, "{text}");
         });
     }
+
+    // 7. The sibling sweep of a closed scan's child pass: at nodes where the
+    //    cost rule picks it (short rows over many events), the run set, the
+    //    one-pass count of every child's support, and the growth of the
+    //    children that clear the threshold all reuse warm buffers.
+    let rows: Vec<String> = (0u32..40)
+        .map(|i| {
+            (0u32..10)
+                .map(|j| letter((i * 7 + j * j * 3) % 17))
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+    let db = SequenceDatabase::from_str_rows(&refs);
+    let sc = SupportComputer::new(&db);
+    let store = db.store();
+    let events: Vec<_> = db.catalog().ids().collect();
+    let sweep = SiblingSweep::new(&events);
+    let nodes: Vec<SupportSet> = events
+        .iter()
+        .flat_map(|&a| events.iter().map(move |&b| Pattern::new(vec![a, b])))
+        .map(|pattern| sc.support_set(&pattern))
+        .filter(|set| {
+            let (_, steps) = node_runs(store, set.instances());
+            set.support() >= 5 && sweep.pays(steps, set.instances().len())
+        })
+        .collect();
+    assert!(nodes.len() > 10, "only {} sweep nodes", nodes.len());
+    let mut scratch = SweepScratch::new();
+    let mut child = SupportSet::new();
+    let mut kept = 0usize;
+    assert_zero_alloc("sibling sweep child pass", 20, || {
+        for node in &nodes {
+            let (runs, _) = node_runs(store, node.instances());
+            std::hint::black_box(&runs);
+            sweep.count(store, node.instances(), &mut scratch);
+            for (&event, count) in events.iter().zip(scratch.counts()) {
+                if count >= 5 {
+                    sc.instance_growth_into(node, event, usize::MAX, &mut child);
+                    kept += 1;
+                }
+            }
+        }
+    });
+    assert!(kept > 0, "no child clears the threshold");
 }

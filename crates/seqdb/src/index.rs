@@ -741,34 +741,36 @@ pub struct RunSet {
 impl RunSet {
     /// The set of `seqs` (ascending).
     pub fn of(seqs: impl DoubleEndedIterator<Item = usize> + Clone) -> Self {
-        let mut set = Self {
-            base: 0,
-            span: 0,
-            words: [0; RUN_SET_SPAN / 64],
+        let (Some(first), Some(last)) = (seqs.clone().next(), seqs.clone().next_back()) else {
+            return Self::spanning(1, 0);
         };
-        let (Some(base), Some(last)) = (seqs.clone().next(), seqs.clone().next_back()) else {
-            return set;
-        };
-        let span = last.saturating_sub(base) + 1;
-        if span > RUN_SET_SPAN {
-            return set;
-        }
-        (set.base, set.span) = (base, span);
-        // Ascending input: build each word in a register, store it once.
-        let (mut at, mut word) = (0usize, 0u64);
-        for bit in seqs.map(|seq| seq.wrapping_sub(base)) {
-            if bit / 64 != at {
-                if let Some(slot) = set.words.get_mut(at) {
-                    *slot = word;
-                }
-                (at, word) = (bit / 64, 0);
-            }
-            word |= 1 << (bit % 64);
-        }
-        if let Some(slot) = set.words.get_mut(at) {
-            *slot = word;
-        }
+        let mut set = Self::spanning(first, last);
+        seqs.for_each(|seq| set.insert(seq));
         set
+    }
+
+    /// An empty set over the sequences `first..=last`, filled with
+    /// [`Self::insert`]. A range wider than the window (or an empty one)
+    /// gives a set that admits every sequence.
+    pub fn spanning(first: usize, last: usize) -> Self {
+        let span = last.wrapping_sub(first).wrapping_add(1);
+        Self {
+            base: first,
+            span: if span > RUN_SET_SPAN { 0 } else { span },
+            words: [0; RUN_SET_SPAN / 64],
+        }
+    }
+
+    /// Adds `seq` to the set (a no-op outside the window, which admits it
+    /// anyway).
+    #[inline]
+    pub fn insert(&mut self, seq: usize) {
+        let bit = seq.wrapping_sub(self.base);
+        if bit < self.span {
+            if let Some(word) = self.words.get_mut(bit / 64) {
+                *word |= 1 << (bit % 64);
+            }
+        }
     }
 
     /// Whether `seq` may hold an instance: in the set, or outside its
