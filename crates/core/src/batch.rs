@@ -63,10 +63,10 @@
 //! (`count == sup`), and only the children that clear `t_min` are grown.
 //! Otherwise each candidate gets its own kernel pass, which stops early
 //! once it cannot reach `t_min`; so does the lazy All-scan's growth of a
-//! followed edge. Both are output-neutral: a set below `t_min` is never
-//! followed, and a node's support is at least `t_min`, so it is never
-//! append-equal. `instance_growths` counts one growth per eligible
-//! candidate whichever path runs.
+//! followed edge, under gap constraints too. Both are output-neutral: a
+//! set below `t_min` is never followed, and a node's support is at least
+//! `t_min`, so it is never append-equal. `instance_growths` counts one
+//! growth per eligible candidate whichever path runs.
 //!
 //! # Why shared-floor top-k is sound (and why it is not shared)
 //!
@@ -96,11 +96,10 @@ use std::time::Instant;
 use seqdb::{EventId, RunSet};
 
 use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
-use crate::constrained::ConstrainedSupportComputer;
 use crate::constraints::GapConstraints;
 use crate::engine::{MiningReport, MiningRequest, Mode};
 use crate::growth::{SetPool, SupportComputer};
-use crate::kernel::{node_runs, SiblingSweep, SweepScratch};
+use crate::kernel::{self, node_runs, SiblingSweep, SweepScratch};
 use crate::maximal::maximal_subset;
 use crate::parallel::fan_out_shard_seeds;
 use crate::pattern::Pattern;
@@ -897,22 +896,16 @@ impl Plan {
     /// Runs `f` with the growth and closure machinery of this plan bound to
     /// `prepared` (every piece borrows; building them is O(1)).
     fn with_ctx<R>(&self, prepared: PreparedRef<'_>, f: impl FnOnce(&Ctx<'_, '_>) -> R) -> R {
-        let sc = prepared.support_computer();
-        let csc = match self.kind {
-            ScanKind::All { constraints } if !constraints.is_unbounded() => {
-                Some(ConstrainedSupportComputer::with_support_computer(
-                    prepared.support_computer(),
-                    constraints,
-                ))
-            }
-            _ => None,
+        let constraints = match self.kind {
+            ScanKind::All { constraints } => constraints,
+            _ => GapConstraints::unbounded(),
         };
+        let sc = prepared.support_computer().with_constraints(constraints);
         let checker = self
             .eager
             .then(|| ClosureChecker::from_candidates(&sc, &self.candidates));
         f(&Ctx {
             sc: &sc,
-            csc: csc.as_ref(),
             checker: checker.as_ref(),
             plan: self,
         })
@@ -921,17 +914,17 @@ impl Plan {
 
 /// A plan bound to a prepared database for the length of one walk step.
 struct Ctx<'c, 'a> {
+    /// Carries the scan's constraints.
     sc: &'c SupportComputer<'a>,
-    csc: Option<&'c ConstrainedSupportComputer<'a>>,
     checker: Option<&'c ClosureChecker<'c, 'a>>,
     plan: &'c Plan,
 }
 
 impl Ctx<'_, '_> {
-    /// Instance growth of `support` by `event` (Algorithm 2, or its
-    /// constrained form). `runs` is `support`'s [`RunSet`] when the caller
-    /// grows it by many events. The unconstrained pass may stop early once
-    /// it cannot reach `t_min` instances: the caller discards such a set.
+    /// Instance growth of `support` by `event` (Algorithm 2, under the
+    /// scan's constraints). `runs` is `support`'s [`RunSet`] when the
+    /// caller grows it by many events. The pass may stop early once it
+    /// cannot reach `t_min` instances: the caller discards such a set.
     fn grow(
         &self,
         support: &SupportSet,
@@ -939,14 +932,16 @@ impl Ctx<'_, '_> {
         event: EventId,
         out: &mut SupportSet,
     ) {
-        match self.csc {
-            Some(csc) => csc.instance_growth_within(support, runs, event, out),
-            None => {
-                let target = usize::try_from(self.plan.t_min).unwrap_or(usize::MAX);
-                self.sc
-                    .instance_growth_within(support, runs, event, target, out);
-            }
-        }
+        let target = usize::try_from(self.plan.t_min).unwrap_or(usize::MAX);
+        kernel::grow_into(
+            self.sc.index(),
+            event,
+            self.sc.constraints(),
+            support.instances(),
+            runs,
+            target,
+            out,
+        );
     }
 
     /// The [`RunSet`] of `support` and the suffix length a sibling sweep

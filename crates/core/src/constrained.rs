@@ -1,181 +1,15 @@
-//! Gap-constrained repetitive mining (the paper's future-work direction).
+//! The constrained repetitive support `sup_C(P)` as a one-call query.
 //!
-//! This module extends instance growth (Algorithm 2) and `supComp`
-//! (Algorithm 1) to honour [`GapConstraints`]: bounds on
-//! the gap between successive pattern events and on the total window an
-//! instance may span. The concluding section of the paper names this
-//! extension explicitly ("mining approximate repetitive patterns with gap
-//! constraints, which is useful for mining subsequences from long sequences
-//! of DNA, protein, and text data").
-//!
-//! # Semantics
-//!
-//! The *constrained repetitive support* `sup_C(P)` computed here is the size
-//! of the instance set produced by constrained leftmost instance growth:
-//! instances are extended greedily in right-shift order, and an extension is
-//! admissible only if the new landmark position respects the `min_gap`,
-//! `max_gap`, and `max_window` bounds relative to the instance being grown.
-//!
-//! Key properties (all exercised by the tests below):
-//!
-//! * With [`GapConstraints::unbounded`] every function of this module agrees
-//!   exactly with the unconstrained algorithms (`sup_C = sup`).
-//! * `sup_C` is **prefix anti-monotone**: dropping trailing events of a
-//!   pattern never decreases the value, because every grown instance of
-//!   `P ◦ e` extends an instance of `P`. This is what the depth-first search
-//!   needs for completeness, so constrained `All` mining enumerates *every*
-//!   pattern whose constrained support reaches `min_sup`.
-//! * `sup_C` is **not** anti-monotone under arbitrary super-patterns: with a
-//!   `max_gap`, inserting an event can *increase* the support (the classic
-//!   example is contiguous matching, `max_gap = 0`, where `ABC` may occur
-//!   often while `AC` never occurs contiguously). Consequently the landmark
-//!   border pruning of Theorem 5 is not sound under constraints and
-//!   constrained `Closed` mining instead filters the complete frequent set —
-//!   a pattern is reported iff no frequent super-pattern has the same
-//!   constrained support.
-//! * `sup_C(P) ≤ sup(P)`: constraining can only remove admissible instances.
-//!
-//! The greedy value is exactly the paper's maximum-non-overlapping count in
-//! the unconstrained case (Lemma 4); under constraints it is the natural
-//! operational extension of the same greedy and a lower bound on the true
-//! maximum. [`crate::reference::max_non_overlapping_constrained`] provides a
-//! brute-force exact maximum for small inputs, used by the property tests.
-//!
-//! Constrained growth runs the kernel's serial probe loop
-//! (`kernel::grow_constrained`): each probe's lower bound folds the
-//! per-instance `min_gap`/`max_window` bound with the leftmost-growth
-//! watermark, and the `max_gap` upper-bound check follows the probe. A
-//! rejected position is not consumed: it may satisfy the next instance's
-//! window.
+//! Constraints are a field of [`SupportComputer`]
+//! ([`SupportComputer::with_constraints`]); this module keeps the
+//! convenience wrapper and the tests of constrained support and mining.
+//! The semantics are documented in [`crate::constraints`].
 
-use seqdb::{EventId, RunSet, SequenceDatabase};
+use seqdb::{EventId, SequenceDatabase};
 
 use crate::constraints::GapConstraints;
 use crate::growth::SupportComputer;
-use crate::instance::Landmark;
-use crate::instbuf::InstanceBuffer;
-use crate::kernel;
 use crate::pattern::Pattern;
-use crate::support::SupportSet;
-
-/// A [`SupportComputer`] paired with gap/window constraints.
-///
-/// All queries on this type interpret supports as *constrained* repetitive
-/// supports (`sup_C`, see the module documentation).
-#[derive(Debug)]
-pub struct ConstrainedSupportComputer<'a> {
-    sc: SupportComputer<'a>,
-    constraints: GapConstraints,
-}
-
-impl<'a> ConstrainedSupportComputer<'a> {
-    /// Builds the inverted index for `db` and attaches `constraints`.
-    pub fn new(db: &'a SequenceDatabase, constraints: GapConstraints) -> Self {
-        Self {
-            sc: SupportComputer::new(db),
-            constraints,
-        }
-    }
-
-    /// Attaches `constraints` to an existing support computer (no index is
-    /// built — used to share a [`crate::PreparedDb`]'s index).
-    pub fn with_support_computer(sc: SupportComputer<'a>, constraints: GapConstraints) -> Self {
-        Self { sc, constraints }
-    }
-
-    /// The constraints this computer applies.
-    pub fn constraints(&self) -> &GapConstraints {
-        &self.constraints
-    }
-
-    /// The underlying unconstrained support computer.
-    pub fn inner(&self) -> &SupportComputer<'a> {
-        &self.sc
-    }
-
-    /// The constrained leftmost support set of the single-event pattern
-    /// `event` (constraints never restrict single events).
-    pub fn initial_support_set(&self, event: EventId) -> SupportSet {
-        self.sc.initial_support_set(event)
-    }
-
-    /// Constrained instance growth: extends `support` (a constrained
-    /// leftmost support set of some pattern `P`) into one of `P ◦ event`,
-    /// admitting only extensions that satisfy the gap and window bounds.
-    pub fn instance_growth(&self, support: &SupportSet, event: EventId) -> SupportSet {
-        let mut grown = SupportSet::new();
-        self.instance_growth_into(support, event, &mut grown);
-        grown
-    }
-
-    /// [`Self::instance_growth`] writing into a caller-provided set whose
-    /// allocation is reused (cleared first) — the hot-loop form, recycled
-    /// through the miners' set pools.
-    pub fn instance_growth_into(&self, support: &SupportSet, event: EventId, out: &mut SupportSet) {
-        self.instance_growth_within(support, None, event, out);
-    }
-
-    /// [`Self::instance_growth_into`] with the [`RunSet`] of `support`
-    /// supplied by a caller that grows the same set by many events.
-    pub(crate) fn instance_growth_within(
-        &self,
-        support: &SupportSet,
-        runs: Option<&RunSet>,
-        event: EventId,
-        out: &mut SupportSet,
-    ) {
-        out.clear();
-        // One fused constrained pass: each posting row is resolved once and
-        // swept across the sequence's whole run — a window miss rejects
-        // only the current instance (the cursor keeps the position for the
-        // next one); row exhaustion ends the run.
-        kernel::grow_constrained(
-            self.sc.index(),
-            event,
-            &self.constraints,
-            support.instances(),
-            runs,
-            out,
-        );
-    }
-
-    /// Constrained `supComp`: the constrained leftmost support set of an
-    /// arbitrary pattern (double-buffered growth chain: two sets total,
-    /// regardless of the pattern length).
-    pub fn support_set(&self, pattern: &Pattern) -> SupportSet {
-        let events = pattern.events();
-        let Some((&first, rest)) = events.split_first() else {
-            return SupportSet::new();
-        };
-        let mut support = self.initial_support_set(first);
-        let mut spare = SupportSet::new();
-        for &event in rest {
-            if support.is_empty() {
-                return support;
-            }
-            self.instance_growth_into(&support, event, &mut spare);
-            std::mem::swap(&mut support, &mut spare);
-        }
-        support
-    }
-
-    /// The constrained repetitive support `sup_C(P)`.
-    pub fn support(&self, pattern: &Pattern) -> u64 {
-        self.support_set(pattern).support()
-    }
-
-    /// The full landmarks of the constrained leftmost support set, obtained
-    /// by replaying the constrained greedy with complete position lists
-    /// through the shared SoA [`InstanceBuffer`] — the same loop the
-    /// unconstrained
-    /// [`reconstruct_landmarks`](crate::SupportSet::reconstruct_landmarks)
-    /// uses (unbounded constraints degenerate to Algorithm 2 exactly).
-    pub fn support_landmarks(&self, pattern: &Pattern) -> Vec<Landmark> {
-        let mut buffer = InstanceBuffer::new();
-        buffer.reconstruct(self.sc.index(), pattern, &self.constraints);
-        buffer.to_landmarks()
-    }
-}
 
 /// Convenience wrapper: the constrained repetitive support of a pattern
 /// given as raw event ids, building a temporary index.
@@ -184,7 +18,9 @@ pub fn constrained_support(
     pattern: &[EventId],
     constraints: GapConstraints,
 ) -> u64 {
-    ConstrainedSupportComputer::new(db, constraints).support(&Pattern::new(pattern.to_vec()))
+    SupportComputer::new(db)
+        .with_constraints(constraints)
+        .support(&Pattern::new(pattern.to_vec()))
 }
 
 #[cfg(test)]
@@ -192,6 +28,7 @@ mod tests {
     use super::*;
     use crate::config::MiningConfig;
     use crate::engine::{Miner, Mode};
+    use crate::instance::Landmark;
     use crate::reference::pattern_set;
     use crate::result::MiningOutcome;
     use crate::support::{are_valid_instances, is_non_redundant};
@@ -235,13 +72,21 @@ mod tests {
 
     #[test]
     fn unbounded_constraints_reproduce_the_unconstrained_supports() {
+        // Explicitly unbounded, and bounds that admit everything but take
+        // the constrained instantiation of the growth loop.
         let db = running_example();
-        let csc = ConstrainedSupportComputer::new(&db, GapConstraints::unbounded());
         let sc = SupportComputer::new(&db);
-        for s in ["A", "AB", "AC", "ACB", "ACA", "AAD", "ACAD", "DD", "BD"] {
-            let p = pattern(&db, s);
-            assert_eq!(csc.support(&p), sc.support(&p), "pattern {s}");
-            assert_eq!(csc.support_set(&p), sc.support_set(&p), "pattern {s}");
+        for constraints in [
+            GapConstraints::unbounded(),
+            GapConstraints::gap_range(0, u32::MAX).with_max_window(u32::MAX),
+        ] {
+            let csc = SupportComputer::new(&db).with_constraints(constraints);
+            for s in ["A", "AB", "AC", "ACB", "ACA", "AAD", "ACAD", "DD", "BD"] {
+                let p = pattern(&db, s);
+                assert_eq!(csc.support(&p), sc.support(&p), "pattern {s}");
+                assert_eq!(csc.support_set(&p), sc.support_set(&p), "pattern {s}");
+                assert_eq!(csc.support_landmarks(&p), sc.support_landmarks(&p));
+            }
         }
     }
 
@@ -265,7 +110,7 @@ mod tests {
     fn contiguous_ac_support_counts_every_adjacent_occurrence() {
         let db = running_example();
         let contiguous = GapConstraints::max_gap(0);
-        let csc = ConstrainedSupportComputer::new(&db, contiguous);
+        let csc = SupportComputer::new(&db).with_constraints(contiguous);
         // S1 = ABCACBDDB: "AC" adjacent at positions (4,5) only.
         // S2 = ACDBACADD: "AC" adjacent at (1,2) and (5,6).
         assert_eq!(csc.support(&pattern(&db, "AC")), 3);
@@ -365,7 +210,7 @@ mod tests {
             GapConstraints::gap_range(1, 3),
         ];
         for c in cases {
-            let csc = ConstrainedSupportComputer::new(&db, c);
+            let csc = SupportComputer::new(&db).with_constraints(c);
             for s in ["ACB", "ACAD", "ABDD", "AAD"] {
                 let p = pattern(&db, s);
                 let mut prev = u64::MAX;
@@ -478,7 +323,7 @@ mod tests {
         let outcome = constrained_all(&db, &MiningConfig::new(1), GapConstraints::max_gap(1));
         assert!(outcome.is_empty());
         let db2 = running_example();
-        let csc = ConstrainedSupportComputer::new(&db2, GapConstraints::max_gap(1));
+        let csc = SupportComputer::new(&db2).with_constraints(GapConstraints::max_gap(1));
         assert_eq!(csc.support(&Pattern::empty()), 0);
         assert!(csc.support_landmarks(&Pattern::empty()).is_empty());
     }

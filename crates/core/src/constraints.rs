@@ -16,15 +16,55 @@
 //! * `max_window` — the maximum span `l_m - l_1 + 1` of an instance
 //!   (`None` = unbounded).
 //!
-//! The constrained miners live in [`crate::constrained`]; this module only
-//! defines the constraint vocabulary and the position-level feasibility
-//! checks they share.
+//! A [`SupportComputer`](crate::SupportComputer) carries one set of
+//! constraints ([`SupportComputer::with_constraints`](crate::SupportComputer::with_constraints),
+//! unbounded by default), and the miners take theirs from the request.
+//!
+//! # Semantics
+//!
+//! The *constrained repetitive support* `sup_C(P)` is the size of the
+//! instance set produced by constrained leftmost instance growth: instances
+//! are extended greedily in right-shift order, and an extension is
+//! admissible only if the new landmark position respects the `min_gap`,
+//! `max_gap`, and `max_window` bounds relative to the instance being grown.
+//! The constraints only narrow the window of each instance's probe
+//! `next(S, e, max(last, watermark))` (Algorithm 2): `min_gap` raises its
+//! lower bound ([`GapConstraints::lowest_exclusive`]), and `max_gap` and
+//! `max_window` cap the accepted position
+//! ([`GapConstraints::highest_inclusive`]). A rejected position is not
+//! consumed: it may satisfy the next instance's window. The growth kernel
+//! (`crate::kernel`) runs this one probe loop for every shape.
+//!
+//! Key properties (exercised by the tests of [`crate::constrained`]):
+//!
+//! * With [`GapConstraints::unbounded`] every computation agrees exactly
+//!   with the unconstrained algorithms (`sup_C = sup`).
+//! * `sup_C` is **prefix anti-monotone**: dropping trailing events of a
+//!   pattern never decreases the value, because every grown instance of
+//!   `P ◦ e` extends an instance of `P`. This is what the depth-first search
+//!   needs for completeness, so constrained `All` mining enumerates *every*
+//!   pattern whose constrained support reaches `min_sup`.
+//! * `sup_C` is **not** anti-monotone under arbitrary super-patterns: with a
+//!   `max_gap`, inserting an event can *increase* the support (the classic
+//!   example is contiguous matching, `max_gap = 0`, where `ABC` may occur
+//!   often while `AC` never occurs contiguously). Consequently the landmark
+//!   border pruning of Theorem 5 is not sound under constraints and
+//!   constrained `Closed` mining instead filters the complete frequent set —
+//!   a pattern is reported iff no frequent super-pattern has the same
+//!   constrained support.
+//! * `sup_C(P) ≤ sup(P)`: constraining can only remove admissible instances.
+//!
+//! The greedy value is exactly the paper's maximum-non-overlapping count in
+//! the unconstrained case (Lemma 4); under constraints it is the natural
+//! operational extension of the same greedy and a lower bound on the true
+//! maximum. [`crate::reference::max_non_overlapping_constrained`] provides a
+//! brute-force exact maximum for small inputs, used by the property tests.
 
 /// Gap and window constraints on the instances of a pattern.
 ///
 /// With the default constraints ([`GapConstraints::unbounded`]) every
-/// computation in [`crate::constrained`] coincides exactly with the
-/// unconstrained algorithms of the paper; this is asserted by tests.
+/// constrained computation coincides exactly with the unconstrained
+/// algorithms of the paper; this is asserted by tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapConstraints {
     /// Minimum number of events between two successive pattern events.
@@ -40,6 +80,7 @@ pub struct GapConstraints {
 
 impl GapConstraints {
     /// No constraints at all: the setting of the paper.
+    #[inline]
     pub fn unbounded() -> Self {
         Self {
             min_gap: 0,
@@ -98,6 +139,7 @@ impl GapConstraints {
 
     /// Returns `true` when no constraint is active, i.e. the configuration
     /// is equivalent to the paper's unconstrained setting.
+    #[inline]
     pub fn is_unbounded(&self) -> bool {
         self.min_gap == 0 && self.max_gap.is_none() && self.max_window.is_none()
     }
@@ -108,6 +150,7 @@ impl GapConstraints {
     ///
     /// The next position must be `> last + min_gap` so that at least
     /// `min_gap` events separate the two pattern events.
+    #[inline]
     pub fn lowest_exclusive(&self, last: u32) -> u32 {
         last.saturating_add(self.min_gap)
     }
@@ -115,6 +158,7 @@ impl GapConstraints {
     /// The highest admissible position (inclusive) when extending an
     /// instance with first landmark position `first` and current last
     /// landmark position `last`, or `u32::MAX` when unconstrained.
+    #[inline]
     pub fn highest_inclusive(&self, first: u32, last: u32) -> u32 {
         let by_gap = match self.max_gap {
             Some(g) => last.saturating_add(g).saturating_add(1),

@@ -7,21 +7,27 @@
 //! this greedy extension yields a *maximum-size* non-redundant instance set,
 //! so the size of the result is exactly the repetitive support of `P ◦ e`.
 //!
-//! The growth step itself is delegated to [`crate::kernel`], which resolves
-//! each posting row once per extension pass and advances one
-//! [`seqdb::PostingCursor`] through each sequence's run of instances. This
-//! module owns the *semantics* (which instances to grow, in what order,
-//! into which support set); the kernel owns the *mechanics* of finding each
+//! A [`SupportComputer`] carries optional [`GapConstraints`] (unbounded by
+//! default, set with [`SupportComputer::with_constraints`]); every query
+//! then reads as the constrained support `sup_C` of [`crate::constraints`].
+//! The growth step itself is delegated to [`crate::kernel`], whose one
+//! probe loop resolves each posting row once per extension pass and
+//! advances one [`seqdb::PostingCursor`] through each sequence's run of
+//! instances, for support sets and full landmarks alike. This module owns
+//! the *semantics* (which instances to grow, in what order, into which
+//! support set); the kernel owns the *mechanics* of finding each
 //! instance's next admissible position.
 
 use std::ops::Range;
 
-use seqdb::{EventId, InvertedIndex, RunSet, SequenceDatabase, ShardMap};
+use seqdb::{EventId, InvertedIndex, SequenceDatabase, ShardMap};
 
+use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
+use crate::instbuf::InstanceBuffer;
 use crate::kernel;
 use crate::pattern::Pattern;
-use crate::support::{reconstruct_landmarks_impl, SupportSet};
+use crate::support::SupportSet;
 
 /// A reusable handle bundling a database with its inverted index.
 ///
@@ -42,6 +48,8 @@ pub struct SupportComputer<'a> {
     index: IndexHandle<'a>,
     /// `None` is one range over the whole database.
     shards: Option<&'a ShardMap>,
+    /// The gap/window bounds every growth step honours.
+    constraints: GapConstraints,
 }
 
 /// Owned-or-borrowed storage for the inverted index.
@@ -63,6 +71,7 @@ impl<'a> SupportComputer<'a> {
             db,
             index: IndexHandle::Owned(index),
             shards: None,
+            constraints: GapConstraints::unbounded(),
         }
     }
 
@@ -74,6 +83,7 @@ impl<'a> SupportComputer<'a> {
             db,
             index: IndexHandle::Borrowed(index),
             shards: None,
+            constraints: GapConstraints::unbounded(),
         }
     }
 
@@ -82,6 +92,19 @@ impl<'a> SupportComputer<'a> {
     pub fn with_shards(mut self, map: &'a ShardMap) -> Self {
         self.shards = Some(map);
         self
+    }
+
+    /// This computer with every support query read under `constraints`:
+    /// growth admits only extensions within their gap and window bounds,
+    /// so supports are the constrained `sup_C` of [`crate::constraints`].
+    pub fn with_constraints(mut self, constraints: GapConstraints) -> Self {
+        self.constraints = constraints;
+        self
+    }
+
+    /// The constraints this computer applies (unbounded by default).
+    pub fn constraints(&self) -> GapConstraints {
+        self.constraints
     }
 
     /// Number of sequence ranges the initial support sets split into.
@@ -150,36 +173,25 @@ impl<'a> SupportComputer<'a> {
 
     /// `INSgrow(SeqDB, P, I, e)` (Algorithm 2): extends the leftmost support
     /// set `support` of a pattern `P` into the leftmost support set of
-    /// `P ◦ event`.
+    /// `P ◦ event`, admitting only extensions within this computer's
+    /// constraints.
     ///
     /// The pattern itself is not needed: the compressed instances carry all
-    /// the state the greedy extension requires (`last` positions).
+    /// the state the greedy extension requires (`first` and `last`
+    /// positions).
     pub fn instance_growth(&self, support: &SupportSet, event: EventId) -> SupportSet {
-        self.instance_growth_bounded(support, event, usize::MAX)
-    }
-
-    /// [`Self::instance_growth`] with an early-exit bound used by the
-    /// closure-checking machinery: growing stops as soon as it becomes
-    /// impossible to reach `target` instances, i.e. when
-    /// `grown_so_far + remaining_inputs < target`.
-    ///
-    /// With `target = usize::MAX` this is exactly Algorithm 2.
-    pub fn instance_growth_bounded(
-        &self,
-        support: &SupportSet,
-        event: EventId,
-        target: usize,
-    ) -> SupportSet {
         let mut grown = SupportSet::new();
-        self.instance_growth_into(support, event, target, &mut grown);
+        self.instance_growth_into(support, event, usize::MAX, &mut grown);
         grown
     }
 
-    /// [`Self::instance_growth_bounded`] writing into a caller-provided set:
-    /// `out` is cleared (its allocation is kept) and refilled, so a warm
-    /// buffer makes the growth step allocation-free. This is the form every
-    /// mining core calls in its hot loop, recycling sets through the
-    /// crate-internal `SetPool`.
+    /// [`Self::instance_growth`] writing into a caller-provided set, with
+    /// an early-exit bound: `out` is cleared (its allocation is kept) and
+    /// refilled, so a warm buffer makes the growth step allocation-free.
+    /// Growing stops as soon as it becomes impossible to reach `target`
+    /// instances, i.e. when `grown_so_far + remaining_inputs < target`;
+    /// with `target = usize::MAX` this is exactly Algorithm 2. This is the
+    /// form the closure checks call in their hot loop.
     pub fn instance_growth_into(
         &self,
         support: &SupportSet,
@@ -187,30 +199,20 @@ impl<'a> SupportComputer<'a> {
         target: usize,
         out: &mut SupportSet,
     ) {
-        self.instance_growth_within(support, None, event, target, out);
-    }
-
-    /// [`Self::instance_growth_into`] with the [`RunSet`] of `support`
-    /// supplied by a caller that grows the same set by many events.
-    pub(crate) fn instance_growth_within(
-        &self,
-        support: &SupportSet,
-        runs: Option<&RunSet>,
-        event: EventId,
-        target: usize,
-        out: &mut SupportSet,
-    ) {
-        out.clear();
-        // One fused pass: each `(sequence, event)` posting row is resolved
-        // once, the cursor advances through the sequence's whole run
-        // (gallop + branch-free search), and run boundaries are detected
-        // inline instead of by a separate pre-scan.
-        kernel::grow_unconstrained(self.index(), event, support.instances(), runs, target, out);
+        kernel::grow_into(
+            self.index(),
+            event,
+            self.constraints,
+            support.instances(),
+            None,
+            target,
+            out,
+        );
     }
 
     /// `supComp(SeqDB, P)` (Algorithm 1): the leftmost support set of an
     /// arbitrary pattern, computed by chaining instance growth from the
-    /// pattern's first event.
+    /// pattern's first event (constraints never restrict single events).
     pub fn support_set(&self, pattern: &Pattern) -> SupportSet {
         let events = pattern.events();
         let Some((&first, rest)) = events.split_first() else {
@@ -230,15 +232,20 @@ impl<'a> SupportComputer<'a> {
         support
     }
 
-    /// The repetitive support `sup(P)` (Definition 2.5).
+    /// The repetitive support `sup(P)` (Definition 2.5), or `sup_C(P)`
+    /// under constraints.
     pub fn support(&self, pattern: &Pattern) -> u64 {
         self.support_set(pattern).support()
     }
 
     /// The leftmost support set with full landmarks (positions of every
-    /// pattern event), for reporting and verification.
+    /// pattern event), for reporting and verification: the greedy replayed
+    /// through an [`InstanceBuffer`], instance for instance
+    /// [`Self::support_set`].
     pub fn support_landmarks(&self, pattern: &Pattern) -> Vec<Landmark> {
-        reconstruct_landmarks_impl(self.index(), pattern)
+        let mut buffer = InstanceBuffer::new();
+        buffer.reconstruct(self.index(), pattern, &self.constraints);
+        buffer.to_landmarks()
     }
 }
 
@@ -491,7 +498,8 @@ mod tests {
         let i_ac = sc.support_set(&pattern(&db, "AC"));
         let b = db.catalog().id("B").unwrap();
         let unbounded = sc.instance_growth(&i_ac, b);
-        let bounded = sc.instance_growth_bounded(&i_ac, b, unbounded.instances().len());
+        let mut bounded = SupportSet::new();
+        sc.instance_growth_into(&i_ac, b, unbounded.instances().len(), &mut bounded);
         assert_eq!(bounded.support(), unbounded.support());
     }
 

@@ -2,12 +2,11 @@
 //! growth with full positions.
 //!
 //! [`InstanceBuffer`] holds the landmarks of one generation of instance
-//! growth in structure-of-arrays form: a `seqs` column (one `u32` per
-//! instance) and a flat `positions` arena with a fixed *stride* — every
-//! landmark of a pattern of length `m` occupies exactly `m` consecutive
-//! slots, so landmark `i` is `positions[i * m .. (i + 1) * m]` and nothing
-//! is heap-allocated per instance (compare the seed's `Vec<Vec<u32>>` per
-//! growth step).
+//! growth in structure-of-arrays form: an `instances` column of compressed
+//! `(seq, first, last)` triples and a flat `positions` arena with a fixed
+//! *stride*. Every landmark of a pattern of length `m` occupies exactly `m`
+//! consecutive slots, so landmark `i` is `positions[i * m .. (i + 1) * m]`
+//! and nothing is heap-allocated per instance.
 //!
 //! The buffer is **double-buffered**: [`InstanceBuffer::grow`] writes the
 //! next generation into a spare pair of columns (whose capacity is retained
@@ -15,24 +14,19 @@
 //! or growing patterns of similar size — therefore allocates nothing; the
 //! zero-allocation property is pinned by a counting-allocator test.
 //!
-//! One growth routine serves both the unconstrained and the constrained
-//! semantics (with [`GapConstraints::unbounded`] the bounds degenerate to
-//! exactly Algorithm 2), which is what lets
-//! [`SupportSet::reconstruct_landmarks`](crate::SupportSet::reconstruct_landmarks)
-//! and the constrained miner share a single landmark-reconstruction loop
-//! instead of the seed's copy-paste twins.
-//!
-//! Landmark reconstruction runs the same per-instance
-//! [`seqdb::PostingCursor`] probe loop as the hot growth pass in
-//! [`crate::kernel`], but it copies whole landmarks into the strided arena
-//! instead of pushing `(seq, first, last)` instances into a support set, so
-//! it keeps its own copy of the loop. It runs once per reported pattern, not
-//! per growth step.
+//! Growth runs the one probe loop of [`crate::kernel`] over the
+//! `instances` column, the same loop that grows support sets, so a
+//! reconstructed landmark set is the support set instance for instance,
+//! under any [`GapConstraints`]. The loop reports each match with the index
+//! of the instance it extends; the buffer copies that landmark into the
+//! spare arena and appends the new position. It runs once per reported
+//! pattern, not per growth step.
 
-use seqdb::{EventId, InvertedIndex, PostingCursor};
+use seqdb::{EventId, InvertedIndex};
 
 use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
+use crate::kernel;
 use crate::pattern::Pattern;
 
 /// A reusable, double-buffered SoA buffer of full landmarks.
@@ -45,13 +39,13 @@ use crate::pattern::Pattern;
 pub struct InstanceBuffer {
     /// Landmark length of the current generation (0 when empty).
     stride: usize,
-    /// Sequence index of instance `i`.
-    seqs: Vec<u32>,
+    /// The compressed `(seq, first, last)` triple of instance `i`.
+    instances: Vec<Instance>,
     /// Flat landmark arena: instance `i` owns
     /// `positions[i * stride .. (i + 1) * stride]`.
     positions: Vec<u32>,
     /// Spare columns for the next generation (double buffering).
-    spare_seqs: Vec<u32>,
+    spare_instances: Vec<Instance>,
     spare_positions: Vec<u32>,
 }
 
@@ -63,12 +57,12 @@ impl InstanceBuffer {
 
     /// Number of instances in the current generation.
     pub fn len(&self) -> usize {
-        self.seqs.len()
+        self.instances.len()
     }
 
     /// Returns `true` when the buffer holds no instances.
     pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
+        self.instances.is_empty()
     }
 
     /// The landmark length of the current generation (the pattern length).
@@ -79,40 +73,16 @@ impl InstanceBuffer {
     /// Drops all instances but keeps every allocation.
     pub fn clear(&mut self) {
         self.stride = 0;
-        self.seqs.clear();
+        self.instances.clear();
         self.positions.clear();
-    }
-
-    /// The sequence index of instance `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn seq(&self, i: usize) -> u32 {
-        // Documented panic on an out-of-range instance id at the API
-        // boundary; the growth loops never call this.
-        // audit:allow(indexing): see above
-        self.seqs[i]
-    }
-
-    /// The landmark positions of instance `i` (a slice into the arena).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn landmark(&self, i: usize) -> &[u32] {
-        // Documented panic on an out-of-range instance id at the API
-        // boundary; the growth loops never call this.
-        // audit:allow(indexing): see above
-        &self.positions[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Iterates over `(sequence, landmark positions)` pairs in right-shift
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
-        self.seqs
+        self.instances
             .iter()
-            .copied()
+            .map(|inst| inst.seq)
             .zip(self.positions.chunks_exact(self.stride.max(1)))
     }
 
@@ -124,7 +94,7 @@ impl InstanceBuffer {
         self.stride = 1;
         for (seq, positions) in index.sequences_with_event(event) {
             for &pos in positions {
-                self.seqs.push(seq as u32);
+                self.instances.push(Instance::new(seq as u32, pos, pos));
                 self.positions.push(pos);
             }
         }
@@ -143,69 +113,30 @@ impl InstanceBuffer {
         let stride = self.stride;
         debug_assert!(stride > 0, "grow() needs a seeded buffer");
         let Self {
-            seqs,
+            instances,
             positions,
-            spare_seqs,
+            spare_instances,
             spare_positions,
             ..
         } = self;
-        spare_seqs.clear();
+        spare_instances.clear();
         spare_positions.clear();
-
-        let len = seqs.len();
-        let mut rows = index.event_rows(event);
-        let mut i = 0;
-        while i < len {
-            let Some(rest) = seqs.get(i..) else { break };
-            let Some(&seq) = rest.first() else { break };
-            let end = i + rest.iter().take_while(|&&s| s == seq).count();
-            // Within one sequence: greedy right-shift-order extension with
-            // the strictly-increasing `last_position` watermark of
-            // Algorithm 2, line 5. The `(seq, event)` posting row is
-            // resolved once per run (forward-only, through the pass's row
-            // handle) and advanced by a monotone cursor instead of
-            // re-searching the whole row per instance.
-            let Some((hit, row)) = rows.next_row(seq as usize) else {
-                break;
-            };
-            if hit != seq as usize {
-                // No sequence from `seq` up to `hit` holds the event.
-                i += rest.iter().take_while(|&&s| (s as usize) < hit).count();
-                continue;
-            }
-            let mut cursor = PostingCursor::new(row);
-            let mut last_position = 0u32;
-            for j in i..end {
-                let Some(landmark) = positions.get(j * stride..(j + 1) * stride) else {
-                    break;
-                };
-                // A landmark slice is never empty: stride > 0 is asserted on
-                // entry, so first/last always exist.
-                let (Some(&first), Some(&prev)) = (landmark.first(), landmark.last()) else {
-                    break;
-                };
-                let lowest = last_position.max(constraints.lowest_exclusive(prev));
-                let highest = constraints.highest_inclusive(first, prev);
-                match cursor.next_after(lowest) {
-                    Some(pos) if pos <= highest => {
-                        last_position = pos;
-                        spare_seqs.push(seq);
-                        spare_positions.extend_from_slice(landmark);
-                        spare_positions.push(pos);
-                    }
-                    // The next occurrence exists but violates a constraint:
-                    // this instance cannot be extended, but instances ending
-                    // further right might still be, so keep scanning.
-                    Some(_) => continue,
-                    // No occurrence of `event` remains in this sequence at
-                    // all: later instances end even further right, so stop.
-                    None => break,
-                }
-            }
-            i = end;
-        }
-
-        std::mem::swap(seqs, spare_seqs);
+        let grown_landmark = |i: usize, grown: Instance| {
+            spare_instances.push(grown);
+            let landmark = positions.get(i * stride..(i + 1) * stride).unwrap_or(&[]);
+            spare_positions.extend_from_slice(landmark);
+            spare_positions.push(grown.last);
+        };
+        kernel::grow(
+            index,
+            event,
+            *constraints,
+            instances,
+            None,
+            usize::MAX,
+            grown_landmark,
+        );
+        std::mem::swap(instances, spare_instances);
         std::mem::swap(positions, spare_positions);
         self.stride = stride + 1;
     }
@@ -213,10 +144,10 @@ impl InstanceBuffer {
     /// Rebuilds the (constrained) leftmost support set of `pattern` with
     /// full landmarks: seed on the first event, then chain [`Self::grow`].
     ///
-    /// This is the **shared** landmark-reconstruction loop behind both
+    /// This is the landmark-reconstruction loop behind
     /// [`SupportSet::reconstruct_landmarks`](crate::support::SupportSet::reconstruct_landmarks)
     /// (unbounded constraints) and
-    /// [`ConstrainedSupportComputer::support_landmarks`](crate::constrained::ConstrainedSupportComputer::support_landmarks).
+    /// [`SupportComputer::support_landmarks`](crate::growth::SupportComputer::support_landmarks).
     pub fn reconstruct(
         &mut self,
         index: &InvertedIndex,
@@ -250,12 +181,10 @@ impl InstanceBuffer {
     ///
     /// Panics when `i >= self.len()`.
     pub fn compressed(&self, i: usize) -> Instance {
-        let landmark = self.landmark(i);
-        Instance::new(
-            self.seq(i),
-            landmark.first().copied().unwrap_or(0),
-            landmark.last().copied().unwrap_or(0),
-        )
+        // Documented panic on an out-of-range instance id at the API
+        // boundary; the growth loop never calls this.
+        // audit:allow(indexing): see above
+        self.instances[i]
     }
 }
 

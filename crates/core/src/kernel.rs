@@ -1,4 +1,4 @@
-//! The growth kernels: whole-pass instance advancement over resolved
+//! The growth kernel: whole-pass instance advancement over resolved
 //! posting rows.
 //!
 //! The per-call probe `next(S, e, lowest)` (Algorithm 2, line 9) pays the
@@ -17,18 +17,21 @@
 //! [`seqdb::RunSet`], so a sparse event's handle passes the sequences the
 //! set has no instances in with one bit test each.
 //!
-//! Both kernels advance a [`PostingCursor`] one probe at a time: each probe
-//! gallops forward from the previous landmark and falls back to a
-//! branch-free binary search over the galloped bracket, so a run of `k`
-//! probes over a row of length `L` costs amortized `O(L + k·log stride)`.
-//! When an instance's bound is already below the cursor front the probe
-//! returns after two compares, so a long run of instances that each take
-//! the next row slot costs one compare pair per instance, with no search.
+//! One probe loop (`grow`) serves every pass: unconstrained and
+//! gap-constrained growth alike (the constraints only narrow each probe's
+//! window), into a support set or into the landmark arena of an
+//! [`InstanceBuffer`](crate::InstanceBuffer). It advances a
+//! [`PostingCursor`] one probe at a time: each probe gallops forward from
+//! the previous landmark and falls back to a branch-free binary search over
+//! the galloped bracket, so a run of `k` probes over a row of length `L`
+//! costs amortized `O(L + k·log stride)`. An accepted position is consumed,
+//! so when the next instance's bound is already below the cursor front the
+//! probe returns after two compares, and a long run of instances that each
+//! take the next row slot costs one compare pair per instance.
 //!
-//! The kernels also fuse **run detection** into the same pass: a support
+//! The loop also fuses **run detection** into the same pass: a support
 //! set stores its instances sorted by `(seq, last)`, so a sequence's run is
-//! found by watching `seq` change under a single forward index — not by a
-//! separate `take_while` pre-scan that touches every instance twice. The
+//! found by watching `seq` change under a single forward index. The
 //! instances a pass cannot grow — a run's tail once its row is exhausted,
 //! or the runs of sequences without the event — are skipped by a gallop
 //! over the sorted instances, so skipping `k` of them costs `O(log k)`.
@@ -51,27 +54,70 @@ use crate::constraints::GapConstraints;
 use crate::instance::Instance;
 use crate::support::SupportSet;
 
-/// One unconstrained extension pass (Algorithm 2): grows every instance of
-/// `instances` (sorted by `(seq, last)`) by `event`, appending the grown
-/// instances to `out` in the same order.
+/// One extension pass (Algorithm 2, under gap constraints): grows every
+/// instance of `instances` (sorted by `(seq, last)`) by `event` and
+/// reports each grown instance to `emit` with the index of the input
+/// instance it extends, in input order.
 ///
-/// Within a sequence's run the row cursor advances under the
-/// strictly-increasing `last_position` watermark; the run stops at the
-/// first instance with no further occurrence of the event, because later
-/// instances end even further right. With `target != usize::MAX` the pass
-/// returns early once even extending every remaining instance could not
-/// reach `target` grown instances (the caller is about to discard the set
-/// as infrequent anyway). `runs`, when given, is the [`RunSet`] of
-/// `instances`.
-pub(crate) fn grow_unconstrained(
+/// Each instance takes the first occurrence of `event` after
+/// `max(watermark, lowest_exclusive(last))` in its sequence if it is at
+/// most `highest_inclusive(first, last)` (both no-ops when unbounded). A
+/// rejected position stays at the cursor front, where it may answer the
+/// next instance; an accepted one is consumed, as the watermark puts every
+/// later bound at or past it. Row exhaustion ends the run. With
+/// `target != usize::MAX` the pass returns early once even extending every
+/// remaining instance could not reach `target` grown instances (the caller
+/// is about to discard the set as infrequent anyway). `runs`, when given,
+/// is the [`RunSet`] of `instances`.
+pub(crate) fn grow(
     index: &InvertedIndex,
     event: EventId,
+    constraints: GapConstraints,
+    instances: &[Instance],
+    runs: Option<&RunSet>,
+    target: usize,
+    emit: impl FnMut(usize, Instance),
+) {
+    // One branch per pass: the unconstrained instantiation sees constant
+    // bounds, so they fold away from the hot loop.
+    if constraints.is_unbounded() {
+        let unbounded = GapConstraints::unbounded();
+        probe_loop(index, event, unbounded, instances, runs, target, emit);
+    } else {
+        probe_loop(index, event, constraints, instances, runs, target, emit);
+    }
+}
+
+/// [`grow`] into a support set: `out` is cleared (its allocation kept) and
+/// refilled with the grown instances.
+pub(crate) fn grow_into(
+    index: &InvertedIndex,
+    event: EventId,
+    constraints: GapConstraints,
     instances: &[Instance],
     runs: Option<&RunSet>,
     target: usize,
     out: &mut SupportSet,
 ) {
+    out.clear();
+    let push = |_, grown| out.push(grown);
+    grow(index, event, constraints, instances, runs, target, push);
+}
+
+/// The probe loop behind [`grow`], inlined into both of its
+/// instantiations.
+#[inline(always)]
+fn probe_loop(
+    index: &InvertedIndex,
+    event: EventId,
+    constraints: GapConstraints,
+    instances: &[Instance],
+    runs: Option<&RunSet>,
+    target: usize,
+    mut emit: impl FnMut(usize, Instance),
+) {
     let total = instances.len();
+    let mut emitted = 0usize;
     let mut rows = index.event_rows(event);
     if let Some(runs) = runs {
         rows.restrict(runs);
@@ -95,19 +141,24 @@ pub(crate) fn grow_unconstrained(
                 if instance.seq != seq {
                     break;
                 }
-                // The consuming probe is sound here: the watermark makes every
-                // later bound at least the emitted position, so an emitted
-                // position can never be the answer again within this run.
-                match cursor.next_after_consuming(last_position.max(instance.last)) {
-                    Some(pos) => {
+                // `lowest` stays non-decreasing along the run: the watermark
+                // only grows and `lowest_exclusive` is monotone in the
+                // sorted `last` positions, which is the cursor's contract.
+                let lowest = last_position.max(constraints.lowest_exclusive(instance.last));
+                match cursor.next_after(lowest) {
+                    Some(pos)
+                        if pos <= constraints.highest_inclusive(instance.first, instance.last) =>
+                    {
+                        cursor.consume();
                         last_position = pos;
-                        out.push(Instance::new(seq, instance.first, pos));
+                        emit(i, Instance::new(seq, instance.first, pos));
+                        emitted += 1;
                         i += 1;
                     }
+                    // Window miss: reject this instance only.
+                    Some(_) => i += 1,
                     None => {
-                        // Row exhausted: the remaining instances of this run
-                        // end even further right, so none of them can be
-                        // extended either — skip the run's tail.
+                        // Row exhausted: skip the run's tail.
                         i = run_end(instances, i, seq);
                         break;
                     }
@@ -116,69 +167,8 @@ pub(crate) fn grow_unconstrained(
         }
         // Early exit: even if every remaining input instance could be
         // extended, the target cannot be reached.
-        if target != usize::MAX && out.instances().len() + (total - i) < target {
+        if target != usize::MAX && emitted + (total - i) < target {
             return;
-        }
-    }
-}
-
-/// One gap-constrained extension pass: like [`grow_unconstrained`], but
-/// each probe's window is bounded by `constraints` relative to the instance
-/// being grown.
-///
-/// A position outside the window rejects only the current instance (the
-/// probe does **not** consume it — the same position may satisfy the next
-/// instance's window, whose bounds differ); row exhaustion ends the run for
-/// every remaining instance of the sequence.
-pub(crate) fn grow_constrained(
-    index: &InvertedIndex,
-    event: EventId,
-    constraints: &GapConstraints,
-    instances: &[Instance],
-    runs: Option<&RunSet>,
-    out: &mut SupportSet,
-) {
-    let mut rows = index.event_rows(event);
-    if let Some(runs) = runs {
-        rows.restrict(runs);
-    }
-    let mut i = 0usize;
-    while let Some(head) = instances.get(i) {
-        let seq = head.seq;
-        let Some((hit, row)) = rows.next_row(seq as usize) else {
-            break;
-        };
-        if hit != seq as usize {
-            i = skip_to(instances, i, hit);
-            continue;
-        }
-        let mut cursor = PostingCursor::new(row);
-        let mut last_position = 0u32;
-        while let Some(instance) = instances.get(i) {
-            if instance.seq != seq {
-                break;
-            }
-            // `lowest` stays non-decreasing along the run: the watermark
-            // only grows and `lowest_exclusive` is monotone in the sorted
-            // `last` positions — exactly the cursor's contract. The probe
-            // must NOT consume: a position rejected for this instance's
-            // window may satisfy the next instance's.
-            let lowest = last_position.max(constraints.lowest_exclusive(instance.last));
-            let highest = constraints.highest_inclusive(instance.first, instance.last);
-            match cursor.next_after(lowest) {
-                Some(pos) if pos <= highest => {
-                    last_position = pos;
-                    out.push(Instance::new(seq, instance.first, pos));
-                    i += 1;
-                }
-                // Window miss: reject this instance only; the position
-                // stays at the cursor front for the next instance.
-                Some(_) => i += 1,
-                None => {
-                    i = run_end(instances, i, seq);
-                    break;
-                }
-            }
         }
     }
 }
@@ -402,10 +392,10 @@ pub fn grow_layer(index: &InvertedIndex, seeds: &[SupportSet], events: &[EventId
         // One run set per seed, lent to every pass — as the miner does.
         let runs = RunSet::of(run_seqs(seed.instances()));
         for &event in events {
-            out.clear();
-            grow_unconstrained(
+            grow_into(
                 index,
                 event,
+                GapConstraints::unbounded(),
                 seed.instances(),
                 Some(&runs),
                 usize::MAX,
@@ -427,15 +417,26 @@ mod tests {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
     }
 
+    /// The one loop under `constraints`, cut short at `target`.
+    fn grow_with(
+        index: &InvertedIndex,
+        event: EventId,
+        constraints: GapConstraints,
+        instances: &[Instance],
+        target: usize,
+    ) -> Vec<Instance> {
+        let mut out = SupportSet::new();
+        grow_into(index, event, constraints, instances, None, target, &mut out);
+        out.instances().to_vec()
+    }
+
     fn grow(
         index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
         target: usize,
     ) -> Vec<Instance> {
-        let mut out = SupportSet::new();
-        grow_unconstrained(index, event, instances, None, target, &mut out);
-        out.instances().to_vec()
+        grow_with(index, event, GapConstraints::unbounded(), instances, target)
     }
 
     fn grow_gapped(
@@ -444,21 +445,38 @@ mod tests {
         constraints: &GapConstraints,
         instances: &[Instance],
     ) -> Vec<Instance> {
-        let mut out = SupportSet::new();
-        grow_constrained(index, event, constraints, instances, None, &mut out);
-        out.instances().to_vec()
+        grow_with(index, event, *constraints, instances, usize::MAX)
     }
 
-    /// The naive per-call loop the unconstrained kernel replaces.
+    /// Algorithm 2 verbatim, one `next(S, e, max(last, watermark))` per
+    /// instance and no window: the naive per-call loop the unconstrained
+    /// instantiation replaces.
     fn naive_unconstrained(
         index: &InvertedIndex,
         event: EventId,
         instances: &[Instance],
     ) -> Vec<Instance> {
-        naive_constrained(index, event, &GapConstraints::unbounded(), instances)
+        let mut out = Vec::new();
+        let mut current_seq = u32::MAX;
+        let mut last_position = 0u32;
+        for instance in instances {
+            if instance.seq != current_seq {
+                current_seq = instance.seq;
+                last_position = 0;
+            }
+            if let Some(pos) = index.next(
+                instance.seq as usize,
+                event,
+                last_position.max(instance.last),
+            ) {
+                last_position = pos;
+                out.push(Instance::new(instance.seq, instance.first, pos));
+            }
+        }
+        out
     }
 
-    /// The naive per-call loop the constrained kernel replaces: one
+    /// The naive per-call loop the constrained instantiation replaces: one
     /// `next(S, e, lowest)` per instance, a window check, and a dead run
     /// once the row is exhausted.
     fn naive_constrained(
@@ -560,16 +578,25 @@ mod tests {
 
     #[test]
     fn unbounded_constraints_degenerate_to_the_unconstrained_kernel() {
+        // The unconstrained instantiation, and the constrained one under
+        // bounds that admit everything, both reproduce Algorithm 2.
         let db = running_example();
         let index = db.inverted_index();
-        let unbounded = GapConstraints::unbounded();
+        let admit_all = [
+            GapConstraints::unbounded(),
+            GapConstraints::gap_range(0, u32::MAX),
+            GapConstraints::max_window(u32::MAX),
+        ];
         let instances = multi_run_instances();
         for event in db.catalog().ids() {
-            assert_eq!(
-                grow(&index, event, &instances, usize::MAX),
-                grow_gapped(&index, event, &unbounded, &instances),
-                "event {event:?}"
-            );
+            let naive = naive_unconstrained(&index, event, &instances);
+            for constraints in &admit_all {
+                assert_eq!(
+                    grow_gapped(&index, event, constraints, &instances),
+                    naive,
+                    "event {event:?} ({constraints:?})"
+                );
+            }
         }
     }
 
@@ -585,9 +612,24 @@ mod tests {
         }
     }
 
-    /// Random databases + random right-shift-sorted instance slices: both
-    /// kernels must reproduce the naive probes bit for bit, on rows and runs
-    /// both shorter and longer than 64 positions.
+    /// Random constraints: each bound is present about half the time.
+    fn random_constraints(rng: &mut Lcg) -> GapConstraints {
+        let mut constraints = GapConstraints::unbounded().with_min_gap((rng.next() % 3) as u32);
+        if rng.next().is_multiple_of(2) {
+            constraints = constraints.with_max_gap((rng.next() % 5) as u32);
+        }
+        if rng.next().is_multiple_of(2) {
+            constraints = constraints.with_max_window(1 + (rng.next() % 8) as u32);
+        }
+        constraints
+    }
+
+    /// Random databases + random right-shift-sorted instance slices: the
+    /// one loop must reproduce the naive probes bit for bit, on rows and
+    /// runs both shorter and longer than 64 positions, under a grid of
+    /// constraints and a random one. Under a random `target` it must match
+    /// the naive probe whenever that reaches `target`, and otherwise stop
+    /// below `target` on a prefix of the naive output.
     #[test]
     fn batched_kernels_match_scalar_on_seeded_inputs() {
         let mut rng = Lcg(0xD1CE);
@@ -641,12 +683,37 @@ mod tests {
                     naive_unconstrained(&index, event, &instances),
                     "round {round} event {event:?} (unconstrained)"
                 );
-                for constraints in &grids {
+                let random = random_constraints(&mut rng);
+                for constraints in grids.iter().chain([&random]) {
+                    let naive = naive_constrained(&index, event, constraints, &instances);
                     assert_eq!(
                         grow_gapped(&index, event, constraints, &instances),
-                        naive_constrained(&index, event, constraints, &instances),
+                        naive,
                         "round {round} event {event:?} ({constraints:?})"
                     );
+                    // The target sits at the naive count or one past it
+                    // (the edges of the early exit) or anywhere below the
+                    // input length.
+                    let target = match rng.next() % 3 {
+                        0 => naive.len(),
+                        1 => naive.len() + 1,
+                        _ => (rng.next() % (instances.len() as u64 + 2)) as usize,
+                    };
+                    let cut = grow_with(&index, event, *constraints, &instances, target);
+                    let what =
+                        format!("round {round} event {event:?} target {target} ({constraints:?})");
+                    if naive.len() >= target {
+                        assert_eq!(cut, naive, "{what}");
+                    } else {
+                        assert!(cut.len() < target, "{what}");
+                        assert_eq!(cut, naive.get(..cut.len()).unwrap_or(&[]), "{what}");
+                    }
+                    // A target past the input length is out of reach from
+                    // the start: the pass stops after the first run.
+                    let unreachable = instances.len() + 1;
+                    let cut = grow_with(&index, event, *constraints, &instances, unreachable);
+                    let first_seq = instances.first().map(|inst| inst.seq);
+                    assert!(cut.iter().all(|g| Some(g.seq) == first_seq), "{what}");
                 }
             }
         }

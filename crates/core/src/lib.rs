@@ -17,7 +17,7 @@
 //! * the case-study **post-processing** pipeline of §IV-B (density filter,
 //!   maximality filter, ranking by length),
 //! * the extensions the paper's conclusion sketches: gap/window-constrained
-//!   mining ([`constrained`]), top-k mining ([`Miner::top_k`]), and maximal
+//!   mining ([`constraints`]), top-k mining ([`Miner::top_k`]), and maximal
 //!   pattern mining ([`maximal`]).
 //!
 //! Every run walks the pattern tree through one DFS driver ([`batch`]):
@@ -179,7 +179,7 @@ mod topk;
 pub use batch::MiningResult;
 pub use canonical::{canonical_key, parse_request_body, RequestBody};
 pub use config::MiningConfig;
-pub use constrained::{constrained_support, ConstrainedSupportComputer};
+pub use constrained::constrained_support;
 pub use constraints::GapConstraints;
 pub use engine::{
     ExecutionPolicy, Miner, MiningReport, MiningRequest, MiningSession, Mode, DEFAULT_TOP_K,

@@ -183,8 +183,8 @@ pub fn all_landmarks_constrained(
 /// The exact maximum number of pairwise non-overlapping *constraint-
 /// admissible* instances of `pattern`, by exhaustive backtracking.
 ///
-/// The greedy constrained support of
-/// [`crate::constrained::ConstrainedSupportComputer`] is always a lower
+/// The greedy constrained support
+/// ([`crate::constrained::constrained_support`]) is always a lower
 /// bound on this value and coincides with it in the unconstrained case
 /// (Lemma 4); the property tests compare the two.
 pub fn max_non_overlapping_constrained(

@@ -125,7 +125,10 @@ impl SupportSet {
     /// Algorithm 2 on the inverted index. The result corresponds instance by
     /// instance to [`Self::instances`].
     pub fn reconstruct_landmarks(&self, index: &InvertedIndex, pattern: &Pattern) -> Vec<Landmark> {
-        reconstruct_landmarks_impl(index, pattern)
+        let mut buffer = InstanceBuffer::new();
+        buffer.reconstruct(index, pattern, &GapConstraints::unbounded());
+        buffer
+            .to_landmarks()
             .into_iter()
             .take(self.instances.len())
             .collect()
@@ -147,20 +150,6 @@ impl<'a> Iterator for PerSequence<'a> {
         self.start += len;
         Some((first.seq as usize, rest.get(..len).unwrap_or(rest)))
     }
-}
-
-/// Replays the instance-growth greedy keeping full landmarks, through the
-/// SoA [`InstanceBuffer`]. Shared by [`SupportSet::reconstruct_landmarks`],
-/// the verbose API in [`crate::growth`], and (with real constraints) the
-/// constrained miner in [`crate::constrained`] — one loop instead of the
-/// seed's copy-paste twins.
-pub(crate) fn reconstruct_landmarks_impl(
-    index: &InvertedIndex,
-    pattern: &Pattern,
-) -> Vec<Landmark> {
-    let mut buffer = InstanceBuffer::new();
-    buffer.reconstruct(index, pattern, &GapConstraints::unbounded());
-    buffer.to_landmarks()
 }
 
 /// Checks that a set of full landmarks of the same pattern is non-redundant
@@ -214,6 +203,17 @@ mod tests {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
     }
 
+    /// The landmarks of `pattern`'s leftmost support set.
+    fn landmarks_of(
+        db: &SequenceDatabase,
+        index: &InvertedIndex,
+        pattern: &Pattern,
+    ) -> Vec<Landmark> {
+        crate::growth::SupportComputer::new(db)
+            .support_set(pattern)
+            .reconstruct_landmarks(index, pattern)
+    }
+
     #[test]
     fn per_sequence_groups_runs() {
         let set = SupportSet::from_sorted(vec![
@@ -235,7 +235,7 @@ mod tests {
         let db = running_example();
         let index = db.inverted_index();
         let pattern = Pattern::new(db.pattern_from_str("ACB").unwrap());
-        let landmarks = reconstruct_landmarks_impl(&index, &pattern);
+        let landmarks = landmarks_of(&db, &index, &pattern);
         assert_eq!(
             landmarks,
             vec![
@@ -254,7 +254,7 @@ mod tests {
         let db = running_example();
         let index = db.inverted_index();
         let pattern = Pattern::new(db.pattern_from_str("ACA").unwrap());
-        let landmarks = reconstruct_landmarks_impl(&index, &pattern);
+        let landmarks = landmarks_of(&db, &index, &pattern);
         assert_eq!(
             landmarks,
             vec![
@@ -292,7 +292,7 @@ mod tests {
     fn empty_pattern_has_no_landmarks() {
         let db = running_example();
         let index = db.inverted_index();
-        assert!(reconstruct_landmarks_impl(&index, &Pattern::empty()).is_empty());
+        assert!(landmarks_of(&db, &index, &Pattern::empty()).is_empty());
     }
 
     #[test]

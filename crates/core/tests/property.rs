@@ -12,7 +12,8 @@ use rand::{Rng, SeedableRng};
 
 use rgs_core::reference::{closed_subset, enumerate_frequent, max_non_overlapping, pattern_set};
 use rgs_core::{
-    repetitive_support, Miner, MiningConfig, MiningOutcome, Mode, Pattern, SupportComputer,
+    constrained_support, repetitive_support, GapConstraints, Instance, Landmark, Miner,
+    MiningConfig, MiningOutcome, Mode, Pattern, SupportComputer,
 };
 use seqdb::{EventId, SequenceDatabase};
 
@@ -92,24 +93,56 @@ fn support_is_monotone_under_subpatterns() {
     }
 }
 
+/// Random gap constraints, unbounded about a third of the time.
+fn small_constraints(rng: &mut StdRng) -> GapConstraints {
+    if rng.gen_range(0..3u32) == 0 {
+        return GapConstraints::unbounded();
+    }
+    let mut constraints = GapConstraints::unbounded().with_min_gap(rng.gen_range(0..3u32));
+    if rng.gen_range(0..2u32) == 0 {
+        constraints = constraints.with_max_gap(rng.gen_range(0..4u32));
+    }
+    if rng.gen_range(0..2u32) == 0 {
+        constraints = constraints.with_max_window(rng.gen_range(1..9u32));
+    }
+    constraints
+}
+
 /// The landmarks reconstructed for the leftmost support set are valid,
 /// pairwise non-overlapping occurrences of the pattern, and there are
-/// exactly `sup(P)` of them.
+/// exactly `sup(P)` of them — under random gap constraints too, where the
+/// landmark replay must match the support set instance for instance and
+/// every landmark must satisfy the constraints.
 #[test]
 fn leftmost_support_set_is_valid_and_non_redundant() {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let raw = small_pattern(&mut rng);
+        let constraints = small_constraints(&mut rng);
         if let Some(pattern) = to_pattern(&db, &raw) {
-            let sc = SupportComputer::new(&db);
+            let what = format!("case {case}: {raw:?} under {}", constraints.describe());
+            let sc = SupportComputer::new(&db).with_constraints(constraints);
             let p = Pattern::new(pattern.clone());
             let landmarks = sc.support_landmarks(&p);
-            assert_eq!(landmarks.len() as u64, sc.support(&p), "case {case}");
-            assert!(rgs_core::support::is_non_redundant(&landmarks));
-            assert!(rgs_core::support::are_valid_instances(
-                &db, &pattern, &landmarks
-            ));
+            assert_eq!(
+                landmarks.len() as u64,
+                constrained_support(&db, &pattern, constraints),
+                "{what}"
+            );
+            let compressed: Vec<Instance> = landmarks.iter().map(Landmark::compress).collect();
+            assert_eq!(compressed, sc.support_set(&p).instances(), "{what}");
+            assert!(
+                landmarks
+                    .iter()
+                    .all(|l| constraints.admits_landmark(&l.positions)),
+                "{what}"
+            );
+            assert!(rgs_core::support::is_non_redundant(&landmarks), "{what}");
+            assert!(
+                rgs_core::support::are_valid_instances(&db, &pattern, &landmarks),
+                "{what}"
+            );
         }
     }
 }

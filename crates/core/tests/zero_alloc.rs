@@ -139,6 +139,17 @@ fn steady_state_growth_allocates_nothing() {
         }
     });
 
+    //    The same fan through a computer carrying gap constraints, which
+    //    runs the constrained instantiation of the one growth loop.
+    let csc = SupportComputer::borrowed(&db, &index).with_constraints(GapConstraints::max_gap(4));
+    let constrained_base = csc.support_set(&Pattern::new(db.pattern_from_str("AC").unwrap()));
+    assert!(!constrained_base.is_empty());
+    assert_zero_alloc("per-node growth fan (constrained)", 100, || {
+        for &event in &events {
+            csc.instance_growth_into(&constrained_base, event, usize::MAX, &mut grown);
+        }
+    });
+
     // 5. Shard-parallel growth: the same hot loops through a sharded
     //    prepared database, where every `next` query routes through the
     //    shard map. Routing is a binary search over the boundaries — no

@@ -913,12 +913,12 @@ pub fn gallop<T: Copy>(row: &[T], before: impl Fn(T) -> bool) -> usize {
 ///
 /// Each probe **gallops** from the previous landmark (doubling strides —
 /// cheap for the short strides that dominate real runs) and finishes with
-/// a **branch-free binary search** inside the bracketed window. The
-/// returned position is *not* consumed: under gap constraints a position
-/// rejected for one instance (`pos > highest`) can legitimately be the
-/// answer for the next instance, whose window differs. Only the prefix
-/// `<= lowest` is dropped, which is always safe because `lowest` never
-/// decreases.
+/// a **branch-free binary search** inside the bracketed window. A probe
+/// drops only the prefix `<= lowest`, which is always safe because
+/// `lowest` never decreases; the returned position stays at the front
+/// until the caller accepts it with [`Self::consume`]. Under gap
+/// constraints a position rejected for one instance (`pos > highest`) can
+/// legitimately be the answer for the next instance, whose window differs.
 ///
 /// `next_after(lowest)` returns exactly what
 /// `row.partition_point(|&p| p <= lowest)` followed by `row.get(..)` would
@@ -987,21 +987,19 @@ impl<'a> PostingCursor<'a> {
         self.rest.first().copied()
     }
 
-    /// [`Self::next_after`], additionally consuming the returned position.
+    /// Drops the front position: the one the last [`Self::next_after`]
+    /// returned, once the caller has accepted it.
     ///
-    /// Correct only when the caller can never ask for the same position
-    /// again — the unconstrained growth kernel qualifies, because its
-    /// watermark makes every later bound at least the emitted position, and
-    /// probes are strictly greater than their bound. Consuming keeps the
-    /// cursor front strictly ahead of the watermark, so mid-run probes hit
-    /// the two-compare fast path instead of re-galloping over the emitted
-    /// position. Gap-constrained sweeps must keep using [`Self::next_after`]
-    /// (a rejected position may be the answer for the next instance).
+    /// Sound whenever no later probe can ask for it again, which holds when
+    /// every later `lowest` is at least the accepted position (the growth
+    /// kernel's watermark). A position the caller rejects stays at the
+    /// front, where it may answer the next probe. Consuming keeps the front
+    /// strictly ahead of the watermark, so mid-run probes hit the
+    /// two-compare fast path instead of re-galloping over the accepted
+    /// position.
     #[inline]
-    pub fn next_after_consuming(&mut self, lowest: u32) -> Option<u32> {
-        let pos = self.next_after(lowest)?;
+    pub fn consume(&mut self) {
         self.rest = self.rest.get(1..).unwrap_or(&[]);
-        Some(pos)
     }
 }
 

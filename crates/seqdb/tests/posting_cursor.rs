@@ -159,11 +159,12 @@ fn cursor_handles_the_adversarial_rows() {
 
 #[test]
 fn consuming_probe_matches_the_naive_probe_under_its_contract() {
-    // `next_after_consuming` drops the emitted position from the row. That
-    // is sound exactly when every later `lowest` is at least the previously
-    // emitted position — the unconstrained kernel's watermark contract. Under
-    // that contract the consumed prefix can never hold a future answer, so
-    // the probe must still match the naive full-row probe at every step.
+    // The growth kernel's step: peek with `next_after`, and `consume` the
+    // position only when the instance's window accepts it. That is sound
+    // exactly when every later `lowest` is at least the last accepted
+    // position (the watermark): the consumed prefix can never hold a future
+    // answer, and a rejected position stays at the front. So each peek must
+    // still match the naive full-row probe at every step.
     for seed in 0..24u64 {
         let mut rng = Lcg::new(0xBADCAB ^ seed);
         let alphabet = rng.below(6) + 1;
@@ -177,13 +178,20 @@ fn consuming_probe_matches_the_naive_probe_under_its_contract() {
                 let mut bound = 0u32;
                 for _ in 0..48 {
                     let lowest = bound.max(watermark);
+                    // Every fourth probe is unbounded above; the others get
+                    // a window of 0..=3 positions past `lowest`.
+                    let highest = match rng.below(4) {
+                        0 => u32::MAX,
+                        w => lowest.saturating_add(w as u32),
+                    };
                     let expected = naive_next(row, lowest);
-                    let got = cursor.next_after_consuming(lowest);
+                    let got = cursor.next_after(lowest);
                     assert_eq!(
                         got, expected,
                         "seq {seq} event {event:?} lowest {lowest} row {row:?}"
                     );
-                    if let Some(pos) = got {
+                    if let Some(pos) = got.filter(|&pos| pos <= highest) {
+                        cursor.consume();
                         watermark = pos;
                     }
                     bound = bound.saturating_add(rng.below(4) as u32);
@@ -191,6 +199,23 @@ fn consuming_probe_matches_the_naive_probe_under_its_contract() {
             }
         }
     }
+
+    // A rejected position is not consumed: it answers the next instance.
+    // S1 = ABCACBDDB holds D at {7, 8}. An instance ending at 3 with a
+    // max gap of 0 rejects 7; the next instance, ending at 6, takes it; the
+    // one after, bounded by the watermark 7, takes 8.
+    let db = SequenceDatabase::from_str_rows(&["ABCACBDDB"]);
+    let index = db.inverted_index();
+    let d = db.catalog().id("D").expect("D interned");
+    let mut cursor = index.cursor(0, d).expect("ids are in range");
+    assert_eq!(cursor.next_after(3), Some(7), "rejected: 7 > 3 + 1");
+    assert_eq!(cursor.next_after(6), Some(7), "the rejected 7 answers");
+    cursor.consume();
+    assert_eq!(cursor.remaining(), 1);
+    assert_eq!(cursor.next_after(7), Some(8));
+    cursor.consume();
+    assert!(cursor.is_exhausted());
+    assert_eq!(cursor.next_after(8), None);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Repo-specific static-analysis lints behind `cargo run -p xtask -- audit`.
 //!
-//! Five rule families, each tuned to an invariant this workspace actually
+//! Six rule families, each tuned to an invariant this workspace actually
 //! relies on (rustc/clippy cannot express them):
 //!
 //! * **safety** — every `unsafe` block and `unsafe impl`, workspace-wide,
@@ -16,7 +16,7 @@
 //!   reference arm `fn foo_scalar` beside it: the vector arm is pinned
 //!   bit-identical to it, and it runs on CPUs without the instruction set.
 //! * **panic-free hot paths** — the zero-alloc mining loops
-//!   (`core/src/{support,instbuf,closure,constrained,kernel}.rs`,
+//!   (`core/src/{support,instbuf,closure,growth,kernel}.rs`,
 //!   `seqdb/src/{store,index,shard,simd}.rs`), the crate's one DFS driver
 //!   (`core/src/batch.rs`), and the serving request
 //!   path (`serve/src/{worker,cache}.rs` — a panicking worker thread
@@ -28,6 +28,10 @@
 //!   `seqdb/src/{store,index,shard,snapshot,snapshot_verify}.rs` may not
 //!   use lossy `as` casts; the checked helpers in `seqdb::cast` (or
 //!   widening `as u64`) are required.
+//!
+//! * **listed-file** — every file named in the two lists above must exist:
+//!   a renamed or deleted hot-path or CSR file is a finding, so a list can
+//!   never quietly cover less than it says.
 //!
 //! Any finding can be waived in place with
 //! `// audit:allow(<rule>): <reason>` on the offending line or the line
@@ -43,7 +47,7 @@ const HOT_PATH_FILES: [&str; 12] = [
     "crates/core/src/support.rs",
     "crates/core/src/instbuf.rs",
     "crates/core/src/closure.rs",
-    "crates/core/src/constrained.rs",
+    "crates/core/src/growth.rs",
     "crates/core/src/kernel.rs",
     "crates/core/src/batch.rs",
     "crates/seqdb/src/store.rs",
@@ -127,10 +131,31 @@ pub fn audit(root: &Path) -> AuditReport {
         report.files_scanned += 1;
         audit_file(&relative, &source, &mut report);
     }
+    check_listed_files(root, &mut report);
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     report
+}
+
+/// Reports every entry of [`HOT_PATH_FILES`] and [`CAST_CHECKED_FILES`]
+/// that names no file under `root`: the rules would otherwise skip it in
+/// silence.
+fn check_listed_files(root: &Path, report: &mut AuditReport) {
+    let lists: [(&str, &[&str]); 2] = [
+        ("HOT_PATH_FILES", &HOT_PATH_FILES),
+        ("CAST_CHECKED_FILES", &CAST_CHECKED_FILES),
+    ];
+    for (list, files) in lists {
+        for file in files.iter().filter(|file| !root.join(file).is_file()) {
+            report.violations.push(Violation {
+                file: PathBuf::from(file),
+                line: 0,
+                rule: "listed-file",
+                message: format!("listed in {list} but missing — update the list"),
+            });
+        }
+    }
 }
 
 /// Runs every rule applicable to one file. Public so the fixture tests can
@@ -858,24 +883,63 @@ mod tests {
         assert!(audit_source("crates/core/src/engine.rs", bad).is_clean());
     }
 
+    /// A fixture tree under the temp dir holding every listed file, each
+    /// empty (and so clean); returns its root and the number of files.
+    fn listed_fixture(name: &str) -> (PathBuf, usize) {
+        let dir = std::env::temp_dir().join(format!("xtask-{name}-{}", std::process::id()));
+        let mut files: Vec<&str> = HOT_PATH_FILES
+            .iter()
+            .chain(&CAST_CHECKED_FILES)
+            .copied()
+            .collect();
+        files.sort_unstable();
+        files.dedup();
+        for file in &files {
+            let path = dir.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, "").unwrap();
+        }
+        (dir, files.len())
+    }
+
     #[test]
     fn audit_walks_a_tree_and_reports_file_line_diagnostics() {
-        let dir = std::env::temp_dir().join(format!("xtask-audit-fixture-{}", std::process::id()));
-        let hot = dir.join("crates/seqdb/src");
-        std::fs::create_dir_all(&hot).unwrap();
+        let (dir, listed) = listed_fixture("audit-fixture");
         std::fs::write(
-            hot.join("store.rs"),
+            dir.join("crates/seqdb/src/store.rs"),
             "fn f(v: &[u32]) -> u32 {\n    v.first().unwrap().wrapping_add(1)\n}\n",
         )
         .unwrap();
         let report = audit(&dir);
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(report.files_scanned, 1);
+        assert_eq!(report.files_scanned, listed);
         assert_eq!(report.violations.len(), 1);
         let rendered = report.violations[0].to_string();
         assert!(
             rendered.starts_with("crates/seqdb/src/store.rs:2: [unwrap]"),
             "{rendered}"
+        );
+    }
+
+    #[test]
+    fn a_missing_listed_file_is_a_finding() {
+        let (dir, _) = listed_fixture("audit-missing");
+        std::fs::remove_file(dir.join("crates/core/src/kernel.rs")).unwrap();
+        std::fs::remove_file(dir.join("crates/seqdb/src/snapshot.rs")).unwrap();
+        let report = audit(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let rendered: Vec<String> = report.violations.iter().map(ToString::to_string).collect();
+        assert_eq!(rendered.len(), 2, "{rendered:?}");
+        assert!(
+            rendered[0]
+                .starts_with("crates/core/src/kernel.rs:0: [listed-file] listed in HOT_PATH_FILES"),
+            "{rendered:?}"
+        );
+        assert!(
+            rendered[1].starts_with(
+                "crates/seqdb/src/snapshot.rs:0: [listed-file] listed in CAST_CHECKED_FILES"
+            ),
+            "{rendered:?}"
         );
     }
 
