@@ -8,19 +8,16 @@
 //! the repository root by convention.
 //!
 //! ```text
-//! prepared_bench [--scale dev|paper] [--threads N] [--shards N] [--repeats N]
+//! prepared_bench [--scale dev|paper] [--threads N] [--repeats N]
 //!                [--out FILE] [--columnar-out FILE] [--snapshot-out FILE]
-//!                [--sharded-out FILE] [--growth-out FILE] [--batch-out FILE]
+//!                [--growth-out FILE] [--batch-out FILE]
 //!                [--growth-floor BASELINE_FILE] [--batch-floor SPEEDUP]
-//!                [--only prepared|columnar|snapshot|sharded|growth|batch]
+//!                [--only prepared|columnar|snapshot|growth|batch]
 //! ```
 //!
 //! `--only` restricts the run to one benchmark (and its output file) —
-//! CI uses `--only snapshot` / `--only sharded` so each artifact job pays
-//! only for its own suite. The sharded suite (`BENCH_shard.json`) measures
-//! the one preparation, per-range byte footprints, and range-parallel
-//! growth throughput against the PR 3 columnar baseline.
-//! The growth suite (`BENCH_growth_kernel.json`) measures the growth
+//! CI uses `--only snapshot` so its artifact job pays only for its own
+//! suite. The growth suite (`BENCH_growth_kernel.json`) measures the growth
 //! kernel's throughput on long-sequence workloads; `--growth-floor`
 //! compares the fresh numbers against a committed baseline file and fails
 //! the run when any workload regressed by more than 30%. The batch suite
@@ -39,19 +36,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Dev;
     let mut threads = 4usize;
-    let mut shards = 4usize;
     let mut repeats = 3usize;
     let mut out = PathBuf::from("BENCH_prepared_engine.json");
     let mut columnar_out = PathBuf::from("BENCH_columnar_store.json");
     let mut snapshot_out = PathBuf::from("BENCH_snapshot.json");
-    let mut sharded_out = PathBuf::from("BENCH_shard.json");
     let mut growth_out = PathBuf::from("BENCH_growth_kernel.json");
     let mut growth_floor: Option<PathBuf> = None;
     let mut batch_out = PathBuf::from("BENCH_batch.json");
     let mut batch_floor: Option<f64> = None;
     // Which benchmarks to run:
-    // (prepared, columnar, snapshot, sharded, growth, batch).
-    let mut phases = (true, true, true, true, true, true);
+    // (prepared, columnar, snapshot, growth, batch).
+    let mut phases = (true, true, true, true, true);
 
     let mut i = 0;
     while i < args.len() {
@@ -71,13 +66,6 @@ fn main() -> ExitCode {
                 Some(n) => threads = n,
                 None => {
                     eprintln!("--threads needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shards" => match need_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => shards = n,
-                None => {
-                    eprintln!("--shards needs an integer");
                     return ExitCode::FAILURE;
                 }
             },
@@ -106,13 +94,6 @@ fn main() -> ExitCode {
                 Some(path) => snapshot_out = PathBuf::from(path),
                 None => {
                     eprintln!("--snapshot-out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sharded-out" => match need_value(&mut i) {
-                Some(path) => sharded_out = PathBuf::from(path),
-                None => {
-                    eprintln!("--sharded-out needs a file path");
                     return ExitCode::FAILURE;
                 }
             },
@@ -145,25 +126,24 @@ fn main() -> ExitCode {
                 }
             },
             "--only" => match need_value(&mut i).as_deref() {
-                Some("prepared") => phases = (true, false, false, false, false, false),
-                Some("columnar") => phases = (false, true, false, false, false, false),
-                Some("snapshot") => phases = (false, false, true, false, false, false),
-                Some("sharded") => phases = (false, false, false, true, false, false),
-                Some("growth") => phases = (false, false, false, false, true, false),
-                Some("batch") => phases = (false, false, false, false, false, true),
+                Some("prepared") => phases = (true, false, false, false, false),
+                Some("columnar") => phases = (false, true, false, false, false),
+                Some("snapshot") => phases = (false, false, true, false, false),
+                Some("growth") => phases = (false, false, false, true, false),
+                Some("batch") => phases = (false, false, false, false, true),
                 _ => {
-                    eprintln!("--only needs prepared|columnar|snapshot|sharded|growth|batch");
+                    eprintln!("--only needs prepared|columnar|snapshot|growth|batch");
                     return ExitCode::FAILURE;
                 }
             },
             "--help" | "-h" => {
                 println!(
-                    "prepared_bench [--scale dev|paper] [--threads N] [--shards N] \
+                    "prepared_bench [--scale dev|paper] [--threads N] \
                      [--repeats N] [--out FILE] [--columnar-out FILE] \
-                     [--snapshot-out FILE] [--sharded-out FILE] [--growth-out FILE] \
+                     [--snapshot-out FILE] [--growth-out FILE] \
                      [--batch-out FILE] [--growth-floor BASELINE_FILE] \
                      [--batch-floor SPEEDUP] \
-                     [--only prepared|columnar|snapshot|sharded|growth|batch]"
+                     [--only prepared|columnar|snapshot|growth|batch]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -240,32 +220,6 @@ fn main() -> ExitCode {
     }
 
     if phases.3 {
-        // Sequence ranges: the one preparation, per-range bytes, and
-        // range-parallel growth throughput against the PR 3 baseline, with
-        // the bit-identity check.
-        let sharded = prepared_bench::run_sharded(scale, shards, threads, repeats);
-        let sharded_json = sharded.to_json();
-        println!("{sharded_json}");
-        for w in &sharded.workloads {
-            println!(
-                "# {}: {} ranges, prepare {:.6}s, growth {:.2}x ({:.0} growths/s), \
-                 identical output: {}",
-                w.dataset,
-                w.shards,
-                w.prepare_seconds,
-                w.growth_speedup,
-                w.growths_per_second,
-                w.output_identical,
-            );
-        }
-        if let Err(err) = std::fs::write(&sharded_out, &sharded_json) {
-            eprintln!("error: cannot write {}: {err}", sharded_out.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("# written to {}", sharded_out.display());
-    }
-
-    if phases.4 {
         // Growth kernel: instance-growth throughput on the
         // avg-~103/~200/~400 workloads plus the narrow-column byte savings,
         // with an optional regression floor against a committed baseline.
@@ -305,7 +259,7 @@ fn main() -> ExitCode {
         eprintln!("# written to {}", growth_out.display());
     }
 
-    if phases.5 {
+    if phases.4 {
         // Batch engine: stepped-threshold request sweeps mined one-by-one
         // vs in one shared DFS pass, with the bit-identity verdict and an
         // optional minimum-speedup floor.

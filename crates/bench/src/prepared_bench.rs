@@ -945,281 +945,6 @@ pub fn check_batch_floor(report: &BatchReport, min_speedup: f64) -> Result<(), S
     Ok(())
 }
 
-/// The byte footprint of one sequence range of a sharded workload.
-#[derive(Debug, Clone)]
-pub struct RangeBytes {
-    /// Range number.
-    pub range: usize,
-    /// Sequences in the range.
-    pub sequences: usize,
-    /// Events in the range (its share of the arena).
-    pub events: usize,
-    /// Bytes of the range's share of the store (events and offsets).
-    pub store_bytes: usize,
-}
-
-impl RangeBytes {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"range\": {}, \"sequences\": {}, \"events\": {}, \"store_bytes\": {}}}",
-            self.range, self.sequences, self.events, self.store_bytes,
-        )
-    }
-}
-
-/// Sharding measurements of one Fig. 2/5/6 workload.
-#[derive(Debug, Clone)]
-pub struct ShardWorkload {
-    /// Dataset description (name + stats summary).
-    pub dataset: String,
-    /// Sequence ranges of the sharded preparation.
-    pub shards: usize,
-    /// Support threshold of the growth-throughput measurement.
-    pub min_sup: u64,
-    /// Best-of-N wall time of `PreparedDb::new_sharded`: one index build
-    /// plus the range map.
-    pub prepare_seconds: f64,
-    /// Bytes of the one inverted index all ranges share.
-    pub index_bytes: usize,
-    /// Per-range store footprints.
-    pub ranges: Vec<RangeBytes>,
-    /// The growth workload measured: `"closed"` (full closed mining,
-    /// flat-sequential vs range-parallel — the Fig. 2 comparison against
-    /// the PR 3 baseline's `fig2_closed_seconds`) or `"all-capped"`
-    /// (pattern-capped sequential GSgrow on both sides — used on the
-    /// Fig. 5/6 datasets whose closed output explodes at their thresholds).
-    pub growth_workload: String,
-    /// Worker threads of the sharded growth run (1 for `"all-capped"`).
-    pub growth_threads: usize,
-    /// Instance growths performed by one growth run (see
-    /// `growth_workload`).
-    pub instance_growths: u64,
-    /// Best-of-N wall time of the growth run on the **flat** snapshot,
-    /// sequential.
-    pub flat_growth_seconds: f64,
-    /// Best-of-N wall time of the same run on the sharded snapshot, on
-    /// `growth_threads` workers (a per-seed pattern cap would inflate
-    /// parallel buffers, so the capped workload stays sequential).
-    pub sharded_growth_seconds: f64,
-    /// `instance_growths / sharded_growth_seconds`.
-    pub growths_per_second: f64,
-    /// `flat_growth_seconds / sharded_growth_seconds`.
-    pub growth_speedup: f64,
-    /// Whether the sharded pattern stream was bit-identical to the flat
-    /// sequential one.
-    pub output_identical: bool,
-}
-
-impl ShardWorkload {
-    fn to_json(&self) -> String {
-        let ranges: Vec<String> = self.ranges.iter().map(RangeBytes::to_json).collect();
-        format!(
-            "{{\"dataset\": {}, \"shards\": {}, \"min_sup\": {}, \
-             \"prepare_seconds\": {:.6}, \"index_bytes\": {}, \"ranges\": [{}], \
-             \"growth_workload\": {}, \"growth_threads\": {}, \
-             \"instance_growths\": {}, \"flat_growth_seconds\": {:.6}, \
-             \"sharded_growth_seconds\": {:.6}, \"growths_per_second\": {:.0}, \
-             \"growth_speedup\": {:.3}, \"output_identical\": {}}}",
-            escape(&self.dataset),
-            self.shards,
-            self.min_sup,
-            self.prepare_seconds,
-            self.index_bytes,
-            ranges.join(", "),
-            escape(&self.growth_workload),
-            self.growth_threads,
-            self.instance_growths,
-            self.flat_growth_seconds,
-            self.sharded_growth_seconds,
-            self.growths_per_second,
-            self.growth_speedup,
-            self.output_identical,
-        )
-    }
-}
-
-/// The sharding benchmark report (`BENCH_shard.json`).
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Benchmark scale (dev/paper).
-    pub scale: String,
-    /// Range count used throughout.
-    pub shards: usize,
-    /// CPUs actually available — the ceiling on any parallel speedup.
-    pub available_parallelism: usize,
-    /// The PR 3 baseline file whose `growth_seconds` matches
-    /// `flat_growth_seconds` here.
-    pub baseline: String,
-    /// Per-workload sharding measurements.
-    pub workloads: Vec<ShardWorkload>,
-}
-
-impl ShardReport {
-    /// Renders the report as a JSON object (hand-rolled, no serde).
-    pub fn to_json(&self) -> String {
-        let workloads: Vec<String> = self
-            .workloads
-            .iter()
-            .map(|w| format!("    {}", w.to_json()))
-            .collect();
-        format!(
-            "{{\n  \"benchmark\": \"sharded_store\",\n  \"scale\": {},\n  \
-             \"shards\": {},\n  \"available_parallelism\": {},\n  \
-             \"baseline\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-            escape(&self.scale),
-            self.shards,
-            self.available_parallelism,
-            escape(&self.baseline),
-            workloads.join(",\n"),
-        )
-    }
-}
-
-/// How [`shard_workload`] measures growth throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GrowthWorkload {
-    /// Full closed mining, flat-sequential vs shard-parallel.
-    Closed,
-    /// Pattern-capped sequential GSgrow on both sides (routing overhead).
-    AllCapped,
-}
-
-/// Measures one workload's sharding paths: the one preparation, the
-/// per-range byte footprints, and a growth run flat vs sharded, with the
-/// bit-identity check the whole split rests on.
-fn shard_workload(
-    name: &str,
-    db: &seqdb::SequenceDatabase,
-    min_sup: u64,
-    shards: usize,
-    threads: usize,
-    repeats: usize,
-    growth: GrowthWorkload,
-) -> ShardWorkload {
-    let flat = PreparedDb::new(db);
-    let (prepare_seconds, sharded) = best_of(repeats, || PreparedDb::new_sharded(db, shards));
-
-    let ranges: Vec<RangeBytes> = sharded
-        .shard_footprints()
-        .into_iter()
-        .map(|f| RangeBytes {
-            range: f.shard,
-            sequences: f.sequences,
-            events: f.events,
-            store_bytes: f.store_bytes,
-        })
-        .collect();
-
-    // Closed mining (the paper's headline algorithm) has bounded output,
-    // so the range-parallel run pays no per-seed cap inflation; the capped
-    // GSgrow workload must stay sequential on both sides (a per-seed
-    // pattern cap would multiply parallel work).
-    let run = |prepared: &PreparedDb, run_threads: usize| {
-        let mut sink = CountSink::new();
-        let mut miner = prepared.miner().min_sup(min_sup).threads(run_threads);
-        miner = match growth {
-            GrowthWorkload::Closed => miner.mode(Mode::Closed),
-            GrowthWorkload::AllCapped => miner.mode(Mode::All).max_patterns(GROWTH_PATTERN_CAP),
-        };
-        miner.run_with_sink(&mut sink)
-    };
-    let sharded_threads = match growth {
-        GrowthWorkload::Closed => threads,
-        GrowthWorkload::AllCapped => 1,
-    };
-    let (flat_growth_seconds, flat_report) = best_of(repeats, || run(&flat, 1));
-    let (sharded_growth_seconds, _) = best_of(repeats, || run(&sharded, sharded_threads));
-
-    // Bit-identity of the actual pattern stream (same settings both sides).
-    let materialize = |prepared: &PreparedDb, run_threads: usize| {
-        let mut miner = prepared.miner().min_sup(min_sup).threads(run_threads);
-        miner = match growth {
-            GrowthWorkload::Closed => miner.mode(Mode::Closed),
-            GrowthWorkload::AllCapped => miner.mode(Mode::All).max_patterns(GROWTH_PATTERN_CAP),
-        };
-        miner.run()
-    };
-    let expected = materialize(&flat, 1);
-    let actual = materialize(&sharded, sharded_threads);
-    let output_identical = expected.patterns == actual.patterns;
-
-    let instance_growths = flat_report.stats.instance_growths;
-    ShardWorkload {
-        dataset: format!("{name}: {}", db.stats().summary()),
-        shards: sharded.shard_count(),
-        min_sup,
-        growth_workload: match growth {
-            GrowthWorkload::Closed => "closed".to_owned(),
-            GrowthWorkload::AllCapped => "all-capped".to_owned(),
-        },
-        growth_threads: sharded_threads,
-        prepare_seconds,
-        index_bytes: sharded.index().heap_bytes(),
-        ranges,
-        instance_growths,
-        flat_growth_seconds,
-        sharded_growth_seconds,
-        growths_per_second: instance_growths as f64 / sharded_growth_seconds.max(1e-12),
-        growth_speedup: flat_growth_seconds / sharded_growth_seconds.max(1e-12),
-        output_identical,
-    }
-}
-
-/// Runs the sharding benchmark: the Fig. 2 closed-mining workload at its
-/// lowest sweep threshold (the PR 2/3 benchmarks' heaviest setting that
-/// still terminates comfortably) compared flat-sequential vs
-/// range-parallel on `threads` workers, plus the Fig. 5/6 datasets —
-/// whose closed output explodes at their thresholds — measured with the
-/// pattern-capped sequential GSgrow run the columnar/snapshot benches use.
-pub fn run_sharded(scale: Scale, shards: usize, threads: usize, repeats: usize) -> ShardReport {
-    let mut workloads = Vec::new();
-
-    let (fig2_name, fig2_db) = datasets::fig2_dataset(scale);
-    let fig2_thresholds = datasets::fig2_thresholds(scale);
-    let fig2_min_sup = fig2_thresholds[fig2_thresholds.len() - 1];
-    workloads.push(shard_workload(
-        &fig2_name,
-        &fig2_db,
-        fig2_min_sup,
-        shards,
-        threads,
-        repeats,
-        GrowthWorkload::Closed,
-    ));
-
-    let fig56_min_sup = datasets::fig5_fig6_threshold(scale);
-    let (fig5_name, fig5_db) = datasets::fig5_largest(scale);
-    workloads.push(shard_workload(
-        &fig5_name,
-        &fig5_db,
-        fig56_min_sup,
-        shards,
-        threads,
-        repeats,
-        GrowthWorkload::AllCapped,
-    ));
-    let (fig6_name, fig6_db) = datasets::fig6_largest(scale);
-    workloads.push(shard_workload(
-        &fig6_name,
-        &fig6_db,
-        fig56_min_sup,
-        shards,
-        threads,
-        repeats,
-        GrowthWorkload::AllCapped,
-    ));
-
-    ShardReport {
-        scale: format!("{scale:?}").to_lowercase(),
-        shards,
-        available_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        baseline: "BENCH_columnar_store.json (PR 3)".to_owned(),
-        workloads,
-    }
-}
-
 /// Runs the snapshot cold-start benchmark on the Fig. 2/5/6 workloads.
 pub fn run_snapshot(scale: Scale, repeats: usize) -> SnapshotReport {
     let mut workloads = Vec::new();
@@ -1363,74 +1088,6 @@ mod tests {
         assert!(w.build_from_text_seconds >= 0.0);
         assert!(w.open_snapshot_seconds >= 0.0);
         assert!(w.write_seconds >= 0.0);
-    }
-
-    #[test]
-    fn shard_report_serializes_to_balanced_json() {
-        let report = ShardReport {
-            scale: "dev".into(),
-            shards: 4,
-            available_parallelism: 1,
-            baseline: "BENCH_columnar_store.json (PR 3)".into(),
-            workloads: vec![ShardWorkload {
-                dataset: "toy".into(),
-                shards: 4,
-                min_sup: 4,
-                growth_workload: "closed".into(),
-                growth_threads: 4,
-                prepare_seconds: 0.01,
-                index_bytes: 888,
-                ranges: vec![RangeBytes {
-                    range: 0,
-                    sequences: 10,
-                    events: 100,
-                    store_bytes: 444,
-                }],
-                instance_growths: 1000,
-                flat_growth_seconds: 0.5,
-                sharded_growth_seconds: 0.25,
-                growths_per_second: 4000.0,
-                growth_speedup: 2.0,
-                output_identical: true,
-            }],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"benchmark\": \"sharded_store\""));
-        assert!(json.contains("\"output_identical\": true"));
-        assert!(json.contains("\"store_bytes\": 444"));
-        assert!(json.contains("\"index_bytes\": 888"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn shard_workload_stays_bit_identical_on_a_small_database() {
-        let db = seqdb::SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "ABABAB"]);
-        let w = shard_workload("running example", &db, 2, 2, 2, 1, GrowthWorkload::Closed);
-        let capped = shard_workload(
-            "running example",
-            &db,
-            2,
-            2,
-            2,
-            1,
-            GrowthWorkload::AllCapped,
-        );
-        assert!(capped.output_identical, "capped sharded output diverged");
-        assert!(w.output_identical, "sharded output diverged");
-        assert_eq!(w.shards, 2);
-        assert_eq!(w.ranges.len(), 2);
-        assert_eq!(
-            w.ranges.iter().map(|b| b.events).sum::<usize>(),
-            db.total_length()
-        );
-        assert_eq!(
-            w.ranges.iter().map(|b| b.store_bytes).sum::<usize>(),
-            db.store().heap_bytes()
-        );
-        assert_eq!(w.index_bytes, db.inverted_index().heap_bytes());
-        assert!(w.instance_growths > 0);
-        assert!(w.prepare_seconds >= 0.0);
     }
 
     #[test]

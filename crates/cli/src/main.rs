@@ -7,11 +7,11 @@
 //!          [--mode all|closed|maximal] [--closed] [--all] [--maximal-mode]
 //!          [--min-gap G] [--max-gap G] [--max-window W]
 //!          [--top-k K] [--min-len L] [--max-len L] [--max-patterns N]
-//!          [--threads N] [--shards N] [--top T] [--density R] [--maximal] [--stream]
+//!          [--threads N] [--top T] [--density R] [--maximal] [--stream]
 //! rgs-mine topk  --input FILE|--snapshot IMG -k K [--min-sup FLOOR] [...]
 //! rgs-mine batch --input FILE|--snapshot IMG --requests FILE [--top T]
-//! rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars] [--shards N]
-//! rgs-mine snapshot build --input FILE [--format ...] [--shards N] --out IMG
+//! rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars]
+//! rgs-mine snapshot build --input FILE [--format ...] --out IMG
 //! rgs-mine snapshot info  --snapshot IMG
 //! rgs-mine snapshot verify --snapshot IMG
 //! rgs-mine demo  [--min-sup K] [--mode ...]
@@ -44,7 +44,7 @@
 //! re-tokenized or re-indexed. `snapshot info` prints the image's header
 //! and section table after validating its checksum, and `snapshot verify`
 //! statically proves every cross-section invariant of the image — CSR
-//! monotonicity, shard-table partitioning, catalog bijectivity, checksum —
+//! monotonicity, the index layout, catalog bijectivity, checksum —
 //! without constructing a database, reporting each violation with its
 //! section and byte offset.
 
@@ -85,9 +85,6 @@ struct Options {
     max_len: Option<usize>,
     max_patterns: Option<usize>,
     threads: usize,
-    /// Partition the store into N shards at preparation time (mine/topk/
-    /// stats/snapshot build; 1 = flat).
-    shards: usize,
     top: usize,
     density: Option<f64>,
     maximal_filter: bool,
@@ -131,7 +128,6 @@ impl Default for Options {
             max_len: None,
             max_patterns: None,
             threads: 1,
-            shards: 1,
             top: 20,
             density: None,
             maximal_filter: false,
@@ -201,8 +197,7 @@ impl Options {
 }
 
 /// Where the miner's data came from: a text file parsed into a fresh
-/// database, or a [`PreparedDb`] — mapped from a snapshot image, or built
-/// eagerly because `--shards N` asked for a partitioned store.
+/// database, or a [`PreparedDb`] mapped from a snapshot image.
 enum Loaded {
     Text(SequenceDatabase),
     Prepared(Box<PreparedDb>),
@@ -217,8 +212,8 @@ impl Loaded {
     }
 
     /// A miner over this source with every query option applied. The
-    /// prepared path skips all per-run preparation — the snapshot (or the
-    /// sharded build) already holds the index and counts.
+    /// prepared path skips all per-run preparation — the snapshot already
+    /// holds the index and counts.
     fn miner(&self, options: &Options) -> Miner<'_> {
         match self {
             Loaded::Text(db) => options.apply(Miner::new(db)),
@@ -232,12 +227,6 @@ impl Loaded {
 fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
     if let Some(path) = &options.snapshot {
         return match PreparedDb::open_snapshot(path) {
-            // --shards N re-partitions an image prepared with a different
-            // shard count (only the range map is recomputed), so the flag
-            // means the same thing on every subcommand.
-            Ok(prepared) if options.shards > 1 && prepared.shard_count() != options.shards => {
-                Ok(Loaded::Prepared(Box::new(prepared.reshard(options.shards))))
-            }
             Ok(prepared) => Ok(Loaded::Prepared(Box::new(prepared))),
             Err(err) => {
                 eprintln!("error: cannot open snapshot {}: {err}", path.display());
@@ -247,10 +236,10 @@ fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
     }
     if options.demo {
         // The running example of the paper (Table III).
-        return Ok(from_text(
-            SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]),
-            options,
-        ));
+        return Ok(Loaded::Text(SequenceDatabase::from_str_rows(&[
+            "ABCACBDDB",
+            "ACDBACADD",
+        ])));
     }
     let Some(path) = &options.input else {
         eprintln!("error: --input FILE, --snapshot IMG, or the demo subcommand is required");
@@ -263,25 +252,11 @@ fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
         Format::Chars => seqio::read_chars_file(path),
     };
     match loaded {
-        Ok(db) => Ok(from_text(db, options)),
+        Ok(db) => Ok(Loaded::Text(db)),
         Err(err) => {
             eprintln!("error: cannot read {}: {err}", path.display());
             Err(ExitCode::FAILURE)
         }
-    }
-}
-
-/// Wraps a freshly parsed database: flat by default, eagerly prepared with
-/// a partitioned store under `--shards N` so every later query (and the
-/// snapshot writer) sees the shards.
-fn from_text(db: SequenceDatabase, options: &Options) -> Loaded {
-    if options.shards > 1 {
-        Loaded::Prepared(Box::new(PreparedDb::from_database_sharded(
-            db,
-            options.shards,
-        )))
-    } else {
-        Loaded::Text(db)
     }
 }
 
@@ -368,23 +343,18 @@ fn run_snapshot_build(options: &Options) -> ExitCode {
         Err(code) => return code,
     };
     let prepared = match source {
-        Loaded::Text(db) => PreparedDb::from_database_sharded(db, options.shards),
-        // Rebuilding an image from an image is a copy, but a valid one
-        // (and, with --shards, a re-partitioning one).
-        Loaded::Prepared(prepared) if options.shards > 1 => prepared.reshard(options.shards),
+        Loaded::Text(db) => PreparedDb::from_database(db),
+        // Rebuilding an image from an image is a copy, but a valid one.
         Loaded::Prepared(prepared) => *prepared,
     };
     match prepared.write_snapshot(out) {
         Ok(bytes) => {
-            let stats = prepared.stats();
+            let stats = prepared.database().stats();
             eprintln!("# dataset: {}", stats.summary());
             println!(
-                "written {}: {bytes} bytes on disk ({} bytes of arenas + header/catalog, \
-                 {} shard{})",
+                "written {}: {bytes} bytes on disk ({} bytes of arenas + header/catalog)",
                 out.display(),
                 prepared.heap_bytes(),
-                prepared.shard_count(),
-                if prepared.shard_count() == 1 { "" } else { "s" },
             );
             ExitCode::SUCCESS
         }
@@ -617,10 +587,7 @@ fn run_batch(source: &Loaded, options: &Options) -> ExitCode {
 /// `--snapshot` the index comes straight from the image instead of being
 /// rebuilt.
 fn run_stats(source: &Loaded) -> ExitCode {
-    let stats = match source {
-        Loaded::Text(db) => db.stats(),
-        Loaded::Prepared(prepared) => prepared.stats(),
-    };
+    let stats = source.database().stats();
     let index_bytes = match source {
         Loaded::Text(db) => db.inverted_index().heap_bytes(),
         Loaded::Prepared(prepared) => prepared.index().heap_bytes(),
@@ -659,26 +626,12 @@ fn run_stats(source: &Loaded) -> ExitCode {
             index_bytes as f64 / stats.total_length as f64
         );
     }
-    println!("shards:                {}", stats.num_shards);
     // The vector extensions this build targets, so throughput reports
     // always name the build they ran on.
     println!(
         "cpu features:          {}",
         seqdb::simd::detected_features()
     );
-    // The ranges of the one store and index that parallel runs split
-    // along; the directories and sentinels count in range 0.
-    if let Loaded::Prepared(prepared) = source {
-        if prepared.shard_count() > 1 {
-            for f in prepared.shard_footprints() {
-                let seqs = prepared.shard_map().range(f.shard);
-                println!(
-                    "  range {:<3} seqs {:>8}..{:<8} {:>10} events  {:>12} store B  {:>12} index B",
-                    f.shard, seqs.start, seqs.end, f.events, f.store_bytes, f.index_bytes,
-                );
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -897,9 +850,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--threads" | "-j" => {
                 options.threads = parse_num(next_value(&mut i)?, "threads")?.max(1) as usize;
             }
-            "--shards" => {
-                options.shards = parse_num(next_value(&mut i)?, "shards")?.max(1) as usize;
-            }
             "--top" => {
                 options.top = parse_num(next_value(&mut i)?, "top")? as usize;
             }
@@ -959,11 +909,11 @@ fn print_usage() {
                     [--mode all|closed|maximal] [--closed|--all|--maximal-mode]\n\
                     [--min-gap G] [--max-gap G] [--max-window W]\n\
                     [--top-k K] [--min-len L] [--max-len L] [--max-patterns N]\n\
-                    [--threads N] [--shards N] [--top T] [--density R] [--maximal] [--stream]\n\
+                    [--threads N] [--top T] [--density R] [--maximal] [--stream]\n\
            rgs-mine topk --input FILE|--snapshot IMG -k K [--min-sup FLOOR] ...\n\
            rgs-mine batch --input FILE|--snapshot IMG --requests FILE [--top T] [--format json]\n\
-           rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars] [--shards N]\n\
-           rgs-mine snapshot build --input FILE [--format ...] [--shards N] --out IMG\n\
+           rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars]\n\
+           rgs-mine snapshot build --input FILE [--format ...] --out IMG\n\
            rgs-mine snapshot info  --snapshot IMG\n\
            rgs-mine snapshot verify --snapshot IMG\n\
            rgs-mine demo [--min-sup K] [--mode ...]\n\
@@ -983,7 +933,7 @@ fn print_usage() {
                      a single mmap-able image file; info: validate an image\n\
                      and print its header and section table; verify: prove\n\
                      every cross-section invariant of an image (CSR offsets,\n\
-                     shard partitioning, catalog, checksum) on the raw bytes\n\
+                     index layout, catalog, checksum) on the raw bytes\n\
                      and report each violation with section + byte offset\n\
            demo      run on the paper's running example (Table III)\n\
          \n\
@@ -993,11 +943,6 @@ fn print_usage() {
                            re-tokenizing or re-indexing on start)\n\
            --threads N     mine on N worker threads (default 1; the reported\n\
                            patterns are bit-identical to a sequential run)\n\
-           --shards N      partition the store into N shards at sequence\n\
-                           boundaries (balanced by event mass); mining output\n\
-                           is bit-identical, per-shard indexes build in\n\
-                           parallel, and snapshot build writes a v4 image\n\
-                           whose shard subsets map independently\n\
            --format json   emit one JSON document with the MiningReport and\n\
                            the reported patterns instead of text output\n"
     );
@@ -1152,61 +1097,29 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag_parses_and_keeps_output_identical() {
-        let options = parse(&["--demo", "--min-sup", "2", "--shards", "3"]);
-        assert_eq!(options.shards, 3);
-        assert_eq!(parse(&["--demo"]).shards, 1);
-        let flat = parse(&["--demo", "--min-sup", "2"]);
-        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let sharded = PreparedDb::from_database_sharded(db.clone(), 2);
-        assert_eq!(
-            options.apply(sharded.miner()).run().patterns,
-            flat.miner(&db).run().patterns,
-            "sharded CLI output diverges from flat"
-        );
-    }
-
-    #[test]
-    fn sharded_snapshot_build_source_round_trips() {
+    fn snapshot_build_from_a_text_corpus_round_trips() {
+        // `snapshot build` from a text corpus, then `--snapshot`: the image
+        // is format 6 and its patterns are the text corpus's.
         let dir = std::env::temp_dir();
-        let image = dir.join(format!("rgs-cli-shards-{}.snap", std::process::id()));
-        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AABB"]);
-        PreparedDb::from_database_sharded(db.clone(), 2)
-            .write_snapshot(&image)
-            .expect("write");
-        let options = parse(&["--snapshot", image.to_str().unwrap(), "--min-sup", "2"]);
-        let source = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
-        let Loaded::Prepared(ref prepared) = source else {
-            panic!("snapshot source must be prepared");
-        };
-        assert_eq!(prepared.shard_count(), 2);
-        assert_eq!(
-            source.miner(&options).run().patterns,
-            options.miner(&db).run().patterns
-        );
-        std::fs::remove_file(&image).ok();
-
-        // The same 2-range build through `snapshot build --shards 2` from a
-        // text corpus, then `--snapshot`: the ranges and patterns survive.
-        let input = dir.join(format!("rgs-cli-shards-{}.txt", std::process::id()));
+        let image = dir.join(format!("rgs-cli-build-{}.snap", std::process::id()));
+        let input = dir.join(format!("rgs-cli-build-{}.txt", std::process::id()));
         std::fs::write(&input, "A B C A C B D D B\nA C D B A C A D D\nA A B B\n").expect("input");
         let build = parse(&[
             "snapshot",
             "build",
             "--input",
             input.to_str().unwrap(),
-            "--shards",
-            "2",
             "--out",
             image.to_str().unwrap(),
         ]);
         assert_eq!(run_snapshot_build(&build), ExitCode::SUCCESS);
+        let options = parse(&["--snapshot", image.to_str().unwrap(), "--min-sup", "2"]);
         let source = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
         let Loaded::Prepared(ref prepared) = source else {
             panic!("snapshot source must be prepared");
         };
-        assert_eq!(prepared.shard_count(), 2);
-        assert_eq!(prepared.image_version(), Some(5));
+        assert_eq!(prepared.image_version(), Some(6));
+        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AABB"]);
         assert_eq!(
             source.miner(&options).run().patterns,
             options.miner(&db).run().patterns

@@ -101,7 +101,7 @@ use crate::engine::{MiningReport, MiningRequest, Mode};
 use crate::growth::{SetPool, SupportComputer};
 use crate::kernel::{self, node_runs, SiblingSweep, SweepScratch};
 use crate::maximal::maximal_subset;
-use crate::parallel::fan_out_shard_seeds;
+use crate::parallel::fan_out_seeds;
 use crate::pattern::Pattern;
 use crate::prepared::PreparedRef;
 use crate::reference::closed_subset;
@@ -237,9 +237,9 @@ fn walk<O: Output>(
 }
 
 /// The parallel form of [`run_solo`]: the seed subtrees fan out through the
-/// two-level (range × seed) queue, each walked by its own one-member scan
-/// that buffers what the member would emit, and the buffers are merged into
-/// the caller's member in seed order — the sequential emission order.
+/// seed queue, each walked by its own one-member scan that buffers what the
+/// member would emit, and the buffers are merged into the caller's member
+/// in seed order — the sequential emission order.
 ///
 /// A streaming member's buffer is gated and capped per seed (a seed can
 /// never contribute more than `max_patterns` emissions), a basis member's
@@ -258,36 +258,24 @@ fn run_parallel(
     let eligible = member.eligible.clone();
     let floor = AtomicU64::new(member.floor);
     let sc = prepared.support_computer();
-    let seeds = fan_out_shard_seeds(
-        threads,
-        sc.shard_count(),
-        plan.events.len(),
-        |i, shard| {
-            let mut fragment = SupportSet::new();
-            if let Some(&seed) = plan.events.get(i) {
-                sc.initial_support_fragment_into(seed, shard, &mut fragment);
-            }
-            fragment
-        },
-        |i, fragments| {
-            let mut initial = SupportSet::new();
-            for fragment in &fragments {
-                initial.append_fragment(fragment);
-            }
-            let mut seed_member = Member::new(request, Vec::new(), Some(&floor));
-            seed_member.set_eligible(eligible.clone());
-            let mut scan = Scan::new(vec![seed_member]);
-            scan.next_seed = plan.events.len();
-            plan.with_ctx(prepared, |ctx| {
-                scan.start_seed(ctx, i, initial);
-                scan.resume(ctx);
-            });
-            scan.members
-                .pop()
-                .map(Member::into_seed_output)
-                .unwrap_or_default()
-        },
-    );
+    let seeds = fan_out_seeds(threads, plan.events.len(), |i| {
+        let mut initial = SupportSet::new();
+        if let Some(&seed) = plan.events.get(i) {
+            sc.initial_support_set_into(seed, &mut initial);
+        }
+        let mut seed_member = Member::new(request, Vec::new(), Some(&floor));
+        seed_member.set_eligible(eligible.clone());
+        let mut scan = Scan::new(vec![seed_member]);
+        scan.next_seed = plan.events.len();
+        plan.with_ctx(prepared, |ctx| {
+            scan.start_seed(ctx, i, initial);
+            scan.resume(ctx);
+        });
+        scan.members
+            .pop()
+            .map(Member::into_seed_output)
+            .unwrap_or_default()
+    });
     for (stats, patterns) in seeds {
         member.absorb(&stats, patterns);
     }
@@ -1614,7 +1602,7 @@ mod tests {
 
     /// Whole closed, maximal and top-k runs with and without the sibling
     /// sweep: patterns, order, truncation and every counter agree, on
-    /// narrow and wide stores, flat and at 3 shards.
+    /// narrow and wide stores.
     #[test]
     fn sweep_walks_match_per_event_walks() {
         // Short rows over many events (the sweep pays) and long rows over
@@ -1635,25 +1623,24 @@ mod tests {
             let mut wide = narrow.clone();
             wide.widen_store();
             for db in [&narrow, &wide] {
-                for prepared in [PreparedDb::new(db), PreparedDb::new_sharded(db, 3)] {
-                    for min_sup in sups {
-                        let mut ranked = request(Mode::Closed, min_sup);
-                        ranked.top_k = Some(5);
-                        let mut capped = request(Mode::Closed, min_sup);
-                        capped.max_pattern_length = Some(3);
-                        capped.max_patterns = Some(7);
-                        for request in [
-                            request(Mode::Closed, min_sup),
-                            request(Mode::Maximal, min_sup),
-                            ranked,
-                            capped,
-                        ] {
-                            assert_eq!(
-                                walk_with_sweep(&prepared, &request, true),
-                                walk_with_sweep(&prepared, &request, false),
-                                "{request:?}"
-                            );
-                        }
+                let prepared = PreparedDb::new(db);
+                for min_sup in sups {
+                    let mut ranked = request(Mode::Closed, min_sup);
+                    ranked.top_k = Some(5);
+                    let mut capped = request(Mode::Closed, min_sup);
+                    capped.max_pattern_length = Some(3);
+                    capped.max_patterns = Some(7);
+                    for request in [
+                        request(Mode::Closed, min_sup),
+                        request(Mode::Maximal, min_sup),
+                        ranked,
+                        capped,
+                    ] {
+                        assert_eq!(
+                            walk_with_sweep(&prepared, &request, true),
+                            walk_with_sweep(&prepared, &request, false),
+                            "{request:?}"
+                        );
                     }
                 }
             }

@@ -82,7 +82,7 @@ pub enum Mode {
 /// How a mining run executes: on the calling thread, or fanned out across
 /// scoped worker threads.
 ///
-/// Parallel execution shards the frequent single-event seeds — the roots of
+/// Parallel execution spreads the frequent single-event seeds — the roots of
 /// the first-level DFS subtrees, which are fully independent — across
 /// `std::thread::scope` workers. Each worker mines its subtrees into a
 /// local buffer and the buffers are merged **in seed order**, so the
@@ -223,11 +223,7 @@ impl DbHandle<'_> {
         match self {
             DbHandle::Raw(db) => {
                 let parts = parts.get_or_insert_with(|| Box::new(PreparedParts::build(db)));
-                f(PreparedRef {
-                    db,
-                    parts,
-                    shards: None,
-                })
+                f(PreparedRef { db, parts })
             }
             DbHandle::Prepared(prepared) => f(prepared.as_prepared_ref()),
             DbHandle::Shared(prepared) => f(prepared.as_prepared_ref()),

@@ -18,9 +18,7 @@
 //! support set); the kernel owns the *mechanics* of finding each
 //! instance's next admissible position.
 
-use std::ops::Range;
-
-use seqdb::{EventId, InvertedIndex, SequenceDatabase, ShardMap};
+use seqdb::{EventId, InvertedIndex, SequenceDatabase};
 
 use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
@@ -37,17 +35,10 @@ use crate::support::SupportSet;
 /// ([`SupportComputer::new`], [`SupportComputer::with_index`]) or borrowed
 /// from a longer-lived snapshot such as a
 /// [`PreparedDb`](crate::PreparedDb) ([`SupportComputer::borrowed`], O(1)).
-///
-/// A computer borrowed from a sharded [`PreparedDb`](crate::PreparedDb)
-/// also knows its [`ShardMap`], whose sequence ranges split an initial
-/// support set into fragments ([`Self::initial_support_fragment_into`]);
-/// every support computation is oblivious to the ranges.
 #[derive(Debug)]
 pub struct SupportComputer<'a> {
     db: &'a SequenceDatabase,
     index: IndexHandle<'a>,
-    /// `None` is one range over the whole database.
-    shards: Option<&'a ShardMap>,
     /// The gap/window bounds every growth step honours.
     constraints: GapConstraints,
 }
@@ -70,7 +61,6 @@ impl<'a> SupportComputer<'a> {
         Self {
             db,
             index: IndexHandle::Owned(index),
-            shards: None,
             constraints: GapConstraints::unbounded(),
         }
     }
@@ -82,16 +72,8 @@ impl<'a> SupportComputer<'a> {
         Self {
             db,
             index: IndexHandle::Borrowed(index),
-            shards: None,
             constraints: GapConstraints::unbounded(),
         }
-    }
-
-    /// This computer with its initial support sets split along the ranges
-    /// of `map` ([`Self::initial_support_fragment_into`]).
-    pub fn with_shards(mut self, map: &'a ShardMap) -> Self {
-        self.shards = Some(map);
-        self
     }
 
     /// This computer with every support query read under `constraints`:
@@ -105,11 +87,6 @@ impl<'a> SupportComputer<'a> {
     /// The constraints this computer applies (unbounded by default).
     pub fn constraints(&self) -> GapConstraints {
         self.constraints
-    }
-
-    /// Number of sequence ranges the initial support sets split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.map_or(1, ShardMap::num_shards)
     }
 
     /// The underlying database.
@@ -137,34 +114,8 @@ impl<'a> SupportComputer<'a> {
     /// [`Self::initial_support_set`] writing into a caller-provided set
     /// whose allocation is reused (cleared first).
     pub fn initial_support_set_into(&self, event: EventId, out: &mut SupportSet) {
-        self.initial_support_in(event, 0..self.db.num_sequences(), out);
-    }
-
-    /// The fragment of [`Self::initial_support_set`] contributed by one
-    /// sequence range: every occurrence of `event` inside range `shard` of
-    /// the [`ShardMap`] (range 0 is the whole database when there is
-    /// none). Fragments concatenated in range order are exactly the full
-    /// initial support set — this per-`(seed, range)` unit is what the
-    /// two-level parallel work queue fans out.
-    pub fn initial_support_fragment_into(
-        &self,
-        event: EventId,
-        shard: usize,
-        out: &mut SupportSet,
-    ) {
-        let seqs = match self.shards {
-            Some(map) => map.range(shard),
-            None if shard == 0 => 0..self.db.num_sequences(),
-            None => 0..0,
-        };
-        self.initial_support_in(event, seqs, out);
-    }
-
-    /// Every occurrence of `event` in the sequences `seqs`, in position
-    /// order, written into `out` (cleared first).
-    fn initial_support_in(&self, event: EventId, seqs: Range<usize>, out: &mut SupportSet) {
         out.clear();
-        for (seq, positions) in self.index().sequences_with_event_in(event, seqs) {
+        for (seq, positions) in self.index().sequences_with_event(event) {
             for &pos in positions {
                 out.push(Instance::new(seq as u32, pos, pos));
             }

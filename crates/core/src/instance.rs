@@ -7,7 +7,7 @@
 //! Following §III-D ("Compressed Storage of Instances"), the mining
 //! algorithms keep only the triple `(seq, first, last)` per instance; the
 //! full landmark can be reconstructed on demand (see
-//! [`SupportSet::reconstruct_landmarks`](crate::support::SupportSet::reconstruct_landmarks)).
+//! [`SupportComputer::support_landmarks`](crate::growth::SupportComputer::support_landmarks)).
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -145,8 +145,6 @@ impl InstanceBuffer {
     /// full landmarks: seed on the first event, then chain [`Self::grow`].
     ///
     /// This is the landmark-reconstruction loop behind
-    /// [`SupportSet::reconstruct_landmarks`](crate::support::SupportSet::reconstruct_landmarks)
-    /// (unbounded constraints) and
     /// [`SupportComputer::support_landmarks`](crate::growth::SupportComputer::support_landmarks).
     pub fn reconstruct(
         &mut self,

@@ -1,5 +1,5 @@
-//! Parallel execution: a two-level (range × seed) work queue feeding
-//! deterministic seed-order merges.
+//! Parallel execution: a seed work queue feeding deterministic seed-order
+//! merges.
 //!
 //! The DFS driver ([`crate::batch`]) has one outer loop: for each frequent
 //! single event (the *seed*), mine the DFS subtree rooted at it. The
@@ -13,23 +13,11 @@
 //! order. The output is therefore bit-identical to a sequential run no
 //! matter how many workers raced.
 //!
-//! # The two levels
-//!
-//! Under a sharded [`PreparedDb`](crate::PreparedDb) the work decomposes
-//! one level further. Its [`seqdb::ShardMap`] splits the sequences into
-//! ranges of the one index, and a seed's *initial support set* is the
-//! concatenation, in range order, of per-range fragments (every occurrence
-//! of the seed inside one range, a slice of its rows) — per-`(seed, range)`
-//! units with no mutual dependencies at all, fanned out first by
-//! [`fan_out_shard_seeds`]. The *subtree DFS* that consumes the assembled
-//! set stays seed-granular by necessity: whether a pattern is grown depends
-//! on its support **summed across ranges** (the threshold test of
-//! Algorithms 3/4), so ranges cannot explore the tree independently
-//! without approximating — instead every growth step inside a subtree
-//! reads the whole index, which answers every sequence exactly.
+//! Each worker builds its own seed's initial support set (one scan of the
+//! seed's posting rows), so a parallel run holds at most `threads` seed
+//! sets at once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 /// Runs `work(seed_index)` for every seed in `0..num_seeds` on up to
@@ -74,69 +62,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The two-level (range × seed) fan-out: a grid phase computes one
-/// *fragment* per `(seed, range)` pair — `num_seeds * num_shards`
-/// independent tasks pulled from one atomic queue — then the seed phase
-/// hands each seed its fragments (in shard order) and mines the subtree,
-/// with results returned **in seed order**.
-///
-/// Both phases load-balance dynamically; the barrier between them is what
-/// keeps the construction simple and deterministic. The grid phase does
-/// hold every seed's fragments at once — the price of cross-seed fragment
-/// parallelism — so it only runs when there are actually multiple ranges;
-/// with one range (or one thread, or one seed) each seed's fragment is
-/// computed inside its own worker, which keeps single-range parallel runs
-/// at a peak memory of O(threads) live support sets.
-pub(crate) fn fan_out_shard_seeds<P, R, PF, SF>(
-    threads: usize,
-    num_shards: usize,
-    num_seeds: usize,
-    fragment: PF,
-    seed_work: SF,
-) -> Vec<R>
-where
-    P: Send,
-    R: Send,
-    PF: Fn(usize, usize) -> P + Sync,
-    SF: Fn(usize, Vec<P>) -> R + Sync,
-{
-    let num_shards = num_shards.max(1);
-    if threads <= 1 || num_seeds <= 1 || num_shards == 1 {
-        // Degenerate grid: fragments are computed inside each seed's work
-        // unit (inline, or on the seed's worker thread), nothing is
-        // buffered across seeds.
-        return fan_out_seeds(threads, num_seeds, |seed| {
-            let fragments = (0..num_shards).map(|shard| fragment(seed, shard)).collect();
-            seed_work(seed, fragments)
-        });
-    }
-
-    // Grid phase: (seed, shard) pairs in seed-major order — the same
-    // atomic-queue fan-out as the seed phase, over `num_seeds * num_shards`
-    // tasks, returned in task order.
-    let fragments = fan_out_seeds(threads, num_seeds * num_shards, |task| {
-        fragment(task / num_shards, task % num_shards)
-    });
-
-    // Group the seed-major fragment list into per-seed vectors, handed to
-    // the seed phase through take-once cells (each seed consumes its own).
-    let mut per_seed: Vec<Mutex<Option<Vec<P>>>> = Vec::with_capacity(num_seeds);
-    let mut iter = fragments.into_iter();
-    for _ in 0..num_seeds {
-        let fragments: Vec<P> = iter.by_ref().take(num_shards).collect();
-        per_seed.push(Mutex::new(Some(fragments)));
-    }
-
-    fan_out_seeds(threads, num_seeds, |seed| {
-        let fragments = per_seed[seed]
-            .lock()
-            .expect("fragment cell poisoned")
-            .take()
-            .expect("each seed consumes its fragments exactly once");
-        seed_work(seed, fragments)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,40 +89,5 @@ mod tests {
         });
         assert_eq!(results.len(), 100);
         assert_eq!(total.load(Ordering::Relaxed), 4950);
-    }
-
-    #[test]
-    fn shard_seed_grid_delivers_fragments_in_shard_order() {
-        for threads in [1, 2, 5, 16] {
-            for shards in [1, 2, 3, 7] {
-                let results = fan_out_shard_seeds(
-                    threads,
-                    shards,
-                    9,
-                    |seed, shard| (seed, shard),
-                    |seed, fragments| {
-                        // Every fragment belongs to this seed, in shard order.
-                        assert_eq!(
-                            fragments,
-                            (0..shards).map(|s| (seed, s)).collect::<Vec<_>>()
-                        );
-                        seed * 10
-                    },
-                );
-                assert_eq!(
-                    results,
-                    (0..9).map(|s| s * 10).collect::<Vec<_>>(),
-                    "{threads} threads x {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shard_seed_grid_handles_empty_and_single_seed_inputs() {
-        let empty = fan_out_shard_seeds(4, 3, 0, |_, _| 0, |_, _| 0);
-        assert!(empty.is_empty());
-        let single = fan_out_shard_seeds(4, 3, 1, |_, shard| shard, |_, frags| frags.len());
-        assert_eq!(single, vec![3]);
     }
 }

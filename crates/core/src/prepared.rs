@@ -33,10 +33,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use seqdb::{
-    DatabaseStats, EventCatalog, EventId, InvertedIndex, SequenceDatabase, ShardMap, SharedSlice,
-    SnapshotError,
-};
+use seqdb::{EventCatalog, EventId, InvertedIndex, SequenceDatabase, SharedSlice, SnapshotError};
 
 use crate::engine::{Miner, MiningRequest};
 use crate::growth::SupportComputer;
@@ -106,20 +103,13 @@ impl PreparedParts {
 pub(crate) struct PreparedRef<'a> {
     pub db: &'a SequenceDatabase,
     pub parts: &'a PreparedParts,
-    /// The sequence ranges parallel runs split the seeds' initial support
-    /// sets along; `None` is one range over the whole database.
-    pub shards: Option<&'a ShardMap>,
 }
 
 impl<'a> PreparedRef<'a> {
     /// A borrowed-index support computer over this view (O(1): no index is
     /// built).
     pub fn support_computer(self) -> SupportComputer<'a> {
-        let sc = SupportComputer::borrowed(self.db, &self.parts.index);
-        match self.shards {
-            Some(map) => sc.with_shards(map),
-            None => sc,
-        }
+        SupportComputer::borrowed(self.db, &self.parts.index)
     }
 }
 
@@ -134,7 +124,7 @@ impl<'a> PreparedRef<'a> {
 pub struct ImageInfo {
     /// The FNV-1a 64 full-file checksum from the image header.
     pub checksum: u64,
-    /// The snapshot format version (always 5, the only one this build
+    /// The snapshot format version (always 6, the only one this build
     /// reads).
     pub version: u32,
 }
@@ -150,13 +140,10 @@ pub struct ImageInfo {
 /// requests from many threads.
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
-    /// The database and its prepared parts sit behind `Arc`s, so a clone or
-    /// a [`PreparedDb::reshard`] shares them instead of copying.
+    /// The database and its prepared parts sit behind `Arc`s, so a clone
+    /// shares them instead of copying.
     db: Arc<SequenceDatabase>,
     parts: Arc<PreparedParts>,
-    /// The sequence ranges parallel runs split their work along (one range
-    /// when prepared flat).
-    shards: ShardMap,
     /// `Some` when this preparation was reconstructed from a snapshot
     /// image, `None` for heap builds.
     image: Option<ImageInfo>,
@@ -167,7 +154,7 @@ impl PartialEq for PreparedDb {
         // `image` is provenance, not content: a snapshot reopened from disk
         // equals the heap-built preparation it was written from (the
         // round-trip suites assert exactly that).
-        self.db == other.db && self.parts == other.parts && self.shards == other.shards
+        self.db == other.db && self.parts == other.parts
     }
 }
 
@@ -181,43 +168,8 @@ impl PreparedDb {
 
     /// Prepares a snapshot taking ownership of `db` (no clone).
     pub fn from_database(db: SequenceDatabase) -> Self {
-        Self::from_database_sharded(db, 1)
-    }
-
-    /// [`PreparedDb::new`] with the sequences split into `shards` ranges at
-    /// event-mass-balanced boundaries.
-    pub fn new_sharded(db: &SequenceDatabase, shards: usize) -> Self {
-        Self::from_database_sharded(db.clone(), shards)
-    }
-
-    /// Prepares a snapshot taking ownership of `db`, with its sequences
-    /// split into `shards` event-mass-balanced ranges of the one index.
-    /// Every query — and every mining mode — is bit-identical to the flat
-    /// preparation; the ranges only decide how parallel runs split the
-    /// seeds' initial support sets.
-    pub fn from_database_sharded(db: SequenceDatabase, shards: usize) -> Self {
         let parts = PreparedParts::build(&db);
-        let shards = ShardMap::by_event_mass(db.store().offsets(), shards);
-        Self {
-            db: Arc::new(db),
-            parts: Arc::new(parts),
-            shards,
-            image: None,
-        }
-    }
-
-    /// This snapshot with its sequences split into `shards` ranges instead:
-    /// the map is recomputed, and the database and index are shared, not
-    /// rebuilt or copied. Image provenance carries over: the corpus bytes
-    /// are unchanged, and mining output is shard-invariant, so the checksum
-    /// still identifies the result set.
-    pub fn reshard(&self, shards: usize) -> Self {
-        Self {
-            db: Arc::clone(&self.db),
-            parts: Arc::clone(&self.parts),
-            shards: ShardMap::by_event_mass(self.db.store().offsets(), shards),
-            image: self.image,
-        }
+        Self::from_parts(db, parts, None)
     }
 
     /// Serializes this snapshot into a single on-disk image file (see
@@ -248,13 +200,11 @@ impl PreparedDb {
     pub(crate) fn from_parts(
         db: SequenceDatabase,
         parts: PreparedParts,
-        shards: ShardMap,
         image: Option<ImageInfo>,
     ) -> Self {
         Self {
             db: Arc::new(db),
             parts: Arc::new(parts),
-            shards,
             image,
         }
     }
@@ -277,7 +227,7 @@ impl PreparedDb {
         self.image.map(|info| info.checksum)
     }
 
-    /// The snapshot format version of the backing image (always 5, the
+    /// The snapshot format version of the backing image (always 6, the
     /// only one this build reads), `None` for heap builds.
     pub fn image_version(&self) -> Option<u32> {
         self.image.map(|info| info.version)
@@ -293,55 +243,14 @@ impl PreparedDb {
         &self.parts.index
     }
 
-    /// Number of sequence ranges this snapshot is split into (1 when
-    /// prepared flat).
-    pub fn shard_count(&self) -> usize {
-        self.shards.num_shards()
-    }
-
-    /// The sequence ranges parallel runs split their work along.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
-    }
-
-    /// Per-range footprint breakdown: sequences, events, and the store and
-    /// index bytes of each range. Summed over the ranges these are exactly
-    /// [`seqdb::SeqStore::heap_bytes`] and [`InvertedIndex::heap_bytes`]:
-    /// the parts no range owns — the store's offsets sentinel, the index's
-    /// two directories and its row-offsets sentinel — count in range 0.
+    /// A perfbench shim: the benchmark harness sums `store_bytes` and
+    /// `index_bytes` over this list, so it holds one footprint whose fields
+    /// are [`seqdb::SeqStore::heap_bytes`] and [`InvertedIndex::heap_bytes`].
     pub fn shard_footprints(&self) -> Vec<ShardFootprint> {
-        let store = self.db.store();
-        let index = &self.parts.index;
-        let whole = 0..self.db.num_sequences();
-        // The store's offsets sentinel and the index's directories.
-        let shared_store = std::mem::size_of::<u32>();
-        let shared_index = index.heap_bytes() - index.range_bytes(whole);
-        (0..self.shard_count())
-            .map(|k| {
-                let range = self.shards.range(k);
-                let events = range.clone().map(|seq| store.seq_len(seq)).sum::<usize>();
-                let (store_extra, index_extra) = if k == 0 {
-                    (shared_store, shared_index)
-                } else {
-                    (0, 0)
-                };
-                ShardFootprint {
-                    shard: k,
-                    sequences: range.len(),
-                    events,
-                    store_bytes: store.element_bytes() * events
-                        + std::mem::size_of::<u32>() * range.len()
-                        + store_extra,
-                    index_bytes: index.range_bytes(range) + index_extra,
-                }
-            })
-            .collect()
-    }
-
-    /// Summary statistics of the snapshotted database with the shard count
-    /// filled in — what `rgs-mine stats` prints, truthful under sharding.
-    pub fn stats(&self) -> DatabaseStats {
-        self.db.stats().with_shards(self.shard_count())
+        vec![ShardFootprint {
+            store_bytes: self.db.store().heap_bytes(),
+            index_bytes: self.parts.index.heap_bytes(),
+        }]
     }
 
     /// Total occurrences of `event` (the repetitive support of the
@@ -367,22 +276,20 @@ impl PreparedDb {
         self.as_prepared_ref().support_computer()
     }
 
-    /// Heap bytes held by the snapshot's arenas: the columnar event store,
-    /// the inverted index and the shard map's boundaries. These are the
-    /// flat buffers every query (and every parallel worker, through
-    /// `PreparedRef` slices) shares without copying.
+    /// Heap bytes held by the snapshot's arenas: the columnar event store
+    /// and the inverted index. These are the flat buffers every query (and
+    /// every parallel worker, through `PreparedRef` slices) shares without
+    /// copying.
     pub fn heap_bytes(&self) -> usize {
-        self.db.store().heap_bytes()
-            + self.parts.index.heap_bytes()
-            + std::mem::size_of_val(self.shards.bounds())
+        self.db.store().heap_bytes() + self.parts.index.heap_bytes()
     }
 
     /// Proves the cross-component invariants of this live snapshot — the
     /// same composition rules `seqdb::snapshot::verify` checks statically on
     /// an image file: store/catalog dimension agreement, every arena event
-    /// inside the alphabet, the shard map covering the sequence range,
-    /// the index covering the database, occurrence counts equal to an actual recount, and the candidate
-    /// order being exactly the occurring events in catalog order.
+    /// inside the alphabet, the index covering the database, occurrence
+    /// counts equal to an actual recount, and the candidate order being
+    /// exactly the occurring events in catalog order.
     ///
     /// Returns every violated invariant as a human-readable message;
     /// `Ok(())` means the snapshot is internally consistent. This is a
@@ -419,14 +326,7 @@ impl PreparedDb {
             ));
         }
 
-        // The shard map covers the sequences (its constructors enforce
-        // that it partitions them), and the index covers the database.
-        if self.shards.num_sequences() != num_sequences {
-            violations.push(format!(
-                "shard map covers {} sequences, database has {num_sequences}",
-                self.shards.num_sequences()
-            ));
-        }
+        // The index covers the database.
         let index = &self.parts.index;
         if index.num_sequences() != num_sequences || index.num_events() != num_events {
             violations.push(format!(
@@ -503,26 +403,17 @@ impl PreparedDb {
         PreparedRef {
             db: &self.db,
             parts: &self.parts,
-            shards: Some(&self.shards),
         }
     }
 }
 
-/// The byte footprint of one sequence range of a [`PreparedDb`], as
-/// reported by [`PreparedDb::shard_footprints`] and the `rgs-mine stats`
-/// breakdown.
+/// A perfbench shim: the store and index bytes of a [`PreparedDb`], in the
+/// shape [`PreparedDb::shard_footprints`] returns them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardFootprint {
-    /// Range number (0-based, map order).
-    pub shard: usize,
-    /// Sequences in the range.
-    pub sequences: usize,
-    /// Total events in the range (its share of the arena).
-    pub events: usize,
-    /// Bytes of the range's share of the store: its events and offsets.
+    /// [`seqdb::SeqStore::heap_bytes`] of the prepared store.
     pub store_bytes: usize,
-    /// Bytes of the range's share of the index: its rows, ids and
-    /// positions (plus the directories, in range 0).
+    /// [`InvertedIndex::heap_bytes`] of the prepared index.
     pub index_bytes: usize,
 }
 
@@ -576,14 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn live_invariants_hold_for_flat_and_sharded_preparations() {
+    fn live_invariants_hold_for_a_fresh_preparation() {
         let db = running_example();
         assert_eq!(PreparedDb::new(&db).verify_invariants(), Ok(()));
-        for shards in [2, 3, 7] {
-            let prepared = PreparedDb::new_sharded(&db, shards);
-            assert_eq!(prepared.verify_invariants(), Ok(()), "{shards} shards");
-            assert_eq!(prepared.reshard(1).verify_invariants(), Ok(()));
-        }
     }
 
     #[test]

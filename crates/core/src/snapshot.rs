@@ -2,8 +2,8 @@
 //! how it comes back out with zero copies.
 //!
 //! The format layer — header, section table, checksum, `mmap` — lives in
-//! [`seqdb::snapshot`]; this module is the *composition*. A format v5 image
-//! (the only one this build writes or reads) holds twelve sections:
+//! [`seqdb::snapshot`]; this module is the *composition*. A format v6 image
+//! (the only one this build writes or reads) holds eleven sections:
 //!
 //! | section | contents |
 //! |---|---|
@@ -13,7 +13,6 @@
 //! | `catalog` | the interned event labels, length-prefixed UTF-8 |
 //! | `event.counts` | per-event total occurrence counts (`u64`) |
 //! | `event.order` | the frequency-pruned candidate event order |
-//! | `shard.table` | the [`seqdb::ShardMap`] boundaries (`u64`, ranges + 1) |
 //! | `index.row_dir` | the per-event row directory (`num_events + 1`) |
 //! | `index.id_dir` | the per-event sparse-id directory (`num_events + 1`) |
 //! | `index.row_offsets` | the row boundaries (rows + 1) |
@@ -25,7 +24,7 @@
 //! zero-copy. Their layout is canonical for the data (the dense/sparse rule
 //! is fixed, not an option), so a reopened image equals the preparation
 //! that wrote it. The index covers the whole corpus with global sequence
-//! ids, so a shard-table range needs no section of its own.
+//! ids. Section id 9 held format 5's sequence-range table; it is retired.
 //!
 //! The `store.events` section is written **narrowest-fit**: when every
 //! event id fits `u16` the arena is serialized at 2 bytes per element and
@@ -33,18 +32,16 @@
 //! on-disk and resident event bytes. Larger alphabets stay at 4 bytes;
 //! opening dispatches on the section's recorded element size.
 //!
-//! Images of formats 1–4 do not open: [`PreparedDb::open_snapshot`] returns
+//! Images of formats 1–5 do not open: [`PreparedDb::open_snapshot`] returns
 //! [`SnapshotError::Unsupported`] naming the version and
 //! `rgs-mine snapshot build`, which regenerates the image.
 //!
 //! Opening reconstructs every array as a [`seqdb::SharedSlice`] borrowing
 //! the mapped image and cross-checks the sections (dimensions against
-//! `meta`, the shard table against the store, catalog length against
-//! `num_events`, event-order ids against the alphabet), so a reopened
-//! snapshot upholds the same invariants as one built by
-//! [`PreparedDb::new`]. The only owned reconstructions are the catalog
-//! (label strings want owned storage) and the shard table's few `u32`
-//! boundaries.
+//! `meta`, catalog length against `num_events`, event-order ids against
+//! the alphabet), so a reopened snapshot upholds the same invariants as one
+//! built by [`PreparedDb::new`]. The only owned reconstruction is the
+//! catalog (label strings want owned storage).
 //!
 //! Entry points: [`PreparedDb::write_snapshot`],
 //! [`PreparedDb::open_snapshot`], and
@@ -59,13 +56,12 @@ use seqdb::snapshot::{
     SnapshotWriter,
 };
 use seqdb::{
-    EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase, ShardMap,
-    SnapshotError,
+    EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase, SnapshotError,
 };
 
 use crate::prepared::{ImageInfo, PreparedDb, PreparedParts};
 
-/// Serializes `prepared` to `path` in one pass (format v5); returns bytes
+/// Serializes `prepared` to `path` in one pass (format v6); returns bytes
 /// written.
 pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, SnapshotError> {
     let db = prepared.database();
@@ -75,12 +71,6 @@ pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, 
         db.total_length() as u64,
     ];
     let catalog_bytes = catalog_to_bytes(db.catalog());
-    let shard_table: Vec<u64> = prepared
-        .shard_map()
-        .bounds()
-        .iter()
-        .map(|&b| u64::from(b))
-        .collect();
     let parts = prepared.parts();
 
     // Narrowest-fit event column: an already-narrow column serializes its
@@ -114,8 +104,7 @@ pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, 
         .section(
             section_id::EVENT_ORDER,
             SectionPayload::EventIds(&parts.event_order),
-        )
-        .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
+        );
     for (id, column) in section_id::INDEX_COLUMNS
         .into_iter()
         .zip(prepared.index().columns().as_slices())
@@ -125,7 +114,7 @@ pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, 
     writer.write_to_path(path)
 }
 
-/// Opens and cross-validates a format v5 image, reconstructing every arena
+/// Opens and cross-validates a format v6 image, reconstructing every arena
 /// as a zero-copy slice over it.
 pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
     let image = std::sync::Arc::new(SnapshotImage::open(path)?);
@@ -177,13 +166,6 @@ pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
         ));
     }
 
-    let table = image.u64s(section_id::SHARD_TABLE)?;
-    let bounds: Vec<u32> = table
-        .iter()
-        .map(|&b| u32::try_from(b).map_err(|_| corrupt(format!("shard boundary {b} overflows"))))
-        .collect::<Result<_, _>>()?;
-    let shards = ShardMap::from_bounds(bounds, num_sequences).map_err(corrupt)?;
-
     let [row_dir, id_dir, row_offsets, ids, positions] = section_id::INDEX_COLUMNS;
     let columns = IndexColumns {
         row_dir: image.shared_u32s(row_dir)?,
@@ -226,7 +208,7 @@ pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
         checksum: image.checksum(),
         version: image.version(),
     };
-    Ok(PreparedDb::from_parts(db, parts, shards, Some(info)))
+    Ok(PreparedDb::from_parts(db, parts, Some(info)))
 }
 
 #[cfg(test)]
@@ -257,33 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_snapshot_round_trips_with_every_shard_intact() {
-        let db =
-            SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AAAA", "BCBC", "DDDD"]);
-        for shards in [2, 3] {
-            let prepared = PreparedDb::new_sharded(&db, shards);
-            let path = temp_path(&format!("sharded-{shards}"));
-            prepared.write_snapshot(&path).expect("write");
-            let reopened = PreparedDb::open_snapshot(&path).expect("open");
-            assert_eq!(reopened, prepared);
-            assert_eq!(reopened.shard_count(), shards);
-            assert_eq!(reopened.shard_footprints(), prepared.shard_footprints());
-            let fresh = prepared.miner().min_sup(2).mode(Mode::Closed).run();
-            let cold = reopened.miner().min_sup(2).mode(Mode::Closed).run();
-            assert_eq!(fresh.patterns, cold.patterns);
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn pre_v5_images_are_unsupported_and_name_the_rebuild_command() {
-        // Patch a freshly written image's header to format 4 and re-seal it:
+    fn pre_v6_images_are_unsupported_and_name_the_rebuild_command() {
+        // Patch a freshly written image's header to format 5 and re-seal it:
         // the bytes are intact, but this build no longer reads the version.
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let path = temp_path("pre-v5");
+        let path = temp_path("pre-v6");
         PreparedDb::new(&db).write_snapshot(&path).expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
-        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
         let checksum = seqdb::snapshot::checksum_of(&bytes);
         bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite");
@@ -291,13 +254,13 @@ mod tests {
         let err = PreparedDb::open_snapshot(&path).unwrap_err();
         assert!(matches!(err, seqdb::SnapshotError::Unsupported(_)), "{err}");
         let message = err.to_string();
-        assert!(message.contains("version 4"), "{message}");
+        assert!(message.contains("version 5"), "{message}");
         assert!(message.contains("rgs-mine snapshot build"), "{message}");
 
         let report = seqdb::snapshot::verify::verify_bytes(&bytes);
-        assert_eq!(report.version, Some(4));
+        assert_eq!(report.version, Some(5));
         let finding = report.violations.first().expect("version violation");
-        assert!(finding.detail.contains("version 4"), "{finding}");
+        assert!(finding.detail.contains("version 5"), "{finding}");
         assert!(
             finding.detail.contains("rgs-mine snapshot build"),
             "{finding}"
@@ -319,9 +282,8 @@ mod tests {
         assert_eq!(reopened.image_checksum(), Some(image.checksum()));
         assert_eq!(reopened.image_version(), Some(image.version()));
         // Provenance is identity, not content: reopen still equals the
-        // heap build, and resharding the mapped corpus keeps the identity.
+        // heap build.
         assert_eq!(reopened, prepared);
-        assert_eq!(reopened.reshard(2).image_checksum(), Some(image.checksum()));
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,15 +8,13 @@
 //!
 //! Instances are stored in their compressed form (`(seq, first, last)`,
 //! §III-D), sorted by sequence index and, within a sequence, in right-shift
-//! order. [`SupportSet::reconstruct_landmarks`] rebuilds full landmarks when
-//! they are needed for reporting.
+//! order. [`SupportComputer::support_landmarks`](crate::growth::SupportComputer::support_landmarks)
+//! rebuilds full landmarks, under the computer's constraints, when they are
+//! needed for reporting.
 
-use seqdb::{EventId, InvertedIndex, SequenceDatabase};
+use seqdb::{EventId, SequenceDatabase};
 
-use crate::constraints::GapConstraints;
 use crate::instance::{Instance, Landmark};
-use crate::instbuf::InstanceBuffer;
-use crate::pattern::Pattern;
 
 /// The (leftmost) support set of a pattern: a maximum-size set of pairwise
 /// non-overlapping instances, in compressed storage.
@@ -66,21 +64,6 @@ impl SupportSet {
         self.instances.clear();
     }
 
-    /// Appends a whole fragment whose instances all follow this set in
-    /// `(seq, last)` order — the assembly step of the two-level work queue,
-    /// gluing per-range fragments together in range order (range order
-    /// *is* global sequence order, so the result equals the whole set).
-    pub(crate) fn append_fragment(&mut self, fragment: &SupportSet) {
-        debug_assert!(
-            match (self.instances.last(), fragment.instances.first()) {
-                (Some(prev), Some(next)) => (prev.seq, prev.last) <= (next.seq, next.last),
-                _ => true,
-            },
-            "fragments must be appended in (seq, last) order"
-        );
-        self.instances.extend_from_slice(&fragment.instances);
-    }
-
     /// Appends an instance; the caller must respect the `(seq, last)` order.
     pub(crate) fn push(&mut self, instance: Instance) {
         debug_assert!(
@@ -115,23 +98,6 @@ impl SupportSet {
     /// checking strategy (Theorem 5).
     pub fn last_positions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.instances.iter().map(|inst| (inst.seq, inst.last))
-    }
-
-    /// Reconstructs the full landmarks of the leftmost support set of
-    /// `pattern` for reporting purposes.
-    ///
-    /// The compressed instances only store `(seq, first, last)`; the interior
-    /// positions are recomputed by replaying the greedy instance growth of
-    /// Algorithm 2 on the inverted index. The result corresponds instance by
-    /// instance to [`Self::instances`].
-    pub fn reconstruct_landmarks(&self, index: &InvertedIndex, pattern: &Pattern) -> Vec<Landmark> {
-        let mut buffer = InstanceBuffer::new();
-        buffer.reconstruct(index, pattern, &GapConstraints::unbounded());
-        buffer
-            .to_landmarks()
-            .into_iter()
-            .take(self.instances.len())
-            .collect()
     }
 }
 
@@ -198,20 +164,18 @@ pub fn are_valid_instances(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraints::GapConstraints;
+    use crate::growth::SupportComputer;
+    use crate::pattern::Pattern;
 
+    /// Table III: S1 = ABCACBDDB, S2 = ACDBACADD.
     fn running_example() -> SequenceDatabase {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
     }
 
     /// The landmarks of `pattern`'s leftmost support set.
-    fn landmarks_of(
-        db: &SequenceDatabase,
-        index: &InvertedIndex,
-        pattern: &Pattern,
-    ) -> Vec<Landmark> {
-        crate::growth::SupportComputer::new(db)
-            .support_set(pattern)
-            .reconstruct_landmarks(index, pattern)
+    fn landmarks_of(db: &SequenceDatabase, pattern: &Pattern) -> Vec<Landmark> {
+        SupportComputer::new(db).support_landmarks(pattern)
     }
 
     #[test]
@@ -233,9 +197,8 @@ mod tests {
         // Table IV: the leftmost support set of ACB is
         // {(1,<1,3,6>), (1,<4,5,9>), (2,<1,2,4>)}.
         let db = running_example();
-        let index = db.inverted_index();
         let pattern = Pattern::new(db.pattern_from_str("ACB").unwrap());
-        let landmarks = landmarks_of(&db, &index, &pattern);
+        let landmarks = landmarks_of(&db, &pattern);
         assert_eq!(
             landmarks,
             vec![
@@ -252,9 +215,8 @@ mod tests {
     fn reconstruct_landmarks_of_aca_allows_reuse_at_different_indices() {
         // Example 3.1 step 3': I_ACA = {(1,<1,3,4>), (2,<1,2,5>), (2,<5,6,7>)}.
         let db = running_example();
-        let index = db.inverted_index();
         let pattern = Pattern::new(db.pattern_from_str("ACA").unwrap());
-        let landmarks = landmarks_of(&db, &index, &pattern);
+        let landmarks = landmarks_of(&db, &pattern);
         assert_eq!(
             landmarks,
             vec![
@@ -291,8 +253,31 @@ mod tests {
     #[test]
     fn empty_pattern_has_no_landmarks() {
         let db = running_example();
-        let index = db.inverted_index();
-        assert!(landmarks_of(&db, &index, &Pattern::empty()).is_empty());
+        assert!(landmarks_of(&db, &Pattern::empty()).is_empty());
+    }
+
+    #[test]
+    fn constrained_landmarks_compress_back_to_the_constrained_set() {
+        // With max_gap 0 the set of AC is (0,4,5) (1,1,2) (1,5,6); a replay
+        // without the constraints would report (0,<1,3>) (0,<4,5>) (1,<1,2>).
+        let db = running_example();
+        let sc = SupportComputer::new(&db).with_constraints(GapConstraints::max_gap(0));
+        let ac = Pattern::new(db.pattern_from_str("AC").unwrap());
+        let set = sc.support_set(&ac);
+        assert_eq!(
+            set.instances(),
+            &[
+                Instance::new(0, 4, 5),
+                Instance::new(1, 1, 2),
+                Instance::new(1, 5, 6),
+            ]
+        );
+        let compressed: Vec<Instance> = sc
+            .support_landmarks(&ac)
+            .iter()
+            .map(Landmark::compress)
+            .collect();
+        assert_eq!(compressed, set.instances());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * otherwise `Closed`.
 //!
 //! Every frequent pattern up to a length bound is checked, with both values
-//! of the append flag, on a flat and a three-shard preparation. The oracle
+//! of the append flag, on a prepared database. The oracle
 //! also asserts the lemma the checker relies on: no append meets the
 //! landmark border.
 
@@ -100,57 +100,53 @@ fn frequent_patterns(db: &SequenceDatabase, min_sup: u64, max_len: usize) -> Vec
     out
 }
 
-/// Checks every given pattern against the oracle on a flat and a
-/// three-shard preparation, with both append flags; returns the verdicts
-/// seen (flag false) so callers can assert coverage.
+/// Checks every given pattern against the oracle on a prepared database,
+/// with both append flags; returns the verdicts seen (flag false) so
+/// callers can assert coverage.
 fn assert_matches_oracle(
     label: &str,
     db: &SequenceDatabase,
     min_sup: u64,
     patterns: &[Vec<EventId>],
 ) -> Vec<ClosureStatus> {
-    let flat = PreparedDb::new(db);
-    let sharded = PreparedDb::new_sharded(db, 3);
+    let prepared = PreparedDb::new(db);
+    let sc = prepared.support_computer();
+    let frequent = prepared.frequent_events(min_sup);
+    let checker = ClosureChecker::new(&sc, &frequent);
+    let mut scratch = CheckScratch::new();
     let mut seen = Vec::new();
-    for prepared in [&flat, &sharded] {
-        let sc = prepared.support_computer();
-        let frequent = prepared.frequent_events(min_sup);
-        let checker = ClosureChecker::new(&sc, &frequent);
-        let mut scratch = CheckScratch::new();
-        for events in patterns {
-            let pattern = Pattern::new(events.clone());
-            assert!(
-                sc.support(&pattern) >= min_sup,
-                "{label}: {events:?} is not frequent"
-            );
-            let stack: Vec<SupportSet> = (1..=pattern.len())
-                .map(|len| sc.support_set(&pattern.prefix(len)))
-                .collect();
-            let (without_flag, with_flag, equal_append) = oracle(db, events);
-            let shards = prepared.shard_count();
-            assert_eq!(
-                checker.check(&pattern, &stack, false, &mut scratch),
-                without_flag,
-                "{label}: {events:?} with the flag false at {shards} shard(s)"
-            );
-            assert_eq!(
-                checker.check(&pattern, &stack, true, &mut scratch),
-                with_flag,
-                "{label}: {events:?} with the flag true at {shards} shard(s)"
-            );
-            // The flag as the DFS computes it: the true append verdict.
-            let exact = if equal_append {
-                with_flag
-            } else {
-                without_flag
-            };
-            assert_eq!(
-                checker.check(&pattern, &stack, equal_append, &mut scratch),
-                exact,
-                "{label}: {events:?} with the exact flag at {shards} shard(s)"
-            );
-            seen.push(without_flag);
-        }
+    for events in patterns {
+        let pattern = Pattern::new(events.clone());
+        assert!(
+            sc.support(&pattern) >= min_sup,
+            "{label}: {events:?} is not frequent"
+        );
+        let stack: Vec<SupportSet> = (1..=pattern.len())
+            .map(|len| sc.support_set(&pattern.prefix(len)))
+            .collect();
+        let (without_flag, with_flag, equal_append) = oracle(db, events);
+        assert_eq!(
+            checker.check(&pattern, &stack, false, &mut scratch),
+            without_flag,
+            "{label}: {events:?} with the flag false"
+        );
+        assert_eq!(
+            checker.check(&pattern, &stack, true, &mut scratch),
+            with_flag,
+            "{label}: {events:?} with the flag true"
+        );
+        // The flag as the DFS computes it: the true append verdict.
+        let exact = if equal_append {
+            with_flag
+        } else {
+            without_flag
+        };
+        assert_eq!(
+            checker.check(&pattern, &stack, equal_append, &mut scratch),
+            exact,
+            "{label}: {events:?} with the exact flag"
+        );
+        seen.push(without_flag);
     }
     seen
 }

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rgs_core::{GapConstraints, Miner, Mode, PreparedDb};
+use rgs_core::{GapConstraints, Miner, Mode, PreparedDb, SupportComputer};
 use seqdb::{DatabaseBuilder, EventId, SequenceDatabase};
 
 /// The seed's inverted-index layout: `positions[seq][event] = Vec<u32>`,
@@ -205,10 +205,10 @@ fn reconstructed_landmarks_compress_back_to_the_reported_instances() {
             .mode(Mode::All)
             .keep_support_sets()
             .run();
-        let index = db.inverted_index();
+        let sc = SupportComputer::new(&db);
         for mined in &outcome.patterns {
             let set = mined.support_set.as_ref().expect("requested");
-            let landmarks = set.reconstruct_landmarks(&index, &mined.pattern);
+            let landmarks = sc.support_landmarks(&mined.pattern);
             assert_eq!(landmarks.len() as u64, mined.support);
             for (landmark, instance) in landmarks.iter().zip(set.instances()) {
                 assert_eq!(landmark.compress(), *instance, "{:?}", mined.pattern);

@@ -5,8 +5,8 @@
 //! pruning over two databases, with `min_sup`, `min_len`,
 //! `max_pattern_length`, `max_patterns` and `keep_support_sets` drawn per
 //! case from a seeded PRNG. Every case runs twice — lazily prepared from the
-//! raw database, and on a three-shard [`PreparedDb`] — and both runs must
-//! reproduce the one pinned record:
+//! raw database, and on a [`PreparedDb`] — and both runs must reproduce the
+//! one pinned record:
 //!
 //! * the pattern count and an FNV-1a digest of the rendered patterns with
 //!   their supports (and retained support sets);
@@ -176,16 +176,16 @@ fn record<'a>(miner: impl Fn() -> Miner<'a>, catalog: &EventCatalog) -> String {
 fn walk_reproduces_the_pinned_grid() {
     let paper = paper_db();
     let random = random_db();
-    let paper_sharded = PreparedDb::new_sharded(&paper, 3);
-    let random_sharded = PreparedDb::new_sharded(&random, 3);
+    let paper_prepared = PreparedDb::new(&paper);
+    let random_prepared = PreparedDb::new(&random);
     let pinned: Vec<&str> = GOLDEN.lines().filter(|l| !l.starts_with('#')).collect();
     let cases = cases();
     assert_eq!(pinned.len(), cases.len(), "golden table size");
     for (i, ((db_name, request), line)) in cases.iter().zip(&pinned).enumerate() {
-        let (db, sharded) = if *db_name == "paper" {
-            (&paper, &paper_sharded)
+        let (db, prepared) = if *db_name == "paper" {
+            (&paper, &paper_prepared)
         } else {
-            (&random, &random_sharded)
+            (&random, &random_prepared)
         };
         let flat = record(|| Miner::from_request(db, request.clone()), db.catalog());
         let expected = format!("{i}: {flat}");
@@ -193,13 +193,13 @@ fn walk_reproduces_the_pinned_grid() {
             &expected, line,
             "case {i} ({db_name}, {request:?}) diverges from its pin"
         );
-        let shards = record(
-            || sharded.miner().with_request(request.clone()),
+        let from_prepared = record(
+            || prepared.miner().with_request(request.clone()),
             db.catalog(),
         );
         assert_eq!(
-            flat, shards,
-            "case {i} ({db_name}, {request:?}) differs on three shards"
+            flat, from_prepared,
+            "case {i} ({db_name}, {request:?}) differs on a prepared database"
         );
     }
 }

@@ -3,11 +3,11 @@
 //! kernel pass per candidate grows it.
 //!
 //! Seeded corpora cover runs of many instances per sequence and runs of
-//! repeated events, on narrow (`u16`) and wide stores, flat and at 3
-//! shards, at nodes on both sides of the sweep's cost rule.
+//! repeated events, on narrow (`u16`) and wide stores, at nodes on both
+//! sides of the sweep's cost rule.
 
 use rgs_core::kernel::{node_runs, SiblingSweep, SweepScratch};
-use rgs_core::{PreparedDb, SupportComputer, SupportSet};
+use rgs_core::{SupportComputer, SupportSet};
 use seqdb::{EventId, SequenceDatabase};
 
 /// Deterministic LCG (no external randomness in tests).
@@ -112,14 +112,6 @@ fn sweep_counts_equal_kernel_supports() {
             check_nodes(
                 &format!("{name}, {width}, flat"),
                 &SupportComputer::new(db),
-                &mut seen,
-            );
-            let sharded = PreparedDb::new_sharded(db, 3);
-            assert_eq!(sharded.shard_count(), 3);
-            assert_eq!(sharded.database().store().is_narrow(), width == "narrow");
-            check_nodes(
-                &format!("{name}, {width}, 3 shards"),
-                &sharded.support_computer(),
                 &mut seen,
             );
         }

@@ -1,42 +1,91 @@
-//! Seeded corruption sweep over **every section** of a sharded (v5)
-//! snapshot image, at one to seven shard-table ranges:
-//! `seqdb::snapshot::verify` must flag each mutation and must never panic, distinguishing pure bit rot (checksum breakage with
-//! intact sections) from resealed images whose payloads violate the
-//! cross-section invariants.
+//! Seeded corruption sweep over **every section** of a (v6) snapshot
+//! image, on seven corpora — narrow and wide event arenas, several seeds:
+//! `seqdb::snapshot::verify` must flag each mutation and must never panic,
+//! distinguishing pure bit rot (checksum breakage with intact sections)
+//! from resealed images whose payloads violate the cross-section
+//! invariants.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rgs_core::PreparedDb;
 use seqdb::snapshot::verify::{self, ViolationKind};
 use seqdb::snapshot::{checksum_of, section_id};
-use seqdb::SequenceDatabase;
+use seqdb::{DatabaseBuilder, SequenceDatabase, NARROW_MAX_EVENT};
 
-/// Builds a format-v5 image via the real writer path and returns its bytes.
-/// `E` occurs in one sequence only, so the index stores it sparse (with a
-/// sparse id) while `A`..`D` are dense.
-fn image_bytes(shards: usize) -> Vec<u8> {
-    let db = SequenceDatabase::from_str_rows(&[
-        "ABCACBDDB",
-        "ACDBACADD",
-        "BCAADBC",
-        "DDAACB",
-        "CABDC",
-        "BBADCA",
-        "EAEBE",
-    ]);
-    let prepared = PreparedDb::from_database_sharded(db, shards);
+/// The base corpus. `E` occurs in one sequence only, so the index stores
+/// it sparse (with a sparse id) while `A`..`D` are dense.
+const BASE: [&str; 7] = [
+    "ABCACBDDB",
+    "ACDBACADD",
+    "BCAADBC",
+    "DDAACB",
+    "CABDC",
+    "BBADCA",
+    "EAEBE",
+];
+
+/// The seven corpora of the sweep: the base corpus, five seeded random
+/// ones, and the base corpus over an alphabet past `u16`, whose image
+/// stores a wide (4-byte) event arena. Every corpus holds `E` in exactly
+/// one of at least five sequences, so its index has a sparse id.
+fn corpora() -> Vec<SequenceDatabase> {
+    let mut corpora = vec![SequenceDatabase::from_str_rows(&BASE)];
+    for seed in 1..=5u64 {
+        let mut rng = seed;
+        let rows = 5 + seed as usize % 4;
+        let mut text: Vec<String> = (0..rows)
+            .map(|_| {
+                let len = 4 + splitmix(&mut rng) as usize % 9;
+                (0..len)
+                    .map(|_| ['A', 'B', 'C', 'D'][splitmix(&mut rng) as usize % 4])
+                    .collect()
+            })
+            .collect();
+        let row = splitmix(&mut rng) as usize % rows;
+        let at = splitmix(&mut rng) as usize % (text[row].len() + 1);
+        text[row].insert(at, 'E');
+        let refs: Vec<&str> = text.iter().map(String::as_str).collect();
+        corpora.push(SequenceDatabase::from_str_rows(&refs));
+    }
+    let mut builder = DatabaseBuilder::new();
+    for filler in 0..=NARROW_MAX_EVENT {
+        builder.intern(&format!("x{filler}"));
+    }
+    for row in BASE {
+        builder.push_tokens((0..row.len()).map(|i| &row[i..=i]));
+    }
+    corpora.push(builder.finish());
+    corpora
+}
+
+/// Builds a format-v6 image of `db` via the real writer path and returns
+/// its bytes. Tests run on parallel threads of one process, so every call
+/// writes a file of its own.
+fn image_bytes(db: &SequenceDatabase) -> Vec<u8> {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!(
-        "rgs-mutation-sweep-{}-{shards}.snap",
+        "rgs-mutation-sweep-{}-{call}.snap",
         std::process::id()
     ));
-    prepared.write_snapshot(&path).expect("write snapshot");
+    PreparedDb::new(db)
+        .write_snapshot(&path)
+        .expect("write snapshot");
     let bytes = std::fs::read(&path).expect("read image back");
     std::fs::remove_file(&path).ok();
     bytes
+}
+
+/// The images of [`corpora`], in order.
+fn images() -> Vec<Vec<u8>> {
+    corpora().iter().map(image_bytes).collect()
 }
 
 /// One row of the section table (format spec: table at byte 64, 32-byte
 /// entries `{id: u32, elem_size: u32, offset: u64, byte_len: u64, count: u64}`).
 struct Section {
     id: u32,
+    elem_size: u32,
     offset: usize,
     byte_len: usize,
     count: u64,
@@ -57,6 +106,7 @@ fn sections(bytes: &[u8]) -> Vec<Section> {
             let base = 64 + i * 32;
             Section {
                 id: read_u32(bytes, base),
+                elem_size: read_u32(bytes, base + 4),
                 offset: read_u64(bytes, base + 8) as usize,
                 byte_len: read_u64(bytes, base + 16) as usize,
                 count: read_u64(bytes, base + 24),
@@ -82,32 +132,34 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 #[test]
-fn every_written_image_verifies_clean_across_shard_counts() {
-    // Every shard-table shape the writer produces, from one shard (the
-    // unsharded preparation) to seven.
-    for shards in 1..=7usize {
-        let report = verify::verify_bytes(&image_bytes(shards));
+fn every_written_image_verifies_clean_across_corpora() {
+    let mut wide = 0usize;
+    for (i, image) in images().iter().enumerate() {
+        let report = verify::verify_bytes(image);
         assert!(
             report.is_clean(),
-            "{shards} shards: fresh image rejected: {report:?}"
+            "corpus {i}: fresh image rejected: {report:?}"
         );
+        let events = sections(image)
+            .into_iter()
+            .find(|s| s.id == section_id::STORE_EVENTS)
+            .expect("STORE_EVENTS section");
+        if events.elem_size == 4 {
+            wide += 1;
+        }
     }
+    assert_eq!(wide, 1, "one corpus writes a wide event arena");
 }
 
 #[test]
 fn bit_rot_in_every_section_is_reported_as_checksum_breakage() {
-    for shards in 1..=7usize {
-        bit_rot_sweep(shards);
+    for image in images() {
+        bit_rot_sweep(&image);
     }
 }
 
-fn bit_rot_sweep(shards: usize) {
-    let image = image_bytes(shards);
-    let table = sections(&image);
-    assert!(
-        table.iter().any(|s| s.id == section_id::SHARD_TABLE),
-        "fixture must carry a shard table"
-    );
+fn bit_rot_sweep(image: &[u8]) {
+    let table = sections(image);
     let mut rng = 0xD1CE_u64;
     for section in &table {
         if section.byte_len == 0 {
@@ -116,7 +168,7 @@ fn bit_rot_sweep(shards: usize) {
         // First, last, and a seeded interior byte of the payload.
         let interior = (splitmix(&mut rng) as usize) % section.byte_len;
         for at in [0, section.byte_len - 1, interior] {
-            let mut mutated = image.clone();
+            let mut mutated = image.to_vec();
             mutated[section.offset + at] ^= 0x5A;
             let report = verify::verify_bytes(&mutated);
             assert!(
@@ -134,12 +186,12 @@ fn bit_rot_sweep(shards: usize) {
         }
     }
     // The unmutated image stays clean (the sweep above really is the cause).
-    assert!(verify::verify_bytes(&image).is_clean());
+    assert!(verify::verify_bytes(image).is_clean());
 }
 
 #[test]
 fn checksum_field_corruption_is_distinguished_from_layout_damage() {
-    let image = image_bytes(2);
+    let image = image_bytes(&SequenceDatabase::from_str_rows(&BASE));
     // Corrupting the checksum *field* is pure bit rot: sections intact.
     let mut rotten = image.clone();
     rotten[24] ^= 0xFF;
@@ -204,12 +256,6 @@ fn corrupt_section(bytes: &mut [u8], section: &Section) -> bool {
             bytes[at..at + 4].copy_from_slice(&b.to_le_bytes());
             bytes[at + 4..at + 8].copy_from_slice(&a.to_le_bytes());
         }
-        // The sentinel no longer equals num_sequences: broken partition.
-        section_id::SHARD_TABLE => {
-            let last = at + (section.count as usize - 1) * 8;
-            let wrong = read_u64(bytes, last) + 1;
-            bytes[last..last + 8].copy_from_slice(&wrong.to_le_bytes());
-        }
         // Directories and row offsets: the column no longer ends at the
         // rows / ids / positions count.
         section_id::INDEX_ROW_DIR | section_id::INDEX_ID_DIR | section_id::INDEX_ROW_OFFSETS => {
@@ -239,10 +285,9 @@ fn corrupt_section(bytes: &mut [u8], section: &Section) -> bool {
 #[test]
 fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure() {
     let mut sparse_ids = 0usize;
-    for shards in 1..=7usize {
-        let image = image_bytes(shards);
+    for (i, image) in images().iter().enumerate() {
         let mut sweep = 0usize;
-        for section in sections(&image) {
+        for section in sections(image) {
             let mut mutated = image.clone();
             if !corrupt_section(&mut mutated, &section) {
                 continue;
@@ -252,17 +297,17 @@ fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure(
             let name = section_id::name(section.id);
             assert!(
                 !report.is_clean(),
-                "{shards} shards, section {} ({name}): resealed damage went unnoticed",
+                "corpus {i}, section {} ({name}): resealed damage went unnoticed",
                 section.id,
             );
             assert!(
                 !report.has(ViolationKind::Checksum),
-                "{shards} shards, section {} ({name}): image was resealed",
+                "corpus {i}, section {} ({name}): image was resealed",
                 section.id,
             );
             assert!(
                 report.has(ViolationKind::Layout) || report.has(ViolationKind::Structure),
-                "{shards} shards, section {} ({name}): expected a layout/structure finding",
+                "corpus {i}, section {} ({name}): expected a layout/structure finding",
                 section.id,
             );
             sweep += 1;
@@ -271,10 +316,8 @@ fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure(
             }
         }
         assert!(sweep >= 8, "sweep covered only {sweep} sections");
-        // One index for the whole corpus: every section is mutated, the
-        // sparse ids included, whatever the range count.
-        assert_eq!(sweep, sections(&image).len(), "{shards} ranges");
+        // Every section is mutated, the sparse ids included.
+        assert_eq!(sweep, sections(image).len(), "corpus {i}");
     }
-    assert!(sparse_ids > 0, "no sparse-id section was mutated");
-    assert_eq!(sparse_ids, 7, "the sparse-id section at every range count");
+    assert_eq!(sparse_ids, 7, "the sparse-id section of every corpus");
 }

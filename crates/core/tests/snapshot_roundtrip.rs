@@ -276,7 +276,6 @@ fn cross_section_inconsistencies_are_rejected() {
         db.num_events() as u64,
         db.total_length() as u64,
     ];
-    let shard_table = [0u64, db.num_sequences() as u64];
     let mut writer = SnapshotWriter::new();
     writer
         .section(section_id::META, SectionPayload::U64s(&meta))
@@ -290,8 +289,7 @@ fn cross_section_inconsistencies_are_rejected() {
         )
         .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
         .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-        .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order))
-        .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
+        .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
     for (id, column) in section_id::INDEX_COLUMNS
         .into_iter()
         .zip(index.columns().as_slices())

@@ -150,40 +150,7 @@ fn steady_state_growth_allocates_nothing() {
         }
     });
 
-    // 5. Shard-parallel growth: the same hot loops through a sharded
-    //    prepared database, where every `next` query routes through the
-    //    shard map. Routing is a binary search over the boundaries — no
-    //    heap — so steady-state sharded growth must stay allocation-free
-    //    too.
-    let sharded = rgs_core::PreparedDb::new_sharded(&db, 3);
-    assert_eq!(sharded.shard_count(), 3);
-    let ssc = sharded.support_computer();
-    let mut support = SupportSet::new();
-    let mut spare = SupportSet::new();
-    assert_zero_alloc("sharded instance_growth_into chain", 100, || {
-        ssc.initial_support_set_into(first, &mut support);
-        for &event in &pattern.events()[1..] {
-            ssc.instance_growth_into(&support, event, usize::MAX, &mut spare);
-            std::mem::swap(&mut support, &mut spare);
-        }
-        assert!(!support.is_empty());
-    });
-    // Per-shard fragments (the two-level queue's grid unit) recycle their
-    // buffer the same way.
-    let mut fragment = SupportSet::new();
-    assert_zero_alloc("sharded initial-support fragments", 100, || {
-        for shard in 0..sharded.shard_count() {
-            ssc.initial_support_fragment_into(first, shard, &mut fragment);
-        }
-    });
-    let sharded_base = ssc.support_set(&Pattern::new(db.pattern_from_str("AC").unwrap()));
-    assert_zero_alloc("sharded per-node growth fan", 100, || {
-        for &event in &events {
-            ssc.instance_growth_into(&sharded_base, event, usize::MAX, &mut grown);
-        }
-    });
-
-    // 6. The closure check (Theorems 4 and 5): the per-sequence instance
+    // 5. The closure check (Theorems 4 and 5): the per-sequence instance
     //    counts, the viable events and the extension chain all live in the
     //    warm scratch — on a pattern with an interior run (`ADDA`), one with
     //    a trailing run (`ACDD`, grown once as an append) and one the
@@ -206,7 +173,7 @@ fn steady_state_growth_allocates_nothing() {
         });
     }
 
-    // 7. The sibling sweep of a closed scan's child pass: at nodes where the
+    // 6. The sibling sweep of a closed scan's child pass: at nodes where the
     //    cost rule picks it (short rows over many events), the run set, the
     //    one-pass count of every child's support, and the growth of the
     //    children that clear the threshold all reuse warm buffers.

@@ -26,10 +26,7 @@
 //! `4·total + 4·(rows + 1) + 4·ids + 8·(events + 1)` bytes — linear in the
 //! data, never in sequences × alphabet.
 //!
-//! Sequence ids are global: one index covers the whole corpus, and a
-//! [`ShardMap`](crate::ShardMap) range of it is a slice of a dense event's
-//! rows or a `partition_point` over a sparse one's ids
-//! ([`InvertedIndex::sequences_with_event_in`]).
+//! Sequence ids are global: one index covers the whole corpus.
 //!
 //! Growth passes fix the event and walk sequences in ascending order, so
 //! they resolve rows through a forward-only handle
@@ -108,9 +105,9 @@ pub struct InvertedIndex {
     num_sequences: usize,
 }
 
-/// The name the index had when each shard kept one of its own; the
-/// `perfbench` harness still spells it, so it stays as an alias of the one
-/// index.
+/// A perfbench shim: the benchmark harness still spells the index by the
+/// name it had when the corpus could be split, so the name stays as an
+/// alias of the one index until the harness changes.
 pub type ShardedIndex = InvertedIndex;
 
 /// The resolved rows of one event inside one index: what a row lookup
@@ -168,22 +165,9 @@ impl<'a> EventView<'a> {
         self.bounds.len().saturating_sub(1)
     }
 
-    /// The rows of the sequences in `seqs`: a slice of a dense event's
-    /// rows, or the ids between two partition points of a sparse one.
-    fn row_range(&self, seqs: Range<usize>) -> Range<usize> {
-        if self.ids.is_empty() {
-            let rows = self.num_rows();
-            seqs.start.min(rows)..seqs.end.min(rows)
-        } else {
-            let at = |seq: usize| self.ids.partition_point(|&id| u32_to_usize(id) < seq);
-            at(seqs.start)..at(seqs.end)
-        }
-    }
-
-    /// The non-empty rows of the sequences in `seqs`, with their sequence
-    /// ids, ascending.
-    fn rows_in(self, seqs: Range<usize>) -> impl Iterator<Item = (usize, &'a [u32])> {
-        self.row_range(seqs).filter_map(move |r| {
+    /// The non-empty rows, with their sequence ids, ascending.
+    fn rows(self) -> impl Iterator<Item = (usize, &'a [u32])> {
+        (0..self.num_rows()).filter_map(move |r| {
             let seq = if self.ids.is_empty() {
                 r
             } else {
@@ -455,7 +439,7 @@ impl InvertedIndex {
             if view.is_dense() {
                 // Dense: exactly one row per sequence, and the event occurs
                 // in enough of them to earn it.
-                let containing = view.rows_in(0..num_sequences).count();
+                let containing = view.rows().count();
                 if rows != num_sequences || !dense_rule(containing, num_sequences) {
                     return Err(format!(
                         "index event {e} is stored dense with {rows} rows but occurs in \
@@ -640,7 +624,7 @@ impl InvertedIndex {
     pub fn sequence_count(&self, event: EventId) -> usize {
         let view = self.view(event);
         if view.ids.is_empty() {
-            view.rows_in(0..self.num_sequences).count()
+            view.rows().count()
         } else {
             view.ids.len()
         }
@@ -652,20 +636,7 @@ impl InvertedIndex {
         &self,
         event: EventId,
     ) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        self.sequences_with_event_in(event, 0..self.num_sequences)
-    }
-
-    /// [`Self::sequences_with_event`] restricted to the sequences in `seqs`
-    /// — one [`ShardMap`](crate::ShardMap) range. Finding the range is a
-    /// slice of a dense event's rows or two `partition_point`s over a
-    /// sparse one's ids; ranges of a partition concatenated in order are
-    /// exactly the whole iteration.
-    pub fn sequences_with_event_in(
-        &self,
-        event: EventId,
-        seqs: Range<usize>,
-    ) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        self.view(event).rows_in(seqs)
+        self.view(event).rows()
     }
 
     /// A forward-only row handle for `event`: [`EventRows::row`] resolves
@@ -694,26 +665,6 @@ impl InvertedIndex {
             .iter()
             .map(|column| std::mem::size_of_val(*column))
             .sum()
-    }
-
-    /// Bytes of the rows, ids and positions that belong to the sequences in
-    /// `seqs`. Summed over the ranges of a partition this is
-    /// [`Self::heap_bytes`] minus the parts no range owns: the two
-    /// directories and the row-offsets sentinel.
-    pub fn range_bytes(&self, seqs: Range<usize>) -> usize {
-        let words: usize = (0..self.num_events)
-            .map(|e| {
-                let view = self.view(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
-                let rows = view.row_range(seqs.clone());
-                let positions = match (view.bounds.get(rows.start), view.bounds.get(rows.end)) {
-                    (Some(&start), Some(&end)) => u32_to_usize(end - start),
-                    _ => 0,
-                };
-                let ids = if view.ids.is_empty() { 0 } else { rows.len() };
-                rows.len() + ids + positions
-            })
-            .sum();
-        words * std::mem::size_of::<u32>()
     }
 }
 
@@ -1209,19 +1160,6 @@ mod tests {
         assert!((0..2 * RUN_SET_SPAN).all(|seq| wide.admits(seq)));
         let empty = RunSet::of(std::iter::empty());
         assert!(empty.admits(0) && empty.admits(7));
-    }
-
-    #[test]
-    fn range_bytes_split_the_index_with_the_directories_left_over() {
-        let db = running_example();
-        let index = db.inverted_index();
-        let n = db.num_sequences();
-        let whole = index.range_bytes(0..n);
-        // Directories (8 bytes per event + 8) and the row-offsets sentinel.
-        assert_eq!(index.heap_bytes() - whole, 8 * (db.num_events() + 1) + 4);
-        for cut in 0..=n {
-            assert_eq!(index.range_bytes(0..cut) + index.range_bytes(cut..n), whole);
-        }
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //!   forward-only for a growth pass through [`EventRows`],
 //! * [`simd`] — the vector extensions the build targets
 //!   ([`simd::detected_features`]), reported beside throughput numbers,
-//! * [`ShardMap`] — the [`shard`] layer: the corpus split at sequence
-//!   boundaries (chosen by event mass) into ranges of the one store and
-//!   the one index, the work units of parallel mining,
 //! * [`SharedSlice`] — the owned-or-mapped buffer backing every columnar
 //!   arena, so the same read path serves in-memory builds and zero-copy
 //!   snapshot loads,
@@ -102,7 +99,6 @@ pub mod database;
 pub mod index;
 pub mod io;
 pub mod sequence;
-pub mod shard;
 pub mod shared;
 pub mod simd;
 pub mod snapshot;
@@ -114,7 +110,6 @@ pub use catalog::{EventCatalog, EventId};
 pub use database::{DatabaseBuilder, SequenceDatabase};
 pub use index::{EventRows, IndexColumns, InvertedIndex, PostingCursor, RunSet, ShardedIndex};
 pub use sequence::Sequence;
-pub use shard::ShardMap;
 pub use shared::SharedSlice;
 pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};
 pub use stats::DatabaseStats;

@@ -3,23 +3,22 @@
 //!
 //! A prepared database is a handful of contiguous arrays (the
 //! [`crate::SeqStore`] event arena and CSR offsets, the five columns of the
-//! event-major [`crate::InvertedIndex`], the per-event counts, the catalog,
-//! the [`crate::ShardMap`] boundaries). This module serializes those arrays
+//! event-major [`crate::InvertedIndex`], the per-event counts, the
+//! catalog). This module serializes those arrays
 //! into **one file** and maps them back as borrowed slices, so a cold start
 //! is an `mmap` plus one checksum scan instead of re-tokenizing and
 //! re-indexing the corpus. `ARCHITECTURE.md` at the repository root walks
 //! the format byte by byte.
 //!
-//! # File layout (version 5)
+//! # File layout (version 6)
 //!
-//! An image carries the global sections, a [`section_id::SHARD_TABLE`] of
-//! sequence ranges, and one set of index columns at the fixed ids
-//! [`section_id::INDEX_COLUMNS`]: the index covers the whole corpus, and a
-//! range of it needs no section of its own. [`section_id::STORE_EVENTS`]
+//! An image carries the global sections and one set of index columns at
+//! the fixed ids [`section_id::INDEX_COLUMNS`], covering the whole corpus.
+//! [`section_id::STORE_EVENTS`]
 //! is **width-tagged**: it carries 2-byte elements (a narrow `u16` arena)
 //! when the alphabet fits and 4-byte ones otherwise — the per-section
 //! `elem_size` field *is* the width tag, and the narrow arena maps back
-//! zero-copy. This build reads version 5 only: an older image is
+//! zero-copy. This build reads version 6 only: an older image is
 //! [`SnapshotError::Unsupported`] and is rebuilt in milliseconds with
 //! `rgs-mine snapshot build`. The composition rules live in
 //! `rgs-core::snapshot`.
@@ -28,7 +27,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  "RGS1SNAP"
-//!      8     4  format version (u32 LE) = 5
+//!      8     4  format version (u32 LE) = 6
 //!     12     4  endianness marker (u32 LE) = 0x0A0B_0C0D
 //!     16     8  file length in bytes (u64 LE)
 //!     24     8  FNV-1a 64 checksum (u64 LE) of every file byte EXCEPT
@@ -79,16 +78,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RGS1SNAP";
 
 /// The format version this build writes.
 ///
-/// Version 5 stores one event-major inverted index for the whole corpus
-/// (two directories, row offsets, sparse sequence ids and positions; see
-/// [`crate::InvertedIndex`]) in place of version 4's index and rebased
-/// store offsets per shard.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Version 6 is version 5 without its sequence-range table (section id 9,
+/// retired): one event-major inverted index for the whole corpus (two
+/// directories, row offsets, sparse sequence ids and positions; see
+/// [`crate::InvertedIndex`]) and nothing that splits it.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// The oldest format version this build reads — the current one: no code
 /// writes an older layout, and `rgs-mine snapshot build` regenerates an
 /// image from its corpus in milliseconds.
-pub const SNAPSHOT_VERSION_MIN: u32 = 5;
+pub const SNAPSHOT_VERSION_MIN: u32 = 6;
 
 /// Why an image stamped `version` cannot be read, or `None` when it can.
 /// Shared by [`SnapshotImage::open`] and the [`verify`] layer.
@@ -140,9 +139,8 @@ pub mod section_id {
     pub const EVENT_COUNTS: u32 = 7;
     /// The frequency-pruned candidate event order (`u32` event ids).
     pub const EVENT_ORDER: u32 = 8;
-    /// The [`ShardMap`](crate::ShardMap) boundaries (`u64`, one per range
-    /// plus a sentinel).
-    pub const SHARD_TABLE: u32 = 9;
+    // Id 9 held version 5's sequence-range table; it is retired, not
+    // reused.
     /// The index's per-event row directory (`u32`, `num_events + 1`).
     pub const INDEX_ROW_DIR: u32 = 10;
     /// The index's per-event sparse-id directory (`u32`, `num_events + 1`).
@@ -173,7 +171,6 @@ pub mod section_id {
             CATALOG => "catalog",
             EVENT_COUNTS => "event.counts",
             EVENT_ORDER => "event.order",
-            SHARD_TABLE => "shard.table",
             INDEX_ROW_DIR => "index.row_dir",
             INDEX_ID_DIR => "index.id_dir",
             INDEX_ROW_OFFSETS => "index.row_offsets",

@@ -1,7 +1,7 @@
 //! Deep static verification of snapshot images.
 //!
 //! [`verify_bytes`] proves (or refutes) every cross-section invariant of a
-//! format v5 prepared-database image **directly on the bytes** — no
+//! format v6 prepared-database image **directly on the bytes** — no
 //! `PreparedDb`, no `mmap`, no in-place reinterpretation — so it is safe to
 //! point at untrusted or suspect files. Unlike
 //! [`SnapshotImage::open`](super::SnapshotImage::open), which fails fast on
@@ -24,8 +24,8 @@
 //!   catalog bijectivity (label count = alphabet size, no duplicates,
 //!   valid UTF-8, no trailing bytes), per-event counts equal to an actual
 //!   recount of the arena, the candidate order exactly the occurring
-//!   events in id order, the shard table partitioning `0..num_sequences`
-//!   exactly, and the one event-major index: monotone directories, every
+//!   events in id order, and the one event-major index: monotone
+//!   directories, every
 //!   event dense or sparse exactly as [`dense_rule`] says, strictly
 //!   ascending in-range sparse ids, monotone row offsets ending at the
 //!   arena length, and strictly ascending 1-based rows whose every
@@ -42,6 +42,7 @@
 //! `PreparedDb::verify_invariants()` in `rgs-core` runs the same layout
 //! checks on live state.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -662,8 +663,7 @@ impl<'a> Verifier<'a> {
             }
         }
 
-        // The shard table, then the one index against the global arena.
-        self.check_shard_table(sections, meta);
+        // The one index against the global arena.
         self.check_index(
             sections,
             meta,
@@ -691,7 +691,8 @@ impl<'a> Verifier<'a> {
                 ),
             );
         }
-        let mut labels: Vec<&[u8]> = Vec::new();
+        // A set keeps the duplicate check linear in the alphabet.
+        let mut labels: HashSet<&[u8]> = HashSet::new();
         let mut cursor = 4usize;
         for i in 0..count {
             let Some(len) = u32_at(payload, cursor).map(u32_to_usize) else {
@@ -718,14 +719,13 @@ impl<'a> Verifier<'a> {
                     format!("catalog label {i} is not valid UTF-8"),
                 );
             }
-            if labels.contains(&label) {
+            if !labels.insert(label) {
                 self.layout(
                     &entry,
                     usize_to_u64(cursor),
                     format!("catalog label {i} is a duplicate (ids would renumber)"),
                 );
             }
-            labels.push(label);
             cursor += len;
         }
         if usize_to_u64(cursor) != entry.byte_len {
@@ -897,60 +897,6 @@ impl<'a> Verifier<'a> {
             }
         }
     }
-
-    /// Checks that the shard table partitions `0..num_sequences` exactly:
-    /// starts at 0, never decreases, ends at the sequence count.
-    fn check_shard_table(&mut self, sections: &[SectionEntry], meta: Meta) {
-        let Some(table_entry) = self.expect_section(sections, section_id::SHARD_TABLE, 8, None)
-        else {
-            return;
-        };
-        let table: Vec<u64> = {
-            let payload = self.payload(&table_entry);
-            (0..u64_to_usize(table_entry.count).unwrap_or(0))
-                .filter_map(|i| elem_u64(payload, i))
-                .collect()
-        };
-        if table.len() < 2 {
-            self.layout(
-                &table_entry,
-                0,
-                format!(
-                    "shard table holds {} boundaries, needs at least 2",
-                    table.len()
-                ),
-            );
-            return;
-        }
-        if table.first() != Some(&0) {
-            self.layout(
-                &table_entry,
-                0,
-                format!(
-                    "shard table starts at {}, not 0",
-                    table.first().copied().unwrap_or(0)
-                ),
-            );
-        }
-        if let Some(i) = (1..table.len()).find(|&i| table.get(i) < table.get(i - 1)) {
-            self.layout(
-                &table_entry,
-                usize_to_u64(i),
-                "shard table boundaries are not monotone".to_owned(),
-            );
-        }
-        if table.last() != Some(&usize_to_u64(meta.num_sequences)) {
-            self.layout(
-                &table_entry,
-                usize_to_u64(table.len() - 1),
-                format!(
-                    "shard table ends at {} but meta records {} sequences",
-                    table.last().copied().unwrap_or(0),
-                    meta.num_sequences
-                ),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -971,11 +917,11 @@ mod tests {
         ))
     }
 
-    /// Hand-composes a valid single-range v5 prepared image (mirrors the
+    /// Hand-composes a valid v6 prepared image (mirrors the
     /// composition in `rgs-core`, which this crate cannot depend on), with
     /// a narrow (`u16`) or wide (`u32`) event arena. `E` occurs in one of
     /// three sequences, so the index holds sparse and dense events.
-    fn v5_image_bytes(narrow: bool) -> Vec<u8> {
+    fn v6_image_bytes(narrow: bool) -> Vec<u8> {
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
         let index = InvertedIndex::build(&db);
         assert!(index.dense_events() > 0 && index.dense_events() < db.num_events());
@@ -1002,7 +948,6 @@ mod tests {
         } else {
             SectionPayload::EventIds(&wide)
         };
-        let shard_table = [0u64, db.num_sequences() as u64];
         let path = temp_path(if narrow {
             "compose-narrow"
         } else {
@@ -1018,15 +963,14 @@ mod tests {
             )
             .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
             .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-            .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order))
-            .section(section_id::SHARD_TABLE, SectionPayload::U64s(&shard_table));
+            .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
         for (id, column) in section_id::INDEX_COLUMNS
             .into_iter()
             .zip(index.columns().as_slices())
         {
             writer.section(id, SectionPayload::U32s(column));
         }
-        writer.write_to_path(&path).expect("write v5");
+        writer.write_to_path(&path).expect("write v6");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::remove_file(&path).ok();
         bytes
@@ -1040,38 +984,41 @@ mod tests {
 
     #[test]
     fn a_narrow_v5_image_verifies_clean() {
-        let bytes = v5_image_bytes(true);
+        let bytes = v6_image_bytes(true);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(5));
+        assert_eq!(report.version, Some(6));
     }
 
     #[test]
     fn a_pre_v4_header_is_unsupported_and_names_the_rebuild() {
-        let mut bytes = v5_image_bytes(true);
-        // Downgrade the header version to 3 and re-seal: the sections stay
-        // intact, but this build reads format 5 only.
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        reseal(&mut bytes);
-        let report = verify_bytes(&bytes);
-        assert_eq!(report.version, Some(3));
-        assert!(
-            report.has(ViolationKind::Structure),
-            "{:#?}",
-            report.violations
-        );
-        assert!(!report.has(ViolationKind::Checksum));
-        let rendered = report.violations[0].to_string();
-        assert!(rendered.contains("rgs-mine snapshot build"), "{rendered}");
+        // Downgrade the header version and re-seal: the sections stay
+        // intact, but this build reads format 6 only — v5 (the last format
+        // with a sequence-range table) included.
+        for version in [3u32, 5] {
+            let mut bytes = v6_image_bytes(true);
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            reseal(&mut bytes);
+            let report = verify_bytes(&bytes);
+            assert_eq!(report.version, Some(version));
+            assert!(
+                report.has(ViolationKind::Structure),
+                "v{version}: {:#?}",
+                report.violations
+            );
+            assert!(!report.has(ViolationKind::Checksum));
+            let rendered = report.violations[0].to_string();
+            assert!(rendered.contains("rgs-mine snapshot build"), "{rendered}");
+        }
     }
 
     #[test]
     fn a_valid_wide_v5_image_verifies_clean() {
-        let bytes = v5_image_bytes(false);
+        let bytes = v6_image_bytes(false);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(5));
-        assert_eq!(report.section_count, 12);
+        assert_eq!(report.version, Some(6));
+        assert_eq!(report.section_count, 11);
     }
 
     /// Overwrites element `elem` of the `u32` section `id` and re-seals.
@@ -1090,7 +1037,7 @@ mod tests {
     fn each_v5_index_invariant_is_a_layout_violation() {
         // Fixture index: events A..D dense (rows 0..12, three per event), E
         // sparse (row 12, id 2); row_offsets[3..=6] delimit B's rows.
-        let pristine = v5_image_bytes(false);
+        let pristine = v6_image_bytes(false);
         let [row_dir, id_dir, row_offsets, ids, positions] = section_id::INDEX_COLUMNS;
         let cases: [(&str, u32, usize, u32, &str); 7] = [
             ("row directory out of order", row_dir, 1, 99, "monotone"),
@@ -1141,7 +1088,7 @@ mod tests {
 
     #[test]
     fn a_bit_flip_in_a_payload_is_caught_by_the_checksum() {
-        let mut bytes = v5_image_bytes(false);
+        let mut bytes = v6_image_bytes(false);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let report = verify_bytes(&bytes);
@@ -1151,7 +1098,7 @@ mod tests {
 
     #[test]
     fn a_resealed_layout_mutation_is_distinguished_from_bit_rot() {
-        let mut bytes = v5_image_bytes(false);
+        let mut bytes = v6_image_bytes(false);
         // Patch the meta event count (element 1) to a nonsense value and
         // re-seal the checksum: structurally valid, semantically broken.
         let report_clean = verify_bytes(&bytes);
@@ -1178,7 +1125,7 @@ mod tests {
 
     #[test]
     fn checksum_only_breakage_is_classified_as_bit_rot() {
-        let mut bytes = v5_image_bytes(false);
+        let mut bytes = v6_image_bytes(false);
         // Corrupt the checksum field itself: every section stays intact.
         bytes[24] ^= 0xFF;
         let report = verify_bytes(&bytes);
@@ -1187,7 +1134,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_inputs_never_panic() {
-        let bytes = v5_image_bytes(false);
+        let bytes = v6_image_bytes(false);
         for len in 0..bytes.len().min(256) {
             let report = verify_bytes(&bytes[..len]);
             assert!(!report.is_clean(), "prefix of {len} bytes verified clean");
@@ -1199,7 +1146,7 @@ mod tests {
 
     #[test]
     fn violations_carry_section_and_byte_offsets() {
-        let mut bytes = v5_image_bytes(false);
+        let mut bytes = v6_image_bytes(false);
         bytes[16] ^= 0x01; // recorded file length
         let report = verify_bytes(&bytes);
         let length_violation = report

@@ -43,11 +43,6 @@ pub struct DatabaseStats {
     /// `store_bytes_wide - store_bytes` is the narrow-column saving the
     /// stats CLI prints.
     pub store_bytes_wide: usize,
-    /// Number of sequence ranges the database is split into (1 for a flat
-    /// database; [`DatabaseStats::compute`] always reports 1 — callers
-    /// holding a [`ShardMap`](crate::ShardMap) fill it via
-    /// [`DatabaseStats::with_shards`]).
-    pub num_shards: usize,
 }
 
 impl DatabaseStats {
@@ -93,15 +88,7 @@ impl DatabaseStats {
             store_bytes: db.store().heap_bytes(),
             event_elem_bytes: db.store().element_bytes(),
             store_bytes_wide: total_length * 4 + (num_sequences + 1) * 4,
-            num_shards: 1,
         }
-    }
-
-    /// Marks the statistics as describing a store partitioned into
-    /// `num_shards` shards (clamped to at least 1).
-    pub fn with_shards(mut self, num_shards: usize) -> Self {
-        self.num_shards = num_shards.max(1);
-        self
     }
 
     /// Renders the statistics as a short single-line summary.

@@ -5,7 +5,7 @@
 //! (compressed sparse row) offsets table marks where each sequence begins
 //! and ends. A sequence is therefore just a slice into the arena — no
 //! per-sequence heap allocation, no pointer chasing, and the whole store is
-//! trivially mmap- and slice-shardable.
+//! trivially mmap-able.
 //!
 //! The arena itself is an [`EventColumn`]: physically `u16` elements when
 //! the alphabet fits (the paper's workloads all do — Gazelle ~1.4k items,

@@ -465,7 +465,7 @@ fn index_reconstruction_validates_csr_invariants() {
     );
 
     // Sparse ids (five sequences, one event in two of them): strictly
-    // ascending, inside the shard, and each naming a non-empty row.
+    // ascending, inside the store, and each naming a non-empty row.
     let sparse =
         |ids: &[u32], row_offsets: &[u32]| columns(&[0, 2], &[0, 2], row_offsets, ids, &[1, 1]);
     assert!(InvertedIndex::from_shared_parts(sparse(&[1, 3], &[0, 1, 2]), 5, 1).is_ok());

@@ -127,7 +127,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         "serve needs --snapshot IMG (build one with `rgs-mine snapshot build`)".to_owned()
     })?;
     let prepared = boot_snapshot(&snapshot)?;
-    let stats = prepared.stats();
+    let stats = prepared.database().stats();
     let server = Server::start(prepared, addr.as_str(), config)
         .map_err(|err| format!("cannot bind {addr}: {err}"))?;
     println!(

@@ -108,7 +108,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let db_stats = prepared.stats();
+        let db_stats = prepared.database().stats();
         let context = Arc::new(ServeContext {
             prepared,
             queue: AdmissionQueue::new(config.queue_capacity),

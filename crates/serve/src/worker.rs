@@ -309,16 +309,14 @@ fn stats_body(ctx: &ServeContext) -> String {
     let db = &ctx.db_stats;
     out.push_str(&format!(
         "\"database\":{{\"num_sequences\":{},\"num_events\":{},\"total_length\":{},\
-         \"min_length\":{},\"max_length\":{},\"avg_length\":{:.3},\"store_bytes\":{},\
-         \"num_shards\":{}}}",
+         \"min_length\":{},\"max_length\":{},\"avg_length\":{:.3},\"store_bytes\":{}}}",
         db.num_sequences,
         db.num_events,
         db.total_length,
         db.min_length,
         db.max_length,
         db.avg_length,
-        db.store_bytes,
-        db.num_shards
+        db.store_bytes
     ));
 
     out.push('}');

@@ -17,7 +17,7 @@
 //!   bit-identical to it, and it runs on CPUs without the instruction set.
 //! * **panic-free hot paths** — the zero-alloc mining loops
 //!   (`core/src/{support,instbuf,closure,growth,kernel}.rs`,
-//!   `seqdb/src/{store,index,shard,simd}.rs`), the crate's one DFS driver
+//!   `seqdb/src/{store,index,simd}.rs`), the crate's one DFS driver
 //!   (`core/src/batch.rs`), and the serving request
 //!   path (`serve/src/{worker,cache}.rs` — a panicking worker thread
 //!   would silently shrink the pool) may not use `.unwrap()`,
@@ -25,7 +25,7 @@
 //!   `assert!`/`debug_assert!` bodies are exempt: asserts are documented
 //!   invariants, not accidental panics.
 //! * **cast** — the CSR offset/length math in
-//!   `seqdb/src/{store,index,shard,snapshot,snapshot_verify}.rs` may not
+//!   `seqdb/src/{store,width,index,snapshot,snapshot_verify}.rs` may not
 //!   use lossy `as` casts; the checked helpers in `seqdb::cast` (or
 //!   widening `as u64`) are required.
 //!
@@ -43,7 +43,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The hot-path modules whose loops must be panic-free (repo-relative).
-const HOT_PATH_FILES: [&str; 12] = [
+const HOT_PATH_FILES: [&str; 11] = [
     "crates/core/src/support.rs",
     "crates/core/src/instbuf.rs",
     "crates/core/src/closure.rs",
@@ -52,7 +52,6 @@ const HOT_PATH_FILES: [&str; 12] = [
     "crates/core/src/batch.rs",
     "crates/seqdb/src/store.rs",
     "crates/seqdb/src/index.rs",
-    "crates/seqdb/src/shard.rs",
     "crates/seqdb/src/simd.rs",
     "crates/serve/src/worker.rs",
     "crates/serve/src/cache.rs",
@@ -60,11 +59,10 @@ const HOT_PATH_FILES: [&str; 12] = [
 
 /// The files whose offset/length math must use the checked `seqdb::cast`
 /// helpers instead of lossy `as` casts (repo-relative).
-const CAST_CHECKED_FILES: [&str; 6] = [
+const CAST_CHECKED_FILES: [&str; 5] = [
     "crates/seqdb/src/store.rs",
     "crates/seqdb/src/width.rs",
     "crates/seqdb/src/index.rs",
-    "crates/seqdb/src/shard.rs",
     "crates/seqdb/src/snapshot.rs",
     "crates/seqdb/src/snapshot_verify.rs",
 ];

@@ -52,13 +52,6 @@
 //!     .run();
 //! assert_eq!(closed.patterns, parallel.patterns);
 //!
-//! // ...and so is a sharded preparation (sequence-boundary ranges of the
-//! // one index, the work units of parallel runs):
-//! let sharded = PreparedDb::new_sharded(&db, 2);
-//! assert_eq!(sharded.shard_count(), 2);
-//! let from_shards = sharded.miner().min_sup(2).mode(Mode::Closed).threads(4).run();
-//! assert_eq!(closed.patterns, from_shards.patterns);
-//!
 //! // Pull-based consumption composes with iterator adapters:
 //! let session = prepared.miner().min_sup(2).mode(Mode::All).session();
 //! let first = session.stream().next().expect("at least one pattern");
@@ -102,7 +95,6 @@ pub use synthgen;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use rgs_core::ShardFootprint;
     pub use rgs_core::{
         constrained_support, instance_growth, postprocess, repetitive_support, support_set,
         BudgetSink, CollectSink, CountSink, DeadlineSink, ExecutionPolicy, GapConstraints,
@@ -115,6 +107,6 @@ pub mod prelude {
     };
     pub use seqdb::{
         DatabaseBuilder, EventCatalog, EventId, InvertedIndex, Sequence, SequenceDatabase,
-        ShardMap, SnapshotError,
+        SnapshotError,
     };
 }
