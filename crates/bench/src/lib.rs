@@ -14,13 +14,14 @@
 //! * [`report`] — small table/markdown/JSON reporting utilities,
 //! * [`experiments`] — one function per experiment, returning a
 //!   [`report::ExperimentReport`],
-//! * [`prepared_bench`] — the engine-level benchmarks behind the
-//!   `BENCH_*.json` entries at the repository root: parallel and
-//!   prepared-reuse speedups (`BENCH_prepared_engine.json`), columnar
-//!   storage measurements (`BENCH_columnar_store.json`), and the snapshot
-//!   cold-start comparison — build-from-text vs zero-copy open
-//!   (`BENCH_snapshot.json`) — all runnable via
+//! * [`prepared_bench`] — the growth-kernel and batch-engine suites behind
+//!   `BENCH_growth_kernel.json` and `BENCH_batch.json` at the repository
+//!   root, with the regression floors CI checks, runnable via
 //!   `cargo run --release -p rgs-bench --bin prepared_bench`.
+//!
+//! End-to-end timings, footprints and cold starts are measured by the
+//! repository benchmark in `perfbench/`, which builds its corpora from
+//! [`datasets`] and checks every answer against pinned ones.
 //!
 //! Absolute runtimes are hardware-dependent; what the harness is expected to
 //! reproduce is the *shape* of every figure: the closed miner reports far
@@ -29,33 +30,33 @@
 //! the average sequence length, and the case study recovers the long
 //! end-to-end behaviour plus the lock→unlock micro-pattern.
 //!
-//! # Example — render a cold-start report entry
+//! # Example — check a batch report against its floor
 //!
 //! Dataset generation and mining are too heavy for a doctest (the real
 //! runs live behind the `prepared_bench` binary); the report types are
-//! plain data and render hand-rolled JSON:
+//! plain data, render hand-rolled JSON, and carry their own floor check:
 //!
 //! ```
-//! use rgs_bench::prepared_bench::{SnapshotReport, SnapshotWorkload};
+//! use rgs_bench::prepared_bench::{check_batch_floor, BatchReport, BatchWorkload};
 //!
-//! let report = SnapshotReport {
+//! let report = BatchReport {
 //!     scale: "dev".into(),
-//!     workloads: vec![SnapshotWorkload {
+//!     baseline: "the same requests mined one-by-one".into(),
+//!     workloads: vec![BatchWorkload {
 //!         dataset: "QUEST C10T8S8I8: 2000 sequences".into(),
-//!         min_sup: 20,
-//!         build_from_text_seconds: 0.031,
-//!         write_seconds: 0.002,
-//!         open_snapshot_seconds: 0.0004,
-//!         cold_start_speedup: 77.5,
-//!         snapshot_bytes: 250_432,
-//!         heap_bytes: 248_120,
-//!         mmap: true,
-//!         roundtrip_identical: true,
+//!         requests: 5,
+//!         min_sups: vec![40, 30, 20, 15, 10],
+//!         one_by_one_seconds: 0.50,
+//!         batched_seconds: 0.20,
+//!         batch_speedup: 2.5,
+//!         output_identical: true,
 //!     }],
 //! };
 //! let json = report.to_json();
-//! assert!(json.contains("\"benchmark\": \"snapshot_cold_start\""));
+//! assert!(json.contains("\"benchmark\": \"batch_engine\""));
 //! assert_eq!(json.matches('{').count(), json.matches('}').count());
+//! assert!(check_batch_floor(&report, 1.2).is_ok());
+//! assert!(check_batch_floor(&report, 3.0).is_err());
 //! ```
 
 #![forbid(unsafe_code)]

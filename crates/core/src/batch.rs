@@ -460,7 +460,6 @@ enum RankedFilter {
     AsIs,
     Closed,
     Maximal,
-    ClosedThenMaximal,
 }
 
 /// What happens to a basis member's collected patterns at finish time.
@@ -517,11 +516,12 @@ fn member_shape<'f>(request: &MiningRequest, floor: Option<&'f AtomicU64>) -> Sh
                 floor,
             };
         }
-        let filter = match (request.base_mode(), unbounded) {
-            (Mode::All, _) => RankedFilter::AsIs,
-            (Mode::Closed | Mode::TopK, _) => RankedFilter::Closed,
-            (Mode::Maximal, true) => RankedFilter::Maximal,
-            (Mode::Maximal, false) => RankedFilter::ClosedThenMaximal,
+        let filter = match request.base_mode() {
+            Mode::All => RankedFilter::AsIs,
+            Mode::Closed | Mode::TopK => RankedFilter::Closed,
+            // Constrained too: a pattern with no proper super-pattern in
+            // the basis is also closed in it, so no closed filter is needed.
+            Mode::Maximal => RankedFilter::Maximal,
         };
         return basis(BasisFinish::Ranked { k, filter });
     }
@@ -795,9 +795,6 @@ impl<'f, O: Output> Member<'f, O> {
                             RankedFilter::AsIs => collected,
                             RankedFilter::Closed => closed_subset(&collected),
                             RankedFilter::Maximal => maximal_subset(&collected),
-                            RankedFilter::ClosedThenMaximal => {
-                                maximal_subset(&closed_subset(&collected))
-                            }
                         };
                         patterns.retain(|mp| mp.pattern.len() >= self.min_len);
                         sort_patterns_for_report(&mut patterns);

@@ -284,90 +284,6 @@ impl PreparedDb {
         self.db.store().heap_bytes() + self.parts.index.heap_bytes()
     }
 
-    /// Proves the cross-component invariants of this live snapshot — the
-    /// same composition rules `seqdb::snapshot::verify` checks statically on
-    /// an image file: store/catalog dimension agreement, every arena event
-    /// inside the alphabet, the index covering the database, occurrence
-    /// counts equal to an actual recount, and the candidate order being
-    /// exactly the occurring events in catalog order.
-    ///
-    /// Returns every violated invariant as a human-readable message;
-    /// `Ok(())` means the snapshot is internally consistent. This is a
-    /// debugging/auditing aid (O(total events)), not a query-path check.
-    pub fn verify_invariants(&self) -> Result<(), Vec<String>> {
-        let mut violations = Vec::new();
-        let num_events = self.db.num_events();
-        let num_sequences = self.db.num_sequences();
-        let total_length = self.db.total_length();
-        let store = self.db.store();
-
-        if self.catalog().len() != num_events {
-            violations.push(format!(
-                "catalog holds {} labels but the database records {num_events} events",
-                self.catalog().len()
-            ));
-        }
-        if store.num_sequences() != num_sequences || store.total_length() != total_length {
-            violations.push(format!(
-                "store dimensions {}x{} disagree with the database {num_sequences}x{total_length}",
-                store.num_sequences(),
-                store.total_length()
-            ));
-        }
-        if let Some((i, event)) = store
-            .event_column()
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.index() >= num_events)
-        {
-            violations.push(format!(
-                "arena element {i} references event {} outside the {num_events}-event alphabet",
-                event.index()
-            ));
-        }
-
-        // The index covers the database.
-        let index = &self.parts.index;
-        if index.num_sequences() != num_sequences || index.num_events() != num_events {
-            violations.push(format!(
-                "index covers {}x{} sequences x events, database has \
-                 {num_sequences}x{num_events}",
-                index.num_sequences(),
-                index.num_events()
-            ));
-        }
-
-        // Counts and candidate order against an actual recount of the arena.
-        let mut histogram = vec![0u64; num_events];
-        for event in store.event_column().iter() {
-            if let Some(slot) = histogram.get_mut(event.index()) {
-                *slot += 1;
-            }
-        }
-        if self.parts.occurrence_counts.as_slice() != histogram.as_slice() {
-            violations.push("occurrence counts disagree with an arena recount".to_owned());
-        }
-        let expected_order: Vec<EventId> = self
-            .catalog()
-            .ids()
-            .filter(|e| histogram.get(e.index()).copied().unwrap_or(0) > 0)
-            .collect();
-        if self.parts.event_order.as_slice() != expected_order.as_slice() {
-            violations
-                .push("candidate order is not the occurring events in catalog order".to_owned());
-        }
-        let index_counts = self.parts.index.total_counts();
-        if index_counts != histogram {
-            violations.push("index posting-list totals disagree with an arena recount".to_owned());
-        }
-
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(violations)
-        }
-    }
-
     /// Starts a [`Miner`] builder executing against this snapshot.
     pub fn miner(&self) -> Miner<'_> {
         Miner::from_prepared(self)
@@ -464,12 +380,6 @@ mod tests {
         let ghost = db.catalog().id("GHOST").unwrap();
         assert!(!prepared.frequent_events(1).contains(&ghost));
         assert_eq!(prepared.frequent_events(1).len(), 2);
-    }
-
-    #[test]
-    fn live_invariants_hold_for_a_fresh_preparation() {
-        let db = running_example();
-        assert_eq!(PreparedDb::new(&db).verify_invariants(), Ok(()));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! Mining and feature extraction both run against one [`PreparedDb`]
 //! snapshot of the training database, prepared exactly once per training
 //! split. [`sweep_min_sup`] and [`cross_validate_pipeline`] hoist that
-//! snapshot across threshold sweeps and cross-validation folds — the
-//! prepared-reuse win is measured by the bench harness
-//! (`BENCH_prepared_engine.json`).
+//! snapshot across threshold sweeps and cross-validation folds.
 
 use rgs_core::{MiningOutcome, MiningRequest, Mode, Pattern, PreparedDb};
 

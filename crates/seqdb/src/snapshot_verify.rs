@@ -38,9 +38,9 @@
 //!
 //! The three kinds are reported separately so callers can distinguish a
 //! structurally-valid-but-bit-flipped image (checksum only) from genuine
-//! layout corruption. `rgs-mine snapshot verify IMG` is the CLI front end;
-//! `PreparedDb::verify_invariants()` in `rgs-core` runs the same layout
-//! checks on live state.
+//! layout corruption. `rgs-mine snapshot verify IMG` is the CLI front end,
+//! and `rgs-serve` runs this check on every image it boots. It is the one
+//! deep check: there is no separate pass over a live preparation.
 
 use std::collections::HashSet;
 use std::fmt;

@@ -35,14 +35,12 @@
 //! | `GET /healthz` | — | liveness + snapshot identity |
 //!
 //! See `ARCHITECTURE.md` (Layer 5) for the request lifecycle and the
-//! `rgs-serve` binary for the CLI entry points (`serve`, `query`,
-//! `loadgen`).
+//! `rgs-serve` binary for the CLI entry points (`serve` and `query`).
 
 pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod server;

@@ -6,24 +6,20 @@
 //!                   [--timeout-ms MS] [--read-timeout-ms MS] [--max-batch N]
 //! rgs-serve query   --addr HOST:PORT [--body JSON] [--stats] [--healthz]
 //!                   [--timeout-ms MS]
-//! rgs-serve loadgen [--scale dev|paper] [--out PATH] [--threads N]
-//!                   [--hot-requests N]
 //! ```
 //!
 //! `serve` verifies the snapshot image, opens it zero-copy, and serves
 //! `POST /mine` / `GET /stats` / `GET /healthz` until the process is
 //! killed. `query` is a tiny client for scripting and smoke tests: it
-//! sends one request and prints the JSON response body. `loadgen` boots
-//! throwaway servers over the benchmark synthetics and writes
-//! `BENCH_serve.json` (QPS, p50/p99 per phase).
+//! sends one request and prints the JSON response body. Served throughput
+//! and latency are measured by the repository benchmark's `serve-mix`
+//! workload (`perfbench/`), which also checks every served answer.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use rgs_bench::datasets::Scale;
-use rgs_serve::loadgen::{self, LoadgenConfig};
 use rgs_serve::{boot_snapshot, client, ServeConfig, Server};
 
 fn main() -> ExitCode {
@@ -41,7 +37,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("serve") => serve(&args[1..]),
         Some("query") => query(&args[1..]),
-        Some("loadgen") => run_loadgen(&args[1..]),
         Some("--help" | "-h") | None => {
             print_usage();
             Ok(ExitCode::SUCCESS)
@@ -49,9 +44,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // Bare `rgs-serve --snapshot …` serves, matching the issue's
         // quickstart spelling.
         Some(flag) if flag.starts_with("--") => serve(args),
-        Some(other) => Err(format!(
-            "unknown subcommand {other:?}; one of serve, query, loadgen"
-        )),
+        Some(other) => Err(format!("unknown subcommand {other:?}; one of serve, query")),
     }
 }
 
@@ -62,8 +55,7 @@ fn print_usage() {
          rgs-serve serve   --snapshot IMG [--addr HOST:PORT] [--port P]\n                    \
          [--workers N] [--queue N] [--cache N]\n                    \
          [--timeout-ms MS] [--read-timeout-ms MS] [--max-batch N]\n  \
-         rgs-serve query   --addr HOST:PORT [--body JSON] [--stats] [--healthz]\n  \
-         rgs-serve loadgen [--scale dev|paper] [--out PATH] [--threads N]\n\n\
+         rgs-serve query   --addr HOST:PORT [--body JSON] [--stats] [--healthz]\n\n\
          Endpoints: POST /mine, GET /stats, GET /healthz.\n\
          Build an image first: rgs-mine snapshot build --input FILE --out IMG"
     );
@@ -189,51 +181,6 @@ fn query(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("rgs-serve: server answered {}", response.status);
         Ok(ExitCode::FAILURE)
     }
-}
-
-fn run_loadgen(args: &[String]) -> Result<ExitCode, String> {
-    let mut config = LoadgenConfig::default();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let next_value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match args[i].as_str() {
-            "--scale" => {
-                let value = next_value(&mut i)?;
-                config.scale = Scale::parse(&value)
-                    .ok_or_else(|| format!("unknown scale {value:?}; dev or paper"))?;
-            }
-            "--out" => config.out = PathBuf::from(next_value(&mut i)?),
-            "--threads" => {
-                config.client_threads = next_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "threads must be an integer".to_owned())?;
-            }
-            "--hot-requests" => {
-                config.hot_requests_per_thread = next_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "hot-requests must be an integer".to_owned())?;
-            }
-            other => return Err(format!("unknown flag {other:?} for loadgen")),
-        }
-        i += 1;
-    }
-
-    eprintln!(
-        "rgs-serve loadgen: scale {:?}, {} client threads -> {}",
-        config.scale,
-        config.client_threads,
-        config.out.display()
-    );
-    let json = loadgen::run(&config).map_err(|err| format!("loadgen failed: {err}"))?;
-    println!("{json}");
-    Ok(ExitCode::SUCCESS)
 }
 
 fn resolve(addr: &str) -> Result<SocketAddr, String> {

@@ -62,8 +62,15 @@ fn served_results_are_bit_identical_to_in_process_mining() {
     let addr = server.local_addr();
 
     let mut nonempty = 0usize;
+    let mut truncated = 0usize;
     for mode in ["all", "closed", "maximal", "top-k"] {
-        for constraints in ["", ",\"min_gap\":1,\"max_gap\":4,\"max_window\":20"] {
+        // The third variant adds a pattern budget, as load-test bodies
+        // carry one, so a capped answer is checked over the wire too.
+        for constraints in [
+            "",
+            ",\"min_gap\":1,\"max_gap\":4,\"max_window\":20",
+            ",\"max_gap\":4,\"max_window\":20,\"max_patterns\":40",
+        ] {
             // Unconstrained all-mode enumeration explodes combinatorially
             // on this corpus; cap the pattern length there (the bench
             // suite's "all-capped" workload does the same).
@@ -101,12 +108,16 @@ fn served_results_are_bit_identical_to_in_process_mining() {
             if !sink.patterns().is_empty() {
                 nonempty += 1;
             }
+            if envelope.get("truncated").and_then(Value::as_bool) == Some(true) {
+                truncated += 1;
+            }
         }
     }
     assert!(
         nonempty >= 6,
         "the corpus should yield patterns ({nonempty})"
     );
+    assert!(truncated >= 1, "a pattern budget should cut some answer");
 
     server.shutdown();
     let _ = std::fs::remove_file(path);
