@@ -68,6 +68,18 @@
 //! `t_min`, so it is never append-equal. `instance_growths` counts one
 //! growth per eligible candidate whichever path runs.
 //!
+//! The pass fills the node's child table ([`Child`]): every candidate's
+//! child support (exact from `t_min` up) and the set of each child that
+//! clears `t_min`. The table lives until the node closes. A followed child
+//! lends its set to the open path and gets it back when its own subtree
+//! closes; a child that no member follows keeps it in its slot. So while a
+//! node is open, the closure check of every descendant reads the
+//! ancestors' tables: the first link `P[..j] ◦ e` of each insertion chain
+//! is a child of the ancestor `P[..j]`, skipped when its support is below
+//! `sup(P)` and otherwise taken from the table instead of grown again. A
+//! node no member grows (a top-k member at its `max_len`) fills no table;
+//! checks read only strict ancestors' tables, which every path node has.
+//!
 //! # Why shared-floor top-k is sound (and why it is not shared)
 //!
 //! Top-k members keep *per-member* heaps and dynamic thresholds. Sharing a
@@ -95,7 +107,7 @@ use std::time::Instant;
 
 use seqdb::{EventId, RunSet};
 
-use crate::closure::{CheckScratch, ClosureChecker, ClosureStatus};
+use crate::closure::{CheckScratch, Child, ClosureChecker, ClosureStatus};
 use crate::constraints::GapConstraints;
 use crate::engine::{MiningReport, MiningRequest, Mode};
 use crate::growth::{SetPool, SupportComputer};
@@ -255,6 +267,18 @@ fn run_parallel(
 ) -> MiningReport {
     let mut member = Member::new(request, sink, None);
     let plan = Plan::new(prepared, kind, std::slice::from_mut(&mut member));
+    fan_out(prepared, request, &plan, member, threads)
+}
+
+/// Walks `plan`'s seed subtrees on `threads` workers and merges them into
+/// `member` (see [`run_parallel`]).
+fn fan_out<O: Output>(
+    prepared: PreparedRef<'_>,
+    request: &MiningRequest,
+    plan: &Plan,
+    mut member: Member<'_, O>,
+    threads: usize,
+) -> MiningReport {
     let eligible = member.eligible.clone();
     let floor = AtomicU64::new(member.floor);
     let sc = prepared.support_computer();
@@ -837,6 +861,10 @@ struct Plan {
     /// members pay per edge, while CloGSgrow pays its child pass on entry
     /// and top-k members pay theirs at the node.
     counts_edges: bool,
+    /// Hand the closure checker no child tables, so every chain grows its
+    /// first link: the reference walk of `tests`.
+    #[cfg(test)]
+    no_tables: bool,
 }
 
 impl Plan {
@@ -875,7 +903,18 @@ impl Plan {
             t_min,
             eager,
             counts_edges,
+            #[cfg(test)]
+            no_tables: false,
         }
+    }
+
+    /// The child tables the closure check reads: the open path's.
+    fn tables<'t>(&self, children: &'t [Vec<Child>]) -> &'t [Vec<Child>] {
+        #[cfg(test)]
+        if self.no_tables {
+            return &[];
+        }
+        children
     }
 
     /// Runs `f` with the growth and closure machinery of this plan bound to
@@ -959,9 +998,12 @@ struct Scan<'f, O> {
     /// `alive[d * members.len() + j]`: member `j`'s solo run visits the
     /// open node at depth `d`.
     alive: Vec<bool>,
-    /// Per-depth child buffers of an eager plan, index-aligned with the
-    /// plan's events and reused across nodes.
-    children: Vec<Vec<Option<SupportSet>>>,
+    /// Index-aligned with `path` in an eager plan: each open node's child
+    /// table, one [`Child`] per plan event, filled by its child pass and
+    /// kept until the node closes. A followed child's set is lent to
+    /// `path` and comes back when its subtree closes, so the closure check
+    /// of any descendant reads every ancestor's children.
+    children: Vec<Vec<Child>>,
     pool: SetPool,
     scratch: CheckScratch,
     sweep: SweepScratch,
@@ -1090,7 +1132,13 @@ impl<'f, O: Output> Scan<'f, O> {
         }
         let append_equal = self.grow_children(ctx, depth, sup);
         let verdict = ctx.checker.map_or(ClosureStatus::Closed, |checker| {
-            checker.check(&pattern, &self.path, append_equal, &mut self.scratch)
+            checker.check_with_children(
+                &pattern,
+                &self.path,
+                plan.tables(&self.children),
+                append_equal,
+                &mut self.scratch,
+            )
         });
         for j in 0..self.members.len() {
             if !self.is_alive(depth, j) {
@@ -1122,9 +1170,10 @@ impl<'f, O: Output> Scan<'f, O> {
         });
     }
 
-    /// Grows every child of the node at `depth` into that depth's buffer,
-    /// keeping those that clear `t_min`; returns whether some append
-    /// extension has the node's own support `sup`.
+    /// Grows every child of the node at `depth` into that depth's table,
+    /// keeping every candidate's support and the sets that clear `t_min`;
+    /// returns whether some append extension has the node's own support
+    /// `sup`.
     ///
     /// When the plan's [`SiblingSweep`] pays at this node, one sweep counts
     /// every child's support first and only the children that clear
@@ -1159,26 +1208,30 @@ impl<'f, O: Output> Scan<'f, O> {
             );
             for (&event, count) in ctx.plan.events.iter().zip(self.sweep.counts()) {
                 append_equal |= count == sup;
-                if count >= t_min {
+                let set = (count >= t_min).then(|| {
                     let mut grown = self.pool.take();
                     ctx.grow(parent, Some(runs), event, &mut grown);
-                    children.push(Some(grown));
-                } else {
-                    children.push(None);
-                }
+                    grown
+                });
+                children.push(Child {
+                    support: count,
+                    set,
+                });
             }
             return append_equal;
         }
         for &event in &ctx.plan.events {
             let mut grown = self.pool.take();
             ctx.grow(parent, Some(runs), event, &mut grown);
-            append_equal |= grown.support() == sup;
-            if grown.support() >= t_min {
-                children.push(Some(grown));
+            let support = grown.support();
+            append_equal |= support == sup;
+            let set = if support >= t_min {
+                Some(grown)
             } else {
                 self.pool.give(grown);
-                children.push(None);
-            }
+                None
+            };
+            children.push(Child { support, set });
         }
         append_equal
     }
@@ -1216,10 +1269,13 @@ impl<'f, O: Output> Scan<'f, O> {
                     &mut verdict_capped
                 };
                 *memo.get_or_insert_with(|| {
+                    // A node no member grows has no table of its own;
+                    // the check reads only its ancestors'.
                     ctx.checker.is_some_and(|checker| {
-                        checker.check(
+                        checker.check_with_children(
                             pattern,
                             &self.path,
+                            ctx.plan.tables(&self.children),
                             grows && append_equal,
                             &mut self.scratch,
                         ) == ClosureStatus::Closed
@@ -1253,15 +1309,18 @@ impl<'f, O: Output> Scan<'f, O> {
                     break;
                 };
                 frame.next += 1;
-                let mut child = if plan.eager {
+                // An eager node's child that cleared `t_min` waits in its
+                // slot; it leaves only to be entered.
+                let kept = if plan.eager {
                     self.children
-                        .get_mut(depth)
-                        .and_then(|c| c.get_mut(i))
-                        .and_then(Option::take)
+                        .get(depth)
+                        .and_then(|c| c.get(i))
+                        .and_then(|c| c.set.as_ref())
+                        .map(SupportSet::support)
                 } else {
                     None
                 };
-                if plan.eager && child.is_none() && !plan.counts_edges {
+                if plan.eager && kept.is_none() && !plan.counts_edges {
                     // Below `t_min`: no member follows the edge, and none
                     // counts it.
                     continue;
@@ -1276,23 +1335,22 @@ impl<'f, O: Output> Scan<'f, O> {
                         }
                     }
                 }
-                if wanted && !plan.eager {
+                if !wanted {
+                    continue;
+                }
+                let mut grown = None;
+                if !plan.eager {
                     if let (Some(parent), Some(runs)) = (self.path.last(), self.runs.last_mut()) {
                         let (runs, _) = &*runs.get_or_insert_with(|| ctx.runs(parent));
-                        let mut grown = self.pool.take();
-                        ctx.grow(parent, Some(runs), event, &mut grown);
-                        child = Some(grown);
+                        let mut set = self.pool.take();
+                        ctx.grow(parent, Some(runs), event, &mut set);
+                        grown = Some(set);
                     }
                 }
-                let Some(set) = child else {
+                let Some(sup) = kept.or(grown.as_ref().map(SupportSet::support)) else {
                     continue;
                 };
-                let sup = set.support();
-                // Every member's threshold is at least `t_min`.
-                if !wanted || sup < plan.t_min {
-                    self.pool.give(set);
-                    continue;
-                }
+                // No member is alive below `t_min`, the least threshold.
                 let mut any = false;
                 for (j, member) in self.members.iter().enumerate() {
                     let parent_alive = self.alive.get(base + j).copied().unwrap_or(false);
@@ -1300,11 +1358,23 @@ impl<'f, O: Output> Scan<'f, O> {
                     any |= alive;
                     self.alive.push(alive);
                 }
-                if any {
+                let set = if any {
+                    grown.or_else(|| {
+                        self.children
+                            .get_mut(depth)
+                            .and_then(|c| c.get_mut(i))
+                            .and_then(|c| c.set.take())
+                    })
+                } else {
+                    if let Some(set) = grown {
+                        self.pool.give(set);
+                    }
+                    None
+                };
+                if let Some(set) = set {
                     break 'edges Some((frame.pattern.grow(event), set));
                 }
                 self.alive.truncate(base + m);
-                self.pool.give(set);
             }
             None
         };
@@ -1317,20 +1387,33 @@ impl<'f, O: Output> Scan<'f, O> {
         }
     }
 
-    /// Releases what the node at `depth` held: its support set, its unused
-    /// children, and its alive flags.
+    /// Releases what the node at `depth` held: its children's sets, its
+    /// alive flags, and its own support set, which goes back to its slot in
+    /// the parent's child table (the pool when it has no parent table: a
+    /// seed, or a lazy plan's node).
     fn close(&mut self, depth: usize) {
-        if let Some(set) = self.path.pop() {
-            self.pool.give(set);
-        }
-        self.runs.pop();
         if let Some(children) = self.children.get_mut(depth) {
-            for slot in children.iter_mut() {
-                if let Some(set) = slot.take() {
+            for child in children.drain(..) {
+                if let Some(set) = child.set {
                     self.pool.give(set);
                 }
             }
         }
+        if let Some(set) = self.path.pop() {
+            // The parent's frame stepped past this node's slot on entry.
+            let slot = depth.checked_sub(1).and_then(|parent| {
+                let i = self.frames.get(parent)?.next.checked_sub(1)?;
+                self.children.get_mut(parent)?.get_mut(i)
+            });
+            match slot {
+                Some(child) => {
+                    debug_assert!(child.set.is_none(), "a slot lent out twice");
+                    child.set = Some(set);
+                }
+                None => self.pool.give(set),
+            }
+        }
+        self.runs.pop();
         self.alive.truncate(depth * self.members.len());
     }
 }
@@ -1574,6 +1657,35 @@ mod tests {
         char::from_u32(u32::from('A') + k).unwrap_or('A')
     }
 
+    /// One solo walk of `request` under its own execution policy, with
+    /// `tweak` applied to its plan first.
+    fn walk_with(
+        prepared: &PreparedDb,
+        request: &MiningRequest,
+        tweak: impl FnOnce(&mut Plan),
+    ) -> (Vec<MinedPattern>, MiningReport) {
+        let prepared = prepared.as_prepared_ref();
+        let mut sink = CollectSink::new();
+        let report = {
+            let mut member = Member::new(request, &mut sink as &mut dyn PatternSink, None);
+            let mut plan = Plan::new(
+                prepared,
+                scan_kind(request),
+                std::slice::from_mut(&mut member),
+            );
+            tweak(&mut plan);
+            match request.execution.effective_threads() {
+                1 => {
+                    let mut scan = Scan::new(vec![member]);
+                    plan.with_ctx(prepared, |ctx| scan.resume(ctx));
+                    scan.members.pop().map_or_else(empty_report, Member::finish)
+                }
+                threads => fan_out(prepared, request, &plan, member, threads),
+            }
+        };
+        (sink.into_patterns(), report)
+    }
+
     /// One solo walk of `request`, with the plan's sibling sweep kept or
     /// dropped (every node then grows its children one pass per event).
     fn walk_with_sweep(
@@ -1581,20 +1693,12 @@ mod tests {
         request: &MiningRequest,
         sweep: bool,
     ) -> (Vec<MinedPattern>, MiningReport) {
-        let prepared = prepared.as_prepared_ref();
-        let mut sink = CollectSink::new();
-        let report = {
-            let member = Member::new(request, &mut sink as &mut dyn PatternSink, None);
-            let mut scan = Scan::new(vec![member]);
-            let mut plan = Plan::new(prepared, scan_kind(request), &mut scan.members);
+        walk_with(prepared, request, |plan| {
             assert!(plan.sweep.is_some(), "{request:?} plans no sweep");
             if !sweep {
                 plan.sweep = None;
             }
-            plan.with_ctx(prepared, |ctx| scan.resume(ctx));
-            scan.members.pop().map(Member::finish)
-        };
-        (sink.into_patterns(), report.unwrap_or_else(empty_report))
+        })
     }
 
     /// Whole closed, maximal and top-k runs with and without the sibling
@@ -1638,6 +1742,70 @@ mod tests {
                             walk_with_sweep(&prepared, &request, false),
                             "{request:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whole runs whose closure checks start from the ancestors' kept
+    /// children, against runs that hand the checker no tables and grow every
+    /// first link: patterns, order, truncation and every counter agree, on
+    /// seeded corpora, sequential and parallel.
+    #[test]
+    fn child_table_walks_match_regrowing_walks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(25);
+        for round in 0..8u32 {
+            // Skewed draws over 3..8 events: the low letters repeat, so
+            // chains, runs and landmark prunes all occur.
+            let alphabet = 3 + round % 6;
+            let rows: Vec<String> = (0..rng.gen_range(6..16))
+                .map(|_| {
+                    (0..rng.gen_range(6..24))
+                        .map(|_| rng.gen_range(0..alphabet).min(rng.gen_range(0..alphabet)))
+                        .map(letter)
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+            let db = SequenceDatabase::from_str_rows(&refs);
+            let prepared = PreparedDb::new(&db);
+            let events: u64 = rows.iter().map(|row| row.len() as u64).sum();
+            let min_sup = (events / u64::from(alphabet) / 6).max(2);
+            let mut closed_topk = request(Mode::Closed, min_sup);
+            closed_topk.top_k = Some(40);
+            // Capped below its deepest nodes: `rank()` checks nodes that
+            // grew no children of their own.
+            let mut capped_topk = closed_topk.clone();
+            capped_topk.max_pattern_length = Some(3);
+            for mut request in [
+                request(Mode::Closed, min_sup),
+                request(Mode::Maximal, min_sup),
+                closed_topk,
+                capped_topk,
+            ] {
+                for execution in [
+                    ExecutionPolicy::Sequential,
+                    ExecutionPolicy::Parallel { threads: 2 },
+                    ExecutionPolicy::Parallel { threads: 3 },
+                ] {
+                    request.execution = execution;
+                    let with_tables = walk_with(&prepared, &request, |plan| {
+                        assert!(plan.eager, "{request:?} plans no child pass");
+                    });
+                    let regrowing = walk_with(&prepared, &request, |plan| plan.no_tables = true);
+                    let what = format!("round {round}: {request:?}");
+                    if request.top_k.is_some() && execution != ExecutionPolicy::Sequential {
+                        // A parallel top-k run's seeds raise one shared
+                        // floor in thread timing order, so its counters
+                        // vary from run to run; its answer does not.
+                        assert_eq!(with_tables.0, regrowing.0, "{what}");
+                        assert_eq!(with_tables.1.truncated, regrowing.1.truncated, "{what}");
+                    } else {
+                        assert_eq!(with_tables, regrowing, "{what}");
                     }
                 }
             }

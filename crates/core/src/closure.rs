@@ -18,6 +18,17 @@
 //! already on the stack, so only the events from `e'` onwards need to be
 //! re-grown (with early abort as soon as the support falls below `sup(P)`).
 //!
+//! **The first link comes from the ancestor's child table.** For `j ≥ 1`
+//! the chain's first link `e1..ej ◦ e'` is a child of the ancestor
+//! `e1..ej`, whose eager child pass already counted it and kept its set
+//! when it cleared `t_min` ([`Child`]). Given those tables
+//! ([`ClosureChecker::check_with_children`]), the check skips `e'` outright
+//! when that child's support is below `sup(P)` and otherwise starts the
+//! chain from the kept set, so only `ej+1..em` are grown. The prepend
+//! (slot 0) and the trailing append below have no ancestor child and are
+//! grown in full; [`ClosureChecker::check`] reads no tables and grows
+//! every first link.
+//!
 //! **Each distinct extension is grown once.** Inserting `e` before `P[j]`
 //! when `P[j] = e` spells the same sequence as inserting it one slot later,
 //! so all insertions of `e` into one run of `e` in `P` (a maximal block of
@@ -33,9 +44,11 @@
 //!   meet the landmark border condition (their instances end strictly later
 //!   than `P`'s), so this extension can only make `P` non-closed.
 //!
-//! A check therefore grows at most `len · |viable|` extensions, each a chain
-//! of at most `len + 1` instance growths. For `P = A^k` the extension
-//! `A^(k+1)` costs one growth, not one per slot.
+//! A check therefore grows at most `len · |viable|` extensions. The one at
+//! slot `j` is a chain of `len - j + 1` instance growths (`e'`, then
+//! `ej+1..em`); from a child table it costs `len - j` for `j ≥ 1`, and
+//! nothing when the ancestor's child already falls short of `sup(P)`. For
+//! `P = A^k` the extension `A^(k+1)` costs one growth, not one per slot.
 
 use std::borrow::Cow;
 
@@ -50,7 +63,8 @@ use crate::support::SupportSet;
 /// `ClosureChecker::extension_support` chains one instance growth per
 /// suffix event; with a ping/pong pair of support sets the whole chain runs
 /// in the two buffers below. The per-sequence instance counts of `P` and
-/// the viable candidate events are refilled in place on every call, so a
+/// the viable candidates (indices into the checker's candidate table) are
+/// refilled in place on every call, so a
 /// warm scratch makes every closure check allocation-free. Each DFS (and
 /// each parallel worker) owns one scratch; the checker itself stays shared
 /// and immutable.
@@ -59,7 +73,7 @@ pub struct CheckScratch {
     a: SupportSet,
     b: SupportSet,
     counts: Vec<(usize, usize)>,
-    viable: Vec<EventId>,
+    viable: Vec<usize>,
 }
 
 impl CheckScratch {
@@ -67,6 +81,22 @@ impl CheckScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// One slot of a DFS node's child table: the support of the node grown by
+/// one candidate event, and that child's leftmost support set when it
+/// cleared the scan's threshold `t_min`.
+///
+/// A node's table is index-aligned with the checker's candidates. Below
+/// `t_min` the support may be a cut-short count; it is only known to be
+/// below `t_min`, which is below the support of every node checked.
+#[derive(Debug)]
+pub struct Child {
+    /// `sup(node ◦ e)`, exact when at least `t_min`.
+    pub support: u64,
+    /// The child's leftmost support set; `None` below `t_min`, and while
+    /// the child is itself an open node of the walk.
+    pub set: Option<SupportSet>,
 }
 
 /// The verdict of the combined closure / landmark-border check for one
@@ -114,7 +144,7 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
     /// Creates a checker borrowing a precomputed `(event, total
     /// occurrences)` candidate table, in O(1) — the DFS driver keeps the
     /// table in its plan and rebinds the checker for every step of a pull
-    /// stream.
+    /// stream. The table is index-aligned with the walk's child tables.
     pub(crate) fn from_candidates(
         sc: &'a SupportComputer<'b>,
         candidates: &'a [(EventId, u64)],
@@ -145,6 +175,32 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         append_has_equal_support: bool,
         scratch: &mut CheckScratch,
     ) -> ClosureStatus {
+        self.check_with_children(
+            pattern,
+            prefix_stack,
+            &[],
+            append_has_equal_support,
+            scratch,
+        )
+    }
+
+    /// [`ClosureChecker::check`], starting each chain at slot `j ≥ 1` from
+    /// the child table of the ancestor `pattern.prefix(j)`.
+    ///
+    /// `children[d]` is the table of the node `prefix_stack[d]`, one
+    /// [`Child`] per candidate in candidate order. Only the tables of
+    /// strict ancestors (`d < len - 1`) are read, and a missing table means
+    /// that slot's first links are grown as by `check`. The verdict is
+    /// `check`'s: a kept set is the leftmost support set the chain's first
+    /// growth would compute.
+    pub fn check_with_children(
+        &self,
+        pattern: &Pattern,
+        prefix_stack: &[SupportSet],
+        children: &[Vec<Child>],
+        append_has_equal_support: bool,
+        scratch: &mut CheckScratch,
+    ) -> ClosureStatus {
         // The viable list is taken out of the scratch for the scan, so the
         // growth buffers can be borrowed beside it; putting it back keeps
         // its capacity.
@@ -152,6 +208,7 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         let verdict = self.scan_slots(
             pattern,
             prefix_stack,
+            children,
             append_has_equal_support,
             &mut viable,
             scratch,
@@ -160,8 +217,8 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         verdict
     }
 
-    /// Refills `viable` with the candidate events that can yield an
-    /// equal-support extension of the pattern whose support set is
+    /// Refills `viable` with the indices of the candidate events that can
+    /// yield an equal-support extension of the pattern whose support set is
     /// `support_set`.
     ///
     /// If sup(P') = sup(P) then, per sequence, P' has exactly as many
@@ -175,7 +232,7 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         &self,
         support_set: &SupportSet,
         counts: &mut Vec<(usize, usize)>,
-        viable: &mut Vec<EventId>,
+        viable: &mut Vec<usize>,
     ) {
         let support = support_set.support();
         counts.clear();
@@ -188,7 +245,8 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         viable.extend(
             self.candidates
                 .iter()
-                .filter(|&&(event, total)| {
+                .enumerate()
+                .filter(|&(_, &(event, total))| {
                     if total < support {
                         return false;
                     }
@@ -199,19 +257,20 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
                         .iter()
                         .all(|&(seq, count)| rows.row(seq).map_or(0, <[u32]>::len) >= count)
                 })
-                .map(|&(event, _)| event),
+                .map(|(i, _)| i),
         );
     }
 
     /// Grows each distinct single-insertion extension of `pattern` by a
-    /// `viable` event once (see the module docs for the run rule) and
-    /// derives the verdict.
+    /// `viable` event once (see the module docs for the run rule), from the
+    /// ancestors' `children` where there are any, and derives the verdict.
     fn scan_slots(
         &self,
         pattern: &Pattern,
         prefix_stack: &[SupportSet],
+        children: &[Vec<Child>],
         append_has_equal_support: bool,
-        viable: &mut Vec<EventId>,
+        viable: &mut Vec<usize>,
         scratch: &mut CheckScratch,
     ) -> ClosureStatus {
         let Some(support_set) = prefix_stack.last() else {
@@ -228,12 +287,23 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         // prepend. Inserting e' = P[j] there spells the same pattern as
         // slot j + 1, so only the run's end is grown.
         for (slot, &at_slot) in events.iter().enumerate() {
-            for &event in viable.iter() {
+            // The table of the ancestor P[..slot], a strict ancestor of P.
+            let table = slot.checked_sub(1).and_then(|parent| children.get(parent));
+            for &i in viable.iter() {
+                let Some(&(event, _)) = self.candidates.get(i) else {
+                    continue;
+                };
                 if event == at_slot {
                     continue;
                 }
+                let child = table.and_then(|table| table.get(i));
+                if child.is_some_and(|child| child.support < support) {
+                    // P[..slot] ◦ e' already falls short of sup(P).
+                    continue;
+                }
+                let first = child.and_then(|child| child.set.as_ref());
                 if let Some(extension) =
-                    self.extension_support(pattern, prefix_stack, slot, event, support, scratch)
+                    self.extension_support(pattern, prefix_stack, slot, event, first, scratch)
                 {
                     non_closed = true;
                     if landmark_border_holds(extension, support_set) {
@@ -249,16 +319,11 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         // the landmark border, only make `P` non-closed.
         if !non_closed {
             if let Some(&last) = events.last() {
-                non_closed = viable.contains(&last)
+                non_closed = viable
+                    .iter()
+                    .any(|&i| self.candidates.get(i).is_some_and(|&(e, _)| e == last))
                     && self
-                        .extension_support(
-                            pattern,
-                            prefix_stack,
-                            events.len(),
-                            last,
-                            support,
-                            scratch,
-                        )
+                        .extension_support(pattern, prefix_stack, events.len(), last, None, scratch)
                         .is_some();
             }
         }
@@ -270,10 +335,12 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
     }
 
     /// Computes the leftmost support set of the extension of `pattern` with
-    /// `event` inserted at `slot`, returning it (borrowed from the scratch)
-    /// only when its support equals `target`. Growth aborts early as soon as
-    /// the support drops below `target` (the support of a super-pattern can
-    /// never exceed it, Lemma 1). The whole chain ping-pongs between the two
+    /// `event` inserted at `slot`, returning it only when its support equals
+    /// `sup(P)`, the support of the last set on `prefix_stack`. `first` is
+    /// the chain's first link `e1..e_slot ◦ event` when the caller has it;
+    /// otherwise it is grown here. Growth aborts early as soon as the
+    /// support drops below `sup(P)` (the support of a super-pattern can
+    /// never exceed it, Lemma 1). The chain ping-pongs between the two
     /// scratch buffers, so a warm scratch allocates nothing.
     fn extension_support<'s>(
         &self,
@@ -281,25 +348,39 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
         prefix_stack: &[SupportSet],
         slot: usize,
         event: EventId,
-        target: u64,
+        first: Option<&'s SupportSet>,
         scratch: &'s mut CheckScratch,
     ) -> Option<&'s SupportSet> {
+        let target = prefix_stack.last()?.support();
         let target_usize = target as usize;
         let CheckScratch { a, b, .. } = scratch;
         let (mut current, mut spare): (&mut SupportSet, &mut SupportSet) = (a, b);
-        // Leftmost support set of e1..e_slot ◦ e'.
-        if slot == 0 {
-            self.sc.initial_support_set_into(event, current);
-        } else {
-            let prefix = prefix_stack.get(slot - 1)?;
-            self.sc
-                .instance_growth_into(prefix, event, target_usize, current);
+        let mut suffix = pattern.events().get(slot..).unwrap_or(&[]).iter();
+        // Leftmost support set of e1..e_slot ◦ e', and of one suffix event
+        // more when it was given.
+        match first {
+            Some(first) => {
+                if first.support() < target {
+                    return None;
+                }
+                let Some(&next) = suffix.next() else {
+                    return Some(first);
+                };
+                self.sc
+                    .instance_growth_into(first, next, target_usize, current);
+            }
+            None if slot == 0 => self.sc.initial_support_set_into(event, current),
+            None => {
+                let prefix = prefix_stack.get(slot - 1)?;
+                self.sc
+                    .instance_growth_into(prefix, event, target_usize, current);
+            }
         }
         if current.support() < target {
             return None;
         }
-        // Grow the remaining suffix e_{slot+1}..e_m.
-        for &suffix_event in pattern.events().get(slot..).unwrap_or(&[]) {
+        // Grow the remaining suffix.
+        for &suffix_event in suffix {
             self.sc
                 .instance_growth_into(current, suffix_event, target_usize, spare);
             std::mem::swap(&mut current, &mut spare);
@@ -427,15 +508,77 @@ mod tests {
         // Inserting C at slot 1 yields ACA with support 3 = sup(AA).
         let direct = sc.support_set(&Pattern::new(db.pattern_from_str("ACA").unwrap()));
         let ext = checker
-            .extension_support(&aa, &stack, 1, c, 3, &mut scratch)
+            .extension_support(&aa, &stack, 1, c, None, &mut scratch)
             .expect("ACA has equal support");
         assert_eq!(ext.support(), 3);
         assert_eq!(ext, &direct);
         // Inserting D at slot 1 yields ADA with support < 3: rejected.
         let d = db.catalog().id("D").unwrap();
         assert!(checker
-            .extension_support(&aa, &stack, 1, d, 3, &mut scratch)
+            .extension_support(&aa, &stack, 1, d, None, &mut scratch)
             .is_none());
+    }
+
+    /// The child tables of `pattern`'s strict ancestors as a walk at
+    /// threshold `t_min` keeps them: every candidate's child support, and
+    /// the child's set when it clears `t_min` and is not the ancestor's
+    /// child on the path (that one is lent to the path).
+    fn child_tables(
+        sc: &SupportComputer<'_>,
+        pattern: &Pattern,
+        events: &[EventId],
+        t_min: u64,
+    ) -> Vec<Vec<Child>> {
+        (1..pattern.len())
+            .map(|len| {
+                let prefix = pattern.prefix(len);
+                let on_path = pattern.events().get(len);
+                events
+                    .iter()
+                    .map(|&event| {
+                        let set = sc.support_set(&prefix.grow(event));
+                        let support = set.support();
+                        let kept = support >= t_min && on_path != Some(&event);
+                        Child {
+                            support,
+                            set: kept.then_some(set),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checks_from_child_tables_match_check() {
+        // Table III's AA (pruned), AB (non-closed) and ABD (closed), with
+        // and without the append flag.
+        let db = running_example();
+        let (sc, events) = checker_fixture(&db, 3);
+        let checker = ClosureChecker::new(&sc, &events);
+        let mut scratch = CheckScratch::new();
+        for (text, expected) in [
+            ("AA", ClosureStatus::Prune),
+            ("AB", ClosureStatus::NonClosed),
+            ("ABD", ClosureStatus::Closed),
+        ] {
+            let pattern = Pattern::new(db.pattern_from_str(text).unwrap());
+            let stack = prefix_stack(&sc, &pattern);
+            let tables = child_tables(&sc, &pattern, &events, 3);
+            assert_eq!(tables.len(), pattern.len() - 1);
+            for append in [false, true] {
+                let verdict =
+                    checker.check_with_children(&pattern, &stack, &tables, append, &mut scratch);
+                assert_eq!(
+                    verdict,
+                    checker.check(&pattern, &stack, append, &mut scratch),
+                    "{text}, append flag {append}"
+                );
+                if !append {
+                    assert_eq!(verdict, expected, "{text}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rgs_core::closure::{CheckScratch, ClosureChecker, ClosureStatus};
+use rgs_core::closure::{CheckScratch, Child, ClosureChecker, ClosureStatus};
 use rgs_core::kernel::{node_runs, SiblingSweep, SweepScratch};
 use rgs_core::{GapConstraints, InstanceBuffer, Pattern, SupportComputer, SupportSet};
 use seqdb::SequenceDatabase;
@@ -151,8 +151,8 @@ fn steady_state_growth_allocates_nothing() {
     });
 
     // 5. The closure check (Theorems 4 and 5): the per-sequence instance
-    //    counts, the viable events and the extension chain all live in the
-    //    warm scratch — on a pattern with an interior run (`ADDA`), one with
+    //    counts, the viable candidates and the extension chain all live in
+    //    the warm scratch — on a pattern with an interior run (`ADDA`), one with
     //    a trailing run (`ACDD`, grown once as an append) and one the
     //    landmark border prunes (`ABBA`).
     let checker = ClosureChecker::new(&sc, &events);
@@ -169,6 +169,30 @@ fn steady_state_growth_allocates_nothing() {
         let label = format!("ClosureChecker::check on {text}");
         assert_zero_alloc(&label, 100, || {
             let verdict = checker.check(&pattern, &stack, false, &mut scratch);
+            assert_eq!(verdict, expected, "{text}");
+        });
+
+        //    The same checks starting every chain at slot `j >= 1` from the
+        //    ancestor's kept child set, as the DFS walk runs them.
+        let tables: Vec<Vec<Child>> = (1..pattern.len())
+            .map(|len| {
+                let prefix = pattern.prefix(len);
+                events
+                    .iter()
+                    .map(|&event| {
+                        let set = sc.support_set(&prefix.grow(event));
+                        Child {
+                            support: set.support(),
+                            set: Some(set),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let label = format!("ClosureChecker::check_with_children on {text}");
+        assert_zero_alloc(&label, 100, || {
+            let verdict =
+                checker.check_with_children(&pattern, &stack, &tables, false, &mut scratch);
             assert_eq!(verdict, expected, "{text}");
         });
     }
