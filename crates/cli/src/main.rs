@@ -4,7 +4,7 @@
 //! ```text
 //! rgs-mine [mine] --input FILE|--snapshot IMG [--format tokens|spmf|chars|json]
 //!          --min-sup K
-//!          [--mode all|closed|maximal] [--closed] [--all] [--maximal-mode]
+//!          [--mode all|closed|maximal|top-k] [--closed] [--all] [--maximal-mode]
 //!          [--min-gap G] [--max-gap G] [--max-window W]
 //!          [--top-k K] [--min-len L] [--max-len L] [--max-patterns N]
 //!          [--threads N] [--top T] [--density R] [--maximal] [--stream]
@@ -21,8 +21,11 @@
 //! alphabet size, lengths) together with the byte footprint of the
 //! columnar store and the CSR inverted index, so store-size regressions are
 //! visible without a profiler. The `topk` subcommand ranks the best `k`
-//! closed patterns and composes with the gap/window constraint flags — gap-constrained top-k mining from
-//! the command line. `--stream` prints patterns incrementally through a
+//! closed patterns and composes with the gap/window constraint flags —
+//! gap-constrained top-k mining from the command line. The query flags
+//! write into one `MiningRequest`, and `--mode` reads its value with the
+//! request-body reader's [`parse_mode`], so `--mode top-k` means what
+//! `"mode": "top-k"` means. `--stream` prints patterns incrementally through a
 //! `PatternSink` instead of materializing the result first. `--threads N`
 //! mines on N worker threads (bit-identical output), and `--format json`
 //! switches the output to a JSON document containing the `MiningReport`
@@ -53,9 +56,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rgs_core::{
-    canonical_key, json, parse_request_body, postprocess, sort_patterns_for_report, CollectSink,
-    GapConstraints, MinedPattern, Miner, MiningRequest, Mode, PostProcessConfig, PreparedDb,
-    RequestBody,
+    canonical_key, json, parse_mode, parse_request_body, postprocess, sort_patterns_for_report,
+    CollectSink, ExecutionPolicy, MinedPattern, Miner, MiningRequest, Mode, PostProcessConfig,
+    PreparedDb, RequestBody, DEFAULT_TOP_K,
 };
 use seqdb::snapshot::{section_id, verify, SnapshotImage};
 use seqdb::{io as seqio, SequenceDatabase};
@@ -75,16 +78,8 @@ struct Options {
     /// Request file of the `batch` subcommand (one JSON object per line).
     requests: Option<PathBuf>,
     format: Format,
-    min_sup: u64,
-    mode: Mode,
-    top_k: Option<usize>,
-    min_len: Option<usize>,
-    min_gap: Option<u32>,
-    max_gap: Option<u32>,
-    max_window: Option<u32>,
-    max_len: Option<usize>,
-    max_patterns: Option<usize>,
-    threads: usize,
+    /// The query the mining flags write into.
+    request: MiningRequest,
     top: usize,
     density: Option<f64>,
     maximal_filter: bool,
@@ -118,16 +113,7 @@ impl Default for Options {
             batch: false,
             requests: None,
             format: Format::Tokens,
-            min_sup: 2,
-            mode: Mode::Closed,
-            top_k: None,
-            min_len: None,
-            min_gap: None,
-            max_gap: None,
-            max_window: None,
-            max_len: None,
-            max_patterns: None,
-            threads: 1,
+            request: MiningRequest::default(),
             top: 20,
             density: None,
             maximal_filter: false,
@@ -140,58 +126,21 @@ impl Default for Options {
 }
 
 impl Options {
-    fn constraints(&self) -> GapConstraints {
-        let mut constraints = GapConstraints::unbounded();
-        if let Some(g) = self.min_gap {
-            constraints = constraints.with_min_gap(g);
-        }
-        if let Some(g) = self.max_gap {
-            constraints = constraints.with_max_gap(g);
-        }
-        if let Some(w) = self.max_window {
-            constraints = constraints.with_max_window(w);
-        }
-        constraints
-    }
-
-    /// Applies every query option to a miner builder, whatever its source.
-    fn apply<'a>(&self, miner: Miner<'a>) -> Miner<'a> {
-        let mut miner = miner
-            .min_sup(self.min_sup)
-            .mode(self.mode)
-            .constraints(self.constraints());
-        if let Some(k) = self.top_k {
-            miner = miner.top_k(k);
-        }
-        if let Some(len) = self.min_len {
-            miner = miner.min_len(len);
-        }
-        if let Some(len) = self.max_len {
-            miner = miner.max_pattern_length(len);
-        }
-        if let Some(cap) = self.max_patterns {
-            miner = miner.max_patterns(cap);
-        }
-        miner.threads(self.threads)
-    }
-
     /// Test convenience: a lazily-preparing miner over a bare database.
     #[cfg(test)]
     fn miner<'a>(&self, db: &'a SequenceDatabase) -> Miner<'a> {
-        self.apply(Miner::new(db))
+        Miner::new(db).with_request(self.request.clone())
     }
 
     fn mode_label(&self) -> String {
-        let base = match self.mode {
+        let base = match self.request.mode {
             Mode::All => "frequent",
             Mode::Closed => "closed",
             Mode::Maximal => "maximal",
-            Mode::TopK => "top-k closed",
         };
-        if self.top_k.is_some() && self.mode != Mode::TopK {
-            format!("top-{} {base}", self.top_k.unwrap_or(0))
-        } else {
-            base.to_owned()
+        match self.request.top_k {
+            Some(k) => format!("top-{k} {base}"),
+            None => base.to_owned(),
         }
     }
 }
@@ -211,14 +160,15 @@ impl Loaded {
         }
     }
 
-    /// A miner over this source with every query option applied. The
+    /// A miner over this source running the options' request. The
     /// prepared path skips all per-run preparation — the snapshot already
     /// holds the index and counts.
     fn miner(&self, options: &Options) -> Miner<'_> {
-        match self {
-            Loaded::Text(db) => options.apply(Miner::new(db)),
-            Loaded::Prepared(prepared) => options.apply(prepared.miner()),
-        }
+        let miner = match self {
+            Loaded::Text(db) => Miner::new(db),
+            Loaded::Prepared(prepared) => prepared.miner(),
+        };
+        miner.with_request(options.request.clone())
     }
 }
 
@@ -293,7 +243,7 @@ fn main() -> ExitCode {
 
     let db = source.database();
     eprintln!("# dataset: {}", db.stats().summary());
-    let constraints = options.constraints();
+    let constraints = options.request.constraints;
     if !constraints.is_unbounded() {
         eprintln!("# constraints: {}", constraints.describe());
     }
@@ -726,10 +676,22 @@ fn print_pattern(db: &SequenceDatabase, mined: &MinedPattern) {
     );
 }
 
+/// Parses a numeric flag value into `T`; a value out of `T`'s range is an
+/// error, as in a request body, never a silent wrap.
+fn parse_num<T: TryFrom<u64>>(value: &str, what: &str) -> Result<T, String> {
+    let n: u64 = value
+        .parse()
+        .map_err(|_| format!("{what} must be an integer"))?;
+    T::try_from(n).map_err(|_| format!("{what} exceeds the {} range", std::any::type_name::<T>()))
+}
+
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut options = Options::default();
     let mut explicit_all = false;
     let mut explicit_closed = false;
+    // Whether the last mode flag was `--mode top-k`: an unset `top_k` then
+    // becomes `DEFAULT_TOP_K`.
+    let mut ranked = false;
     let mut i = 0;
 
     // Optional leading subcommand.
@@ -750,10 +712,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             i = 2;
         }
         Some("topk") => {
-            options.mode = Mode::Closed;
-            options.top_k = Some(10);
-            options.min_len = Some(2);
-            options.min_sup = 1;
+            options.request.top_k = Some(DEFAULT_TOP_K);
+            options.request.min_len = 2;
+            options.request.min_sup = 1;
             i = 1;
         }
         Some("batch") => {
@@ -781,11 +742,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 .cloned()
                 .ok_or_else(|| format!("{arg} needs a value"))
         };
-        let parse_num = |value: String, what: &str| -> Result<u64, String> {
-            value
-                .parse()
-                .map_err(|_| format!("{what} must be an integer"))
-        };
+        let request = &mut options.request;
         match args[i].as_str() {
             "--help" | "-h" => {
                 print_usage();
@@ -804,55 +761,42 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 "json" => options.json_output = true,
                 other => return Err(format!("unknown format '{other}'")),
             },
-            "--min-sup" | "-s" => {
-                options.min_sup = parse_num(next_value(&mut i)?, "min-sup")?;
-            }
-            "--mode" => {
-                options.mode = match next_value(&mut i)?.as_str() {
-                    "all" => Mode::All,
-                    "closed" => Mode::Closed,
-                    "maximal" => Mode::Maximal,
-                    "topk" => Mode::TopK,
-                    other => return Err(format!("unknown mode '{other}'")),
-                }
-            }
+            "--min-sup" | "-s" => request.min_sup = parse_num(&next_value(&mut i)?, "min-sup")?,
+            "--mode" => (request.mode, ranked) = parse_mode(&next_value(&mut i)?)?,
             "--closed" => {
-                options.mode = Mode::Closed;
+                (request.mode, ranked) = (Mode::Closed, false);
                 explicit_closed = true;
             }
             "--all" => {
-                options.mode = Mode::All;
+                (request.mode, ranked) = (Mode::All, false);
                 explicit_all = true;
             }
-            "--maximal-mode" => options.mode = Mode::Maximal,
-            "--top-k" | "-k" => {
-                options.top_k = Some(parse_num(next_value(&mut i)?, "top-k")? as usize);
-            }
-            "--min-len" => {
-                options.min_len = Some(parse_num(next_value(&mut i)?, "min-len")? as usize);
-            }
+            "--maximal-mode" => (request.mode, ranked) = (Mode::Maximal, false),
+            "--top-k" | "-k" => request.top_k = Some(parse_num(&next_value(&mut i)?, "top-k")?),
+            "--min-len" => request.min_len = parse_num(&next_value(&mut i)?, "min-len")?,
             "--min-gap" => {
-                options.min_gap = Some(parse_num(next_value(&mut i)?, "min-gap")? as u32);
+                request.constraints.min_gap = parse_num(&next_value(&mut i)?, "min-gap")?;
             }
             "--max-gap" => {
-                options.max_gap = Some(parse_num(next_value(&mut i)?, "max-gap")? as u32);
+                request.constraints.max_gap = Some(parse_num(&next_value(&mut i)?, "max-gap")?);
             }
             "--max-window" => {
-                options.max_window = Some(parse_num(next_value(&mut i)?, "max-window")? as u32);
+                request.constraints.max_window =
+                    Some(parse_num(&next_value(&mut i)?, "max-window")?);
             }
             "--max-len" => {
-                options.max_len = Some(parse_num(next_value(&mut i)?, "max-len")? as usize);
+                request.max_pattern_length = Some(parse_num(&next_value(&mut i)?, "max-len")?);
             }
             "--max-patterns" => {
-                options.max_patterns =
-                    Some(parse_num(next_value(&mut i)?, "max-patterns")? as usize);
+                request.max_patterns = Some(parse_num(&next_value(&mut i)?, "max-patterns")?);
             }
             "--threads" | "-j" => {
-                options.threads = parse_num(next_value(&mut i)?, "threads")?.max(1) as usize;
+                request.execution = match parse_num(&next_value(&mut i)?, "threads")? {
+                    0 | 1 => ExecutionPolicy::Sequential,
+                    threads => ExecutionPolicy::Parallel { threads },
+                };
             }
-            "--top" => {
-                options.top = parse_num(next_value(&mut i)?, "top")? as usize;
-            }
+            "--top" => options.top = parse_num(&next_value(&mut i)?, "top")?,
             "--density" => {
                 options.density = Some(
                     next_value(&mut i)?
@@ -867,6 +811,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
         i += 1;
+    }
+    if ranked {
+        options.request.top_k = options.request.top_k.or(Some(DEFAULT_TOP_K));
     }
     if explicit_all && explicit_closed {
         return Err("--all and --closed are mutually exclusive".to_owned());
@@ -906,11 +853,11 @@ fn print_usage() {
          usage:\n\
            rgs-mine [mine] --input FILE|--snapshot IMG [--format tokens|spmf|chars|json]\n\
                     --min-sup K\n\
-                    [--mode all|closed|maximal] [--closed|--all|--maximal-mode]\n\
+                    [--mode all|closed|maximal|top-k] [--closed|--all|--maximal-mode]\n\
                     [--min-gap G] [--max-gap G] [--max-window W]\n\
                     [--top-k K] [--min-len L] [--max-len L] [--max-patterns N]\n\
                     [--threads N] [--top T] [--density R] [--maximal] [--stream]\n\
-           rgs-mine topk --input FILE|--snapshot IMG -k K [--min-sup FLOOR] ...\n\
+           rgs-mine topk --input FILE|--snapshot IMG [-k K] [--min-sup FLOOR] ...\n\
            rgs-mine batch --input FILE|--snapshot IMG --requests FILE [--top T] [--format json]\n\
            rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars]\n\
            rgs-mine snapshot build --input FILE [--format ...] --out IMG\n\
@@ -920,7 +867,8 @@ fn print_usage() {
          \n\
          subcommands:\n\
            mine      (default) mine the requested pattern family\n\
-           topk      rank the k best closed patterns (composes with gap/window\n\
+           topk      rank the k best closed patterns (k = {DEFAULT_TOP_K} unless -k\n\
+                     sets it; min-sup 1, min-len 2; composes with gap/window\n\
                      constraints: gap-constrained top-k mining)\n\
            batch     mine every request of --requests FILE (one JSON object\n\
                      per line, the POST /mine body shape; '#' comments ok) in\n\
@@ -938,6 +886,8 @@ fn print_usage() {
            demo      run on the paper's running example (Table III)\n\
          \n\
          notable flags:\n\
+           --mode M        all, closed, maximal, or top-k (closed mining ranked\n\
+                           by support, k = {DEFAULT_TOP_K} unless --top-k sets it)\n\
            --snapshot IMG  serve mine/topk/stats straight from a prepared\n\
                            snapshot image (mmap'ed, checksum-validated; no\n\
                            re-tokenizing or re-indexing on start)\n\
@@ -951,6 +901,7 @@ fn print_usage() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgs_core::GapConstraints;
 
     fn parse(tokens: &[&str]) -> Options {
         let args: Vec<String> = tokens
@@ -963,18 +914,21 @@ mod tests {
     #[test]
     fn default_mode_is_closed_mining() {
         let options = parse(&["--demo", "--min-sup", "3"]);
-        assert_eq!(options.mode, Mode::Closed);
-        assert_eq!(options.min_sup, 3);
+        assert_eq!(options.request.mode, Mode::Closed);
+        assert_eq!(options.request.min_sup, 3);
         assert!(options.demo);
     }
 
     #[test]
     fn topk_subcommand_sets_ranking_defaults() {
         let options = parse(&["topk", "--demo", "-k", "7", "--max-gap", "2"]);
-        assert_eq!(options.top_k, Some(7));
-        assert_eq!(options.min_len, Some(2));
-        assert_eq!(options.max_gap, Some(2));
-        assert_eq!(options.constraints(), GapConstraints::max_gap(2));
+        assert_eq!(options.request.mode, Mode::Closed);
+        assert_eq!(options.request.top_k, Some(7));
+        assert_eq!(options.request.min_len, 2);
+        assert_eq!(options.request.min_sup, 1);
+        assert_eq!(options.request.constraints, GapConstraints::max_gap(2));
+        let defaulted = parse(&["topk", "--demo"]);
+        assert_eq!(defaulted.request.top_k, Some(DEFAULT_TOP_K));
     }
 
     #[test]
@@ -988,7 +942,7 @@ mod tests {
             "--max-window",
             "9",
         ]);
-        let constraints = options.constraints();
+        let constraints = options.request.constraints;
         assert_eq!(constraints.min_gap, 1);
         assert_eq!(constraints.max_gap, Some(4));
         assert_eq!(constraints.max_window, Some(9));
@@ -996,15 +950,57 @@ mod tests {
 
     #[test]
     fn mode_flag_parses_every_variant() {
-        for (name, mode) in [
-            ("all", Mode::All),
-            ("closed", Mode::Closed),
-            ("maximal", Mode::Maximal),
-            ("topk", Mode::TopK),
+        for (name, mode, top_k) in [
+            ("all", Mode::All, None),
+            ("closed", Mode::Closed, None),
+            ("maximal", Mode::Maximal, None),
+            ("top-k", Mode::Closed, Some(DEFAULT_TOP_K)),
+            ("topk", Mode::Closed, Some(DEFAULT_TOP_K)),
         ] {
             let options = parse(&["--demo", "--mode", name]);
-            assert_eq!(options.mode, mode);
+            assert_eq!((options.request.mode, options.request.top_k), (mode, top_k));
         }
+        // Ranking does not depend on flag order, and a later mode flag
+        // drops it.
+        let k_first = parse(&["--demo", "-k", "4", "--mode", "top-k"]);
+        let k_last = parse(&["--demo", "--mode", "top-k", "-k", "4"]);
+        assert_eq!(k_first.request, k_last.request);
+        assert_eq!(k_first.request.top_k, Some(4));
+        assert_eq!(
+            parse(&["--demo", "--mode", "top-k", "--closed"])
+                .request
+                .top_k,
+            None
+        );
+    }
+
+    /// A u32 flag at 2^32 is the request-body reader's range error, not a
+    /// wrap to 0; at `u32::MAX` it parses.
+    fn assert_u32_flag_is_range_checked(flag: &str) {
+        let args = |value: &str| -> Vec<String> {
+            ["demo", flag, value]
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect()
+        };
+        let err = parse_args(&args("4294967296")).expect_err(flag);
+        assert!(err.contains("exceeds the u32 range"), "{flag}: {err}");
+        assert!(parse_args(&args("4294967295")).is_ok(), "{flag}");
+    }
+
+    #[test]
+    fn min_gap_out_of_u32_range_is_an_error() {
+        assert_u32_flag_is_range_checked("--min-gap");
+    }
+
+    #[test]
+    fn max_gap_out_of_u32_range_is_an_error() {
+        assert_u32_flag_is_range_checked("--max-gap");
+    }
+
+    #[test]
+    fn max_window_out_of_u32_range_is_an_error() {
+        assert_u32_flag_is_range_checked("--max-window");
     }
 
     #[test]
@@ -1032,7 +1028,10 @@ mod tests {
     #[test]
     fn threads_flag_parses_and_produces_identical_output() {
         let options = parse(&["--demo", "--min-sup", "2", "--threads", "4"]);
-        assert_eq!(options.threads, 4);
+        assert_eq!(
+            options.request.execution,
+            ExecutionPolicy::Parallel { threads: 4 }
+        );
         let sequential = parse(&["--demo", "--min-sup", "2"]);
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
         assert_eq!(
@@ -1044,8 +1043,11 @@ mod tests {
     #[test]
     fn topk_accepts_threads_too() {
         let options = parse(&["topk", "--demo", "-k", "5", "--threads", "2"]);
-        assert_eq!(options.threads, 2);
-        assert_eq!(options.top_k, Some(5));
+        assert_eq!(
+            options.request.execution,
+            ExecutionPolicy::Parallel { threads: 2 }
+        );
+        assert_eq!(options.request.top_k, Some(5));
     }
 
     #[test]
@@ -1207,7 +1209,7 @@ mod tests {
         )
         .expect("full line");
         assert_eq!(line.request.min_sup, 3);
-        assert_eq!(line.request.mode, Mode::TopK);
+        assert_eq!(line.request.mode, Mode::Closed);
         assert_eq!(line.request.constraints.max_gap, Some(2));
         assert_eq!(line.request.top_k, Some(5));
         assert_eq!(line.timeout_ms, Some(250));

@@ -159,15 +159,14 @@ pub(crate) fn run_batch(
     let mut reports: Vec<Option<MiningReport>> = vec![None; requests.len()];
 
     // Group request slots by scan shape (linear scan: batches are small).
-    let mut groups: Vec<(ScanKind, Vec<usize>)> = Vec::new();
+    let mut groups: Vec<(ScanKind, Vec<(usize, Shape)>)> = Vec::new();
     for (slot, request) in requests.iter().enumerate() {
-        let kind = scan_kind(request);
-        if kind == ScanKind::Trivial {
+        let Some((kind, shape)) = route(request) else {
             continue;
-        }
+        };
         match groups.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, slots)) => slots.push(slot),
-            None => groups.push((kind, vec![slot])),
+            Some((_, slots)) => slots.push((slot, shape)),
+            None => groups.push((kind, vec![(slot, shape)])),
         }
     }
 
@@ -175,13 +174,13 @@ pub(crate) fn run_batch(
     for (kind, slots) in groups {
         let mut members = Vec::with_capacity(slots.len());
         let mut owners = Vec::with_capacity(slots.len());
-        for slot in slots {
+        for (slot, shape) in slots {
             let sink = free.get_mut(slot).and_then(Option::take);
             let (Some(request), Some(sink)) = (requests.get(slot), sink) else {
                 continue;
             };
             let sink: &mut dyn PatternSink = sink;
-            members.push(Member::new(request, sink, None));
+            members.push(Member::new(request, shape, sink));
             owners.push(slot);
         }
         for (slot, report) in owners.into_iter().zip(walk(prepared, kind, members)) {
@@ -221,15 +220,15 @@ pub(crate) fn run_solo(
     request: &MiningRequest,
     sink: &mut dyn PatternSink,
 ) -> MiningReport {
-    let kind = scan_kind(request);
-    if kind == ScanKind::Trivial {
+    let Some((kind, shape)) = route(request) else {
         return empty_report();
-    }
+    };
+    let mut member = Member::new(request, shape, sink);
     let threads = request.execution.effective_threads();
     if threads > 1 {
-        return run_parallel(prepared, request, kind, threads, sink);
+        let plan = Plan::new(prepared, kind, std::slice::from_mut(&mut member));
+        return fan_out(prepared, request, &plan, member, threads);
     }
-    let member = Member::new(request, sink, None);
     walk(prepared, kind, vec![member])
         .pop()
         .unwrap_or_else(empty_report)
@@ -248,30 +247,16 @@ fn walk<O: Output>(
     scan.members.into_iter().map(Member::finish).collect()
 }
 
-/// The parallel form of [`run_solo`]: the seed subtrees fan out through the
-/// seed queue, each walked by its own one-member scan that buffers what the
-/// member would emit, and the buffers are merged into the caller's member
-/// in seed order — the sequential emission order.
+/// The parallel form of [`run_solo`]: `plan`'s seed subtrees fan out
+/// through the seed queue on `threads` workers, each walked by its own
+/// one-member scan that buffers what `member` would emit, and the buffers
+/// are merged into `member` in seed order — the sequential emission order.
 ///
 /// A streaming member's buffer is gated and capped per seed (a seed can
 /// never contribute more than `max_patterns` emissions), a basis member's
 /// per-seed basis is capped the same way and the merged basis is capped
 /// again, and a top-k member's seeds share one support floor. Counters sum
 /// over every seed walked.
-fn run_parallel(
-    prepared: PreparedRef<'_>,
-    request: &MiningRequest,
-    kind: ScanKind,
-    threads: usize,
-    sink: &mut dyn PatternSink,
-) -> MiningReport {
-    let mut member = Member::new(request, sink, None);
-    let plan = Plan::new(prepared, kind, std::slice::from_mut(&mut member));
-    fan_out(prepared, request, &plan, member, threads)
-}
-
-/// Walks `plan`'s seed subtrees on `threads` workers and merges them into
-/// `member` (see [`run_parallel`]).
 fn fan_out<O: Output>(
     prepared: PreparedRef<'_>,
     request: &MiningRequest,
@@ -280,6 +265,7 @@ fn fan_out<O: Output>(
     threads: usize,
 ) -> MiningReport {
     let eligible = member.eligible.clone();
+    let shape = member.shape.clone();
     let floor = AtomicU64::new(member.floor);
     let sc = prepared.support_computer();
     let seeds = fan_out_seeds(threads, plan.events.len(), |i| {
@@ -287,7 +273,8 @@ fn fan_out<O: Output>(
         if let Some(&seed) = plan.events.get(i) {
             sc.initial_support_set_into(seed, &mut initial);
         }
-        let mut seed_member = Member::new(request, Vec::new(), Some(&floor));
+        let mut seed_member = Member::new(request, shape.clone(), Vec::new());
+        seed_member.shared_floor = Some(&floor);
         seed_member.set_eligible(eligible.clone());
         let mut scan = Scan::new(vec![seed_member]);
         scan.next_seed = plan.events.len();
@@ -322,12 +309,12 @@ impl PullWalk {
         if request.execution.effective_threads() > 1 {
             return None;
         }
-        let member = Member::new(request, None, None);
-        if !matches!(member.shape, Shape::Stream) {
+        let (kind, shape) = route(request)?;
+        if !matches!(shape, Shape::Stream) {
             return None;
         }
-        let mut scan = Scan::new(vec![member]);
-        let plan = Plan::new(prepared, scan_kind(request), &mut scan.members);
+        let mut scan = Scan::new(vec![Member::new(request, shape, None)]);
+        let plan = Plan::new(prepared, kind, &mut scan.members);
         Some(Self { plan, scan })
     }
 
@@ -428,9 +415,6 @@ impl Output for Option<MinedPattern> {
 /// one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScanKind {
-    /// No search at all (ranked with `k == 0`): the result is empty and
-    /// untruncated.
-    Trivial,
     /// The GSgrow tree under one constraint set (unbounded constraints are
     /// canonicalized to [`GapConstraints::unbounded`] so equal-meaning
     /// values land in one group).
@@ -440,65 +424,9 @@ enum ScanKind {
     Closed { pruning: bool },
 }
 
-/// Maps a request onto the scan that mines it.
-fn scan_kind(request: &MiningRequest) -> ScanKind {
-    let unbounded = request.constraints.is_unbounded();
-    let constraints = if unbounded {
-        GapConstraints::unbounded()
-    } else {
-        request.constraints
-    };
-    if request.is_ranked() {
-        if request.effective_k() == 0 {
-            return ScanKind::Trivial;
-        }
-        if unbounded && request.base_mode() != Mode::Maximal {
-            // TSP-style top-k walks the plain GSgrow tree with its own
-            // dynamic threshold.
-            return ScanKind::All { constraints };
-        }
-        if unbounded {
-            // Ranked maximal: ranked filter over the closed basis.
-            return ScanKind::Closed {
-                pruning: request.use_landmark_pruning,
-            };
-        }
-        // Constrained ranked (any base): ranked filter over the
-        // constrained-frequent basis.
-        return ScanKind::All { constraints };
-    }
-    match (request.base_mode(), unbounded) {
-        (Mode::All, _) => ScanKind::All { constraints },
-        (Mode::Closed | Mode::Maximal | Mode::TopK, true) => ScanKind::Closed {
-            pruning: request.use_landmark_pruning,
-        },
-        // Constrained closed/maximal: filter the constrained-frequent set
-        // (Theorem 5 pruning is unsound under constraints).
-        (Mode::Closed | Mode::Maximal | Mode::TopK, false) => ScanKind::All { constraints },
-    }
-}
-
-/// How a basis member's collected patterns become its final output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RankedFilter {
-    AsIs,
-    Closed,
-    Maximal,
-}
-
-/// What happens to a basis member's collected patterns at finish time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BasisFinish {
-    /// Non-ranked closed-under-constraints: `closed_subset` then drain.
-    Closed,
-    /// Non-ranked maximal: `maximal_subset` then drain.
-    Maximal,
-    /// Ranked: filter, `min_len` retain, report sort, truncate to `k`.
-    Ranked { k: usize, filter: RankedFilter },
-}
-
 /// A member's role in the scan.
-enum Shape<'f> {
+#[derive(Clone)]
+enum Shape {
     /// Streams through the emission gate at every alive node it reports
     /// (unconstrained `All`/`Closed`, constrained `All`).
     Stream,
@@ -508,52 +436,66 @@ enum Shape<'f> {
     Basis {
         collected: Vec<MinedPattern>,
         truncated: bool,
-        finish: BasisFinish,
+        /// The family the basis is filtered to at finish time: its closed
+        /// or maximal subset, or the basis as is for `All`.
+        family: Mode,
+        /// A ranked member's `k`: the filtered basis is then `min_len`
+        /// filtered, sorted for report and truncated to `k`.
+        k: Option<usize>,
     },
-    /// TSP-style top-k with its own heap and dynamic threshold; a parallel
-    /// run's seeds also share `floor`.
+    /// TSP-style top-k with its own heap and dynamic threshold.
     TopK {
         k: usize,
         closed_only: bool,
         heap: BinaryHeap<Reverse<u64>>,
         collected: Vec<MinedPattern>,
-        floor: Option<&'f AtomicU64>,
     },
 }
 
-/// Maps a request onto its member role within its scan group.
-fn member_shape<'f>(request: &MiningRequest, floor: Option<&'f AtomicU64>) -> Shape<'f> {
+/// Routes a request: the scan that mines it and the member's role in that
+/// scan, or `None` when it needs no search (ranked with `k == 0`: the
+/// result is empty and untruncated).
+fn route(request: &MiningRequest) -> Option<(ScanKind, Shape)> {
     let unbounded = request.constraints.is_unbounded();
-    let basis = |finish| Shape::Basis {
+    let all = ScanKind::All {
+        constraints: if unbounded {
+            GapConstraints::unbounded()
+        } else {
+            request.constraints
+        },
+    };
+    let closed = ScanKind::Closed {
+        pruning: request.use_landmark_pruning,
+    };
+    let basis = |family, k| Shape::Basis {
         collected: Vec::new(),
         truncated: false,
-        finish,
+        family,
+        k,
     };
-    if request.is_ranked() {
-        let k = request.effective_k();
-        if unbounded && request.base_mode() != Mode::Maximal {
-            return Shape::TopK {
+    Some(match (request.top_k, request.mode, unbounded) {
+        (Some(0), _, _) => return None,
+        // TSP-style top-k walks the plain GSgrow tree with its own dynamic
+        // threshold.
+        (Some(k), Mode::All | Mode::Closed, true) => {
+            let shape = Shape::TopK {
                 k,
-                closed_only: request.base_mode() == Mode::Closed,
+                closed_only: request.mode == Mode::Closed,
                 heap: BinaryHeap::new(),
                 collected: Vec::new(),
-                floor,
             };
+            (all, shape)
         }
-        let filter = match request.base_mode() {
-            Mode::All => RankedFilter::AsIs,
-            Mode::Closed | Mode::TopK => RankedFilter::Closed,
-            // Constrained too: a pattern with no proper super-pattern in
-            // the basis is also closed in it, so no closed filter is needed.
-            Mode::Maximal => RankedFilter::Maximal,
-        };
-        return basis(BasisFinish::Ranked { k, filter });
-    }
-    match (request.base_mode(), unbounded) {
-        (Mode::All, _) | (Mode::Closed | Mode::TopK, true) => Shape::Stream,
-        (Mode::Maximal, _) => basis(BasisFinish::Maximal),
-        (Mode::Closed | Mode::TopK, false) => basis(BasisFinish::Closed),
-    }
+        (None, Mode::All, _) => (all, Shape::Stream),
+        (None, Mode::Closed, true) => (closed, Shape::Stream),
+        // Maximal, ranked or not: a filter over the closed basis.
+        (k, Mode::Maximal, true) => (closed, basis(Mode::Maximal, k)),
+        // Constrained closed, maximal or ranked: a filter over the
+        // constrained-frequent basis (Theorem 5 pruning is unsound under
+        // constraints). A pattern with no proper super-pattern in the
+        // basis is also closed in it, so maximal needs no closed filter.
+        (k, mode, false) => (all, basis(mode, k)),
+    })
 }
 
 /// One request's subscription to a scan: its thresholds and caps, its
@@ -582,11 +524,13 @@ struct Member<'f, O> {
     truncated: bool,
     cancelled: bool,
     out: O,
-    shape: Shape<'f>,
+    shape: Shape,
+    /// The support floor a parallel top-k run's seeds share.
+    shared_floor: Option<&'f AtomicU64>,
 }
 
 impl<'f, O: Output> Member<'f, O> {
-    fn new(request: &MiningRequest, out: O, floor: Option<&'f AtomicU64>) -> Self {
+    fn new(request: &MiningRequest, shape: Shape, out: O) -> Self {
         Member {
             floor: request.min_sup.max(1),
             min_len: request.min_len,
@@ -601,7 +545,8 @@ impl<'f, O: Output> Member<'f, O> {
             truncated: false,
             cancelled: false,
             out,
-            shape: member_shape(request, floor),
+            shape,
+            shared_floor: None,
         }
     }
 
@@ -650,7 +595,7 @@ impl<'f, O: Output> Member<'f, O> {
     /// member's dynamic threshold (the smallest support among its current
     /// best `k`, raised by a parallel run's shared floor).
     fn threshold(&self) -> u64 {
-        let Shape::TopK { k, heap, floor, .. } = &self.shape else {
+        let Shape::TopK { k, heap, .. } = &self.shape else {
             return self.floor;
         };
         let local = if heap.len() < *k {
@@ -660,7 +605,8 @@ impl<'f, O: Output> Member<'f, O> {
                 .map_or(self.floor, |&Reverse(s)| s)
                 .max(self.floor)
         };
-        floor.map_or(local, |shared| local.max(shared.load(Ordering::Relaxed)))
+        self.shared_floor
+            .map_or(local, |shared| local.max(shared.load(Ordering::Relaxed)))
     }
 
     fn mined(&self, pattern: &Pattern, support: &SupportSet) -> MinedPattern {
@@ -727,18 +673,14 @@ impl<'f, O: Output> Member<'f, O> {
     fn offer(&mut self, pattern: &Pattern, support: &SupportSet) {
         let mined = self.mined(pattern, support);
         if let Shape::TopK {
-            k,
-            heap,
-            collected,
-            floor,
-            ..
+            k, heap, collected, ..
         } = &mut self.shape
         {
             heap.push(Reverse(mined.support));
             if heap.len() > *k {
                 heap.pop();
             }
-            if let (Some(shared), Some(&Reverse(kth))) = (floor, heap.peek()) {
+            if let (Some(shared), Some(&Reverse(kth))) = (self.shared_floor, heap.peek()) {
                 if heap.len() >= *k {
                     shared.fetch_max(kth, Ordering::Relaxed);
                 }
@@ -802,7 +744,8 @@ impl<'f, O: Output> Member<'f, O> {
             Shape::Basis {
                 mut collected,
                 mut truncated,
-                finish,
+                family,
+                k,
             } => {
                 // A merged parallel basis is capped to the prefix the
                 // sequential walk would have stopped at.
@@ -811,21 +754,16 @@ impl<'f, O: Output> Member<'f, O> {
                     truncated = true;
                 }
                 self.truncated |= truncated;
-                let patterns = match finish {
-                    BasisFinish::Closed => closed_subset(&collected),
-                    BasisFinish::Maximal => maximal_subset(&collected),
-                    BasisFinish::Ranked { k, filter } => {
-                        let mut patterns = match filter {
-                            RankedFilter::AsIs => collected,
-                            RankedFilter::Closed => closed_subset(&collected),
-                            RankedFilter::Maximal => maximal_subset(&collected),
-                        };
-                        patterns.retain(|mp| mp.pattern.len() >= self.min_len);
-                        sort_patterns_for_report(&mut patterns);
-                        patterns.truncate(k);
-                        patterns
-                    }
+                let mut patterns = match family {
+                    Mode::All => collected,
+                    Mode::Closed => closed_subset(&collected),
+                    Mode::Maximal => maximal_subset(&collected),
                 };
+                if let Some(k) = k {
+                    patterns.retain(|mp| mp.pattern.len() >= self.min_len);
+                    sort_patterns_for_report(&mut patterns);
+                    patterns.truncate(k);
+                }
                 self.drain(patterns);
             }
         }
@@ -893,7 +831,7 @@ impl Plan {
             Vec::new()
         };
         // Eager plans are unconstrained: a closed-only top-k member is
-        // never gap-constrained (`member_shape`).
+        // never gap-constrained (`route`).
         let sweep = eager.then(|| SiblingSweep::new(&events));
         Plan {
             kind,
@@ -1421,7 +1359,7 @@ impl<'f, O: Output> Scan<'f, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ExecutionPolicy;
+    use crate::engine::{ExecutionPolicy, DEFAULT_TOP_K};
     use crate::prepared::PreparedDb;
     use seqdb::SequenceDatabase;
 
@@ -1485,9 +1423,16 @@ mod tests {
     fn single_request_batches_match_solo_across_modes() {
         let db = running_example();
         let prepared = PreparedDb::new(&db);
-        for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+        for (mode, top_k) in [
+            (Mode::All, None),
+            (Mode::Closed, None),
+            (Mode::Maximal, None),
+            (Mode::Closed, Some(DEFAULT_TOP_K)),
+        ] {
             for min_sup in [1, 2, 3] {
-                assert_matches_solo(&prepared, &[request(mode, min_sup)]);
+                let mut request = request(mode, min_sup);
+                request.top_k = top_k;
+                assert_matches_solo(&prepared, &[request]);
             }
         }
     }
@@ -1667,12 +1612,9 @@ mod tests {
         let prepared = prepared.as_prepared_ref();
         let mut sink = CollectSink::new();
         let report = {
-            let mut member = Member::new(request, &mut sink as &mut dyn PatternSink, None);
-            let mut plan = Plan::new(
-                prepared,
-                scan_kind(request),
-                std::slice::from_mut(&mut member),
-            );
+            let (kind, shape) = route(request).expect("a request that searches");
+            let mut member = Member::new(request, shape, &mut sink as &mut dyn PatternSink);
+            let mut plan = Plan::new(prepared, kind, std::slice::from_mut(&mut member));
             tweak(&mut plan);
             match request.execution.effective_threads() {
                 1 => {

@@ -8,10 +8,10 @@
 //! requests collide). [`canonical_key`] therefore:
 //!
 //! * **normalizes equivalent spellings** — `min_sup: 0` behaves as `1`
-//!   (support is at least 1 for any reported pattern), and
-//!   [`Mode::TopK`](crate::Mode) is exactly `Mode::Closed` plus
-//!   `top_k: Some(DEFAULT_TOP_K)` ([`MiningRequest::base_mode`] /
-//!   [`MiningRequest::effective_k`]), so both spellings map to one key;
+//!   (support is at least 1 for any reported pattern). The wire's
+//!   `"mode": "top-k"` needs no normalizing: [`parse_request_body`]
+//!   already reads it as `Mode::Closed` with `top_k` defaulting to
+//!   [`DEFAULT_TOP_K`], the request it means;
 //! * **drops non-semantic knobs** — [`ExecutionPolicy`](crate::ExecutionPolicy)
 //!   and `use_landmark_pruning` are pinned bit-identical by the engine's
 //!   equivalence suites (they change wall-clock, never the pattern set),
@@ -28,9 +28,10 @@
 //!
 //! [`parse_request_body`] is the other direction: the one reader of the
 //! flat JSON request shape shared by `POST /mine` bodies and `rgs-mine
-//! batch` lines.
+//! batch` lines. Its mode reader, [`parse_mode`], is also the one behind
+//! `rgs-mine --mode`.
 
-use crate::engine::MiningRequest;
+use crate::engine::{MiningRequest, DEFAULT_TOP_K};
 use crate::json::{self, Value};
 use crate::Mode;
 
@@ -50,15 +51,17 @@ fn opt<T: std::fmt::Display>(value: Option<T>) -> String {
 /// same pattern payload (same patterns, same order, same truncation flag).
 ///
 /// ```
-/// use rgs_core::{canonical_key, MiningRequest, Mode, ExecutionPolicy, DEFAULT_TOP_K};
+/// use rgs_core::{
+///     canonical_key, parse_request_body, ExecutionPolicy, MiningRequest, Mode, DEFAULT_TOP_K,
+/// };
 ///
-/// // TopK mode is closed mining plus a rank cap — one key for both.
+/// // The wire's top-k mode is closed mining plus a rank cap — one key for both.
 /// let spelled_out = MiningRequest {
 ///     mode: Mode::Closed,
 ///     top_k: Some(DEFAULT_TOP_K),
 ///     ..MiningRequest::default()
 /// };
-/// let shorthand = MiningRequest { mode: Mode::TopK, ..MiningRequest::default() };
+/// let shorthand = parse_request_body(r#"{"mode": "top-k"}"#).unwrap().request;
 /// assert_eq!(canonical_key(&spelled_out), canonical_key(&shorthand));
 ///
 /// // Execution policy never changes the mined set, so it never splits keys.
@@ -72,18 +75,15 @@ pub fn canonical_key(request: &MiningRequest) -> String {
     // A reported pattern always has support >= 1, so thresholds 0 and 1
     // admit identical sets.
     let min_sup = request.min_sup.max(1);
-    let mode = match request.base_mode() {
+    let mode = match request.mode {
         Mode::All => "all",
         Mode::Closed => "closed",
         Mode::Maximal => "maximal",
-        // base_mode() resolves TopK to Closed; unreachable by construction.
-        Mode::TopK => "closed",
     };
-    let k = request.is_ranked().then(|| request.effective_k());
     let c = &request.constraints;
     format!(
         "v{KEY_VERSION};sup={min_sup};mode={mode};k={};ming={};maxg={};maxw={};minl={};maxl={};maxp={}",
-        opt(k),
+        opt(request.top_k),
         c.min_gap,
         opt(c.max_gap),
         opt(c.max_window),
@@ -106,10 +106,12 @@ pub struct RequestBody {
 /// Parses one flat JSON request object.
 ///
 /// Every field is optional; omitted fields and `null` take the library
-/// defaults, so `{}` means "closed patterns, min_sup 2". Unknown fields are
-/// rejected by name rather than ignored: a typo like `"min_supp"` silently
-/// mining with the default support would be far worse than an error. The
-/// error message names the offending field.
+/// defaults, so `{}` means "closed patterns, min_sup 2". A top-k `mode`
+/// spelling (see [`parse_mode`]) ranks the request: once every field is
+/// read, an unset `top_k` becomes [`DEFAULT_TOP_K`], whatever the field
+/// order. Unknown fields are rejected by name rather than ignored: a typo
+/// like `"min_supp"` silently mining with the default support would be far
+/// worse than an error. The error message names the offending field.
 pub fn parse_request_body(text: &str) -> Result<RequestBody, String> {
     let value = json::parse(text).map_err(|err| format!("invalid JSON: {err}"))?;
     let members = value
@@ -118,10 +120,16 @@ pub fn parse_request_body(text: &str) -> Result<RequestBody, String> {
 
     let mut request = MiningRequest::default();
     let mut timeout_ms = None;
+    let mut ranked = false;
     for (name, field) in members {
         match name.as_str() {
             "min_sup" => request.min_sup = parse_u64(name, field)?,
-            "mode" => request.mode = parse_mode(field)?,
+            "mode" => {
+                let text = field
+                    .as_str()
+                    .ok_or_else(|| "field \"mode\" must be a string".to_owned())?;
+                (request.mode, ranked) = parse_mode(text)?;
+            }
             "min_gap" => request.constraints.min_gap = parse_u32(name, field)?,
             "max_gap" => request.constraints.max_gap = nullable(name, field, parse_u32)?,
             "max_window" => request.constraints.max_window = nullable(name, field, parse_u32)?,
@@ -137,6 +145,9 @@ pub fn parse_request_body(text: &str) -> Result<RequestBody, String> {
                 ));
             }
         }
+    }
+    if ranked {
+        request.top_k = request.top_k.or(Some(DEFAULT_TOP_K));
     }
     Ok(RequestBody {
         request,
@@ -173,23 +184,26 @@ fn nullable<T>(
     }
 }
 
-fn parse_mode(field: &Value) -> Result<Mode, String> {
-    match field.as_str() {
-        Some("all") => Ok(Mode::All),
-        Some("closed") => Ok(Mode::Closed),
-        Some("maximal") => Ok(Mode::Maximal),
-        Some("top-k" | "topk" | "top_k") => Ok(Mode::TopK),
-        Some(other) => Err(format!(
+/// Reads a mode name: `all`, `closed` or `maximal`, or a top-k spelling
+/// (`top-k`, `topk`, `top_k`), which reads as `closed` and returns `true`:
+/// the request is ranked, with `top_k` defaulting to [`DEFAULT_TOP_K`]
+/// when the caller has read no other value for it.
+pub fn parse_mode(name: &str) -> Result<(Mode, bool), String> {
+    match name {
+        "all" => Ok((Mode::All, false)),
+        "closed" => Ok((Mode::Closed, false)),
+        "maximal" => Ok((Mode::Maximal, false)),
+        "top-k" | "topk" | "top_k" => Ok((Mode::Closed, true)),
+        other => Err(format!(
             "unknown mode {other:?}; one of \"all\", \"closed\", \"maximal\", \"top-k\""
         )),
-        None => Err("field \"mode\" must be a string".to_owned()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecutionPolicy, GapConstraints, DEFAULT_TOP_K};
+    use crate::{ExecutionPolicy, GapConstraints};
 
     #[test]
     fn default_request_has_a_stable_spelled_out_key() {
@@ -212,10 +226,9 @@ mod tests {
         };
         assert_eq!(canonical_key(&zero_sup), canonical_key(&one_sup));
 
-        let topk_mode = MiningRequest {
-            mode: Mode::TopK,
-            ..base.clone()
-        };
+        let topk_mode = parse_request_body(r#"{"mode": "top-k"}"#)
+            .expect("valid body")
+            .request;
         let closed_ranked = MiningRequest {
             top_k: Some(DEFAULT_TOP_K),
             ..base.clone()
@@ -293,6 +306,23 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), variants.len(), "two variants collided");
+    }
+
+    #[test]
+    fn ranking_does_not_depend_on_field_order() {
+        let k_of = |body: &str| parse_request_body(body).expect(body).request.top_k;
+        assert_eq!(k_of(r#"{"top_k":25,"mode":"top-k"}"#), Some(25));
+        assert_eq!(k_of(r#"{"mode":"top-k","top_k":25}"#), Some(25));
+        assert_eq!(
+            k_of(r#"{"mode":"top-k","top_k":null}"#),
+            Some(DEFAULT_TOP_K)
+        );
+        assert_eq!(k_of(r#"{"mode":"topk"}"#), Some(DEFAULT_TOP_K));
+        let shorthand = parse_request_body(r#"{"mode":"top-k"}"#).expect("valid body");
+        assert_eq!(
+            canonical_key(&shorthand.request),
+            "v1;sup=2;mode=closed;k=10;ming=0;maxg=-;maxw=-;minl=0;maxl=-;maxp=-"
+        );
     }
 
     #[test]

@@ -19,26 +19,19 @@ mod tests {
 
     use seqdb::SequenceDatabase;
 
-    use crate::config::MiningConfig;
     use crate::pattern::Pattern;
     use crate::reference::{closed_subset, pattern_set};
 
-    fn all_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn all_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::All)
             .run()
     }
 
-    fn closed_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn closed_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::Closed)
             .run()
     }
@@ -55,9 +48,9 @@ mod tests {
     fn closed_set_equals_reference_filter_of_all_patterns_table_iii() {
         let db = running_example();
         for min_sup in [2, 3, 4, 5] {
-            let all = all_patterns(&db, &MiningConfig::new(min_sup));
+            let all = all_patterns(&db, min_sup);
             let expected = closed_subset(&all.patterns);
-            let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+            let closed = closed_patterns(&db, min_sup);
             assert_eq!(
                 pattern_set(&closed.patterns),
                 pattern_set(&expected),
@@ -73,9 +66,9 @@ mod tests {
     fn closed_set_equals_reference_filter_on_table_ii() {
         let db = simple_example();
         for min_sup in [2, 3, 4] {
-            let all = all_patterns(&db, &MiningConfig::new(min_sup));
+            let all = all_patterns(&db, min_sup);
             let expected = closed_subset(&all.patterns);
-            let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+            let closed = closed_patterns(&db, min_sup);
             assert_eq!(
                 pattern_set(&closed.patterns),
                 pattern_set(&expected),
@@ -88,7 +81,7 @@ mod tests {
     fn ab_is_not_reported_but_abd_is() {
         // Example 3.5/3.6 with min_sup = 3.
         let db = running_example();
-        let closed = closed_patterns(&db, &MiningConfig::new(3));
+        let closed = closed_patterns(&db, 3);
         let ab = Pattern::new(db.pattern_from_str("AB").unwrap());
         let abd = Pattern::new(db.pattern_from_str("ABD").unwrap());
         let aa = Pattern::new(db.pattern_from_str("AA").unwrap());
@@ -111,10 +104,10 @@ mod tests {
     #[test]
     fn landmark_border_pruning_fires_on_the_running_example() {
         let db = running_example();
-        let closed = closed_patterns(&db, &MiningConfig::new(3));
+        let closed = closed_patterns(&db, 3);
         assert!(closed.stats.landmark_border_prunes > 0);
         // Pruning must visit no more nodes than plain GSgrow.
-        let all = all_patterns(&db, &MiningConfig::new(3));
+        let all = all_patterns(&db, 3);
         assert!(closed.stats.visited <= all.stats.visited);
     }
 
@@ -128,8 +121,8 @@ mod tests {
         ] {
             let db = SequenceDatabase::from_str_rows(&rows);
             for min_sup in [1, 2, 3] {
-                let all = all_patterns(&db, &MiningConfig::new(min_sup));
-                let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+                let all = all_patterns(&db, min_sup);
+                let closed = closed_patterns(&db, min_sup);
                 assert!(closed.len() <= all.len(), "rows {rows:?} min_sup {min_sup}");
             }
         }
@@ -141,8 +134,8 @@ mod tests {
         // representation (Lemma 2).
         let db = running_example();
         let min_sup = 2;
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
-        let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
+        let closed = closed_patterns(&db, min_sup);
         for mp in &all.patterns {
             let covered = closed.patterns.iter().any(|cp| {
                 cp.support == mp.support
@@ -163,9 +156,11 @@ mod tests {
         ] {
             let db = SequenceDatabase::from_str_rows(&rows);
             for min_sup in [2, 3] {
-                let pruned = closed_patterns(&db, &MiningConfig::new(min_sup));
-                let unpruned =
-                    closed_patterns(&db, &MiningConfig::new(min_sup).without_landmark_pruning());
+                let pruned = closed_patterns(&db, min_sup);
+                let unpruned = crate::Miner::new(&db)
+                    .min_sup(min_sup)
+                    .landmark_pruning(false)
+                    .run();
                 assert_eq!(
                     crate::reference::pattern_set(&pruned.patterns),
                     crate::reference::pattern_set(&unpruned.patterns),
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     fn max_patterns_truncates_closed_mining_too() {
         let db = running_example();
-        let closed = closed_patterns(&db, &MiningConfig::new(1).with_max_patterns(3));
+        let closed = crate::Miner::new(&db).min_sup(1).max_patterns(3).run();
         assert!(closed.truncated);
         assert_eq!(closed.len(), 3);
     }
@@ -188,7 +183,7 @@ mod tests {
     #[test]
     fn empty_database_yields_empty_closed_result() {
         let db = SequenceDatabase::new();
-        let closed = closed_patterns(&db, &MiningConfig::new(1));
+        let closed = closed_patterns(&db, 1);
         assert!(closed.is_empty());
     }
 
@@ -200,7 +195,7 @@ mod tests {
         // sup(AAAA) = 1. With min_sup = 2 all of A, AA, AAA are closed
         // (each super-pattern has strictly smaller support).
         let db = SequenceDatabase::from_str_rows(&["AAAA"]);
-        let closed = closed_patterns(&db, &MiningConfig::new(2));
+        let closed = closed_patterns(&db, 2);
         let a = Pattern::new(db.pattern_from_str("A").unwrap());
         let aa = Pattern::new(db.pattern_from_str("AA").unwrap());
         let aaa = Pattern::new(db.pattern_from_str("AAA").unwrap());

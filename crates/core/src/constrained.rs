@@ -26,7 +26,6 @@ pub fn constrained_support(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MiningConfig;
     use crate::engine::{Miner, Mode};
     use crate::instance::Landmark;
     use crate::reference::pattern_set;
@@ -38,17 +37,17 @@ mod tests {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
     }
 
-    fn all_patterns(db: &SequenceDatabase, config: &MiningConfig) -> MiningOutcome {
-        Miner::new(db).from_config(config).mode(Mode::All).run()
+    fn all_patterns(db: &SequenceDatabase, min_sup: u64) -> MiningOutcome {
+        Miner::new(db).min_sup(min_sup).mode(Mode::All).run()
     }
 
     fn constrained_all(
         db: &SequenceDatabase,
-        config: &MiningConfig,
+        min_sup: u64,
         constraints: GapConstraints,
     ) -> MiningOutcome {
         Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(Mode::All)
             .constraints(constraints)
             .run()
@@ -56,11 +55,11 @@ mod tests {
 
     fn constrained_closed(
         db: &SequenceDatabase,
-        config: &MiningConfig,
+        min_sup: u64,
         constraints: GapConstraints,
     ) -> MiningOutcome {
         Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(Mode::Closed)
             .constraints(constraints)
             .run()
@@ -231,9 +230,8 @@ mod tests {
     fn constrained_miner_with_unbounded_constraints_equals_gsgrow() {
         let db = running_example();
         for min_sup in [2, 3] {
-            let config = MiningConfig::new(min_sup);
-            let plain = all_patterns(&db, &config);
-            let constrained = constrained_all(&db, &config, GapConstraints::unbounded());
+            let plain = all_patterns(&db, min_sup);
+            let constrained = constrained_all(&db, min_sup, GapConstraints::unbounded());
             assert_eq!(
                 pattern_set(&plain.patterns),
                 pattern_set(&constrained.patterns)
@@ -247,9 +245,8 @@ mod tests {
         // every pattern found by unconstrained mining whose constrained
         // support reaches the threshold is reported.
         let db = running_example();
-        let config = MiningConfig::new(2);
         let constraints = GapConstraints::max_gap(2);
-        let mined = constrained_all(&db, &config, constraints);
+        let mined = constrained_all(&db, 2, constraints);
         for mp in &mined.patterns {
             assert!(mp.support >= 2);
             assert_eq!(
@@ -257,7 +254,7 @@ mod tests {
                 constrained_support(&db, mp.pattern.events(), constraints)
             );
         }
-        let unconstrained = all_patterns(&db, &MiningConfig::new(1));
+        let unconstrained = all_patterns(&db, 1);
         for mp in &unconstrained.patterns {
             let csup = constrained_support(&db, mp.pattern.events(), constraints);
             if csup >= 2 {
@@ -274,10 +271,9 @@ mod tests {
     #[test]
     fn closed_constrained_patterns_are_a_closed_subset() {
         let db = running_example();
-        let config = MiningConfig::new(2);
         let constraints = GapConstraints::max_gap(3);
-        let all = constrained_all(&db, &config, constraints);
-        let closed = constrained_closed(&db, &config, constraints);
+        let all = constrained_all(&db, 2, constraints);
+        let closed = constrained_closed(&db, 2, constraints);
         assert!(!closed.is_empty());
         assert!(closed.len() <= all.len());
         // No closed pattern has a frequent super-pattern of equal support.
@@ -320,7 +316,7 @@ mod tests {
     #[test]
     fn empty_database_and_empty_pattern_edge_cases() {
         let db = SequenceDatabase::new();
-        let outcome = constrained_all(&db, &MiningConfig::new(1), GapConstraints::max_gap(1));
+        let outcome = constrained_all(&db, 1, GapConstraints::max_gap(1));
         assert!(outcome.is_empty());
         let db2 = running_example();
         let csc = SupportComputer::new(&db2).with_constraints(GapConstraints::max_gap(1));
@@ -331,17 +327,19 @@ mod tests {
     #[test]
     fn truncation_and_length_caps_are_respected() {
         let db = running_example();
-        let config = MiningConfig::new(1)
-            .with_max_patterns(4)
-            .with_support_sets();
-        let mined = constrained_all(&db, &config, GapConstraints::max_gap(2));
+        let constrained = || {
+            Miner::new(&db)
+                .min_sup(1)
+                .mode(Mode::All)
+                .constraints(GapConstraints::max_gap(2))
+        };
+        let mined = constrained().max_patterns(4).keep_support_sets().run();
         assert!(mined.truncated);
         assert_eq!(mined.len(), 4);
         for mp in &mined.patterns {
             assert!(mp.support_set.is_some());
         }
-        let capped = MiningConfig::new(1).with_max_pattern_length(2);
-        let short = constrained_all(&db, &capped, GapConstraints::max_gap(2));
+        let short = constrained().max_pattern_length(2).run();
         assert!(short.max_pattern_length() <= 2);
     }
 }

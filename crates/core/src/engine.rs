@@ -9,9 +9,9 @@
 //! * [`Miner`] — a builder over a [`SequenceDatabase`]: pick a support
 //!   threshold, a [`Mode`], optional [`GapConstraints`], an optional top-k
 //!   ranking, caps and ablation switches, then [`Miner::run`].
-//! * [`MiningRequest`] — the plain-data description of a run, where every
-//!   option is orthogonal, so combinations such as gap-constrained top-k
-//!   or constrained maximal compose for free.
+//! * [`MiningRequest`] — the plain-data description of a run, and the
+//!   only one: every option is orthogonal, so combinations such as
+//!   gap-constrained top-k or constrained maximal compose for free.
 //! * [`MiningSession`] — a prepared request bound to a database; run it to
 //!   a [`MiningOutcome`], or stream it through a
 //!   [`PatternSink`] with
@@ -46,22 +46,25 @@ use std::time::Instant;
 use seqdb::SequenceDatabase;
 
 use crate::batch::run_solo;
-use crate::config::MiningConfig;
 use crate::constraints::GapConstraints;
 use crate::prepared::{PreparedDb, PreparedParts, PreparedRef};
 use crate::result::{MiningOutcome, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 use crate::stream::PatternStream;
 
-/// Default `k` when [`Mode::TopK`] is selected without an explicit
-/// [`Miner::top_k`] call.
+/// The `k` of a request body or `rgs-mine` command that asks for top-k
+/// mining (`"mode": "top-k"`, `--mode top-k`, `rgs-mine topk`) without
+/// giving `k` (see [`crate::parse_request_body`]).
 pub const DEFAULT_TOP_K: usize = 10;
 
 /// Which pattern family a mining run reports.
 ///
 /// Modes compose orthogonally with every other [`MiningRequest`] option:
 /// constraints, top-k ranking, caps, support-set retention, and the
-/// landmark-pruning ablation all apply to every mode.
+/// landmark-pruning ablation all apply to every mode. Ranking is not a
+/// mode: [`MiningRequest::top_k`] ranks any of them, and the TSP-style
+/// top-k of closed patterns is [`Mode::Closed`] with `top_k` set (the wire
+/// spelling `"top-k"` reads as exactly that).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
     /// Every frequent pattern (GSgrow, Algorithm 3).
@@ -73,10 +76,6 @@ pub enum Mode {
     /// Maximal frequent patterns: the subsumption frontier of the closed
     /// set (no frequent proper super-pattern).
     Maximal,
-    /// The k best closed patterns ranked by support (TSP-style dynamic
-    /// threshold). Equivalent to [`Mode::Closed`] plus [`Miner::top_k`];
-    /// `k` defaults to [`DEFAULT_TOP_K`] unless set explicitly.
-    TopK,
 }
 
 /// How a mining run executes: on the calling thread, or fanned out across
@@ -87,8 +86,13 @@ pub enum Mode {
 /// `std::thread::scope` workers. Each worker mines its subtrees into a
 /// local buffer and the buffers are merged **in seed order**, so the
 /// reported pattern list is bit-identical to the sequential one in every
-/// mode. Top-k runs additionally share the dynamic support floor across
-/// workers through an atomic.
+/// mode.
+///
+/// Ranked runs ([`MiningRequest::top_k`]) additionally share the dynamic
+/// support floor across workers through an atomic. They return the
+/// sequential patterns, but their `visited` and `instance_growths`
+/// counters depend on the thread schedule: how far a seed prunes depends
+/// on which floors the other seeds have published by then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionPolicy {
     /// Everything runs on the calling thread (the default). This is also
@@ -120,7 +124,7 @@ impl ExecutionPolicy {
 
 /// The plain-data description of one mining run. Build it through
 /// [`Miner`], or construct it directly and bind it with
-/// [`Miner::from_request`].
+/// [`Miner::with_request`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MiningRequest {
     /// Support threshold: only patterns with (constrained) repetitive
@@ -133,7 +137,7 @@ pub struct MiningRequest {
     /// reproduces the paper's unconstrained semantics exactly).
     pub constraints: GapConstraints,
     /// Rank the result by support and keep only the best `k` patterns.
-    /// `None` means report everything (unless `mode` is [`Mode::TopK`]).
+    /// `None` means report everything.
     pub top_k: Option<usize>,
     /// Only patterns of at least this length are reported (0 = no filter).
     pub min_len: usize,
@@ -171,22 +175,10 @@ impl Default for MiningRequest {
 }
 
 impl MiningRequest {
-    /// Whether the result is ranked and truncated to the best `k`.
-    pub fn is_ranked(&self) -> bool {
-        self.top_k.is_some() || self.mode == Mode::TopK
-    }
-
-    /// The effective `k` of a ranked run.
-    pub fn effective_k(&self) -> usize {
-        self.top_k.unwrap_or(DEFAULT_TOP_K)
-    }
-
-    /// The mode with [`Mode::TopK`] resolved to its base family (closed).
+    /// The request's `mode`, as is. Kept only because perfbench's trace
+    /// calls it; it goes with the next change to the benchmark.
     pub fn base_mode(&self) -> Mode {
-        match self.mode {
-            Mode::TopK => Mode::Closed,
-            mode => mode,
-        }
+        self.mode
     }
 }
 
@@ -288,15 +280,6 @@ impl<'a> Miner<'a> {
         )?)))
     }
 
-    /// Binds an existing request to a database (lazy preparation, like
-    /// [`Miner::new`]).
-    pub fn from_request(db: &'a SequenceDatabase, request: MiningRequest) -> Self {
-        Self {
-            db: DbHandle::Raw(db),
-            request,
-        }
-    }
-
     /// Prepares the underlying database into an owned [`PreparedDb`]
     /// snapshot (the two-phase flow: prepare once, then run many queries
     /// against it via [`PreparedDb::miner`]). The current builder options
@@ -307,17 +290,6 @@ impl<'a> Miner<'a> {
             DbHandle::Prepared(prepared) => (*prepared).clone(),
             DbHandle::Shared(prepared) => prepared.as_ref().clone(),
         }
-    }
-
-    /// Imports the DFS knobs of a [`MiningConfig`] (threshold, caps,
-    /// support-set retention, pruning ablation).
-    pub fn from_config(mut self, config: &MiningConfig) -> Self {
-        self.request.min_sup = config.min_sup;
-        self.request.max_pattern_length = config.max_pattern_length;
-        self.request.max_patterns = config.max_patterns;
-        self.request.keep_support_sets = config.keep_support_sets;
-        self.request.use_landmark_pruning = config.use_landmark_pruning;
-        self
     }
 
     /// Replaces the whole request in one piece — the handle for callers
@@ -536,30 +508,47 @@ mod tests {
     use crate::result::MinedPattern;
 
     fn constrained_all(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-        constraints: crate::GapConstraints,
-    ) -> crate::MiningOutcome {
-        crate::Miner::new(db)
-            .from_config(config)
-            .mode(crate::Mode::All)
+        db: &SequenceDatabase,
+        min_sup: u64,
+        constraints: GapConstraints,
+    ) -> MiningOutcome {
+        Miner::new(db)
+            .min_sup(min_sup)
+            .mode(Mode::All)
             .constraints(constraints)
             .run()
     }
 
     fn constrained_closed(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-        constraints: crate::GapConstraints,
-    ) -> crate::MiningOutcome {
-        crate::Miner::new(db)
-            .from_config(config)
-            .mode(crate::Mode::Closed)
+        db: &SequenceDatabase,
+        min_sup: u64,
+        constraints: GapConstraints,
+    ) -> MiningOutcome {
+        Miner::new(db)
+            .min_sup(min_sup)
+            .mode(Mode::Closed)
             .constraints(constraints)
             .run()
     }
 
     use crate::sink::{BudgetSink, CountSink};
+
+    /// Every pattern family a request can ask for: the three modes, and
+    /// ranked closed mining at the default `k`.
+    const FAMILIES: [(Mode, Option<usize>); 4] = [
+        (Mode::All, None),
+        (Mode::Closed, None),
+        (Mode::Maximal, None),
+        (Mode::Closed, Some(DEFAULT_TOP_K)),
+    ];
+
+    fn family(mode: Mode, top_k: Option<usize>) -> MiningRequest {
+        MiningRequest {
+            mode,
+            top_k,
+            ..MiningRequest::default()
+        }
+    }
 
     fn running_example() -> SequenceDatabase {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
@@ -572,7 +561,9 @@ mod tests {
     #[test]
     fn mode_top_k_defaults_to_ranked_closed_mining() {
         let db = running_example();
-        let via_mode = Miner::new(&db).min_sup(1).mode(Mode::TopK).min_len(2).run();
+        let body = crate::parse_request_body(r#"{"min_sup":1,"mode":"top-k","min_len":2}"#)
+            .expect("valid body");
+        let via_mode = Miner::new(&db).with_request(body.request).run();
         let via_option = Miner::new(&db)
             .min_sup(1)
             .mode(Mode::Closed)
@@ -610,7 +601,7 @@ mod tests {
             assert!(w[0].support >= w[1].support);
         }
         // And it agrees with ranking the full constrained closed set.
-        let mut full = constrained_closed(&db, &MiningConfig::new(1), constraints);
+        let mut full = constrained_closed(&db, 1, constraints);
         full.patterns.retain(|mp| mp.pattern.len() >= 2);
         full.sort_for_report();
         full.patterns.truncate(4);
@@ -626,7 +617,7 @@ mod tests {
             .mode(Mode::Maximal)
             .constraints(constraints)
             .run();
-        let all = constrained_all(&db, &MiningConfig::new(2), constraints);
+        let all = constrained_all(&db, 2, constraints);
         assert!(!maximal.is_empty());
         // Frontier property within the constrained-frequent set.
         for mp in &maximal.patterns {
@@ -728,8 +719,8 @@ mod tests {
             Miner::new(&db).min_sup(2).mode(Mode::All),
             Miner::new(&db).min_sup(2).mode(Mode::Closed),
             Miner::new(&db).min_sup(2).mode(Mode::Maximal),
-            Miner::new(&db).min_sup(2).mode(Mode::TopK),
-            Miner::new(&db).min_sup(2).mode(Mode::TopK).top_k(0),
+            Miner::new(&db).min_sup(2).top_k(DEFAULT_TOP_K),
+            Miner::new(&db).min_sup(2).top_k(0),
             Miner::new(&db)
                 .min_sup(2)
                 .mode(Mode::Closed)
@@ -791,18 +782,18 @@ mod tests {
     #[test]
     fn parallel_execution_is_bit_identical_across_modes() {
         let db = running_example();
-        for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+        for (mode, top_k) in FAMILIES {
             for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
                 let sequential = Miner::new(&db)
+                    .with_request(family(mode, top_k))
                     .min_sup(2)
-                    .mode(mode)
                     .constraints(constraints)
                     .keep_support_sets()
                     .run();
                 for threads in [2, 3, 8] {
                     let parallel = Miner::new(&db)
+                        .with_request(family(mode, top_k))
                         .min_sup(2)
-                        .mode(mode)
                         .constraints(constraints)
                         .keep_support_sets()
                         .threads(threads)
@@ -810,7 +801,7 @@ mod tests {
                     assert_eq!(
                         sequential.patterns,
                         parallel.patterns,
-                        "{mode:?} with {} diverges at {threads} threads",
+                        "{mode:?} top_k {top_k:?} with {} diverges at {threads} threads",
                         constraints.describe()
                     );
                     assert_eq!(sequential.truncated, parallel.truncated);
@@ -840,12 +831,16 @@ mod tests {
         let db = running_example();
         let prepared = Miner::new(&db).prepare();
         for min_sup in [1, 2, 3] {
-            for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
-                let fresh = Miner::new(&db).min_sup(min_sup).mode(mode).run();
-                let reused = prepared.miner().min_sup(min_sup).mode(mode).run();
+            for (mode, top_k) in FAMILIES {
+                let request = MiningRequest {
+                    min_sup,
+                    ..family(mode, top_k)
+                };
+                let fresh = Miner::new(&db).with_request(request.clone()).run();
+                let reused = prepared.miner().with_request(request).run();
                 assert_eq!(
                     fresh.patterns, reused.patterns,
-                    "{mode:?} at min_sup {min_sup}"
+                    "{mode:?} top_k {top_k:?} at min_sup {min_sup}"
                 );
             }
         }
@@ -876,18 +871,18 @@ mod tests {
     #[test]
     fn stream_yields_the_materialized_sequence_for_every_mode() {
         let db = running_example();
-        for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+        for (mode, top_k) in FAMILIES {
             for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
                 let session = Miner::new(&db)
+                    .with_request(family(mode, top_k))
                     .min_sup(2)
-                    .mode(mode)
                     .constraints(constraints)
                     .session();
                 let pulled: Vec<MinedPattern> = session.stream().collect();
                 assert_eq!(
                     pulled,
                     session.run().patterns,
-                    "{mode:?} with {}",
+                    "{mode:?} top_k {top_k:?} with {}",
                     constraints.describe()
                 );
             }

@@ -32,16 +32,12 @@ pub(crate) fn frequent_events(
 mod tests {
 
     use super::*;
-    use crate::config::MiningConfig;
     use crate::pattern::Pattern;
     use crate::reference::{enumerate_frequent, pattern_set};
 
-    fn all_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn all_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::All)
             .run()
     }
@@ -57,7 +53,7 @@ mod tests {
     #[test]
     fn gsgrow_matches_brute_force_on_table_ii() {
         let db = simple_example();
-        let mined = all_patterns(&db, &MiningConfig::new(2));
+        let mined = all_patterns(&db, 2);
         let brute = enumerate_frequent(&db, 2, 16);
         assert_eq!(pattern_set(&mined.patterns), pattern_set(&brute));
         for mp in &brute {
@@ -69,7 +65,7 @@ mod tests {
     fn gsgrow_matches_brute_force_on_table_iii() {
         let db = running_example();
         for min_sup in [2, 3, 4] {
-            let mined = all_patterns(&db, &MiningConfig::new(min_sup));
+            let mined = all_patterns(&db, min_sup);
             let brute = enumerate_frequent(&db, min_sup, 16);
             assert_eq!(
                 pattern_set(&mined.patterns),
@@ -84,7 +80,7 @@ mod tests {
         // With min_sup = 3 on Table III, AA is frequent but AAA is not
         // (|I_AAA| = 1 < 3).
         let db = running_example();
-        let mined = all_patterns(&db, &MiningConfig::new(3));
+        let mined = all_patterns(&db, 3);
         let aa = Pattern::new(db.pattern_from_str("AA").unwrap());
         let aaa = Pattern::new(db.pattern_from_str("AAA").unwrap());
         assert_eq!(mined.support_of(&aa), Some(3));
@@ -94,8 +90,11 @@ mod tests {
     #[test]
     fn every_emitted_pattern_meets_the_threshold() {
         let db = running_example();
-        let config = MiningConfig::new(2).with_support_sets();
-        let mined = all_patterns(&db, &config);
+        let mined = crate::Miner::new(&db)
+            .min_sup(2)
+            .mode(crate::Mode::All)
+            .keep_support_sets()
+            .run();
         assert!(!mined.is_empty());
         for mp in &mined.patterns {
             assert!(mp.support >= 2);
@@ -107,8 +106,11 @@ mod tests {
     #[test]
     fn max_pattern_length_caps_the_dfs() {
         let db = running_example();
-        let config = MiningConfig::new(2).with_max_pattern_length(2);
-        let mined = all_patterns(&db, &config);
+        let mined = crate::Miner::new(&db)
+            .min_sup(2)
+            .mode(crate::Mode::All)
+            .max_pattern_length(2)
+            .run();
         assert!(mined.max_pattern_length() <= 2);
         assert!(!mined.is_empty());
     }
@@ -116,8 +118,11 @@ mod tests {
     #[test]
     fn max_patterns_truncates_the_run() {
         let db = running_example();
-        let config = MiningConfig::new(1).with_max_patterns(5);
-        let mined = all_patterns(&db, &config);
+        let mined = crate::Miner::new(&db)
+            .min_sup(1)
+            .mode(crate::Mode::All)
+            .max_patterns(5)
+            .run();
         assert!(mined.truncated);
         assert_eq!(mined.len(), 5);
     }
@@ -125,7 +130,7 @@ mod tests {
     #[test]
     fn high_threshold_yields_only_single_events_or_nothing() {
         let db = simple_example();
-        let mined = all_patterns(&db, &MiningConfig::new(5));
+        let mined = all_patterns(&db, 5);
         // A occurs 5 times; B and C occur 5 times? A: 4+... let's just check
         // every mined pattern really has support >= 5 and no super-pattern
         // sneaks in below threshold.
@@ -137,7 +142,7 @@ mod tests {
     #[test]
     fn empty_database_yields_empty_result() {
         let db = SequenceDatabase::new();
-        let mined = all_patterns(&db, &MiningConfig::new(1));
+        let mined = all_patterns(&db, 1);
         assert!(mined.is_empty());
         assert!(!mined.truncated);
     }
@@ -145,7 +150,7 @@ mod tests {
     #[test]
     fn stats_report_positive_work() {
         let db = running_example();
-        let mined = all_patterns(&db, &MiningConfig::new(2));
+        let mined = all_patterns(&db, 2);
         assert!(mined.stats.visited > 0);
         assert!(mined.stats.instance_growths > 0);
         assert!(mined.stats.elapsed_seconds >= 0.0);

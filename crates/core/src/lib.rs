@@ -30,10 +30,12 @@
 //! inverted event index, the frequent-event counts) from per-query
 //! execution. [`PreparedDb::new`] performs the setup exactly once into an
 //! immutable, `Arc`-shareable snapshot; the [`Miner`] builder then
-//! describes and runs queries against it. Mode (all/closed/maximal/top-k),
-//! gap and window constraints, top-k ranking, length/pattern caps,
-//! support-set retention, pruning ablations, and sequential/parallel
-//! execution are orthogonal options that combine freely:
+//! describes and runs queries against it, filling in one [`MiningRequest`]
+//! — the only description of a run. Mode (all/closed/maximal), gap and
+//! window constraints, top-k ranking ([`MiningRequest::top_k`], the only
+//! way to ask for it), length/pattern caps, support-set retention, pruning
+//! ablations, and sequential/parallel execution are orthogonal options
+//! that combine freely:
 //!
 //! ```
 //! use seqdb::SequenceDatabase;
@@ -153,7 +155,6 @@ pub mod batch;
 pub mod canonical;
 mod clogsgrow;
 pub mod closure;
-pub mod config;
 pub mod constrained;
 pub mod constraints;
 pub mod engine;
@@ -177,8 +178,7 @@ pub mod support;
 mod topk;
 
 pub use batch::MiningResult;
-pub use canonical::{canonical_key, parse_request_body, RequestBody};
-pub use config::MiningConfig;
+pub use canonical::{canonical_key, parse_mode, parse_request_body, RequestBody};
 pub use constrained::constrained_support;
 pub use constraints::GapConstraints;
 pub use engine::{

@@ -70,34 +70,24 @@ pub fn is_maximal(db: &SequenceDatabase, pattern: &Pattern, min_sup: u64) -> boo
 mod tests {
 
     use super::*;
-    use crate::config::MiningConfig;
 
-    fn all_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn all_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::All)
             .run()
     }
 
-    fn closed_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn closed_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::Closed)
             .run()
     }
 
-    fn maximal_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn maximal_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::Maximal)
             .run()
     }
@@ -114,8 +104,8 @@ mod tests {
     fn maximal_patterns_are_a_subset_of_closed_patterns() {
         let db = running_example();
         for min_sup in [2, 3] {
-            let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
-            let maximal = maximal_patterns(&db, &MiningConfig::new(min_sup));
+            let closed = closed_patterns(&db, min_sup);
+            let maximal = maximal_patterns(&db, min_sup);
             assert!(!maximal.is_empty());
             assert!(maximal.len() <= closed.len());
             for mp in &maximal.patterns {
@@ -128,8 +118,8 @@ mod tests {
     fn no_maximal_pattern_is_contained_in_another_frequent_pattern() {
         let db = running_example();
         let min_sup = 3;
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
-        let maximal = maximal_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
+        let maximal = maximal_patterns(&db, min_sup);
         for mp in &maximal.patterns {
             for other in &all.patterns {
                 assert!(
@@ -146,8 +136,8 @@ mod tests {
     fn every_frequent_pattern_is_contained_in_some_maximal_pattern() {
         let db = simple_example();
         let min_sup = 2;
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
-        let maximal = maximal_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
+        let maximal = maximal_patterns(&db, min_sup);
         for mp in &all.patterns {
             assert!(
                 maximal
@@ -165,8 +155,8 @@ mod tests {
     fn mine_maximal_agrees_with_the_direct_definition_check() {
         let db = running_example();
         let min_sup = 3;
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
-        let maximal = maximal_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
+        let maximal = maximal_patterns(&db, min_sup);
         for mp in &all.patterns {
             let in_maximal = maximal.contains(&mp.pattern);
             assert_eq!(

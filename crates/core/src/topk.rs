@@ -22,22 +22,16 @@ mod tests {
     use crate::engine::{Miner, Mode};
     use crate::growth::SupportComputer;
 
-    fn all_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn all_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::All)
             .run()
     }
 
-    fn closed_patterns(
-        db: &seqdb::SequenceDatabase,
-        config: &crate::MiningConfig,
-    ) -> crate::MiningOutcome {
+    fn closed_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
-            .from_config(config)
+            .min_sup(min_sup)
             .mode(crate::Mode::Closed)
             .run()
     }
@@ -52,8 +46,6 @@ mod tests {
             .top_k(k)
             .min_len(min_len)
     }
-
-    use crate::config::MiningConfig;
 
     fn running_example() -> SequenceDatabase {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
@@ -84,7 +76,7 @@ mod tests {
         let db = running_example();
         for k in [1, 3, 5, 10] {
             let topk = top_k(&db, k, 2, true).run();
-            let mut full = closed_patterns(&db, &MiningConfig::new(1));
+            let mut full = closed_patterns(&db, 1);
             full.patterns.retain(|mp| mp.pattern.len() >= 2);
             full.sort_for_report();
             let expected: Vec<u64> = full.patterns.iter().take(k).map(|mp| mp.support).collect();
@@ -98,7 +90,7 @@ mod tests {
         let db = simple_example();
         for k in [1, 4, 8] {
             let topk = top_k(&db, k, 2, false).run();
-            let mut full = all_patterns(&db, &MiningConfig::new(1));
+            let mut full = all_patterns(&db, 1);
             full.patterns.retain(|mp| mp.pattern.len() >= 2);
             full.sort_for_report();
             let expected: Vec<u64> = full.patterns.iter().take(k).map(|mp| mp.support).collect();

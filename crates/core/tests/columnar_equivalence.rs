@@ -6,12 +6,14 @@
 //! The old layout is reimplemented here as a reference (`NaiveIndex` plus a
 //! naive greedy instance growth over it); random databases are generated
 //! from a fixed seed and compared query by query, and whole mining runs
-//! across all four modes ± gap constraints are re-verified support by
+//! across every mode and top-k ± gap constraints are re-verified support by
 //! support against the naive layout.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rgs_core::{GapConstraints, Miner, Mode, PreparedDb, SupportComputer};
+use rgs_core::{
+    GapConstraints, Miner, MiningRequest, Mode, PreparedDb, SupportComputer, DEFAULT_TOP_K,
+};
 use seqdb::{DatabaseBuilder, EventId, SequenceDatabase};
 
 /// The seed's inverted-index layout: `positions[seq][event] = Vec<u32>`,
@@ -146,6 +148,23 @@ fn csr_index_matches_the_nested_layout_query_by_query() {
     }
 }
 
+/// Every pattern family a request can ask for: the three modes, and
+/// ranked closed mining at the default `k`.
+const FAMILIES: [(Mode, Option<usize>); 4] = [
+    (Mode::All, None),
+    (Mode::Closed, None),
+    (Mode::Maximal, None),
+    (Mode::Closed, Some(DEFAULT_TOP_K)),
+];
+
+fn family(mode: Mode, top_k: Option<usize>) -> MiningRequest {
+    MiningRequest {
+        mode,
+        top_k,
+        ..MiningRequest::default()
+    }
+}
+
 #[test]
 fn mining_outputs_match_the_nested_layout_across_modes_and_constraints() {
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
@@ -158,24 +177,24 @@ fn mining_outputs_match_the_nested_layout_across_modes_and_constraints() {
         let db = random_database(&mut rng);
         let naive = NaiveIndex::build(&db);
         let prepared = PreparedDb::new(&db);
-        for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+        for (mode, top_k) in FAMILIES {
             for constraints in constraint_cases {
                 let lazy = Miner::new(&db)
+                    .with_request(family(mode, top_k))
                     .min_sup(2)
-                    .mode(mode)
                     .constraints(constraints)
                     .run();
                 let snapshot = prepared
                     .miner()
+                    .with_request(family(mode, top_k))
                     .min_sup(2)
-                    .mode(mode)
                     .constraints(constraints)
                     .run();
                 // Lazily-prepared and snapshot runs agree bit for bit.
                 assert_eq!(
                     lazy.patterns,
                     snapshot.patterns,
-                    "round {round}, {mode:?}, {}",
+                    "round {round}, {mode:?} top_k {top_k:?}, {}",
                     constraints.describe()
                 );
                 // Every reported support re-derives on the nested layout.
@@ -183,7 +202,7 @@ fn mining_outputs_match_the_nested_layout_across_modes_and_constraints() {
                     assert_eq!(
                         mined.support,
                         naive_support(&db, &naive, mined.pattern.events(), constraints),
-                        "round {round}, {mode:?}, {} — support of {:?}",
+                        "round {round}, {mode:?} top_k {top_k:?}, {} — support of {:?}",
                         constraints.describe(),
                         mined.pattern
                     );

@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rgs_core::{
     BudgetSink, CountSink, GapConstraints, MinedPattern, Miner, MiningReport, MiningRequest,
-    MiningStats, Mode, PreparedDb,
+    MiningStats, Mode, PreparedDb, DEFAULT_TOP_K,
 };
 use seqdb::{EventCatalog, SequenceDatabase};
 
@@ -120,7 +120,14 @@ fn cases() -> Vec<(&'static str, MiningRequest)> {
     let mut rng = StdRng::seed_from_u64(0x0060_1DE7);
     let mut cases = Vec::new();
     for db in ["paper", "random"] {
-        for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+        // The fourth row is ranked closed mining, at the default `k` unless
+        // the cell's `top_k` sets one.
+        for (mode, ranked) in [
+            (Mode::All, false),
+            (Mode::Closed, false),
+            (Mode::Maximal, false),
+            (Mode::Closed, true),
+        ] {
             for constraints in constraint_cases() {
                 for top_k in [None, Some(0), Some(3)] {
                     for pruning in [true, false] {
@@ -129,7 +136,11 @@ fn cases() -> Vec<(&'static str, MiningRequest)> {
                                 min_sup: rng.gen_range(1..=4u64) + u64::from(db == "random"),
                                 mode,
                                 constraints,
-                                top_k,
+                                top_k: if ranked {
+                                    top_k.or(Some(DEFAULT_TOP_K))
+                                } else {
+                                    top_k
+                                },
                                 min_len: rng.gen_range(0..=3usize),
                                 max_pattern_length: [None, Some(2), Some(3), Some(4)]
                                     [rng.gen_range(0..4usize)],
@@ -187,7 +198,10 @@ fn walk_reproduces_the_pinned_grid() {
         } else {
             (&random, &random_prepared)
         };
-        let flat = record(|| Miner::from_request(db, request.clone()), db.catalog());
+        let flat = record(
+            || Miner::new(db).with_request(request.clone()),
+            db.catalog(),
+        );
         let expected = format!("{i}: {flat}");
         assert_eq!(
             &expected, line,

@@ -13,19 +13,19 @@ use rand::{Rng, SeedableRng};
 use rgs_core::reference::{closed_subset, enumerate_frequent, max_non_overlapping, pattern_set};
 use rgs_core::{
     constrained_support, repetitive_support, GapConstraints, Instance, Landmark, Miner,
-    MiningConfig, MiningOutcome, Mode, Pattern, SupportComputer,
+    MiningOutcome, Mode, Pattern, SupportComputer,
 };
 use seqdb::{EventId, SequenceDatabase};
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
 const CASES: usize = 96;
 
-fn all_patterns(db: &SequenceDatabase, config: &MiningConfig) -> MiningOutcome {
-    Miner::new(db).from_config(config).mode(Mode::All).run()
+fn all_patterns(db: &SequenceDatabase, min_sup: u64) -> MiningOutcome {
+    Miner::new(db).min_sup(min_sup).mode(Mode::All).run()
 }
 
-fn closed_patterns(db: &SequenceDatabase, config: &MiningConfig) -> MiningOutcome {
-    Miner::new(db).from_config(config).mode(Mode::Closed).run()
+fn closed_patterns(db: &SequenceDatabase, min_sup: u64) -> MiningOutcome {
+    Miner::new(db).min_sup(min_sup).mode(Mode::Closed).run()
 }
 
 /// A small random database: 1–4 sequences of length 0–10 over 4 events.
@@ -155,7 +155,7 @@ fn gsgrow_is_complete_and_sound() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(1..4u64);
-        let mined = all_patterns(&db, &MiningConfig::new(min_sup));
+        let mined = all_patterns(&db, min_sup);
         let brute = enumerate_frequent(&db, min_sup, 12);
         assert_eq!(
             pattern_set(&mined.patterns),
@@ -175,9 +175,9 @@ fn clogsgrow_equals_closed_subset_of_all() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(1..4u64);
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
         let expected = closed_subset(&all.patterns);
-        let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+        let closed = closed_patterns(&db, min_sup);
         assert_eq!(
             pattern_set(&closed.patterns),
             pattern_set(&expected),
@@ -197,8 +197,8 @@ fn closed_set_is_a_lossless_summary() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(1..4u64);
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
-        let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
+        let closed = closed_patterns(&db, min_sup);
         for mp in &all.patterns {
             let covered = closed.patterns.iter().any(|cp| {
                 cp.support == mp.support
@@ -221,8 +221,8 @@ fn pruning_never_increases_visited_nodes() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(1..4u64);
-        let all = all_patterns(&db, &MiningConfig::new(min_sup));
-        let closed = closed_patterns(&db, &MiningConfig::new(min_sup));
+        let all = all_patterns(&db, min_sup);
+        let closed = closed_patterns(&db, min_sup);
         assert!(closed.stats.visited <= all.stats.visited, "case {case}");
         assert!(closed.len() <= all.len(), "case {case}");
     }

@@ -7,26 +7,25 @@ use rand::{Rng, SeedableRng};
 
 use rgs_core::reference::{max_non_overlapping, max_non_overlapping_constrained, pattern_set};
 use rgs_core::{
-    constrained_support, repetitive_support, GapConstraints, Miner, MiningConfig, MiningOutcome,
-    Mode,
+    constrained_support, repetitive_support, GapConstraints, Miner, MiningOutcome, Mode,
 };
 use seqdb::{EventId, SequenceDatabase};
 
 const LABELS: [&str; 4] = ["A", "B", "C", "D"];
 const CASES: usize = 48;
 
-fn mine(db: &SequenceDatabase, config: &MiningConfig, mode: Mode) -> MiningOutcome {
-    Miner::new(db).from_config(config).mode(mode).run()
+fn mine(db: &SequenceDatabase, min_sup: u64, mode: Mode) -> MiningOutcome {
+    Miner::new(db).min_sup(min_sup).mode(mode).run()
 }
 
 fn mine_constrained(
     db: &SequenceDatabase,
-    config: &MiningConfig,
+    min_sup: u64,
     mode: Mode,
     constraints: GapConstraints,
 ) -> MiningOutcome {
     Miner::new(db)
-        .from_config(config)
+        .min_sup(min_sup)
         .mode(mode)
         .constraints(constraints)
         .run()
@@ -129,13 +128,8 @@ fn constrained_mining_reduces_to_gsgrow_when_unbounded() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(2..4u64);
-        let plain = mine(&db, &MiningConfig::new(min_sup), Mode::All);
-        let constrained = mine_constrained(
-            &db,
-            &MiningConfig::new(min_sup),
-            Mode::All,
-            GapConstraints::unbounded(),
-        );
+        let plain = mine(&db, min_sup, Mode::All);
+        let constrained = mine_constrained(&db, min_sup, Mode::All, GapConstraints::unbounded());
         assert_eq!(
             pattern_set(&plain.patterns),
             pattern_set(&constrained.patterns),
@@ -153,14 +147,13 @@ fn constrained_mining_reports_true_supports() {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(2..4u64);
         let constraints = small_constraints(&mut rng);
-        let config = MiningConfig::new(min_sup);
-        let all = mine_constrained(&db, &config, Mode::All, constraints);
+        let all = mine_constrained(&db, min_sup, Mode::All, constraints);
         for mp in &all.patterns {
             let sup = constrained_support(&db, mp.pattern.events(), constraints);
             assert_eq!(mp.support, sup, "case {case}");
             assert!(sup >= min_sup, "case {case}");
         }
-        let closed = mine_constrained(&db, &config, Mode::Closed, constraints);
+        let closed = mine_constrained(&db, min_sup, Mode::Closed, constraints);
         assert!(closed.len() <= all.len(), "case {case}");
         for c in &closed.patterns {
             for other in &all.patterns {
@@ -181,7 +174,7 @@ fn top_k_matches_sorted_exhaustive_mining() {
         let db = small_database(&mut rng);
         let k = rng.gen_range(1..8usize);
         let topk = top_k_patterns(&db, k, 1, false);
-        let mut full = mine(&db, &MiningConfig::new(1), Mode::All);
+        let mut full = mine(&db, 1, Mode::All);
         full.sort_for_report();
         let expected: Vec<u64> = full.patterns.iter().take(k).map(|mp| mp.support).collect();
         let got: Vec<u64> = topk.patterns.iter().map(|mp| mp.support).collect();
@@ -197,7 +190,7 @@ fn top_k_closed_matches_sorted_closed_mining() {
         let db = small_database(&mut rng);
         let k = rng.gen_range(1..6usize);
         let topk = top_k_patterns(&db, k, 2, true);
-        let mut closed = mine(&db, &MiningConfig::new(1), Mode::Closed);
+        let mut closed = mine(&db, 1, Mode::Closed);
         closed.patterns.retain(|mp| mp.pattern.len() >= 2);
         closed.sort_for_report();
         let expected: Vec<u64> = closed
@@ -220,10 +213,9 @@ fn maximal_patterns_form_a_frontier() {
     for case in 0..CASES {
         let db = small_database(&mut rng);
         let min_sup = rng.gen_range(2..4u64);
-        let config = MiningConfig::new(min_sup);
-        let all = mine(&db, &config, Mode::All);
-        let closed = mine(&db, &config, Mode::Closed);
-        let maximal = mine(&db, &config, Mode::Maximal);
+        let all = mine(&db, min_sup, Mode::All);
+        let closed = mine(&db, min_sup, Mode::Closed);
+        let maximal = mine(&db, min_sup, Mode::Maximal);
         assert!(maximal.len() <= closed.len(), "case {case}");
         assert!(closed.len() <= all.len(), "case {case}");
         for mp in &maximal.patterns {

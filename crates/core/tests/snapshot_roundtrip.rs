@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rgs_core::{GapConstraints, Miner, Mode, PreparedDb};
+use rgs_core::{GapConstraints, Miner, MiningRequest, Mode, PreparedDb, DEFAULT_TOP_K};
 use seqdb::{DatabaseBuilder, SequenceDatabase};
 use std::path::PathBuf;
 
@@ -30,12 +30,29 @@ fn random_db(seed: u64) -> SequenceDatabase {
     builder.finish()
 }
 
+/// Every pattern family a request can ask for: the three modes, and
+/// ranked closed mining at the default `k`.
+const FAMILIES: [(Mode, Option<usize>); 4] = [
+    (Mode::All, None),
+    (Mode::Closed, None),
+    (Mode::Maximal, None),
+    (Mode::Closed, Some(DEFAULT_TOP_K)),
+];
+
+fn family(mode: Mode, top_k: Option<usize>) -> MiningRequest {
+    MiningRequest {
+        mode,
+        top_k,
+        ..MiningRequest::default()
+    }
+}
+
 /// All mode x constraint combinations of the acceptance criterion.
-fn workloads() -> Vec<(Mode, GapConstraints)> {
+fn workloads() -> Vec<(Mode, Option<usize>, GapConstraints)> {
     let mut combos = Vec::new();
-    for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+    for (mode, top_k) in FAMILIES {
         for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
-            combos.push((mode, constraints));
+            combos.push((mode, top_k, constraints));
         }
     }
     combos
@@ -51,7 +68,7 @@ fn mining_a_reopened_snapshot_is_bit_identical_across_modes_and_constraints() {
         let reopened = PreparedDb::open_snapshot(&path).expect("open snapshot");
         assert_eq!(reopened, prepared, "seed {seed}: snapshot state diverged");
 
-        for (mode, constraints) in workloads() {
+        for (mode, top_k, constraints) in workloads() {
             // min_sup 1 with Mode::All enumerates every distinct
             // subsequence — exponential on dense rows — so the uncapped
             // sweep starts at 2 and a capped run covers the threshold-1
@@ -59,16 +76,16 @@ fn mining_a_reopened_snapshot_is_bit_identical_across_modes_and_constraints() {
             for min_sup in [2, 3] {
                 let fresh = prepared
                     .miner()
+                    .with_request(family(mode, top_k))
                     .min_sup(min_sup)
-                    .mode(mode)
                     .constraints(constraints)
                     .max_pattern_length(6)
                     .keep_support_sets()
                     .run();
                 let cold = reopened
                     .miner()
+                    .with_request(family(mode, top_k))
                     .min_sup(min_sup)
-                    .mode(mode)
                     .constraints(constraints)
                     .max_pattern_length(6)
                     .keep_support_sets()
@@ -76,7 +93,7 @@ fn mining_a_reopened_snapshot_is_bit_identical_across_modes_and_constraints() {
                 assert_eq!(
                     fresh.patterns,
                     cold.patterns,
-                    "seed {seed}, {mode:?} with {} at min_sup {min_sup}",
+                    "seed {seed}, {mode:?} top_k {top_k:?} with {} at min_sup {min_sup}",
                     constraints.describe()
                 );
                 assert_eq!(fresh.truncated, cold.truncated);
@@ -85,16 +102,16 @@ fn mining_a_reopened_snapshot_is_bit_identical_across_modes_and_constraints() {
             // The min_sup = 1 corner, bounded by a uniform pattern cap.
             let fresh = prepared
                 .miner()
+                .with_request(family(mode, top_k))
                 .min_sup(1)
-                .mode(mode)
                 .constraints(constraints)
                 .max_pattern_length(4)
                 .max_patterns(200)
                 .run();
             let cold = reopened
                 .miner()
+                .with_request(family(mode, top_k))
                 .min_sup(1)
-                .mode(mode)
                 .constraints(constraints)
                 .max_pattern_length(4)
                 .max_patterns(200)
@@ -102,7 +119,7 @@ fn mining_a_reopened_snapshot_is_bit_identical_across_modes_and_constraints() {
             assert_eq!(
                 fresh.patterns,
                 cold.patterns,
-                "seed {seed}, {mode:?} with {} at min_sup 1 (capped)",
+                "seed {seed}, {mode:?} top_k {top_k:?} with {} at min_sup 1 (capped)",
                 constraints.describe()
             );
             assert_eq!(fresh.truncated, cold.truncated);

@@ -4,11 +4,11 @@
 //! when the alphabet fits `u16`), which may not change a single emitted
 //! pattern. This suite pins that: the same database mined narrow and
 //! widened (`SequenceDatabase::widen_store`) produces identical pattern
-//! lists across all four modes, with and without gap constraints, and
+//! lists across every mode and top-k, with and without gap constraints, and
 //! through a snapshot round trip (where the writer re-narrows a wide
 //! column on the way out).
 
-use rgs_core::{GapConstraints, Miner, Mode, PreparedDb};
+use rgs_core::{GapConstraints, Miner, MiningRequest, Mode, PreparedDb, DEFAULT_TOP_K};
 use seqdb::SequenceDatabase;
 
 /// A tiny deterministic LCG (no external RNG crates in this workspace).
@@ -48,7 +48,22 @@ fn random_db(rng: &mut Lcg, rows: usize, alphabet: u64, max_len: u64) -> Sequenc
     SequenceDatabase::from_str_rows(&refs)
 }
 
-const MODES: [Mode; 4] = [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK];
+/// Every pattern family a request can ask for: the three modes, and
+/// ranked closed mining at the default `k`.
+const FAMILIES: [(Mode, Option<usize>); 4] = [
+    (Mode::All, None),
+    (Mode::Closed, None),
+    (Mode::Maximal, None),
+    (Mode::Closed, Some(DEFAULT_TOP_K)),
+];
+
+fn family(mode: Mode, top_k: Option<usize>) -> MiningRequest {
+    MiningRequest {
+        mode,
+        top_k,
+        ..MiningRequest::default()
+    }
+}
 
 fn constraint_grid() -> [GapConstraints; 4] {
     [
@@ -74,22 +89,22 @@ fn narrow_and_wide_stores_mine_bit_identically() {
         }
         assert!(!wide_db.store().is_narrow(), "widen_store forces u32");
 
-        for mode in MODES {
+        for (mode, top_k) in FAMILIES {
             for constraints in constraint_grid() {
                 let narrow = Miner::new(&narrow_db)
+                    .with_request(family(mode, top_k))
                     .min_sup(2)
-                    .mode(mode)
                     .constraints(constraints)
                     .run();
                 let wide = Miner::new(&wide_db)
+                    .with_request(family(mode, top_k))
                     .min_sup(2)
-                    .mode(mode)
                     .constraints(constraints)
                     .run();
                 assert_eq!(
                     narrow.patterns,
                     wide.patterns,
-                    "seed {seed}, {mode:?}, {} diverges across widths",
+                    "seed {seed}, {mode:?} top_k {top_k:?}, {} diverges across widths",
                     constraints.describe()
                 );
             }
@@ -153,11 +168,22 @@ fn snapshot_round_trips_re_narrow_wide_columns_and_stay_bit_identical() {
         "a wide-but-u16-fit column must be re-narrowed on write"
     );
 
-    for mode in MODES {
-        let expected = narrow_prepared.miner().min_sup(2).mode(mode).run();
+    for (mode, top_k) in FAMILIES {
+        let expected = narrow_prepared
+            .miner()
+            .with_request(family(mode, top_k))
+            .min_sup(2)
+            .run();
         for reopened in [&from_narrow, &from_wide] {
-            let cold = reopened.miner().min_sup(2).mode(mode).run();
-            assert_eq!(expected.patterns, cold.patterns, "{mode:?} diverges");
+            let cold = reopened
+                .miner()
+                .with_request(family(mode, top_k))
+                .min_sup(2)
+                .run();
+            assert_eq!(
+                expected.patterns, cold.patterns,
+                "{mode:?} top_k {top_k:?} diverges"
+            );
         }
     }
 

@@ -119,7 +119,7 @@ mod tests {
         .expect("full body");
         let r = &parsed.request;
         assert_eq!(r.min_sup, 7);
-        assert_eq!(r.mode, Mode::TopK);
+        assert_eq!(r.mode, Mode::Closed);
         assert_eq!(r.constraints.min_gap, 1);
         assert_eq!(r.constraints.max_gap, Some(4));
         assert_eq!(r.constraints.max_window, Some(12));
@@ -128,27 +128,26 @@ mod tests {
         assert_eq!(r.max_pattern_length, Some(9));
         assert_eq!(r.max_patterns, Some(1000));
         assert_eq!(parsed.timeout_ms, Some(250));
-        assert!(r.is_ranked());
-        assert_eq!(r.effective_k(), 25);
     }
 
     #[test]
     fn mode_spellings_and_nulls() {
-        for (text, mode) in [
-            ("all", Mode::All),
-            ("closed", Mode::Closed),
-            ("maximal", Mode::Maximal),
-            ("top-k", Mode::TopK),
-            ("topk", Mode::TopK),
-            ("top_k", Mode::TopK),
+        for (text, mode, top_k) in [
+            ("all", Mode::All, None),
+            ("closed", Mode::Closed, None),
+            ("maximal", Mode::Maximal, None),
+            ("top-k", Mode::Closed, Some(DEFAULT_TOP_K)),
+            ("topk", Mode::Closed, Some(DEFAULT_TOP_K)),
+            ("top_k", Mode::Closed, Some(DEFAULT_TOP_K)),
         ] {
             let parsed = parse_mine_request(&format!("{{\"mode\":\"{text}\"}}")).expect(text);
             assert_eq!(parsed.request.mode, mode, "{text}");
+            assert_eq!(parsed.request.top_k, top_k, "{text}");
         }
         let parsed = parse_mine_request(r#"{"max_gap": null, "timeout_ms": null}"#).expect("nulls");
         assert_eq!(parsed.request.constraints.max_gap, None);
         assert_eq!(parsed.timeout_ms, None);
-        assert_eq!(parsed.request.effective_k(), DEFAULT_TOP_K);
+        assert_eq!(parsed.request.top_k, None);
     }
 
     #[test]

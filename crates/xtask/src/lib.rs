@@ -25,9 +25,10 @@
 //!   `assert!`/`debug_assert!` bodies are exempt: asserts are documented
 //!   invariants, not accidental panics.
 //! * **cast** — the CSR offset/length math in
-//!   `seqdb/src/{store,width,index,snapshot,snapshot_verify}.rs` may not
-//!   use lossy `as` casts; the checked helpers in `seqdb::cast` (or
-//!   widening `as u64`) are required.
+//!   `seqdb/src/{store,width,index,snapshot,snapshot_verify}.rs` and the
+//!   flag parser of `cli/src/main.rs` may not use lossy `as` casts; the
+//!   checked helpers in `seqdb::cast`, `TryFrom`, or widening `as u64` are
+//!   required (an `as u32` flag value wraps silently).
 //!
 //! * **listed-file** — every file named in the two lists above must exist:
 //!   a renamed or deleted hot-path or CSR file is a finding, so a list can
@@ -57,9 +58,11 @@ const HOT_PATH_FILES: [&str; 11] = [
     "crates/serve/src/cache.rs",
 ];
 
-/// The files whose offset/length math must use the checked `seqdb::cast`
-/// helpers instead of lossy `as` casts (repo-relative).
-const CAST_CHECKED_FILES: [&str; 5] = [
+/// The files whose offset/length math or flag values must use checked
+/// conversions (`seqdb::cast`, `TryFrom`) instead of lossy `as` casts
+/// (repo-relative).
+const CAST_CHECKED_FILES: [&str; 6] = [
+    "crates/cli/src/main.rs",
     "crates/seqdb/src/store.rs",
     "crates/seqdb/src/width.rs",
     "crates/seqdb/src/index.rs",
@@ -69,7 +72,7 @@ const CAST_CHECKED_FILES: [&str; 5] = [
 
 /// Lossy `as` casts banned in [`CAST_CHECKED_FILES`]. Widening (`as u64`)
 /// stays legal; everything that can truncate or wrap must go through
-/// `seqdb::cast`.
+/// `seqdb::cast` or `TryFrom`.
 const LOSSY_CASTS: [&str; 6] = ["as u8", "as u16", "as u32", "as usize", "as i32", "as i64"];
 
 /// One finding of the audit.

@@ -26,9 +26,11 @@
 //! Prepare the database once ([`PreparedDb`](core::PreparedDb) owns the
 //! catalog, the inverted index, and the frequent-event counts), then run
 //! any number of queries against the snapshot through the
-//! [`Miner`](core::Miner) builder: mode (all/closed/maximal/top-k),
-//! gap/window constraints, ranking, caps, and sequential/parallel
-//! execution are orthogonal options that compose freely.
+//! [`Miner`](core::Miner) builder, which fills in one
+//! [`MiningRequest`](core::MiningRequest) — the only description of a run:
+//! mode (all/closed/maximal), gap/window constraints, top-k ranking
+//! (`top_k`), caps, and sequential/parallel execution are orthogonal
+//! options that compose freely.
 //!
 //! ```
 //! use repetitive_gapped_mining::prelude::*;
@@ -98,9 +100,9 @@ pub mod prelude {
     pub use rgs_core::{
         constrained_support, instance_growth, postprocess, repetitive_support, support_set,
         BudgetSink, CollectSink, CountSink, DeadlineSink, ExecutionPolicy, GapConstraints,
-        Instance, Landmark, MinedPattern, Miner, MiningConfig, MiningOutcome, MiningReport,
-        MiningRequest, MiningResult, MiningSession, Mode, Pattern, PatternSink, PatternStream,
-        PostProcessConfig, PreparedDb, SupportComputer, SupportSet,
+        Instance, Landmark, MinedPattern, Miner, MiningOutcome, MiningReport, MiningRequest,
+        MiningResult, MiningSession, Mode, Pattern, PatternSink, PatternStream, PostProcessConfig,
+        PreparedDb, SupportComputer, SupportSet,
     };
     pub use rgs_features::{
         extract_features, ClassId, Classifier, FeatureMatrix, LabeledDatabase, SelectionMethod,

@@ -7,6 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use repetitive_gapped_mining::core::DEFAULT_TOP_K;
 use repetitive_gapped_mining::prelude::*;
 
 const LABELS: [&str; 5] = ["A", "B", "C", "D", "E"];
@@ -23,13 +24,16 @@ fn random_database(rng: &mut StdRng) -> SequenceDatabase {
 }
 
 fn random_request(rng: &mut StdRng) -> MiningRequest {
+    // The fourth mode draw is ranked closed mining, at the default `k`
+    // unless a later draw sets one.
+    let min_sup = rng.gen_range(1..=6u64);
+    let mode_draw = rng.gen_range(0..4u32);
     let mut request = MiningRequest {
-        min_sup: rng.gen_range(1..=6u64),
-        mode: match rng.gen_range(0..4u32) {
+        min_sup,
+        mode: match mode_draw {
             0 => Mode::All,
-            1 => Mode::Closed,
             2 => Mode::Maximal,
-            _ => Mode::TopK,
+            _ => Mode::Closed,
         },
         constraints: match rng.gen_range(0..4u32) {
             0 => GapConstraints::max_gap(rng.gen_range(0..=3u32)),
@@ -56,6 +60,9 @@ fn random_request(rng: &mut StdRng) -> MiningRequest {
     }
     if rng.gen_bool(0.25) {
         request.use_landmark_pruning = false;
+    }
+    if mode_draw == 3 {
+        request.top_k = request.top_k.or(Some(DEFAULT_TOP_K));
     }
     request
 }
@@ -165,7 +172,14 @@ fn running_example_full_grid_in_one_batch() {
     let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
     let prepared = PreparedDb::new(&db);
     let mut requests = Vec::new();
-    for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+    // The fourth row is ranked closed mining, at the default `k` unless the
+    // cell's `top_k` sets one.
+    for (mode, ranked) in [
+        (Mode::All, false),
+        (Mode::Closed, false),
+        (Mode::Maximal, false),
+        (Mode::Closed, true),
+    ] {
         for min_sup in [1u64, 2, 3, 5] {
             for constraints in [
                 GapConstraints::unbounded(),
@@ -177,7 +191,11 @@ fn running_example_full_grid_in_one_batch() {
                         mode,
                         min_sup,
                         constraints,
-                        top_k,
+                        top_k: if ranked {
+                            top_k.or(Some(DEFAULT_TOP_K))
+                        } else {
+                            top_k
+                        },
                         ..MiningRequest::default()
                     });
                 }

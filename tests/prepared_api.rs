@@ -4,8 +4,26 @@
 
 use std::sync::Arc;
 
+use repetitive_gapped_mining::core::DEFAULT_TOP_K;
 use repetitive_gapped_mining::prelude::*;
 use repetitive_gapped_mining::synthgen::TcasConfig;
+
+/// Every pattern family a request can ask for: the three modes, and
+/// ranked closed mining at the default `k`.
+const FAMILIES: [(Mode, Option<usize>); 4] = [
+    (Mode::All, None),
+    (Mode::Closed, None),
+    (Mode::Maximal, None),
+    (Mode::Closed, Some(DEFAULT_TOP_K)),
+];
+
+fn family(mode: Mode, top_k: Option<usize>) -> MiningRequest {
+    MiningRequest {
+        mode,
+        top_k,
+        ..MiningRequest::default()
+    }
+}
 
 fn running_example() -> SequenceDatabase {
     SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
@@ -20,23 +38,23 @@ fn one_prepared_db_serves_every_query_shape() {
     let db = tcas();
     let prepared = PreparedDb::new(&db);
     let min_sup = (db.num_sequences() as u64) * 2;
-    for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+    for (mode, top_k) in FAMILIES {
         for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
             let fresh = Miner::new(&db)
+                .with_request(family(mode, top_k))
                 .min_sup(min_sup)
-                .mode(mode)
                 .constraints(constraints)
                 .run();
             let reused = prepared
                 .miner()
+                .with_request(family(mode, top_k))
                 .min_sup(min_sup)
-                .mode(mode)
                 .constraints(constraints)
                 .run();
             assert_eq!(
                 fresh.patterns,
                 reused.patterns,
-                "{mode:?} with {} diverges between lazy and prepared paths",
+                "{mode:?} top_k {top_k:?} with {} diverges between lazy and prepared paths",
                 constraints.describe()
             );
         }
@@ -87,30 +105,30 @@ fn arc_shared_snapshot_answers_concurrent_queries() {
 fn stream_equals_run_for_every_mode_and_source() {
     let db = running_example();
     let prepared = PreparedDb::new(&db);
-    for mode in [Mode::All, Mode::Closed, Mode::Maximal, Mode::TopK] {
+    for (mode, top_k) in FAMILIES {
         for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
             let lazy_session = Miner::new(&db)
+                .with_request(family(mode, top_k))
                 .min_sup(2)
-                .mode(mode)
                 .constraints(constraints)
                 .session();
             let prepared_session = prepared
                 .miner()
+                .with_request(family(mode, top_k))
                 .min_sup(2)
-                .mode(mode)
                 .constraints(constraints)
                 .session();
             let expected = lazy_session.run().patterns;
             assert_eq!(
                 lazy_session.stream().collect::<Vec<_>>(),
                 expected,
-                "lazy stream diverges for {mode:?} / {}",
+                "lazy stream diverges for {mode:?} top_k {top_k:?} / {}",
                 constraints.describe()
             );
             assert_eq!(
                 prepared_session.stream().collect::<Vec<_>>(),
                 expected,
-                "prepared stream diverges for {mode:?} / {}",
+                "prepared stream diverges for {mode:?} top_k {top_k:?} / {}",
                 constraints.describe()
             );
         }
