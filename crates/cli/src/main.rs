@@ -193,7 +193,7 @@ fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
     }
     let Some(path) = &options.input else {
         eprintln!("error: --input FILE, --snapshot IMG, or the demo subcommand is required");
-        print_usage();
+        eprint!("{}", usage());
         return Err(ExitCode::FAILURE);
     };
     let loaded = match options.format {
@@ -217,7 +217,7 @@ fn main() -> ExitCode {
         Ok(None) => return ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
-            print_usage();
+            eprint!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -745,7 +745,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         let request = &mut options.request;
         match args[i].as_str() {
             "--help" | "-h" => {
-                print_usage();
+                print!("{}", usage());
                 return Ok(None);
             }
             "--input" | "-i" => options.input = Some(PathBuf::from(next_value(&mut i)?)),
@@ -846,56 +846,61 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(options))
 }
 
-fn print_usage() {
-    println!(
-        "rgs-mine: mine (closed) repetitive gapped subsequences\n\
-         \n\
-         usage:\n\
-           rgs-mine [mine] --input FILE|--snapshot IMG [--format tokens|spmf|chars|json]\n\
-                    --min-sup K\n\
-                    [--mode all|closed|maximal|top-k] [--closed|--all|--maximal-mode]\n\
-                    [--min-gap G] [--max-gap G] [--max-window W]\n\
-                    [--top-k K] [--min-len L] [--max-len L] [--max-patterns N]\n\
-                    [--threads N] [--top T] [--density R] [--maximal] [--stream]\n\
-           rgs-mine topk --input FILE|--snapshot IMG [-k K] [--min-sup FLOOR] ...\n\
-           rgs-mine batch --input FILE|--snapshot IMG --requests FILE [--top T] [--format json]\n\
-           rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars]\n\
-           rgs-mine snapshot build --input FILE [--format ...] --out IMG\n\
-           rgs-mine snapshot info  --snapshot IMG\n\
-           rgs-mine snapshot verify --snapshot IMG\n\
-           rgs-mine demo [--min-sup K] [--mode ...]\n\
-         \n\
-         subcommands:\n\
-           mine      (default) mine the requested pattern family\n\
-           topk      rank the k best closed patterns (k = {DEFAULT_TOP_K} unless -k\n\
-                     sets it; min-sup 1, min-len 2; composes with gap/window\n\
-                     constraints: gap-constrained top-k mining)\n\
-           batch     mine every request of --requests FILE (one JSON object\n\
-                     per line, the POST /mine body shape; '#' comments ok) in\n\
-                     one shared DFS pass — each answer is bit-identical to\n\
-                     running that request alone, and a per-line timeout_ms\n\
-                     deadline-bounds only its own member\n\
-           stats     print dataset statistics and the byte footprint of the\n\
-                     flat columnar store and the CSR inverted index\n\
-           snapshot  build: prepare once (intern + index + counts) and write\n\
-                     a single mmap-able image file; info: validate an image\n\
-                     and print its header and section table; verify: prove\n\
-                     every cross-section invariant of an image (CSR offsets,\n\
-                     index layout, catalog, checksum) on the raw bytes\n\
-                     and report each violation with section + byte offset\n\
-           demo      run on the paper's running example (Table III)\n\
-         \n\
-         notable flags:\n\
-           --mode M        all, closed, maximal, or top-k (closed mining ranked\n\
-                           by support, k = {DEFAULT_TOP_K} unless --top-k sets it)\n\
-           --snapshot IMG  serve mine/topk/stats straight from a prepared\n\
-                           snapshot image (mmap'ed, checksum-validated; no\n\
-                           re-tokenizing or re-indexing on start)\n\
-           --threads N     mine on N worker threads (default 1; the reported\n\
-                           patterns are bit-identical to a sequential run)\n\
-           --format json   emit one JSON document with the MiningReport and\n\
-                           the reported patterns instead of text output\n"
-    );
+/// The usage text: printed to stdout for `--help` and to stderr after a
+/// parse error.
+fn usage() -> String {
+    format!(
+        "\
+rgs-mine: mine (closed) repetitive gapped subsequences
+
+usage:
+  rgs-mine [mine] --input FILE|--snapshot IMG [--format tokens|spmf|chars|json]
+           --min-sup K
+           [--mode all|closed|maximal|top-k] [--closed|--all|--maximal-mode]
+           [--min-gap G] [--max-gap G] [--max-window W]
+           [--top-k K] [--min-len L] [--max-len L] [--max-patterns N]
+           [--threads N] [--top T] [--density R] [--maximal] [--stream]
+  rgs-mine topk --input FILE|--snapshot IMG [-k K] [--min-sup FLOOR] ...
+  rgs-mine batch --input FILE|--snapshot IMG --requests FILE [--top T] [--format json]
+  rgs-mine stats --input FILE|--snapshot IMG [--format tokens|spmf|chars]
+  rgs-mine snapshot build --input FILE [--format ...] --out IMG
+  rgs-mine snapshot info  --snapshot IMG
+  rgs-mine snapshot verify --snapshot IMG
+  rgs-mine demo [--min-sup K] [--mode ...]
+
+subcommands:
+  mine      (default) mine the requested pattern family
+  topk      rank the k best closed patterns (k = {DEFAULT_TOP_K} unless -k
+            sets it; min-sup 1, min-len 2; composes with gap/window
+            constraints: gap-constrained top-k mining)
+  batch     mine every request of --requests FILE (one JSON object
+            per line, the POST /mine body shape; '#' comments ok) in
+            one shared DFS pass — each answer is bit-identical to
+            running that request alone, and a per-line timeout_ms
+            deadline-bounds only its own member
+  stats     print dataset statistics and the byte footprint of the
+            flat columnar store and the CSR inverted index
+  snapshot  build: prepare once (intern + index + counts) and write
+            a single mmap-able image file; info: validate an image
+            and print its header and section table; verify: prove
+            every cross-section invariant of an image (CSR offsets,
+            index layout, catalog, checksum) on the raw bytes
+            and report each violation with section + byte offset
+  demo      run on the paper's running example (Table III)
+
+notable flags:
+  --mode M        all, closed, maximal, or top-k (closed mining ranked
+                  by support, k = {DEFAULT_TOP_K} unless --top-k sets it)
+  --snapshot IMG  serve mine/topk/stats straight from a prepared
+                  snapshot image (mmap'ed and checked on open as
+                  `snapshot verify` checks it; no re-tokenizing or
+                  re-indexing on start)
+  --threads N     mine on N worker threads (default 1; the reported
+                  patterns are bit-identical to a sequential run)
+  --format json   emit one JSON document with the MiningReport and
+                  the reported patterns instead of text output
+"
+    )
 }
 
 #[cfg(test)]
@@ -909,6 +914,37 @@ mod tests {
             .map(std::string::ToString::to_string)
             .collect();
         parse_args(&args).expect("parse ok").expect("not --help")
+    }
+
+    #[test]
+    fn usage_lines_keep_their_indentation() {
+        let text = usage();
+        let lines: Vec<&str> = text.lines().collect();
+        for line in [
+            "  rgs-mine snapshot verify --snapshot IMG",
+            "           --min-sup K",
+            "  snapshot  build: prepare once (intern + index + counts) and write",
+            "  --threads N     mine on N worker threads (default 1; the reported",
+        ] {
+            assert!(lines.contains(&line), "{line:?} missing from:\n{text}");
+        }
+        // Every line under a heading is indented; only headings and the
+        // title start flush-left.
+        let flush_left: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|line| !line.is_empty() && !line.starts_with(' '))
+            .collect();
+        assert_eq!(
+            flush_left,
+            [
+                "rgs-mine: mine (closed) repetitive gapped subsequences",
+                "usage:",
+                "subcommands:",
+                "notable flags:",
+            ]
+        );
+        assert!(text.contains(&format!("k = {DEFAULT_TOP_K} unless -k")));
     }
 
     #[test]

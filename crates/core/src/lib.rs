@@ -90,10 +90,11 @@
 //! per-event counts, the candidate order, and the catalog. Reopening
 //! ([`PreparedDb::open_snapshot`] or [`Miner::from_snapshot`]) `mmap`s the
 //! file and reconstructs each structure as a borrowed slice over the
-//! mapping — no re-tokenizing, no re-indexing, no copies — after
-//! validating a full-file checksum, so a restarted service answers its
-//! first query at memory-map speed. The format is specified byte by byte
-//! in [`snapshot`] and `ARCHITECTURE.md`:
+//! mapping — no re-tokenizing, no re-indexing, no copies — after the
+//! checks of `rgs-mine snapshot verify` (a full-file checksum and every
+//! cross-section invariant) pass on the mapped bytes, so a restarted
+//! service answers its first query at memory-map speed. The format is
+//! specified byte by byte in [`seqdb::snapshot`] and `ARCHITECTURE.md`:
 //!
 //! ```
 //! use seqdb::SequenceDatabase;

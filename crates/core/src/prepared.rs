@@ -33,7 +33,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use seqdb::{EventCatalog, EventId, InvertedIndex, SequenceDatabase, SharedSlice, SnapshotError};
+use seqdb::{
+    snapshot, EventCatalog, EventId, InvertedIndex, SequenceDatabase, SharedSlice, SnapshotError,
+};
 
 use crate::engine::{Miner, MiningRequest};
 use crate::growth::SupportComputer;
@@ -179,29 +181,45 @@ impl PreparedDb {
     /// [`PreparedDb::open_snapshot`] restores an equivalent snapshot
     /// without touching the original text or re-indexing.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        crate::snapshot::write_prepared(self, path.as_ref())
+        let parts = &self.parts;
+        snapshot::write_prepared(
+            path,
+            &self.db,
+            &parts.index,
+            &parts.occurrence_counts,
+            &parts.event_order,
+        )
     }
 
     /// Opens a snapshot image written by [`PreparedDb::write_snapshot`].
     ///
     /// On unix the file is `mmap`ed and every arena is reconstructed as a
     /// zero-copy slice over the mapping (elsewhere the file is read once
-    /// into an aligned buffer). The header, a full-file checksum, and every
-    /// structural invariant are validated first: a truncated, bit-flipped,
-    /// wrong-magic, or wrong-version file is rejected with a descriptive
-    /// [`SnapshotError`] and never panics. Mining output over the reopened
-    /// snapshot is bit-identical to the in-memory original.
+    /// into an aligned buffer). Before any column is rebuilt, the mapped
+    /// bytes pass the same checks as `rgs-mine snapshot verify`
+    /// ([`seqdb::snapshot::verify`]): header, full-file checksum, section
+    /// table, and every cross-section invariant. An image that violates
+    /// one is [`SnapshotError::Corrupt`] naming the first violation, an
+    /// image of an older format is [`SnapshotError::Unsupported`], and
+    /// nothing panics. Mining output over the reopened snapshot is
+    /// bit-identical to the in-memory original.
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        crate::snapshot::open_prepared(path.as_ref())
+        let image = snapshot::open_prepared(path)?;
+        let parts = PreparedParts {
+            index: image.index,
+            occurrence_counts: image.occurrence_counts,
+            event_order: image.event_order,
+        };
+        let info = ImageInfo {
+            checksum: image.checksum,
+            version: image.version,
+        };
+        Ok(Self::from_parts(image.database, parts, Some(info)))
     }
 
-    /// Assembles a snapshot from already-validated parts (the snapshot
-    /// loader's constructor), recording which image it came from.
-    pub(crate) fn from_parts(
-        db: SequenceDatabase,
-        parts: PreparedParts,
-        image: Option<ImageInfo>,
-    ) -> Self {
+    /// Assembles a snapshot from already-validated parts, recording which
+    /// image (if any) it came from.
+    fn from_parts(db: SequenceDatabase, parts: PreparedParts, image: Option<ImageInfo>) -> Self {
         Self {
             db: Arc::new(db),
             parts: Arc::new(parts),
@@ -308,11 +326,6 @@ impl PreparedDb {
         deadlines: &[Option<std::time::Instant>],
     ) -> Vec<crate::batch::MiningResult> {
         crate::batch::run_batch(self.as_prepared_ref(), requests, deadlines)
-    }
-
-    /// The prepared parts (snapshot serialization reads them directly).
-    pub(crate) fn parts(&self) -> &PreparedParts {
-        &self.parts
     }
 
     pub(crate) fn as_prepared_ref(&self) -> PreparedRef<'_> {

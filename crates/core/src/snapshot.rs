@@ -1,215 +1,26 @@
-//! Prepared-database snapshots: what goes into the single-file image and
-//! how it comes back out with zero copies.
+//! Prepared-database snapshots: [`PreparedDb::write_snapshot`] writes a
+//! preparation as one image file, and [`PreparedDb::open_snapshot`] (or
+//! [`Miner::from_snapshot`](crate::Miner::from_snapshot)) maps it back with
+//! zero copies.
 //!
-//! The format layer — header, section table, checksum, `mmap` — lives in
-//! [`seqdb::snapshot`]; this module is the *composition*. A format v6 image
-//! (the only one this build writes or reads) holds eleven sections:
+//! Both wrap [`seqdb::snapshot`], which owns the format v6 layout — the
+//! eleven sections, the width-tagged `store.events` arena, the one
+//! event-major index — and writes, checks and reads it in one place.
+//! Opening runs the [`seqdb::snapshot::verify`] checks on the mapped bytes
+//! before it rebuilds any column, so an image opens exactly when
+//! `rgs-mine snapshot verify` finds it clean, and a reopened snapshot
+//! upholds the same invariants as one built by [`PreparedDb::new`]. Images
+//! of formats 1–5 do not open: [`PreparedDb::open_snapshot`] returns
+//! [`SnapshotError::Unsupported`](seqdb::SnapshotError::Unsupported)
+//! naming the version and `rgs-mine snapshot build`, which regenerates
+//! the image.
 //!
-//! | section | contents |
-//! |---|---|
-//! | `meta` | `[num_sequences, num_events, total_length]` as `u64`s |
-//! | `store.events` | the flat [`seqdb::SeqStore`] event arena, at its narrowest width |
-//! | `store.offsets` | the store's CSR offsets (per sequence + sentinel) |
-//! | `catalog` | the interned event labels, length-prefixed UTF-8 |
-//! | `event.counts` | per-event total occurrence counts (`u64`) |
-//! | `event.order` | the frequency-pruned candidate event order |
-//! | `index.row_dir` | the per-event row directory (`num_events + 1`) |
-//! | `index.id_dir` | the per-event sparse-id directory (`num_events + 1`) |
-//! | `index.row_offsets` | the row boundaries (rows + 1) |
-//! | `index.ids` | the sparse sequence ids |
-//! | `index.positions` | the flat positions arena |
-//!
-//! The five index sections are the columns of the event-major
-//! [`seqdb::InvertedIndex`] ([`seqdb::IndexColumns`]), each mapped back
-//! zero-copy. Their layout is canonical for the data (the dense/sparse rule
-//! is fixed, not an option), so a reopened image equals the preparation
-//! that wrote it. The index covers the whole corpus with global sequence
-//! ids. Section id 9 held format 5's sequence-range table; it is retired.
-//!
-//! The `store.events` section is written **narrowest-fit**: when every
-//! event id fits `u16` the arena is serialized at 2 bytes per element and
-//! mapped back as an [`seqdb::EventColumn::Narrow`] column — half the
-//! on-disk and resident event bytes. Larger alphabets stay at 4 bytes;
-//! opening dispatches on the section's recorded element size.
-//!
-//! Images of formats 1–5 do not open: [`PreparedDb::open_snapshot`] returns
-//! [`SnapshotError::Unsupported`] naming the version and
-//! `rgs-mine snapshot build`, which regenerates the image.
-//!
-//! Opening reconstructs every array as a [`seqdb::SharedSlice`] borrowing
-//! the mapped image and cross-checks the sections (dimensions against
-//! `meta`, catalog length against `num_events`, event-order ids against
-//! the alphabet), so a reopened snapshot upholds the same invariants as one
-//! built by [`PreparedDb::new`]. The only owned reconstruction is the
-//! catalog (label strings want owned storage).
-//!
-//! Entry points: [`PreparedDb::write_snapshot`],
-//! [`PreparedDb::open_snapshot`], and
-//! [`Miner::from_snapshot`](crate::Miner::from_snapshot). See
-//! `ARCHITECTURE.md` at the repository root for the byte-level
+//! See `ARCHITECTURE.md` at the repository root for the byte-level
 //! walk-through.
-
-use std::path::Path;
-
-use seqdb::snapshot::{
-    catalog_from_bytes, catalog_to_bytes, corrupt, section_id, SectionPayload, SnapshotImage,
-    SnapshotWriter,
-};
-use seqdb::{
-    EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase, SnapshotError,
-};
-
-use crate::prepared::{ImageInfo, PreparedDb, PreparedParts};
-
-/// Serializes `prepared` to `path` in one pass (format v6); returns bytes
-/// written.
-pub(crate) fn write_prepared(prepared: &PreparedDb, path: &Path) -> Result<u64, SnapshotError> {
-    let db = prepared.database();
-    let meta = [
-        db.num_sequences() as u64,
-        db.num_events() as u64,
-        db.total_length() as u64,
-    ];
-    let catalog_bytes = catalog_to_bytes(db.catalog());
-    let parts = prepared.parts();
-
-    // Narrowest-fit event column: an already-narrow column serializes its
-    // u16 arena as-is; a wide column whose ids all fit u16 (a database
-    // built wide on purpose) is re-narrowed for the image; only a genuinely
-    // large alphabet stays at 4 bytes per event.
-    let column = db.store().event_column();
-    let renarrowed: Option<Vec<u16>> = if column.is_narrow() {
-        None
-    } else {
-        column.iter().map(u16::from_event).collect()
-    };
-    let events_payload = match renarrowed.as_deref().or_else(|| column.narrow_slice()) {
-        Some(narrow) => SectionPayload::U16s(narrow),
-        None => SectionPayload::EventIds(column.wide_slice().unwrap_or(&[])),
-    };
-
-    let mut writer = SnapshotWriter::new();
-    writer
-        .section(section_id::META, SectionPayload::U64s(&meta))
-        .section(section_id::STORE_EVENTS, events_payload)
-        .section(
-            section_id::STORE_OFFSETS,
-            SectionPayload::U32s(db.store().offsets()),
-        )
-        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
-        .section(
-            section_id::EVENT_COUNTS,
-            SectionPayload::U64s(&parts.occurrence_counts),
-        )
-        .section(
-            section_id::EVENT_ORDER,
-            SectionPayload::EventIds(&parts.event_order),
-        );
-    for (id, column) in section_id::INDEX_COLUMNS
-        .into_iter()
-        .zip(prepared.index().columns().as_slices())
-    {
-        writer.section(id, SectionPayload::U32s(column));
-    }
-    writer.write_to_path(path)
-}
-
-/// Opens and cross-validates a format v6 image, reconstructing every arena
-/// as a zero-copy slice over it.
-pub(crate) fn open_prepared(path: &Path) -> Result<PreparedDb, SnapshotError> {
-    let image = std::sync::Arc::new(SnapshotImage::open(path)?);
-
-    let meta = image.u64s(section_id::META)?;
-    let [num_sequences, num_events, total_length] = *meta else {
-        return Err(corrupt(format!(
-            "meta section holds {} values, expected 3",
-            meta.len()
-        )));
-    };
-    let (num_sequences, num_events, total_length) = (
-        usize::try_from(num_sequences).map_err(|_| corrupt("sequence count overflows usize"))?,
-        usize::try_from(num_events).map_err(|_| corrupt("event count overflows usize"))?,
-        usize::try_from(total_length).map_err(|_| corrupt("total length overflows usize"))?,
-    );
-
-    let catalog = catalog_from_bytes(image.section_bytes(section_id::CATALOG)?)?;
-    if catalog.len() != num_events {
-        return Err(corrupt(format!(
-            "catalog holds {} labels but meta records {num_events} events",
-            catalog.len()
-        )));
-    }
-
-    // Width dispatch: the section table records the element size the arena
-    // was written at — 2 maps back narrow, 4 maps back wide.
-    let narrow_events = image
-        .section(section_id::STORE_EVENTS)
-        .is_some_and(|entry| entry.elem_size == 2);
-    let events = if narrow_events {
-        EventColumn::Narrow(image.shared_u16s(section_id::STORE_EVENTS)?)
-    } else {
-        EventColumn::Wide(image.shared_event_ids(section_id::STORE_EVENTS)?)
-    };
-    let store = SeqStore::from_shared_parts(events, image.shared_u32s(section_id::STORE_OFFSETS)?)
-        .map_err(corrupt)?;
-    if store.num_sequences() != num_sequences || store.total_length() != total_length {
-        return Err(corrupt(format!(
-            "store holds {} sequences / {} events but meta records \
-             {num_sequences} / {total_length}",
-            store.num_sequences(),
-            store.total_length()
-        )));
-    }
-    if store.event_column().iter().any(|e| e.index() >= num_events) {
-        return Err(corrupt(
-            "store arena references an event id outside the catalog",
-        ));
-    }
-
-    let [row_dir, id_dir, row_offsets, ids, positions] = section_id::INDEX_COLUMNS;
-    let columns = IndexColumns {
-        row_dir: image.shared_u32s(row_dir)?,
-        id_dir: image.shared_u32s(id_dir)?,
-        row_offsets: image.shared_u32s(row_offsets)?,
-        ids: image.shared_u32s(ids)?,
-        positions: image.shared_u32s(positions)?,
-    };
-    let index =
-        InvertedIndex::from_shared_parts(columns, num_sequences, num_events).map_err(corrupt)?;
-    if index.positions().len() != total_length {
-        return Err(corrupt(format!(
-            "index positions hold {} entries but meta records {total_length}",
-            index.positions().len()
-        )));
-    }
-
-    let occurrence_counts = image.shared_u64s(section_id::EVENT_COUNTS)?;
-    if occurrence_counts.len() != num_events {
-        return Err(corrupt(format!(
-            "event counts hold {} entries but meta records {num_events} events",
-            occurrence_counts.len()
-        )));
-    }
-
-    let event_order = image.shared_event_ids(section_id::EVENT_ORDER)?;
-    if event_order.iter().any(|e| e.index() >= num_events) {
-        return Err(corrupt(
-            "event order references an event id outside the catalog",
-        ));
-    }
-
-    let db = SequenceDatabase::from_store(catalog, store);
-    let parts = PreparedParts {
-        index,
-        occurrence_counts,
-        event_order,
-    };
-    let info = ImageInfo {
-        checksum: image.checksum(),
-        version: image.version(),
-    };
-    Ok(PreparedDb::from_parts(db, parts, Some(info)))
-}
+//!
+//! [`PreparedDb::write_snapshot`]: crate::PreparedDb::write_snapshot
+//! [`PreparedDb::open_snapshot`]: crate::PreparedDb::open_snapshot
+//! [`PreparedDb::new`]: crate::PreparedDb::new
 
 #[cfg(test)]
 mod tests {

@@ -3,14 +3,15 @@
 //! `seqdb::snapshot::verify` must flag each mutation and must never panic,
 //! distinguishing pure bit rot (checksum breakage with intact sections)
 //! from resealed images whose payloads violate the cross-section
-//! invariants.
+//! invariants. Differentially, `PreparedDb::open_snapshot` must fail on
+//! exactly the images the verifier flags.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rgs_core::PreparedDb;
 use seqdb::snapshot::verify::{self, ViolationKind};
 use seqdb::snapshot::{checksum_of, section_id};
-use seqdb::{DatabaseBuilder, SequenceDatabase, NARROW_MAX_EVENT};
+use seqdb::{DatabaseBuilder, SequenceDatabase, SnapshotError, NARROW_MAX_EVENT};
 
 /// The base corpus. `E` occurs in one sequence only, so the index stores
 /// it sparse (with a sparse id) while `A`..`D` are dense.
@@ -58,16 +59,21 @@ fn corpora() -> Vec<SequenceDatabase> {
     corpora
 }
 
-/// Builds a format-v6 image of `db` via the real writer path and returns
-/// its bytes. Tests run on parallel threads of one process, so every call
-/// writes a file of its own.
-fn image_bytes(db: &SequenceDatabase) -> Vec<u8> {
+/// A temp file path of its own: tests run on parallel threads of one
+/// process.
+fn temp_path() -> std::path::PathBuf {
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    let path = std::env::temp_dir().join(format!(
+    std::env::temp_dir().join(format!(
         "rgs-mutation-sweep-{}-{call}.snap",
         std::process::id()
-    ));
+    ))
+}
+
+/// Builds a format-v6 image of `db` via the real writer path and returns
+/// its bytes.
+fn image_bytes(db: &SequenceDatabase) -> Vec<u8> {
+    let path = temp_path();
     PreparedDb::new(db)
         .write_snapshot(&path)
         .expect("write snapshot");
@@ -158,32 +164,39 @@ fn bit_rot_in_every_section_is_reported_as_checksum_breakage() {
     }
 }
 
-fn bit_rot_sweep(image: &[u8]) {
-    let table = sections(image);
+/// The bit-rot sweep's mutations of `image`: the first, last, and a
+/// seeded interior byte of every non-empty payload, each flipped alone,
+/// labelled by section and payload offset.
+fn bit_rot_mutations(image: &[u8]) -> Vec<(String, Vec<u8>)> {
     let mut rng = 0xD1CE_u64;
-    for section in &table {
+    let mut mutations = Vec::new();
+    for section in sections(image) {
         if section.byte_len == 0 {
             continue;
         }
-        // First, last, and a seeded interior byte of the payload.
         let interior = (splitmix(&mut rng) as usize) % section.byte_len;
         for at in [0, section.byte_len - 1, interior] {
             let mut mutated = image.to_vec();
             mutated[section.offset + at] ^= 0x5A;
-            let report = verify::verify_bytes(&mutated);
-            assert!(
-                !report.is_clean(),
-                "section {} ({}): flip at +{at} went unnoticed",
+            let label = format!(
+                "section {} ({}): flip at +{at}",
                 section.id,
-                section_id::name(section.id),
+                section_id::name(section.id)
             );
-            assert!(
-                report.has(ViolationKind::Checksum),
-                "section {} ({}): flip at +{at} must at least break the checksum",
-                section.id,
-                section_id::name(section.id),
-            );
+            mutations.push((label, mutated));
         }
+    }
+    mutations
+}
+
+fn bit_rot_sweep(image: &[u8]) {
+    for (label, mutated) in bit_rot_mutations(image) {
+        let report = verify::verify_bytes(&mutated);
+        assert!(!report.is_clean(), "{label} went unnoticed");
+        assert!(
+            report.has(ViolationKind::Checksum),
+            "{label} must at least break the checksum",
+        );
     }
     // The unmutated image stays clean (the sweep above really is the cause).
     assert!(verify::verify_bytes(image).is_clean());
@@ -282,17 +295,27 @@ fn corrupt_section(bytes: &mut [u8], section: &Section) -> bool {
     true
 }
 
+/// The resealed sweep's mutations of `image`: [`corrupt_section`] on every
+/// section it can mutate, each resealed.
+fn resealed_mutations(image: &[u8]) -> Vec<(Section, Vec<u8>)> {
+    sections(image)
+        .into_iter()
+        .filter_map(|section| {
+            let mut mutated = image.to_vec();
+            corrupt_section(&mut mutated, &section).then(|| {
+                reseal(&mut mutated);
+                (section, mutated)
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure() {
     let mut sparse_ids = 0usize;
     for (i, image) in images().iter().enumerate() {
         let mut sweep = 0usize;
-        for section in sections(image) {
-            let mut mutated = image.clone();
-            if !corrupt_section(&mut mutated, &section) {
-                continue;
-            }
-            reseal(&mut mutated);
+        for (section, mutated) in resealed_mutations(image) {
             let report = verify::verify_bytes(&mutated);
             let name = section_id::name(section.id);
             assert!(
@@ -320,4 +343,115 @@ fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure(
         assert_eq!(sweep, sections(image).len(), "corpus {i}");
     }
     assert_eq!(sparse_ids, 7, "the sparse-id section of every corpus");
+}
+
+/// Overwrites `bytes[at..at + value.len()]` and reseals the image.
+fn patch_resealed(image: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+    let mut mutated = image.to_vec();
+    mutated[at..at + value.len()].copy_from_slice(value);
+    reseal(&mut mutated);
+    mutated
+}
+
+/// Two resealed images that every section check short of a recount or a
+/// position lookup accepts: the first occurring event's count set to 0,
+/// and the first indexed position moved one event to the right.
+fn recount_and_lookup_mutations(image: &[u8]) -> [(String, Vec<u8>); 2] {
+    let table = sections(image);
+    let find = |id| table.iter().find(|s| s.id == id).expect("section present");
+    let counts = find(section_id::EVENT_COUNTS);
+    let first_occurring = (0..counts.count as usize)
+        .find(|&e| read_u64(image, counts.offset + 8 * e) > 0)
+        .expect("an event occurs");
+    let count_at = counts.offset + 8 * first_occurring;
+    let positions = find(section_id::INDEX_POSITIONS);
+    let moved = read_u32(image, positions.offset) + 1;
+    [
+        (
+            format!("event.counts[{first_occurring}] := 0"),
+            patch_resealed(image, count_at, &0u64.to_le_bytes()),
+        ),
+        (
+            format!("index.positions[0] := {moved}"),
+            patch_resealed(image, positions.offset, &moved.to_le_bytes()),
+        ),
+    ]
+}
+
+/// Resealed images whose meta asks for more than any file could hold:
+/// each of the three counts set to 2^61 and to `u64::MAX`. Nothing may
+/// size a buffer from them or overflow on them.
+fn oversized_meta_mutations(image: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let meta = sections(image)
+        .into_iter()
+        .find(|s| s.id == section_id::META)
+        .expect("meta section");
+    let fields = ["num_sequences", "num_events", "total_length"];
+    fields
+        .iter()
+        .enumerate()
+        .flat_map(|(k, field)| {
+            [1u64 << 61, u64::MAX].map(|value| {
+                (
+                    format!("meta.{field} := {value}"),
+                    patch_resealed(image, meta.offset + 8 * k, &value.to_le_bytes()),
+                )
+            })
+        })
+        .collect()
+}
+
+/// Opens `bytes` through `PreparedDb::open_snapshot`, from a file of its
+/// own.
+fn open_bytes(bytes: &[u8]) -> Result<PreparedDb, SnapshotError> {
+    let path = temp_path();
+    std::fs::write(&path, bytes).expect("write image");
+    let opened = PreparedDb::open_snapshot(&path);
+    std::fs::remove_file(&path).ok();
+    opened
+}
+
+#[test]
+fn open_snapshot_fails_exactly_when_verify_reports_a_violation() {
+    let mut checked = 0usize;
+    for (i, image) in images().iter().enumerate() {
+        let mut cases: Vec<(String, Vec<u8>)> = vec![("pristine".to_owned(), image.clone())];
+        cases.extend(bit_rot_mutations(image));
+        cases.extend(
+            resealed_mutations(image)
+                .into_iter()
+                .map(|(section, mutated)| {
+                    let label = format!("resealed {}", section_id::name(section.id));
+                    (label, mutated)
+                }),
+        );
+        let targeted = recount_and_lookup_mutations(image)
+            .into_iter()
+            .chain(oversized_meta_mutations(image));
+        for (label, mutated) in targeted {
+            // Not vacuous: the verifier flags each, so opening must fail.
+            let report = verify::verify_bytes(&mutated);
+            assert!(
+                report.has(ViolationKind::Layout),
+                "corpus {i}, {label}: {report:?}"
+            );
+            cases.push((label, mutated));
+        }
+        for (label, bytes) in cases {
+            let report = verify::verify_bytes(&bytes);
+            match open_bytes(&bytes) {
+                Ok(_) => assert!(
+                    report.is_clean(),
+                    "corpus {i}, {label}: opened although verify reports {:#?}",
+                    report.violations
+                ),
+                Err(err) => assert!(
+                    !report.is_clean(),
+                    "corpus {i}, {label}: verify is clean but open failed: {err}"
+                ),
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 7 * 30, "only {checked} images checked");
 }

@@ -96,8 +96,9 @@ impl IndexColumns {
 /// Lookups never hash and never allocate; every column is a
 /// [`SharedSlice`], so an index can be rebuilt from a database
 /// ([`InvertedIndex::build`]) or reconstructed zero-copy from a
-/// [`snapshot`](crate::snapshot) image ([`InvertedIndex::from_shared_parts`])
-/// — queries are identical either way.
+/// [`snapshot`](crate::snapshot) image
+/// ([`open_prepared`](crate::snapshot::open_prepared)) — queries are
+/// identical either way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvertedIndex {
     columns: IndexColumns,
@@ -186,29 +187,6 @@ fn dir_range(dir: &[u32], i: usize) -> Option<Range<usize>> {
         (Some(&start), Some(&end)) => Some(u32_to_usize(start)..u32_to_usize(end)),
         _ => None,
     }
-}
-
-/// Checks one monotone offsets column: starts at 0, never decreases, ends
-/// at `end`. The error names the column.
-fn check_offsets(column: &[u32], end: usize, what: &str) -> Result<(), String> {
-    if column.first() != Some(&0) {
-        return Err(format!(
-            "index {what} start at {}, not 0",
-            column.first().map_or("nothing".to_owned(), u32::to_string)
-        ));
-    }
-    if let Some((a, b)) = column
-        .iter()
-        .zip(column.iter().skip(1))
-        .find(|(a, b)| a > b)
-    {
-        return Err(format!("index {what} are not monotone ({a} > {b})"));
-    }
-    let last = u32_to_usize(column.last().copied().unwrap_or(0));
-    if last != end {
-        return Err(format!("index {what} end at {last}, expected {end}"));
-    }
-    Ok(())
 }
 
 /// Pass-1 counts of one event in [`InvertedIndex::build_for_store`].
@@ -392,113 +370,19 @@ impl InvertedIndex {
         }
     }
 
-    /// Reassembles an index from its five columns, typically zero-copy
-    /// slices of a [`snapshot`](crate::snapshot) image. Every structural
-    /// invariant is checked — directory shapes, the [`dense_rule`] for each
-    /// event, ascending in-range sparse ids, non-empty sparse rows, and
-    /// strictly ascending 1-based posting lists — in one linear pass; the
-    /// error string names the violated one.
-    pub fn from_shared_parts(
+    /// Reassembles an index from its five columns: zero-copy slices of an
+    /// image that [`snapshot::open_prepared`](crate::snapshot::open_prepared)
+    /// has verified, so the layout invariants are not checked again here.
+    pub(crate) fn from_shared_parts(
         columns: IndexColumns,
         num_sequences: usize,
         num_events: usize,
-    ) -> Result<Self, String> {
-        let index = Self {
+    ) -> Self {
+        Self {
             columns,
             num_events,
             num_sequences,
-        };
-        let IndexColumns {
-            row_dir,
-            id_dir,
-            row_offsets,
-            ids,
-            positions,
-        } = &index.columns;
-        let dirs = [(row_dir, "row directory"), (id_dir, "id directory")];
-        for (dir, what) in dirs {
-            if dir.len() != num_events + 1 {
-                return Err(format!(
-                    "index {what} holds {} entries, expected {} ({num_events} events + 1)",
-                    dir.len(),
-                    num_events + 1
-                ));
-            }
         }
-        check_offsets(
-            row_dir,
-            row_offsets.len().saturating_sub(1),
-            "row directory entries",
-        )?;
-        check_offsets(id_dir, ids.len(), "id directory entries")?;
-        check_offsets(row_offsets, positions.len(), "row offsets")?;
-
-        for e in 0..num_events {
-            let view = index.view(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
-            let rows = view.num_rows();
-            if view.is_dense() {
-                // Dense: exactly one row per sequence, and the event occurs
-                // in enough of them to earn it.
-                let containing = view.rows().count();
-                if rows != num_sequences || !dense_rule(containing, num_sequences) {
-                    return Err(format!(
-                        "index event {e} is stored dense with {rows} rows but occurs in \
-                         {containing} of {num_sequences} sequences"
-                    ));
-                }
-            } else {
-                if rows != view.ids.len() || dense_rule(rows, num_sequences) {
-                    return Err(format!(
-                        "index event {e} is stored sparse with {rows} rows and {} ids over \
-                         {num_sequences} sequences",
-                        view.ids.len()
-                    ));
-                }
-                if let Some((a, b)) = view
-                    .ids
-                    .iter()
-                    .zip(view.ids.iter().skip(1))
-                    .find(|(a, b)| a >= b)
-                {
-                    return Err(format!(
-                        "index event {e}: sparse ids are not strictly ascending ({a} then {b})"
-                    ));
-                }
-                if let Some(&id) = view
-                    .ids
-                    .last()
-                    .filter(|&&id| u32_to_usize(id) >= num_sequences)
-                {
-                    return Err(format!(
-                        "index event {e}: sparse id {id} is out of range for {num_sequences} \
-                         sequences"
-                    ));
-                }
-                if let Some(r) = (0..rows).find(|&r| view.row(r).is_empty()) {
-                    return Err(format!("index event {e}: sparse row {r} is empty"));
-                }
-            }
-        }
-        // Each posting list must be strictly ascending and 1-based: `next`
-        // binary-searches it, so an unsorted list would silently skip
-        // occurrences instead of failing.
-        for r in 0..row_offsets.len().saturating_sub(1) {
-            let list = match dir_range(row_offsets, r) {
-                Some(range) => positions.get(range).unwrap_or(&[]),
-                None => &[],
-            };
-            if list.first() == Some(&0) {
-                return Err(format!(
-                    "index positions for row {r} start at 0 (positions are 1-based)"
-                ));
-            }
-            if let Some((a, b)) = list.iter().zip(list.iter().skip(1)).find(|(a, b)| a >= b) {
-                return Err(format!(
-                    "index positions for row {r} are not strictly ascending ({a} then {b})"
-                ));
-            }
-        }
-        Ok(index)
     }
 
     /// The five columns, for snapshot serialization.
@@ -1141,10 +1025,6 @@ mod tests {
         assert_eq!(index.event_positions(0, id("C")), Some(&[][..]));
         assert_eq!(index.event_positions(1, id("C")), Some(&[2u32][..]));
         assert_eq!(index.sequence_count(id("B")), 2);
-
-        // Reconstruction accepts exactly this layout.
-        let back = InvertedIndex::from_shared_parts(cols.clone(), 4, db.num_events()).unwrap();
-        assert_eq!(back, index);
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //!   arena, so the same read path serves in-memory builds and zero-copy
 //!   snapshot loads,
 //! * [`snapshot`] — the versioned, checksummed, 64-byte-aligned single-file
-//!   image format ([`SnapshotWriter`] / [`SnapshotImage`]) behind
-//!   `PreparedDb::write_snapshot` / `open_snapshot` in `rgs-core`,
+//!   image format ([`SnapshotWriter`] / [`SnapshotImage`]), the prepared
+//!   database's section layout written, verified and read back by one
+//!   module, behind `PreparedDb::write_snapshot` / `open_snapshot` in
+//!   `rgs-core`,
 //! * [`io`] — readers and writers for common on-disk text formats (SPMF
 //!   integer format, whitespace-token format, single-character string
 //!   format, CSV),
@@ -54,34 +56,30 @@
 //! assert_eq!(index.next(0, a, 0), Some(3));
 //! ```
 //!
-//! # Example — snapshot a store and map it back
+//! # Example — snapshot a prepared database and map it back
 //!
-//! The format layer is generic over sections; this round-trips the two
-//! columns of a store through one image file with zero copies on the way
-//! back. A small alphabet builds a narrow (`u16`) arena, which the format
-//! writes and maps at 2 bytes per event (see `rgs-core::PreparedDb` for
-//! the full prepared-database composition):
+//! [`snapshot::write_prepared`] writes a database, its index, counts and
+//! candidate order as one image file; [`snapshot::open_prepared`] checks
+//! every invariant of the image and maps the columns back with zero
+//! copies. A small alphabet builds a narrow (`u16`) arena, which the
+//! format writes and maps at 2 bytes per event (`rgs-core::PreparedDb`
+//! wraps both calls):
 //!
 //! ```
-//! use std::sync::Arc;
-//! use seqdb::snapshot::{section_id, SectionPayload, SnapshotImage, SnapshotWriter};
-//! use seqdb::{EventColumn, SeqStore, SequenceDatabase};
+//! use seqdb::snapshot::{open_prepared, write_prepared};
+//! use seqdb::{EventId, SequenceDatabase};
 //!
 //! let db = SequenceDatabase::from_str_rows(&["ABCABCA", "AABBCCC"]);
+//! let index = db.inverted_index();
+//! let counts = index.total_counts();
+//! let order: Vec<EventId> = db.catalog().ids().filter(|e| counts[e.index()] > 0).collect();
 //! let path = std::env::temp_dir().join(format!("seqdb-doc-{}.snap", std::process::id()));
+//! write_prepared(&path, &db, &index, &counts, &order)?;
 //!
-//! let narrow = db.store().event_column().narrow_slice().expect("3-event alphabet");
-//! let mut writer = SnapshotWriter::new();
-//! writer.section(section_id::STORE_EVENTS, SectionPayload::U16s(narrow));
-//! writer.section(section_id::STORE_OFFSETS, SectionPayload::U32s(db.store().offsets()));
-//! writer.write_to_path(&path)?;
-//!
-//! let image = Arc::new(SnapshotImage::open(&path)?);
-//! let store = SeqStore::from_shared_parts(
-//!     EventColumn::Narrow(image.shared_u16s(section_id::STORE_EVENTS)?),
-//!     image.shared_u32s(section_id::STORE_OFFSETS)?,
-//! ).expect("validated by the image checksum");
-//! assert_eq!(&store, db.store());
+//! let image = open_prepared(&path)?;
+//! assert_eq!(image.database, db);
+//! assert_eq!(image.index, index);
+//! assert!(image.database.store().is_narrow());
 //! std::fs::remove_file(&path)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

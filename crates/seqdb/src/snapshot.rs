@@ -20,8 +20,7 @@
 //! `elem_size` field *is* the width tag, and the narrow arena maps back
 //! zero-copy. This build reads version 6 only: an older image is
 //! [`SnapshotError::Unsupported`] and is rebuilt in milliseconds with
-//! `rgs-mine snapshot build`. The composition rules live in
-//! `rgs-core::snapshot`.
+//! `rgs-mine snapshot build`.
 //!
 //! ```text
 //! offset  size  field
@@ -49,13 +48,31 @@
 //! the file is rejected with a descriptive [`SnapshotError`] (pinned by
 //! `tests/snapshot_corruption.rs`).
 //!
-//! # Who writes what
+//! # The prepared-database layout
 //!
-//! This module provides the format-level [`SnapshotWriter`] /
-//! [`SnapshotImage`] plus the section-id registry ([`section_id`]) for the
-//! whole stack. The composition — which sections a prepared database
-//! consists of — lives in `rgs-core` (`PreparedDb::write_snapshot` /
-//! `PreparedDb::open_snapshot`).
+//! A prepared database is eleven sections (ids in [`section_id`]):
+//!
+//! | section | contents |
+//! |---|---|
+//! | `meta` | `[num_sequences, num_events, total_length]` as `u64`s |
+//! | `store.events` | the flat [`crate::SeqStore`] event arena, at its narrowest width |
+//! | `store.offsets` | the store's CSR offsets (per sequence + sentinel) |
+//! | `catalog` | the interned event labels, length-prefixed UTF-8 |
+//! | `event.counts` | per-event total occurrence counts (`u64`) |
+//! | `event.order` | the frequency-pruned candidate event order |
+//! | `index.row_dir` | the per-event row directory (`num_events + 1`) |
+//! | `index.id_dir` | the per-event sparse-id directory (`num_events + 1`) |
+//! | `index.row_offsets` | the row boundaries (rows + 1) |
+//! | `index.ids` | the sparse sequence ids |
+//! | `index.positions` | the flat positions arena |
+//!
+//! One module writes, checks and reads it: [`write_prepared`] writes it,
+//! the [`verify`] layer states every invariant it must uphold, and
+//! [`open_prepared`] runs that verifier on the mapped bytes before it
+//! rebuilds any column. The column constructors of [`crate::SeqStore`] and
+//! [`crate::InvertedIndex`] are crate-internal, so nothing outside this
+//! module builds a store or index from image bytes. `rgs-core`'s
+//! `PreparedDb::write_snapshot` / `open_snapshot` wrap the two calls.
 
 // mmap, the aligned read buffer, and in-place slice reinterpretation are
 // inherently `unsafe`; every use carries a local safety argument, and all
@@ -72,6 +89,7 @@ use std::sync::Arc;
 use crate::cast::{u32_to_usize, u64_to_usize, usize_to_u32, usize_to_u64};
 use crate::catalog::{EventCatalog, EventId};
 use crate::shared::{event_ids_as_u32s, SharedSlice};
+use crate::{EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase};
 
 /// The 8-byte magic at offset 0 of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RGS1SNAP";
@@ -90,7 +108,7 @@ pub const SNAPSHOT_VERSION: u32 = 6;
 pub const SNAPSHOT_VERSION_MIN: u32 = 6;
 
 /// Why an image stamped `version` cannot be read, or `None` when it can.
-/// Shared by [`SnapshotImage::open`] and the [`verify`] layer.
+/// Stated once, in the [`verify`] layer's container pass.
 pub(crate) fn version_error(version: u32) -> Option<String> {
     if (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
         None
@@ -220,9 +238,8 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Shorthand constructor for [`SnapshotError::Corrupt`] — also used by the
-/// composition layer in `rgs-core` for its cross-section validation.
-pub fn corrupt(detail: impl Into<String>) -> SnapshotError {
+/// Shorthand constructor for [`SnapshotError::Corrupt`].
+pub(crate) fn corrupt(detail: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(detail.into())
 }
 
@@ -579,9 +596,9 @@ mod mapping {
     unsafe impl Sync for MmapRegion {}
 
     impl MmapRegion {
-        /// Maps `len` bytes of `file` read-only. `len` must be non-zero.
+        /// Maps `len` bytes of `file` read-only. An empty file fails to
+        /// map (`EINVAL`); the caller then reads it instead.
         pub fn map(file: &File, len: usize) -> io::Result<Self> {
-            debug_assert!(len > 0, "caller rejects empty files first");
             // SAFETY: plain read-only mapping of an open fd; failure is
             // reported as MAP_FAILED (-1) and turned into an io::Error.
             let ptr = unsafe {
@@ -683,12 +700,12 @@ pub struct SectionEntry {
 /// An opened, validated snapshot file: the byte image (mapped or read) plus
 /// its parsed section table.
 ///
-/// Opening validates the magic, version, endianness, recorded file length,
-/// full-file checksum, and every table entry (bounds, alignment, element
-/// size, id uniqueness) before any data is handed out — a snapshot that
-/// opens successfully cannot carry a single flipped bit. Typed accessors
-/// then reinterpret payloads in place; the
-/// [`shared_u32s`](SnapshotImage::shared_u32s) family wraps them as
+/// Opening runs the [`verify`] layer's container pass — magic, version,
+/// endianness, recorded file length, full-file checksum, and every table
+/// entry (bounds, alignment, element size, id uniqueness, overlap) —
+/// before any data is handed out, so a snapshot that opens successfully
+/// cannot carry a single flipped bit. Typed accessors then reinterpret
+/// payloads in place; the crate-internal `shared_*` family wraps them as
 /// [`SharedSlice`]s that keep the image alive via `Arc`.
 #[derive(Debug)]
 pub struct SnapshotImage {
@@ -698,9 +715,10 @@ pub struct SnapshotImage {
 }
 
 impl SnapshotImage {
-    /// Opens and fully validates a snapshot file. On unix the file is
-    /// `mmap`ed (zero-copy); elsewhere, or when mapping fails, it is read
-    /// into one aligned buffer.
+    /// Opens a snapshot file and validates its container — header,
+    /// full-file checksum, section table — with the [`verify`] layer's
+    /// container pass. On unix the file is `mmap`ed (zero-copy); elsewhere,
+    /// or when mapping fails, it is read into one aligned buffer.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         let path = path.as_ref();
         #[cfg(target_endian = "big")]
@@ -712,13 +730,7 @@ impl SnapshotImage {
         #[cfg(not(target_endian = "big"))]
         {
             let mut file = File::open(path)?;
-            let actual_len = file.metadata()?.len();
-            if actual_len < HEADER_LEN {
-                return Err(corrupt(format!(
-                    "file is {actual_len} bytes, shorter than the {HEADER_LEN}-byte header"
-                )));
-            }
-            let Some(len) = u64_to_usize(actual_len) else {
+            let Some(len) = u64_to_usize(file.metadata()?.len()) else {
                 return Err(SnapshotError::Unsupported(
                     "file does not fit in this platform's address space".to_owned(),
                 ));
@@ -732,126 +744,13 @@ impl SnapshotImage {
             #[cfg(not(all(unix, target_pointer_width = "64", not(miri))))]
             let bytes = ImageBytes::Owned(AlignedBytes::read(&mut file, len)?);
 
-            let (sections, version) = Self::validate(bytes.bytes(), actual_len)?;
+            let (sections, version) = verify::read_container(bytes.bytes())?;
             Ok(Self {
                 bytes,
                 sections,
                 version,
             })
         }
-    }
-
-    /// Header + table + checksum validation; returns the parsed table and
-    /// the format version.
-    fn validate(data: &[u8], actual_len: u64) -> Result<(Vec<SectionEntry>, u32), SnapshotError> {
-        if data[..8] != SNAPSHOT_MAGIC {
-            return Err(corrupt("bad magic: not a snapshot file"));
-        }
-        let version = read_u32(data, 8);
-        if let Some(detail) = version_error(version) {
-            return Err(SnapshotError::Unsupported(detail));
-        }
-        let endian = read_u32(data, 12);
-        if endian != ENDIAN_MARKER {
-            return Err(SnapshotError::Unsupported(format!(
-                "endianness marker {endian:#010x} (expected {ENDIAN_MARKER:#010x}); \
-                 the file was written on an incompatible host"
-            )));
-        }
-        let recorded_len = read_u64(data, 16);
-        if recorded_len != actual_len {
-            return Err(corrupt(format!(
-                "truncated or padded: header records {recorded_len} bytes, file has {actual_len}"
-            )));
-        }
-        if data[36..64].iter().any(|&b| b != 0) {
-            return Err(corrupt("reserved header bytes are not zero"));
-        }
-
-        // The checksum covers every byte except its own field, so a flip in
-        // any unvalidated region (table, padding, payloads, reserved bits of
-        // the header) is still caught here.
-        let recorded_checksum = read_u64(data, 24);
-        let mut hash = Fnv1a::new();
-        hash.update(&data[..24]);
-        hash.update(&data[32..]);
-        let computed = hash.finish();
-        if computed != recorded_checksum {
-            return Err(corrupt(format!(
-                "checksum mismatch: header records {recorded_checksum:#018x}, \
-                 file hashes to {computed:#018x} (bit corruption)"
-            )));
-        }
-
-        let section_count = u64::from(read_u32(data, 32));
-        let table_end = HEADER_LEN
-            .checked_add(ENTRY_LEN.checked_mul(section_count).ok_or_else(|| {
-                corrupt(format!("section count {section_count} overflows the table"))
-            })?)
-            .ok_or_else(|| corrupt("section table overflows"))?;
-        if table_end > actual_len {
-            return Err(corrupt(format!(
-                "section table ({section_count} entries) exceeds the file length"
-            )));
-        }
-
-        let mut sections: Vec<SectionEntry> =
-            Vec::with_capacity(u64_to_usize(section_count).unwrap_or(0));
-        for i in 0..section_count {
-            // In bounds: `table_end <= actual_len` fits usize (checked at open).
-            let base = u64_to_usize(HEADER_LEN + i * ENTRY_LEN)
-                .ok_or_else(|| corrupt("section table exceeds the address space"))?;
-            let entry = SectionEntry {
-                id: read_u32(data, base),
-                elem_size: read_u32(data, base + 4),
-                offset: read_u64(data, base + 8),
-                byte_len: read_u64(data, base + 16),
-                count: read_u64(data, base + 24),
-            };
-            if !matches!(entry.elem_size, 1 | 2 | 4 | 8) {
-                return Err(corrupt(format!(
-                    "section {}: element size {} is not 1, 2, 4, or 8",
-                    entry.id, entry.elem_size
-                )));
-            }
-            if !entry.offset.is_multiple_of(SECTION_ALIGN) {
-                return Err(corrupt(format!(
-                    "section {}: payload offset {} is not {SECTION_ALIGN}-byte aligned",
-                    entry.id, entry.offset
-                )));
-            }
-            if entry.offset < table_end {
-                return Err(corrupt(format!(
-                    "section {}: payload overlaps the header or table",
-                    entry.id
-                )));
-            }
-            let end = entry
-                .offset
-                .checked_add(entry.byte_len)
-                .ok_or_else(|| corrupt(format!("section {}: payload overflows", entry.id)))?;
-            if end > actual_len {
-                return Err(corrupt(format!(
-                    "section {}: payload [{}, {end}) exceeds the {actual_len}-byte file",
-                    entry.id, entry.offset
-                )));
-            }
-            if entry
-                .count
-                .checked_mul(u64::from(entry.elem_size))
-                .is_none_or(|expected| entry.byte_len != expected)
-            {
-                return Err(corrupt(format!(
-                    "section {}: byte length {} != count {} x element size {}",
-                    entry.id, entry.byte_len, entry.count, entry.elem_size
-                )));
-            }
-            if sections.iter().any(|s| s.id == entry.id) {
-                return Err(corrupt(format!("duplicate section id {}", entry.id)));
-            }
-            sections.push(entry);
-        }
-        Ok((sections, version))
     }
 
     /// The format version stamped into the header (always
@@ -956,7 +855,10 @@ impl SnapshotImage {
 
     /// Section `id` as a zero-copy [`SharedSlice<u16>`] that co-owns this
     /// image (a narrow event arena).
-    pub fn shared_u16s(self: &Arc<Self>, id: u32) -> Result<SharedSlice<u16>, SnapshotError> {
+    pub(crate) fn shared_u16s(
+        self: &Arc<Self>,
+        id: u32,
+    ) -> Result<SharedSlice<u16>, SnapshotError> {
         let slice = self.u16s(id)?;
         let (ptr, len) = (slice.as_ptr(), slice.len());
         let owner: Arc<dyn Any + Send + Sync> = self.clone();
@@ -967,7 +869,10 @@ impl SnapshotImage {
 
     /// Section `id` as a zero-copy [`SharedSlice<u32>`] that co-owns this
     /// image.
-    pub fn shared_u32s(self: &Arc<Self>, id: u32) -> Result<SharedSlice<u32>, SnapshotError> {
+    pub(crate) fn shared_u32s(
+        self: &Arc<Self>,
+        id: u32,
+    ) -> Result<SharedSlice<u32>, SnapshotError> {
         let slice = self.u32s(id)?;
         let (ptr, len) = (slice.as_ptr(), slice.len());
         let owner: Arc<dyn Any + Send + Sync> = self.clone();
@@ -977,7 +882,10 @@ impl SnapshotImage {
     }
 
     /// Section `id` as a zero-copy [`SharedSlice<u64>`].
-    pub fn shared_u64s(self: &Arc<Self>, id: u32) -> Result<SharedSlice<u64>, SnapshotError> {
+    pub(crate) fn shared_u64s(
+        self: &Arc<Self>,
+        id: u32,
+    ) -> Result<SharedSlice<u64>, SnapshotError> {
         let slice = self.u64s(id)?;
         let (ptr, len) = (slice.as_ptr(), slice.len());
         let owner: Arc<dyn Any + Send + Sync> = self.clone();
@@ -987,7 +895,7 @@ impl SnapshotImage {
 
     /// Section `id` as a zero-copy [`SharedSlice<EventId>`] (the wire format
     /// stores raw `u32` ids; `EventId` is `repr(transparent)` over `u32`).
-    pub fn shared_event_ids(
+    pub(crate) fn shared_event_ids(
         self: &Arc<Self>,
         id: u32,
     ) -> Result<SharedSlice<EventId>, SnapshotError> {
@@ -1000,12 +908,128 @@ impl SnapshotImage {
     }
 }
 
-fn read_u32(data: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(data[offset..offset + 4].try_into().expect("4 bytes"))
-}
-
 fn read_u64(data: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(data[offset..offset + 8].try_into().expect("8 bytes"))
+}
+
+// ---------------------------------------------------------------------------
+// The prepared-database layout (format v6)
+// ---------------------------------------------------------------------------
+
+/// A prepared database read back from a format v6 image by
+/// [`open_prepared`]: every column a zero-copy [`SharedSlice`] over the
+/// image (the catalog excepted — labels want owned strings).
+#[derive(Debug)]
+pub struct PreparedImage {
+    /// The catalog and the sequence store.
+    pub database: SequenceDatabase,
+    /// The event-major inverted index over the whole corpus.
+    pub index: InvertedIndex,
+    /// Per-event total occurrence counts, indexed by event id.
+    pub occurrence_counts: SharedSlice<u64>,
+    /// The events that occur at least once, in id order.
+    pub event_order: SharedSlice<EventId>,
+    /// The full-file checksum recorded in the header.
+    pub checksum: u64,
+    /// The format version recorded in the header.
+    pub version: u32,
+}
+
+/// Writes a prepared database to `path` as a format v6 image — `meta`,
+/// the store's events and offsets, the catalog, the per-event counts, the
+/// candidate order, and the five index columns — and returns the bytes
+/// written.
+///
+/// The event arena is written **narrowest-fit**: a narrow column as-is, a
+/// wide column whose ids all fit `u16` re-narrowed, and only a genuinely
+/// large alphabet at 4 bytes per event.
+pub fn write_prepared(
+    path: impl AsRef<Path>,
+    db: &SequenceDatabase,
+    index: &InvertedIndex,
+    occurrence_counts: &[u64],
+    event_order: &[EventId],
+) -> Result<u64, SnapshotError> {
+    let meta = [db.num_sequences(), db.num_events(), db.total_length()].map(usize_to_u64);
+    let catalog_bytes = catalog_to_bytes(db.catalog());
+    let column = db.store().event_column();
+    let renarrowed: Option<Vec<u16>> = if column.is_narrow() {
+        None
+    } else {
+        column.iter().map(u16::from_event).collect()
+    };
+    let events = match renarrowed.as_deref().or_else(|| column.narrow_slice()) {
+        Some(narrow) => SectionPayload::U16s(narrow),
+        None => SectionPayload::EventIds(column.wide_slice().unwrap_or(&[])),
+    };
+
+    let mut writer = SnapshotWriter::new();
+    writer
+        .section(section_id::META, SectionPayload::U64s(&meta))
+        .section(section_id::STORE_EVENTS, events)
+        .section(
+            section_id::STORE_OFFSETS,
+            SectionPayload::U32s(db.store().offsets()),
+        )
+        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
+        .section(
+            section_id::EVENT_COUNTS,
+            SectionPayload::U64s(occurrence_counts),
+        )
+        .section(
+            section_id::EVENT_ORDER,
+            SectionPayload::EventIds(event_order),
+        );
+    for (id, column) in section_id::INDEX_COLUMNS
+        .into_iter()
+        .zip(index.columns().as_slices())
+    {
+        writer.section(id, SectionPayload::U32s(column));
+    }
+    writer.write_to_path(path)
+}
+
+/// Opens a format v6 image written by [`write_prepared`].
+///
+/// [`SnapshotImage::open`] maps the file and checks its container; the
+/// [`verify`] layer's layout pass then checks every cross-section
+/// invariant on the mapped bytes, and only then are the columns rebuilt,
+/// without a check of their own. The first violation found is
+/// [`SnapshotError::Corrupt`]; an image of an older format is
+/// [`SnapshotError::Unsupported`], naming `rgs-mine snapshot build`.
+pub fn open_prepared(path: impl AsRef<Path>) -> Result<PreparedImage, SnapshotError> {
+    let image = Arc::new(SnapshotImage::open(path)?);
+    verify::check_layout(image.bytes.bytes(), &image.sections)?;
+
+    let catalog = catalog_from_bytes(image.section_bytes(section_id::CATALOG)?)?;
+    // The recorded element size is the width tag: 2 maps back narrow.
+    let narrow = image
+        .section(section_id::STORE_EVENTS)
+        .is_some_and(|entry| entry.elem_size == 2);
+    let events = if narrow {
+        EventColumn::Narrow(image.shared_u16s(section_id::STORE_EVENTS)?)
+    } else {
+        EventColumn::Wide(image.shared_event_ids(section_id::STORE_EVENTS)?)
+    };
+    let store = SeqStore::from_shared_parts(events, image.shared_u32s(section_id::STORE_OFFSETS)?);
+    let [row_dir, id_dir, row_offsets, ids, positions] =
+        section_id::INDEX_COLUMNS.map(|id| image.shared_u32s(id));
+    let columns = IndexColumns {
+        row_dir: row_dir?,
+        id_dir: id_dir?,
+        row_offsets: row_offsets?,
+        ids: ids?,
+        positions: positions?,
+    };
+    let index = InvertedIndex::from_shared_parts(columns, store.num_sequences(), catalog.len());
+    Ok(PreparedImage {
+        database: SequenceDatabase::from_store(catalog, store),
+        index,
+        occurrence_counts: image.shared_u64s(section_id::EVENT_COUNTS)?,
+        event_order: image.shared_event_ids(section_id::EVENT_ORDER)?,
+        checksum: image.checksum(),
+        version: image.version(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1033,7 +1057,7 @@ pub fn catalog_to_bytes(catalog: &EventCatalog) -> Vec<u8> {
 /// Deserializes the [`section_id::CATALOG`] section. Rejects truncated
 /// data, invalid UTF-8, trailing garbage, and duplicate labels (which would
 /// silently renumber every event).
-pub fn catalog_from_bytes(bytes: &[u8]) -> Result<EventCatalog, SnapshotError> {
+pub(crate) fn catalog_from_bytes(bytes: &[u8]) -> Result<EventCatalog, SnapshotError> {
     let mut cursor = 0usize;
     let mut take = |n: usize| -> Result<&[u8], SnapshotError> {
         let end = cursor
@@ -1172,6 +1196,40 @@ mod tests {
         let pos = dup_bytes.len() - 1;
         dup_bytes[pos] = b'a';
         assert!(catalog_from_bytes(&dup_bytes).is_err());
+    }
+
+    #[test]
+    fn prepared_layout_round_trips_and_refuses_what_verify_flags() {
+        let db = crate::SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
+        let index = db.inverted_index();
+        let counts = index.total_counts();
+        let order: Vec<EventId> = db.catalog().ids().collect();
+        let path = temp_path("prepared");
+        write_prepared(&path, &db, &index, &counts, &order).expect("write");
+        let image = open_prepared(&path).expect("open");
+        assert_eq!(image.database, db);
+        assert_eq!(image.index, index);
+        assert_eq!(&image.occurrence_counts[..], &counts[..]);
+        assert_eq!(&image.event_order[..], &order[..]);
+        assert!(image.database.store().is_narrow() && image.occurrence_counts.is_mapped());
+
+        // Event 0's count set to 0 and the checksum resealed: the header,
+        // table and sections stay well-formed, only the recount disagrees.
+        let mut bytes = std::fs::read(&path).expect("read back");
+        let at = SnapshotImage::open(&path)
+            .expect("open image")
+            .section(section_id::EVENT_COUNTS)
+            .map(|entry| u64_to_usize(entry.offset).expect("offset fits"))
+            .expect("counts section");
+        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        let checksum = checksum_of(&bytes);
+        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
+        assert!(!verify::verify_bytes(&bytes).is_clean());
+        let err = open_prepared(&path).expect_err("a recount mismatch opens");
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("event.counts"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Deep static verification of snapshot images.
+//! Deep static verification of snapshot images: the one statement of
+//! every invariant a format v6 prepared-database image must uphold.
 //!
-//! [`verify_bytes`] proves (or refutes) every cross-section invariant of a
-//! format v6 prepared-database image **directly on the bytes** — no
-//! `PreparedDb`, no `mmap`, no in-place reinterpretation — so it is safe to
-//! point at untrusted or suspect files. Unlike
-//! [`SnapshotImage::open`](super::SnapshotImage::open), which fails fast on
-//! the first problem, the verifier keeps going and reports *every*
+//! [`verify_bytes`] proves (or refutes) every cross-section invariant of an
+//! image **directly on the bytes** — no `PreparedDb`, no in-place
+//! reinterpretation — so it is safe to point at untrusted or suspect
+//! files. It keeps going past the first problem and reports *every*
 //! violation it can still reach, each with the owning section and the
-//! absolute byte offset of the offending datum.
+//! absolute byte offset of the offending datum. Opening runs the same
+//! checks: [`SnapshotImage::open`](super::SnapshotImage::open) parses the
+//! header, checksum and section table with this module's container pass,
+//! and [`open_prepared`](super::open_prepared) runs the layout pass on the
+//! mapped bytes before it rebuilds a single column; there, the first
+//! violation becomes a [`SnapshotError`].
 //!
 //! Checked invariants, per layer:
 //!
@@ -18,7 +22,9 @@
 //! * **checksum** — the FNV-1a 64 over every byte except the checksum
 //!   field itself;
 //! * **layout** — the cross-section semantics of the prepared-database
-//!   composition: `meta` arity, store CSR offsets monotone and ending at
+//!   composition: `meta` arity and counts the file can back (4 bytes per
+//!   sequence boundary, 8 per event, 2 per arena element — checked before
+//!   any count sizes a buffer), store CSR offsets monotone and ending at
 //!   the arena length, the event arena's element width (2 or 4 bytes),
 //!   every arena event inside the catalog alphabet,
 //!   catalog bijectivity (label count = alphabet size, no duplicates,
@@ -31,16 +37,15 @@
 //!   arena length, and strictly ascending 1-based rows whose every
 //!   position lands on that event in that sequence of the global store.
 //!
-//! Index sections are read element by element straight from the payload
+//! Every section is read element by element straight from the payload
 //! bytes — never collected — so verifying costs no memory proportional to
-//! the index. An image of an older format stops at the version check with
-//! a structure violation naming `rgs-mine snapshot build`.
+//! the corpus beyond a per-event histogram, at most the file's own size. An image of an older format
+//! stops at the version check with a structure violation naming
+//! `rgs-mine snapshot build`.
 //!
 //! The three kinds are reported separately so callers can distinguish a
 //! structurally-valid-but-bit-flipped image (checksum only) from genuine
-//! layout corruption. `rgs-mine snapshot verify IMG` is the CLI front end,
-//! and `rgs-serve` runs this check on every image it boots. It is the one
-//! deep check: there is no separate pass over a live preparation.
+//! layout corruption. `rgs-mine snapshot verify IMG` is the CLI front end.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -50,8 +55,8 @@ use std::path::Path;
 use crate::cast::{u32_to_usize, u64_to_usize, usize_to_u64};
 
 use super::{
-    checksum_of, section_id, version_error, SectionEntry, ENDIAN_MARKER, ENTRY_LEN, HEADER_LEN,
-    SECTION_ALIGN, SNAPSHOT_MAGIC,
+    checksum_of, section_id, version_error, SectionEntry, SnapshotError, ENDIAN_MARKER, ENTRY_LEN,
+    HEADER_LEN, SECTION_ALIGN, SNAPSHOT_MAGIC,
 };
 use crate::index::dense_rule;
 
@@ -153,17 +158,35 @@ pub fn verify_file(path: impl AsRef<Path>) -> io::Result<Report> {
 /// of input; the bytes need no particular alignment (every element is
 /// decoded, not reinterpreted).
 pub fn verify_bytes(data: &[u8]) -> Report {
-    let mut v = Verifier {
-        data,
-        report: Report {
-            version: None,
-            file_len: usize_to_u64(data.len()),
-            section_count: 0,
-            violations: Vec::new(),
-        },
-    };
-    v.run();
+    let mut v = Verifier::new(data);
+    if let Some(sections) = v.check_container() {
+        v.report.section_count = sections.len();
+        v.check_composition(&sections);
+    }
     v.report
+}
+
+/// The container pass alone — header, checksum, section table — as
+/// [`SnapshotImage::open`](super::SnapshotImage::open) runs it: the parsed
+/// table and format version, or the first violation as an error.
+pub(crate) fn read_container(data: &[u8]) -> Result<(Vec<SectionEntry>, u32), SnapshotError> {
+    let mut v = Verifier::new(data);
+    let sections = v.check_container();
+    let version = v.report.version;
+    v.finish()?;
+    match (sections, version) {
+        (Some(sections), Some(version)) => Ok((sections, version)),
+        // `check_container` reports a violation before it gives up.
+        _ => Err(super::corrupt("unreadable snapshot header")),
+    }
+}
+
+/// The layout pass alone, over an opened image's bytes and its parsed
+/// section table, as [`open_prepared`](super::open_prepared) runs it.
+pub(crate) fn check_layout(data: &[u8], sections: &[SectionEntry]) -> Result<(), SnapshotError> {
+    let mut v = Verifier::new(data);
+    v.check_composition(sections);
+    v.finish()
 }
 
 fn u32_at(data: &[u8], offset: usize) -> Option<u32> {
@@ -186,21 +209,57 @@ fn elem_u64(section: &[u8], i: usize) -> Option<u64> {
     u64_at(section, i.checked_mul(8)?)
 }
 
-fn iter_u32(section: &[u8]) -> impl Iterator<Item = u32> + '_ {
+fn iter_u32(section: &[u8]) -> impl DoubleEndedIterator<Item = u32> + '_ {
     section
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().unwrap_or([0; 4])))
 }
 
-fn iter_u16(section: &[u8]) -> impl Iterator<Item = u16> + '_ {
-    section
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes(c.try_into().unwrap_or([0; 2])))
+/// The store's event arena, read in place at its recorded width (2 or 4
+/// bytes per event).
+#[derive(Clone, Copy, Default)]
+struct Arena<'a> {
+    bytes: &'a [u8],
+    width: usize,
+}
+
+impl<'a> Arena<'a> {
+    /// A little-endian element of 2 or 4 bytes.
+    fn decode(bytes: &[u8]) -> u32 {
+        match *bytes {
+            [a, b] => u32::from(u16::from_le_bytes([a, b])),
+            [a, b, c, d] => u32::from_le_bytes([a, b, c, d]),
+            _ => u32::MAX,
+        }
+    }
+
+    fn get(self, i: usize) -> Option<u32> {
+        let start = i.checked_mul(self.width)?;
+        let bytes = self.bytes.get(start..start.checked_add(self.width)?)?;
+        Some(Self::decode(bytes))
+    }
+
+    fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        self.bytes.chunks_exact(self.width.max(1)).map(Self::decode)
+    }
+
+    /// Events `start..end`; empty when they are not all in the arena.
+    fn window(self, start: usize, end: usize) -> Self {
+        let bytes = start
+            .checked_mul(self.width)
+            .zip(end.checked_mul(self.width))
+            .and_then(|(from, to)| self.bytes.get(from..to))
+            .unwrap_or_default();
+        Self { bytes, ..self }
+    }
 }
 
 struct Verifier<'a> {
     data: &'a [u8],
     report: Report,
+    /// Set when the image is a snapshot this build cannot read (format
+    /// version or endianness) rather than a corrupt one.
+    unsupported: bool,
 }
 
 /// The `meta` section, decoded.
@@ -212,6 +271,35 @@ struct Meta {
 }
 
 impl<'a> Verifier<'a> {
+    fn new(data: &'a [u8]) -> Self {
+        Self {
+            data,
+            report: Report {
+                version: None,
+                file_len: usize_to_u64(data.len()),
+                section_count: 0,
+                violations: Vec::new(),
+            },
+            unsupported: false,
+        }
+    }
+
+    /// The verdict as one error: the first violation, with a count of the
+    /// rest (`rgs-mine snapshot verify` lists them all).
+    fn finish(self) -> Result<(), SnapshotError> {
+        let violations = &self.report.violations;
+        let Some(first) = violations.first() else {
+            return Ok(());
+        };
+        if self.unsupported {
+            return Err(SnapshotError::Unsupported(first.detail.clone()));
+        }
+        Err(SnapshotError::Corrupt(match violations.len() - 1 {
+            0 => first.to_string(),
+            more => format!("{first} (and {more} more)"),
+        }))
+    }
+
     fn push(
         &mut self,
         kind: ViolationKind,
@@ -244,14 +332,6 @@ impl<'a> Verifier<'a> {
         self.push(ViolationKind::Layout, Some(id), None, detail);
     }
 
-    fn run(&mut self) {
-        let Some(sections) = self.check_container() else {
-            return;
-        };
-        self.report.section_count = sections.len();
-        self.check_composition(&sections);
-    }
-
     // -- structure + checksum ------------------------------------------------
 
     /// Header, checksum, and section-table checks. Returns the parseable
@@ -267,7 +347,7 @@ impl<'a> Verifier<'a> {
             );
             return None;
         }
-        if data.get(..8) != Some(&SNAPSHOT_MAGIC[..]) {
+        if data.get(..8) != Some(SNAPSHOT_MAGIC.as_slice()) {
             self.structure(0, "bad magic: not a snapshot file".to_owned());
             return None;
         }
@@ -275,10 +355,12 @@ impl<'a> Verifier<'a> {
         self.report.version = Some(version);
         if let Some(detail) = version_error(version) {
             self.structure(8, detail);
+            self.unsupported = true;
             return None;
         }
         let endian = u32_at(data, 12).unwrap_or(0);
         if endian != ENDIAN_MARKER {
+            self.unsupported = true;
             self.structure(
                 12,
                 format!("endianness marker {endian:#010x} (expected {ENDIAN_MARKER:#010x})"),
@@ -405,9 +487,8 @@ impl<'a> Verifier<'a> {
             }
         }
 
-        // Pairwise payload overlap — `open` tolerates this (it only checks
-        // bounds), but an overlap means one arena aliases another, which no
-        // writer produces.
+        // Pairwise payload overlap: an overlap means one arena aliases
+        // another, which no writer produces.
         for (i, a) in sections.iter().enumerate() {
             for b in sections.iter().skip(i + 1) {
                 let disjoint = a.offset.saturating_add(a.byte_len) <= b.offset
@@ -499,7 +580,7 @@ impl<'a> Verifier<'a> {
             }
             prev = value;
         }
-        let last = u64::from(iter_u32(payload).last().unwrap_or(0));
+        let last = u64::from(iter_u32(payload).next_back().unwrap_or(0));
         if last != end {
             self.layout(
                 entry,
@@ -531,6 +612,30 @@ impl<'a> Verifier<'a> {
                 }
             }
         };
+        // A valid image spends 4 bytes per sequence boundary
+        // (store.offsets), 8 per event (event.counts) and at least 2 per
+        // arena element (store.events). A meta that asks for more than the
+        // file holds is refused before it sizes the recount below.
+        let len = self.data.len();
+        let oversized = [
+            meta.num_sequences >= len / 4,
+            meta.num_events > len / 8,
+            meta.total_length > len / 2,
+        ]
+        .iter()
+        .position(|&over| over);
+        if let Some(elem) = oversized {
+            self.layout(
+                &meta_entry,
+                usize_to_u64(elem),
+                format!(
+                    "meta records {} sequences, {} events and {} arena elements, more than the \
+                     {len}-byte image can hold",
+                    meta.num_sequences, meta.num_events, meta.total_length
+                ),
+            );
+            return;
+        }
 
         // store.events: a narrow (2-byte) or wide (4-byte) arena, every
         // event inside the alphabet.
@@ -562,34 +667,34 @@ impl<'a> Verifier<'a> {
                 }
             }
         };
-        let arena: Vec<u32> = events_entry
-            .map(|e| {
-                let payload = self.payload(&e);
-                if e.elem_size == 2 {
-                    iter_u16(payload).map(u32::from).collect()
-                } else {
-                    iter_u32(payload).collect()
-                }
+        let arena = events_entry
+            .map(|e| Arena {
+                bytes: self.payload(&e),
+                width: u32_to_usize(e.elem_size),
             })
             .unwrap_or_default();
+        // One pass over the arena: the recount behind event.counts and
+        // event.order, and the ids outside the alphabet.
+        let mut histogram = vec![0u64; meta.num_events];
+        let (mut count, mut bad) = (0usize, None);
+        for (i, event) in arena.iter().enumerate() {
+            match histogram.get_mut(u32_to_usize(event)) {
+                Some(slot) => *slot += 1,
+                None => {
+                    count += 1;
+                    bad = bad.or(Some((i, event)));
+                }
+            }
+        }
         if let Some(entry) = events_entry {
-            let bad = arena
-                .iter()
-                .enumerate()
-                .filter(|(_, &e)| u32_to_usize(e) >= meta.num_events)
-                .map(|(i, &e)| (i, e))
-                .collect::<Vec<_>>();
-            if let Some(&(first, value)) = bad.first() {
+            if let Some((first, value)) = bad {
                 self.layout(
                     &entry,
                     usize_to_u64(first),
                     format!(
-                        "{} events reference ids outside the {}-event alphabet (first: id {} \
-                         at element {})",
-                        bad.len(),
+                        "{count} events reference ids outside the {}-event alphabet (first: id \
+                         {value} at element {first})",
                         meta.num_events,
-                        value,
-                        first
                     ),
                 );
             }
@@ -600,11 +705,9 @@ impl<'a> Verifier<'a> {
             sections,
             section_id::STORE_OFFSETS,
             4,
-            Some(usize_to_u64(meta.num_sequences) + 1),
+            Some(usize_to_u64(meta.num_sequences).saturating_add(1)),
         );
-        let store_offsets: Vec<u32> = store_offsets_entry
-            .map(|e| iter_u32(self.payload(&e)).collect())
-            .unwrap_or_default();
+        let store_offsets: &[u8] = store_offsets_entry.map_or(&[], |e| self.payload(&e));
         let store_csr_ok = store_offsets_entry.is_some_and(|entry| {
             self.check_csr_u32(&entry, usize_to_u64(meta.total_length), "store")
         });
@@ -612,13 +715,7 @@ impl<'a> Verifier<'a> {
         // catalog: bijective with the alphabet.
         self.check_catalog(sections, meta);
 
-        // event.counts + event.order against an actual recount of the arena.
-        let mut histogram = vec![0u64; meta.num_events];
-        for &event in &arena {
-            if let Some(slot) = histogram.get_mut(u32_to_usize(event)) {
-                *slot += 1;
-            }
-        }
+        // event.counts + event.order against the recount of the arena.
         if let Some(entry) = self.expect_section(
             sections,
             section_id::EVENT_COUNTS,
@@ -664,12 +761,7 @@ impl<'a> Verifier<'a> {
         }
 
         // The one index against the global arena.
-        self.check_index(
-            sections,
-            meta,
-            &arena,
-            store_csr_ok.then_some(store_offsets.as_slice()),
-        );
+        self.check_index(sections, meta, arena, store_csr_ok.then_some(store_offsets));
     }
 
     fn check_catalog(&mut self, sections: &[SectionEntry], meta: Meta) {
@@ -741,28 +833,26 @@ impl<'a> Verifier<'a> {
     }
 
     /// Checks the event-major index (its five column sections) over all
-    /// `meta.num_sequences` sequences. `store_offsets` is the validated
-    /// global store CSR column — when present, every position is checked
-    /// to land on its event in its sequence of the arena. Columns are read
-    /// in place.
+    /// `meta.num_sequences` sequences. `store_offsets` is the payload of
+    /// the validated global store CSR column — when present, every
+    /// position is checked to land on its event in its sequence of the
+    /// arena. Columns are read in place.
     fn check_index(
         &mut self,
         sections: &[SectionEntry],
         meta: Meta,
-        arena: &[u32],
-        store_offsets: Option<&[u32]>,
+        arena: Arena<'_>,
+        store_offsets: Option<&[u8]>,
     ) {
         let num_sequences = meta.num_sequences;
-        let dir_count = Some(usize_to_u64(meta.num_events) + 1);
-        let [row_dir_id, id_dir_id, row_offsets_id, ids_id, positions_id] =
-            section_id::INDEX_COLUMNS;
-        let row_dir = self.expect_section(sections, row_dir_id, 4, dir_count);
-        let id_dir = self.expect_section(sections, id_dir_id, 4, dir_count);
-        let row_offsets = self.expect_section(sections, row_offsets_id, 4, None);
-        let ids = self.expect_section(sections, ids_id, 4, None);
+        let dir_count = Some(usize_to_u64(meta.num_events).saturating_add(1));
+        let row_dir = self.expect_section(sections, section_id::INDEX_ROW_DIR, 4, dir_count);
+        let id_dir = self.expect_section(sections, section_id::INDEX_ID_DIR, 4, dir_count);
+        let row_offsets = self.expect_section(sections, section_id::INDEX_ROW_OFFSETS, 4, None);
+        let ids = self.expect_section(sections, section_id::INDEX_IDS, 4, None);
         let positions = self.expect_section(
             sections,
-            positions_id,
+            section_id::INDEX_POSITIONS,
             4,
             Some(usize_to_u64(meta.total_length)),
         );
@@ -857,13 +947,19 @@ impl<'a> Verifier<'a> {
                 }
                 // The bounds of the owning sequence in the arena.
                 let seq_window = store_offsets.and_then(|offsets| {
-                    let start = *offsets.get(seq)?;
-                    let end = *offsets.get(seq + 1)?;
+                    let start = elem_u32(offsets, seq)?;
+                    let end = elem_u32(offsets, seq + 1)?;
                     Some((u32_to_usize(start), u32_to_usize(end)))
                 });
+                let events = seq_window.map(|(start, end)| arena.window(start, end));
+                let row_positions = row
+                    .start
+                    .checked_mul(4)
+                    .zip(row.end.checked_mul(4))
+                    .and_then(|(from, to)| position_bytes.get(from..to))
+                    .unwrap_or_default();
                 let mut prev = 0u32;
-                for i in row {
-                    let pos = elem_u32(position_bytes, i).unwrap_or(0);
+                for (i, pos) in (row.start..).zip(iter_u32(row_positions)) {
                     let at = usize_to_u64(i);
                     if pos == 0 || pos <= prev {
                         self.layout(
@@ -877,10 +973,9 @@ impl<'a> Verifier<'a> {
                         return;
                     }
                     prev = pos;
-                    if let Some((start, end)) = seq_window {
-                        let global = start + u32_to_usize(pos) - 1;
-                        let actual = arena.get(global).copied().unwrap_or(u32::MAX);
-                        if global >= end || u32_to_usize(actual) != event {
+                    if let (Some(events), Some((start, end))) = (events, seq_window) {
+                        let actual = events.get(u32_to_usize(pos) - 1);
+                        if actual.map(u32_to_usize) != Some(event) {
                             self.layout(
                                 &positions,
                                 at,
@@ -917,10 +1012,11 @@ mod tests {
         ))
     }
 
-    /// Hand-composes a valid v6 prepared image (mirrors the
-    /// composition in `rgs-core`, which this crate cannot depend on), with
-    /// a narrow (`u16`) or wide (`u32`) event arena. `E` occurs in one of
-    /// three sequences, so the index holds sparse and dense events.
+    /// Composes a valid v6 prepared image section by section, with a
+    /// narrow (`u16`) or wide (`u32`) event arena: `write_prepared` writes
+    /// narrowest-fit, so it never writes this small alphabet wide. `E`
+    /// occurs in one of three sequences, so the index holds sparse and
+    /// dense events.
     fn v6_image_bytes(narrow: bool) -> Vec<u8> {
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
         let index = InvertedIndex::build(&db);
@@ -983,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn a_narrow_v5_image_verifies_clean() {
+    fn a_narrow_image_verifies_clean() {
         let bytes = v6_image_bytes(true);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
@@ -1013,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn a_valid_wide_v5_image_verifies_clean() {
+    fn a_valid_wide_image_verifies_clean() {
         let bytes = v6_image_bytes(false);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
@@ -1034,7 +1130,7 @@ mod tests {
     }
 
     #[test]
-    fn each_v5_index_invariant_is_a_layout_violation() {
+    fn each_index_invariant_is_a_layout_violation() {
         // Fixture index: events A..D dense (rows 0..12, three per event), E
         // sparse (row 12, id 2); row_offsets[3..=6] delimit B's rows.
         let pristine = v6_image_bytes(false);

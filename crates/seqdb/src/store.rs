@@ -324,44 +324,11 @@ impl SeqStore {
         }
     }
 
-    /// Reassembles a store from its two columns, typically zero-copy slices
-    /// of a [`snapshot`](crate::snapshot) image (either width). Every CSR
-    /// invariant is checked; the error string names the violated one.
-    pub fn from_shared_parts(
-        events: EventColumn,
-        offsets: SharedSlice<u32>,
-    ) -> Result<Self, String> {
-        let (Some(&first), Some(&sentinel)) = (offsets.first(), offsets.last()) else {
-            return Err("store offsets are empty (the sentinel entry is mandatory)".to_owned());
-        };
-        if first != 0 {
-            return Err(format!("store offsets start at {first}, not 0"));
-        }
-        if let Some((a, b)) = offsets
-            .iter()
-            .zip(offsets.iter().skip(1))
-            .find(|(a, b)| a > b)
-        {
-            return Err(format!("store offsets are not monotone ({a} > {b})"));
-        }
-        let last = u32_to_usize(sentinel);
-        if last != events.len() {
-            return Err(format!(
-                "store offsets end at {last} but the event arena holds {} events",
-                events.len()
-            ));
-        }
-        Ok(Self { events, offsets })
-    }
-
-    /// Reassembles a store from a wide event slice plus offsets — the
-    /// pre-width-tagging form of [`SeqStore::from_shared_parts`], kept for
-    /// v1/v2 snapshot images (always wide) and tests.
-    pub fn from_wide_parts(
-        events: SharedSlice<EventId>,
-        offsets: SharedSlice<u32>,
-    ) -> Result<Self, String> {
-        Self::from_shared_parts(EventColumn::Wide(events), offsets)
+    /// Reassembles a store from its two columns: zero-copy slices of an
+    /// image that [`snapshot::open_prepared`](crate::snapshot::open_prepared)
+    /// has verified, so the CSR invariants are not checked again here.
+    pub(crate) fn from_shared_parts(events: EventColumn, offsets: SharedSlice<u32>) -> Self {
+        Self { events, offsets }
     }
 
     /// Appends one sequence given as an iterator of events; returns its
@@ -778,7 +745,7 @@ mod tests {
         let mut column = wide.event_column().clone();
         assert!(column.fits_narrow());
         assert!(column.narrow());
-        let back = SeqStore::from_shared_parts(column, wide.offsets().to_vec().into()).unwrap();
+        let back = SeqStore::from_shared_parts(column, wide.offsets().to_vec().into());
         assert_eq!(back, narrow);
         assert!(back.is_narrow());
     }

@@ -12,12 +12,21 @@
 //!    computed checksum — implemented here independently from the spec in
 //!    `seqdb::snapshot` — so the deeper validators are reached and their
 //!    specific errors observed.
+//!
+//! A third set writes prepared-database images whose sections are sealed
+//! and well-formed but break one layout rule (a store or index column the
+//! layout forbids): `verify` must name the rule, and `open_prepared` — what
+//! `PreparedDb::open_snapshot` runs — must refuse the image.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seqdb::snapshot::{section_id, SectionPayload, SnapshotImage, SnapshotWriter};
-use seqdb::{EventId, SnapshotError};
+use seqdb::snapshot::{
+    catalog_to_bytes, open_prepared, section_id, verify, PreparedImage, SectionPayload,
+    SnapshotImage, SnapshotWriter,
+};
+use seqdb::{EventId, SequenceDatabase, SnapshotError};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -143,7 +152,7 @@ fn appended_garbage_is_rejected() {
     bytes.extend_from_slice(b"trailing junk");
     let err = open_bytes("append-case", &bytes).unwrap_err();
     let message = err.to_string();
-    assert!(message.contains("truncated or padded"), "{message}");
+    assert!(message.contains("header records"), "{message}");
 }
 
 #[test]
@@ -246,247 +255,217 @@ fn random_files_are_never_panics_only_errors() {
     }
 }
 
-#[test]
-fn store_reconstruction_validates_csr_invariants() {
-    use seqdb::{SeqStore, SharedSlice};
-    let events: SharedSlice<EventId> = vec![EventId(0), EventId(1)].into();
-
-    let empty: SharedSlice<u32> = Vec::new().into();
-    assert!(SeqStore::from_wide_parts(events.clone(), empty)
-        .unwrap_err()
-        .contains("sentinel"));
-
-    let bad_start: SharedSlice<u32> = vec![1, 2].into();
-    assert!(SeqStore::from_wide_parts(events.clone(), bad_start)
-        .unwrap_err()
-        .contains("start"));
-
-    let not_monotone: SharedSlice<u32> = vec![0, 2, 1, 2].into();
-    assert!(SeqStore::from_wide_parts(events.clone(), not_monotone)
-        .unwrap_err()
-        .contains("monotone"));
-
-    let bad_end: SharedSlice<u32> = vec![0, 1].into();
-    assert!(SeqStore::from_wide_parts(events.clone(), bad_end)
-        .unwrap_err()
-        .contains("arena"));
-
-    let good: SharedSlice<u32> = vec![0, 1, 2].into();
-    let store = SeqStore::from_wide_parts(events, good).expect("valid CSR");
-    assert_eq!(store.num_sequences(), 2);
+/// Every section of a v6 prepared image as owned columns, taken from a
+/// real preparation of `rows`, so a test can swap one column for a set
+/// the layout forbids and write the result through [`SnapshotWriter`].
+#[derive(Clone)]
+struct Layout {
+    meta: Vec<u64>,
+    events: Vec<u16>,
+    offsets: Vec<u32>,
+    catalog: Vec<u8>,
+    counts: Vec<u64>,
+    order: Vec<EventId>,
+    /// The five index columns, in [`section_id::INDEX_COLUMNS`] order.
+    index: [Vec<u32>; 5],
 }
 
-/// Five index columns from literal vectors.
-fn columns(
-    row_dir: &[u32],
-    id_dir: &[u32],
-    row_offsets: &[u32],
-    ids: &[u32],
-    positions: &[u32],
-) -> seqdb::IndexColumns {
-    seqdb::IndexColumns {
-        row_dir: row_dir.to_vec().into(),
-        id_dir: id_dir.to_vec().into(),
-        row_offsets: row_offsets.to_vec().into(),
-        ids: ids.to_vec().into(),
-        positions: positions.to_vec().into(),
+impl Layout {
+    fn of(rows: &[&str]) -> Self {
+        let db = SequenceDatabase::from_str_rows(rows);
+        let index = db.inverted_index();
+        let counts = index.total_counts();
+        let order = db
+            .catalog()
+            .ids()
+            .filter(|e| counts[e.index()] > 0)
+            .collect();
+        let meta = [db.num_sequences(), db.num_events(), db.total_length()];
+        Self {
+            meta: meta.iter().map(|&n| n as u64).collect(),
+            events: db
+                .store()
+                .event_column()
+                .narrow_slice()
+                .expect("narrow")
+                .to_vec(),
+            offsets: db.store().offsets().to_vec(),
+            catalog: catalog_to_bytes(db.catalog()),
+            counts,
+            order,
+            index: index.columns().as_slices().map(<[u32]>::to_vec),
+        }
+    }
+
+    /// A copy with index column `column` (an [`section_id::INDEX_COLUMNS`]
+    /// slot) replaced.
+    fn with_index(&self, column: usize, values: &[u32]) -> Self {
+        let mut layout = self.clone();
+        layout.index[column] = values.to_vec();
+        layout
+    }
+
+    /// Writes the image to a file of its own (tests run in parallel).
+    fn write(&self) -> PathBuf {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let path = temp_path(&format!("layout-{}", CALLS.fetch_add(1, Ordering::Relaxed)));
+        let mut writer = SnapshotWriter::new();
+        writer
+            .section(section_id::META, SectionPayload::U64s(&self.meta))
+            .section(section_id::STORE_EVENTS, SectionPayload::U16s(&self.events))
+            .section(
+                section_id::STORE_OFFSETS,
+                SectionPayload::U32s(&self.offsets),
+            )
+            .section(section_id::CATALOG, SectionPayload::Bytes(&self.catalog))
+            .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&self.counts))
+            .section(
+                section_id::EVENT_ORDER,
+                SectionPayload::EventIds(&self.order),
+            );
+        for (id, column) in section_id::INDEX_COLUMNS.into_iter().zip(&self.index) {
+            writer.section(id, SectionPayload::U32s(column));
+        }
+        writer.write_to_path(&path).expect("write layout");
+        path
+    }
+
+    /// Writes the image, then verifies and opens it.
+    fn verify_and_open(&self) -> (verify::Report, Result<PreparedImage, SnapshotError>) {
+        let path = self.write();
+        let report = verify::verify_file(&path).expect("read image");
+        let opened = open_prepared(&path);
+        std::fs::remove_file(&path).ok();
+        (report, opened)
+    }
+
+    /// The opened image, after checking that the verifier finds it clean.
+    fn open(&self) -> PreparedImage {
+        let (report, opened) = self.verify_and_open();
+        assert!(report.is_clean(), "{:#?}", report.violations);
+        opened.expect("a clean image opens")
+    }
+
+    /// Asserts that the verifier rejects the image with a violation naming
+    /// `needle`, and that opening rejects it too.
+    fn assert_rejected(&self, needle: &str) {
+        let (report, opened) = self.verify_and_open();
+        assert!(
+            report.violations.iter().any(|v| v.detail.contains(needle)),
+            "expected {needle:?} in {:#?}",
+            report.violations
+        );
+        let err = opened.expect_err("an image the verifier rejects opened");
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 }
 
 #[test]
+fn store_reconstruction_validates_csr_invariants() {
+    // Two one-event sequences: the store's offsets are [0, 1, 2].
+    let layout = Layout::of(&["A", "B"]);
+    assert_eq!(layout.offsets, [0, 1, 2]);
+    for (offsets, needle) in [
+        (&[][..], "expected 3"),
+        (&[1, 1, 2], "start at 1"),
+        (&[0, 2, 1], "monotone"),
+        (&[0, 1, 1], "end at 1"),
+    ] {
+        let mut bad = layout.clone();
+        bad.offsets = offsets.to_vec();
+        bad.assert_rejected(needle);
+    }
+    assert_eq!(layout.open().database.num_sequences(), 2);
+}
+
+#[test]
 fn index_reconstruction_validates_csr_invariants() {
-    use seqdb::{InvertedIndex, SequenceDatabase};
     // S0 = A, S1 = A, S2 = AB: A is dense (three rows), B sparse (row and
-    // id for S2 only).
-    let good = columns(
-        &[0, 3, 4],
-        &[0, 0, 1],
-        &[0, 1, 2, 3, 4],
-        &[2],
-        &[1, 1, 1, 2],
-    );
-    let built = SequenceDatabase::from_str_rows(&["A", "A", "AB"]).inverted_index();
+    // id for S2 only). Columns: row directory, id directory, row offsets,
+    // ids, positions.
+    let layout = Layout::of(&["A", "A", "AB"]);
     assert_eq!(
-        built.columns(),
-        &good,
+        layout.index,
+        [
+            vec![0, 3, 4],
+            vec![0, 0, 1],
+            vec![0, 1, 2, 3, 4],
+            vec![2],
+            vec![1, 1, 1, 2],
+        ],
         "the fixture is what the builder writes"
     );
-    let reject = |cols: seqdb::IndexColumns, sequences: usize, events: usize, needle: &str| {
-        let err = InvertedIndex::from_shared_parts(cols, sequences, events).unwrap_err();
-        assert!(err.contains(needle), "expected {needle:?} in: {err}");
-    };
+    let (row_dir, id_dir, row_offsets, ids, positions) = (0, 1, 2, 3, 4);
 
     // Directory shapes: one entry per event plus a sentinel, monotone,
     // ending at the row / id counts.
-    reject(
-        columns(&[0, 3], &[0, 0, 1], &[0, 1, 2, 3, 4], &[2], &[1, 1, 1, 2]),
-        3,
-        2,
-        "entries",
-    );
-    reject(
-        columns(&[0, 3, 4], &[0, 1], &[0, 1, 2, 3, 4], &[2], &[1, 1, 1, 2]),
-        3,
-        2,
-        "entries",
-    );
-    reject(
-        columns(
-            &[0, 5, 4],
-            &[0, 0, 1],
-            &[0, 1, 2, 3, 4],
-            &[2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "monotone",
-    );
-    reject(
-        columns(
-            &[0, 3, 3],
-            &[0, 0, 1],
-            &[0, 1, 2, 3, 4],
-            &[2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "end at",
-    );
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 1, 0],
-            &[0, 1, 2, 3, 4],
-            &[2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "monotone",
-    );
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 0, 2],
-            &[0, 1, 2, 3, 4],
-            &[2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "end at",
-    );
-
-    // Row offsets: start at 0, monotone, end at the arena length.
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 0, 1],
-            &[1, 1, 2, 3, 4],
-            &[2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "start",
-    );
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 0, 1],
-            &[0, 2, 1, 3, 4],
-            &[2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "monotone",
-    );
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 0, 1],
-            &[0, 1, 2, 3, 4],
-            &[2],
-            &[1, 1, 1, 2, 3],
-        ),
-        3,
-        2,
-        "end at",
-    );
+    for (column, values, needle) in [
+        (row_dir, &[0, 3][..], "expected 3"),
+        (id_dir, &[0, 1], "expected 3"),
+        (row_dir, &[0, 5, 4], "monotone"),
+        (row_dir, &[0, 3, 3], "end at 3"),
+        (id_dir, &[0, 1, 0], "monotone"),
+        (id_dir, &[0, 0, 2], "end at 2"),
+        // Row offsets: start at 0, monotone, end at the arena length.
+        (row_offsets, &[1, 1, 2, 3, 4], "start at 1"),
+        (row_offsets, &[0, 2, 1, 3, 4], "monotone"),
+        (positions, &[1, 1, 1, 2, 3], "expected 4"),
+    ] {
+        layout.with_index(column, values).assert_rejected(needle);
+    }
 
     // Each event is dense or sparse exactly as the rule says: B claimed
     // dense with one row; B dense with three rows but in one sequence; A
     // stored sparse although it is in every sequence; B with more ids than
     // rows.
-    reject(
-        columns(&[0, 3, 4], &[0, 0, 0], &[0, 1, 2, 3, 4], &[], &[1, 1, 1, 2]),
-        3,
-        2,
-        "dense",
-    );
-    reject(
-        columns(
-            &[0, 3, 6],
-            &[0, 0, 0],
-            &[0, 1, 2, 3, 3, 3, 4],
-            &[],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "dense",
-    );
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 3, 4],
-            &[0, 1, 2, 3, 4],
-            &[0, 1, 2, 2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "sparse",
-    );
-    reject(
-        columns(
-            &[0, 3, 4],
-            &[0, 0, 2],
-            &[0, 1, 2, 3, 4],
-            &[2, 2],
-            &[1, 1, 1, 2],
-        ),
-        3,
-        2,
-        "sparse",
-    );
+    layout
+        .with_index(id_dir, &[0, 0, 0])
+        .with_index(ids, &[])
+        .assert_rejected("stored dense with 1 rows");
+    layout
+        .with_index(row_dir, &[0, 3, 6])
+        .with_index(id_dir, &[0, 0, 0])
+        .with_index(row_offsets, &[0, 1, 2, 3, 3, 3, 4])
+        .with_index(ids, &[])
+        .assert_rejected("occurs in 1 of 3");
+    layout
+        .with_index(id_dir, &[0, 3, 4])
+        .with_index(ids, &[0, 1, 2, 2])
+        .assert_rejected("stored sparse");
+    layout
+        .with_index(id_dir, &[0, 0, 2])
+        .with_index(ids, &[2, 2])
+        .assert_rejected("stored sparse");
 
     // Sparse ids (five sequences, one event in two of them): strictly
     // ascending, inside the store, and each naming a non-empty row.
-    let sparse =
-        |ids: &[u32], row_offsets: &[u32]| columns(&[0, 2], &[0, 2], row_offsets, ids, &[1, 1]);
-    assert!(InvertedIndex::from_shared_parts(sparse(&[1, 3], &[0, 1, 2]), 5, 1).is_ok());
-    reject(sparse(&[3, 1], &[0, 1, 2]), 5, 1, "ascending");
-    reject(sparse(&[1, 1], &[0, 1, 2]), 5, 1, "ascending");
-    reject(sparse(&[1, 5], &[0, 1, 2]), 5, 1, "out of range");
-    reject(
-        columns(&[0, 2], &[0, 2], &[0, 0, 2], &[1, 3], &[1, 2]),
-        5,
-        1,
-        "empty",
-    );
+    let sparse = Layout::of(&["", "A", "", "A", ""]);
+    assert_eq!(sparse.index[ids], [1, 3]);
+    sparse.with_index(ids, &[3, 1]).assert_rejected("ascending");
+    sparse.with_index(ids, &[1, 1]).assert_rejected("ascending");
+    sparse
+        .with_index(ids, &[1, 5])
+        .assert_rejected("out of range");
+    sparse
+        .with_index(row_offsets, &[0, 0, 2])
+        .with_index(positions, &[1, 2])
+        .assert_rejected("empty");
 
     // Unsorted or 0-based posting lists would break the binary search in
-    // `next` silently, so reconstruction must reject them.
-    let one_row = |positions: &[u32]| columns(&[0, 1], &[0, 0], &[0, 2], &[], positions);
-    reject(one_row(&[2, 1]), 1, 1, "ascending");
-    reject(one_row(&[2, 2]), 1, 1, "ascending");
-    reject(one_row(&[0, 1]), 1, 1, "1-based");
+    // `next` silently, so opening must reject them.
+    let one_row = Layout::of(&["AA"]);
+    assert_eq!(one_row.index[positions], [1, 2]);
+    one_row
+        .with_index(positions, &[2, 1])
+        .assert_rejected("ascending");
+    one_row
+        .with_index(positions, &[2, 2])
+        .assert_rejected("ascending");
+    one_row
+        .with_index(positions, &[0, 1])
+        .assert_rejected("1-based");
 
-    let index = InvertedIndex::from_shared_parts(good, 3, 2).expect("valid index");
+    let index = layout.open().index;
     assert_eq!(index.num_events(), 2);
     assert_eq!(index.event_positions(2, EventId(1)), Some(&[2u32][..]));
     assert_eq!(index.event_positions(0, EventId(1)), Some(&[][..]));

@@ -14,7 +14,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rgs_core::PreparedDb;
-use seqdb::snapshot::verify;
 use seqdb::DatabaseStats;
 
 use crate::admission::{AdmissionQueue, Admit};
@@ -259,26 +258,51 @@ fn refuse(
     while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
 }
 
-/// Opens and verifies a snapshot image for serving.
+/// Opens a snapshot image for serving.
 ///
-/// The image is checked with [`seqdb::snapshot::verify`] first — a server
-/// must refuse to boot on a corrupt or truncated image rather than crash
-/// on request N — then opened zero-copy into a [`PreparedDb`].
+/// [`PreparedDb::open_snapshot`] runs every [`seqdb::snapshot::verify`]
+/// check on the mapped bytes before it rebuilds a column, so a server
+/// refuses to boot on a corrupt or truncated image — the error names the
+/// first violation — rather than answer wrongly or crash on request N.
 pub fn boot_snapshot(path: &std::path::Path) -> Result<Arc<PreparedDb>, String> {
-    let report = verify::verify_file(path)
-        .map_err(|err| format!("cannot read snapshot {}: {err}", path.display()))?;
-    if !report.is_clean() {
-        let mut lines = format!(
-            "snapshot {} failed verification ({} violations):",
-            path.display(),
-            report.violations.len()
+    PreparedDb::open_snapshot(path)
+        .map(Arc::new)
+        .map_err(|err| format!("cannot open snapshot {}: {err}", path.display()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seqdb::snapshot::{checksum_of, section_id, SnapshotImage};
+    use seqdb::SequenceDatabase;
+
+    #[test]
+    fn boot_refuses_a_resealed_image_and_names_the_violation() {
+        let path =
+            std::env::temp_dir().join(format!("rgs-serve-boot-{}.snapshot", std::process::id()));
+        let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
+        PreparedDb::new(&db).write_snapshot(&path).expect("write");
+        assert!(boot_snapshot(&path).is_ok(), "the pristine image boots");
+
+        // Zero event 0's recorded count and reseal the checksum: every
+        // section stays well-formed, only the recount disagrees.
+        let counts = SnapshotImage::open(&path)
+            .expect("open image")
+            .section(section_id::EVENT_COUNTS)
+            .expect("counts section")
+            .offset as usize;
+        let mut bytes = std::fs::read(&path).expect("read image");
+        bytes[counts..counts + 8].copy_from_slice(&0u64.to_le_bytes());
+        let checksum = checksum_of(&bytes);
+        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite image");
+
+        let err = boot_snapshot(&path).expect_err("a resealed wrong count must not boot");
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("event.counts"), "{err}");
+        assert!(
+            err.contains("event 0 records 0 occurrences but the arena holds 5"),
+            "{err}"
         );
-        for violation in &report.violations {
-            lines.push_str(&format!("\n  - {violation}"));
-        }
-        return Err(lines);
     }
-    let prepared = PreparedDb::open_snapshot(path)
-        .map_err(|err| format!("cannot open snapshot {}: {err}", path.display()))?;
-    Ok(Arc::new(prepared))
 }

@@ -44,7 +44,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The hot-path modules whose loops must be panic-free (repo-relative).
-const HOT_PATH_FILES: [&str; 11] = [
+const HOT_PATH_FILES: [&str; 12] = [
     "crates/core/src/support.rs",
     "crates/core/src/instbuf.rs",
     "crates/core/src/closure.rs",
@@ -54,6 +54,7 @@ const HOT_PATH_FILES: [&str; 11] = [
     "crates/seqdb/src/store.rs",
     "crates/seqdb/src/index.rs",
     "crates/seqdb/src/simd.rs",
+    "crates/seqdb/src/snapshot_verify.rs",
     "crates/serve/src/worker.rs",
     "crates/serve/src/cache.rs",
 ];
