@@ -6,13 +6,12 @@
 //! landmark border checking (Theorem 5) added. This module is the only code
 //! in the crate that walks that tree:
 //!
-//! * [`crate::MiningSession::run_with_sink`] is a batch of one whose member
+//! * [`crate::Miner::run_with_sink`] is a batch of one whose member
 //!   forwards to the caller's sink, so the sink sees patterns as they are
 //!   found and can cancel at any emission;
-//! * [`crate::PatternStream`] steps the same walker — an explicit-stack
-//!   machine that can pause after any emission — one pattern per pull;
 //! * [`crate::ExecutionPolicy::Parallel`] fans the walker out per seed
-//!   subtree and merges the per-seed outputs in seed order;
+//!   subtree, each seed buffering into a [`CollectSink`], and merges the
+//!   buffers in seed order;
 //! * [`crate::PreparedDb::batch`] runs one walk per group of compatible
 //!   requests, always on the calling thread.
 //!
@@ -99,10 +98,10 @@
 //! disturbing their siblings; basis and ranked members observe it at their
 //! final drain.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
 use seqdb::{EventId, RunSet};
@@ -117,12 +116,14 @@ use crate::parallel::fan_out_seeds;
 use crate::pattern::Pattern;
 use crate::prepared::PreparedRef;
 use crate::reference::closed_subset;
-use crate::result::{sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats};
+use crate::result::{
+    report_order, sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats,
+};
 use crate::sink::{CollectSink, DeadlineSink, PatternSink};
 use crate::support::SupportSet;
 
 /// The outcome of one request executed through [`crate::PreparedDb::batch`]:
-/// the [`MiningOutcome`] a solo [`crate::MiningSession::run`] would produce
+/// the [`MiningOutcome`] a solo [`crate::Miner::run`] would produce
 /// for the same request, plus the emission-gate bookkeeping a streamed solo
 /// run reports.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -236,32 +237,29 @@ pub(crate) fn run_solo(
 
 /// One sequential walk for a group of members; returns their reports in
 /// member order.
-fn walk<O: Output>(
-    prepared: PreparedRef<'_>,
-    kind: ScanKind,
-    members: Vec<Member<'_, O>>,
-) -> Vec<MiningReport> {
+fn walk(prepared: PreparedRef<'_>, kind: ScanKind, members: Vec<Member<'_>>) -> Vec<MiningReport> {
     let mut scan = Scan::new(members);
     let plan = Plan::new(prepared, kind, &mut scan.members);
-    plan.with_ctx(prepared, |ctx| scan.resume(ctx));
+    plan.with_ctx(prepared, |ctx| scan.run(ctx));
     scan.members.into_iter().map(Member::finish).collect()
 }
 
 /// The parallel form of [`run_solo`]: `plan`'s seed subtrees fan out
 /// through the seed queue on `threads` workers, each walked by its own
-/// one-member scan that buffers what `member` would emit, and the buffers
-/// are merged into `member` in seed order — the sequential emission order.
+/// one-member scan that buffers what `member` would emit into a
+/// [`CollectSink`], and the buffers are merged into `member` in seed order
+/// — the sequential emission order.
 ///
 /// A streaming member's buffer is gated and capped per seed (a seed can
 /// never contribute more than `max_patterns` emissions), a basis member's
 /// per-seed basis is capped the same way and the merged basis is capped
 /// again, and a top-k member's seeds share one support floor. Counters sum
 /// over every seed walked.
-fn fan_out<O: Output>(
+fn fan_out(
     prepared: PreparedRef<'_>,
     request: &MiningRequest,
     plan: &Plan,
-    mut member: Member<'_, O>,
+    mut member: Member<'_>,
     threads: usize,
 ) -> MiningReport {
     let eligible = member.eligible.clone();
@@ -273,63 +271,27 @@ fn fan_out<O: Output>(
         if let Some(&seed) = plan.events.get(i) {
             sc.initial_support_set_into(seed, &mut initial);
         }
-        let mut seed_member = Member::new(request, shape.clone(), Vec::new());
+        let mut buffer = CollectSink::new();
+        let mut seed_member = Member::new(request, shape.clone(), &mut buffer);
         seed_member.shared_floor = Some(&floor);
         seed_member.set_eligible(eligible.clone());
         let mut scan = Scan::new(vec![seed_member]);
         scan.next_seed = plan.events.len();
         plan.with_ctx(prepared, |ctx| {
             scan.start_seed(ctx, i, initial);
-            scan.resume(ctx);
+            scan.run(ctx);
         });
-        scan.members
+        let (stats, collected) = scan
+            .members
             .pop()
             .map(Member::into_seed_output)
-            .unwrap_or_default()
+            .unwrap_or_default();
+        (stats, collected.unwrap_or_else(|| buffer.into_patterns()))
     });
     for (stats, patterns) in seeds {
         member.absorb(&stats, patterns);
     }
     member.finish()
-}
-
-/// A lazily advanced walk for one pull stream: a batch of one whose member
-/// parks each emitted pattern in a one-slot output, where the walk pauses
-/// until the next pull.
-pub(crate) struct PullWalk {
-    plan: Plan,
-    scan: Scan<'static, Option<MinedPattern>>,
-}
-
-impl PullWalk {
-    /// The lazy walk for `request`, or `None` when its result needs a
-    /// global pass (ranked, maximal, constrained closed) or a parallel
-    /// merge and must be materialized instead.
-    pub(crate) fn new(prepared: PreparedRef<'_>, request: &MiningRequest) -> Option<Self> {
-        if request.execution.effective_threads() > 1 {
-            return None;
-        }
-        let (kind, shape) = route(request)?;
-        if !matches!(shape, Shape::Stream) {
-            return None;
-        }
-        let mut scan = Scan::new(vec![Member::new(request, shape, None)]);
-        let plan = Plan::new(prepared, kind, &mut scan.members);
-        Some(Self { plan, scan })
-    }
-
-    /// Advances the walk to the next emitted pattern; `None` once the tree
-    /// is exhausted.
-    pub(crate) fn next(&mut self, prepared: PreparedRef<'_>) -> Option<MinedPattern> {
-        let Self { plan, scan } = self;
-        plan.with_ctx(prepared, |ctx| scan.resume(ctx));
-        scan.members.first_mut().and_then(|m| m.out.take())
-    }
-
-    /// Whether the walk stopped at `max_patterns`.
-    pub(crate) fn truncated(&self) -> bool {
-        self.scan.members.first().is_some_and(|m| m.truncated)
-    }
 }
 
 /// The report of a request that never scans (ranked with `k == 0`).
@@ -374,43 +336,6 @@ impl PatternSink for SlotSink {
     }
 }
 
-/// Where a member's gated patterns go: the caller's sink (solo runs and
-/// batch slots), a buffer (one seed of a parallel run), or a one-slot
-/// hand-off to a pull stream.
-trait Output {
-    /// Takes one pattern; `Break` cancels the member's run.
-    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()>;
-
-    /// Whether a pattern waits for a puller, i.e. the walk must pause.
-    fn pending(&self) -> bool {
-        false
-    }
-}
-
-impl Output for &mut dyn PatternSink {
-    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()> {
-        self.accept(mined)
-    }
-}
-
-impl Output for Vec<MinedPattern> {
-    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()> {
-        self.push(mined);
-        ControlFlow::Continue(())
-    }
-}
-
-impl Output for Option<MinedPattern> {
-    fn put(&mut self, mined: MinedPattern) -> ControlFlow<()> {
-        *self = Some(mined);
-        ControlFlow::Continue(())
-    }
-
-    fn pending(&self) -> bool {
-        self.is_some()
-    }
-}
-
 /// The DFS shape a request subscribes to. Requests with equal kinds share
 /// one scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,13 +368,49 @@ enum Shape {
         /// filtered, sorted for report and truncated to `k`.
         k: Option<usize>,
     },
-    /// TSP-style top-k with its own heap and dynamic threshold.
+    /// TSP-style top-k with its own dynamic threshold: the support of the
+    /// worst of the best `k` patterns seen so far, which `heap` keeps.
     TopK {
         k: usize,
         closed_only: bool,
-        heap: BinaryHeap<Reverse<u64>>,
-        collected: Vec<MinedPattern>,
+        heap: BinaryHeap<Ranked>,
     },
+}
+
+/// A top-k candidate, ordered by report rank ([`report_order`]): the top of
+/// a `BinaryHeap<Ranked>` is its worst pattern, which has the heap's least
+/// support.
+#[derive(Clone)]
+struct Ranked(MinedPattern);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        report_order(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Adds `mined` to a top-`k` heap, dropping the worst pattern when the heap
+/// outgrows `k`. Report order is total and a walk reaches each pattern
+/// once, so the heap ends holding exactly the best `k` patterns offered.
+fn keep_best(heap: &mut BinaryHeap<Ranked>, k: usize, mined: MinedPattern) {
+    heap.push(Ranked(mined));
+    if heap.len() > k {
+        heap.pop();
+    }
 }
 
 /// Routes a request: the scan that mines it and the member's role in that
@@ -482,7 +443,6 @@ fn route(request: &MiningRequest) -> Option<(ScanKind, Shape)> {
                 k,
                 closed_only: request.mode == Mode::Closed,
                 heap: BinaryHeap::new(),
-                collected: Vec::new(),
             };
             (all, shape)
         }
@@ -499,8 +459,8 @@ fn route(request: &MiningRequest) -> Option<(ScanKind, Shape)> {
 }
 
 /// One request's subscription to a scan: its thresholds and caps, its
-/// emission gate and output, and its work counters.
-struct Member<'f, O> {
+/// emission gate and sink, and its work counters.
+struct Member<'a> {
     /// Effective support threshold: `min_sup.max(1)` (the top-k floor for
     /// [`Shape::TopK`] members).
     floor: u64,
@@ -523,14 +483,16 @@ struct Member<'f, O> {
     emitted: usize,
     truncated: bool,
     cancelled: bool,
-    out: O,
+    /// Where gated patterns go: the caller's sink, a batch slot's, or a
+    /// parallel seed's buffer.
+    out: &'a mut dyn PatternSink,
     shape: Shape,
     /// The support floor a parallel top-k run's seeds share.
-    shared_floor: Option<&'f AtomicU64>,
+    shared_floor: Option<&'a AtomicU64>,
 }
 
-impl<'f, O: Output> Member<'f, O> {
-    fn new(request: &MiningRequest, shape: Shape, out: O) -> Self {
+impl<'a> Member<'a> {
+    fn new(request: &MiningRequest, shape: Shape, out: &'a mut dyn PatternSink) -> Self {
         Member {
             floor: request.min_sup.max(1),
             min_len: request.min_len,
@@ -602,11 +564,12 @@ impl<'f, O: Output> Member<'f, O> {
             self.floor
         } else {
             heap.peek()
-                .map_or(self.floor, |&Reverse(s)| s)
+                .map_or(self.floor, |worst| worst.0.support)
                 .max(self.floor)
         };
-        self.shared_floor
-            .map_or(local, |shared| local.max(shared.load(Ordering::Relaxed)))
+        self.shared_floor.map_or(local, |shared| {
+            local.max(shared.load(AtomicOrdering::Relaxed))
+        })
     }
 
     fn mined(&self, pattern: &Pattern, support: &SupportSet) -> MinedPattern {
@@ -622,7 +585,7 @@ impl<'f, O: Output> Member<'f, O> {
     /// receiving.
     fn forward(&mut self, mined: MinedPattern) -> bool {
         self.emitted += 1;
-        if self.out.put(mined).is_break() {
+        if self.out.accept(mined).is_break() {
             self.cancelled = true;
             return true;
         }
@@ -635,9 +598,8 @@ impl<'f, O: Output> Member<'f, O> {
 
     /// Reports a node the member's solo run reports: a streaming member
     /// gates it (`min_len`, support-set retention, cap), a basis member
-    /// collects it. Returns `true` when a puller must take the pattern
-    /// before the walk goes on.
-    fn report(&mut self, pattern: &Pattern, support: &SupportSet) -> bool {
+    /// collects it.
+    fn report(&mut self, pattern: &Pattern, support: &SupportSet) {
         match &self.shape {
             Shape::Stream => {
                 if pattern.len() >= self.min_len {
@@ -665,32 +627,24 @@ impl<'f, O: Output> Member<'f, O> {
             }
             Shape::TopK { .. } => {}
         }
-        self.out.pending()
     }
 
     /// Offers a node to a top-k member's heap, publishing the local k-th
     /// best support to a parallel run's shared floor.
     fn offer(&mut self, pattern: &Pattern, support: &SupportSet) {
         let mined = self.mined(pattern, support);
-        if let Shape::TopK {
-            k, heap, collected, ..
-        } = &mut self.shape
-        {
-            heap.push(Reverse(mined.support));
-            if heap.len() > *k {
-                heap.pop();
-            }
-            if let (Some(shared), Some(&Reverse(kth))) = (self.shared_floor, heap.peek()) {
+        if let Shape::TopK { k, heap, .. } = &mut self.shape {
+            keep_best(heap, *k, mined);
+            if let (Some(shared), Some(worst)) = (self.shared_floor, heap.peek()) {
                 if heap.len() >= *k {
-                    shared.fetch_max(kth, Ordering::Relaxed);
+                    shared.fetch_max(worst.0.support, AtomicOrdering::Relaxed);
                 }
             }
-            collected.push(mined);
         }
     }
 
     /// Drains a finished list through the gate (`min_len` filter first).
-    fn drain(&mut self, patterns: Vec<MinedPattern>) {
+    fn drain(&mut self, patterns: impl IntoIterator<Item = MinedPattern>) {
         for mined in patterns {
             if mined.pattern.len() >= self.min_len && self.forward(mined) {
                 self.detached = true;
@@ -701,8 +655,8 @@ impl<'f, O: Output> Member<'f, O> {
 
     /// Merges one parallel seed's counters and buffered output: a
     /// streaming member drains it through its gate at once (seed order is
-    /// emission order), basis and top-k members collect it for
-    /// [`Member::finish`].
+    /// emission order), a basis member collects it and a top-k member
+    /// ranks it for [`Member::finish`].
     fn absorb(&mut self, stats: &MiningStats, patterns: Vec<MinedPattern>) {
         self.stats.merge(stats);
         match &mut self.shape {
@@ -711,23 +665,25 @@ impl<'f, O: Output> Member<'f, O> {
                     self.drain(patterns);
                 }
             }
-            Shape::Basis { collected, .. } | Shape::TopK { collected, .. } => {
-                collected.extend(patterns);
+            Shape::Basis { collected, .. } => collected.extend(patterns),
+            Shape::TopK { k, heap, .. } => {
+                for mined in patterns {
+                    keep_best(heap, *k, mined);
+                }
             }
         }
     }
 
-    /// What one parallel seed hands back: its counters and its buffered
-    /// output (gated patterns, basis, or top-k candidates).
-    fn into_seed_output(self) -> (MiningStats, Vec<MinedPattern>)
-    where
-        O: Into<Vec<MinedPattern>>,
-    {
-        let patterns = match self.shape {
-            Shape::Stream => self.out.into(),
-            Shape::Basis { collected, .. } | Shape::TopK { collected, .. } => collected,
+    /// What one parallel seed hands back: its counters, and its basis or
+    /// top-k candidates (`None` for a streaming member, whose gated
+    /// patterns are in its sink).
+    fn into_seed_output(self) -> (MiningStats, Option<Vec<MinedPattern>>) {
+        let collected = match self.shape {
+            Shape::Stream => None,
+            Shape::Basis { collected, .. } => Some(collected),
+            Shape::TopK { heap, .. } => Some(heap.into_iter().map(|ranked| ranked.0).collect()),
         };
-        (self.stats, patterns)
+        (self.stats, collected)
     }
 
     /// Finishes the member after its walk: applies the basis filter or the
@@ -735,11 +691,9 @@ impl<'f, O: Output> Member<'f, O> {
     fn finish(mut self) -> MiningReport {
         match std::mem::replace(&mut self.shape, Shape::Stream) {
             Shape::Stream => {}
-            Shape::TopK { k, collected, .. } => {
-                let mut patterns = collected;
-                sort_patterns_for_report(&mut patterns);
-                patterns.truncate(k);
-                self.drain(patterns);
+            Shape::TopK { heap, .. } => {
+                let best = heap.into_sorted_vec();
+                self.drain(best.into_iter().map(|ranked| ranked.0));
             }
             Shape::Basis {
                 mut collected,
@@ -778,8 +732,7 @@ impl<'f, O: Output> Member<'f, O> {
 
 /// The query-side setup of one scan: its shape, the candidate events at
 /// the group's minimum threshold, and the closure checker's candidate
-/// table. Owns no borrow of the database, so a pull stream can keep it
-/// next to the preparation it walks.
+/// table.
 struct Plan {
     kind: ScanKind,
     /// Frequent events at `t_min`, in candidate order.
@@ -808,11 +761,7 @@ struct Plan {
 impl Plan {
     /// Plans the scan for `members` and fills in each member's eligibility
     /// over the shared candidate list.
-    fn new<O: Output>(
-        prepared: PreparedRef<'_>,
-        kind: ScanKind,
-        members: &mut [Member<'_, O>],
-    ) -> Self {
+    fn new(prepared: PreparedRef<'_>, kind: ScanKind, members: &mut [Member<'_>]) -> Self {
         let t_min = members.iter().map(|m| m.floor).min().unwrap_or(1);
         let events = prepared.parts.frequent_events(t_min);
         let counts = &prepared.parts.occurrence_counts;
@@ -874,7 +823,7 @@ impl Plan {
     }
 }
 
-/// A plan bound to a prepared database for the length of one walk step.
+/// A plan bound to a prepared database for the length of one walk.
 struct Ctx<'c, 'a> {
     /// Carries the scan's constraints.
     sc: &'c SupportComputer<'a>,
@@ -922,9 +871,11 @@ struct Frame {
     grows: bool,
 }
 
-/// The explicit-stack walk over one plan's pattern tree.
-struct Scan<'f, O> {
-    members: Vec<Member<'f, O>>,
+/// The walk over one plan's pattern tree. Its stack of open nodes is
+/// explicit rather than the native call stack, so a pattern thousands of
+/// events long costs heap, not stack frames.
+struct Scan<'a> {
+    members: Vec<Member<'a>>,
     frames: Vec<Frame>,
     /// Leftmost support sets of the open path, root first: the prefix
     /// stack the closure check reads.
@@ -947,12 +898,10 @@ struct Scan<'f, O> {
     sweep: SweepScratch,
     /// The next seed (index into the plan's events) to start.
     next_seed: usize,
-    /// A pull output holds a pattern: the walk pauses.
-    paused: bool,
 }
 
-impl<'f, O: Output> Scan<'f, O> {
-    fn new(members: Vec<Member<'f, O>>) -> Self {
+impl<'a> Scan<'a> {
+    fn new(members: Vec<Member<'a>>) -> Self {
         Scan {
             members,
             frames: Vec::new(),
@@ -964,7 +913,6 @@ impl<'f, O: Output> Scan<'f, O> {
             scratch: CheckScratch::new(),
             sweep: SweepScratch::new(),
             next_seed: 0,
-            paused: false,
         }
     }
 
@@ -975,13 +923,10 @@ impl<'f, O: Output> Scan<'f, O> {
             .unwrap_or(false)
     }
 
-    /// Walks until the tree is exhausted or a pull output has received a
-    /// pattern (the next call goes on right after it).
-    fn resume(&mut self, ctx: &Ctx<'_, '_>) {
+    /// Walks the open subtree and every seed from `next_seed` on, until the
+    /// tree is exhausted.
+    fn run(&mut self, ctx: &Ctx<'_, '_>) {
         loop {
-            if std::mem::take(&mut self.paused) {
-                return;
-            }
             if !self.frames.is_empty() {
                 self.advance(ctx);
                 continue;
@@ -1043,7 +988,7 @@ impl<'f, O: Output> Scan<'f, O> {
                 }
                 if let (Some(member), Some(set)) = (self.members.get_mut(j), self.path.last()) {
                     member.stats.visited += 1;
-                    self.paused |= member.report(&pattern, set);
+                    member.report(&pattern, set);
                 }
             }
             let grows = grows(self);
@@ -1090,7 +1035,7 @@ impl<'f, O: Output> Scan<'f, O> {
                 ClosureStatus::Prune | ClosureStatus::NonClosed => {
                     member.stats.non_closed_filtered += 1;
                 }
-                ClosureStatus::Closed => self.paused |= member.report(&pattern, set),
+                ClosureStatus::Closed => member.report(&pattern, set),
             }
         }
         if pruning && verdict == ClosureStatus::Prune {
@@ -1613,13 +1558,13 @@ mod tests {
         let mut sink = CollectSink::new();
         let report = {
             let (kind, shape) = route(request).expect("a request that searches");
-            let mut member = Member::new(request, shape, &mut sink as &mut dyn PatternSink);
+            let mut member = Member::new(request, shape, &mut sink);
             let mut plan = Plan::new(prepared, kind, std::slice::from_mut(&mut member));
             tweak(&mut plan);
             match request.execution.effective_threads() {
                 1 => {
                     let mut scan = Scan::new(vec![member]);
-                    plan.with_ctx(prepared, |ctx| scan.resume(ctx));
+                    plan.with_ctx(prepared, |ctx| scan.run(ctx));
                     scan.members.pop().map_or_else(empty_report, Member::finish)
                 }
                 threads => fan_out(prepared, request, &plan, member, threads),

@@ -143,8 +143,9 @@ impl<'a, 'b> ClosureChecker<'a, 'b> {
 
     /// Creates a checker borrowing a precomputed `(event, total
     /// occurrences)` candidate table, in O(1) — the DFS driver keeps the
-    /// table in its plan and rebinds the checker for every step of a pull
-    /// stream. The table is index-aligned with the walk's child tables.
+    /// table in its plan and binds a checker to it for every walk, one per
+    /// parallel seed. The table is index-aligned with the walk's child
+    /// tables.
     pub(crate) fn from_candidates(
         sc: &'a SupportComputer<'b>,
         candidates: &'a [(EventId, u64)],

@@ -6,17 +6,15 @@
 //! exposes that skeleton through one composable API; every run walks it
 //! through the one DFS driver in [`crate::batch`]:
 //!
-//! * [`Miner`] — a builder over a [`SequenceDatabase`]: pick a support
-//!   threshold, a [`Mode`], optional [`GapConstraints`], an optional top-k
-//!   ranking, caps and ablation switches, then [`Miner::run`].
+//! * [`Miner`] — a request bound to a database: pick a support threshold,
+//!   a [`Mode`], optional [`GapConstraints`], an optional top-k ranking,
+//!   caps and ablation switches, then run it — as often as you like — to a
+//!   [`MiningOutcome`] with [`Miner::run`], or through a [`PatternSink`]
+//!   with [`Miner::run_with_sink`] for memory-bounded consumption and
+//!   cooperative cancellation.
 //! * [`MiningRequest`] — the plain-data description of a run, and the
 //!   only one: every option is orthogonal, so combinations such as
 //!   gap-constrained top-k or constrained maximal compose for free.
-//! * [`MiningSession`] — a prepared request bound to a database; run it to
-//!   a [`MiningOutcome`], or stream it through a
-//!   [`PatternSink`] with
-//!   [`MiningSession::run_with_sink`] for memory-bounded consumption and
-//!   cooperative cancellation.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@ use crate::constraints::GapConstraints;
 use crate::prepared::{PreparedDb, PreparedParts, PreparedRef};
 use crate::result::{MiningOutcome, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
-use crate::stream::PatternStream;
 
 /// The `k` of a request body or `rgs-mine` command that asks for top-k
 /// mining (`"mode": "top-k"`, `--mode top-k`, `rgs-mine topk`) without
@@ -186,45 +183,31 @@ impl MiningRequest {
 ///
 /// `Raw` is the lazy path of [`Miner::new`]: the query-independent parts
 /// (index, occurrence counts, event order) are prepared on every run.
-/// `Prepared`/`Shared` borrow a [`PreparedDb`] snapshot, so runs skip the
-/// preparation entirely.
+/// `Prepared` holds a [`PreparedDb`] snapshot (a clone of one is two `Arc`
+/// bumps), so runs skip the preparation entirely.
 #[derive(Debug, Clone)]
-pub(crate) enum DbHandle<'a> {
+enum DbHandle<'a> {
     Raw(&'a SequenceDatabase),
-    Prepared(&'a PreparedDb),
-    Shared(Arc<PreparedDb>),
+    Prepared(PreparedDb),
 }
 
 impl DbHandle<'_> {
-    fn database(&self) -> &SequenceDatabase {
+    /// Runs `f` on the prepared view of this database: a raw database's
+    /// parts are prepared for the call, a snapshot lends its own.
+    fn with_view<R>(&self, f: impl FnOnce(PreparedRef<'_>) -> R) -> R {
         match self {
-            DbHandle::Raw(db) => db,
-            DbHandle::Prepared(prepared) => prepared.database(),
-            DbHandle::Shared(prepared) => prepared.database(),
-        }
-    }
-
-    /// Runs `f` on the prepared view of this database. A raw database's
-    /// parts are prepared into `parts` on first use and reused from there
-    /// by later calls; a snapshot lends its own.
-    pub(crate) fn with_view<R>(
-        &self,
-        parts: &mut Option<Box<PreparedParts>>,
-        f: impl FnOnce(PreparedRef<'_>) -> R,
-    ) -> R {
-        match self {
-            DbHandle::Raw(db) => {
-                let parts = parts.get_or_insert_with(|| Box::new(PreparedParts::build(db)));
-                f(PreparedRef { db, parts })
-            }
+            DbHandle::Raw(db) => f(PreparedRef {
+                db,
+                parts: &PreparedParts::build(db),
+            }),
             DbHandle::Prepared(prepared) => f(prepared.as_prepared_ref()),
-            DbHandle::Shared(prepared) => f(prepared.as_prepared_ref()),
         }
     }
 }
 
-/// Builder for a mining run over one database: the canonical entry point of
-/// this crate. See the [module docs](self) for an example.
+/// A mining request bound to one database: the canonical entry point of
+/// this crate. Set the request with the builder methods, then run it any
+/// number of times. See the [module docs](self) for an example.
 #[derive(Debug, Clone)]
 pub struct Miner<'a> {
     db: DbHandle<'a>,
@@ -246,11 +229,11 @@ impl<'a> Miner<'a> {
         }
     }
 
-    /// Starts a builder executing against a prepared snapshot: runs borrow
-    /// `prepared` and skip all per-run preparation.
+    /// Starts a builder executing against a prepared snapshot: runs share
+    /// `prepared`'s arenas and skip all per-run preparation.
     pub fn from_prepared(prepared: &'a PreparedDb) -> Self {
         Self {
-            db: DbHandle::Prepared(prepared),
+            db: DbHandle::Prepared(prepared.clone()),
             request: MiningRequest::default(),
         }
     }
@@ -260,7 +243,7 @@ impl<'a> Miner<'a> {
     /// and can move into worker threads).
     pub fn from_shared(prepared: Arc<PreparedDb>) -> Miner<'static> {
         Miner {
-            db: DbHandle::Shared(prepared),
+            db: DbHandle::Prepared(Arc::unwrap_or_clone(prepared)),
             request: MiningRequest::default(),
         }
     }
@@ -287,8 +270,7 @@ impl<'a> Miner<'a> {
     pub fn prepare(&self) -> PreparedDb {
         match &self.db {
             DbHandle::Raw(db) => PreparedDb::new(db),
-            DbHandle::Prepared(prepared) => (*prepared).clone(),
-            DbHandle::Shared(prepared) => prepared.as_ref().clone(),
+            DbHandle::Prepared(prepared) => prepared.clone(),
         }
     }
 
@@ -380,22 +362,32 @@ impl<'a> Miner<'a> {
         &self.request
     }
 
-    /// Finalizes the builder into a reusable session.
-    pub fn session(self) -> MiningSession<'a> {
-        MiningSession {
-            db: self.db,
-            request: self.request,
+    /// Runs the request and materializes the result into a
+    /// [`MiningOutcome`] (patterns in emission order, statistics, and the
+    /// uniform truncation flag).
+    pub fn run(&self) -> MiningOutcome {
+        let mut collect = CollectSink::new();
+        let report = self.run_with_sink(&mut collect);
+        MiningOutcome {
+            patterns: collect.into_patterns(),
+            stats: report.stats,
+            truncated: report.truncated,
         }
     }
 
-    /// Runs the request and materializes the result.
-    pub fn run(self) -> MiningOutcome {
-        self.session().run()
-    }
-
-    /// Runs the request, streaming every pattern through `sink`.
-    pub fn run_with_sink(self, sink: &mut dyn PatternSink) -> MiningReport {
-        self.session().run_with_sink(sink)
+    /// Runs the request, pushing every reported pattern through `sink` as
+    /// it is found (incrementally for `All`/`Closed` without constraints
+    /// and for constrained `All` under sequential execution; after the
+    /// necessary global filter — or the deterministic parallel merge — for
+    /// everything else). The sink can cancel at any emission point by
+    /// returning [`ControlFlow::Break`](std::ops::ControlFlow::Break).
+    pub fn run_with_sink(&self, sink: &mut dyn PatternSink) -> MiningReport {
+        let start = Instant::now();
+        let mut report = self
+            .db
+            .with_view(|prepared| run_solo(prepared, &self.request, sink));
+        report.stats.set_elapsed(start.elapsed());
+        report
     }
 }
 
@@ -431,69 +423,6 @@ impl MiningReport {
             self.stats.landmark_border_prunes,
             self.stats.elapsed_seconds,
         )
-    }
-}
-
-/// A prepared mining request bound to a database. Obtained from
-/// [`Miner::session`]; can be run repeatedly, streamed through a sink, or
-/// pulled from as an iterator via [`MiningSession::stream`].
-#[derive(Debug, Clone)]
-pub struct MiningSession<'a> {
-    pub(crate) db: DbHandle<'a>,
-    request: MiningRequest,
-}
-
-impl MiningSession<'_> {
-    /// The request this session executes.
-    pub fn request(&self) -> &MiningRequest {
-        &self.request
-    }
-
-    /// The database this session mines.
-    pub fn database(&self) -> &SequenceDatabase {
-        self.db.database()
-    }
-
-    /// Returns a pull-based iterator over the patterns this session would
-    /// report, in the same order as [`MiningSession::run`].
-    ///
-    /// For the incrementally streamable configurations (`All`/`Closed`
-    /// without constraints, constrained `All`, sequential execution) the
-    /// search advances lazily, one pattern per [`Iterator::next`] call —
-    /// dropping the stream abandons the rest of the search, so `take`,
-    /// `find`, and friends early-exit for free. Other configurations
-    /// (ranked, maximal, closed-constrained, parallel execution) need a
-    /// global pass and are materialized up front, then iterated.
-    pub fn stream(&self) -> PatternStream<'_> {
-        PatternStream::new(self)
-    }
-
-    /// Runs the request and materializes the result into a
-    /// [`MiningOutcome`] (patterns in emission order, statistics, and the
-    /// uniform truncation flag).
-    pub fn run(&self) -> MiningOutcome {
-        let mut collect = CollectSink::new();
-        let report = self.run_with_sink(&mut collect);
-        MiningOutcome {
-            patterns: collect.into_patterns(),
-            stats: report.stats,
-            truncated: report.truncated,
-        }
-    }
-
-    /// Runs the request, pushing every reported pattern through `sink` as
-    /// it is found (incrementally for `All`/`Closed` without constraints
-    /// and for constrained `All` under sequential execution; after the
-    /// necessary global filter — or the deterministic parallel merge — for
-    /// everything else). The sink can cancel at any emission point by
-    /// returning [`ControlFlow::Break`](std::ops::ControlFlow::Break).
-    pub fn run_with_sink(&self, sink: &mut dyn PatternSink) -> MiningReport {
-        let start = Instant::now();
-        let mut report = self.db.with_view(&mut None, |prepared| {
-            run_solo(prepared, &self.request, sink)
-        });
-        report.stats.set_elapsed(start.elapsed());
-        report
     }
 }
 
@@ -754,12 +683,13 @@ mod tests {
     #[test]
     fn session_is_reusable() {
         let db = running_example();
-        let session = Miner::new(&db).min_sup(2).mode(Mode::Closed).session();
-        let a = session.run();
-        let b = session.run();
+        let miner = Miner::new(&db).min_sup(2).mode(Mode::Closed);
+        let a = miner.run();
+        let b = miner.run();
+        assert!(!a.is_empty());
         assert_eq!(a.patterns, b.patterns);
-        assert_eq!(session.request().min_sup, 2);
-        assert_eq!(session.database().num_sequences(), 2);
+        assert_eq!(a.stats.visited, b.stats.visited);
+        assert_eq!(miner.request().min_sup, 2);
     }
 
     #[test]
@@ -866,81 +796,6 @@ mod tests {
         for handle in handles {
             assert_eq!(handle.join().unwrap(), expected.patterns);
         }
-    }
-
-    #[test]
-    fn stream_yields_the_materialized_sequence_for_every_mode() {
-        let db = running_example();
-        for (mode, top_k) in FAMILIES {
-            for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
-                let session = Miner::new(&db)
-                    .with_request(family(mode, top_k))
-                    .min_sup(2)
-                    .constraints(constraints)
-                    .session();
-                let pulled: Vec<MinedPattern> = session.stream().collect();
-                assert_eq!(
-                    pulled,
-                    session.run().patterns,
-                    "{mode:?} top_k {top_k:?} with {}",
-                    constraints.describe()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stream_early_exit_and_gates() {
-        let db = running_example();
-        let session = Miner::new(&db).min_sup(2).mode(Mode::All).session();
-        let full = session.run();
-        // `take` early-exits without running the full search.
-        let prefix: Vec<MinedPattern> = session.stream().take(3).collect();
-        assert_eq!(prefix.as_slice(), &full.patterns[..3]);
-
-        // min_len and max_patterns behave exactly like the push path.
-        let gated_session = Miner::new(&db)
-            .min_sup(2)
-            .mode(Mode::All)
-            .min_len(2)
-            .max_patterns(3)
-            .session();
-        let mut stream = gated_session.stream();
-        let gated: Vec<MinedPattern> = stream.by_ref().collect();
-        assert_eq!(gated, gated_session.run().patterns);
-        assert!(stream.truncated());
-        assert_eq!(stream.emitted(), 3);
-
-        // Support sets ride along when requested.
-        let kept_session = Miner::new(&db)
-            .min_sup(2)
-            .mode(Mode::Closed)
-            .keep_support_sets()
-            .session();
-        for mined in kept_session.stream() {
-            let set = mined.support_set.as_ref().expect("support set requested");
-            assert_eq!(set.support(), mined.support);
-        }
-    }
-
-    #[test]
-    fn stream_over_prepared_and_shared_sources() {
-        let db = running_example();
-        let prepared = PreparedDb::new(&db);
-        let expected = prepared.miner().min_sup(2).mode(Mode::Closed).run();
-        let borrowed_session = prepared.miner().min_sup(2).mode(Mode::Closed).session();
-        assert_eq!(
-            borrowed_session.stream().collect::<Vec<_>>(),
-            expected.patterns
-        );
-        let shared_session = Miner::from_shared(std::sync::Arc::new(prepared))
-            .min_sup(2)
-            .mode(Mode::Closed)
-            .session();
-        assert_eq!(
-            shared_session.stream().collect::<Vec<_>>(),
-            expected.patterns
-        );
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   pattern mining ([`maximal`]).
 //!
 //! Every run walks the pattern tree through one DFS driver ([`batch`]):
-//! solo runs, pull streams, parallel runs and request batches all step the
-//! same explicit-stack walker.
+//! solo runs, parallel runs and request batches all step the same
+//! explicit-stack walker, and every one of them delivers its patterns to a
+//! [`PatternSink`].
 //!
 //! # Quick start — prepare once, query many
 //!
@@ -108,45 +109,44 @@
 //! let bytes_on_disk = prepared.write_snapshot(&path)?;
 //! assert!(bytes_on_disk as usize >= prepared.heap_bytes());
 //!
-//! // Cold start: open the image and stream a query from it.
+//! // Cold start: open the image and query it.
 //! let reopened = PreparedDb::open_snapshot(&path)?;
-//! let session = reopened.miner().min_sup(2).mode(Mode::Closed).session();
-//! let cold: Vec<_> = session.stream().collect();
-//! assert_eq!(cold, prepared.miner().min_sup(2).mode(Mode::Closed).run().patterns);
+//! let cold = reopened.miner().min_sup(2).mode(Mode::Closed).run();
+//! assert_eq!(cold.patterns, prepared.miner().min_sup(2).mode(Mode::Closed).run().patterns);
 //! std::fs::remove_file(&path)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! # Streaming — push and pull
+//! # Streaming
 //!
-//! Results can be consumed incrementally through a push-based
-//! [`PatternSink`] (cooperative cancellation via
-//! [`ControlFlow`](std::ops::ControlFlow)) or pulled lazily from a
-//! [`PatternStream`] iterator — both are memory-bounded paths for long
-//! DNA/log sequences:
+//! Results can be consumed incrementally through a [`PatternSink`]: the
+//! walk pushes each pattern as it finds it, and the sink cancels the rest
+//! of the search by returning [`ControlFlow::Break`](std::ops::ControlFlow)
+//! — the memory-bounded path for long DNA/log sequences. Closures are
+//! sinks, and [`BudgetSink`] / [`DeadlineSink`] bound a run by count or by
+//! wall-clock time:
 //!
 //! ```
 //! use std::ops::ControlFlow;
 //! use seqdb::SequenceDatabase;
-//! use rgs_core::{MinedPattern, Miner, Mode};
+//! use rgs_core::{BudgetSink, CollectSink, MinedPattern, Miner, Mode};
 //!
 //! let db = SequenceDatabase::from_str_rows(&["AABCDABB", "ABCD"]);
+//! let miner = Miner::new(&db).min_sup(2).mode(Mode::All);
 //!
-//! // Push: a sink sees patterns as they are found and can cancel.
+//! // A sink sees patterns as they are found and can cancel.
 //! let mut count = 0usize;
-//! let report = Miner::new(&db).min_sup(2).mode(Mode::All).run_with_sink(
-//!     &mut |_p: MinedPattern| {
-//!         count += 1;
-//!         if count < 5 { ControlFlow::Continue(()) } else { ControlFlow::Break(()) }
-//!     },
-//! );
+//! let report = miner.run_with_sink(&mut |_p: MinedPattern| {
+//!     count += 1;
+//!     if count < 5 { ControlFlow::Continue(()) } else { ControlFlow::Break(()) }
+//! });
 //! assert_eq!(report.emitted, count);
+//! assert!(report.cancelled);
 //!
-//! // Pull: `session.stream()` composes with iterator adapters, and
-//! // dropping the stream abandons the rest of the search.
-//! let session = Miner::new(&db).min_sup(2).mode(Mode::All).session();
-//! let longest = session.stream().take(5).max_by_key(|mp| mp.pattern.len());
-//! assert!(longest.is_some());
+//! // The first five patterns, and no more search than it takes to find them.
+//! let mut first_five = BudgetSink::new(CollectSink::new(), 5);
+//! miner.run_with_sink(&mut first_five);
+//! assert_eq!(first_five.into_inner().patterns(), &miner.run().patterns[..5]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -174,7 +174,6 @@ pub mod reference;
 pub mod result;
 pub mod sink;
 pub mod snapshot;
-pub mod stream;
 pub mod support;
 mod topk;
 
@@ -182,9 +181,7 @@ pub use batch::MiningResult;
 pub use canonical::{canonical_key, parse_mode, parse_request_body, RequestBody};
 pub use constrained::constrained_support;
 pub use constraints::GapConstraints;
-pub use engine::{
-    ExecutionPolicy, Miner, MiningReport, MiningRequest, MiningSession, Mode, DEFAULT_TOP_K,
-};
+pub use engine::{ExecutionPolicy, Miner, MiningReport, MiningRequest, Mode, DEFAULT_TOP_K};
 pub use growth::{instance_growth, repetitive_support, support_set, SupportComputer};
 pub use instance::{Instance, Landmark};
 pub use instbuf::InstanceBuffer;
@@ -195,5 +192,4 @@ pub use prepared::{ImageInfo, PreparedDb, ShardFootprint};
 pub use result::{sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats};
 pub use seqdb::SnapshotError;
 pub use sink::{BudgetSink, CollectSink, CountSink, DeadlineSink, PatternSink};
-pub use stream::PatternStream;
 pub use support::SupportSet;

@@ -11,6 +11,7 @@
 //!    another reported pattern,
 //! 3. **Ranking** — order the survivors by length (longest first).
 
+use crate::maximal::maximal_subset;
 use crate::result::MinedPattern;
 
 /// Configuration of the post-processing pipeline.
@@ -70,12 +71,7 @@ pub fn postprocess(patterns: &[MinedPattern], config: &PostProcessConfig) -> Vec
     // 2. Maximality filter: drop any pattern that is a proper sub-pattern of
     //    another survivor.
     if config.maximal_only {
-        let snapshot = survivors.clone();
-        survivors.retain(|candidate| {
-            !snapshot
-                .iter()
-                .any(|other| other.pattern.is_proper_superpattern_of(&candidate.pattern))
-        });
+        survivors = maximal_subset(&survivors);
     }
 
     // 3. Ranking by length.

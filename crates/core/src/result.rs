@@ -1,5 +1,6 @@
 //! Result types shared by the miners.
 
+use std::cmp::Ordering;
 use std::time::Duration;
 
 use seqdb::EventCatalog;
@@ -135,12 +136,16 @@ impl MiningOutcome {
 /// descending length, then lexicographic on the pattern events. There is
 /// exactly one definition so the orders cannot drift apart.
 pub fn sort_patterns_for_report(patterns: &mut [MinedPattern]) {
-    patterns.sort_by(|a, b| {
-        b.support
-            .cmp(&a.support)
-            .then_with(|| b.pattern.len().cmp(&a.pattern.len()))
-            .then_with(|| a.pattern.cmp(&b.pattern))
-    });
+    patterns.sort_by(report_order);
+}
+
+/// The comparator behind [`sort_patterns_for_report`]: `Less` means `a`
+/// ranks before `b`.
+pub(crate) fn report_order(a: &MinedPattern, b: &MinedPattern) -> Ordering {
+    b.support
+        .cmp(&a.support)
+        .then_with(|| b.pattern.len().cmp(&a.pattern.len()))
+        .then_with(|| a.pattern.cmp(&b.pattern))
 }
 
 #[cfg(test)]

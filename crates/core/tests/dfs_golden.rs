@@ -13,7 +13,8 @@
 //! * all four `MiningStats` counters;
 //! * `truncated`, `emitted` and `cancelled` of a plain sink run, and the same
 //!   three plus the counters of a run cancelled by a [`BudgetSink`];
-//! * the digest of the `stream().take(3)` prefix.
+//! * the digest of the first three patterns, collected by a run that a
+//!   [`BudgetSink`] cancels after them.
 //!
 //! Equivalence suites compare two paths of the current code with each other;
 //! this file holds the walk to fixed numbers instead.
@@ -25,8 +26,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rgs_core::{
-    BudgetSink, CountSink, GapConstraints, MinedPattern, Miner, MiningReport, MiningRequest,
-    MiningStats, Mode, PreparedDb, DEFAULT_TOP_K,
+    BudgetSink, CollectSink, CountSink, GapConstraints, MinedPattern, Miner, MiningReport,
+    MiningRequest, MiningStats, Mode, PreparedDb, DEFAULT_TOP_K,
 };
 use seqdb::{EventCatalog, SequenceDatabase};
 
@@ -37,8 +38,8 @@ const GOLDEN: &str = include_str!("dfs_golden.txt");
 const DRAWS_PER_CELL: usize = 3;
 /// Patterns a budget-cancelled run lets through.
 const BUDGET: usize = 2;
-/// Length of the pinned stream prefix.
-const STREAM_PREFIX: usize = 3;
+/// Length of the pinned prefix.
+const PREFIX: usize = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -168,8 +169,9 @@ fn record<'a>(miner: impl Fn() -> Miner<'a>, catalog: &EventCatalog) -> String {
     let plain = miner().run_with_sink(&mut count);
     let mut budget = BudgetSink::new(CountSink::new(), BUDGET);
     let cancelled = miner().run_with_sink(&mut budget);
-    let session = miner().session();
-    let prefix: Vec<MinedPattern> = session.stream().take(STREAM_PREFIX).collect();
+    let mut prefix = BudgetSink::new(CollectSink::new(), PREFIX);
+    miner().run_with_sink(&mut prefix);
+    let prefix = prefix.into_inner().into_patterns();
     format!(
         "n={} h={:016x} c={} t={} | {} | b: {} c={} | s={:016x}",
         outcome.patterns.len(),
@@ -218,11 +220,11 @@ fn walk_reproduces_the_pinned_grid() {
     }
 }
 
-/// A pull stream advances the walk only as far as it is pulled: the first
-/// five patterns of a request with far more than 10^9 frequent patterns come
-/// back at once. A stream that materialized the result would never return,
-/// so the pull runs on a worker and the test fails on a timeout instead of
-/// hanging.
+/// A sink that cancels stops the walk at once: a run of a request with far
+/// more than 10^9 frequent patterns, cancelled after its first five, comes
+/// back with them at once. A walk that went on past the cancellation would
+/// never return, so the run goes on a worker and the test fails on a
+/// timeout instead of hanging.
 #[test]
 fn stream_take_is_lazy_on_an_explosive_request() {
     let (tx, rx) = mpsc::channel();
@@ -231,16 +233,23 @@ fn stream_take_is_lazy_on_an_explosive_request() {
         // it is frequent at min_sup 1, i.e. astronomically many patterns.
         let row = "AB".repeat(1000);
         let db = SequenceDatabase::from_str_rows(&[row.as_str()]);
-        let session = Miner::new(&db).min_sup(1).mode(Mode::All).session();
-        let prefix: Vec<String> = session
-            .stream()
-            .take(5)
+        let mut first = BudgetSink::new(CollectSink::new(), 5);
+        let report = Miner::new(&db)
+            .min_sup(1)
+            .mode(Mode::All)
+            .run_with_sink(&mut first);
+        let prefix: Vec<String> = first
+            .into_inner()
+            .into_patterns()
+            .iter()
             .map(|mp| mp.pattern.render(db.catalog()))
             .collect();
-        let _ = tx.send(prefix);
+        let _ = tx.send((prefix, report.emitted, report.cancelled));
     });
-    let prefix = rx
+    let (prefix, emitted, cancelled) = rx
         .recv_timeout(Duration::from_secs(10))
-        .expect("stream().take(5) did not return within 10 s: the stream is not lazy");
+        .expect("a run cancelled after 5 patterns did not return within 10 s");
     assert_eq!(prefix, ["A", "AA", "AAA", "AAAA", "AAAAA"]);
+    assert_eq!(emitted, 5);
+    assert!(cancelled);
 }

@@ -138,11 +138,6 @@ fn snapshot_streams_and_parallel_runs_match_the_in_memory_engine() {
 
     let expected = prepared.miner().min_sup(2).mode(Mode::Closed).run();
 
-    // Pull-based stream over the image-backed snapshot.
-    let session = reopened.miner().min_sup(2).mode(Mode::Closed).session();
-    let streamed: Vec<_> = session.stream().collect();
-    assert_eq!(streamed, expected.patterns);
-
     // Parallel fan-out shares the mapped arenas across workers.
     let parallel = reopened
         .miner()

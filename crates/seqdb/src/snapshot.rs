@@ -1054,38 +1054,26 @@ pub fn catalog_to_bytes(catalog: &EventCatalog) -> Vec<u8> {
     out
 }
 
-/// Deserializes the [`section_id::CATALOG`] section. Rejects truncated
-/// data, invalid UTF-8, trailing garbage, and duplicate labels (which would
-/// silently renumber every event).
+/// Deserializes the [`section_id::CATALOG`] section of an image whose
+/// layout [`verify`] has passed: the verifier proves the labels complete,
+/// valid UTF-8 and distinct, with no trailing bytes, so decoding checks
+/// none of that again. Its reads stay bounds-checked, so bytes that were
+/// not verified come back [`SnapshotError::Corrupt`] rather than panicking.
 pub(crate) fn catalog_from_bytes(bytes: &[u8]) -> Result<EventCatalog, SnapshotError> {
-    let mut cursor = 0usize;
-    let mut take = |n: usize| -> Result<&[u8], SnapshotError> {
-        let end = cursor
-            .checked_add(n)
-            .filter(|&end| end <= bytes.len())
-            .ok_or_else(|| corrupt("catalog section is truncated"))?;
-        let slice = &bytes[cursor..end];
-        cursor = end;
-        Ok(slice)
-    };
-    let count = u32_to_usize(u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")));
+    let truncated = || corrupt("catalog section is truncated");
+    let count = verify::u32_at(bytes, 0).ok_or_else(truncated)?;
+    let mut cursor = 4usize;
     let mut catalog = EventCatalog::new();
-    for i in 0..count {
-        let len = u32_to_usize(u32::from_le_bytes(take(4)?.try_into().expect("4 bytes")));
-        let label = std::str::from_utf8(take(len)?)
-            .map_err(|_| corrupt(format!("catalog label {i} is not valid UTF-8")))?;
+    for _ in 0..count {
+        let len = u32_to_usize(verify::u32_at(bytes, cursor).ok_or_else(truncated)?);
+        cursor += 4;
+        let label = bytes
+            .get(cursor..cursor.saturating_add(len))
+            .ok_or_else(truncated)?;
+        let label =
+            std::str::from_utf8(label).map_err(|_| corrupt("catalog label is not valid UTF-8"))?;
         catalog.intern(label);
-        if catalog.len() != i + 1 {
-            return Err(corrupt(format!(
-                "catalog label {i} ({label:?}) is a duplicate"
-            )));
-        }
-    }
-    if cursor != bytes.len() {
-        return Err(corrupt(format!(
-            "catalog section has {} trailing bytes",
-            bytes.len() - cursor
-        )));
+        cursor += len;
     }
     Ok(catalog)
 }
@@ -1179,23 +1167,57 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Writes a prepared image of `rows`, rewrites its catalog section with
+    /// `forge`, reseals the checksum, and returns the image's bytes.
+    fn forged_catalog_image(tag: &str, rows: &[&str], forge: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let db = crate::SequenceDatabase::from_str_rows(rows);
+        let index = db.inverted_index();
+        let order: Vec<EventId> = db.catalog().ids().collect();
+        let path = temp_path(tag);
+        write_prepared(&path, &db, &index, &index.total_counts(), &order).expect("write");
+        let (at, len) = SnapshotImage::open(&path)
+            .expect("open image")
+            .section(section_id::CATALOG)
+            .map(|entry| (entry.offset, entry.byte_len))
+            .expect("catalog section");
+        let at = u64_to_usize(at).expect("offset fits");
+        let len = u64_to_usize(len).expect("length fits");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        forge(&mut bytes[at..at + len]);
+        let checksum = checksum_of(&bytes);
+        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
+        let opened = open_prepared(&path);
+        std::fs::remove_file(&path).ok();
+        let Err(err) = opened else {
+            panic!("{tag}: a forged catalog opens");
+        };
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{tag}: {err}");
+        bytes
+    }
+
     #[test]
     fn catalog_codec_round_trips_and_rejects_garbage() {
         let catalog = EventCatalog::from_labels(["lock", "unlock", "naïve-label"]);
-        let bytes = catalog_to_bytes(&catalog);
-        let back = catalog_from_bytes(&bytes).expect("round trip");
+        let back = catalog_from_bytes(&catalog_to_bytes(&catalog)).expect("round trip");
         assert_eq!(back, catalog);
 
-        assert!(catalog_from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(catalog_from_bytes(&trailing).is_err());
-        let dup = catalog_to_bytes(&EventCatalog::from_labels(["a", "b"]));
-        let mut dup_bytes = dup.clone();
-        // Rewrite label 1 ("b") to "a" to forge a duplicate.
-        let pos = dup_bytes.len() - 1;
-        dup_bytes[pos] = b'a';
-        assert!(catalog_from_bytes(&dup_bytes).is_err());
+        // The catalog of `["AB", "BA"]` is: count 2, then (1, "A"), (1, "B").
+        let rows = ["AB", "BA"];
+        let set_u32 = |section: &mut [u8], at: usize, value: u32| {
+            section[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        };
+        // Label 0 claims more bytes than the section holds.
+        let truncated = forged_catalog_image("cat-truncated", &rows, |c| set_u32(c, 4, 1000));
+        // Label 1 claims no bytes, leaving its one byte trailing.
+        let trailing = forged_catalog_image("cat-trailing", &rows, |c| set_u32(c, 9, 0));
+        // Label 1 becomes a byte that is not UTF-8.
+        let not_utf8 = forged_catalog_image("cat-utf8", &rows, |c| c[13] = 0xff);
+        // Label 1 becomes "A", which would renumber every event.
+        let duplicate = forged_catalog_image("cat-dup", &rows, |c| c[13] = b'A');
+        for bytes in [truncated, trailing, not_utf8, duplicate] {
+            assert!(!verify::verify_bytes(&bytes).is_clean());
+        }
     }
 
     #[test]

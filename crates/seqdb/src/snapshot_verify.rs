@@ -189,7 +189,8 @@ pub(crate) fn check_layout(data: &[u8], sections: &[SectionEntry]) -> Result<(),
     v.finish()
 }
 
-fn u32_at(data: &[u8], offset: usize) -> Option<u32> {
+/// The little-endian `u32` at byte `offset` of `data`, if it is in range.
+pub(super) fn u32_at(data: &[u8], offset: usize) -> Option<u32> {
     let bytes = data.get(offset..offset.checked_add(4)?)?;
     Some(u32::from_le_bytes(bytes.try_into().ok()?))
 }

@@ -38,16 +38,20 @@ fn main() {
         closed.len()
     );
 
-    // Pull-based consumption: iterate the engine lazily instead of
-    // materializing (drop the stream to cancel the rest of the search).
-    let session = prepared.miner().min_sup(3).mode(Mode::Closed).session();
-    if let Some(first) = session.stream().next() {
-        println!(
-            "first closed pattern in DFS order: {} (sup = {})",
-            first.pattern.render(db.catalog()),
-            first.support
-        );
-    }
+    // Streaming consumption: a sink sees each pattern as the search finds
+    // it instead of materializing; `Break` cancels the rest of the search.
+    prepared
+        .miner()
+        .min_sup(3)
+        .mode(Mode::Closed)
+        .run_with_sink(&mut |first: MinedPattern| {
+            println!(
+                "first closed pattern in DFS order: {} (sup = {})",
+                first.pattern.render(db.catalog()),
+                first.support
+            );
+            std::ops::ControlFlow::Break(())
+        });
 
     // 4. Show the closed patterns with their supports.
     let mut report = closed.clone();

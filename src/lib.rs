@@ -54,10 +54,17 @@
 //!     .run();
 //! assert_eq!(closed.patterns, parallel.patterns);
 //!
-//! // Pull-based consumption composes with iterator adapters:
-//! let session = prepared.miner().min_sup(2).mode(Mode::All).session();
-//! let first = session.stream().next().expect("at least one pattern");
-//! assert!(first.support >= 2);
+//! // A sink sees each pattern as the search finds it, and can stop it:
+//! let mut first = None;
+//! prepared
+//!     .miner()
+//!     .min_sup(2)
+//!     .mode(Mode::All)
+//!     .run_with_sink(&mut |mp: MinedPattern| {
+//!         first = Some(mp);
+//!         std::ops::ControlFlow::Break(())
+//!     });
+//! assert!(first.expect("at least one pattern").support >= 2);
 //!
 //! // Repetitive support distinguishes AB (repeats within S1) from CD.
 //! let ab = db.pattern_from_str("AB").unwrap();
@@ -101,8 +108,8 @@ pub mod prelude {
         constrained_support, instance_growth, postprocess, repetitive_support, support_set,
         BudgetSink, CollectSink, CountSink, DeadlineSink, ExecutionPolicy, GapConstraints,
         Instance, Landmark, MinedPattern, Miner, MiningOutcome, MiningReport, MiningRequest,
-        MiningResult, MiningSession, Mode, Pattern, PatternSink, PatternStream, PostProcessConfig,
-        PreparedDb, SupportComputer, SupportSet,
+        MiningResult, Mode, Pattern, PatternSink, PostProcessConfig, PreparedDb, SupportComputer,
+        SupportSet,
     };
     pub use rgs_features::{
         extract_features, ClassId, Classifier, FeatureMatrix, LabeledDatabase, SelectionMethod,

@@ -1,6 +1,6 @@
 //! Integration suite for the prepared-query engine: `PreparedDb` reuse,
-//! `Arc` sharing across threads, `Miner::prepare`, and the pull-based
-//! `PatternStream` — all pinned against the lazy `Miner::new` path.
+//! `Arc` sharing across threads and `Miner::prepare` — all pinned against
+//! the lazy `Miner::new` path.
 
 use std::sync::Arc;
 
@@ -99,95 +99,4 @@ fn arc_shared_snapshot_answers_concurrent_queries() {
         let (common, _own) = handle.join().expect("query thread");
         assert_eq!(common, expected.patterns);
     }
-}
-
-#[test]
-fn stream_equals_run_for_every_mode_and_source() {
-    let db = running_example();
-    let prepared = PreparedDb::new(&db);
-    for (mode, top_k) in FAMILIES {
-        for constraints in [GapConstraints::unbounded(), GapConstraints::max_gap(2)] {
-            let lazy_session = Miner::new(&db)
-                .with_request(family(mode, top_k))
-                .min_sup(2)
-                .constraints(constraints)
-                .session();
-            let prepared_session = prepared
-                .miner()
-                .with_request(family(mode, top_k))
-                .min_sup(2)
-                .constraints(constraints)
-                .session();
-            let expected = lazy_session.run().patterns;
-            assert_eq!(
-                lazy_session.stream().collect::<Vec<_>>(),
-                expected,
-                "lazy stream diverges for {mode:?} top_k {top_k:?} / {}",
-                constraints.describe()
-            );
-            assert_eq!(
-                prepared_session.stream().collect::<Vec<_>>(),
-                expected,
-                "prepared stream diverges for {mode:?} top_k {top_k:?} / {}",
-                constraints.describe()
-            );
-        }
-    }
-}
-
-#[test]
-fn stream_supports_early_exit_and_iterator_composition() {
-    let db = running_example();
-    let session = Miner::new(&db).min_sup(2).mode(Mode::All).session();
-    let full = session.run();
-    assert!(full.len() > 5, "need enough patterns to early-exit");
-
-    // `take` pulls exactly the prefix of the materialized order.
-    let prefix: Vec<MinedPattern> = session.stream().take(5).collect();
-    assert_eq!(prefix.as_slice(), &full.patterns[..5]);
-
-    // `find` early-exits as soon as the predicate matches.
-    let long = session.stream().find(|mp| mp.pattern.len() >= 3);
-    assert_eq!(
-        long,
-        full.patterns
-            .iter()
-            .find(|mp| mp.pattern.len() >= 3)
-            .cloned()
-    );
-
-    // Adapters compose: support histogram over a bounded prefix.
-    let total: u64 = session.stream().take(10).map(|mp| mp.support).sum();
-    assert_eq!(
-        total,
-        full.patterns[..10].iter().map(|mp| mp.support).sum::<u64>()
-    );
-}
-
-#[test]
-fn stream_reports_truncation_like_the_push_path() {
-    let db = running_example();
-    let session = Miner::new(&db)
-        .min_sup(1)
-        .mode(Mode::All)
-        .max_patterns(4)
-        .session();
-    let mut stream = session.stream();
-    let pulled: Vec<MinedPattern> = stream.by_ref().collect();
-    let outcome = session.run();
-    assert!(outcome.truncated);
-    assert_eq!(pulled, outcome.patterns);
-    assert!(stream.truncated());
-    assert_eq!(stream.emitted(), 4);
-}
-
-#[test]
-fn parallel_sessions_stream_the_merged_result() {
-    let db = running_example();
-    let session = Miner::new(&db)
-        .min_sup(2)
-        .mode(Mode::Closed)
-        .threads(4)
-        .session();
-    assert_eq!(session.stream().collect::<Vec<_>>(), session.run().patterns);
 }
