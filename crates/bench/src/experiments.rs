@@ -97,8 +97,8 @@ fn minsup_sweep(
         &format!("{dataset_name}: {}", stats.summary()),
         expectation,
     );
-    // One prepared snapshot serves the whole threshold sweep: the index and
-    // occurrence counts are query-independent.
+    // One prepared snapshot serves the whole threshold sweep: the index is
+    // query-independent.
     let prepared = PreparedDb::new(db);
     for &min_sup in thresholds {
         let mut runs: Vec<RunRecord> = Vec::new();

@@ -40,14 +40,14 @@
 //! member's private deadline — an expired member comes back truncated
 //! without affecting its siblings.
 //!
-//! `snapshot build` prepares a database once (interning, inverted index,
-//! frequent-event counts) and serializes it into a single image file;
-//! `--snapshot IMG` then serves any mining/stats invocation straight from
-//! that image — the file is `mmap`ed and validated, nothing is
-//! re-tokenized or re-indexed. `snapshot info` prints the image's header
-//! and section table after validating its checksum, and `snapshot verify`
+//! `snapshot build` interns a corpus once and serializes its store and
+//! catalog into a single image file; `--snapshot IMG` then serves any
+//! mining/stats invocation straight from that image — the file is
+//! `mmap`ed and validated, nothing is re-tokenized, and the index is built
+//! from the mapped store. `snapshot info` prints the image's header and
+//! section table after validating its checksum, and `snapshot verify`
 //! statically proves every cross-section invariant of the image — CSR
-//! monotonicity, the index layout, catalog bijectivity, checksum —
+//! monotonicity, the alphabet bound, catalog bijectivity, checksum —
 //! without constructing a database, reporting each violation with its
 //! section and byte offset.
 
@@ -161,8 +161,8 @@ impl Loaded {
     }
 
     /// A miner over this source running the options' request. The
-    /// prepared path skips all per-run preparation — the snapshot already
-    /// holds the index and counts.
+    /// prepared path skips all per-run preparation — opening the snapshot
+    /// built the index.
     fn miner(&self, options: &Options) -> Miner<'_> {
         let miner = match self {
             Loaded::Text(db) => Miner::new(db),
@@ -283,8 +283,8 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `snapshot build`: prepare the input once (interning, inverted index,
-/// occurrence counts) and serialize the result into one image file.
+/// `snapshot build`: intern the input once and serialize its store and
+/// catalog into one image file.
 fn run_snapshot_build(options: &Options) -> ExitCode {
     // parse_args is the single validation point for required flags.
     let out = options.out.as_ref().expect("parse_args enforced --out");
@@ -292,19 +292,15 @@ fn run_snapshot_build(options: &Options) -> ExitCode {
         Ok(source) => source,
         Err(code) => return code,
     };
-    let prepared = match source {
-        Loaded::Text(db) => PreparedDb::from_database(db),
-        // Rebuilding an image from an image is a copy, but a valid one.
-        Loaded::Prepared(prepared) => *prepared,
-    };
-    match prepared.write_snapshot(out) {
+    // Rebuilding an image from an image is a copy, but a valid one.
+    let db = source.database();
+    match seqdb::snapshot::write_prepared(out, db) {
         Ok(bytes) => {
-            let stats = prepared.database().stats();
-            eprintln!("# dataset: {}", stats.summary());
+            eprintln!("# dataset: {}", db.stats().summary());
             println!(
-                "written {}: {bytes} bytes on disk ({} bytes of arenas + header/catalog)",
+                "written {}: {bytes} bytes on disk ({} bytes of store + header/catalog)",
                 out.display(),
-                prepared.heap_bytes(),
+                db.store().heap_bytes(),
             );
             ExitCode::SUCCESS
         }
@@ -534,8 +530,8 @@ fn run_batch(source: &Loaded, options: &Options) -> ExitCode {
 /// `stats` subcommand: dataset summary plus the byte footprint of the
 /// columnar layers (flat event store, CSR inverted index), so store-size
 /// regressions show up in plain numbers instead of a profiler. With
-/// `--snapshot` the index comes straight from the image instead of being
-/// rebuilt.
+/// `--snapshot` the store is mapped from the image and the index is built
+/// from it at open.
 fn run_stats(source: &Loaded) -> ExitCode {
     let stats = source.database().stats();
     let index_bytes = match source {
@@ -893,8 +889,8 @@ notable flags:
                   by support, k = {DEFAULT_TOP_K} unless --top-k sets it)
   --snapshot IMG  serve mine/topk/stats straight from a prepared
                   snapshot image (mmap'ed and checked on open as
-                  `snapshot verify` checks it; no re-tokenizing or
-                  re-indexing on start)
+                  `snapshot verify` checks it; no re-tokenizing on
+                  start, the index is built from the mapped store)
   --threads N     mine on N worker threads (default 1; the reported
                   patterns are bit-identical to a sequential run)
   --format json   emit one JSON document with the MiningReport and
@@ -1137,7 +1133,7 @@ mod tests {
     #[test]
     fn snapshot_build_from_a_text_corpus_round_trips() {
         // `snapshot build` from a text corpus, then `--snapshot`: the image
-        // is format 6 and its patterns are the text corpus's.
+        // is format 7 and its patterns are the text corpus's.
         let dir = std::env::temp_dir();
         let image = dir.join(format!("rgs-cli-build-{}.snap", std::process::id()));
         let input = dir.join(format!("rgs-cli-build-{}.txt", std::process::id()));
@@ -1156,7 +1152,7 @@ mod tests {
         let Loaded::Prepared(ref prepared) = source else {
             panic!("snapshot source must be prepared");
         };
-        assert_eq!(prepared.image_version(), Some(6));
+        assert_eq!(prepared.image_version(), Some(7));
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AABB"]);
         assert_eq!(
             source.miner(&options).run().patterns,

@@ -114,7 +114,7 @@ use crate::kernel::{self, node_runs, SiblingSweep, SweepScratch};
 use crate::maximal::maximal_subset;
 use crate::parallel::fan_out_seeds;
 use crate::pattern::Pattern;
-use crate::prepared::PreparedRef;
+use crate::prepared::{frequent_events, PreparedRef};
 use crate::reference::closed_subset;
 use crate::result::{
     report_order, sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats,
@@ -763,9 +763,8 @@ impl Plan {
     /// over the shared candidate list.
     fn new(prepared: PreparedRef<'_>, kind: ScanKind, members: &mut [Member<'_>]) -> Self {
         let t_min = members.iter().map(|m| m.floor).min().unwrap_or(1);
-        let events = prepared.parts.frequent_events(t_min);
-        let counts = &prepared.parts.occurrence_counts;
-        let count = |e: EventId| counts.get(e.index()).copied().unwrap_or(0);
+        let events = frequent_events(prepared.index, t_min);
+        let count = |e: EventId| prepared.index.total_count(e) as u64;
         for member in members.iter_mut() {
             let floor = member.floor;
             member.set_eligible(events.iter().map(|&e| count(e) >= floor).collect());

@@ -418,7 +418,7 @@ fn landmark_border_holds(extension: &SupportSet, pattern_support: &SupportSet) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gsgrow::frequent_events;
+    use crate::prepared::frequent_events;
     use seqdb::SequenceDatabase;
 
     fn running_example() -> SequenceDatabase {
@@ -427,7 +427,7 @@ mod tests {
 
     fn checker_fixture(db: &SequenceDatabase, min_sup: u64) -> (SupportComputer<'_>, Vec<EventId>) {
         let sc = SupportComputer::new(db);
-        let events = frequent_events(&sc, db, min_sup);
+        let events = frequent_events(sc.index(), min_sup);
         (sc, events)
     }
 

@@ -45,7 +45,7 @@ use seqdb::SequenceDatabase;
 
 use crate::batch::run_solo;
 use crate::constraints::GapConstraints;
-use crate::prepared::{PreparedDb, PreparedParts, PreparedRef};
+use crate::prepared::{PreparedDb, PreparedRef};
 use crate::result::{MiningOutcome, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
@@ -181,8 +181,8 @@ impl MiningRequest {
 
 /// Where a mining run gets its (prepared) database from.
 ///
-/// `Raw` is the lazy path of [`Miner::new`]: the query-independent parts
-/// (index, occurrence counts, event order) are prepared on every run.
+/// `Raw` is the lazy path of [`Miner::new`]: the query-independent index
+/// is built on every run.
 /// `Prepared` holds a [`PreparedDb`] snapshot (a clone of one is two `Arc`
 /// bumps), so runs skip the preparation entirely.
 #[derive(Debug, Clone)]
@@ -193,12 +193,12 @@ enum DbHandle<'a> {
 
 impl DbHandle<'_> {
     /// Runs `f` on the prepared view of this database: a raw database's
-    /// parts are prepared for the call, a snapshot lends its own.
+    /// index is built for the call, a snapshot lends its own.
     fn with_view<R>(&self, f: impl FnOnce(PreparedRef<'_>) -> R) -> R {
         match self {
             DbHandle::Raw(db) => f(PreparedRef {
                 db,
-                parts: &PreparedParts::build(db),
+                index: &db.inverted_index(),
             }),
             DbHandle::Prepared(prepared) => f(prepared.as_prepared_ref()),
         }
@@ -250,9 +250,9 @@ impl<'a> Miner<'a> {
 
     /// Starts a builder over a snapshot image on disk (the cold-start
     /// path): opens and validates the file written by
-    /// [`PreparedDb::write_snapshot`], mapping every arena zero-copy
-    /// instead of re-tokenizing and re-indexing. The returned miner
-    /// co-owns the snapshot like [`Miner::from_shared`], so it is
+    /// [`PreparedDb::write_snapshot`], mapping its store zero-copy and
+    /// building the index from it instead of re-tokenizing. The returned
+    /// miner co-owns the snapshot like [`Miner::from_shared`], so it is
     /// `'static` and its output is bit-identical to mining the original
     /// in-memory preparation.
     pub fn from_snapshot(

@@ -8,32 +8,16 @@
 //! `min_sup` (Apriori property, Theorem 1).
 //!
 //! The walk itself is the crate's one DFS driver in [`crate::batch`]
-//! (`Mode::All` requests run its GSgrow scan); this module holds the
-//! frequent-event scan of line 1 and the algorithm's tests.
-
-use seqdb::{EventId, SequenceDatabase};
-
-use crate::growth::SupportComputer;
-
-/// The single events whose repetitive support (total occurrence count)
-/// reaches `min_sup`; only these can appear in frequent patterns (Apriori).
-pub(crate) fn frequent_events(
-    sc: &SupportComputer<'_>,
-    db: &SequenceDatabase,
-    min_sup: u64,
-) -> Vec<EventId> {
-    db.catalog()
-        .ids()
-        .filter(|&e| sc.index().total_count(e) as u64 >= min_sup)
-        .collect()
-}
+//! (`Mode::All` requests run its GSgrow scan), and the frequent-event scan
+//! of line 1 is `prepared::frequent_events`; this module holds the
+//! algorithm's tests.
 
 #[cfg(test)]
 mod tests {
 
-    use super::*;
     use crate::pattern::Pattern;
     use crate::reference::{enumerate_frequent, pattern_set};
+    use seqdb::SequenceDatabase;
 
     fn all_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)

@@ -85,16 +85,15 @@
 //!
 //! # Snapshots — zero-copy cold starts
 //!
-//! A [`PreparedDb`] serializes into a **single image file**
-//! ([`PreparedDb::write_snapshot`]) holding every arena the preparation
-//! computed: the columnar event store, the CSR inverted index, the
-//! per-event counts, the candidate order, and the catalog. Reopening
-//! ([`PreparedDb::open_snapshot`] or [`Miner::from_snapshot`]) `mmap`s the
-//! file and reconstructs each structure as a borrowed slice over the
-//! mapping — no re-tokenizing, no re-indexing, no copies — after the
-//! checks of `rgs-mine snapshot verify` (a full-file checksum and every
-//! cross-section invariant) pass on the mapped bytes, so a restarted
-//! service answers its first query at memory-map speed. The format is
+//! A [`PreparedDb`] serializes its corpus into a **single image file**
+//! ([`PreparedDb::write_snapshot`]): the columnar event store and the
+//! catalog. Reopening ([`PreparedDb::open_snapshot`] or
+//! [`Miner::from_snapshot`]) `mmap`s the file, runs the checks of
+//! `rgs-mine snapshot verify` (a full-file checksum and every
+//! cross-section invariant) on the mapped bytes, maps the store as
+//! borrowed slices over the mapping — no re-tokenizing, no copies — and
+//! builds the inverted index from it with the builder [`PreparedDb::new`]
+//! uses, so a reopened preparation equals the in-memory one. The format is
 //! specified byte by byte in [`seqdb::snapshot`] and `ARCHITECTURE.md`:
 //!
 //! ```

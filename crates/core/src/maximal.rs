@@ -21,8 +21,8 @@
 use seqdb::{EventId, SequenceDatabase};
 
 use crate::growth::SupportComputer;
-use crate::gsgrow::frequent_events;
 use crate::pattern::Pattern;
+use crate::prepared::frequent_events;
 use crate::result::MinedPattern;
 
 /// Filters a set of mined patterns down to the maximal ones: patterns not
@@ -54,7 +54,7 @@ pub fn is_maximal(db: &SequenceDatabase, pattern: &Pattern, min_sup: u64) -> boo
     if pattern.is_empty() || sc.support(pattern) < min_sup {
         return false;
     }
-    let events: Vec<EventId> = frequent_events(&sc, db, min_sup);
+    let events: Vec<EventId> = frequent_events(sc.index(), min_sup);
     for slot in 0..=pattern.len() {
         for &event in &events {
             let extension = pattern.extend_at(slot, event);

@@ -1,13 +1,12 @@
 //! The prepared-database snapshot: "prepare once, query many".
 //!
 //! Every mining run needs the same setup work regardless of the query:
-//! interning, the inverted event index of §III-D, and the per-event
-//! occurrence counts behind the frequent-event scan of Algorithms 3 and 4.
-//! [`PreparedDb`] performs that work exactly once and owns the result — the
-//! event catalog, the sequences, the [`InvertedIndex`], the occurrence
-//! counts, and the frequency-pruned event order — as an immutable snapshot
-//! that any number of queries (and threads: the snapshot is `Send + Sync`
-//! and `Arc`-shareable) can borrow.
+//! interning and the inverted event index of §III-D, whose per-event
+//! totals answer the frequent-event scan of Algorithms 3 and 4 in O(1) per
+//! event. [`PreparedDb`] performs that work exactly once and owns the
+//! result — the event catalog, the sequences and the [`InvertedIndex`] —
+//! as an immutable snapshot that any number of queries (and threads: the
+//! snapshot is `Send + Sync` and `Arc`-shareable) can borrow.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -33,68 +32,27 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use seqdb::{
-    snapshot, EventCatalog, EventId, InvertedIndex, SequenceDatabase, SharedSlice, SnapshotError,
-};
+use seqdb::{snapshot, EventCatalog, EventId, InvertedIndex, SequenceDatabase, SnapshotError};
 
 use crate::engine::{Miner, MiningRequest};
 use crate::growth::SupportComputer;
 
-/// The query-independent artifacts derived from a database: the inverted
-/// index, the per-event occurrence counts, and the frequency-pruned event
-/// order. Shared by [`PreparedDb`] (which owns its database) and the lazy
-/// path of [`Miner::new`] (which borrows the caller's database and prepares
-/// these parts per run).
-///
-/// Every column is a [`SharedSlice`], so the parts are either computed in
-/// memory ([`PreparedParts::build`]) or reconstructed zero-copy from a
-/// snapshot image ([`PreparedDb::open_snapshot`]) — queries cannot tell
-/// the difference.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PreparedParts {
-    /// The inverted event index of §III-D over the whole database.
-    pub index: InvertedIndex,
-    /// `occurrence_counts[event.index()]` = total occurrences of `event`,
-    /// i.e. the repetitive support of the single-event pattern.
-    pub occurrence_counts: SharedSlice<u64>,
-    /// The events that occur at least once, in catalog order — the
-    /// candidate order every DFS iterates, so pattern emission order is
-    /// identical no matter how the database was prepared.
-    pub event_order: SharedSlice<EventId>,
+/// The events whose total occurrence count reaches `min_sup` (at least 1,
+/// so an event that never occurs is never a candidate), in catalog order —
+/// the frequent single events of Algorithm 3, line 1, and the candidate
+/// order every DFS iterates. Each count is [`InvertedIndex::total_count`],
+/// O(1).
+pub(crate) fn frequent_events(index: &InvertedIndex, min_sup: u64) -> Vec<EventId> {
+    let min_sup = min_sup.max(1);
+    (0..index.num_events())
+        .filter_map(|e| u32::try_from(e).ok().map(EventId))
+        .filter(|&e| index.total_count(e) as u64 >= min_sup)
+        .collect()
 }
 
-impl PreparedParts {
-    /// Builds the parts in one pass over `db`.
-    pub fn build(db: &SequenceDatabase) -> Self {
-        let index = db.inverted_index();
-        let occurrence_counts = index.total_counts();
-        let event_order = db
-            .catalog()
-            .ids()
-            .filter(|e| occurrence_counts[e.index()] > 0)
-            .collect::<Vec<_>>();
-        Self {
-            index,
-            occurrence_counts: occurrence_counts.into(),
-            event_order: event_order.into(),
-        }
-    }
-
-    /// The events whose total occurrence count reaches `min_sup`, in
-    /// catalog order — the frequent single events of Algorithm 3, line 1,
-    /// answered from the precomputed counts without touching the index.
-    pub fn frequent_events(&self, min_sup: u64) -> Vec<EventId> {
-        self.event_order
-            .iter()
-            .copied()
-            .filter(|e| self.occurrence_counts[e.index()] >= min_sup)
-            .collect()
-    }
-}
-
-/// A borrowed view of a database plus its prepared parts: what the mining
-/// cores actually run against. `Copy`, so it threads freely through the
-/// DFS and across `std::thread::scope` workers.
+/// A borrowed view of a database plus its index: what the mining cores
+/// actually run against. `Copy`, so it threads freely through the DFS and
+/// across `std::thread::scope` workers.
 ///
 /// Everything behind this view is flat, contiguous storage — the columnar
 /// [`seqdb::SeqStore`] event arena and the CSR inverted index — owned by
@@ -104,14 +62,14 @@ impl PreparedParts {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PreparedRef<'a> {
     pub db: &'a SequenceDatabase,
-    pub parts: &'a PreparedParts,
+    pub index: &'a InvertedIndex,
 }
 
 impl<'a> PreparedRef<'a> {
     /// A borrowed-index support computer over this view (O(1): no index is
     /// built).
     pub fn support_computer(self) -> SupportComputer<'a> {
-        SupportComputer::borrowed(self.db, &self.parts.index)
+        SupportComputer::borrowed(self.db, self.index)
     }
 }
 
@@ -126,14 +84,14 @@ impl<'a> PreparedRef<'a> {
 pub struct ImageInfo {
     /// The FNV-1a 64 full-file checksum from the image header.
     pub checksum: u64,
-    /// The snapshot format version (always 6, the only one this build
-    /// reads).
+    /// The snapshot format version (always
+    /// [`SNAPSHOT_VERSION`](seqdb::snapshot::SNAPSHOT_VERSION), the only
+    /// one this build reads).
     pub version: u32,
 }
 
 /// An immutable, `Arc`-shareable snapshot of a database prepared for
-/// mining: the catalog and sequences, the inverted event index, the
-/// per-event occurrence counts, and the frequency-pruned event order.
+/// mining: the catalog and sequences, and the inverted event index.
 ///
 /// Build it once with [`PreparedDb::new`] (or [`Miner::prepare`]), then run
 /// any number of queries against it through [`PreparedDb::miner`],
@@ -142,10 +100,10 @@ pub struct ImageInfo {
 /// requests from many threads.
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
-    /// The database and its prepared parts sit behind `Arc`s, so a clone
-    /// shares them instead of copying.
+    /// The database and its index sit behind `Arc`s, so a clone shares
+    /// them instead of copying.
     db: Arc<SequenceDatabase>,
-    parts: Arc<PreparedParts>,
+    index: Arc<InvertedIndex>,
     /// `Some` when this preparation was reconstructed from a snapshot
     /// image, `None` for heap builds.
     image: Option<ImageInfo>,
@@ -156,73 +114,61 @@ impl PartialEq for PreparedDb {
         // `image` is provenance, not content: a snapshot reopened from disk
         // equals the heap-built preparation it was written from (the
         // round-trip suites assert exactly that).
-        self.db == other.db && self.parts == other.parts
+        self.db == other.db && self.index == other.index
     }
 }
 
 impl PreparedDb {
-    /// Prepares a snapshot of `db`: clones the catalog and sequences, builds
-    /// the inverted index, and precomputes the occurrence counts and the
-    /// frequency-pruned event order.
+    /// Prepares a snapshot of `db`: clones the catalog and sequences and
+    /// builds the inverted index.
     pub fn new(db: &SequenceDatabase) -> Self {
         Self::from_database(db.clone())
     }
 
     /// Prepares a snapshot taking ownership of `db` (no clone).
     pub fn from_database(db: SequenceDatabase) -> Self {
-        let parts = PreparedParts::build(&db);
-        Self::from_parts(db, parts, None)
+        let index = db.inverted_index();
+        Self::from_parts(db, index, None)
     }
 
-    /// Serializes this snapshot into a single on-disk image file (see
-    /// [`crate::snapshot`] for the format) and returns the number of bytes
-    /// written. The image holds everything [`PreparedDb::new`] computes —
-    /// store, index, counts, event order, catalog — so
-    /// [`PreparedDb::open_snapshot`] restores an equivalent snapshot
-    /// without touching the original text or re-indexing.
+    /// Serializes this snapshot's corpus — store and catalog — into a
+    /// single on-disk image file (see [`crate::snapshot`] for the format)
+    /// and returns the number of bytes written. The index is not written:
+    /// [`PreparedDb::open_snapshot`] builds it from the store, as
+    /// [`PreparedDb::new`] does, without touching the original text.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        let parts = &self.parts;
-        snapshot::write_prepared(
-            path,
-            &self.db,
-            &parts.index,
-            &parts.occurrence_counts,
-            &parts.event_order,
-        )
+        snapshot::write_prepared(path, &self.db)
     }
 
     /// Opens a snapshot image written by [`PreparedDb::write_snapshot`].
     ///
-    /// On unix the file is `mmap`ed and every arena is reconstructed as a
-    /// zero-copy slice over the mapping (elsewhere the file is read once
-    /// into an aligned buffer). Before any column is rebuilt, the mapped
-    /// bytes pass the same checks as `rgs-mine snapshot verify`
+    /// On unix the file is `mmap`ed and the store's columns are zero-copy
+    /// slices over the mapping (elsewhere the file is read once into an
+    /// aligned buffer). Before the store is mapped, the bytes pass the
+    /// same checks as `rgs-mine snapshot verify`
     /// ([`seqdb::snapshot::verify`]): header, full-file checksum, section
-    /// table, and every cross-section invariant. An image that violates
-    /// one is [`SnapshotError::Corrupt`] naming the first violation, an
-    /// image of an older format is [`SnapshotError::Unsupported`], and
-    /// nothing panics. Mining output over the reopened snapshot is
-    /// bit-identical to the in-memory original.
+    /// table, and every cross-section invariant; the index is then built
+    /// from the store by the builder [`PreparedDb::new`] uses. An image
+    /// that violates an invariant is [`SnapshotError::Corrupt`] naming the
+    /// first violation, an image of an older format is
+    /// [`SnapshotError::Unsupported`], and nothing panics. The reopened
+    /// snapshot equals the in-memory original, so mining output over it is
+    /// bit-identical.
     pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         let image = snapshot::open_prepared(path)?;
-        let parts = PreparedParts {
-            index: image.index,
-            occurrence_counts: image.occurrence_counts,
-            event_order: image.event_order,
-        };
         let info = ImageInfo {
             checksum: image.checksum,
             version: image.version,
         };
-        Ok(Self::from_parts(image.database, parts, Some(info)))
+        Ok(Self::from_parts(image.database, image.index, Some(info)))
     }
 
-    /// Assembles a snapshot from already-validated parts, recording which
+    /// Assembles a snapshot from a database and its index, recording which
     /// image (if any) it came from.
-    fn from_parts(db: SequenceDatabase, parts: PreparedParts, image: Option<ImageInfo>) -> Self {
+    fn from_parts(db: SequenceDatabase, index: InvertedIndex, image: Option<ImageInfo>) -> Self {
         Self {
             db: Arc::new(db),
-            parts: Arc::new(parts),
+            index: Arc::new(index),
             image,
         }
     }
@@ -245,8 +191,9 @@ impl PreparedDb {
         self.image.map(|info| info.checksum)
     }
 
-    /// The snapshot format version of the backing image (always 6, the
-    /// only one this build reads), `None` for heap builds.
+    /// The snapshot format version of the backing image (always
+    /// [`SNAPSHOT_VERSION`](seqdb::snapshot::SNAPSHOT_VERSION), the only
+    /// one this build reads), `None` for heap builds.
     pub fn image_version(&self) -> Option<u32> {
         self.image.map(|info| info.version)
     }
@@ -258,7 +205,7 @@ impl PreparedDb {
 
     /// The inverted event index built at preparation time.
     pub fn index(&self) -> &InvertedIndex {
-        &self.parts.index
+        &self.index
     }
 
     /// A perfbench shim: the benchmark harness sums `store_bytes` and
@@ -267,25 +214,20 @@ impl PreparedDb {
     pub fn shard_footprints(&self) -> Vec<ShardFootprint> {
         vec![ShardFootprint {
             store_bytes: self.db.store().heap_bytes(),
-            index_bytes: self.parts.index.heap_bytes(),
+            index_bytes: self.index.heap_bytes(),
         }]
     }
 
     /// Total occurrences of `event` (the repetitive support of the
-    /// single-event pattern), answered from the precomputed counts.
+    /// single-event pattern), read from the index in O(1).
     pub fn occurrence_count(&self, event: EventId) -> u64 {
-        self.parts
-            .occurrence_counts
-            .get(event.index())
-            .copied()
-            .unwrap_or(0)
+        self.index.total_count(event) as u64
     }
 
-    /// The events whose occurrence count reaches `min_sup`, in catalog
-    /// order — the per-query frequent-event scan, reduced to a filter over
-    /// the precomputed counts.
+    /// The events whose occurrence count reaches `min_sup` (at least 1),
+    /// in catalog order — the per-query frequent-event scan.
     pub fn frequent_events(&self, min_sup: u64) -> Vec<EventId> {
-        self.parts.frequent_events(min_sup.max(1))
+        frequent_events(&self.index, min_sup)
     }
 
     /// A support computer borrowing this snapshot's index (O(1); compare
@@ -299,7 +241,7 @@ impl PreparedDb {
     /// every parallel worker, through `PreparedRef` slices) shares without
     /// copying.
     pub fn heap_bytes(&self) -> usize {
-        self.db.store().heap_bytes() + self.parts.index.heap_bytes()
+        self.db.store().heap_bytes() + self.index.heap_bytes()
     }
 
     /// Starts a [`Miner`] builder executing against this snapshot.
@@ -331,7 +273,7 @@ impl PreparedDb {
     pub(crate) fn as_prepared_ref(&self) -> PreparedRef<'_> {
         PreparedRef {
             db: &self.db,
-            parts: &self.parts,
+            index: &self.index,
         }
     }
 }
@@ -349,7 +291,7 @@ pub struct ShardFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gsgrow::frequent_events;
+    use crate::growth::repetitive_support;
     use seqdb::DatabaseBuilder;
 
     fn running_example() -> SequenceDatabase {
@@ -361,9 +303,10 @@ mod tests {
         let db = running_example();
         let prepared = PreparedDb::new(&db);
         for event in db.catalog().ids() {
+            // A scan of the store, independent of the index.
             assert_eq!(
                 prepared.occurrence_count(event),
-                prepared.index().total_count(event) as u64
+                db.event_occurrences(event) as u64
             );
         }
         assert_eq!(prepared.occurrence_count(EventId(99)), 0);
@@ -371,13 +314,19 @@ mod tests {
 
     #[test]
     fn frequent_events_match_the_legacy_scan() {
+        // The brute-force scan: every catalog id whose single-event
+        // pattern reaches the threshold, in id order.
         let db = running_example();
         let prepared = PreparedDb::new(&db);
-        let sc = SupportComputer::new(&db);
         for min_sup in [1, 2, 3, 5, 6] {
+            let brute: Vec<EventId> = db
+                .catalog()
+                .ids()
+                .filter(|&e| repetitive_support(&db, &[e]) >= min_sup)
+                .collect();
             assert_eq!(
                 prepared.frequent_events(min_sup),
-                frequent_events(&sc, &db, min_sup),
+                brute,
                 "min_sup = {min_sup}"
             );
         }

@@ -1,16 +1,18 @@
 //! Prepared-database snapshots: [`PreparedDb::write_snapshot`] writes a
-//! preparation as one image file, and [`PreparedDb::open_snapshot`] (or
-//! [`Miner::from_snapshot`](crate::Miner::from_snapshot)) maps it back with
-//! zero copies.
+//! preparation's corpus as one image file, and
+//! [`PreparedDb::open_snapshot`] (or
+//! [`Miner::from_snapshot`](crate::Miner::from_snapshot)) maps its store
+//! back with zero copies and builds the index from it.
 //!
-//! Both wrap [`seqdb::snapshot`], which owns the format v6 layout — the
-//! eleven sections, the width-tagged `store.events` arena, the one
-//! event-major index — and writes, checks and reads it in one place.
-//! Opening runs the [`seqdb::snapshot::verify`] checks on the mapped bytes
-//! before it rebuilds any column, so an image opens exactly when
-//! `rgs-mine snapshot verify` finds it clean, and a reopened snapshot
-//! upholds the same invariants as one built by [`PreparedDb::new`]. Images
-//! of formats 1–5 do not open: [`PreparedDb::open_snapshot`] returns
+//! Both wrap [`seqdb::snapshot`], which owns the format v7 layout — four
+//! sections: `meta`, the width-tagged `store.events` arena,
+//! `store.offsets` and the catalog — and writes, checks and reads it in
+//! one place. Opening runs the [`seqdb::snapshot::verify`] checks on the
+//! mapped bytes before it maps the store, so an image opens exactly when
+//! `rgs-mine snapshot verify` finds it clean, and the index is built by
+//! the same builder [`PreparedDb::new`] uses, so a reopened snapshot
+//! equals the in-memory one. Images of formats 1–6 do not open:
+//! [`PreparedDb::open_snapshot`] returns
 //! [`SnapshotError::Unsupported`](seqdb::SnapshotError::Unsupported)
 //! naming the version and `rgs-mine snapshot build`, which regenerates
 //! the image.
@@ -50,32 +52,39 @@ mod tests {
     }
 
     #[test]
-    fn pre_v6_images_are_unsupported_and_name_the_rebuild_command() {
-        // Patch a freshly written image's header to format 5 and re-seal it:
-        // the bytes are intact, but this build no longer reads the version.
+    fn pre_v7_images_are_unsupported_and_name_the_rebuild_command() {
+        // Patch a freshly written image's header to formats 5 and 6 and
+        // re-seal it: the bytes are intact, but this build no longer reads
+        // the version.
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let path = temp_path("pre-v6");
+        let path = temp_path("pre-v7");
         PreparedDb::new(&db).write_snapshot(&path).expect("write");
-        let mut bytes = std::fs::read(&path).expect("read back");
-        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
-        let checksum = seqdb::snapshot::checksum_of(&bytes);
-        bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("rewrite");
+        let written = std::fs::read(&path).expect("read back");
+        for version in [5u32, 6] {
+            let mut bytes = written.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let checksum = seqdb::snapshot::checksum_of(&bytes);
+            bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("rewrite");
 
-        let err = PreparedDb::open_snapshot(&path).unwrap_err();
-        assert!(matches!(err, seqdb::SnapshotError::Unsupported(_)), "{err}");
-        let message = err.to_string();
-        assert!(message.contains("version 5"), "{message}");
-        assert!(message.contains("rgs-mine snapshot build"), "{message}");
+            let err = PreparedDb::open_snapshot(&path).unwrap_err();
+            assert!(matches!(err, seqdb::SnapshotError::Unsupported(_)), "{err}");
+            let message = err.to_string();
+            assert!(message.contains(&format!("version {version}")), "{message}");
+            assert!(message.contains("rgs-mine snapshot build"), "{message}");
 
-        let report = seqdb::snapshot::verify::verify_bytes(&bytes);
-        assert_eq!(report.version, Some(5));
-        let finding = report.violations.first().expect("version violation");
-        assert!(finding.detail.contains("version 5"), "{finding}");
-        assert!(
-            finding.detail.contains("rgs-mine snapshot build"),
-            "{finding}"
-        );
+            let report = seqdb::snapshot::verify::verify_bytes(&bytes);
+            assert_eq!(report.version, Some(version));
+            let finding = report.violations.first().expect("version violation");
+            assert!(
+                finding.detail.contains(&format!("version {version}")),
+                "{finding}"
+            );
+            assert!(
+                finding.detail.contains("rgs-mine snapshot build"),
+                "{finding}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

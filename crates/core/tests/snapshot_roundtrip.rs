@@ -272,15 +272,7 @@ fn cross_section_inconsistencies_are_rejected() {
     use seqdb::snapshot::{catalog_to_bytes, section_id, SectionPayload, SnapshotWriter};
 
     let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-    let prepared = PreparedDb::new(&db);
-    let index = prepared.index();
     let catalog_bytes = catalog_to_bytes(db.catalog());
-    let counts: Vec<u64> = db
-        .catalog()
-        .ids()
-        .map(|e| prepared.occurrence_count(e))
-        .collect();
-    let order: Vec<seqdb::EventId> = prepared.frequent_events(1);
     let wide_events = db.store().event_column().to_wide_vec();
 
     let meta = [
@@ -299,15 +291,7 @@ fn cross_section_inconsistencies_are_rejected() {
             section_id::STORE_OFFSETS,
             SectionPayload::U32s(db.store().offsets()),
         )
-        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
-        .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-        .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
-    for (id, column) in section_id::INDEX_COLUMNS
-        .into_iter()
-        .zip(index.columns().as_slices())
-    {
-        writer.section(id, SectionPayload::U32s(column));
-    }
+        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes));
     let path = temp_path("inconsistent");
     writer.write_to_path(&path).expect("write");
     let err = PreparedDb::open_snapshot(&path).unwrap_err();

@@ -29,7 +29,7 @@
 //! split ([`pipeline::run_pipeline_prepared`], [`pipeline::sweep_min_sup`],
 //! [`pipeline::cross_validate_pipeline`]) instead of re-indexing per call —
 //! and a long-lived service can persist that snapshot with
-//! `PreparedDb::write_snapshot` and reopen it zero-copy on restart.
+//! `PreparedDb::write_snapshot` and reopen it on restart.
 //!
 //! # Example
 //!

@@ -158,7 +158,7 @@ pub struct PipelineReport {
 /// Runs the full pipeline on `train` and reports the fitted model together
 /// with its training-set evaluation.
 ///
-/// Prepares the training database once (index + occurrence counts) and
+/// Prepares the training database once (its inverted index) and
 /// reuses the snapshot for both the mining and the feature-extraction
 /// steps. When running several configurations on the same split, prepare
 /// the snapshot yourself and call [`run_pipeline_prepared`] — or use

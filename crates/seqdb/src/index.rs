@@ -39,7 +39,6 @@ use std::ops::Range;
 use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
 use crate::database::SequenceDatabase;
-use crate::shared::SharedSlice;
 use crate::width::EventWidth;
 
 /// The storage rule: an event present in `containing` of `num_sequences`
@@ -47,61 +46,35 @@ use crate::width::EventWidth;
 /// half of them, and one row per containing sequence plus its id (sparse)
 /// otherwise. An event that occurs nowhere is sparse with no rows.
 ///
-/// Building, reconstruction and the snapshot verifier all apply this one
-/// function, so an index's layout is canonical for its data.
+/// The builder applies this one function, so an index's layout is
+/// canonical for its data.
 #[inline]
 pub fn dense_rule(containing: usize, num_sequences: usize) -> bool {
     containing > 0 && containing.saturating_mul(2) >= num_sequences
 }
 
-/// The five columns of an [`InvertedIndex`], in snapshot section order.
-///
-/// Each is a [`SharedSlice`], so a column is either built in memory or a
-/// zero-copy window of a [`snapshot`](crate::snapshot) image.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexColumns {
-    /// `row_dir[e]..row_dir[e + 1]` are event `e`'s rows (`num_events + 1`
-    /// entries).
-    pub row_dir: SharedSlice<u32>,
-    /// `id_dir[e]..id_dir[e + 1]` are event `e`'s sparse sequence ids in
-    /// [`Self::ids`]; an empty range with rows marks a dense event
-    /// (`num_events + 1` entries).
-    pub id_dir: SharedSlice<u32>,
-    /// Row `r` is `positions[row_offsets[r]..row_offsets[r + 1]]` (rows + 1
-    /// entries, ending at the arena length).
-    pub row_offsets: SharedSlice<u32>,
-    /// The sparse events' sequence ids, ascending within each event.
-    pub ids: SharedSlice<u32>,
-    /// Every posting list, concatenated in (event, sequence) order. Its
-    /// length is the database's total length.
-    pub positions: SharedSlice<u32>,
-}
-
-impl IndexColumns {
-    /// The columns as plain slices, in section order: row directory, id
-    /// directory, row offsets, sparse ids, positions.
-    pub fn as_slices(&self) -> [&[u32]; 5] {
-        [
-            &self.row_dir,
-            &self.id_dir,
-            &self.row_offsets,
-            &self.ids,
-            &self.positions,
-        ]
-    }
-}
-
 /// Per-database inverted event index, event-major (module docs).
 ///
-/// Lookups never hash and never allocate; every column is a
-/// [`SharedSlice`], so an index can be rebuilt from a database
-/// ([`InvertedIndex::build`]) or reconstructed zero-copy from a
-/// [`snapshot`](crate::snapshot) image
-/// ([`open_prepared`](crate::snapshot::open_prepared)) — queries are
-/// identical either way.
+/// Lookups never hash and never allocate. The index is always built from
+/// its store ([`InvertedIndex::build_for_store`]), whether the store was
+/// built in memory or mapped from a [`snapshot`](crate::snapshot) image.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvertedIndex {
-    columns: IndexColumns,
+    /// `row_dir[e]..row_dir[e + 1]` are event `e`'s rows (`num_events + 1`
+    /// entries).
+    row_dir: Vec<u32>,
+    /// `id_dir[e]..id_dir[e + 1]` are event `e`'s sparse sequence ids in
+    /// `ids`; an empty range with rows marks a dense event
+    /// (`num_events + 1` entries).
+    id_dir: Vec<u32>,
+    /// Row `r` is `positions[row_offsets[r]..row_offsets[r + 1]]` (rows + 1
+    /// entries, ending at the arena length).
+    row_offsets: Vec<u32>,
+    /// The sparse events' sequence ids, ascending within each event.
+    ids: Vec<u32>,
+    /// Every posting list, concatenated in (event, sequence) order. Its
+    /// length is the database's total length.
+    positions: Vec<u32>,
     num_events: usize,
     num_sequences: usize,
 }
@@ -358,42 +331,20 @@ impl InvertedIndex {
         }
 
         Self {
-            columns: IndexColumns {
-                row_dir: row_dir.into(),
-                id_dir: id_dir.into(),
-                row_offsets: row_offsets.into(),
-                ids: seq_ids.into(),
-                positions: positions.into(),
-            },
+            row_dir,
+            id_dir,
+            row_offsets,
+            ids: seq_ids,
+            positions,
             num_events,
             num_sequences,
         }
-    }
-
-    /// Reassembles an index from its five columns: zero-copy slices of an
-    /// image that [`snapshot::open_prepared`](crate::snapshot::open_prepared)
-    /// has verified, so the layout invariants are not checked again here.
-    pub(crate) fn from_shared_parts(
-        columns: IndexColumns,
-        num_sequences: usize,
-        num_events: usize,
-    ) -> Self {
-        Self {
-            columns,
-            num_events,
-            num_sequences,
-        }
-    }
-
-    /// The five columns, for snapshot serialization.
-    pub fn columns(&self) -> &IndexColumns {
-        &self.columns
     }
 
     /// The flat positions arena (all posting lists concatenated in
     /// (event, sequence) order).
     pub fn positions(&self) -> &[u32] {
-        &self.columns.positions
+        &self.positions
     }
 
     /// Number of sequences covered by the index.
@@ -420,20 +371,17 @@ impl InvertedIndex {
     #[inline]
     pub(crate) fn view(&self, event: EventId) -> EventView<'_> {
         let e = event.index();
-        let (Some(rows), Some(ids)) = (
-            dir_range(&self.columns.row_dir, e),
-            dir_range(&self.columns.id_dir, e),
-        ) else {
+        let (Some(rows), Some(ids)) = (dir_range(&self.row_dir, e), dir_range(&self.id_dir, e))
+        else {
             return EventView::default();
         };
         EventView {
             bounds: self
-                .columns
                 .row_offsets
                 .get(rows.start..rows.end + 1)
                 .unwrap_or(&[]),
-            ids: self.columns.ids.get(ids).unwrap_or(&[]),
-            positions: &self.columns.positions,
+            ids: self.ids.get(ids).unwrap_or(&[]),
+            positions: &self.positions,
         }
     }
 
@@ -490,9 +438,7 @@ impl InvertedIndex {
     }
 
     /// Total occurrence counts of every event: entry `i` is
-    /// [`Self::total_count`] of `EventId(i)`. This is the bulk form used to
-    /// prepare a database once and answer frequent-event scans per query
-    /// without touching the index again.
+    /// [`Self::total_count`] of `EventId(i)`.
     pub fn total_counts(&self) -> Vec<u64> {
         (0..self.num_events)
             .map(|e| {
@@ -540,15 +486,19 @@ impl InvertedIndex {
     }
 
     /// Bytes of live data held by the index (all five columns) — the number
-    /// the `stats` CLI and the columnar-store benchmark report, and the
-    /// index's contribution to a snapshot image. Counts lengths, not
-    /// capacities, so it is deterministic for a given database.
+    /// the `stats` CLI and the columnar-store benchmark report. Counts
+    /// lengths, not capacities, so it is deterministic for a given database.
     pub fn heap_bytes(&self) -> usize {
-        self.columns
-            .as_slices()
-            .iter()
-            .map(|column| std::mem::size_of_val(*column))
-            .sum()
+        [
+            &self.row_dir,
+            &self.id_dir,
+            &self.row_offsets,
+            &self.ids,
+            &self.positions,
+        ]
+        .iter()
+        .map(|column| std::mem::size_of_val(column.as_slice()))
+        .sum()
     }
 }
 
@@ -1009,15 +959,14 @@ mod tests {
         let db = builder.finish();
         let index = db.inverted_index();
         let id = |label| db.catalog().id(label).unwrap();
-        let cols = index.columns();
-        let rows = |e: EventId| dir_range(&cols.row_dir, e.index()).unwrap().len();
-        let ids = |e: EventId| dir_range(&cols.id_dir, e.index()).unwrap().len();
+        let rows = |e: EventId| dir_range(&index.row_dir, e.index()).unwrap().len();
+        let ids = |e: EventId| dir_range(&index.id_dir, e.index()).unwrap().len();
         assert_eq!((rows(id("A")), ids(id("A"))), (4, 0));
         assert_eq!((rows(id("B")), ids(id("B"))), (4, 0));
         assert_eq!((rows(id("C")), ids(id("C"))), (1, 1));
         assert_eq!((rows(id("GHOST")), ids(id("GHOST"))), (0, 0));
         assert_eq!(index.dense_events(), 2);
-        assert_eq!(&cols.ids[..], &[1]);
+        assert_eq!(index.ids, [1]);
         // 4·total + 4·(rows + 1) + 4·ids + 8·(events + 1).
         assert_eq!(index.heap_bytes(), 4 * 8 + 4 * 10 + 4 + 8 * 5);
         assert_eq!(index.event_positions(1, id("A")), Some(&[1u32, 3][..]));

@@ -26,8 +26,8 @@
 //!   forward-only for a growth pass through [`EventRows`],
 //! * [`simd`] — the vector extensions the build targets
 //!   ([`simd::detected_features`]), reported beside throughput numbers,
-//! * [`SharedSlice`] — the owned-or-mapped buffer backing every columnar
-//!   arena, so the same read path serves in-memory builds and zero-copy
+//! * [`SharedSlice`] — the owned-or-mapped buffer backing the store's
+//!   columns, so the same read path serves in-memory builds and zero-copy
 //!   snapshot loads,
 //! * [`snapshot`] — the versioned, checksummed, 64-byte-aligned single-file
 //!   image format ([`SnapshotWriter`] / [`SnapshotImage`]), the prepared
@@ -58,27 +58,24 @@
 //!
 //! # Example — snapshot a prepared database and map it back
 //!
-//! [`snapshot::write_prepared`] writes a database, its index, counts and
-//! candidate order as one image file; [`snapshot::open_prepared`] checks
-//! every invariant of the image and maps the columns back with zero
-//! copies. A small alphabet builds a narrow (`u16`) arena, which the
+//! [`snapshot::write_prepared`] writes a database's store and catalog as
+//! one image file; [`snapshot::open_prepared`] checks every invariant of
+//! the image, maps the store back with zero copies and builds the index
+//! from it. A small alphabet builds a narrow (`u16`) arena, which the
 //! format writes and maps at 2 bytes per event (`rgs-core::PreparedDb`
 //! wraps both calls):
 //!
 //! ```
 //! use seqdb::snapshot::{open_prepared, write_prepared};
-//! use seqdb::{EventId, SequenceDatabase};
+//! use seqdb::SequenceDatabase;
 //!
 //! let db = SequenceDatabase::from_str_rows(&["ABCABCA", "AABBCCC"]);
-//! let index = db.inverted_index();
-//! let counts = index.total_counts();
-//! let order: Vec<EventId> = db.catalog().ids().filter(|e| counts[e.index()] > 0).collect();
 //! let path = std::env::temp_dir().join(format!("seqdb-doc-{}.snap", std::process::id()));
-//! write_prepared(&path, &db, &index, &counts, &order)?;
+//! write_prepared(&path, &db)?;
 //!
 //! let image = open_prepared(&path)?;
 //! assert_eq!(image.database, db);
-//! assert_eq!(image.index, index);
+//! assert_eq!(image.index, db.inverted_index());
 //! assert!(image.database.store().is_narrow());
 //! std::fs::remove_file(&path)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -106,7 +103,7 @@ pub mod width;
 
 pub use catalog::{EventCatalog, EventId};
 pub use database::{DatabaseBuilder, SequenceDatabase};
-pub use index::{EventRows, IndexColumns, InvertedIndex, PostingCursor, RunSet, ShardedIndex};
+pub use index::{EventRows, InvertedIndex, PostingCursor, RunSet, ShardedIndex};
 pub use sequence::Sequence;
 pub use shared::SharedSlice;
 pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};

@@ -1,5 +1,5 @@
-//! Owned-or-mapped storage: the [`SharedSlice`] backing every columnar
-//! arena in this crate.
+//! Owned-or-mapped storage: the [`SharedSlice`] backing the columns of
+//! the [`SeqStore`](crate::SeqStore).
 //!
 //! A [`SharedSlice<T>`] is either a plain owned `Vec<T>` (the result of
 //! building a database in memory) or a borrowed window into a reference-

@@ -1,32 +1,31 @@
 //! The single-file snapshot image: a versioned, little-endian, 64-byte-
 //! aligned on-disk format for the columnar arenas, opened with zero copies.
 //!
-//! A prepared database is a handful of contiguous arrays (the
-//! [`crate::SeqStore`] event arena and CSR offsets, the five columns of the
-//! event-major [`crate::InvertedIndex`], the per-event counts, the
-//! catalog). This module serializes those arrays
-//! into **one file** and maps them back as borrowed slices, so a cold start
-//! is an `mmap` plus one checksum scan instead of re-tokenizing and
-//! re-indexing the corpus. `ARCHITECTURE.md` at the repository root walks
-//! the format byte by byte.
+//! An image holds the corpus, not what is derived from it: the
+//! [`crate::SeqStore`] event arena and CSR offsets, the catalog, and their
+//! sizes. This module serializes those arrays into **one file** and maps
+//! the store back as borrowed slices, so a cold start is an `mmap`, one
+//! checksum scan and one build of the event-major [`crate::InvertedIndex`]
+//! instead of re-tokenizing the corpus. The index, the per-event counts and
+//! the candidate order are derived at open by the same code that derives
+//! them for a corpus built in memory, so there is nothing stored to
+//! cross-check against the store. `ARCHITECTURE.md` at the repository root
+//! walks the format byte by byte.
 //!
-//! # File layout (version 6)
+//! # File layout (version 7)
 //!
-//! An image carries the global sections and one set of index columns at
-//! the fixed ids [`section_id::INDEX_COLUMNS`], covering the whole corpus.
-//! [`section_id::STORE_EVENTS`]
-//! is **width-tagged**: it carries 2-byte elements (a narrow `u16` arena)
-//! when the alphabet fits and 4-byte ones otherwise — the per-section
-//! `elem_size` field *is* the width tag, and the narrow arena maps back
-//! zero-copy. This build reads version 6 only: an older image is
-//! [`SnapshotError::Unsupported`] and is rebuilt in milliseconds with
-//! `rgs-mine snapshot build`.
+//! [`section_id::STORE_EVENTS`] is **width-tagged**: it carries 2-byte
+//! elements (a narrow `u16` arena) when the alphabet fits and 4-byte ones
+//! otherwise — the per-section `elem_size` field *is* the width tag, and
+//! the narrow arena maps back zero-copy. This build reads version 7 only:
+//! an older image is [`SnapshotError::Unsupported`] and is rebuilt in
+//! milliseconds with `rgs-mine snapshot build`.
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------------
 //!      0     8  magic  "RGS1SNAP"
-//!      8     4  format version (u32 LE) = 6
+//!      8     4  format version (u32 LE) = 7
 //!     12     4  endianness marker (u32 LE) = 0x0A0B_0C0D
 //!     16     8  file length in bytes (u64 LE)
 //!     24     8  FNV-1a 64 checksum (u64 LE) of every file byte EXCEPT
@@ -50,7 +49,7 @@
 //!
 //! # The prepared-database layout
 //!
-//! A prepared database is eleven sections (ids in [`section_id`]):
+//! A prepared database is four sections (ids in [`section_id`]):
 //!
 //! | section | contents |
 //! |---|---|
@@ -58,20 +57,14 @@
 //! | `store.events` | the flat [`crate::SeqStore`] event arena, at its narrowest width |
 //! | `store.offsets` | the store's CSR offsets (per sequence + sentinel) |
 //! | `catalog` | the interned event labels, length-prefixed UTF-8 |
-//! | `event.counts` | per-event total occurrence counts (`u64`) |
-//! | `event.order` | the frequency-pruned candidate event order |
-//! | `index.row_dir` | the per-event row directory (`num_events + 1`) |
-//! | `index.id_dir` | the per-event sparse-id directory (`num_events + 1`) |
-//! | `index.row_offsets` | the row boundaries (rows + 1) |
-//! | `index.ids` | the sparse sequence ids |
-//! | `index.positions` | the flat positions arena |
 //!
 //! One module writes, checks and reads it: [`write_prepared`] writes it,
 //! the [`verify`] layer states every invariant it must uphold, and
-//! [`open_prepared`] runs that verifier on the mapped bytes before it
-//! rebuilds any column. The column constructors of [`crate::SeqStore`] and
-//! [`crate::InvertedIndex`] are crate-internal, so nothing outside this
-//! module builds a store or index from image bytes. `rgs-core`'s
+//! [`open_prepared`] runs that verifier on the mapped bytes before it maps
+//! the store and builds the index with
+//! [`InvertedIndex::build_for_store`](crate::InvertedIndex::build_for_store).
+//! The store's mapped-column constructor is crate-internal, so nothing
+//! outside this module builds a store from image bytes. `rgs-core`'s
 //! `PreparedDb::write_snapshot` / `open_snapshot` wrap the two calls.
 
 // mmap, the aligned read buffer, and in-place slice reinterpretation are
@@ -89,30 +82,25 @@ use std::sync::Arc;
 use crate::cast::{u32_to_usize, u64_to_usize, usize_to_u32, usize_to_u64};
 use crate::catalog::{EventCatalog, EventId};
 use crate::shared::{event_ids_as_u32s, SharedSlice};
-use crate::{EventColumn, EventWidth, IndexColumns, InvertedIndex, SeqStore, SequenceDatabase};
+use crate::{EventColumn, EventWidth, InvertedIndex, SeqStore, SequenceDatabase};
 
 /// The 8-byte magic at offset 0 of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RGS1SNAP";
 
-/// The format version this build writes.
+/// The format version this build writes, and the only one it reads: no
+/// code writes an older layout, and `rgs-mine snapshot build` regenerates
+/// an image from its corpus in milliseconds.
 ///
-/// Version 6 is version 5 without its sequence-range table (section id 9,
-/// retired): one event-major inverted index for the whole corpus (two
-/// directories, row offsets, sparse sequence ids and positions; see
-/// [`crate::InvertedIndex`]) and nothing that splits it.
-pub const SNAPSHOT_VERSION: u32 = 6;
-
-/// The oldest format version this build reads — the current one: no code
-/// writes an older layout, and `rgs-mine snapshot build` regenerates an
-/// image from its corpus in milliseconds.
-pub const SNAPSHOT_VERSION_MIN: u32 = 6;
+/// Version 7 holds the corpus only — the store and the catalog; the
+/// index, per-event counts and candidate order are built at open.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why an image stamped `version` cannot be read, or `None` when it can.
 /// Stated once, in the [`verify`] layer's container pass.
 pub(crate) fn version_error(version: u32) -> Option<String> {
-    if (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&version) {
+    if version == SNAPSHOT_VERSION {
         None
-    } else if version < SNAPSHOT_VERSION_MIN {
+    } else if version < SNAPSHOT_VERSION {
         Some(format!(
             "format version {version} predates format {SNAPSHOT_VERSION}, the only one this \
              build reads; rebuild the image from its corpus with `rgs-mine snapshot build`"
@@ -138,8 +126,9 @@ const ENTRY_LEN: u64 = 32;
 
 /// Well-known section identifiers.
 ///
-/// The format itself is agnostic to ids; this registry fixes what the
-/// prepared-database composition in `rgs-core` writes.
+/// The format itself is agnostic to ids; this registry fixes what
+/// [`write_prepared`] writes. Ids 7–14 held sections of formats 5 and 6;
+/// they are retired, not reused.
 pub mod section_id {
     /// `u64` triple `[num_sequences, num_events, total_length]`.
     pub const META: u32 = 1;
@@ -153,32 +142,6 @@ pub mod section_id {
     /// The serialized [`EventCatalog`](crate::EventCatalog) (length-prefixed
     /// UTF-8 labels; see [`catalog_to_bytes`](crate::snapshot::catalog_to_bytes)).
     pub const CATALOG: u32 = 6;
-    /// Per-event total occurrence counts (`u64`, indexed by event id).
-    pub const EVENT_COUNTS: u32 = 7;
-    /// The frequency-pruned candidate event order (`u32` event ids).
-    pub const EVENT_ORDER: u32 = 8;
-    // Id 9 held version 5's sequence-range table; it is retired, not
-    // reused.
-    /// The index's per-event row directory (`u32`, `num_events + 1`).
-    pub const INDEX_ROW_DIR: u32 = 10;
-    /// The index's per-event sparse-id directory (`u32`, `num_events + 1`).
-    pub const INDEX_ID_DIR: u32 = 11;
-    /// The index's row boundaries (`u32`, rows + 1).
-    pub const INDEX_ROW_OFFSETS: u32 = 12;
-    /// The index's sparse sequence ids (`u32`).
-    pub const INDEX_IDS: u32 = 13;
-    /// The index's flat positions arena (`u32`, one per event occurrence).
-    pub const INDEX_POSITIONS: u32 = 14;
-
-    /// The five index columns, in the order of
-    /// [`IndexColumns::as_slices`](crate::IndexColumns::as_slices).
-    pub const INDEX_COLUMNS: [u32; 5] = [
-        INDEX_ROW_DIR,
-        INDEX_ID_DIR,
-        INDEX_ROW_OFFSETS,
-        INDEX_IDS,
-        INDEX_POSITIONS,
-    ];
 
     /// Human-readable name of a well-known section id (for `snapshot info`).
     pub fn name(id: u32) -> &'static str {
@@ -187,13 +150,6 @@ pub mod section_id {
             STORE_EVENTS => "store.events",
             STORE_OFFSETS => "store.offsets",
             CATALOG => "catalog",
-            EVENT_COUNTS => "event.counts",
-            EVENT_ORDER => "event.order",
-            INDEX_ROW_DIR => "index.row_dir",
-            INDEX_ID_DIR => "index.id_dir",
-            INDEX_ROW_OFFSETS => "index.row_offsets",
-            INDEX_IDS => "index.ids",
-            INDEX_POSITIONS => "index.positions",
             _ => "unknown",
         }
     }
@@ -881,18 +837,6 @@ impl SnapshotImage {
         Ok(unsafe { SharedSlice::from_raw_parts(owner, ptr, len) })
     }
 
-    /// Section `id` as a zero-copy [`SharedSlice<u64>`].
-    pub(crate) fn shared_u64s(
-        self: &Arc<Self>,
-        id: u32,
-    ) -> Result<SharedSlice<u64>, SnapshotError> {
-        let slice = self.u64s(id)?;
-        let (ptr, len) = (slice.as_ptr(), slice.len());
-        let owner: Arc<dyn Any + Send + Sync> = self.clone();
-        // SAFETY: as in `shared_u32s`.
-        Ok(unsafe { SharedSlice::from_raw_parts(owner, ptr, len) })
-    }
-
     /// Section `id` as a zero-copy [`SharedSlice<EventId>`] (the wire format
     /// stores raw `u32` ids; `EventId` is `repr(transparent)` over `u32`).
     pub(crate) fn shared_event_ids(
@@ -913,43 +857,32 @@ fn read_u64(data: &[u8], offset: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The prepared-database layout (format v6)
+// The prepared-database layout (format v7)
 // ---------------------------------------------------------------------------
 
-/// A prepared database read back from a format v6 image by
-/// [`open_prepared`]: every column a zero-copy [`SharedSlice`] over the
-/// image (the catalog excepted — labels want owned strings).
+/// A prepared database read back from a format v7 image by
+/// [`open_prepared`]: the store's columns are zero-copy [`SharedSlice`]s
+/// over the image (the catalog is copied out — labels want owned strings),
+/// and the index is built from that store.
 #[derive(Debug)]
 pub struct PreparedImage {
     /// The catalog and the sequence store.
     pub database: SequenceDatabase,
-    /// The event-major inverted index over the whole corpus.
+    /// The event-major inverted index over the whole corpus, built at open.
     pub index: InvertedIndex,
-    /// Per-event total occurrence counts, indexed by event id.
-    pub occurrence_counts: SharedSlice<u64>,
-    /// The events that occur at least once, in id order.
-    pub event_order: SharedSlice<EventId>,
     /// The full-file checksum recorded in the header.
     pub checksum: u64,
     /// The format version recorded in the header.
     pub version: u32,
 }
 
-/// Writes a prepared database to `path` as a format v6 image — `meta`,
-/// the store's events and offsets, the catalog, the per-event counts, the
-/// candidate order, and the five index columns — and returns the bytes
-/// written.
+/// Writes a database to `path` as a format v7 image — `meta`, the store's
+/// events and offsets, and the catalog — and returns the bytes written.
 ///
 /// The event arena is written **narrowest-fit**: a narrow column as-is, a
 /// wide column whose ids all fit `u16` re-narrowed, and only a genuinely
 /// large alphabet at 4 bytes per event.
-pub fn write_prepared(
-    path: impl AsRef<Path>,
-    db: &SequenceDatabase,
-    index: &InvertedIndex,
-    occurrence_counts: &[u64],
-    event_order: &[EventId],
-) -> Result<u64, SnapshotError> {
+pub fn write_prepared(path: impl AsRef<Path>, db: &SequenceDatabase) -> Result<u64, SnapshotError> {
     let meta = [db.num_sequences(), db.num_events(), db.total_length()].map(usize_to_u64);
     let catalog_bytes = catalog_to_bytes(db.catalog());
     let column = db.store().event_column();
@@ -971,30 +904,17 @@ pub fn write_prepared(
             section_id::STORE_OFFSETS,
             SectionPayload::U32s(db.store().offsets()),
         )
-        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
-        .section(
-            section_id::EVENT_COUNTS,
-            SectionPayload::U64s(occurrence_counts),
-        )
-        .section(
-            section_id::EVENT_ORDER,
-            SectionPayload::EventIds(event_order),
-        );
-    for (id, column) in section_id::INDEX_COLUMNS
-        .into_iter()
-        .zip(index.columns().as_slices())
-    {
-        writer.section(id, SectionPayload::U32s(column));
-    }
+        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes));
     writer.write_to_path(path)
 }
 
-/// Opens a format v6 image written by [`write_prepared`].
+/// Opens a format v7 image written by [`write_prepared`].
 ///
 /// [`SnapshotImage::open`] maps the file and checks its container; the
 /// [`verify`] layer's layout pass then checks every cross-section
-/// invariant on the mapped bytes, and only then are the columns rebuilt,
-/// without a check of their own. The first violation found is
+/// invariant on the mapped bytes. Only then is the store mapped and the
+/// index built from it by [`InvertedIndex::build_for_store`], the builder
+/// an in-memory preparation uses. The first violation found is
 /// [`SnapshotError::Corrupt`]; an image of an older format is
 /// [`SnapshotError::Unsupported`], naming `rgs-mine snapshot build`.
 pub fn open_prepared(path: impl AsRef<Path>) -> Result<PreparedImage, SnapshotError> {
@@ -1012,21 +932,10 @@ pub fn open_prepared(path: impl AsRef<Path>) -> Result<PreparedImage, SnapshotEr
         EventColumn::Wide(image.shared_event_ids(section_id::STORE_EVENTS)?)
     };
     let store = SeqStore::from_shared_parts(events, image.shared_u32s(section_id::STORE_OFFSETS)?);
-    let [row_dir, id_dir, row_offsets, ids, positions] =
-        section_id::INDEX_COLUMNS.map(|id| image.shared_u32s(id));
-    let columns = IndexColumns {
-        row_dir: row_dir?,
-        id_dir: id_dir?,
-        row_offsets: row_offsets?,
-        ids: ids?,
-        positions: positions?,
-    };
-    let index = InvertedIndex::from_shared_parts(columns, store.num_sequences(), catalog.len());
+    let index = InvertedIndex::build_for_store(&store, catalog.len());
     Ok(PreparedImage {
         database: SequenceDatabase::from_store(catalog, store),
         index,
-        occurrence_counts: image.shared_u64s(section_id::EVENT_COUNTS)?,
-        event_order: image.shared_event_ids(section_id::EVENT_ORDER)?,
         checksum: image.checksum(),
         version: image.version(),
     })
@@ -1171,10 +1080,8 @@ mod tests {
     /// `forge`, reseals the checksum, and returns the image's bytes.
     fn forged_catalog_image(tag: &str, rows: &[&str], forge: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let db = crate::SequenceDatabase::from_str_rows(rows);
-        let index = db.inverted_index();
-        let order: Vec<EventId> = db.catalog().ids().collect();
         let path = temp_path(tag);
-        write_prepared(&path, &db, &index, &index.total_counts(), &order).expect("write");
+        write_prepared(&path, &db).expect("write");
         let (at, len) = SnapshotImage::open(&path)
             .expect("open image")
             .section(section_id::CATALOG)
@@ -1223,35 +1130,47 @@ mod tests {
     #[test]
     fn prepared_layout_round_trips_and_refuses_what_verify_flags() {
         let db = crate::SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
-        let index = db.inverted_index();
-        let counts = index.total_counts();
-        let order: Vec<EventId> = db.catalog().ids().collect();
         let path = temp_path("prepared");
-        write_prepared(&path, &db, &index, &counts, &order).expect("write");
+        write_prepared(&path, &db).expect("write");
         let image = open_prepared(&path).expect("open");
         assert_eq!(image.database, db);
-        assert_eq!(image.index, index);
-        assert_eq!(&image.occurrence_counts[..], &counts[..]);
-        assert_eq!(&image.event_order[..], &order[..]);
-        assert!(image.database.store().is_narrow() && image.occurrence_counts.is_mapped());
+        assert_eq!(image.index, db.inverted_index());
+        assert!(image.database.store().is_narrow());
+        let sections: Vec<u32> = SnapshotImage::open(&path)
+            .expect("open image")
+            .sections()
+            .iter()
+            .map(|entry| entry.id)
+            .collect();
+        assert_eq!(
+            sections,
+            [
+                section_id::META,
+                section_id::STORE_EVENTS,
+                section_id::STORE_OFFSETS,
+                section_id::CATALOG
+            ]
+        );
 
-        // Event 0's count set to 0 and the checksum resealed: the header,
-        // table and sections stay well-formed, only the recount disagrees.
+        // The first arena event set to `num_events` (one past the
+        // alphabet) and the checksum resealed: the header, table and
+        // sections stay well-formed, only the arena leaves the alphabet.
         let mut bytes = std::fs::read(&path).expect("read back");
         let at = SnapshotImage::open(&path)
             .expect("open image")
-            .section(section_id::EVENT_COUNTS)
+            .section(section_id::STORE_EVENTS)
             .map(|entry| u64_to_usize(entry.offset).expect("offset fits"))
-            .expect("counts section");
-        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+            .expect("events section");
+        let past = u16::try_from(db.num_events()).expect("a narrow alphabet");
+        bytes[at..at + 2].copy_from_slice(&past.to_le_bytes());
         let checksum = checksum_of(&bytes);
         bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(!verify::verify_bytes(&bytes).is_clean());
-        let err = open_prepared(&path).expect_err("a recount mismatch opens");
+        let err = open_prepared(&path).expect_err("an event outside the alphabet opens");
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
-        assert!(err.to_string().contains("event.counts"), "{err}");
+        assert!(err.to_string().contains("store.events"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Deep static verification of snapshot images: the one statement of
-//! every invariant a format v6 prepared-database image must uphold.
+//! every invariant a format v7 prepared-database image must uphold.
 //!
 //! [`verify_bytes`] proves (or refutes) every cross-section invariant of an
 //! image **directly on the bytes** — no `PreparedDb`, no in-place
@@ -10,8 +10,8 @@
 //! checks: [`SnapshotImage::open`](super::SnapshotImage::open) parses the
 //! header, checksum and section table with this module's container pass,
 //! and [`open_prepared`](super::open_prepared) runs the layout pass on the
-//! mapped bytes before it rebuilds a single column; there, the first
-//! violation becomes a [`SnapshotError`].
+//! mapped bytes before it maps the store and builds the index from it;
+//! there, the first violation becomes a [`SnapshotError`].
 //!
 //! Checked invariants, per layer:
 //!
@@ -23,25 +23,20 @@
 //!   field itself;
 //! * **layout** — the cross-section semantics of the prepared-database
 //!   composition: `meta` arity and counts the file can back (4 bytes per
-//!   sequence boundary, 8 per event, 2 per arena element — checked before
-//!   any count sizes a buffer), store CSR offsets monotone and ending at
-//!   the arena length, the event arena's element width (2 or 4 bytes),
-//!   every arena event inside the catalog alphabet,
-//!   catalog bijectivity (label count = alphabet size, no duplicates,
-//!   valid UTF-8, no trailing bytes), per-event counts equal to an actual
-//!   recount of the arena, the candidate order exactly the occurring
-//!   events in id order, and the one event-major index: monotone
-//!   directories, every
-//!   event dense or sparse exactly as [`dense_rule`] says, strictly
-//!   ascending in-range sparse ids, monotone row offsets ending at the
-//!   arena length, and strictly ascending 1-based rows whose every
-//!   position lands on that event in that sequence of the global store.
+//!   sequence boundary, 4 per catalog label, 2 per arena element — checked
+//!   before any count sizes a buffer), store CSR offsets monotone and
+//!   ending at the arena length, the event arena's element width (2 or 4
+//!   bytes), every arena event inside the catalog alphabet (the index
+//!   builder asserts it), and catalog bijectivity (label count = alphabet
+//!   size, no duplicates, valid UTF-8, no trailing bytes).
 //!
-//! Every section is read element by element straight from the payload
-//! bytes — never collected — so verifying costs no memory proportional to
-//! the corpus beyond a per-event histogram, at most the file's own size. An image of an older format
-//! stops at the version check with a structure violation naming
-//! `rgs-mine snapshot build`.
+//! The index, the per-event counts and the candidate order are not in the
+//! image: they are built from the verified store at open, so no stored
+//! copy of them can disagree with it. Every section is read element by
+//! element straight from the payload bytes — never collected — so
+//! verifying costs no memory proportional to the corpus beyond the
+//! catalog's label set. An image of an older format stops at the version
+//! check with a structure violation naming `rgs-mine snapshot build`.
 //!
 //! The three kinds are reported separately so callers can distinguish a
 //! structurally-valid-but-bit-flipped image (checksum only) from genuine
@@ -58,7 +53,6 @@ use super::{
     checksum_of, section_id, version_error, SectionEntry, SnapshotError, ENDIAN_MARKER, ENTRY_LEN,
     HEADER_LEN, SECTION_ALIGN, SNAPSHOT_MAGIC,
 };
-use crate::index::dense_rule;
 
 /// Which layer of the format a [`Violation`] belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,24 +228,8 @@ impl<'a> Arena<'a> {
         }
     }
 
-    fn get(self, i: usize) -> Option<u32> {
-        let start = i.checked_mul(self.width)?;
-        let bytes = self.bytes.get(start..start.checked_add(self.width)?)?;
-        Some(Self::decode(bytes))
-    }
-
     fn iter(self) -> impl Iterator<Item = u32> + 'a {
         self.bytes.chunks_exact(self.width.max(1)).map(Self::decode)
-    }
-
-    /// Events `start..end`; empty when they are not all in the arena.
-    fn window(self, start: usize, end: usize) -> Self {
-        let bytes = start
-            .checked_mul(self.width)
-            .zip(end.checked_mul(self.width))
-            .and_then(|(from, to)| self.bytes.get(from..to))
-            .unwrap_or_default();
-        Self { bytes, ..self }
     }
 }
 
@@ -552,21 +530,14 @@ impl<'a> Verifier<'a> {
         Some(entry)
     }
 
-    /// Checks one CSR offsets column: starts at 0, monotone non-decreasing,
-    /// ends at `end`. Reports each violated clause at its byte offset.
-    fn check_csr_u32(&mut self, entry: &SectionEntry, end: u64, what: &str) -> bool {
+    /// Checks the store's CSR offsets column: starts at 0, monotone
+    /// non-decreasing, ends at `end` (the arena length). Reports each
+    /// violated clause at its byte offset.
+    fn check_store_offsets(&mut self, entry: &SectionEntry, end: u64) {
         let payload = self.payload(entry);
-        let mut ok = true;
-        if elem_u32(payload, 0).unwrap_or(0) != 0 {
-            self.layout(
-                entry,
-                0,
-                format!(
-                    "{what} offsets start at {}, not 0",
-                    elem_u32(payload, 0).unwrap_or(0)
-                ),
-            );
-            ok = false;
+        let first = elem_u32(payload, 0).unwrap_or(0);
+        if first != 0 {
+            self.layout(entry, 0, format!("store offsets start at {first}, not 0"));
         }
         let mut prev = 0u32;
         for (i, value) in iter_u32(payload).enumerate() {
@@ -574,9 +545,8 @@ impl<'a> Verifier<'a> {
                 self.layout(
                     entry,
                     usize_to_u64(i),
-                    format!("{what} offsets are not monotone ({prev} > {value})"),
+                    format!("store offsets are not monotone ({prev} > {value})"),
                 );
-                ok = false;
                 break;
             }
             prev = value;
@@ -586,11 +556,9 @@ impl<'a> Verifier<'a> {
             self.layout(
                 entry,
                 entry.count.saturating_sub(1),
-                format!("{what} offsets end at {last}, expected {end}"),
+                format!("store offsets end at {last}, expected {end}"),
             );
-            ok = false;
         }
-        ok
     }
 
     fn check_composition(&mut self, sections: &[SectionEntry]) {
@@ -614,13 +582,14 @@ impl<'a> Verifier<'a> {
             }
         };
         // A valid image spends 4 bytes per sequence boundary
-        // (store.offsets), 8 per event (event.counts) and at least 2 per
-        // arena element (store.events). A meta that asks for more than the
-        // file holds is refused before it sizes the recount below.
+        // (store.offsets), at least 4 per event (its catalog label's length
+        // prefix) and at least 2 per arena element (store.events). A meta
+        // that asks for more than the file holds is refused before the
+        // index builder sizes anything from it.
         let len = self.data.len();
         let oversized = [
             meta.num_sequences >= len / 4,
-            meta.num_events > len / 8,
+            meta.num_events > len / 4,
             meta.total_length > len / 2,
         ]
         .iter()
@@ -674,17 +643,12 @@ impl<'a> Verifier<'a> {
                 width: u32_to_usize(e.elem_size),
             })
             .unwrap_or_default();
-        // One pass over the arena: the recount behind event.counts and
-        // event.order, and the ids outside the alphabet.
-        let mut histogram = vec![0u64; meta.num_events];
+        // The ids outside the alphabet, which the index builder refuses.
         let (mut count, mut bad) = (0usize, None);
         for (i, event) in arena.iter().enumerate() {
-            match histogram.get_mut(u32_to_usize(event)) {
-                Some(slot) => *slot += 1,
-                None => {
-                    count += 1;
-                    bad = bad.or(Some((i, event)));
-                }
+            if u32_to_usize(event) >= meta.num_events {
+                count += 1;
+                bad = bad.or(Some((i, event)));
             }
         }
         if let Some(entry) = events_entry {
@@ -702,67 +666,17 @@ impl<'a> Verifier<'a> {
         }
 
         // store.offsets: the global CSR column.
-        let store_offsets_entry = self.expect_section(
+        if let Some(entry) = self.expect_section(
             sections,
             section_id::STORE_OFFSETS,
             4,
             Some(usize_to_u64(meta.num_sequences).saturating_add(1)),
-        );
-        let store_offsets: &[u8] = store_offsets_entry.map_or(&[], |e| self.payload(&e));
-        let store_csr_ok = store_offsets_entry.is_some_and(|entry| {
-            self.check_csr_u32(&entry, usize_to_u64(meta.total_length), "store")
-        });
+        ) {
+            self.check_store_offsets(&entry, usize_to_u64(meta.total_length));
+        }
 
         // catalog: bijective with the alphabet.
         self.check_catalog(sections, meta);
-
-        // event.counts + event.order against the recount of the arena.
-        if let Some(entry) = self.expect_section(
-            sections,
-            section_id::EVENT_COUNTS,
-            8,
-            Some(usize_to_u64(meta.num_events)),
-        ) {
-            let payload = self.payload(&entry);
-            for (i, expected) in histogram.iter().enumerate() {
-                let recorded = elem_u64(payload, i).unwrap_or(0);
-                if recorded != *expected {
-                    self.layout(
-                        &entry,
-                        usize_to_u64(i),
-                        format!(
-                            "event {i} records {recorded} occurrences but the arena holds \
-                             {expected}"
-                        ),
-                    );
-                    break;
-                }
-            }
-        }
-        if let Some(entry) = self.expect_section(sections, section_id::EVENT_ORDER, 4, None) {
-            let recorded: Vec<u32> = iter_u32(self.payload(&entry)).collect();
-            let expected: Vec<u32> = histogram
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .filter_map(|(i, _)| crate::cast::usize_to_u32(i))
-                .collect();
-            if recorded != expected {
-                self.layout(
-                    &entry,
-                    0,
-                    format!(
-                        "candidate order holds {} ids, expected the {} occurring events in \
-                         id order",
-                        recorded.len(),
-                        expected.len()
-                    ),
-                );
-            }
-        }
-
-        // The one index against the global arena.
-        self.check_index(sections, meta, arena, store_csr_ok.then_some(store_offsets));
     }
 
     fn check_catalog(&mut self, sections: &[SectionEntry], meta: Meta) {
@@ -832,174 +746,13 @@ impl<'a> Verifier<'a> {
             );
         }
     }
-
-    /// Checks the event-major index (its five column sections) over all
-    /// `meta.num_sequences` sequences. `store_offsets` is the payload of
-    /// the validated global store CSR column — when present, every
-    /// position is checked to land on its event in its sequence of the
-    /// arena. Columns are read in place.
-    fn check_index(
-        &mut self,
-        sections: &[SectionEntry],
-        meta: Meta,
-        arena: Arena<'_>,
-        store_offsets: Option<&[u8]>,
-    ) {
-        let num_sequences = meta.num_sequences;
-        let dir_count = Some(usize_to_u64(meta.num_events).saturating_add(1));
-        let row_dir = self.expect_section(sections, section_id::INDEX_ROW_DIR, 4, dir_count);
-        let id_dir = self.expect_section(sections, section_id::INDEX_ID_DIR, 4, dir_count);
-        let row_offsets = self.expect_section(sections, section_id::INDEX_ROW_OFFSETS, 4, None);
-        let ids = self.expect_section(sections, section_id::INDEX_IDS, 4, None);
-        let positions = self.expect_section(
-            sections,
-            section_id::INDEX_POSITIONS,
-            4,
-            Some(usize_to_u64(meta.total_length)),
-        );
-        let (Some(row_dir), Some(id_dir), Some(row_offsets), Some(ids), Some(positions)) =
-            (row_dir, id_dir, row_offsets, ids, positions)
-        else {
-            return;
-        };
-        if row_offsets.count == 0 {
-            self.layout(
-                &row_offsets,
-                0,
-                "index row offsets are empty (the sentinel is missing)".to_owned(),
-            );
-            return;
-        }
-        let rows_ok = self.check_csr_u32(&row_dir, row_offsets.count - 1, "index row directory");
-        let ids_ok = self.check_csr_u32(&id_dir, ids.count, "index id directory");
-        let offsets_ok = self.check_csr_u32(&row_offsets, positions.count, "index row");
-        if !(rows_ok && ids_ok && offsets_ok) {
-            return;
-        }
-
-        let (row_dir_bytes, id_dir_bytes) = (self.payload(&row_dir), self.payload(&id_dir));
-        let (offset_bytes, id_bytes) = (self.payload(&row_offsets), self.payload(&ids));
-        let position_bytes = self.payload(&positions);
-        let dir = |bytes: &[u8], e: usize| match (elem_u32(bytes, e), elem_u32(bytes, e + 1)) {
-            (Some(start), Some(end)) => u32_to_usize(start)..u32_to_usize(end),
-            _ => 0..0,
-        };
-        for event in 0..meta.num_events {
-            let (rows, event_ids) = (dir(row_dir_bytes, event), dir(id_dir_bytes, event));
-            let dense = event_ids.is_empty() && !rows.is_empty();
-            let containing = if dense {
-                rows.clone()
-                    .filter(|&r| !dir(offset_bytes, r).is_empty())
-                    .count()
-            } else {
-                event_ids.len()
-            };
-            // The layout must be the one the rule picks for this data.
-            let shape_ok = if dense {
-                rows.len() == num_sequences
-            } else {
-                rows.len() == event_ids.len()
-            };
-            if !shape_ok || dense != dense_rule(containing, num_sequences) {
-                self.layout(
-                    &row_dir,
-                    usize_to_u64(event),
-                    format!(
-                        "index event {event}: stored {} with {} rows and {} ids, but it \
-                         occurs in {containing} of {num_sequences} sequences",
-                        if dense { "dense" } else { "sparse" },
-                        rows.len(),
-                        event_ids.len()
-                    ),
-                );
-                return;
-            }
-            for (j, r) in rows.enumerate() {
-                let seq = if dense {
-                    j
-                } else {
-                    let at = event_ids.start + j;
-                    let id = elem_u32(id_bytes, at).map_or(usize::MAX, u32_to_usize);
-                    let prev = at
-                        .checked_sub(1)
-                        .filter(|&p| p >= event_ids.start)
-                        .and_then(|p| elem_u32(id_bytes, p));
-                    if id >= num_sequences || prev.is_some_and(|p| u32_to_usize(p) >= id) {
-                        self.layout(
-                            &ids,
-                            usize_to_u64(at),
-                            format!(
-                                "index event {event}: sparse id {id} is out of range or not \
-                                 strictly ascending (the store has {num_sequences} sequences)"
-                            ),
-                        );
-                        return;
-                    }
-                    id
-                };
-                let row = dir(offset_bytes, r);
-                if !dense && row.is_empty() {
-                    self.layout(
-                        &row_offsets,
-                        usize_to_u64(r),
-                        format!("index event {event}: sparse row {j} is empty"),
-                    );
-                    return;
-                }
-                // The bounds of the owning sequence in the arena.
-                let seq_window = store_offsets.and_then(|offsets| {
-                    let start = elem_u32(offsets, seq)?;
-                    let end = elem_u32(offsets, seq + 1)?;
-                    Some((u32_to_usize(start), u32_to_usize(end)))
-                });
-                let events = seq_window.map(|(start, end)| arena.window(start, end));
-                let row_positions = row
-                    .start
-                    .checked_mul(4)
-                    .zip(row.end.checked_mul(4))
-                    .and_then(|(from, to)| position_bytes.get(from..to))
-                    .unwrap_or_default();
-                let mut prev = 0u32;
-                for (i, pos) in (row.start..).zip(iter_u32(row_positions)) {
-                    let at = usize_to_u64(i);
-                    if pos == 0 || pos <= prev {
-                        self.layout(
-                            &positions,
-                            at,
-                            format!(
-                                "index event {event}, sequence {seq}: position {pos} after \
-                                 {prev} (positions are 1-based and strictly ascending)"
-                            ),
-                        );
-                        return;
-                    }
-                    prev = pos;
-                    if let (Some(events), Some((start, end))) = (events, seq_window) {
-                        let actual = events.get(u32_to_usize(pos) - 1);
-                        if actual.map(u32_to_usize) != Some(event) {
-                            self.layout(
-                                &positions,
-                                at,
-                                format!(
-                                    "index event {event}, sequence {seq}: position {pos} \
-                                     does not land on event {event} in the {}-event sequence",
-                                    end - start
-                                ),
-                            );
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{section_id, SectionPayload, SnapshotWriter};
     use super::*;
-    use crate::{InvertedIndex, SequenceDatabase};
+    use crate::SequenceDatabase;
 
     /// A file name unique to this call: tests run in parallel threads of
     /// one process and compose the same image, so the process id alone
@@ -1013,21 +766,11 @@ mod tests {
         ))
     }
 
-    /// Composes a valid v6 prepared image section by section, with a
+    /// Composes a valid v7 prepared image section by section, with a
     /// narrow (`u16`) or wide (`u32`) event arena: `write_prepared` writes
-    /// narrowest-fit, so it never writes this small alphabet wide. `E`
-    /// occurs in one of three sequences, so the index holds sparse and
-    /// dense events.
-    fn v6_image_bytes(narrow: bool) -> Vec<u8> {
+    /// narrowest-fit, so it never writes this small alphabet wide.
+    fn v7_image_bytes(narrow: bool) -> Vec<u8> {
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AEEA"]);
-        let index = InvertedIndex::build(&db);
-        assert!(index.dense_events() > 0 && index.dense_events() < db.num_events());
-        let counts = index.total_counts();
-        let order: Vec<crate::EventId> = db
-            .catalog()
-            .ids()
-            .filter(|e| counts[e.index()] > 0)
-            .collect();
         let meta = [
             db.num_sequences() as u64,
             db.num_events() as u64,
@@ -1058,16 +801,8 @@ mod tests {
                 section_id::STORE_OFFSETS,
                 SectionPayload::U32s(db.store().offsets()),
             )
-            .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes))
-            .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
-            .section(section_id::EVENT_ORDER, SectionPayload::EventIds(&order));
-        for (id, column) in section_id::INDEX_COLUMNS
-            .into_iter()
-            .zip(index.columns().as_slices())
-        {
-            writer.section(id, SectionPayload::U32s(column));
-        }
-        writer.write_to_path(&path).expect("write v6");
+            .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes));
+        writer.write_to_path(&path).expect("write v7");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::remove_file(&path).ok();
         bytes
@@ -1081,19 +816,19 @@ mod tests {
 
     #[test]
     fn a_narrow_image_verifies_clean() {
-        let bytes = v6_image_bytes(true);
+        let bytes = v7_image_bytes(true);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(6));
+        assert_eq!(report.version, Some(7));
     }
 
     #[test]
     fn a_pre_v4_header_is_unsupported_and_names_the_rebuild() {
         // Downgrade the header version and re-seal: the sections stay
-        // intact, but this build reads format 6 only — v5 (the last format
-        // with a sequence-range table) included.
-        for version in [3u32, 5] {
-            let mut bytes = v6_image_bytes(true);
+        // intact, but this build reads format 7 only — v6 (the last format
+        // that stored the index) included.
+        for version in [3u32, 5, 6] {
+            let mut bytes = v7_image_bytes(true);
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             reseal(&mut bytes);
             let report = verify_bytes(&bytes);
@@ -1111,81 +846,16 @@ mod tests {
 
     #[test]
     fn a_valid_wide_image_verifies_clean() {
-        let bytes = v6_image_bytes(false);
+        let bytes = v7_image_bytes(false);
         let report = verify_bytes(&bytes);
         assert!(report.is_clean(), "{:#?}", report.violations);
-        assert_eq!(report.version, Some(6));
-        assert_eq!(report.section_count, 11);
-    }
-
-    /// Overwrites element `elem` of the `u32` section `id` and re-seals.
-    fn patch_u32(bytes: &mut [u8], id: u32, elem: usize, value: u32) {
-        let count = u32_to_usize(u32_at(bytes, 32).unwrap());
-        let base = (0..count)
-            .map(|i| 64 + i * 32)
-            .find(|&base| u32_at(bytes, base) == Some(id))
-            .expect("section present");
-        let at = u64_to_usize(u64_at(bytes, base + 8).unwrap()).unwrap() + elem * 4;
-        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
-        reseal(bytes);
-    }
-
-    #[test]
-    fn each_index_invariant_is_a_layout_violation() {
-        // Fixture index: events A..D dense (rows 0..12, three per event), E
-        // sparse (row 12, id 2); row_offsets[3..=6] delimit B's rows.
-        let pristine = v6_image_bytes(false);
-        let [row_dir, id_dir, row_offsets, ids, positions] = section_id::INDEX_COLUMNS;
-        let cases: [(&str, u32, usize, u32, &str); 7] = [
-            ("row directory out of order", row_dir, 1, 99, "monotone"),
-            ("id directory off its end", id_dir, 5, 0, "end at"),
-            ("row offsets off the arena", row_offsets, 13, 1, "end at"),
-            // B keeps three rows but only one holds positions: too few
-            // sequences for the dense layout.
-            ("dense rule", row_offsets, 4, 5, "occurs in 1 of 3"),
-            ("sparse id past the store", ids, 0, 7, "out of range"),
-            ("0-based position", positions, 0, 0, "1-based"),
-            (
-                "position on the wrong event",
-                positions,
-                0,
-                2,
-                "does not land",
-            ),
-        ];
-        let b_start = {
-            let report = verify_bytes(&pristine);
-            assert!(report.is_clean(), "{:#?}", report.violations);
-            let index = InvertedIndex::build(&SequenceDatabase::from_str_rows(&[
-                "ABCACBDDB",
-                "ACDBACADD",
-                "AEEA",
-            ]));
-            assert_eq!(&index.columns().row_dir[..], &[0, 3, 6, 9, 12, 13]);
-            assert_eq!(&index.columns().ids[..], &[2]);
-            index.columns().row_offsets[5]
-        };
-        for (what, section, elem, value, needle) in cases {
-            let value = if what == "dense rule" { b_start } else { value };
-            let mut bytes = pristine.clone();
-            patch_u32(&mut bytes, section, elem, value);
-            let report = verify_bytes(&bytes);
-            assert!(
-                report.has(ViolationKind::Layout) && !report.has(ViolationKind::Checksum),
-                "{what}: {:#?}",
-                report.violations
-            );
-            assert!(
-                report.violations.iter().any(|v| v.detail.contains(needle)),
-                "{what}: expected {needle:?} in {:#?}",
-                report.violations
-            );
-        }
+        assert_eq!(report.version, Some(7));
+        assert_eq!(report.section_count, 4);
     }
 
     #[test]
     fn a_bit_flip_in_a_payload_is_caught_by_the_checksum() {
-        let mut bytes = v6_image_bytes(false);
+        let mut bytes = v7_image_bytes(false);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         let report = verify_bytes(&bytes);
@@ -1195,7 +865,7 @@ mod tests {
 
     #[test]
     fn a_resealed_layout_mutation_is_distinguished_from_bit_rot() {
-        let mut bytes = v6_image_bytes(false);
+        let mut bytes = v7_image_bytes(false);
         // Patch the meta event count (element 1) to a nonsense value and
         // re-seal the checksum: structurally valid, semantically broken.
         let report_clean = verify_bytes(&bytes);
@@ -1222,7 +892,7 @@ mod tests {
 
     #[test]
     fn checksum_only_breakage_is_classified_as_bit_rot() {
-        let mut bytes = v6_image_bytes(false);
+        let mut bytes = v7_image_bytes(false);
         // Corrupt the checksum field itself: every section stays intact.
         bytes[24] ^= 0xFF;
         let report = verify_bytes(&bytes);
@@ -1231,7 +901,7 @@ mod tests {
 
     #[test]
     fn truncated_and_garbage_inputs_never_panic() {
-        let bytes = v6_image_bytes(false);
+        let bytes = v7_image_bytes(false);
         for len in 0..bytes.len().min(256) {
             let report = verify_bytes(&bytes[..len]);
             assert!(!report.is_clean(), "prefix of {len} bytes verified clean");
@@ -1243,7 +913,7 @@ mod tests {
 
     #[test]
     fn violations_carry_section_and_byte_offsets() {
-        let mut bytes = v6_image_bytes(false);
+        let mut bytes = v7_image_bytes(false);
         bytes[16] ^= 0x01; // recorded file length
         let report = verify_bytes(&bytes);
         let length_violation = report

@@ -14,8 +14,8 @@
 //!    specific errors observed.
 //!
 //! A third set writes prepared-database images whose sections are sealed
-//! and well-formed but break one layout rule (a store or index column the
-//! layout forbids): `verify` must name the rule, and `open_prepared` — what
+//! and well-formed but break one layout rule (a store column the layout
+//! forbids): `verify` must name the rule, and `open_prepared` — what
 //! `PreparedDb::open_snapshot` runs — must refuse the image.
 
 use rand::rngs::StdRng;
@@ -40,13 +40,11 @@ fn sample_image_bytes(tag: &str) -> Vec<u8> {
     let path = temp_path(tag);
     let events: Vec<EventId> = (0..60).map(|i| EventId(i % 7)).collect();
     let offsets: Vec<u32> = vec![0, 20, 20, 45, 60];
-    let counts: Vec<u64> = (0..7).map(|i| i * 3).collect();
     let mut writer = SnapshotWriter::new();
     writer
         .section(section_id::META, SectionPayload::U64s(&[4, 7, 60]))
         .section(section_id::STORE_EVENTS, SectionPayload::EventIds(&events))
         .section(section_id::STORE_OFFSETS, SectionPayload::U32s(&offsets))
-        .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&counts))
         .section(section_id::CATALOG, SectionPayload::Bytes(b"opaque"));
     writer.write_to_path(&path).expect("write sample");
     let bytes = std::fs::read(&path).expect("read back");
@@ -255,31 +253,20 @@ fn random_files_are_never_panics_only_errors() {
     }
 }
 
-/// Every section of a v6 prepared image as owned columns, taken from a
-/// real preparation of `rows`, so a test can swap one column for a set
-/// the layout forbids and write the result through [`SnapshotWriter`].
+/// Every section of a v7 prepared image as owned columns, taken from a
+/// real database of `rows`, so a test can swap one column for a set the
+/// layout forbids and write the result through [`SnapshotWriter`].
 #[derive(Clone)]
 struct Layout {
     meta: Vec<u64>,
     events: Vec<u16>,
     offsets: Vec<u32>,
     catalog: Vec<u8>,
-    counts: Vec<u64>,
-    order: Vec<EventId>,
-    /// The five index columns, in [`section_id::INDEX_COLUMNS`] order.
-    index: [Vec<u32>; 5],
 }
 
 impl Layout {
     fn of(rows: &[&str]) -> Self {
         let db = SequenceDatabase::from_str_rows(rows);
-        let index = db.inverted_index();
-        let counts = index.total_counts();
-        let order = db
-            .catalog()
-            .ids()
-            .filter(|e| counts[e.index()] > 0)
-            .collect();
         let meta = [db.num_sequences(), db.num_events(), db.total_length()];
         Self {
             meta: meta.iter().map(|&n| n as u64).collect(),
@@ -291,18 +278,7 @@ impl Layout {
                 .to_vec(),
             offsets: db.store().offsets().to_vec(),
             catalog: catalog_to_bytes(db.catalog()),
-            counts,
-            order,
-            index: index.columns().as_slices().map(<[u32]>::to_vec),
         }
-    }
-
-    /// A copy with index column `column` (an [`section_id::INDEX_COLUMNS`]
-    /// slot) replaced.
-    fn with_index(&self, column: usize, values: &[u32]) -> Self {
-        let mut layout = self.clone();
-        layout.index[column] = values.to_vec();
-        layout
     }
 
     /// Writes the image to a file of its own (tests run in parallel).
@@ -317,15 +293,7 @@ impl Layout {
                 section_id::STORE_OFFSETS,
                 SectionPayload::U32s(&self.offsets),
             )
-            .section(section_id::CATALOG, SectionPayload::Bytes(&self.catalog))
-            .section(section_id::EVENT_COUNTS, SectionPayload::U64s(&self.counts))
-            .section(
-                section_id::EVENT_ORDER,
-                SectionPayload::EventIds(&self.order),
-            );
-        for (id, column) in section_id::INDEX_COLUMNS.into_iter().zip(&self.index) {
-            writer.section(id, SectionPayload::U32s(column));
-        }
+            .section(section_id::CATALOG, SectionPayload::Bytes(&self.catalog));
         writer.write_to_path(&path).expect("write layout");
         path
     }
@@ -375,98 +343,12 @@ fn store_reconstruction_validates_csr_invariants() {
         bad.offsets = offsets.to_vec();
         bad.assert_rejected(needle);
     }
-    assert_eq!(layout.open().database.num_sequences(), 2);
-}
-
-#[test]
-fn index_reconstruction_validates_csr_invariants() {
-    // S0 = A, S1 = A, S2 = AB: A is dense (three rows), B sparse (row and
-    // id for S2 only). Columns: row directory, id directory, row offsets,
-    // ids, positions.
-    let layout = Layout::of(&["A", "A", "AB"]);
-    assert_eq!(
-        layout.index,
-        [
-            vec![0, 3, 4],
-            vec![0, 0, 1],
-            vec![0, 1, 2, 3, 4],
-            vec![2],
-            vec![1, 1, 1, 2],
-        ],
-        "the fixture is what the builder writes"
-    );
-    let (row_dir, id_dir, row_offsets, ids, positions) = (0, 1, 2, 3, 4);
-
-    // Directory shapes: one entry per event plus a sentinel, monotone,
-    // ending at the row / id counts.
-    for (column, values, needle) in [
-        (row_dir, &[0, 3][..], "expected 3"),
-        (id_dir, &[0, 1], "expected 3"),
-        (row_dir, &[0, 5, 4], "monotone"),
-        (row_dir, &[0, 3, 3], "end at 3"),
-        (id_dir, &[0, 1, 0], "monotone"),
-        (id_dir, &[0, 0, 2], "end at 2"),
-        // Row offsets: start at 0, monotone, end at the arena length.
-        (row_offsets, &[1, 1, 2, 3, 4], "start at 1"),
-        (row_offsets, &[0, 2, 1, 3, 4], "monotone"),
-        (positions, &[1, 1, 1, 2, 3], "expected 4"),
-    ] {
-        layout.with_index(column, values).assert_rejected(needle);
-    }
-
-    // Each event is dense or sparse exactly as the rule says: B claimed
-    // dense with one row; B dense with three rows but in one sequence; A
-    // stored sparse although it is in every sequence; B with more ids than
-    // rows.
-    layout
-        .with_index(id_dir, &[0, 0, 0])
-        .with_index(ids, &[])
-        .assert_rejected("stored dense with 1 rows");
-    layout
-        .with_index(row_dir, &[0, 3, 6])
-        .with_index(id_dir, &[0, 0, 0])
-        .with_index(row_offsets, &[0, 1, 2, 3, 3, 3, 4])
-        .with_index(ids, &[])
-        .assert_rejected("occurs in 1 of 3");
-    layout
-        .with_index(id_dir, &[0, 3, 4])
-        .with_index(ids, &[0, 1, 2, 2])
-        .assert_rejected("stored sparse");
-    layout
-        .with_index(id_dir, &[0, 0, 2])
-        .with_index(ids, &[2, 2])
-        .assert_rejected("stored sparse");
-
-    // Sparse ids (five sequences, one event in two of them): strictly
-    // ascending, inside the store, and each naming a non-empty row.
-    let sparse = Layout::of(&["", "A", "", "A", ""]);
-    assert_eq!(sparse.index[ids], [1, 3]);
-    sparse.with_index(ids, &[3, 1]).assert_rejected("ascending");
-    sparse.with_index(ids, &[1, 1]).assert_rejected("ascending");
-    sparse
-        .with_index(ids, &[1, 5])
-        .assert_rejected("out of range");
-    sparse
-        .with_index(row_offsets, &[0, 0, 2])
-        .with_index(positions, &[1, 2])
-        .assert_rejected("empty");
-
-    // Unsorted or 0-based posting lists would break the binary search in
-    // `next` silently, so opening must reject them.
-    let one_row = Layout::of(&["AA"]);
-    assert_eq!(one_row.index[positions], [1, 2]);
-    one_row
-        .with_index(positions, &[2, 1])
-        .assert_rejected("ascending");
-    one_row
-        .with_index(positions, &[2, 2])
-        .assert_rejected("ascending");
-    one_row
-        .with_index(positions, &[0, 1])
-        .assert_rejected("1-based");
-
-    let index = layout.open().index;
-    assert_eq!(index.num_events(), 2);
-    assert_eq!(index.event_positions(2, EventId(1)), Some(&[2u32][..]));
-    assert_eq!(index.event_positions(0, EventId(1)), Some(&[][..]));
+    // An event past the two-event alphabet: the index builder would
+    // refuse it, so opening must refuse it first.
+    let mut bad = layout.clone();
+    bad.events[1] = 2;
+    bad.assert_rejected("outside the 2-event alphabet");
+    let opened = layout.open();
+    assert_eq!(opened.database.num_sequences(), 2);
+    assert_eq!(opened.index, opened.database.inverted_index());
 }

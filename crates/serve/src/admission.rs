@@ -4,7 +4,7 @@
 //! connection. If the queue is at capacity the caller sheds the request
 //! with `429 Retry-After` instead of letting latency pile up invisibly —
 //! an explicit, bounded failure beats an unbounded backlog. Workers block
-//! in [`AdmissionQueue::pop`]; on shutdown [`AdmissionQueue::close`] wakes
+//! in [`AdmissionQueue::pop_batch`]; on shutdown [`AdmissionQueue::close`] wakes
 //! them all, and each drains what is already queued before exiting.
 
 use std::collections::VecDeque;
@@ -81,24 +81,6 @@ impl AdmissionQueue {
         Admit::Queued(depth)
     }
 
-    /// Blocks until a job is available or the queue is closed *and*
-    /// drained. `None` tells the worker to exit.
-    pub fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = inner.queue.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// Blocks until at least one job is available, then drains up to
     /// `max` jobs in one grab — the server's "join the current batch"
     /// dequeue. Whatever is queued *right now* becomes one mining batch;
@@ -170,7 +152,7 @@ mod tests {
         assert!(matches!(q.try_admit(socket()), Admit::Full(_)));
         assert_eq!(q.depth(), 2);
         // Popping frees a slot.
-        assert!(q.pop().is_some());
+        assert!(q.pop_batch(1).is_some());
         assert!(matches!(q.try_admit(socket()), Admit::Queued(2)));
     }
 
@@ -181,8 +163,8 @@ mod tests {
         q.close();
         assert!(matches!(q.try_admit(socket()), Admit::Closed(_)));
         // The queued job still comes out, then workers see None.
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none());
+        assert!(q.pop_batch(1).is_some());
+        assert!(q.pop_batch(1).is_none());
     }
 
     #[test]
@@ -190,7 +172,7 @@ mod tests {
         let q = Arc::new(AdmissionQueue::new(1));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop().is_none())
+            std::thread::spawn(move || q.pop_batch(1).is_none())
         };
         // Give the worker a moment to block, then close.
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -8,7 +8,8 @@
 //!                   [--timeout-ms MS]
 //! ```
 //!
-//! `serve` verifies the snapshot image, opens it zero-copy, and serves
+//! `serve` verifies the snapshot image, maps its store zero-copy, builds
+//! the index from it, and serves
 //! `POST /mine` / `GET /stats` / `GET /healthz` until the process is
 //! killed. `query` is a tiny client for scripting and smoke tests: it
 //! sends one request and prints the JSON response body. Served throughput

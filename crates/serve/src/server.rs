@@ -284,24 +284,25 @@ mod tests {
         PreparedDb::new(&db).write_snapshot(&path).expect("write");
         assert!(boot_snapshot(&path).is_ok(), "the pristine image boots");
 
-        // Zero event 0's recorded count and reseal the checksum: every
-        // section stays well-formed, only the recount disagrees.
-        let counts = SnapshotImage::open(&path)
+        // Set the first arena event to 4, one past the four-event
+        // alphabet, and reseal the checksum: every section stays
+        // well-formed, only the arena leaves the alphabet.
+        let events = SnapshotImage::open(&path)
             .expect("open image")
-            .section(section_id::EVENT_COUNTS)
-            .expect("counts section")
+            .section(section_id::STORE_EVENTS)
+            .expect("events section")
             .offset as usize;
         let mut bytes = std::fs::read(&path).expect("read image");
-        bytes[counts..counts + 8].copy_from_slice(&0u64.to_le_bytes());
+        bytes[events..events + 2].copy_from_slice(&4u16.to_le_bytes());
         let checksum = checksum_of(&bytes);
         bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite image");
 
-        let err = boot_snapshot(&path).expect_err("a resealed wrong count must not boot");
+        let err = boot_snapshot(&path).expect_err("an event outside the alphabet must not boot");
         std::fs::remove_file(&path).ok();
-        assert!(err.contains("event.counts"), "{err}");
+        assert!(err.contains("store.events"), "{err}");
         assert!(
-            err.contains("event 0 records 0 occurrences but the arena holds 5"),
+            err.contains("1 events reference ids outside the 4-event alphabet"),
             "{err}"
         );
     }

@@ -40,11 +40,6 @@ struct PendingMine {
     deadline: Option<Instant>,
 }
 
-/// Handles one admitted connection from read to response (a batch of one).
-pub fn handle(ctx: &ServeContext, job: Job) {
-    handle_batch(ctx, vec![job]);
-}
-
 /// Handles one drained batch of admitted connections: answers everything
 /// that needs no mining, then mines the remaining requests in one shared
 /// DFS pass and responds to each.

@@ -83,8 +83,8 @@
 //!     .run();
 //! assert!(constrained_topk.len() <= 5);
 //!
-//! // Phase 1 persists: write the snapshot once, reopen it zero-copy on
-//! // every cold start (mmap + checksum; no re-tokenizing or re-indexing).
+//! // Phase 1 persists: write the snapshot once, reopen it on every cold
+//! // start (mmap + checksum + one index build; no re-tokenizing).
 //! let path = std::env::temp_dir().join(format!("rgm-doc-{}.snap", std::process::id()));
 //! prepared.write_snapshot(&path).unwrap();
 //! let reopened = PreparedDb::open_snapshot(&path).unwrap();
