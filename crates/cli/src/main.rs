@@ -45,11 +45,11 @@
 //! mining/stats invocation straight from that image — the file is
 //! `mmap`ed and validated, nothing is re-tokenized, and the index is built
 //! from the mapped store. `snapshot info` prints the image's header and
-//! section table after validating its checksum, and `snapshot verify`
-//! statically proves every cross-section invariant of the image — CSR
+//! the sizes of its three regions after validating it, and `snapshot
+//! verify` statically proves every invariant of the image — CSR
 //! monotonicity, the alphabet bound, catalog bijectivity, checksum —
 //! without constructing a database, reporting each violation with its
-//! section and byte offset.
+//! region and byte offset.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -60,7 +60,7 @@ use rgs_core::{
     CollectSink, ExecutionPolicy, MinedPattern, Miner, MiningRequest, Mode, PostProcessConfig,
     PreparedDb, RequestBody, DEFAULT_TOP_K,
 };
-use seqdb::snapshot::{section_id, verify, SnapshotImage};
+use seqdb::snapshot::verify;
 use seqdb::{io as seqio, SequenceDatabase};
 
 /// Parsed command-line options.
@@ -311,48 +311,49 @@ fn run_snapshot_build(options: &Options) -> ExitCode {
     }
 }
 
-/// `snapshot info`: validate an image (header, checksum, section table) and
-/// print what it holds without reconstructing the database.
+/// `snapshot info`: run every check of `snapshot verify` on an image and
+/// print its decoded header and the sizes of its three regions, without
+/// reconstructing the database.
 fn run_snapshot_info(options: &Options) -> ExitCode {
     // parse_args is the single validation point for required flags.
     let path = options
         .snapshot
         .as_ref()
         .expect("parse_args enforced --snapshot");
-    let image = match SnapshotImage::open(path) {
-        Ok(image) => image,
+    let checked = std::fs::read(path)
+        .map_err(seqdb::SnapshotError::from)
+        .and_then(|bytes| verify::check(&bytes));
+    let (header, regions) = match checked {
+        Ok(checked) => checked,
         Err(err) => {
             eprintln!("error: cannot open snapshot {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
     };
     println!("snapshot:  {}", path.display());
-    println!("size:      {} bytes", image.len_bytes());
+    println!("size:      {} bytes", header.file_len);
+    println!("version:   {}", header.version);
+    println!("checksum:  {:#018x}", header.checksum);
     println!(
-        "access:    {}",
-        if image.is_mapped() {
-            "mmap (zero-copy)"
-        } else {
-            "buffered read"
-        }
+        "contents:  {} sequences, {} events, {} total length",
+        header.num_sequences, header.num_events, header.total_length
     );
-    if let Ok(&[sequences, events, total_length]) = image.u64s(section_id::META) {
-        println!("contents:  {sequences} sequences, {events} events, {total_length} total length");
-    }
-    println!("version:   {}", image.version());
-    if let Some(entry) = image.section(section_id::STORE_EVENTS) {
-        let (width, note) = match entry.elem_size {
-            2 => ("u16 (narrow)", " — half the wide arena's bytes"),
-            _ => ("u32 (wide)", ""),
-        };
-        println!("events:    {width} elements{note}");
-    }
-    println!("sections:  (name, id, offset, bytes, elements)");
-    for entry in image.sections() {
-        let name = section_id::name(entry.id);
+    let (width, note) = match header.width {
+        2 => ("u16 (narrow)", " — half the wide arena's bytes"),
+        _ => ("u32 (wide)", ""),
+    };
+    println!("events:    {width} elements{note}");
+    println!("regions:   (name, offset, bytes)");
+    for (name, range) in [
+        ("header", 0..regions.offsets.start),
+        ("store.offsets", regions.offsets),
+        ("store.events", regions.events),
+        ("catalog", regions.catalog),
+    ] {
         println!(
-            "  {name:24} id={:<6} @{:>10} {:>12} bytes  {:>12} x {}B",
-            entry.id, entry.offset, entry.byte_len, entry.count, entry.elem_size,
+            "  {name:14} @{:>10} {:>12} bytes",
+            range.start,
+            range.end - range.start
         );
     }
     ExitCode::SUCCESS
@@ -360,7 +361,7 @@ fn run_snapshot_info(options: &Options) -> ExitCode {
 
 /// `snapshot verify`: statically prove every invariant of an image on the
 /// raw bytes — no `PreparedDb` is constructed — and report each violation
-/// with its owning section and absolute byte offset. Exit code 0 iff the
+/// with its region and absolute byte offset. Exit code 0 iff the
 /// image is clean.
 fn run_snapshot_verify(options: &Options) -> ExitCode {
     // parse_args is the single validation point for required flags.
@@ -380,7 +381,6 @@ fn run_snapshot_verify(options: &Options) -> ExitCode {
         println!("version:   {version}");
     }
     println!("size:      {} bytes", report.file_len);
-    println!("sections:  {}", report.section_count);
     if report.is_clean() {
         println!("verify:    OK — structure, checksum, and layout invariants all hold");
         return ExitCode::SUCCESS;
@@ -390,7 +390,7 @@ fn run_snapshot_verify(options: &Options) -> ExitCode {
     }
     let n = report.violations.len();
     if report.checksum_broken_only() {
-        println!("verify:    FAILED — checksum mismatch with intact sections (bit rot)");
+        println!("verify:    FAILED — checksum mismatch with intact regions (bit rot)");
     } else {
         println!(
             "verify:    FAILED — {n} invariant violation{}",
@@ -878,10 +878,10 @@ subcommands:
             flat columnar store and the CSR inverted index
   snapshot  build: prepare once (intern + index + counts) and write
             a single mmap-able image file; info: validate an image
-            and print its header and section table; verify: prove
-            every cross-section invariant of an image (CSR offsets,
-            index layout, catalog, checksum) on the raw bytes
-            and report each violation with section + byte offset
+            and print its header and region sizes; verify:
+            prove every invariant of an image (header, CSR offsets,
+            alphabet bound, catalog, checksum) on the raw bytes
+            and report each violation with region + byte offset
   demo      run on the paper's running example (Table III)
 
 notable flags:
@@ -1133,7 +1133,7 @@ mod tests {
     #[test]
     fn snapshot_build_from_a_text_corpus_round_trips() {
         // `snapshot build` from a text corpus, then `--snapshot`: the image
-        // is format 7 and its patterns are the text corpus's.
+        // is format 8 and its patterns are the text corpus's.
         let dir = std::env::temp_dir();
         let image = dir.join(format!("rgs-cli-build-{}.snap", std::process::id()));
         let input = dir.join(format!("rgs-cli-build-{}.txt", std::process::id()));
@@ -1152,7 +1152,7 @@ mod tests {
         let Loaded::Prepared(ref prepared) = source else {
             panic!("snapshot source must be prepared");
         };
-        assert_eq!(prepared.image_version(), Some(7));
+        assert_eq!(prepared.image_version(), Some(8));
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AABB"]);
         assert_eq!(
             source.miner(&options).run().patterns,

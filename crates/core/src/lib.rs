@@ -89,8 +89,8 @@
 //! ([`PreparedDb::write_snapshot`]): the columnar event store and the
 //! catalog. Reopening ([`PreparedDb::open_snapshot`] or
 //! [`Miner::from_snapshot`]) `mmap`s the file, runs the checks of
-//! `rgs-mine snapshot verify` (a full-file checksum and every
-//! cross-section invariant) on the mapped bytes, maps the store as
+//! `rgs-mine snapshot verify` (a full-file checksum and every invariant
+//! of the header and its regions) on the mapped bytes, maps the store as
 //! borrowed slices over the mapping — no re-tokenizing, no copies — and
 //! builds the inverted index from it with the builder [`PreparedDb::new`]
 //! uses, so a reopened preparation equals the in-memory one. The format is
@@ -106,7 +106,8 @@
 //! let prepared = Miner::new(&db).prepare();
 //! let path = std::env::temp_dir().join(format!("rgs-lib-doc-{}.snap", std::process::id()));
 //! let bytes_on_disk = prepared.write_snapshot(&path)?;
-//! assert!(bytes_on_disk as usize >= prepared.heap_bytes());
+//! // The image holds the store verbatim; the index is built at open.
+//! assert!(bytes_on_disk as usize >= prepared.database().store().heap_bytes());
 //!
 //! // Cold start: open the image and query it.
 //! let reopened = PreparedDb::open_snapshot(&path)?;
@@ -187,7 +188,7 @@ pub use instbuf::InstanceBuffer;
 pub use maximal::is_maximal;
 pub use pattern::Pattern;
 pub use postprocess::{postprocess, PostProcessConfig};
-pub use prepared::{ImageInfo, PreparedDb, ShardFootprint};
+pub use prepared::{PreparedDb, ShardFootprint};
 pub use result::{sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats};
 pub use seqdb::SnapshotError;
 pub use sink::{BudgetSink, CollectSink, CountSink, DeadlineSink, PatternSink};

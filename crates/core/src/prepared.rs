@@ -80,14 +80,10 @@ impl<'a> PreparedRef<'a> {
 /// The checksum was verified against every file byte at open time and the
 /// mapping is immutable, so it is a stable identity for the corpus — the
 /// serve layer's result cache keys on it instead of re-hashing the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageInfo {
-    /// The FNV-1a 64 full-file checksum from the image header.
-    pub checksum: u64,
-    /// The snapshot format version (always
-    /// [`SNAPSHOT_VERSION`](seqdb::snapshot::SNAPSHOT_VERSION), the only
-    /// one this build reads).
-    pub version: u32,
+#[derive(Debug, Clone, Copy)]
+struct ImageInfo {
+    checksum: u64,
+    version: u32,
 }
 
 /// An immutable, `Arc`-shareable snapshot of a database prepared for
@@ -146,8 +142,8 @@ impl PreparedDb {
     /// slices over the mapping (elsewhere the file is read once into an
     /// aligned buffer). Before the store is mapped, the bytes pass the
     /// same checks as `rgs-mine snapshot verify`
-    /// ([`seqdb::snapshot::verify`]): header, full-file checksum, section
-    /// table, and every cross-section invariant; the index is then built
+    /// ([`seqdb::snapshot::verify`]): header, full-file checksum, and every
+    /// invariant of the regions the header locates; the index is then built
     /// from the store by the builder [`PreparedDb::new`] uses. An image
     /// that violates an invariant is [`SnapshotError::Corrupt`] naming the
     /// first violation, an image of an older format is
@@ -176,12 +172,6 @@ impl PreparedDb {
     /// The snapshotted database.
     pub fn database(&self) -> &SequenceDatabase {
         &self.db
-    }
-
-    /// The provenance of a snapshot-backed preparation, `None` for heap
-    /// builds.
-    pub fn image_info(&self) -> Option<ImageInfo> {
-        self.image
     }
 
     /// The verified full-file checksum of the image this preparation was

@@ -4,14 +4,14 @@
 //! [`Miner::from_snapshot`](crate::Miner::from_snapshot)) maps its store
 //! back with zero copies and builds the index from it.
 //!
-//! Both wrap [`seqdb::snapshot`], which owns the format v7 layout — four
-//! sections: `meta`, the width-tagged `store.events` arena,
-//! `store.offsets` and the catalog — and writes, checks and reads it in
-//! one place. Opening runs the [`seqdb::snapshot::verify`] checks on the
+//! Both wrap [`seqdb::snapshot`], which owns the format 8 layout — a
+//! 64-byte header holding the counts and the event width, then the store
+//! offsets, the width-tagged event arena and the catalog at offsets
+//! computed from them — and writes, checks and reads it in one place. Opening runs the [`seqdb::snapshot::verify`] checks on the
 //! mapped bytes before it maps the store, so an image opens exactly when
 //! `rgs-mine snapshot verify` finds it clean, and the index is built by
 //! the same builder [`PreparedDb::new`] uses, so a reopened snapshot
-//! equals the in-memory one. Images of formats 1–6 do not open:
+//! equals the in-memory one. Images of formats 1–7 do not open:
 //! [`PreparedDb::open_snapshot`] returns
 //! [`SnapshotError::Unsupported`](seqdb::SnapshotError::Unsupported)
 //! naming the version and `rgs-mine snapshot build`, which regenerates
@@ -27,7 +27,7 @@
 #[cfg(test)]
 mod tests {
     use crate::{Miner, Mode, PreparedDb};
-    use seqdb::snapshot::SnapshotImage;
+    use seqdb::snapshot::Header;
     use seqdb::SequenceDatabase;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -40,7 +40,10 @@ mod tests {
         let prepared = PreparedDb::new(&db);
         let path = temp_path("roundtrip");
         let bytes = prepared.write_snapshot(&path).expect("write");
-        assert!(bytes as usize >= prepared.heap_bytes());
+        // The image is the 64-byte header, the store verbatim and the
+        // catalog; the index is built at open.
+        let catalog: usize = db.catalog().iter().map(|(_, label)| 4 + label.len()).sum();
+        assert_eq!(bytes as usize, 64 + db.store().heap_bytes() + catalog);
 
         let reopened = PreparedDb::open_snapshot(&path).expect("open");
         assert_eq!(reopened, prepared);
@@ -52,15 +55,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_v7_images_are_unsupported_and_name_the_rebuild_command() {
-        // Patch a freshly written image's header to formats 5 and 6 and
+    fn pre_v8_images_are_unsupported_and_name_the_rebuild_command() {
+        // Patch a freshly written image's header to formats 5, 6 and 7 and
         // re-seal it: the bytes are intact, but this build no longer reads
         // the version.
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let path = temp_path("pre-v7");
+        let path = temp_path("pre-v8");
         PreparedDb::new(&db).write_snapshot(&path).expect("write");
         let written = std::fs::read(&path).expect("read back");
-        for version in [5u32, 6] {
+        for version in [5u32, 6, 7] {
             let mut bytes = written.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let checksum = seqdb::snapshot::checksum_of(&bytes);
@@ -97,10 +100,10 @@ mod tests {
 
         let path = temp_path("provenance");
         prepared.write_snapshot(&path).expect("write");
-        let image = SnapshotImage::open(&path).expect("open image");
+        let header = Header::decode(&std::fs::read(&path).expect("read image")).expect("a header");
         let reopened = PreparedDb::open_snapshot(&path).expect("open");
-        assert_eq!(reopened.image_checksum(), Some(image.checksum()));
-        assert_eq!(reopened.image_version(), Some(image.version()));
+        assert_eq!(reopened.image_checksum(), Some(header.checksum));
+        assert_eq!(reopened.image_version(), Some(header.version));
         // Provenance is identity, not content: reopen still equals the
         // heap build.
         assert_eq!(reopened, prepared);

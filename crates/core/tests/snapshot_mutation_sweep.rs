@@ -1,9 +1,9 @@
-//! Seeded corruption sweep over **every section** of a (v7) snapshot
-//! image, on seven corpora — narrow and wide event arenas, several seeds:
+//! Seeded corruption sweep over **every region** of a (format 8) snapshot
+//! image — the header's counts, the store offsets, the event arena and the
+//! catalog — on seven corpora, narrow and wide event arenas, several seeds:
 //! `seqdb::snapshot::verify` must flag each mutation and must never panic,
-//! distinguishing pure bit rot (checksum breakage with intact sections)
-//! from resealed images whose payloads violate the cross-section
-//! invariants. Differentially, `PreparedDb::open_snapshot` must fail on
+//! distinguishing pure bit rot (checksum breakage with intact regions)
+//! from resealed images whose regions violate the layout invariants. Differentially, `PreparedDb::open_snapshot` must fail on
 //! exactly the images the verifier flags, and a pristine image must open
 //! to a preparation equal to `PreparedDb::new` of its corpus.
 
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rgs_core::PreparedDb;
 use seqdb::snapshot::verify::{self, ViolationKind};
-use seqdb::snapshot::{checksum_of, section_id};
+use seqdb::snapshot::{checksum_of, Header};
 use seqdb::{DatabaseBuilder, SequenceDatabase, SnapshotError, NARROW_MAX_EVENT};
 
 /// The base corpus. `E` occurs in one sequence only, so the index stores
@@ -72,7 +72,7 @@ fn temp_path() -> std::path::PathBuf {
     ))
 }
 
-/// Builds a format-v7 image of `db` via the real writer path and returns
+/// Builds a format 8 image of `db` via the real writer path and returns
 /// its bytes.
 fn image_bytes(db: &SequenceDatabase) -> Vec<u8> {
     let path = temp_path();
@@ -89,38 +89,40 @@ fn images() -> Vec<Vec<u8>> {
     corpora().iter().map(image_bytes).collect()
 }
 
-/// One row of the section table (format spec: table at byte 64, 32-byte
-/// entries `{id: u32, elem_size: u32, offset: u64, byte_len: u64, count: u64}`).
-struct Section {
-    id: u32,
-    elem_size: u32,
+/// One part of an image the sweeps mutate: the header's counts, or one of
+/// the three regions the header locates.
+struct Part {
+    name: &'static str,
     offset: usize,
     byte_len: usize,
-    count: u64,
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("u32 window"))
 }
 
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64 window"))
 }
 
-fn sections(bytes: &[u8]) -> Vec<Section> {
-    let count = read_u32(bytes, 32) as usize;
-    (0..count)
-        .map(|i| {
-            let base = 64 + i * 32;
-            Section {
-                id: read_u32(bytes, base),
-                elem_size: read_u32(bytes, base + 4),
-                offset: read_u64(bytes, base + 8) as usize,
-                byte_len: read_u64(bytes, base + 16) as usize,
-                count: read_u64(bytes, base + 24),
-            }
-        })
-        .collect()
+/// The header of a written image.
+fn header(bytes: &[u8]) -> Header {
+    Header::decode(bytes).expect("a header")
+}
+
+/// The parts of a written image, in file order: the header's counts and
+/// width (bytes 32..60), then the regions.
+fn parts(bytes: &[u8]) -> Vec<Part> {
+    let regions = header(bytes)
+        .regions()
+        .expect("a written image locates its regions");
+    let part = |name, range: std::ops::Range<u64>| Part {
+        name,
+        offset: range.start as usize,
+        byte_len: (range.end - range.start) as usize,
+    };
+    vec![
+        part("header.counts", 32..60),
+        part("store.offsets", regions.offsets),
+        part("store.events", regions.events),
+        part("catalog", regions.catalog),
+    ]
 }
 
 /// Recomputes the checksum so only *semantic* (layout) damage remains.
@@ -148,11 +150,7 @@ fn every_written_image_verifies_clean_across_corpora() {
             report.is_clean(),
             "corpus {i}: fresh image rejected: {report:?}"
         );
-        let events = sections(image)
-            .into_iter()
-            .find(|s| s.id == section_id::STORE_EVENTS)
-            .expect("STORE_EVENTS section");
-        if events.elem_size == 4 {
+        if header(image).width == 4 {
             wide += 1;
         }
     }
@@ -167,24 +165,20 @@ fn bit_rot_in_every_section_is_reported_as_checksum_breakage() {
 }
 
 /// The bit-rot sweep's mutations of `image`: the first, last, and a
-/// seeded interior byte of every non-empty payload, each flipped alone,
-/// labelled by section and payload offset.
+/// seeded interior byte of every non-empty part, each flipped alone,
+/// labelled by part and offset within it.
 fn bit_rot_mutations(image: &[u8]) -> Vec<(String, Vec<u8>)> {
     let mut rng = 0xD1CE_u64;
     let mut mutations = Vec::new();
-    for section in sections(image) {
-        if section.byte_len == 0 {
+    for part in parts(image) {
+        if part.byte_len == 0 {
             continue;
         }
-        let interior = (splitmix(&mut rng) as usize) % section.byte_len;
-        for at in [0, section.byte_len - 1, interior] {
+        let interior = (splitmix(&mut rng) as usize) % part.byte_len;
+        for at in [0, part.byte_len - 1, interior] {
             let mut mutated = image.to_vec();
-            mutated[section.offset + at] ^= 0x5A;
-            let label = format!(
-                "section {} ({}): flip at +{at}",
-                section.id,
-                section_id::name(section.id)
-            );
+            mutated[part.offset + at] ^= 0x5A;
+            let label = format!("{}: flip at +{at}", part.name);
             mutations.push((label, mutated));
         }
     }
@@ -207,7 +201,7 @@ fn bit_rot_sweep(image: &[u8]) {
 #[test]
 fn checksum_field_corruption_is_distinguished_from_layout_damage() {
     let image = image_bytes(&SequenceDatabase::from_str_rows(&BASE));
-    // Corrupting the checksum *field* is pure bit rot: sections intact.
+    // Corrupting the checksum *field* is pure bit rot: regions intact.
     let mut rotten = image.clone();
     rotten[24] ^= 0xFF;
     let report = verify::verify_bytes(&rotten);
@@ -219,14 +213,9 @@ fn checksum_field_corruption_is_distinguished_from_layout_damage() {
 
     // A resealed semantic mutation is the opposite: checksum passes, layout
     // does not, so the rot-only classifier must reject it.
-    let table = sections(&image);
-    let meta = table
-        .iter()
-        .find(|s| s.id == section_id::META)
-        .expect("META section");
     let mut mutated = image;
-    let wrong = read_u64(&mutated, meta.offset) + 1;
-    mutated[meta.offset..meta.offset + 8].copy_from_slice(&wrong.to_le_bytes());
+    let wrong = header(&mutated).num_sequences + 1;
+    mutated[32..40].copy_from_slice(&wrong.to_le_bytes());
     reseal(&mut mutated);
     let report = verify::verify_bytes(&mutated);
     assert!(!report.is_clean());
@@ -234,43 +223,43 @@ fn checksum_field_corruption_is_distinguished_from_layout_damage() {
     assert!(!report.checksum_broken_only());
 }
 
-/// A targeted, guaranteed-detectable corruption for each section kind, keyed
-/// by section id.
-fn corrupt_section(bytes: &mut [u8], section: &Section) {
-    let at = section.offset;
-    match section.id {
-        // num_sequences + 1: every per-sequence count check mismatches.
-        section_id::META => {
+/// A targeted, guaranteed-detectable corruption for each part.
+fn corrupt_part(bytes: &mut [u8], part: &Part) {
+    let at = part.offset;
+    match part.name {
+        // num_sequences + 1: the offsets run one longer, into the arena,
+        // and every later region shifts.
+        "header.counts" => {
             let wrong = read_u64(bytes, at) + 1;
             bytes[at..at + 8].copy_from_slice(&wrong.to_le_bytes());
         }
         // An event id far past the catalog: out-of-range arena entry.
-        section_id::STORE_EVENTS => {
+        "store.events" => {
             bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         }
         // A non-monotone CSR interior: offsets must ascend.
-        section_id::STORE_OFFSETS => {
-            let mid = at + (section.count as usize / 2) * 4;
+        "store.offsets" => {
+            let mid = at + (part.byte_len / 4 / 2) * 4;
             bytes[mid..mid + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         }
-        // A label length prefix pointing far past the payload: truncation.
-        section_id::CATALOG => {
-            bytes[at + 4..at + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        // A label length prefix pointing far past the region: truncation.
+        "catalog" => {
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         }
-        id => panic!("unexpected section id {id} in fixture image"),
+        name => panic!("unexpected part {name} in fixture image"),
     }
 }
 
-/// The resealed sweep's mutations of `image`: [`corrupt_section`] on every
-/// section, each resealed.
-fn resealed_mutations(image: &[u8]) -> Vec<(Section, Vec<u8>)> {
-    sections(image)
+/// The resealed sweep's mutations of `image`: [`corrupt_part`] on every
+/// part, each resealed.
+fn resealed_mutations(image: &[u8]) -> Vec<(Part, Vec<u8>)> {
+    parts(image)
         .into_iter()
-        .map(|section| {
+        .map(|part| {
             let mut mutated = image.to_vec();
-            corrupt_section(&mut mutated, &section);
+            corrupt_part(&mut mutated, &part);
             reseal(&mut mutated);
-            (section, mutated)
+            (part, mutated)
         })
         .collect()
 }
@@ -279,27 +268,24 @@ fn resealed_mutations(image: &[u8]) -> Vec<(Section, Vec<u8>)> {
 fn resealed_semantic_damage_in_every_section_is_reported_as_layout_or_structure() {
     for (i, image) in images().iter().enumerate() {
         let mut sweep = 0usize;
-        for (section, mutated) in resealed_mutations(image) {
+        for (part, mutated) in resealed_mutations(image) {
             let report = verify::verify_bytes(&mutated);
-            let name = section_id::name(section.id);
+            let name = part.name;
             assert!(
                 !report.is_clean(),
-                "corpus {i}, section {} ({name}): resealed damage went unnoticed",
-                section.id,
+                "corpus {i}, {name}: resealed damage went unnoticed",
             );
             assert!(
                 !report.has(ViolationKind::Checksum),
-                "corpus {i}, section {} ({name}): image was resealed",
-                section.id,
+                "corpus {i}, {name}: image was resealed",
             );
             assert!(
                 report.has(ViolationKind::Layout) || report.has(ViolationKind::Structure),
-                "corpus {i}, section {} ({name}): expected a layout/structure finding",
-                section.id,
+                "corpus {i}, {name}: expected a layout/structure finding",
             );
             sweep += 1;
         }
-        // Every section of the four-section image is mutated.
+        // The header's counts and each of the three regions are mutated.
         assert_eq!(sweep, 4, "corpus {i}");
     }
 }
@@ -316,35 +302,32 @@ fn patch_resealed(image: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
 /// the first arena event set to `num_events`, one past the last id, which
 /// the index builder would refuse with a panic.
 fn alphabet_boundary_mutation(image: &[u8]) -> (String, Vec<u8>) {
-    let table = sections(image);
-    let find = |id| table.iter().find(|s| s.id == id).expect("section present");
-    let num_events = read_u64(image, find(section_id::META).offset + 8);
-    let events = find(section_id::STORE_EVENTS);
-    let value = num_events.to_le_bytes();
-    let width = events.elem_size as usize;
+    let header = header(image);
+    let events = header.regions().expect("regions").events.start as usize;
+    let value = header.num_events.to_le_bytes();
+    let width = header.width as usize;
     (
-        format!("store.events[0] := {num_events}"),
-        patch_resealed(image, events.offset, &value[..width]),
+        format!("store.events[0] := {}", header.num_events),
+        patch_resealed(image, events, &value[..width]),
     )
 }
 
-/// Resealed images whose meta asks for more than any file could hold:
-/// each of the three counts set to 2^61 and to `u64::MAX`. Nothing may
-/// size a buffer from them or overflow on them.
-fn oversized_meta_mutations(image: &[u8]) -> Vec<(String, Vec<u8>)> {
-    let meta = sections(image)
-        .into_iter()
-        .find(|s| s.id == section_id::META)
-        .expect("meta section");
+/// Resealed images whose header counts ask for more than any file could
+/// hold: each of the three counts set to 2^61, 2^63 and `u64::MAX` — a
+/// `num_sequences` of `u64::MAX` or 2^63 overflows the offsets' size, a
+/// `total_length` of 2^63 or more overflows the arena's size at either
+/// width, and 2^61 sequences or events end their regions past EOF.
+/// Nothing may size a buffer from them or overflow on them.
+fn oversized_header_mutations(image: &[u8]) -> Vec<(String, Vec<u8>)> {
     let fields = ["num_sequences", "num_events", "total_length"];
     fields
         .iter()
         .enumerate()
         .flat_map(|(k, field)| {
-            [1u64 << 61, u64::MAX].map(|value| {
+            [1u64 << 61, 1 << 63, u64::MAX].map(|value| {
                 (
-                    format!("meta.{field} := {value}"),
-                    patch_resealed(image, meta.offset + 8 * k, &value.to_le_bytes()),
+                    format!("header.{field} := {value}"),
+                    patch_resealed(image, 32 + 8 * k, &value.to_le_bytes()),
                 )
             })
         })
@@ -370,19 +353,22 @@ fn open_snapshot_fails_exactly_when_verify_reports_a_violation() {
         cases.extend(
             resealed_mutations(image)
                 .into_iter()
-                .map(|(section, mutated)| {
-                    let label = format!("resealed {}", section_id::name(section.id));
-                    (label, mutated)
-                }),
+                .map(|(part, mutated)| (format!("resealed {}", part.name), mutated)),
         );
         let targeted = std::iter::once(alphabet_boundary_mutation(image))
-            .chain(oversized_meta_mutations(image));
+            .chain(oversized_header_mutations(image));
         for (label, mutated) in targeted {
             // Not vacuous: the verifier flags each, so opening must fail.
             let report = verify::verify_bytes(&mutated);
             assert!(
                 report.has(ViolationKind::Layout),
                 "corpus {i}, {label}: {report:?}"
+            );
+            let opened = open_bytes(&mutated);
+            assert!(
+                matches!(opened, Err(SnapshotError::Corrupt(_))),
+                "corpus {i}, {label}: {:?}",
+                opened.err()
             );
             cases.push((label, mutated));
         }

@@ -267,36 +267,21 @@ fn corrupted_prepared_snapshots_error_and_never_panic() {
 
 #[test]
 fn cross_section_inconsistencies_are_rejected() {
-    // Build an image whose sections are individually valid but mutually
-    // inconsistent: meta claims one more sequence than the store holds.
-    use seqdb::snapshot::{catalog_to_bytes, section_id, SectionPayload, SnapshotWriter};
-
+    // Patch a written image so its regions are individually well-formed
+    // but mutually inconsistent: the header claims one more sequence than
+    // the store holds, and the checksum is resealed.
     let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-    let catalog_bytes = catalog_to_bytes(db.catalog());
-    let wide_events = db.store().event_column().to_wide_vec();
-
-    let meta = [
-        db.num_sequences() as u64 + 1, // lie
-        db.num_events() as u64,
-        db.total_length() as u64,
-    ];
-    let mut writer = SnapshotWriter::new();
-    writer
-        .section(section_id::META, SectionPayload::U64s(&meta))
-        .section(
-            section_id::STORE_EVENTS,
-            SectionPayload::EventIds(&wide_events),
-        )
-        .section(
-            section_id::STORE_OFFSETS,
-            SectionPayload::U32s(db.store().offsets()),
-        )
-        .section(section_id::CATALOG, SectionPayload::Bytes(&catalog_bytes));
     let path = temp_path("inconsistent");
-    writer.write_to_path(&path).expect("write");
+    PreparedDb::new(&db).write_snapshot(&path).expect("write");
+    let mut bytes = std::fs::read(&path).expect("read image");
+    let lie = db.num_sequences() as u64 + 1;
+    bytes[32..40].copy_from_slice(&lie.to_le_bytes());
+    let checksum = seqdb::snapshot::checksum_of(&bytes);
+    bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite image");
     let err = PreparedDb::open_snapshot(&path).unwrap_err();
     std::fs::remove_file(&path).ok();
-    // The first violation: the store's offsets are one short of meta's
-    // sequence count.
+    // The first violation: the store's offsets, one longer than the store,
+    // run into the arena and do not end at its length.
     assert!(err.to_string().contains("store.offsets"), "{err}");
 }

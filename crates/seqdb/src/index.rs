@@ -437,17 +437,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Total occurrence counts of every event: entry `i` is
-    /// [`Self::total_count`] of `EventId(i)`.
-    pub fn total_counts(&self) -> Vec<u64> {
-        (0..self.num_events)
-            .map(|e| {
-                let total = self.total_count(EventId(usize_to_u32(e).unwrap_or(u32::MAX)));
-                crate::cast::usize_to_u64(total)
-            })
-            .collect()
-    }
-
     /// Number of sequences in which `event` occurs at least once (classical
     /// sequence support of a single event): the id count of a sparse event,
     /// the non-empty rows of a dense one.
@@ -835,17 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn total_counts_agree_with_per_event_totals() {
-        let db = running_example();
-        let index = db.inverted_index();
-        let counts = index.total_counts();
-        assert_eq!(counts.len(), db.num_events());
-        for event in db.catalog().ids() {
-            assert_eq!(counts[event.index()], index.total_count(event) as u64);
-        }
-    }
-
-    #[test]
     fn out_of_range_lookups_are_none_or_zero() {
         let db = running_example();
         let index = db.inverted_index();
@@ -933,7 +911,6 @@ mod tests {
         let empty = SequenceDatabase::new();
         let index = empty.inverted_index();
         assert_eq!(index.num_sequences(), 0);
-        assert_eq!(index.total_counts(), Vec::<u64>::new());
 
         // A catalog entry that never occurs gets an empty list everywhere.
         let mut builder = crate::database::DatabaseBuilder::new();

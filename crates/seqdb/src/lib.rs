@@ -29,11 +29,11 @@
 //! * [`SharedSlice`] — the owned-or-mapped buffer backing the store's
 //!   columns, so the same read path serves in-memory builds and zero-copy
 //!   snapshot loads,
-//! * [`snapshot`] — the versioned, checksummed, 64-byte-aligned single-file
-//!   image format ([`SnapshotWriter`] / [`SnapshotImage`]), the prepared
-//!   database's section layout written, verified and read back by one
-//!   module, behind `PreparedDb::write_snapshot` / `open_snapshot` in
-//!   `rgs-core`,
+//! * [`snapshot`] — the versioned, checksummed single-file image format:
+//!   a fixed 64-byte header and three regions (store offsets, event arena,
+//!   catalog) at offsets computed from its counts, written, verified and
+//!   read back by one module, behind `PreparedDb::write_snapshot` /
+//!   `open_snapshot` in `rgs-core`,
 //! * [`io`] — readers and writers for common on-disk text formats (SPMF
 //!   integer format, whitespace-token format, single-character string
 //!   format, CSV),
@@ -106,7 +106,7 @@ pub use database::{DatabaseBuilder, SequenceDatabase};
 pub use index::{EventRows, InvertedIndex, PostingCursor, RunSet, ShardedIndex};
 pub use sequence::Sequence;
 pub use shared::SharedSlice;
-pub use snapshot::{SnapshotError, SnapshotImage, SnapshotWriter};
+pub use snapshot::SnapshotError;
 pub use stats::DatabaseStats;
 pub use store::{EventColumn, EventsIter, SeqStore, SeqView};
 pub use width::{EventWidth, NARROW_MAX_EVENT};

@@ -39,10 +39,11 @@ pub struct SharedSlice<T: Copy + 'static> {
 enum Inner<T: Copy> {
     /// Heap-owned storage, the product of in-memory building.
     Owned(Vec<T>),
-    /// A window into an immutable allocation kept alive by `_owner`
-    /// (in practice an `Arc<SnapshotImage>`). Invariants upheld by the
-    /// constructor: `ptr` is aligned for `T`, valid for `len` elements,
-    /// and the memory is never written for the owner's whole lifetime.
+    /// A window into an immutable allocation kept alive by `_owner` (in
+    /// practice the reference-counted bytes of a snapshot image).
+    /// Invariants upheld by the constructor: `ptr` is aligned for `T`,
+    /// valid for `len` elements, and the memory is never written for the
+    /// owner's whole lifetime.
     Mapped {
         _owner: Arc<dyn Any + Send + Sync>,
         ptr: *const T,

@@ -331,6 +331,16 @@ impl SeqStore {
         Self { events, offsets }
     }
 
+    /// Whether both columns are windows into a snapshot image.
+    #[cfg(test)]
+    pub(crate) fn is_mapped(&self) -> bool {
+        let events = match &self.events {
+            EventColumn::Narrow(events) => events.is_mapped(),
+            EventColumn::Wide(events) => events.is_mapped(),
+        };
+        events && self.offsets.is_mapped()
+    }
+
     /// Appends one sequence given as an iterator of events; returns its
     /// 0-based index. On a snapshot-backed store this first materializes
     /// owned columns (copy-on-write).

@@ -5,58 +5,63 @@
 //!
 //! 1. *Accidental corruption* (bit rot, short writes): any single-bit flip
 //!    anywhere in the file, and any truncation, must fail the full-file
-//!    checksum (or an earlier header check). This is property-tested with a
-//!    seeded PRNG plus an exhaustive sweep over the header and table.
+//!    checksum (or an earlier header check). This is swept exhaustively
+//!    over every bit, plus seeded multi-bit corruption.
 //! 2. *Well-formed-but-wrong files* (old versions, foreign endianness,
-//!    garbage tables): the test re-seals tampered files with a freshly
-//!    computed checksum — implemented here independently from the spec in
-//!    `seqdb::snapshot` — so the deeper validators are reached and their
-//!    specific errors observed.
+//!    garbage header fields): the test re-seals tampered files with a
+//!    freshly computed checksum — implemented here independently from the
+//!    spec in `seqdb::snapshot` — so the deeper validators are reached and
+//!    their specific errors observed.
 //!
-//! A third set writes prepared-database images whose sections are sealed
-//! and well-formed but break one layout rule (a store column the layout
-//! forbids): `verify` must name the rule, and `open_prepared` — what
-//! `PreparedDb::open_snapshot` runs — must refuse the image.
+//! A third set patches written prepared-database images so that they stay
+//! sealed and well-formed but break one layout rule (a store column the
+//! layout forbids): `verify` must name the rule, and `open_prepared` —
+//! what `PreparedDb::open_snapshot` runs — must refuse the image.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seqdb::snapshot::{
-    catalog_to_bytes, open_prepared, section_id, verify, PreparedImage, SectionPayload,
-    SnapshotImage, SnapshotWriter,
-};
-use seqdb::{EventId, SequenceDatabase, SnapshotError};
+use seqdb::snapshot::{open_prepared, verify, write_prepared, Header, PreparedImage};
+use seqdb::{SequenceDatabase, SnapshotError};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A file path of its own for each call: tests run in parallel threads.
 fn temp_path(tag: &str) -> PathBuf {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "seqdb-corruption-{}-{tag}.snap",
+        "seqdb-corruption-{}-{tag}-{call}.snap",
         std::process::id()
     ))
 }
 
-/// Writes a representative multi-section image and returns its bytes.
-fn sample_image_bytes(tag: &str) -> Vec<u8> {
-    let path = temp_path(tag);
-    let events: Vec<EventId> = (0..60).map(|i| EventId(i % 7)).collect();
-    let offsets: Vec<u32> = vec![0, 20, 20, 45, 60];
-    let mut writer = SnapshotWriter::new();
-    writer
-        .section(section_id::META, SectionPayload::U64s(&[4, 7, 60]))
-        .section(section_id::STORE_EVENTS, SectionPayload::EventIds(&events))
-        .section(section_id::STORE_OFFSETS, SectionPayload::U32s(&offsets))
-        .section(section_id::CATALOG, SectionPayload::Bytes(b"opaque"));
-    writer.write_to_path(&path).expect("write sample");
+/// The image [`write_prepared`] writes for `db`, as bytes.
+fn written_bytes(db: &SequenceDatabase) -> Vec<u8> {
+    let path = temp_path("written");
+    write_prepared(&path, db).expect("write image");
     let bytes = std::fs::read(&path).expect("read back");
     std::fs::remove_file(&path).ok();
     bytes
 }
 
+/// The sample corpus: four sequences (one of them empty) over seven
+/// events, 60 events in all — store offsets `[0, 20, 20, 45, 60]`.
+fn sample_db() -> SequenceDatabase {
+    let events: String = (0..60u8).map(|i| char::from(b'A' + i % 7)).collect();
+    SequenceDatabase::from_str_rows(&[&events[..20], "", &events[20..45], &events[45..]])
+}
+
+/// A representative written image, as bytes.
+fn sample_image_bytes() -> Vec<u8> {
+    written_bytes(&sample_db())
+}
+
 /// Writes `bytes` to a temp file and tries to open it as a snapshot.
-fn open_bytes(tag: &str, bytes: &[u8]) -> Result<SnapshotImage, SnapshotError> {
+fn open_bytes(tag: &str, bytes: &[u8]) -> Result<PreparedImage, SnapshotError> {
     let path = temp_path(tag);
     std::fs::write(&path, bytes).expect("write tampered file");
-    let result = SnapshotImage::open(&path);
+    let result = open_prepared(&path);
     std::fs::remove_file(&path).ok();
     result
 }
@@ -84,18 +89,23 @@ fn reseal(bytes: &mut [u8]) {
 
 #[test]
 fn pristine_sample_opens() {
-    let bytes = sample_image_bytes("pristine");
+    let bytes = sample_image_bytes();
     let image = open_bytes("pristine-open", &bytes).expect("pristine image opens");
-    assert_eq!(image.u64s(section_id::META).unwrap(), &[4, 7, 60]);
+    let db = &image.database;
+    assert_eq!(
+        (db.num_sequences(), db.num_events(), db.total_length()),
+        (4, 7, 60)
+    );
+    assert_eq!(db.store().offsets(), [0, 20, 20, 45, 60]);
+    assert_eq!(image.database, sample_db());
 }
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    // Exhaustive over every bit of the file: header, table, padding, and
-    // payloads alike. The checksum spans everything except its own field,
+    // Exhaustive over every bit of the file: header and regions alike. The checksum spans everything except its own field,
     // and a flip inside the checksum field breaks the seal itself, so no
     // flip may survive — and none may panic.
-    let bytes = sample_image_bytes("bitflip");
+    let bytes = sample_image_bytes();
     for byte in 0..bytes.len() {
         for bit in 0..8 {
             let mut tampered = bytes.clone();
@@ -111,7 +121,7 @@ fn every_single_bit_flip_is_rejected() {
 
 #[test]
 fn random_multi_bit_corruption_is_rejected() {
-    let bytes = sample_image_bytes("multiflip");
+    let bytes = sample_image_bytes();
     let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
     for case in 0..200 {
         let mut tampered = bytes.clone();
@@ -131,7 +141,7 @@ fn random_multi_bit_corruption_is_rejected() {
 
 #[test]
 fn every_truncation_is_rejected() {
-    let bytes = sample_image_bytes("truncate");
+    let bytes = sample_image_bytes();
     for len in 0..bytes.len() {
         let result = open_bytes("truncate-case", &bytes[..len]);
         let err = result
@@ -146,7 +156,7 @@ fn every_truncation_is_rejected() {
 
 #[test]
 fn appended_garbage_is_rejected() {
-    let mut bytes = sample_image_bytes("append");
+    let mut bytes = sample_image_bytes();
     bytes.extend_from_slice(b"trailing junk");
     let err = open_bytes("append-case", &bytes).unwrap_err();
     let message = err.to_string();
@@ -155,7 +165,7 @@ fn appended_garbage_is_rejected() {
 
 #[test]
 fn wrong_magic_is_rejected_with_a_clear_error() {
-    let mut bytes = sample_image_bytes("magic");
+    let mut bytes = sample_image_bytes();
     bytes[..8].copy_from_slice(b"NOTASNAP");
     reseal(&mut bytes);
     let err = open_bytes("magic-case", &bytes).unwrap_err();
@@ -165,7 +175,7 @@ fn wrong_magic_is_rejected_with_a_clear_error() {
 
 #[test]
 fn wrong_version_is_unsupported_not_corrupt() {
-    let mut bytes = sample_image_bytes("version");
+    let mut bytes = sample_image_bytes();
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     reseal(&mut bytes);
     let err = open_bytes("version-case", &bytes).unwrap_err();
@@ -175,7 +185,7 @@ fn wrong_version_is_unsupported_not_corrupt() {
 
 #[test]
 fn foreign_endianness_is_unsupported() {
-    let mut bytes = sample_image_bytes("endian");
+    let mut bytes = sample_image_bytes();
     // A big-endian writer would have stored the marker byte-swapped.
     let marker = &mut bytes[12..16];
     marker.reverse();
@@ -187,54 +197,45 @@ fn foreign_endianness_is_unsupported() {
 
 #[test]
 fn nonzero_reserved_header_bytes_are_rejected() {
-    let mut bytes = sample_image_bytes("reserved");
-    bytes[40] = 1;
+    let mut bytes = sample_image_bytes();
+    bytes[61] = 1;
     reseal(&mut bytes);
     let err = open_bytes("reserved-case", &bytes).unwrap_err();
     assert!(err.to_string().contains("reserved"), "{err}");
 }
 
 #[test]
-fn resealed_table_garbage_hits_the_structural_validators() {
-    let bytes = sample_image_bytes("table");
-    let entry = 64usize; // first table entry
+fn resealed_header_garbage_hits_the_structural_validators() {
+    let bytes = sample_image_bytes();
+    let patched = |at: usize, value: &[u8]| {
+        let mut tampered = bytes.clone();
+        tampered[at..at + value.len()].copy_from_slice(value);
+        reseal(&mut tampered);
+        tampered
+    };
 
-    // Element size not in {1, 4, 8}.
-    let mut tampered = bytes.clone();
-    tampered[entry + 4..entry + 8].copy_from_slice(&3u32.to_le_bytes());
-    reseal(&mut tampered);
-    let err = open_bytes("table-elem", &tampered).unwrap_err();
-    assert!(err.to_string().contains("element size"), "{err}");
+    // An event width that is neither 2 nor 4.
+    for width in [0u32, 3, 8] {
+        let err = open_bytes("header-width", &patched(56, &width.to_le_bytes())).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("event width"), "{err}");
+    }
 
-    // Misaligned payload offset.
-    let mut tampered = bytes.clone();
-    tampered[entry + 8..entry + 16].copy_from_slice(&333u64.to_le_bytes());
-    reseal(&mut tampered);
-    let err = open_bytes("table-align", &tampered).unwrap_err();
-    assert!(err.to_string().contains("aligned"), "{err}");
+    // Counts whose regions end past the end of the file, or overflow u64.
+    for (at, value) in [
+        (32, 1u64 << 40),
+        (32, u64::MAX),
+        (48, 1 << 40),
+        (48, u64::MAX),
+    ] {
+        let err = open_bytes("header-counts", &patched(at, &value.to_le_bytes())).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("can hold"), "{err}");
+    }
 
-    // Payload past the end of the file.
-    let mut tampered = bytes.clone();
-    let huge = (bytes.len() as u64 + 64).div_ceil(64) * 64;
-    tampered[entry + 8..entry + 16].copy_from_slice(&huge.to_le_bytes());
-    reseal(&mut tampered);
-    let err = open_bytes("table-bounds", &tampered).unwrap_err();
-    assert!(err.to_string().contains("exceeds"), "{err}");
-
-    // Byte length inconsistent with count x elem_size.
-    let mut tampered = bytes.clone();
-    tampered[entry + 24..entry + 32].copy_from_slice(&u64::MAX.to_le_bytes());
-    reseal(&mut tampered);
-    let err = open_bytes("table-count", &tampered).unwrap_err();
-    assert!(err.to_string().contains("byte length"), "{err}");
-
-    // Duplicate section id (copy entry 0's id into entry 1).
-    let mut tampered = bytes.clone();
-    let id0: [u8; 4] = tampered[entry..entry + 4].try_into().unwrap();
-    tampered[entry + 32..entry + 36].copy_from_slice(&id0);
-    reseal(&mut tampered);
-    let err = open_bytes("table-dup", &tampered).unwrap_err();
-    assert!(err.to_string().contains("duplicate"), "{err}");
+    // A recorded length that disagrees with the file.
+    let err = open_bytes("header-len", &patched(16, &1u64.to_le_bytes())).unwrap_err();
+    assert!(err.to_string().contains("header records 1 bytes"), "{err}");
 }
 
 #[test]
@@ -253,54 +254,56 @@ fn random_files_are_never_panics_only_errors() {
     }
 }
 
-/// Every section of a v7 prepared image as owned columns, taken from a
-/// real database of `rows`, so a test can swap one column for a set the
-/// layout forbids and write the result through [`SnapshotWriter`].
+/// A written prepared image of a real database, with its store columns
+/// decoded, so a test can swap one column for a set the layout forbids
+/// (of the same length) and patch it back in place, resealed.
 #[derive(Clone)]
 struct Layout {
-    meta: Vec<u64>,
-    events: Vec<u16>,
+    bytes: Vec<u8>,
     offsets: Vec<u32>,
-    catalog: Vec<u8>,
+    events: Vec<u16>,
+}
+
+/// The store columns' byte ranges of a written image.
+fn columns(bytes: &[u8]) -> (Range<usize>, Range<usize>) {
+    let regions = Header::decode(bytes)
+        .and_then(|header| header.regions())
+        .expect("a written image locates its regions");
+    let usize_range = |range: Range<u64>| range.start as usize..range.end as usize;
+    (usize_range(regions.offsets), usize_range(regions.events))
 }
 
 impl Layout {
     fn of(rows: &[&str]) -> Self {
         let db = SequenceDatabase::from_str_rows(rows);
-        let meta = [db.num_sequences(), db.num_events(), db.total_length()];
         Self {
-            meta: meta.iter().map(|&n| n as u64).collect(),
+            bytes: written_bytes(&db),
+            offsets: db.store().offsets().to_vec(),
             events: db
                 .store()
                 .event_column()
                 .narrow_slice()
                 .expect("narrow")
                 .to_vec(),
-            offsets: db.store().offsets().to_vec(),
-            catalog: catalog_to_bytes(db.catalog()),
         }
     }
 
-    /// Writes the image to a file of its own (tests run in parallel).
-    fn write(&self) -> PathBuf {
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let path = temp_path(&format!("layout-{}", CALLS.fetch_add(1, Ordering::Relaxed)));
-        let mut writer = SnapshotWriter::new();
-        writer
-            .section(section_id::META, SectionPayload::U64s(&self.meta))
-            .section(section_id::STORE_EVENTS, SectionPayload::U16s(&self.events))
-            .section(
-                section_id::STORE_OFFSETS,
-                SectionPayload::U32s(&self.offsets),
-            )
-            .section(section_id::CATALOG, SectionPayload::Bytes(&self.catalog));
-        writer.write_to_path(&path).expect("write layout");
-        path
+    /// The image with the (possibly swapped) columns patched in, resealed.
+    fn patched(&self) -> Vec<u8> {
+        let mut bytes = self.bytes.clone();
+        let (offsets, events) = columns(&bytes);
+        let offsets_bytes: Vec<u8> = self.offsets.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let events_bytes: Vec<u8> = self.events.iter().flat_map(|v| v.to_le_bytes()).collect();
+        bytes[offsets].copy_from_slice(&offsets_bytes);
+        bytes[events].copy_from_slice(&events_bytes);
+        reseal(&mut bytes);
+        bytes
     }
 
-    /// Writes the image, then verifies and opens it.
+    /// Writes the patched image, then verifies and opens it.
     fn verify_and_open(&self) -> (verify::Report, Result<PreparedImage, SnapshotError>) {
-        let path = self.write();
+        let path = temp_path("layout");
+        std::fs::write(&path, self.patched()).expect("write layout");
         let report = verify::verify_file(&path).expect("read image");
         let opened = open_prepared(&path);
         std::fs::remove_file(&path).ok();
@@ -334,8 +337,7 @@ fn store_reconstruction_validates_csr_invariants() {
     let layout = Layout::of(&["A", "B"]);
     assert_eq!(layout.offsets, [0, 1, 2]);
     for (offsets, needle) in [
-        (&[][..], "expected 3"),
-        (&[1, 1, 2], "start at 1"),
+        (&[1, 1, 2][..], "start at 1"),
         (&[0, 2, 1], "monotone"),
         (&[0, 1, 1], "end at 1"),
     ] {

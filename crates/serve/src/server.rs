@@ -273,7 +273,7 @@ pub fn boot_snapshot(path: &std::path::Path) -> Result<Arc<PreparedDb>, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqdb::snapshot::{checksum_of, section_id, SnapshotImage};
+    use seqdb::snapshot::{checksum_of, Header};
     use seqdb::SequenceDatabase;
 
     #[test]
@@ -285,14 +285,14 @@ mod tests {
         assert!(boot_snapshot(&path).is_ok(), "the pristine image boots");
 
         // Set the first arena event to 4, one past the four-event
-        // alphabet, and reseal the checksum: every section stays
-        // well-formed, only the arena leaves the alphabet.
-        let events = SnapshotImage::open(&path)
-            .expect("open image")
-            .section(section_id::STORE_EVENTS)
-            .expect("events section")
-            .offset as usize;
+        // alphabet, and reseal the checksum: the header and every region
+        // stay well-formed, only the arena leaves the alphabet.
         let mut bytes = std::fs::read(&path).expect("read image");
+        let events = Header::decode(&bytes)
+            .and_then(|header| header.regions())
+            .expect("a written image locates its regions")
+            .events
+            .start as usize;
         bytes[events..events + 2].copy_from_slice(&4u16.to_le_bytes());
         let checksum = checksum_of(&bytes);
         bytes[24..32].copy_from_slice(&checksum.to_le_bytes());
