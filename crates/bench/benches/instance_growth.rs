@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use rgs_core::{Pattern, SupportComputer};
+use rgs_core::{Pattern, PreparedDb};
 use synthgen::QuestConfig;
 
 fn bench_primitives(c: &mut Criterion) {
@@ -23,7 +23,8 @@ fn bench_primitives(c: &mut Criterion) {
         ..QuestConfig::default()
     }
     .generate();
-    let sc = SupportComputer::new(&db);
+    let prepared = PreparedDb::new(&db);
+    let sc = prepared.support_computer();
 
     // Pick the three most frequent events to build a realistic pattern.
     let mut events: Vec<_> = db.catalog().ids().collect();

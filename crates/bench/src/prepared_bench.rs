@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use rgs_core::json::{escape, Value};
-use rgs_core::{MiningRequest, Mode, PreparedDb, SupportComputer};
+use rgs_core::{MiningRequest, Mode, PreparedDb};
 use seqdb::EventId;
 
 use crate::datasets;
@@ -134,7 +134,8 @@ fn growth_kernel_workload(
     repeats: usize,
 ) -> GrowthKernelWorkload {
     let stats = db.stats();
-    let sc = SupportComputer::new(db);
+    let prepared = PreparedDb::new(db);
+    let sc = prepared.support_computer();
     let seeds: Vec<(EventId, rgs_core::SupportSet)> = (0..db.num_events())
         .filter_map(|e| u32::try_from(e).ok().map(EventId))
         .map(|e| (e, sc.initial_support_set(e)))

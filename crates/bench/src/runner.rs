@@ -4,7 +4,7 @@
 use std::time::Instant;
 
 use baselines::prefixspan::SequentialConfig;
-use rgs_core::{Miner, Mode, PreparedDb};
+use rgs_core::{Mode, PreparedDb};
 use seqdb::SequenceDatabase;
 
 /// The miners the experiments compare.
@@ -97,52 +97,32 @@ impl RunLimits {
 }
 
 /// Runs `miner` on `db` at threshold `min_sup` under `limits` and records
-/// runtime and output size. Prepares the database as part of the timed run;
-/// experiments sweeping several thresholds over one dataset should prepare
-/// once and use [`run_miner_on`].
+/// runtime and output size. The repetitive miners prepare the database as
+/// part of the timed run; experiments sweeping several thresholds over one
+/// dataset should prepare once and use [`run_miner_on`].
 pub fn run_miner(
     db: &SequenceDatabase,
     miner: MinerKind,
     min_sup: u64,
     limits: RunLimits,
 ) -> RunRecord {
-    let start = Instant::now();
-    let (num_patterns, truncated) = match miner {
-        MinerKind::GsGrow | MinerKind::CloGsGrow => {
-            let outcome = repetitive_miner(Miner::new(db), miner, min_sup, limits).run();
-            (outcome.len(), outcome.truncated)
-        }
-        MinerKind::PrefixSpan => {
-            let config = sequential_config(min_sup, limits);
-            let patterns = baselines::mine_sequential(db, &config);
-            let truncated = patterns.len() >= limits.max_patterns;
-            (patterns.len(), truncated)
-        }
-        MinerKind::Bide => {
-            let config = sequential_config(min_sup, limits);
-            let patterns = baselines::mine_closed_sequential(db, &config);
-            let truncated = patterns.len() >= limits.max_patterns;
-            (patterns.len(), truncated)
-        }
-        MinerKind::CloSpanLite => {
-            let config = sequential_config(min_sup, limits);
-            let patterns = baselines::mine_closed_sequential_by_filter(db, &config);
-            let truncated = patterns.len() >= limits.max_patterns;
-            (patterns.len(), truncated)
-        }
-    };
-    RunRecord {
-        miner,
-        min_sup,
-        runtime_seconds: start.elapsed().as_secs_f64(),
-        num_patterns,
-        truncated,
-    }
+    timed(miner, min_sup, || {
+        let config = sequential_config(min_sup, limits);
+        let patterns = match miner {
+            MinerKind::GsGrow | MinerKind::CloGsGrow => {
+                return mine_repetitive(&PreparedDb::new(db), miner, min_sup, limits);
+            }
+            MinerKind::PrefixSpan => baselines::mine_sequential(db, &config),
+            MinerKind::Bide => baselines::mine_closed_sequential(db, &config),
+            MinerKind::CloSpanLite => baselines::mine_closed_sequential_by_filter(db, &config),
+        };
+        (patterns.len(), patterns.len() >= limits.max_patterns)
+    })
 }
 
 /// [`run_miner`] against a caller-prepared snapshot: the per-query path for
 /// threshold sweeps and repeated measurements over one dataset. The
-/// repetitive miners (GSgrow/CloGSgrow) borrow the snapshot and skip all
+/// repetitive miners (GSgrow/CloGSgrow) share the snapshot and skip all
 /// per-run preparation; the sequential-pattern baselines run on the
 /// snapshotted database.
 pub fn run_miner_on(
@@ -152,35 +132,42 @@ pub fn run_miner_on(
     limits: RunLimits,
 ) -> RunRecord {
     match miner {
-        MinerKind::GsGrow | MinerKind::CloGsGrow => {
-            let start = Instant::now();
-            let outcome = repetitive_miner(prepared.miner(), miner, min_sup, limits).run();
-            RunRecord {
-                miner,
-                min_sup,
-                runtime_seconds: start.elapsed().as_secs_f64(),
-                num_patterns: outcome.len(),
-                truncated: outcome.truncated,
-            }
-        }
+        MinerKind::GsGrow | MinerKind::CloGsGrow => timed(miner, min_sup, || {
+            mine_repetitive(prepared, miner, min_sup, limits)
+        }),
         _ => run_miner(prepared.database(), miner, min_sup, limits),
     }
 }
 
-/// Applies the shared miner options (mode, threshold, caps, threads) for
-/// the two repetitive miners.
-fn repetitive_miner<'a>(
-    engine: Miner<'a>,
+/// Times `run`, which returns `(patterns reported, truncated)`.
+fn timed(miner: MinerKind, min_sup: u64, run: impl FnOnce() -> (usize, bool)) -> RunRecord {
+    let start = Instant::now();
+    let (num_patterns, truncated) = run();
+    RunRecord {
+        miner,
+        min_sup,
+        runtime_seconds: start.elapsed().as_secs_f64(),
+        num_patterns,
+        truncated,
+    }
+}
+
+/// Mines `prepared` with one of the two repetitive miners under the shared
+/// options (mode, threshold, caps, threads); returns
+/// `(patterns reported, truncated)`.
+fn mine_repetitive(
+    prepared: &PreparedDb,
     miner: MinerKind,
     min_sup: u64,
     limits: RunLimits,
-) -> Miner<'a> {
+) -> (usize, bool) {
     let mode = if miner == MinerKind::GsGrow {
         Mode::All
     } else {
         Mode::Closed
     };
-    let mut engine = engine
+    let mut engine = prepared
+        .miner()
         .min_sup(min_sup)
         .mode(mode)
         .max_patterns(limits.max_patterns)
@@ -188,7 +175,8 @@ fn repetitive_miner<'a>(
     if let Some(len) = limits.max_pattern_length {
         engine = engine.max_pattern_length(len);
     }
-    engine
+    let outcome = engine.run();
+    (outcome.len(), outcome.truncated)
 }
 
 fn sequential_config(min_sup: u64, limits: RunLimits) -> SequentialConfig {

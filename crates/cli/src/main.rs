@@ -126,10 +126,9 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Test convenience: a lazily-preparing miner over a bare database.
-    #[cfg(test)]
-    fn miner<'a>(&self, db: &'a SequenceDatabase) -> Miner<'a> {
-        Miner::new(db).with_request(self.request.clone())
+    /// A miner over `prepared` running these options' request.
+    fn miner(&self, prepared: &PreparedDb) -> Miner {
+        prepared.miner().with_request(self.request.clone())
     }
 
     fn mode_label(&self) -> String {
@@ -145,51 +144,25 @@ impl Options {
     }
 }
 
-/// Where the miner's data came from: a text file parsed into a fresh
-/// database, or a [`PreparedDb`] mapped from a snapshot image.
-enum Loaded {
-    Text(SequenceDatabase),
-    Prepared(Box<PreparedDb>),
+/// Loads the mining source as one prepared snapshot: a `--snapshot` image
+/// (its index is built at open), or the text corpus of [`load_text`]
+/// prepared in place, without a copy.
+fn load_source(options: &Options) -> Result<PreparedDb, ExitCode> {
+    let Some(path) = &options.snapshot else {
+        return load_text(options).map(PreparedDb::from_database);
+    };
+    PreparedDb::open_snapshot(path).map_err(|err| {
+        eprintln!("error: cannot open snapshot {}: {err}", path.display());
+        ExitCode::FAILURE
+    })
 }
 
-impl Loaded {
-    fn database(&self) -> &SequenceDatabase {
-        match self {
-            Loaded::Text(db) => db,
-            Loaded::Prepared(prepared) => prepared.database(),
-        }
-    }
-
-    /// A miner over this source running the options' request. The
-    /// prepared path skips all per-run preparation — opening the snapshot
-    /// built the index.
-    fn miner(&self, options: &Options) -> Miner<'_> {
-        let miner = match self {
-            Loaded::Text(db) => Miner::new(db),
-            Loaded::Prepared(prepared) => prepared.miner(),
-        };
-        miner.with_request(options.request.clone())
-    }
-}
-
-/// Loads the mining source: `--snapshot` image, `--input` text file, or the
-/// built-in demo database (Table III of the paper).
-fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
-    if let Some(path) = &options.snapshot {
-        return match PreparedDb::open_snapshot(path) {
-            Ok(prepared) => Ok(Loaded::Prepared(Box::new(prepared))),
-            Err(err) => {
-                eprintln!("error: cannot open snapshot {}: {err}", path.display());
-                Err(ExitCode::FAILURE)
-            }
-        };
-    }
+/// Reads the `--input` text file, or the built-in demo database (Table III
+/// of the paper).
+fn load_text(options: &Options) -> Result<SequenceDatabase, ExitCode> {
     if options.demo {
         // The running example of the paper (Table III).
-        return Ok(Loaded::Text(SequenceDatabase::from_str_rows(&[
-            "ABCACBDDB",
-            "ACDBACADD",
-        ])));
+        return Ok(SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]));
     }
     let Some(path) = &options.input else {
         eprintln!("error: --input FILE, --snapshot IMG, or the demo subcommand is required");
@@ -201,13 +174,10 @@ fn load_source(options: &Options) -> Result<Loaded, ExitCode> {
         Format::Spmf => seqio::read_spmf_file(path),
         Format::Chars => seqio::read_chars_file(path),
     };
-    match loaded {
-        Ok(db) => Ok(Loaded::Text(db)),
-        Err(err) => {
-            eprintln!("error: cannot read {}: {err}", path.display());
-            Err(ExitCode::FAILURE)
-        }
-    }
+    loaded.map_err(|err| {
+        eprintln!("error: cannot read {}: {err}", path.display());
+        ExitCode::FAILURE
+    })
 }
 
 fn main() -> ExitCode {
@@ -229,19 +199,19 @@ fn main() -> ExitCode {
         None => {}
     }
 
-    let source = match load_source(&options) {
-        Ok(source) => source,
+    let prepared = match load_source(&options) {
+        Ok(prepared) => prepared,
         Err(code) => return code,
     };
 
     if options.stats_only {
-        return run_stats(&source);
+        return run_stats(&prepared);
     }
     if options.batch {
-        return run_batch(&source, &options);
+        return run_batch(&prepared, &options);
     }
 
-    let db = source.database();
+    let db = prepared.database();
     eprintln!("# dataset: {}", db.stats().summary());
     let constraints = options.request.constraints;
     if !constraints.is_unbounded() {
@@ -249,13 +219,13 @@ fn main() -> ExitCode {
     }
 
     if options.json_output {
-        return run_json(&source, &options);
+        return run_json(&prepared, &options);
     }
     if options.stream {
-        return run_streaming(&source, &options);
+        return run_streaming(&prepared, &options);
     }
 
-    let mut outcome = source.miner(&options).run();
+    let mut outcome = options.miner(&prepared).run();
     eprintln!(
         "# {} {} patterns mined in {:.3}s (visited {} nodes{})",
         outcome.len(),
@@ -284,17 +254,15 @@ fn main() -> ExitCode {
 }
 
 /// `snapshot build`: intern the input once and serialize its store and
-/// catalog into one image file.
+/// catalog into one image file (no index is built).
 fn run_snapshot_build(options: &Options) -> ExitCode {
     // parse_args is the single validation point for required flags.
     let out = options.out.as_ref().expect("parse_args enforced --out");
-    let source = match load_source(options) {
-        Ok(source) => source,
+    let db = match load_text(options) {
+        Ok(db) => db,
         Err(code) => return code,
     };
-    // Rebuilding an image from an image is a copy, but a valid one.
-    let db = source.database();
-    match seqdb::snapshot::write_prepared(out, db) {
+    match seqdb::snapshot::write_prepared(out, &db) {
         Ok(bytes) => {
             eprintln!("# dataset: {}", db.stats().summary());
             println!(
@@ -423,7 +391,7 @@ fn parse_batch_file(text: &str) -> Result<Vec<RequestBody>, String> {
 /// `batch` subcommand: mine every request of the file in **one** shared
 /// DFS pass over the prepared source, then print each member's
 /// solo-identical answer.
-fn run_batch(source: &Loaded, options: &Options) -> ExitCode {
+fn run_batch(prepared: &PreparedDb, options: &Options) -> ExitCode {
     // parse_args is the single validation point for required flags.
     let path = options
         .requests
@@ -444,16 +412,6 @@ fn run_batch(source: &Loaded, options: &Options) -> ExitCode {
         }
     };
 
-    // The batch engine runs on a prepared snapshot; a plain text source is
-    // prepared once here — the whole point is that N requests share it.
-    let built;
-    let prepared: &PreparedDb = match source {
-        Loaded::Text(db) => {
-            built = PreparedDb::new(db);
-            &built
-        }
-        Loaded::Prepared(prepared) => prepared,
-    };
     let requests: Vec<MiningRequest> = lines.iter().map(|l| l.request.clone()).collect();
     let deadlines: Vec<Option<std::time::Instant>> = lines
         .iter()
@@ -530,14 +488,11 @@ fn run_batch(source: &Loaded, options: &Options) -> ExitCode {
 /// `stats` subcommand: dataset summary plus the byte footprint of the
 /// columnar layers (flat event store, CSR inverted index), so store-size
 /// regressions show up in plain numbers instead of a profiler. With
-/// `--snapshot` the store is mapped from the image and the index is built
-/// from it at open.
-fn run_stats(source: &Loaded) -> ExitCode {
-    let stats = source.database().stats();
-    let index_bytes = match source {
-        Loaded::Text(db) => db.inverted_index().heap_bytes(),
-        Loaded::Prepared(prepared) => prepared.index().heap_bytes(),
-    };
+/// `--snapshot` the store is mapped from the image; either way the index
+/// is the one built when the source was prepared.
+fn run_stats(prepared: &PreparedDb) -> ExitCode {
+    let stats = prepared.database().stats();
+    let index_bytes = prepared.index().heap_bytes();
     println!("sequences:             {}", stats.num_sequences);
     println!("events (alphabet):     {}", stats.num_events);
     println!("total length:          {}", stats.total_length);
@@ -585,10 +540,10 @@ fn run_stats(source: &Loaded) -> ExitCode {
 /// statistics, truncation/cancellation flags) and the reported patterns,
 /// serialized with the workspace's hand-rolled JSON writer. The `--top`,
 /// `--density` and `--maximal` report filters apply as in text mode.
-fn run_json(source: &Loaded, options: &Options) -> ExitCode {
-    let db = source.database();
+fn run_json(prepared: &PreparedDb, options: &Options) -> ExitCode {
+    let db = prepared.database();
     let mut collect = CollectSink::new();
-    let report = source.miner(options).run_with_sink(&mut collect);
+    let report = options.miner(prepared).run_with_sink(&mut collect);
     let mut patterns = collect.into_patterns();
     if options.density.is_some() || options.maximal_filter {
         let pp = PostProcessConfig {
@@ -625,16 +580,16 @@ fn run_json(source: &Loaded, options: &Options) -> ExitCode {
 
 /// `--stream`: patterns are printed the moment the engine finds them,
 /// bounded by `--top` through sink cancellation.
-fn run_streaming(source: &Loaded, options: &Options) -> ExitCode {
-    let db = source.database();
+fn run_streaming(prepared: &PreparedDb, options: &Options) -> ExitCode {
+    let db = prepared.database();
     let limit = options.top;
     if limit == 0 {
         eprintln!("# streamed 0 {} patterns (--top 0)", options.mode_label());
         return ExitCode::SUCCESS;
     }
     let mut printed = 0usize;
-    let report = source
-        .miner(options)
+    let report = options
+        .miner(prepared)
         .run_with_sink(&mut |mined: MinedPattern| {
             if printed >= limit {
                 return ControlFlow::Break(());
@@ -680,6 +635,31 @@ fn parse_num<T: TryFrom<u64>>(value: &str, what: &str) -> Result<T, String> {
         .map_err(|_| format!("{what} must be an integer"))?;
     T::try_from(n).map_err(|_| format!("{what} exceeds the {} range", std::any::type_name::<T>()))
 }
+
+/// The flags that describe one mining query or shape its report. `batch`
+/// reads its queries from `--requests`, so it rejects these by name, as
+/// the request reader rejects an unknown field.
+const QUERY_FLAGS: [&str; 19] = [
+    "--min-sup",
+    "-s",
+    "--mode",
+    "--closed",
+    "--all",
+    "--maximal-mode",
+    "--top-k",
+    "-k",
+    "--min-len",
+    "--min-gap",
+    "--max-gap",
+    "--max-window",
+    "--max-len",
+    "--max-patterns",
+    "--threads",
+    "-j",
+    "--density",
+    "--maximal",
+    "--stream",
+];
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut options = Options::default();
@@ -738,6 +718,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 .cloned()
                 .ok_or_else(|| format!("{arg} needs a value"))
         };
+        if options.batch && QUERY_FLAGS.contains(&arg.as_str()) {
+            return Err(format!(
+                "{arg} does not apply to batch, which reads its queries from --requests"
+            ));
+        }
         let request = &mut options.request;
         match args[i].as_str() {
             "--help" | "-h" => {
@@ -826,6 +811,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     if options.snapshot_cmd == Some(SnapshotCmd::Build) && options.out.is_none() {
         return Err("snapshot build needs --out IMG".to_owned());
     }
+    if options.snapshot_cmd == Some(SnapshotCmd::Build) && options.snapshot.is_some() {
+        return Err("snapshot build reads --input FILE, not --snapshot".to_owned());
+    }
     if options.snapshot_cmd == Some(SnapshotCmd::Info) && options.snapshot.is_none() {
         return Err("snapshot info needs --snapshot IMG".to_owned());
     }
@@ -876,8 +864,9 @@ subcommands:
             deadline-bounds only its own member
   stats     print dataset statistics and the byte footprint of the
             flat columnar store and the CSR inverted index
-  snapshot  build: prepare once (intern + index + counts) and write
-            a single mmap-able image file; info: validate an image
+  snapshot  build: intern the corpus once and write its store and
+            catalog as a single mmap-able image file (the index is
+            built when the image is opened); info: validate an image
             and print its header and region sizes; verify:
             prove every invariant of an image (header, CSR offsets,
             alphabet bound, catalog, checksum) on the raw bytes
@@ -887,7 +876,7 @@ subcommands:
 notable flags:
   --mode M        all, closed, maximal, or top-k (closed mining ranked
                   by support, k = {DEFAULT_TOP_K} unless --top-k sets it)
-  --snapshot IMG  serve mine/topk/stats straight from a prepared
+  --snapshot IMG  serve mine/topk/batch/stats straight from a prepared
                   snapshot image (mmap'ed and checked on open as
                   `snapshot verify` checks it; no re-tokenizing on
                   start, the index is built from the mapped store)
@@ -919,7 +908,7 @@ mod tests {
         for line in [
             "  rgs-mine snapshot verify --snapshot IMG",
             "           --min-sup K",
-            "  snapshot  build: prepare once (intern + index + counts) and write",
+            "  snapshot  build: intern the corpus once and write its store and",
             "  --threads N     mine on N worker threads (default 1; the reported",
         ] {
             assert!(lines.contains(&line), "{line:?} missing from:\n{text}");
@@ -1066,9 +1055,10 @@ mod tests {
         );
         let sequential = parse(&["--demo", "--min-sup", "2"]);
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
+        let prepared = PreparedDb::new(&db);
         assert_eq!(
-            options.miner(&db).run().patterns,
-            sequential.miner(&db).run().patterns
+            options.miner(&prepared).run().patterns,
+            sequential.miner(&prepared).run().patterns
         );
     }
 
@@ -1127,6 +1117,7 @@ mod tests {
         fail(&["snapshot", "build", "--input", "x"]); // missing --out
         fail(&["snapshot", "info"]); // missing --snapshot
         fail(&["snapshot", "verify"]); // missing --snapshot
+        fail(&["snapshot", "build", "--snapshot", "x", "--out", "y"]); // reads text only
         fail(&["--input", "x", "--snapshot", "y"]); // mutually exclusive
     }
 
@@ -1148,15 +1139,12 @@ mod tests {
         ]);
         assert_eq!(run_snapshot_build(&build), ExitCode::SUCCESS);
         let options = parse(&["--snapshot", image.to_str().unwrap(), "--min-sup", "2"]);
-        let source = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
-        let Loaded::Prepared(ref prepared) = source else {
-            panic!("snapshot source must be prepared");
-        };
+        let prepared = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
         assert_eq!(prepared.image_version(), Some(8));
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD", "AABB"]);
         assert_eq!(
-            source.miner(&options).run().patterns,
-            options.miner(&db).run().patterns
+            options.miner(&prepared).run().patterns,
+            options.miner(&PreparedDb::new(&db)).run().patterns
         );
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&image).ok();
@@ -1170,10 +1158,10 @@ mod tests {
         PreparedDb::new(&db).write_snapshot(&image).expect("write");
 
         let options = parse(&["--snapshot", image.to_str().unwrap(), "--min-sup", "2"]);
-        let source = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
-        assert!(matches!(source, Loaded::Prepared(_)));
-        let from_image = source.miner(&options).run();
-        let fresh = options.miner(&db).run();
+        let prepared = load_source(&options).unwrap_or_else(|_| panic!("snapshot loads"));
+        assert!(prepared.image_checksum().is_some());
+        let from_image = options.miner(&prepared).run();
+        let fresh = options.miner(&PreparedDb::new(&db)).run();
         assert_eq!(from_image.patterns, fresh.patterns);
         std::fs::remove_file(&image).ok();
     }
@@ -1193,6 +1181,48 @@ mod tests {
         let options = parse(&["batch", "--demo", "--requests", "reqs.jsonl"]);
         assert!(options.batch);
         assert_eq!(options.requests, Some(PathBuf::from("reqs.jsonl")));
+    }
+
+    #[test]
+    fn batch_rejects_query_and_report_flags_by_name() {
+        let args = |extra: &[&str]| -> Vec<String> {
+            ["batch", "--demo", "--requests", "reqs.jsonl"]
+                .iter()
+                .chain(extra)
+                .map(std::string::ToString::to_string)
+                .collect()
+        };
+        for extra in [
+            &["--min-sup", "3"][..],
+            &["-s", "3"],
+            &["--mode", "all"],
+            &["--closed"],
+            &["--top-k", "4"],
+            &["--max-gap", "2"],
+            &["--threads", "4"],
+            &["--stream"],
+            &["--density", "0.5"],
+            &["--maximal"],
+        ] {
+            let err = parse_args(&args(extra)).expect_err("a query flag under batch");
+            assert!(err.starts_with(extra[0]), "{extra:?}: {err}");
+            assert!(err.contains("--requests"), "{extra:?}: {err}");
+        }
+        // Source and output flags still apply, and the query flags still
+        // parse outside batch.
+        let options = parse(&[
+            "batch",
+            "--demo",
+            "--requests",
+            "r",
+            "--top",
+            "3",
+            "--format",
+            "json",
+        ]);
+        assert_eq!(options.top, 3);
+        assert!(options.json_output);
+        assert_eq!(parse(&["--demo", "--min-sup", "3"]).request.min_sup, 3);
     }
 
     /// One table of bodies that a `batch` line and a `POST /mine` body
@@ -1290,7 +1320,7 @@ mod tests {
         // The acceptance-path combination: topk + --max-gap on the demo db.
         let options = parse(&["topk", "--demo", "-k", "4", "--max-gap", "1"]);
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-        let outcome = options.miner(&db).run();
+        let outcome = options.miner(&PreparedDb::new(&db)).run();
         assert!(outcome.len() <= 4);
         assert!(!outcome.is_empty());
         for w in outcome.patterns.windows(2) {

@@ -20,7 +20,7 @@
 //! The growth DFS is anti-monotone in `min_sup` (Theorem 1): the search
 //! tree of a request at threshold `t` is a subtree of the search tree at
 //! any lower threshold. A whole batch of requests over one
-//! [`PreparedDb`](crate::PreparedDb) can therefore be served by a *single*
+//! [`PreparedDb`] can therefore be served by a *single*
 //! pass at the batch's minimum threshold, routing every visited pattern to
 //! each subscribed request it satisfies.
 //!
@@ -114,7 +114,7 @@ use crate::kernel::{self, node_runs, SiblingSweep, SweepScratch};
 use crate::maximal::maximal_subset;
 use crate::parallel::fan_out_seeds;
 use crate::pattern::Pattern;
-use crate::prepared::{frequent_events, PreparedRef};
+use crate::prepared::{frequent_events, PreparedDb};
 use crate::reference::closed_subset;
 use crate::result::{
     report_order, sort_patterns_for_report, MinedPattern, MiningOutcome, MiningStats,
@@ -149,7 +149,7 @@ pub struct MiningResult {
 /// sequential execution, except that `elapsed_seconds` covers the whole
 /// batch.
 pub(crate) fn run_batch(
-    prepared: PreparedRef<'_>,
+    prepared: &PreparedDb,
     requests: &[MiningRequest],
     deadlines: &[Option<Instant>],
 ) -> Vec<MiningResult> {
@@ -217,7 +217,7 @@ pub(crate) fn run_batch(
 /// seed order under [`crate::ExecutionPolicy::Parallel`]. Elapsed time is
 /// the caller's.
 pub(crate) fn run_solo(
-    prepared: PreparedRef<'_>,
+    prepared: &PreparedDb,
     request: &MiningRequest,
     sink: &mut dyn PatternSink,
 ) -> MiningReport {
@@ -237,7 +237,7 @@ pub(crate) fn run_solo(
 
 /// One sequential walk for a group of members; returns their reports in
 /// member order.
-fn walk(prepared: PreparedRef<'_>, kind: ScanKind, members: Vec<Member<'_>>) -> Vec<MiningReport> {
+fn walk(prepared: &PreparedDb, kind: ScanKind, members: Vec<Member<'_>>) -> Vec<MiningReport> {
     let mut scan = Scan::new(members);
     let plan = Plan::new(prepared, kind, &mut scan.members);
     plan.with_ctx(prepared, |ctx| scan.run(ctx));
@@ -256,7 +256,7 @@ fn walk(prepared: PreparedRef<'_>, kind: ScanKind, members: Vec<Member<'_>>) -> 
 /// again, and a top-k member's seeds share one support floor. Counters sum
 /// over every seed walked.
 fn fan_out(
-    prepared: PreparedRef<'_>,
+    prepared: &PreparedDb,
     request: &MiningRequest,
     plan: &Plan,
     mut member: Member<'_>,
@@ -761,10 +761,10 @@ struct Plan {
 impl Plan {
     /// Plans the scan for `members` and fills in each member's eligibility
     /// over the shared candidate list.
-    fn new(prepared: PreparedRef<'_>, kind: ScanKind, members: &mut [Member<'_>]) -> Self {
+    fn new(prepared: &PreparedDb, kind: ScanKind, members: &mut [Member<'_>]) -> Self {
         let t_min = members.iter().map(|m| m.floor).min().unwrap_or(1);
-        let events = frequent_events(prepared.index, t_min);
-        let count = |e: EventId| prepared.index.total_count(e) as u64;
+        let events = frequent_events(prepared.index(), t_min);
+        let count = |e: EventId| prepared.index().total_count(e) as u64;
         for member in members.iter_mut() {
             let floor = member.floor;
             member.set_eligible(events.iter().map(|&e| count(e) >= floor).collect());
@@ -805,7 +805,7 @@ impl Plan {
 
     /// Runs `f` with the growth and closure machinery of this plan bound to
     /// `prepared` (every piece borrows; building them is O(1)).
-    fn with_ctx<R>(&self, prepared: PreparedRef<'_>, f: impl FnOnce(&Ctx<'_, '_>) -> R) -> R {
+    fn with_ctx<R>(&self, prepared: &PreparedDb, f: impl FnOnce(&Ctx<'_, '_>) -> R) -> R {
         let constraints = match self.kind {
             ScanKind::All { constraints } => constraints,
             _ => GapConstraints::unbounded(),
@@ -1553,7 +1553,6 @@ mod tests {
         request: &MiningRequest,
         tweak: impl FnOnce(&mut Plan),
     ) -> (Vec<MinedPattern>, MiningReport) {
-        let prepared = prepared.as_prepared_ref();
         let mut sink = CollectSink::new();
         let report = {
             let (kind, shape) = route(request).expect("a request that searches");

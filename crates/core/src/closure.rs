@@ -418,15 +418,15 @@ fn landmark_border_holds(extension: &SupportSet, pattern_support: &SupportSet) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepared::frequent_events;
+    use crate::prepared::{frequent_events, PreparedDb};
     use seqdb::SequenceDatabase;
 
     fn running_example() -> SequenceDatabase {
         SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
     }
 
-    fn checker_fixture(db: &SequenceDatabase, min_sup: u64) -> (SupportComputer<'_>, Vec<EventId>) {
-        let sc = SupportComputer::new(db);
+    fn checker_fixture(prepared: &PreparedDb, min_sup: u64) -> (SupportComputer<'_>, Vec<EventId>) {
+        let sc = prepared.support_computer();
         let events = frequent_events(sc.index(), min_sup);
         (sc, events)
     }
@@ -442,7 +442,8 @@ mod tests {
         // AA has the equal-support extension ACA whose leftmost support set
         // ends at positions {4, 5, 7}, no later than AA's {4, 5, 7}: prune.
         let db = running_example();
-        let (sc, events) = checker_fixture(&db, 3);
+        let prepared = PreparedDb::new(&db);
+        let (sc, events) = checker_fixture(&prepared, 3);
         let checker = ClosureChecker::new(&sc, &events);
         let aa = Pattern::new(db.pattern_from_str("AA").unwrap());
         let stack = prefix_stack(&sc, &aa);
@@ -457,7 +458,8 @@ mod tests {
         // ACB has the same support as AB but its instances end strictly
         // later (6 > 2 and 9 > 6), so AB must still be grown (ABD is closed).
         let db = running_example();
-        let (sc, events) = checker_fixture(&db, 3);
+        let prepared = PreparedDb::new(&db);
+        let (sc, events) = checker_fixture(&prepared, 3);
         let checker = ClosureChecker::new(&sc, &events);
         let ab = Pattern::new(db.pattern_from_str("AB").unwrap());
         let stack = prefix_stack(&sc, &ab);
@@ -472,7 +474,8 @@ mod tests {
         // In Table II's database, sup(AB) = sup(ABC) = 4: the equal-support
         // extension is an append, reported through the flag.
         let db = SequenceDatabase::from_str_rows(&["ABCABCA", "AABBCCC"]);
-        let (sc, events) = checker_fixture(&db, 4);
+        let prepared = PreparedDb::new(&db);
+        let (sc, events) = checker_fixture(&prepared, 4);
         let checker = ClosureChecker::new(&sc, &events);
         let ab = Pattern::new(db.pattern_from_str("AB").unwrap());
         let stack = prefix_stack(&sc, &ab);
@@ -485,7 +488,8 @@ mod tests {
     #[test]
     fn closed_pattern_is_reported_closed() {
         let db = running_example();
-        let (sc, events) = checker_fixture(&db, 3);
+        let prepared = PreparedDb::new(&db);
+        let (sc, events) = checker_fixture(&prepared, 3);
         let checker = ClosureChecker::new(&sc, &events);
         // ABD is closed in the running example (support 3, no equal-support
         // extension).
@@ -500,7 +504,8 @@ mod tests {
     #[test]
     fn extension_support_matches_direct_computation() {
         let db = running_example();
-        let (sc, events) = checker_fixture(&db, 3);
+        let prepared = PreparedDb::new(&db);
+        let (sc, events) = checker_fixture(&prepared, 3);
         let checker = ClosureChecker::new(&sc, &events);
         let aa = Pattern::new(db.pattern_from_str("AA").unwrap());
         let stack = prefix_stack(&sc, &aa);
@@ -555,7 +560,8 @@ mod tests {
         // Table III's AA (pruned), AB (non-closed) and ABD (closed), with
         // and without the append flag.
         let db = running_example();
-        let (sc, events) = checker_fixture(&db, 3);
+        let prepared = PreparedDb::new(&db);
+        let (sc, events) = checker_fixture(&prepared, 3);
         let checker = ClosureChecker::new(&sc, &events);
         let mut scratch = CheckScratch::new();
         for (text, expected) in [
@@ -585,7 +591,8 @@ mod tests {
     #[test]
     fn landmark_border_comparison_is_pairwise() {
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let aa = sc.support_set(&Pattern::new(db.pattern_from_str("AA").unwrap()));
         let aca = sc.support_set(&Pattern::new(db.pattern_from_str("ACA").unwrap()));
         let ab = sc.support_set(&Pattern::new(db.pattern_from_str("AB").unwrap()));

@@ -1,24 +1,26 @@
 //! The constrained repetitive support `sup_C(P)` as a one-call query.
 //!
-//! Constraints are a field of [`SupportComputer`]
-//! ([`SupportComputer::with_constraints`]); this module keeps the
-//! convenience wrapper and the tests of constrained support and mining.
-//! The semantics are documented in [`crate::constraints`].
+//! Constraints are a field of [`SupportComputer`](crate::SupportComputer)
+//! ([`SupportComputer::with_constraints`](crate::SupportComputer::with_constraints));
+//! this module keeps the convenience wrapper and the tests of constrained
+//! support and mining. The semantics are documented in
+//! [`crate::constraints`].
 
 use seqdb::{EventId, SequenceDatabase};
 
 use crate::constraints::GapConstraints;
-use crate::growth::SupportComputer;
 use crate::pattern::Pattern;
+use crate::prepared::PreparedDb;
 
 /// Convenience wrapper: the constrained repetitive support of a pattern
-/// given as raw event ids, building a temporary index.
+/// given as raw event ids, preparing a temporary snapshot of `db`.
 pub fn constrained_support(
     db: &SequenceDatabase,
     pattern: &[EventId],
     constraints: GapConstraints,
 ) -> u64 {
-    SupportComputer::new(db)
+    PreparedDb::new(db)
+        .support_computer()
         .with_constraints(constraints)
         .support(&Pattern::new(pattern.to_vec()))
 }
@@ -74,12 +76,13 @@ mod tests {
         // Explicitly unbounded, and bounds that admit everything but take
         // the constrained instantiation of the growth loop.
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         for constraints in [
             GapConstraints::unbounded(),
             GapConstraints::gap_range(0, u32::MAX).with_max_window(u32::MAX),
         ] {
-            let csc = SupportComputer::new(&db).with_constraints(constraints);
+            let csc = prepared.support_computer().with_constraints(constraints);
             for s in ["A", "AB", "AC", "ACB", "ACA", "AAD", "ACAD", "DD", "BD"] {
                 let p = pattern(&db, s);
                 assert_eq!(csc.support(&p), sc.support(&p), "pattern {s}");
@@ -109,7 +112,8 @@ mod tests {
     fn contiguous_ac_support_counts_every_adjacent_occurrence() {
         let db = running_example();
         let contiguous = GapConstraints::max_gap(0);
-        let csc = SupportComputer::new(&db).with_constraints(contiguous);
+        let prepared = PreparedDb::new(&db);
+        let csc = prepared.support_computer().with_constraints(contiguous);
         // S1 = ABCACBDDB: "AC" adjacent at positions (4,5) only.
         // S2 = ACDBACADD: "AC" adjacent at (1,2) and (5,6).
         assert_eq!(csc.support(&pattern(&db, "AC")), 3);
@@ -178,7 +182,8 @@ mod tests {
     #[test]
     fn constrained_support_never_exceeds_the_unconstrained_support() {
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let cases = [
             GapConstraints::max_gap(0),
             GapConstraints::max_gap(1),
@@ -208,8 +213,9 @@ mod tests {
             GapConstraints::max_window(5),
             GapConstraints::gap_range(1, 3),
         ];
+        let prepared = PreparedDb::new(&db);
         for c in cases {
-            let csc = SupportComputer::new(&db).with_constraints(c);
+            let csc = prepared.support_computer().with_constraints(c);
             for s in ["ACB", "ACAD", "ABDD", "AAD"] {
                 let p = pattern(&db, s);
                 let mut prev = u64::MAX;
@@ -319,7 +325,10 @@ mod tests {
         let outcome = constrained_all(&db, 1, GapConstraints::max_gap(1));
         assert!(outcome.is_empty());
         let db2 = running_example();
-        let csc = SupportComputer::new(&db2).with_constraints(GapConstraints::max_gap(1));
+        let prepared = PreparedDb::new(&db2);
+        let csc = prepared
+            .support_computer()
+            .with_constraints(GapConstraints::max_gap(1));
         assert_eq!(csc.support(&Pattern::empty()), 0);
         assert!(csc.support_landmarks(&Pattern::empty()).is_empty());
     }

@@ -38,14 +38,13 @@
 //! assert!(constrained_topk.len() <= 5);
 //! ```
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use seqdb::SequenceDatabase;
 
 use crate::batch::run_solo;
 use crate::constraints::GapConstraints;
-use crate::prepared::{PreparedDb, PreparedRef};
+use crate::prepared::PreparedDb;
 use crate::result::{MiningOutcome, MiningStats};
 use crate::sink::{CollectSink, PatternSink};
 
@@ -179,99 +178,28 @@ impl MiningRequest {
     }
 }
 
-/// Where a mining run gets its (prepared) database from.
+/// A mining request bound to one prepared database: the canonical entry
+/// point of this crate. Set the request with the builder methods, then run
+/// it any number of times. See the [module docs](self) for an example.
 ///
-/// `Raw` is the lazy path of [`Miner::new`]: the query-independent index
-/// is built on every run.
-/// `Prepared` holds a [`PreparedDb`] snapshot (a clone of one is two `Arc`
-/// bumps), so runs skip the preparation entirely.
+/// A miner owns a [`PreparedDb`] (a clone of one is two `Arc` bumps), so
+/// it is `Send + Sync + 'static`: it can move into a worker thread as it
+/// is, and every run reuses the index built once at preparation.
 #[derive(Debug, Clone)]
-enum DbHandle<'a> {
-    Raw(&'a SequenceDatabase),
-    Prepared(PreparedDb),
+pub struct Miner {
+    pub(crate) prepared: PreparedDb,
+    pub(crate) request: MiningRequest,
 }
 
-impl DbHandle<'_> {
-    /// Runs `f` on the prepared view of this database: a raw database's
-    /// index is built for the call, a snapshot lends its own.
-    fn with_view<R>(&self, f: impl FnOnce(PreparedRef<'_>) -> R) -> R {
-        match self {
-            DbHandle::Raw(db) => f(PreparedRef {
-                db,
-                index: &db.inverted_index(),
-            }),
-            DbHandle::Prepared(prepared) => f(prepared.as_prepared_ref()),
-        }
-    }
-}
-
-/// A mining request bound to one database: the canonical entry point of
-/// this crate. Set the request with the builder methods, then run it any
-/// number of times. See the [module docs](self) for an example.
-#[derive(Debug, Clone)]
-pub struct Miner<'a> {
-    db: DbHandle<'a>,
-    request: MiningRequest,
-}
-
-impl<'a> Miner<'a> {
-    /// Starts a builder with default options: `min_sup = 2`, closed mining,
-    /// no constraints, no ranking, no caps, sequential execution.
-    ///
-    /// This path prepares the database lazily on every run. When the same
-    /// database serves several queries, prepare once — [`Miner::prepare`]
-    /// or [`PreparedDb::new`] — and build miners with
-    /// [`Miner::from_prepared`] / [`PreparedDb::miner`] instead.
-    pub fn new(db: &'a SequenceDatabase) -> Self {
-        Self {
-            db: DbHandle::Raw(db),
-            request: MiningRequest::default(),
-        }
-    }
-
-    /// Starts a builder executing against a prepared snapshot: runs share
-    /// `prepared`'s arenas and skip all per-run preparation.
-    pub fn from_prepared(prepared: &'a PreparedDb) -> Self {
-        Self {
-            db: DbHandle::Prepared(prepared.clone()),
-            request: MiningRequest::default(),
-        }
-    }
-
-    /// Starts a builder co-owning a shared prepared snapshot — the handle
-    /// for concurrent multi-query traffic (the returned miner is `'static`
-    /// and can move into worker threads).
-    pub fn from_shared(prepared: Arc<PreparedDb>) -> Miner<'static> {
-        Miner {
-            db: DbHandle::Prepared(Arc::unwrap_or_clone(prepared)),
-            request: MiningRequest::default(),
-        }
-    }
-
-    /// Starts a builder over a snapshot image on disk (the cold-start
-    /// path): opens and validates the file written by
-    /// [`PreparedDb::write_snapshot`], mapping its store zero-copy and
-    /// building the index from it instead of re-tokenizing. The returned
-    /// miner co-owns the snapshot like [`Miner::from_shared`], so it is
-    /// `'static` and its output is bit-identical to mining the original
-    /// in-memory preparation.
-    pub fn from_snapshot(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Miner<'static>, seqdb::SnapshotError> {
-        Ok(Miner::from_shared(Arc::new(PreparedDb::open_snapshot(
-            path,
-        )?)))
-    }
-
-    /// Prepares the underlying database into an owned [`PreparedDb`]
-    /// snapshot (the two-phase flow: prepare once, then run many queries
-    /// against it via [`PreparedDb::miner`]). The current builder options
-    /// are not carried over; they describe queries, not the snapshot.
-    pub fn prepare(&self) -> PreparedDb {
-        match &self.db {
-            DbHandle::Raw(db) => PreparedDb::new(db),
-            DbHandle::Prepared(prepared) => prepared.clone(),
-        }
+impl Miner {
+    /// Starts a builder with default options (`min_sup = 2`, closed mining,
+    /// no constraints, no ranking, no caps, sequential execution) over a
+    /// snapshot of `db`: shorthand for `PreparedDb::new(db).miner()`, so it
+    /// copies the database once and builds its index once, and no run
+    /// repeats that work. When several miners share one database, prepare
+    /// it once with [`PreparedDb::new`] and call [`PreparedDb::miner`].
+    pub fn new(db: &SequenceDatabase) -> Self {
+        PreparedDb::new(db).miner()
     }
 
     /// Replaces the whole request in one piece — the handle for callers
@@ -383,9 +311,7 @@ impl<'a> Miner<'a> {
     /// returning [`ControlFlow::Break`](std::ops::ControlFlow::Break).
     pub fn run_with_sink(&self, sink: &mut dyn PatternSink) -> MiningReport {
         let start = Instant::now();
-        let mut report = self
-            .db
-            .with_view(|prepared| run_solo(prepared, &self.request, sink));
+        let mut report = run_solo(&self.prepared, &self.request, sink);
         report.stats.set_elapsed(start.elapsed());
         report
     }
@@ -644,7 +570,7 @@ mod tests {
     #[test]
     fn elapsed_is_recorded_for_every_mode() {
         let db = running_example();
-        let requests: Vec<Miner<'_>> = vec![
+        let requests: Vec<Miner> = vec![
             Miner::new(&db).min_sup(2).mode(Mode::All),
             Miner::new(&db).min_sup(2).mode(Mode::Closed),
             Miner::new(&db).min_sup(2).mode(Mode::Maximal),
@@ -759,7 +685,7 @@ mod tests {
     #[test]
     fn prepared_db_reuse_matches_fresh_runs() {
         let db = running_example();
-        let prepared = Miner::new(&db).prepare();
+        let prepared = PreparedDb::new(&db);
         for min_sup in [1, 2, 3] {
             for (mode, top_k) in FAMILIES {
                 let request = MiningRequest {
@@ -785,11 +711,7 @@ mod tests {
             .map(|_| {
                 let shared = std::sync::Arc::clone(&prepared);
                 std::thread::spawn(move || {
-                    Miner::from_shared(shared)
-                        .min_sup(2)
-                        .mode(Mode::Closed)
-                        .run()
-                        .patterns
+                    shared.miner().min_sup(2).mode(Mode::Closed).run().patterns
                 })
             })
             .collect();

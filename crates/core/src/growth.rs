@@ -25,57 +25,24 @@ use crate::instance::{Instance, Landmark};
 use crate::instbuf::InstanceBuffer;
 use crate::kernel;
 use crate::pattern::Pattern;
+use crate::prepared::PreparedDb;
 use crate::support::SupportSet;
 
-/// A reusable handle bundling a database with its inverted index.
+/// Support queries against one prepared database: its sequences, its
+/// inverted index and the gap constraints every growth step honours.
 ///
-/// Building the inverted index costs one pass over the data; a
-/// `SupportComputer` lets callers amortize that cost across many support
-/// queries (the miners build one internally). The index can be owned
-/// ([`SupportComputer::new`], [`SupportComputer::with_index`]) or borrowed
-/// from a longer-lived snapshot such as a
-/// [`PreparedDb`](crate::PreparedDb) ([`SupportComputer::borrowed`], O(1)).
+/// Get one from [`PreparedDb::support_computer`](crate::PreparedDb::support_computer),
+/// which borrows the snapshot's index (O(1)), so any number of computers
+/// share the index built once at preparation.
 #[derive(Debug)]
 pub struct SupportComputer<'a> {
-    db: &'a SequenceDatabase,
-    index: IndexHandle<'a>,
+    pub(crate) db: &'a SequenceDatabase,
+    pub(crate) index: &'a InvertedIndex,
     /// The gap/window bounds every growth step honours.
-    constraints: GapConstraints,
-}
-
-/// Owned-or-borrowed storage for the inverted index.
-#[derive(Debug)]
-enum IndexHandle<'a> {
-    Owned(InvertedIndex),
-    Borrowed(&'a InvertedIndex),
+    pub(crate) constraints: GapConstraints,
 }
 
 impl<'a> SupportComputer<'a> {
-    /// Builds the inverted index for `db` and wraps both.
-    pub fn new(db: &'a SequenceDatabase) -> Self {
-        Self::with_index(db, db.inverted_index())
-    }
-
-    /// Wraps a database together with a pre-built index.
-    pub fn with_index(db: &'a SequenceDatabase, index: InvertedIndex) -> Self {
-        Self {
-            db,
-            index: IndexHandle::Owned(index),
-            constraints: GapConstraints::unbounded(),
-        }
-    }
-
-    /// Wraps a database together with a borrowed pre-built index — O(1), no
-    /// index construction. This is how queries share the index owned by a
-    /// [`PreparedDb`](crate::PreparedDb).
-    pub fn borrowed(db: &'a SequenceDatabase, index: &'a InvertedIndex) -> Self {
-        Self {
-            db,
-            index: IndexHandle::Borrowed(index),
-            constraints: GapConstraints::unbounded(),
-        }
-    }
-
     /// This computer with every support query read under `constraints`:
     /// growth admits only extensions within their gap and window bounds,
     /// so supports are the constrained `sup_C` of [`crate::constraints`].
@@ -96,10 +63,7 @@ impl<'a> SupportComputer<'a> {
 
     /// The underlying inverted index.
     pub fn index(&self) -> &InvertedIndex {
-        match &self.index {
-            IndexHandle::Owned(index) => index,
-            IndexHandle::Borrowed(index) => index,
-        }
+        self.index
     }
 
     /// The leftmost support set of the single-event pattern `event`: every
@@ -231,24 +195,14 @@ impl SetPool {
 }
 
 /// Convenience wrapper: computes `sup(P)` for a pattern given as raw event
-/// ids, building a temporary index.
+/// ids, preparing a temporary snapshot of `db`.
 ///
-/// Prefer [`SupportComputer`] when issuing many queries against the same
-/// database.
+/// Prefer [`PreparedDb::support_computer`](crate::PreparedDb::support_computer)
+/// when issuing many queries against the same database.
 pub fn repetitive_support(db: &SequenceDatabase, pattern: &[EventId]) -> u64 {
-    SupportComputer::new(db).support(&Pattern::new(pattern.to_vec()))
-}
-
-/// Convenience wrapper: the leftmost support set of `pattern` (compressed
-/// instances), building a temporary index.
-pub fn support_set(db: &SequenceDatabase, pattern: &[EventId]) -> SupportSet {
-    SupportComputer::new(db).support_set(&Pattern::new(pattern.to_vec()))
-}
-
-/// Convenience wrapper: one instance-growth step on a caller-provided
-/// support set (Algorithm 2), building a temporary index.
-pub fn instance_growth(db: &SequenceDatabase, support: &SupportSet, event: EventId) -> SupportSet {
-    SupportComputer::new(db).instance_growth(support, event)
+    PreparedDb::new(db)
+        .support_computer()
+        .support(&Pattern::new(pattern.to_vec()))
 }
 
 #[cfg(test)]
@@ -273,7 +227,8 @@ mod tests {
     fn table_iv_instance_growth_from_a_to_acb() {
         // Reproduces Table IV column by column.
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let a = db.catalog().id("A").unwrap();
         let c = db.catalog().id("C").unwrap();
         let b = db.catalog().id("B").unwrap();
@@ -318,7 +273,8 @@ mod tests {
     #[test]
     fn example_3_1_step_3_prime_aca() {
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let aca = pattern(&db, "ACA");
         assert_eq!(sc.support(&aca), 3);
         let landmarks = sc.support_landmarks(&aca);
@@ -336,7 +292,8 @@ mod tests {
     fn example_2_2_supports_on_the_simple_database() {
         // sup(AB) = 4 and sup(ABA) = 2 in Table II's database.
         let db = simple_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         assert_eq!(sc.support(&pattern(&db, "AB")), 4);
         assert_eq!(sc.support(&pattern(&db, "ABA")), 2);
         // Example 2.3: sup(ABC) = 4 as well (AB is therefore not closed).
@@ -346,7 +303,8 @@ mod tests {
     #[test]
     fn example_1_1_motivating_supports() {
         let db = SequenceDatabase::from_str_rows(&["AABCDABB", "ABCD"]);
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         assert_eq!(sc.support(&pattern(&db, "AB")), 4);
         assert_eq!(sc.support(&pattern(&db, "CD")), 2);
     }
@@ -354,7 +312,8 @@ mod tests {
     #[test]
     fn example_3_5_ab_and_acb_have_equal_support() {
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         assert_eq!(sc.support(&pattern(&db, "AB")), 3);
         assert_eq!(sc.support(&pattern(&db, "ACB")), 3);
         assert_eq!(sc.support(&pattern(&db, "ABD")), 3);
@@ -373,7 +332,8 @@ mod tests {
     #[test]
     fn example_3_6_aa_aca_and_aad() {
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         assert_eq!(sc.support(&pattern(&db, "AA")), 3);
         assert_eq!(sc.support(&pattern(&db, "ACA")), 3);
         assert_eq!(sc.support(&pattern(&db, "AAD")), 3);
@@ -404,7 +364,8 @@ mod tests {
         // with repetitive support, sup(AB) = 2 (not 4) and sup(ABC) = 2.
         let alphabet: String = ('A'..='Z').flat_map(|c| [c, c]).collect();
         let db = SequenceDatabase::from_str_rows(&[alphabet.as_str()]);
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         assert_eq!(sc.support(&pattern(&db, "AB")), 2);
         assert_eq!(sc.support(&pattern(&db, "ABC")), 2);
         let abcz: String = ('A'..='Z').collect();
@@ -415,7 +376,8 @@ mod tests {
     #[test]
     fn unknown_or_empty_patterns_have_zero_support() {
         let db = simple_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         assert_eq!(sc.support(&Pattern::empty()), 0);
         // An event id that never occurs.
         let ghost = Pattern::single(EventId(77));
@@ -435,17 +397,19 @@ mod tests {
         let db = running_example();
         let acb = db.pattern_from_str("ACB").unwrap();
         assert_eq!(repetitive_support(&db, &acb), 3);
-        assert_eq!(support_set(&db, &acb).support(), 3);
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
+        assert_eq!(sc.support_set(&Pattern::new(acb)).support(), 3);
         let i_ac = sc.support_set(&pattern(&db, "AC"));
-        let grown = instance_growth(&db, &i_ac, db.catalog().id("B").unwrap());
+        let grown = sc.instance_growth(&i_ac, db.catalog().id("B").unwrap());
         assert_eq!(grown.support(), 3);
     }
 
     #[test]
     fn bounded_growth_never_underreports_when_target_is_reachable() {
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let i_ac = sc.support_set(&pattern(&db, "AC"));
         let b = db.catalog().id("B").unwrap();
         let unbounded = sc.instance_growth(&i_ac, b);
@@ -459,7 +423,8 @@ mod tests {
         // Every prefix has support >= the full pattern (Lemma 1 restricted
         // to prefixes, which is what the DFS relies on).
         let db = running_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         for s in ["A", "AC", "ACB", "ACBD", "AAD", "ACAD", "ABDD"] {
             let pat = pattern(&db, s);
             let mut prev = u64::MAX;

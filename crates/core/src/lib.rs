@@ -79,31 +79,31 @@
 //! assert!(best.len() <= 3);
 //! ```
 //!
-//! One-shot callers can skip phase 1: [`Miner::new`] borrows a bare
-//! [`SequenceDatabase`](seqdb::SequenceDatabase) and prepares lazily on
-//! each run.
+//! One-shot callers can skip phase 1: [`Miner::new`]`(&db)` is shorthand
+//! for `PreparedDb::new(&db).miner()`, so it too builds the index once and
+//! every run of that miner reuses it.
 //!
 //! # Snapshots — zero-copy cold starts
 //!
 //! A [`PreparedDb`] serializes its corpus into a **single image file**
 //! ([`PreparedDb::write_snapshot`]): the columnar event store and the
-//! catalog. Reopening ([`PreparedDb::open_snapshot`] or
-//! [`Miner::from_snapshot`]) `mmap`s the file, runs the checks of
-//! `rgs-mine snapshot verify` (a full-file checksum and every invariant
-//! of the header and its regions) on the mapped bytes, maps the store as
-//! borrowed slices over the mapping — no re-tokenizing, no copies — and
-//! builds the inverted index from it with the builder [`PreparedDb::new`]
-//! uses, so a reopened preparation equals the in-memory one. The format is
-//! specified byte by byte in [`seqdb::snapshot`] and `ARCHITECTURE.md`:
+//! catalog. Reopening ([`PreparedDb::open_snapshot`]) `mmap`s the file,
+//! runs the checks of `rgs-mine snapshot verify` (a full-file checksum and
+//! every invariant of the header and its regions) on the mapped bytes,
+//! maps the store as borrowed slices over the mapping — no re-tokenizing,
+//! no copies — and builds the inverted index from it with the builder
+//! [`PreparedDb::new`] uses, so a reopened preparation equals the
+//! in-memory one. The format is specified byte by byte in
+//! [`seqdb::snapshot`] and `ARCHITECTURE.md`:
 //!
 //! ```
 //! use seqdb::SequenceDatabase;
-//! use rgs_core::{Miner, Mode, PreparedDb};
+//! use rgs_core::{Mode, PreparedDb};
 //!
 //! let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
 //!
 //! // Prepare once, persist once.
-//! let prepared = Miner::new(&db).prepare();
+//! let prepared = PreparedDb::new(&db);
 //! let path = std::env::temp_dir().join(format!("rgs-lib-doc-{}.snap", std::process::id()));
 //! let bytes_on_disk = prepared.write_snapshot(&path)?;
 //! // The image holds the store verbatim; the index is built at open.
@@ -182,7 +182,7 @@ pub use canonical::{canonical_key, parse_mode, parse_request_body, RequestBody};
 pub use constrained::constrained_support;
 pub use constraints::GapConstraints;
 pub use engine::{ExecutionPolicy, Miner, MiningReport, MiningRequest, Mode, DEFAULT_TOP_K};
-pub use growth::{instance_growth, repetitive_support, support_set, SupportComputer};
+pub use growth::{repetitive_support, SupportComputer};
 pub use instance::{Instance, Landmark};
 pub use instbuf::InstanceBuffer;
 pub use maximal::is_maximal;

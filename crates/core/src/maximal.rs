@@ -20,9 +20,8 @@
 
 use seqdb::{EventId, SequenceDatabase};
 
-use crate::growth::SupportComputer;
 use crate::pattern::Pattern;
-use crate::prepared::frequent_events;
+use crate::prepared::{frequent_events, PreparedDb};
 use crate::result::MinedPattern;
 
 /// Filters a set of mined patterns down to the maximal ones: patterns not
@@ -50,7 +49,8 @@ pub fn maximal_subset(patterns: &[MinedPattern]) -> Vec<MinedPattern> {
 /// contains, by the Apriori property, a frequent super-pattern of `P` with
 /// exactly one more event.
 pub fn is_maximal(db: &SequenceDatabase, pattern: &Pattern, min_sup: u64) -> bool {
-    let sc = SupportComputer::new(db);
+    let prepared = PreparedDb::new(db);
+    let sc = prepared.support_computer();
     if pattern.is_empty() || sc.support(pattern) < min_sup {
         return false;
     }

@@ -5,13 +5,13 @@
 //! single event (the *seed*), mine the DFS subtree rooted at it. The
 //! subtrees are fully independent — they only read the immutable prepared
 //! database (flat [`seqdb::SeqStore`] and CSR-index arenas, borrowed as
-//! slices through `PreparedRef`, with no per-thread copies; each worker's
-//! only mutable state is its own set pool and scratch) — so they can run
-//! on any number of threads. Determinism comes from the merge, not the
-//! schedule: each worker buffers its per-seed results, and the buffers are
-//! reassembled **in seed order**, which is exactly the sequential emission
-//! order. The output is therefore bit-identical to a sequential run no
-//! matter how many workers raced.
+//! slices from the one [`crate::PreparedDb`], with no per-thread copies;
+//! each worker's only mutable state is its own set pool and scratch) — so
+//! they can run on any number of threads. Determinism comes from the
+//! merge, not the schedule: each worker buffers its per-seed results, and
+//! the buffers are reassembled **in seed order**, which is exactly the
+//! sequential emission order. The output is therefore bit-identical to a
+//! sequential run no matter how many workers raced.
 //!
 //! Each worker builds its own seed's initial support set (one scan of the
 //! seed's posting rows), so a parallel run holds at most `threads` seed

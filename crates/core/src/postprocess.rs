@@ -38,17 +38,6 @@ impl Default for PostProcessConfig {
     }
 }
 
-impl PostProcessConfig {
-    /// A configuration that only ranks (no filtering).
-    pub fn rank_only() -> Self {
-        Self {
-            min_density: 0.0,
-            maximal_only: false,
-            rank_by_length: true,
-        }
-    }
-}
-
 /// The density of a pattern: unique events divided by length. Empty patterns
 /// have density 0.
 pub fn density(pattern: &MinedPattern) -> f64 {
@@ -138,7 +127,11 @@ mod tests {
     #[test]
     fn ranking_orders_by_length_then_support() {
         let patterns = vec![mp(&[0], 10), mp(&[1, 2], 3), mp(&[3, 4], 7)];
-        let config = PostProcessConfig::rank_only();
+        let config = PostProcessConfig {
+            min_density: 0.0,
+            maximal_only: false,
+            rank_by_length: true,
+        };
         let out = postprocess(&patterns, &config);
         assert_eq!(out[0].pattern, mp(&[3, 4], 7).pattern);
         assert_eq!(out[1].pattern, mp(&[1, 2], 3).pattern);

@@ -9,23 +9,21 @@
 //! snapshot is `Send + Sync` and `Arc`-shareable) can borrow.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use seqdb::SequenceDatabase;
-//! use rgs_core::{Miner, Mode, PreparedDb};
+//! use rgs_core::{Mode, PreparedDb};
 //!
 //! let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-//! let prepared = Arc::new(PreparedDb::new(&db));
+//! let prepared = PreparedDb::new(&db);
 //!
 //! // Many queries, one preparation:
 //! let closed = prepared.miner().min_sup(2).mode(Mode::Closed).run();
 //! let all = prepared.miner().min_sup(3).mode(Mode::All).run();
 //! assert!(all.len() <= closed.len() + 100);
 //!
-//! // Concurrent queries share the snapshot through `Arc`:
-//! let worker = Arc::clone(&prepared);
-//! let handle = std::thread::spawn(move || {
-//!     Miner::from_shared(worker).min_sup(2).run().len()
-//! });
+//! // A miner co-owns the snapshot (a clone is two `Arc` bumps), so it
+//! // moves into other threads as it is:
+//! let miner = prepared.miner().min_sup(2);
+//! let handle = std::thread::spawn(move || miner.run().len());
 //! assert_eq!(handle.join().unwrap(), closed.len());
 //! ```
 
@@ -34,6 +32,7 @@ use std::sync::Arc;
 
 use seqdb::{snapshot, EventCatalog, EventId, InvertedIndex, SequenceDatabase, SnapshotError};
 
+use crate::constraints::GapConstraints;
 use crate::engine::{Miner, MiningRequest};
 use crate::growth::SupportComputer;
 
@@ -48,29 +47,6 @@ pub(crate) fn frequent_events(index: &InvertedIndex, min_sup: u64) -> Vec<EventI
         .filter_map(|e| u32::try_from(e).ok().map(EventId))
         .filter(|&e| index.total_count(e) as u64 >= min_sup)
         .collect()
-}
-
-/// A borrowed view of a database plus its index: what the mining cores
-/// actually run against. `Copy`, so it threads freely through the DFS and
-/// across `std::thread::scope` workers.
-///
-/// Everything behind this view is flat, contiguous storage — the columnar
-/// [`seqdb::SeqStore`] event arena and the CSR inverted index — owned by
-/// the [`PreparedDb`] (or the per-run preparation); workers only ever see
-/// `&[u32]`/`&[EventId]` slices into those arenas, so parallel fan-out
-/// shares them with zero per-thread copies.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PreparedRef<'a> {
-    pub db: &'a SequenceDatabase,
-    pub index: &'a InvertedIndex,
-}
-
-impl<'a> PreparedRef<'a> {
-    /// A borrowed-index support computer over this view (O(1): no index is
-    /// built).
-    pub fn support_computer(self) -> SupportComputer<'a> {
-        SupportComputer::borrowed(self.db, self.index)
-    }
 }
 
 /// Provenance of a snapshot-backed preparation: the opened image's recorded
@@ -89,11 +65,12 @@ struct ImageInfo {
 /// An immutable, `Arc`-shareable snapshot of a database prepared for
 /// mining: the catalog and sequences, and the inverted event index.
 ///
-/// Build it once with [`PreparedDb::new`] (or [`Miner::prepare`]), then run
-/// any number of queries against it through [`PreparedDb::miner`],
-/// [`Miner::from_prepared`], or [`Miner::from_shared`]. Queries only borrow
-/// the snapshot, so one `PreparedDb` behind an `Arc` can serve concurrent
-/// requests from many threads.
+/// Build it once with [`PreparedDb::new`], [`PreparedDb::from_database`] or
+/// [`PreparedDb::open_snapshot`], then run any number of queries against it
+/// through [`PreparedDb::miner`], [`PreparedDb::batch`] and
+/// [`PreparedDb::support_computer`]. A clone shares the database and the
+/// index, so one `PreparedDb` can serve concurrent requests from many
+/// threads.
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
     /// The database and its index sit behind `Arc`s, so a clone shares
@@ -208,35 +185,38 @@ impl PreparedDb {
         }]
     }
 
-    /// Total occurrences of `event` (the repetitive support of the
-    /// single-event pattern), read from the index in O(1).
-    pub fn occurrence_count(&self, event: EventId) -> u64 {
-        self.index.total_count(event) as u64
-    }
-
     /// The events whose occurrence count reaches `min_sup` (at least 1),
     /// in catalog order — the per-query frequent-event scan.
     pub fn frequent_events(&self, min_sup: u64) -> Vec<EventId> {
         frequent_events(&self.index, min_sup)
     }
 
-    /// A support computer borrowing this snapshot's index (O(1); compare
-    /// [`SupportComputer::new`], which builds a fresh index).
+    /// A support computer over this snapshot's database and index, with no
+    /// constraints (O(1): nothing is built). This is the one way to get a
+    /// [`SupportComputer`].
     pub fn support_computer(&self) -> SupportComputer<'_> {
-        self.as_prepared_ref().support_computer()
+        SupportComputer {
+            db: &self.db,
+            index: &self.index,
+            constraints: GapConstraints::unbounded(),
+        }
     }
 
     /// Heap bytes held by the snapshot's arenas: the columnar event store
     /// and the inverted index. These are the flat buffers every query (and
-    /// every parallel worker, through `PreparedRef` slices) shares without
-    /// copying.
+    /// every parallel worker) shares without copying.
     pub fn heap_bytes(&self) -> usize {
         self.db.store().heap_bytes() + self.index.heap_bytes()
     }
 
-    /// Starts a [`Miner`] builder executing against this snapshot.
-    pub fn miner(&self) -> Miner<'_> {
-        Miner::from_prepared(self)
+    /// Starts a [`Miner`] builder with default options, executing against
+    /// this snapshot. The miner holds a clone (two `Arc` bumps), so it is
+    /// `'static` and can move into other threads.
+    pub fn miner(&self) -> Miner {
+        Miner {
+            prepared: self.clone(),
+            request: MiningRequest::default(),
+        }
     }
 
     /// Executes a whole batch of requests through one shared DFS per
@@ -257,14 +237,7 @@ impl PreparedDb {
         requests: &[MiningRequest],
         deadlines: &[Option<std::time::Instant>],
     ) -> Vec<crate::batch::MiningResult> {
-        crate::batch::run_batch(self.as_prepared_ref(), requests, deadlines)
-    }
-
-    pub(crate) fn as_prepared_ref(&self) -> PreparedRef<'_> {
-        PreparedRef {
-            db: &self.db,
-            index: &self.index,
-        }
+        crate::batch::run_batch(self, requests, deadlines)
     }
 }
 
@@ -295,11 +268,11 @@ mod tests {
         for event in db.catalog().ids() {
             // A scan of the store, independent of the index.
             assert_eq!(
-                prepared.occurrence_count(event),
-                db.event_occurrences(event) as u64
+                prepared.index().total_count(event),
+                db.event_occurrences(event)
             );
         }
-        assert_eq!(prepared.occurrence_count(EventId(99)), 0);
+        assert_eq!(prepared.index().total_count(EventId(99)), 0);
     }
 
     #[test]

@@ -19,9 +19,9 @@ use std::collections::BTreeSet;
 
 use seqdb::{EventId, SequenceDatabase};
 
-use crate::growth::SupportComputer;
 use crate::instance::Landmark;
 use crate::pattern::Pattern;
+use crate::prepared::PreparedDb;
 use crate::result::MinedPattern;
 
 /// Enumerates every landmark of `pattern` in every sequence of `db`.
@@ -143,7 +143,8 @@ pub fn enumerate_frequent_fast(
     min_sup: u64,
     max_len: usize,
 ) -> Vec<MinedPattern> {
-    let sc = SupportComputer::new(db);
+    let prepared = PreparedDb::new(db);
+    let sc = prepared.support_computer();
     let events: Vec<EventId> = db.catalog().ids().collect();
     let mut frontier: Vec<Pattern> = vec![Pattern::empty()];
     let mut result = Vec::new();
@@ -300,7 +301,8 @@ mod tests {
             vec!["AABBAABB"],
         ] {
             let db = SequenceDatabase::from_str_rows(&rows);
-            let sc = SupportComputer::new(&db);
+            let prepared = PreparedDb::new(&db);
+            let sc = prepared.support_computer();
             for pattern_str in ["A", "AB", "BA", "ABA", "AABB", "ABAB", "BB", "BBB"] {
                 if let Some(pattern) = db.pattern_from_str(pattern_str) {
                     let brute = max_non_overlapping(&db, &pattern);

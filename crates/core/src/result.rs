@@ -119,16 +119,6 @@ impl MiningOutcome {
     pub fn sort_for_report(&mut self) {
         sort_patterns_for_report(&mut self.patterns);
     }
-
-    /// Renders the top `limit` patterns with `catalog`, one per line.
-    pub fn render_top(&self, catalog: &EventCatalog, limit: usize) -> String {
-        self.patterns
-            .iter()
-            .take(limit)
-            .map(|mp| mp.render(catalog))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 /// The canonical report order shared by every surface (materialized
@@ -194,11 +184,6 @@ mod tests {
         let catalog = EventCatalog::from_labels(["A", "B"]);
         let mp = MinedPattern::new(pattern(&[0, 1]), 4);
         assert_eq!(mp.render(&catalog), "AB (sup=4)");
-        let outcome = MiningOutcome {
-            patterns: vec![mp],
-            ..Default::default()
-        };
-        assert_eq!(outcome.render_top(&catalog, 10), "AB (sup=4)");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Prepared-database snapshots: [`PreparedDb::write_snapshot`] writes a
 //! preparation's corpus as one image file, and
-//! [`PreparedDb::open_snapshot`] (or
-//! [`Miner::from_snapshot`](crate::Miner::from_snapshot)) maps its store
-//! back with zero copies and builds the index from it.
+//! [`PreparedDb::open_snapshot`] maps its store back with zero copies and
+//! builds the index from it.
 //!
 //! Both wrap [`seqdb::snapshot`], which owns the format 8 layout — a
 //! 64-byte header holding the counts and the event width, then the store
@@ -26,7 +25,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::{Miner, Mode, PreparedDb};
+    use crate::{Mode, PreparedDb};
     use seqdb::snapshot::Header;
     use seqdb::SequenceDatabase;
 
@@ -122,13 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn miner_from_snapshot_runs_queries() {
+    fn opened_snapshot_miner_runs_queries() {
         let db = SequenceDatabase::from_str_rows(&["AABCDABB", "ABCD"]);
         let prepared = PreparedDb::new(&db);
         let path = temp_path("miner");
         prepared.write_snapshot(&path).expect("write");
-        let outcome = Miner::from_snapshot(&path)
+        let outcome = PreparedDb::open_snapshot(&path)
             .expect("open")
+            .miner()
             .min_sup(2)
             .mode(Mode::All)
             .run();

@@ -165,8 +165,8 @@ pub fn are_valid_instances(
 mod tests {
     use super::*;
     use crate::constraints::GapConstraints;
-    use crate::growth::SupportComputer;
     use crate::pattern::Pattern;
+    use crate::prepared::PreparedDb;
 
     /// Table III: S1 = ABCACBDDB, S2 = ACDBACADD.
     fn running_example() -> SequenceDatabase {
@@ -175,7 +175,9 @@ mod tests {
 
     /// The landmarks of `pattern`'s leftmost support set.
     fn landmarks_of(db: &SequenceDatabase, pattern: &Pattern) -> Vec<Landmark> {
-        SupportComputer::new(db).support_landmarks(pattern)
+        PreparedDb::new(db)
+            .support_computer()
+            .support_landmarks(pattern)
     }
 
     #[test]
@@ -261,7 +263,10 @@ mod tests {
         // With max_gap 0 the set of AC is (0,4,5) (1,1,2) (1,5,6); a replay
         // without the constraints would report (0,<1,3>) (0,<4,5>) (1,<1,2>).
         let db = running_example();
-        let sc = SupportComputer::new(&db).with_constraints(GapConstraints::max_gap(0));
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared
+            .support_computer()
+            .with_constraints(GapConstraints::max_gap(0));
         let ac = Pattern::new(db.pattern_from_str("AC").unwrap());
         let set = sc.support_set(&ac);
         assert_eq!(

@@ -20,7 +20,7 @@ mod tests {
     use seqdb::SequenceDatabase;
 
     use crate::engine::{Miner, Mode};
-    use crate::growth::SupportComputer;
+    use crate::prepared::PreparedDb;
 
     fn all_patterns(db: &seqdb::SequenceDatabase, min_sup: u64) -> crate::MiningOutcome {
         crate::Miner::new(db)
@@ -38,7 +38,7 @@ mod tests {
 
     /// A ranked run: the `k` best patterns of length at least `min_len`,
     /// closed ones only when `closed_only`, with no support floor.
-    fn top_k(db: &SequenceDatabase, k: usize, min_len: usize, closed_only: bool) -> Miner<'_> {
+    fn top_k(db: &SequenceDatabase, k: usize, min_len: usize, closed_only: bool) -> Miner {
         let mode = if closed_only { Mode::Closed } else { Mode::All };
         Miner::new(db)
             .min_sup(1)
@@ -140,7 +140,8 @@ mod tests {
     #[test]
     fn every_reported_pattern_has_its_true_support() {
         let db = simple_example();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let outcome = top_k(&db, 6, 2, true).run();
         for mp in &outcome.patterns {
             assert_eq!(sc.support(&mp.pattern), mp.support);

@@ -24,7 +24,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rgs_core::closure::{CheckScratch, ClosureChecker, ClosureStatus};
-use rgs_core::{Pattern, PreparedDb, SupportSet};
+use rgs_core::{Pattern, PreparedDb, SupportComputer, SupportSet};
 use seqdb::{EventId, SequenceDatabase};
 
 /// Theorem 5's condition (ii), spelled out on the public support-set API.
@@ -39,10 +39,10 @@ fn border_holds(extension: &SupportSet, pattern: &SupportSet) -> bool {
 /// The oracle's verdict for `pattern` under both append flags:
 /// `(verdict with the flag false, verdict with the flag true, whether some
 /// append really keeps the support)`.
-fn oracle(db: &SequenceDatabase, pattern: &[EventId]) -> (ClosureStatus, ClosureStatus, bool) {
-    let own = rgs_core::support_set(db, pattern);
+fn oracle(sc: &SupportComputer<'_>, pattern: &[EventId]) -> (ClosureStatus, ClosureStatus, bool) {
+    let own = sc.support_set(&Pattern::new(pattern.to_vec()));
     let support = own.support();
-    let alphabet: Vec<EventId> = db.catalog().ids().collect();
+    let alphabet: Vec<EventId> = sc.database().catalog().ids().collect();
     let mut equal_insertion = false;
     let mut prune = false;
     let mut equal_append = false;
@@ -50,7 +50,7 @@ fn oracle(db: &SequenceDatabase, pattern: &[EventId]) -> (ClosureStatus, Closure
         for &event in &alphabet {
             let mut extension = pattern.to_vec();
             extension.insert(slot, event);
-            let set = rgs_core::support_set(db, &extension);
+            let set = sc.support_set(&Pattern::new(extension.clone()));
             assert!(set.support() <= support, "Lemma 1 broken by {extension:?}");
             if set.support() != support {
                 continue;
@@ -80,6 +80,8 @@ fn oracle(db: &SequenceDatabase, pattern: &[EventId]) -> (ClosureStatus, Closure
 /// Every pattern with support `>= min_sup` and at most `max_len` events
 /// (Apriori: only frequent patterns are extended).
 fn frequent_patterns(db: &SequenceDatabase, min_sup: u64, max_len: usize) -> Vec<Vec<EventId>> {
+    let prepared = PreparedDb::new(db);
+    let sc = prepared.support_computer();
     let alphabet: Vec<EventId> = db.catalog().ids().collect();
     let mut out = Vec::new();
     let mut frontier: Vec<Vec<EventId>> = vec![Vec::new()];
@@ -90,7 +92,7 @@ fn frequent_patterns(db: &SequenceDatabase, min_sup: u64, max_len: usize) -> Vec
         for &event in &alphabet {
             let mut grown = prefix.clone();
             grown.push(event);
-            if rgs_core::repetitive_support(db, &grown) >= min_sup {
+            if sc.support(&Pattern::new(grown.clone())) >= min_sup {
                 out.push(grown.clone());
                 frontier.push(grown);
             }
@@ -124,7 +126,7 @@ fn assert_matches_oracle(
         let stack: Vec<SupportSet> = (1..=pattern.len())
             .map(|len| sc.support_set(&pattern.prefix(len)))
             .collect();
-        let (without_flag, with_flag, equal_append) = oracle(db, events);
+        let (without_flag, with_flag, equal_append) = oracle(&sc, events);
         assert_eq!(
             checker.check(&pattern, &stack, false, &mut scratch),
             without_flag,
@@ -213,7 +215,8 @@ fn table_ii_append_is_the_only_equal_support_extension() {
     // a truthful append flag makes AB non-closed.
     let db = SequenceDatabase::from_str_rows(&["ABCABCA", "AABBCCC"]);
     let ab = ids(&db, "AB");
-    let (without_flag, with_flag, equal_append) = oracle(&db, &ab);
+    let prepared = PreparedDb::new(&db);
+    let (without_flag, with_flag, equal_append) = oracle(&prepared.support_computer(), &ab);
     assert_eq!(without_flag, ClosureStatus::Closed);
     assert_eq!(with_flag, ClosureStatus::NonClosed);
     assert!(equal_append);

@@ -11,9 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rgs_core::{
-    GapConstraints, Miner, MiningRequest, Mode, PreparedDb, SupportComputer, DEFAULT_TOP_K,
-};
+use rgs_core::{GapConstraints, Miner, MiningRequest, Mode, PreparedDb, DEFAULT_TOP_K};
 use seqdb::{DatabaseBuilder, EventId, SequenceDatabase};
 
 /// The seed's inverted-index layout: `positions[seq][event] = Vec<u32>`,
@@ -179,7 +177,7 @@ fn mining_outputs_match_the_nested_layout_across_modes_and_constraints() {
         let prepared = PreparedDb::new(&db);
         for (mode, top_k) in FAMILIES {
             for constraints in constraint_cases {
-                let lazy = Miner::new(&db)
+                let one_shot = Miner::new(&db)
                     .with_request(family(mode, top_k))
                     .min_sup(2)
                     .constraints(constraints)
@@ -190,15 +188,15 @@ fn mining_outputs_match_the_nested_layout_across_modes_and_constraints() {
                     .min_sup(2)
                     .constraints(constraints)
                     .run();
-                // Lazily-prepared and snapshot runs agree bit for bit.
+                // One-shot and shared-snapshot runs agree bit for bit.
                 assert_eq!(
-                    lazy.patterns,
+                    one_shot.patterns,
                     snapshot.patterns,
                     "round {round}, {mode:?} top_k {top_k:?}, {}",
                     constraints.describe()
                 );
                 // Every reported support re-derives on the nested layout.
-                for mined in &lazy.patterns {
+                for mined in &one_shot.patterns {
                     assert_eq!(
                         mined.support,
                         naive_support(&db, &naive, mined.pattern.events(), constraints),
@@ -224,7 +222,8 @@ fn reconstructed_landmarks_compress_back_to_the_reported_instances() {
             .mode(Mode::All)
             .keep_support_sets()
             .run();
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         for mined in &outcome.patterns {
             let set = mined.support_set.as_ref().expect("requested");
             let landmarks = sc.support_landmarks(&mined.pattern);

@@ -4,9 +4,9 @@
 //! The grid is the full product mode × constraints × `top_k` × landmark
 //! pruning over two databases, with `min_sup`, `min_len`,
 //! `max_pattern_length`, `max_patterns` and `keep_support_sets` drawn per
-//! case from a seeded PRNG. Every case runs twice — lazily prepared from the
-//! raw database, and on a [`PreparedDb`] — and both runs must reproduce the
-//! one pinned record:
+//! case from a seeded PRNG. Every case runs twice — through `Miner::new` on
+//! the raw database, and on one shared [`PreparedDb`] — and both runs must
+//! reproduce the one pinned record:
 //!
 //! * the pattern count and an FNV-1a digest of the rendered patterns with
 //!   their supports (and retained support sets);
@@ -163,7 +163,7 @@ fn cases() -> Vec<(&'static str, MiningRequest)> {
 
 /// One case's record line, computed through `miner` (called afresh for
 /// every run).
-fn record<'a>(miner: impl Fn() -> Miner<'a>, catalog: &EventCatalog) -> String {
+fn record(miner: impl Fn() -> Miner, catalog: &EventCatalog) -> String {
     let outcome = miner().run();
     let mut count = CountSink::new();
     let plain = miner().run_with_sink(&mut count);
@@ -209,12 +209,12 @@ fn walk_reproduces_the_pinned_grid() {
             &expected, line,
             "case {i} ({db_name}, {request:?}) diverges from its pin"
         );
-        let from_prepared = record(
+        let shared = record(
             || prepared.miner().with_request(request.clone()),
             db.catalog(),
         );
         assert_eq!(
-            flat, from_prepared,
+            flat, shared,
             "case {i} ({db_name}, {request:?}) differs on a prepared database"
         );
     }

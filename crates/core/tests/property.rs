@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rgs_core::reference::{closed_subset, enumerate_frequent, max_non_overlapping, pattern_set};
 use rgs_core::{
     constrained_support, repetitive_support, GapConstraints, Instance, Landmark, Miner,
-    MiningOutcome, Mode, Pattern, SupportComputer,
+    MiningOutcome, Mode, Pattern, PreparedDb,
 };
 use seqdb::{EventId, SequenceDatabase};
 
@@ -78,7 +78,8 @@ fn support_is_monotone_under_subpatterns() {
         let db = small_database(&mut rng);
         let raw = small_pattern(&mut rng);
         if let Some(pattern) = to_pattern(&db, &raw) {
-            let sc = SupportComputer::new(&db);
+            let prepared = PreparedDb::new(&db);
+            let sc = prepared.support_computer();
             let full = sc.support(&Pattern::new(pattern.clone()));
             for drop in 0..pattern.len() {
                 let mut sub = pattern.clone();
@@ -122,7 +123,8 @@ fn leftmost_support_set_is_valid_and_non_redundant() {
         let constraints = small_constraints(&mut rng);
         if let Some(pattern) = to_pattern(&db, &raw) {
             let what = format!("case {case}: {raw:?} under {}", constraints.describe());
-            let sc = SupportComputer::new(&db).with_constraints(constraints);
+            let prepared = PreparedDb::new(&db);
+            let sc = prepared.support_computer().with_constraints(constraints);
             let p = Pattern::new(pattern.clone());
             let landmarks = sc.support_landmarks(&p);
             assert_eq!(
@@ -234,7 +236,8 @@ fn single_event_support_equals_occurrence_count() {
     let mut rng = StdRng::seed_from_u64(0xACE);
     for _ in 0..CASES {
         let db = small_database(&mut rng);
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         for event in db.catalog().ids() {
             let p = Pattern::single(event);
             assert_eq!(sc.support(&p), db.event_occurrences(event) as u64);

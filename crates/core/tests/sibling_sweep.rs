@@ -7,7 +7,7 @@
 //! sides of the sweep's cost rule.
 
 use rgs_core::kernel::{node_runs, SiblingSweep, SweepScratch};
-use rgs_core::{SupportComputer, SupportSet};
+use rgs_core::{PreparedDb, SupportComputer, SupportSet};
 use seqdb::{EventId, SequenceDatabase};
 
 /// Deterministic LCG (no external randomness in tests).
@@ -111,7 +111,7 @@ fn sweep_counts_equal_kernel_supports() {
             assert_eq!(db.store().is_narrow(), width == "narrow");
             check_nodes(
                 &format!("{name}, {width}, flat"),
-                &SupportComputer::new(db),
+                &PreparedDb::new(db).support_computer(),
                 &mut seen,
             );
         }
@@ -127,7 +127,8 @@ fn sweep_counts_equal_kernel_supports() {
 fn the_sweep_follows_the_candidate_order() {
     // Table III: S1 = ABCACBDDB, S2 = ACDBACADD.
     let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
-    let sc = SupportComputer::new(&db);
+    let prepared = PreparedDb::new(&db);
+    let sc = prepared.support_computer();
     let id = |label: &str| db.catalog().id(label).expect("interned");
     let candidates = [id("D"), id("B")];
     let sweep = SiblingSweep::new(&candidates);

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rgs_core::{GapConstraints, Miner, MiningRequest, Mode, PreparedDb, DEFAULT_TOP_K};
+use rgs_core::{GapConstraints, MiningRequest, Mode, PreparedDb, DEFAULT_TOP_K};
 use seqdb::{DatabaseBuilder, SequenceDatabase};
 use std::path::PathBuf;
 
@@ -146,14 +146,6 @@ fn snapshot_streams_and_parallel_runs_match_the_in_memory_engine() {
         .threads(4)
         .run();
     assert_eq!(parallel.patterns, expected.patterns);
-
-    // Miner::from_snapshot is the one-call cold-start path.
-    let via_miner = Miner::from_snapshot(&path)
-        .expect("open")
-        .min_sup(2)
-        .mode(Mode::Closed)
-        .run();
-    assert_eq!(via_miner.patterns, expected.patterns);
     std::fs::remove_file(&path).ok();
 }
 

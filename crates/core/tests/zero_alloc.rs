@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rgs_core::closure::{CheckScratch, Child, ClosureChecker, ClosureStatus};
 use rgs_core::kernel::{node_runs, SiblingSweep, SweepScratch};
-use rgs_core::{GapConstraints, InstanceBuffer, Pattern, SupportComputer, SupportSet};
+use rgs_core::{GapConstraints, InstanceBuffer, Pattern, PreparedDb, SupportSet};
 use seqdb::SequenceDatabase;
 
 struct CountingAllocator;
@@ -92,8 +92,9 @@ fn steady_state_growth_allocates_nothing() {
         "ACDBACADDACDBACADD",
         "ABCABCAABBCCABCABC",
     ]);
-    let index = db.inverted_index();
-    let sc = SupportComputer::borrowed(&db, &index);
+    let prepared = PreparedDb::new(&db);
+    let index = prepared.index();
+    let sc = prepared.support_computer();
     let pattern = Pattern::new(db.pattern_from_str("ACBD").unwrap());
     let events: Vec<_> = db.catalog().ids().collect();
     let first = pattern.events()[0];
@@ -104,7 +105,7 @@ fn steady_state_growth_allocates_nothing() {
     let mut buffer = InstanceBuffer::new();
     let unbounded = GapConstraints::unbounded();
     assert_zero_alloc("InstanceBuffer::reconstruct", 100, || {
-        buffer.reconstruct(&index, &pattern, &unbounded);
+        buffer.reconstruct(index, &pattern, &unbounded);
         assert!(!buffer.is_empty());
     });
 
@@ -112,7 +113,7 @@ fn steady_state_growth_allocates_nothing() {
     //    buffers.
     let constrained = GapConstraints::max_gap(4);
     assert_zero_alloc("InstanceBuffer::reconstruct (constrained)", 100, || {
-        buffer.reconstruct(&index, &pattern, &constrained);
+        buffer.reconstruct(index, &pattern, &constrained);
     });
 
     // 3. The compressed-instance growth chain (`supComp`) ping-ponging
@@ -141,7 +142,9 @@ fn steady_state_growth_allocates_nothing() {
 
     //    The same fan through a computer carrying gap constraints, which
     //    runs the constrained instantiation of the one growth loop.
-    let csc = SupportComputer::borrowed(&db, &index).with_constraints(GapConstraints::max_gap(4));
+    let csc = prepared
+        .support_computer()
+        .with_constraints(GapConstraints::max_gap(4));
     let constrained_base = csc.support_set(&Pattern::new(db.pattern_from_str("AC").unwrap()));
     assert!(!constrained_base.is_empty());
     assert_zero_alloc("per-node growth fan (constrained)", 100, || {
@@ -210,7 +213,8 @@ fn steady_state_growth_allocates_nothing() {
         .collect();
     let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
     let db = SequenceDatabase::from_str_rows(&refs);
-    let sc = SupportComputer::new(&db);
+    let prepared = PreparedDb::new(&db);
+    let sc = prepared.support_computer();
     let store = db.store();
     let events: Vec<_> = db.catalog().ids().collect();
     let sweep = SiblingSweep::new(&events);

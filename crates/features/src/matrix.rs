@@ -7,7 +7,7 @@
 //! global repetitive support (the per-sequence maxima are independent, so
 //! the global leftmost support set restricted to `Si` attains each of them).
 
-use rgs_core::{Pattern, SupportComputer};
+use rgs_core::{Pattern, PreparedDb};
 use seqdb::SequenceDatabase;
 
 /// A dense feature matrix: one row per sequence of the database, one column
@@ -130,19 +130,17 @@ impl FeatureMatrix {
 
 /// Computes the feature matrix of `patterns` over `db`: entry `(i, j)` is
 /// the per-sequence repetitive support of pattern `j` in sequence `i`.
+/// Prepares a snapshot of `db` for the call; [`extract_features_with`]
+/// reuses one.
 pub fn extract_features(db: &SequenceDatabase, patterns: &[Pattern]) -> FeatureMatrix {
-    let sc = SupportComputer::new(db);
-    extract_features_with(&sc, db, patterns)
+    extract_features_with(&PreparedDb::new(db), patterns)
 }
 
-/// [`extract_features`] reusing an existing [`SupportComputer`] (avoids
-/// rebuilding the inverted index when extracting several pattern sets).
-pub fn extract_features_with(
-    sc: &SupportComputer<'_>,
-    db: &SequenceDatabase,
-    patterns: &[Pattern],
-) -> FeatureMatrix {
-    let rows = db.num_sequences();
+/// [`extract_features`] over a prepared snapshot (no index is built, so
+/// extracting several pattern sets from one database prepares it once).
+pub fn extract_features_with(prepared: &PreparedDb, patterns: &[Pattern]) -> FeatureMatrix {
+    let sc = prepared.support_computer();
+    let rows = prepared.database().num_sequences();
     let cols = patterns.len();
     let mut values = vec![0.0f64; rows * cols];
     for (j, pattern) in patterns.iter().enumerate() {
@@ -186,7 +184,8 @@ mod tests {
     fn per_sequence_values_sum_to_the_global_support() {
         let db = db();
         let pats = patterns(&db, &["AB", "CD", "A", "ABB"]);
-        let sc = SupportComputer::new(&db);
+        let prepared = PreparedDb::new(&db);
+        let sc = prepared.support_computer();
         let matrix = extract_features(&db, &pats);
         for (j, p) in pats.iter().enumerate() {
             let total: f64 = matrix.column(j).iter().sum();

@@ -228,11 +228,7 @@ fn fit_mined(
         .filter(|mp| mp.pattern.len() >= config.min_pattern_len)
         .map(|mp| mp.pattern.clone())
         .collect();
-    let matrix = extract_features_with(
-        &prepared.support_computer(),
-        prepared.database(),
-        &candidates,
-    );
+    let matrix = extract_features_with(prepared, &candidates);
     let selected = select_top_k(
         &matrix,
         train.class_ids(),

@@ -55,13 +55,6 @@ pub fn usize_to_u32(v: usize) -> Option<u32> {
     u32::try_from(v).ok()
 }
 
-/// Narrows a `u64` to a `u32` CSR offset, `None` when it does not fit.
-#[inline]
-#[must_use]
-pub fn u64_to_u32(v: u64) -> Option<u32> {
-    u32::try_from(v).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +68,6 @@ mod tests {
     #[test]
     fn narrowing_detects_overflow() {
         assert_eq!(usize_to_u32(42), Some(42));
-        assert_eq!(u64_to_u32(u64::from(u32::MAX) + 1), None);
         assert_eq!(u64_to_usize(9), Some(9));
         #[cfg(target_pointer_width = "64")]
         assert_eq!(

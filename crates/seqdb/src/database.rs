@@ -135,20 +135,6 @@ impl SequenceDatabase {
         self.store.widen();
     }
 
-    /// Number of sequences that contain `event` at least once.
-    ///
-    /// This is the classical *sequence support* of a single event.
-    pub fn event_sequence_support(&self, event: EventId) -> usize {
-        self.sequences()
-            .filter(|s| s.count_event(event) > 0)
-            .count()
-    }
-
-    /// Renders a pattern of event ids using this database's catalog.
-    pub fn render_pattern(&self, pattern: &[EventId]) -> String {
-        self.catalog.render(pattern, "")
-    }
-
     /// Interns a pattern given as labels, returning `None` if any label is
     /// unknown to the catalog.
     pub fn pattern_from_labels(&self, labels: &[&str]) -> Option<Vec<EventId>> {
@@ -183,15 +169,6 @@ impl DatabaseBuilder {
         Self::default()
     }
 
-    /// Creates a builder seeded with an existing catalog (useful when event
-    /// ids must be stable across several databases, e.g. train/test splits).
-    pub fn with_catalog(catalog: EventCatalog) -> Self {
-        Self {
-            catalog,
-            store: SeqStore::new(),
-        }
-    }
-
     /// Access to the catalog built so far.
     pub fn catalog(&self) -> &EventCatalog {
         &self.catalog
@@ -210,13 +187,6 @@ impl DatabaseBuilder {
         let catalog = &mut self.catalog;
         self.store
             .push_events(tokens.into_iter().map(|t| catalog.intern(t)))
-    }
-
-    /// Adds an already-interned sequence, flattening it into the store. The
-    /// caller is responsible for the ids being valid for this builder's
-    /// catalog.
-    pub fn push_sequence(&mut self, sequence: &Sequence) -> usize {
-        self.store.push_events(sequence.events().iter().copied())
     }
 
     /// Number of sequences added so far.
@@ -262,25 +232,16 @@ mod tests {
         let b = db.catalog().id("B").unwrap();
         // B occurs 3 times in S1 and once in S2
         assert_eq!(db.event_occurrences(b), 4);
-        assert_eq!(db.event_sequence_support(b), 2);
+        let sequence_support = db.sequences().filter(|s| s.count_event(b) > 0).count();
+        assert_eq!(sequence_support, 2);
     }
 
     #[test]
     fn pattern_from_str_and_render_round_trip() {
         let db = SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"]);
         let p = db.pattern_from_str("ACB").unwrap();
-        assert_eq!(db.render_pattern(&p), "ACB");
+        assert_eq!(db.catalog().render(&p, ""), "ACB");
         assert_eq!(db.pattern_from_str("AXB"), None);
-    }
-
-    #[test]
-    fn builder_with_catalog_keeps_ids_stable() {
-        let catalog = EventCatalog::from_labels(["A", "B", "C"]);
-        let mut builder = DatabaseBuilder::with_catalog(catalog);
-        builder.push_tokens(["C", "A"]);
-        let db = builder.finish();
-        assert_eq!(db.catalog().id("C"), Some(EventId(2)));
-        assert_eq!(db.sequence(0).unwrap().at(1), Some(EventId(2)));
     }
 
     #[test]
@@ -293,7 +254,7 @@ mod tests {
         assert_eq!(db.num_events(), 3);
         assert_eq!(db.num_sequences(), 2);
         let lock = db.catalog().id("TransImpl.lock").unwrap();
-        assert_eq!(db.event_sequence_support(lock), 2);
+        assert_eq!(db.event_occurrences(lock), 2);
     }
 
     #[test]
@@ -326,7 +287,7 @@ mod tests {
     fn builder_appends_straight_into_the_flat_store() {
         let mut builder = DatabaseBuilder::new();
         builder.push_tokens(["x", "y"]);
-        builder.push_sequence(&Sequence::from_events(vec![EventId(0)]));
+        builder.push_tokens(["x"]);
         assert_eq!(builder.len(), 2);
         let db = builder.finish();
         assert_eq!(db.store().offsets(), &[0, 2, 3]);

@@ -657,7 +657,7 @@ pub fn open_prepared(path: impl AsRef<Path>) -> Result<PreparedImage, SnapshotEr
     } else {
         EventColumn::Wide(image.shared(&regions.events)?)
     };
-    let store = SeqStore::from_shared_parts(events, image.shared(&regions.offsets)?);
+    let store = SeqStore::from_columns(events, image.shared(&regions.offsets)?);
     let index = InvertedIndex::build_for_store(&store, catalog.len());
     Ok(PreparedImage {
         database: SequenceDatabase::from_store(catalog, store),

@@ -13,7 +13,7 @@
 //! and double the events per cache line; the *logical* content is
 //! width-independent, and equality compares logically. Builders start
 //! narrow and widen **once** (an `O(n)` copy) if an id above
-//! [`NARROW_MAX_EVENT`] is ever pushed.
+//! [`NARROW_MAX_EVENT`](crate::width::NARROW_MAX_EVENT) is ever pushed.
 //!
 //! [`SequenceDatabase`](crate::SequenceDatabase) is a thin facade over a
 //! `SeqStore` plus an [`EventCatalog`](crate::catalog::EventCatalog); the
@@ -30,7 +30,7 @@ use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
 use crate::sequence::Sequence;
 use crate::shared::SharedSlice;
-use crate::width::{EventWidth, NARROW_MAX_EVENT};
+use crate::width::EventWidth;
 
 /// The flat event arena of a [`SeqStore`]: one contiguous column of events
 /// at the narrowest physical width that fits the alphabet.
@@ -84,14 +84,6 @@ impl EventColumn {
         match self {
             Self::Narrow(_) => <u16 as EventWidth>::BYTES,
             Self::Wide(_) => <EventId as EventWidth>::BYTES,
-        }
-    }
-
-    /// Human-readable element width ("u16" / "u32").
-    pub fn width_name(&self) -> &'static str {
-        match self {
-            Self::Narrow(_) => <u16 as EventWidth>::NAME,
-            Self::Wide(_) => <EventId as EventWidth>::NAME,
         }
     }
 
@@ -173,15 +165,6 @@ impl EventColumn {
                 *self = Self::Narrow(narrow.into());
                 true
             }
-        }
-    }
-
-    /// Returns `true` when every id in the column fits a narrow column
-    /// (trivially true for one that already is narrow).
-    pub fn fits_narrow(&self) -> bool {
-        match self {
-            Self::Narrow(_) => true,
-            Self::Wide(v) => v.iter().all(|e| e.0 <= NARROW_MAX_EVENT),
         }
     }
 
@@ -327,7 +310,7 @@ impl SeqStore {
     /// Reassembles a store from its two columns: zero-copy slices of an
     /// image that [`snapshot::open_prepared`](crate::snapshot::open_prepared)
     /// has verified, so the CSR invariants are not checked again here.
-    pub(crate) fn from_shared_parts(events: EventColumn, offsets: SharedSlice<u32>) -> Self {
+    pub(crate) fn from_columns(events: EventColumn, offsets: SharedSlice<u32>) -> Self {
         Self { events, offsets }
     }
 
@@ -376,11 +359,6 @@ impl SeqStore {
     /// Returns `true` when the store holds no sequences.
     pub fn is_empty(&self) -> bool {
         self.num_sequences() == 0
-    }
-
-    /// Length of sequence `seq`, or 0 when out of range.
-    pub fn seq_len(&self, seq: usize) -> usize {
-        self.view(seq).map_or(0, SeqView::len)
     }
 
     /// Length of the longest sequence.
@@ -664,8 +642,6 @@ mod tests {
         assert_eq!(s.view(2).unwrap().to_vec(), ids(&[4, 5]));
         assert_eq!(s.view(3), None);
         assert_eq!(s.max_sequence_length(), 3);
-        assert_eq!(s.seq_len(2), 2);
-        assert_eq!(s.seq_len(9), 0);
     }
 
     #[test]
@@ -725,7 +701,6 @@ mod tests {
         let mut s = store(&[&[1, 2, 3]]);
         assert!(s.is_narrow());
         assert_eq!(s.element_bytes(), 2);
-        assert_eq!(s.event_column().width_name(), "u16");
 
         // Pushing an id beyond u16 widens the whole arena once.
         s.push_events([EventId(70_000)]);
@@ -753,9 +728,8 @@ mod tests {
         );
         // And narrows back.
         let mut column = wide.event_column().clone();
-        assert!(column.fits_narrow());
         assert!(column.narrow());
-        let back = SeqStore::from_shared_parts(column, wide.offsets().to_vec().into());
+        let back = SeqStore::from_columns(column, wide.offsets().to_vec().into());
         assert_eq!(back, narrow);
         assert!(back.is_narrow());
     }

@@ -69,17 +69,6 @@ impl EventWidth for EventId {
     }
 }
 
-/// Returns `true` when every id below `num_events` fits a narrow column.
-///
-/// Alphabets are dense (`EventId`s are interned consecutively from 0), so
-/// the whole-alphabet check is a single comparison against the catalog
-/// size rather than a scan of the arena.
-#[inline]
-pub fn alphabet_fits_narrow(num_events: usize) -> bool {
-    // `num_events` ids occupy 0..num_events, so the largest is num_events-1.
-    num_events <= crate::cast::u32_to_usize(NARROW_MAX_EVENT) + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +86,6 @@ mod tests {
         let e = EventId(u32::MAX);
         assert_eq!(EventId::from_event(e), Some(e));
         assert_eq!(e.to_event(), e);
-    }
-
-    #[test]
-    fn alphabet_fit_boundary() {
-        assert!(alphabet_fits_narrow(0));
-        assert!(alphabet_fits_narrow(65_536));
-        assert!(!alphabet_fits_narrow(65_537));
     }
 
     #[test]

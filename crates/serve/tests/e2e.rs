@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use rgs_bench::datasets::{fig2_dataset, Scale};
 use rgs_core::json::{self, Value};
-use rgs_core::{CollectSink, Miner, PreparedDb};
+use rgs_core::{CollectSink, PreparedDb};
 use rgs_serve::client;
 use rgs_serve::protocol::{parse_mine_request, render_patterns};
 use rgs_serve::{boot_snapshot, ServeConfig, Server};
@@ -87,7 +87,8 @@ fn served_results_are_bit_identical_to_in_process_mining() {
             // protocol, mined in-process over the same shared snapshot.
             let request = parse_mine_request(&body).expect("parse body").request;
             let mut sink = CollectSink::new();
-            Miner::from_shared(Arc::clone(&shared))
+            shared
+                .miner()
                 .with_request(request)
                 .run_with_sink(&mut sink);
             let expected = render_patterns(sink.patterns(), shared.catalog());
@@ -340,7 +341,8 @@ fn concurrent_requests_coalesce_into_one_batch_with_identical_bytes() {
         // Bit-identity vs a solo in-process run of the same wire request.
         let request = parse_mine_request(body).expect("parse body").request;
         let mut sink = CollectSink::new();
-        Miner::from_shared(Arc::clone(&shared))
+        shared
+            .miner()
             .with_request(request)
             .run_with_sink(&mut sink);
         let expected = render_patterns(sink.patterns(), shared.catalog());
@@ -433,7 +435,8 @@ fn deadline_expired_batch_member_does_not_poison_siblings() {
         .expect("parse body")
         .request;
     let mut sink = CollectSink::new();
-    Miner::from_shared(Arc::clone(&shared))
+    shared
+        .miner()
         .with_request(request)
         .run_with_sink(&mut sink);
     assert_eq!(

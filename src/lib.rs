@@ -105,11 +105,10 @@ pub use synthgen;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use rgs_core::{
-        constrained_support, instance_growth, postprocess, repetitive_support, support_set,
-        BudgetSink, CollectSink, CountSink, DeadlineSink, ExecutionPolicy, GapConstraints,
-        Instance, Landmark, MinedPattern, Miner, MiningOutcome, MiningReport, MiningRequest,
-        MiningResult, Mode, Pattern, PatternSink, PostProcessConfig, PreparedDb, SupportComputer,
-        SupportSet,
+        constrained_support, postprocess, repetitive_support, BudgetSink, CollectSink, CountSink,
+        DeadlineSink, ExecutionPolicy, GapConstraints, Instance, Landmark, MinedPattern, Miner,
+        MiningOutcome, MiningReport, MiningRequest, MiningResult, Mode, Pattern, PatternSink,
+        PostProcessConfig, PreparedDb, SupportComputer, SupportSet,
     };
     pub use rgs_features::{
         extract_features, ClassId, Classifier, FeatureMatrix, LabeledDatabase, SelectionMethod,

@@ -45,8 +45,8 @@ fn example_3_1_instance_growth_supports() {
 #[test]
 fn table_iv_support_set_instances() {
     let db = running_example();
-    let acb = db.pattern_from_str("ACB").unwrap();
-    let set = support_set(&db, &acb);
+    let acb = Pattern::new(db.pattern_from_str("ACB").unwrap());
+    let set = PreparedDb::new(&db).support_computer().support_set(&acb);
     let instances: Vec<(u32, u32, u32)> = set
         .instances()
         .iter()

@@ -1,6 +1,6 @@
 //! Integration suite for the prepared-query engine: `PreparedDb` reuse,
-//! `Arc` sharing across threads and `Miner::prepare` — all pinned against
-//! the lazy `Miner::new` path.
+//! sharing across threads, and the `Miner` that owns its snapshot — all
+//! pinned against the one-shot `Miner::new` path.
 
 use std::sync::Arc;
 
@@ -24,6 +24,13 @@ fn family(mode: Mode, top_k: Option<usize>) -> MiningRequest {
         ..MiningRequest::default()
     }
 }
+
+/// A miner owns its `PreparedDb`, so every miner can move into another
+/// thread, whatever built it.
+const _: () = {
+    const fn assert_send_sync_static<T: Send + Sync + 'static>() {}
+    assert_send_sync_static::<Miner>();
+};
 
 fn running_example() -> SequenceDatabase {
     SequenceDatabase::from_str_rows(&["ABCACBDDB", "ACDBACADD"])
@@ -54,7 +61,7 @@ fn one_prepared_db_serves_every_query_shape() {
             assert_eq!(
                 fresh.patterns,
                 reused.patterns,
-                "{mode:?} top_k {top_k:?} with {} diverges between lazy and prepared paths",
+                "{mode:?} top_k {top_k:?} with {} diverges between one-shot and shared preparations",
                 constraints.describe()
             );
         }
@@ -64,12 +71,24 @@ fn one_prepared_db_serves_every_query_shape() {
 #[test]
 fn miner_prepare_snapshots_the_database() {
     let db = running_example();
-    let prepared = Miner::new(&db).prepare();
-    let expected = Miner::new(&db).min_sup(2).run();
-    drop(db); // the snapshot owns everything it needs
-    let outcome = prepared.miner().min_sup(2).run();
-    assert_eq!(outcome.patterns, expected.patterns);
+    let miner = Miner::new(&db).min_sup(2);
+    let prepared = PreparedDb::new(&db);
+    let expected = prepared.miner().min_sup(2).run();
+    drop(db); // the miner's snapshot owns everything it needs
+    assert_eq!(miner.run().patterns, expected.patterns);
     assert_eq!(prepared.frequent_events(2).len(), 4);
+}
+
+#[test]
+fn a_miner_over_a_bare_database_moves_into_a_thread() {
+    let db = running_example();
+    let expected = Miner::new(&db).min_sup(2).mode(Mode::All).run();
+    let miner = Miner::new(&db).min_sup(2).mode(Mode::All);
+    drop(db);
+    let patterns = std::thread::spawn(move || miner.run().patterns)
+        .join()
+        .expect("mining thread");
+    assert_eq!(patterns, expected.patterns);
 }
 
 #[test]
@@ -83,11 +102,9 @@ fn arc_shared_snapshot_answers_concurrent_queries() {
             std::thread::spawn(move || {
                 // Each worker issues a differently-shaped query plus the
                 // common one, all borrowing the same snapshot.
-                let common = Miner::from_shared(Arc::clone(&shared))
-                    .min_sup(min_sup)
-                    .mode(Mode::Closed)
-                    .run();
-                let own = Miner::from_shared(shared)
+                let common = shared.miner().min_sup(min_sup).mode(Mode::Closed).run();
+                let own = shared
+                    .miner()
                     .min_sup(min_sup + worker)
                     .mode(Mode::All)
                     .run();
