@@ -110,7 +110,10 @@ pub fn gap_constrained_count(
     // occurrences of pattern[..=j] ending exactly at `pos`.
     let len = sequence.len();
     let mut ways = vec![0u64; len + 1];
-    #[allow(clippy::needless_range_loop)] // 1-based positions mirror the paper's indexing
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "1-based positions mirror the paper's indexing"
+    )]
     for pos in 1..=len {
         if sequence.at(pos) == Some(pattern[0]) {
             ways[pos] = 1;
@@ -118,7 +121,10 @@ pub fn gap_constrained_count(
     }
     for &event in &pattern[1..] {
         let mut next = vec![0u64; len + 1];
-        #[allow(clippy::needless_range_loop)] // 1-based positions mirror the paper's indexing
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "1-based positions mirror the paper's indexing"
+        )]
         for pos in 1..=len {
             if sequence.at(pos) != Some(event) {
                 continue;

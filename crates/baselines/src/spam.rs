@@ -200,7 +200,10 @@ pub fn mine_sequential_spam(
     result
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursion threads its whole search state"
+)]
 fn descend(
     vertical: &VerticalDatabase,
     config: &SequentialConfig,

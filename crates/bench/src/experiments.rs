@@ -79,7 +79,10 @@ pub fn table1() -> ExperimentReport {
 
 /// Runs the "All" and "Closed" miners over a sweep of support thresholds on
 /// one dataset (the template of Figures 2, 3 and 4).
-#[allow(clippy::too_many_arguments)] // experiment descriptor, not an API
+#[allow(
+    clippy::too_many_arguments,
+    reason = "an experiment descriptor, not an API"
+)]
 fn minsup_sweep(
     id: &str,
     title: &str,

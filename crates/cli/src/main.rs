@@ -51,6 +51,10 @@
 //! without constructing a database, reporting each violation with its
 //! region and byte offset.
 
+// Flag values convert with `TryFrom` (`parse_num`): an `as` cast would
+// wrap an out-of-range value without a trace.
+#![warn(clippy::as_conversions)]
+
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -521,11 +525,15 @@ fn run_stats(prepared: &PreparedDb) -> ExitCode {
     }
     println!("index bytes (CSR):     {index_bytes}");
     if stats.total_length > 0 {
-        println!(
-            "bytes per event:       {:.2} store + {:.2} index",
+        #[allow(
+            clippy::as_conversions,
+            reason = "a printed ratio of byte counts; rounding to f64 is harmless"
+        )]
+        let (store, index) = (
             stats.store_bytes as f64 / stats.total_length as f64,
-            index_bytes as f64 / stats.total_length as f64
+            index_bytes as f64 / stats.total_length as f64,
         );
+        println!("bytes per event:       {store:.2} store + {index:.2} index");
     }
     // The vector extensions this build targets, so throughput reports
     // always name the build they ran on.
@@ -637,8 +645,9 @@ fn parse_num<T: TryFrom<u64>>(value: &str, what: &str) -> Result<T, String> {
 }
 
 /// The flags that describe one mining query or shape its report. `batch`
-/// reads its queries from `--requests`, so it rejects these by name, as
-/// the request reader rejects an unknown field.
+/// reads its queries from `--requests`, and `stats` and `snapshot` mine
+/// nothing, so they reject these by name, as the request reader rejects an
+/// unknown field.
 const QUERY_FLAGS: [&str; 19] = [
     "--min-sup",
     "-s",
@@ -668,6 +677,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     // Whether the last mode flag was `--mode top-k`: an unset `top_k` then
     // becomes `DEFAULT_TOP_K`.
     let mut ranked = false;
+    // The first query flag seen, for the subcommands that take none.
+    let mut query_flag = None;
     let mut i = 0;
 
     // Optional leading subcommand.
@@ -718,10 +729,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 .cloned()
                 .ok_or_else(|| format!("{arg} needs a value"))
         };
-        if options.batch && QUERY_FLAGS.contains(&arg.as_str()) {
-            return Err(format!(
-                "{arg} does not apply to batch, which reads its queries from --requests"
-            ));
+        if query_flag.is_none() && QUERY_FLAGS.contains(&arg.as_str()) {
+            query_flag = Some(arg.clone());
         }
         let request = &mut options.request;
         match args[i].as_str() {
@@ -793,6 +802,18 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
         i += 1;
     }
+    let runs_no_query = if options.batch {
+        Some("batch, which reads its queries from --requests")
+    } else if options.stats_only {
+        Some("stats, which mines nothing")
+    } else {
+        options
+            .snapshot_cmd
+            .map(|_| "snapshot, which mines nothing")
+    };
+    if let (Some(flag), Some(command)) = (query_flag, runs_no_query) {
+        return Err(format!("{flag} does not apply to {command}"));
+    }
     if ranked {
         options.request.top_k = options.request.top_k.or(Some(DEFAULT_TOP_K));
     }
@@ -824,6 +845,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         return Err(
             "--stream and --format json are mutually exclusive (JSON output \
                     materializes the full report)"
+                .to_owned(),
+        );
+    }
+    if options.stream && (options.density.is_some() || options.maximal_filter) {
+        return Err(
+            "--stream prints each pattern as it is found, so --density and \
+             --maximal, which filter the full result, do not apply"
                 .to_owned(),
         );
     }
@@ -1092,6 +1120,20 @@ mod tests {
     }
 
     #[test]
+    fn stream_rejects_the_report_filters() {
+        for extra in [&["--density", "0.5"][..], &["--maximal"]] {
+            let args: Vec<String> = ["--demo", "--stream"]
+                .iter()
+                .chain(extra)
+                .map(std::string::ToString::to_string)
+                .collect();
+            let err = parse_args(&args).expect_err("a report filter under --stream");
+            assert!(err.contains(extra[0]), "{extra:?}: {err}");
+        }
+        assert!(parse(&["--demo", "--maximal", "--density", "0.5"]).maximal_filter);
+    }
+
+    #[test]
     fn snapshot_subcommands_parse_and_validate() {
         let build = parse(&["snapshot", "build", "--input", "x", "--out", "y"]);
         assert_eq!(build.snapshot_cmd, Some(SnapshotCmd::Build));
@@ -1223,6 +1265,42 @@ mod tests {
         assert_eq!(options.top, 3);
         assert!(options.json_output);
         assert_eq!(parse(&["--demo", "--min-sup", "3"]).request.min_sup, 3);
+    }
+
+    #[test]
+    fn stats_and_snapshot_reject_query_flags_by_name() {
+        for (command, flags_before, flags_after) in [
+            ("stats", &["stats", "--demo"][..], &[][..]),
+            ("stats", &["--demo"], &["--stats"]),
+            (
+                "snapshot",
+                &["snapshot", "build", "--input", "x", "--out", "y"],
+                &[],
+            ),
+            ("snapshot", &["snapshot", "info", "--snapshot", "z"], &[]),
+            ("snapshot", &["snapshot", "verify", "--snapshot", "z"], &[]),
+        ] {
+            for extra in [
+                &["--min-sup", "3"][..],
+                &["--mode", "all"],
+                &["--max-gap", "2"],
+                &["--threads", "4"],
+                &["--stream"],
+                &["--maximal"],
+            ] {
+                let args: Vec<String> = flags_before
+                    .iter()
+                    .chain(extra)
+                    .chain(flags_after)
+                    .map(std::string::ToString::to_string)
+                    .collect();
+                let err = parse_args(&args).expect_err("a query flag that would be ignored");
+                assert!(
+                    err.starts_with(&format!("{} does not apply to {command}", extra[0])),
+                    "{args:?}: {err}"
+                );
+            }
+        }
     }
 
     /// One table of bodies that a `batch` line and a `POST /mine` body

@@ -6,13 +6,12 @@
 //! Deterministic given a seed; the streams differ from upstream `rand`.
 
 #![forbid(unsafe_code)]
-// The sampling shims intentionally fold every integer width through u64
-// with wrapping/truncating `as` casts, mirroring upstream `rand`'s
-// widening-then-reduce technique; the lossiness is the algorithm.
 #![allow(
     clippy::cast_lossless,
     clippy::cast_sign_loss,
-    clippy::cast_possible_wrap
+    clippy::cast_possible_wrap,
+    reason = "the sampling shims fold every integer width through u64 with wrapping \
+              `as` casts, as upstream `rand` does; the lossiness is the algorithm"
 )]
 
 /// Core random-number generation: a source of `u64` words.

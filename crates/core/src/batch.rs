@@ -98,6 +98,17 @@
 //! disturbing their siblings; basis and ranked members observe it at their
 //! final drain.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;

@@ -50,6 +50,17 @@
 //! nothing when the ancestor's child already falls short of `sup(P)`. For
 //! `P = A^k` the extension `A^(k+1)` costs one growth, not one per slot.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::borrow::Cow;
 
 use seqdb::EventId;

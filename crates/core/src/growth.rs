@@ -18,6 +18,17 @@
 //! support set); the kernel owns the *mechanics* of finding each
 //! instance's next admissible position.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use seqdb::{EventId, InvertedIndex, SequenceDatabase};
 
 use crate::constraints::GapConstraints;

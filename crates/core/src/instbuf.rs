@@ -22,6 +22,17 @@
 //! spare arena and appends the new position. It runs once per reported
 //! pattern, not per growth step.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use seqdb::{EventId, InvertedIndex};
 
 use crate::constraints::GapConstraints;
@@ -172,18 +183,6 @@ impl InstanceBuffer {
             .map(|(seq, positions)| Landmark::new(seq as usize, positions.to_vec()))
             .collect()
     }
-
-    /// The compressed `(seq, first, last)` triple of instance `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn compressed(&self, i: usize) -> Instance {
-        // Documented panic on an out-of-range instance id at the API
-        // boundary; the growth loop never calls this.
-        // audit:allow(indexing): see above
-        self.instances[i]
-    }
 }
 
 #[cfg(test)]
@@ -217,8 +216,8 @@ mod tests {
                 Landmark::new(1, vec![1, 2, 4]),
             ]
         );
-        assert_eq!(buffer.compressed(0), Instance::new(0, 1, 6));
-        assert_eq!(buffer.compressed(2), Instance::new(1, 1, 4));
+        assert_eq!(buffer.instances[0], Instance::new(0, 1, 6));
+        assert_eq!(buffer.instances[2], Instance::new(1, 1, 4));
     }
 
     #[test]
@@ -279,9 +278,8 @@ mod tests {
         buffer.seed(&index, a);
         assert_eq!(buffer.len(), 5);
         assert_eq!(buffer.stride(), 1);
-        let triples: Vec<Instance> = (0..buffer.len()).map(|i| buffer.compressed(i)).collect();
         assert_eq!(
-            triples,
+            buffer.instances,
             vec![
                 Instance::new(0, 1, 1),
                 Instance::new(0, 4, 4),

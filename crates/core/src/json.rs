@@ -112,9 +112,12 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         const EXACT_MAX: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
-            Value::Num(n) if n.fract() == 0.0 && (0.0..=EXACT_MAX).contains(n) => {
-                // In range and integral (checked above), so the cast is exact.
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Value::Num(n) if n.fract() == 0.0 && (0.0..=EXACT_MAX).contains(n) =>
+            {
+                #[allow(
+                    clippy::cast_sign_loss,
+                    reason = "in range and integral (checked above), so the cast is exact"
+                )]
                 Some(*n as u64)
             }
             _ => None,

@@ -47,6 +47,17 @@
 //! Where the per-event passes stay, their `target` early exit stops a pass
 //! that can no longer reach the scan's threshold.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use seqdb::index::gallop;
 use seqdb::{EventColumn, EventId, EventWidth, InvertedIndex, PostingCursor, RunSet, SeqStore};
 

@@ -12,6 +12,17 @@
 //! rebuilds full landmarks, under the computer's constraints, when they are
 //! needed for reporting.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use seqdb::{EventId, SequenceDatabase};
 
 use crate::instance::{Instance, Landmark};
@@ -34,9 +45,7 @@ impl SupportSet {
     /// Debug builds assert the ordering invariant.
     pub fn from_sorted(instances: Vec<Instance>) -> Self {
         debug_assert!(
-            instances
-                .windows(2)
-                .all(|w| (w[0].seq, w[0].last) <= (w[1].seq, w[1].last)),
+            instances.is_sorted_by_key(|i| (i.seq, i.last)),
             "support set instances must be sorted by (seq, last)"
         );
         Self { instances }
@@ -294,5 +303,12 @@ mod tests {
         ]);
         let lasts: Vec<(u32, u32)> = set.last_positions().collect();
         assert_eq!(lasts, vec![(0, 6), (0, 9), (1, 4)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sorted by (seq, last)")]
+    fn from_sorted_rejects_instances_out_of_order() {
+        SupportSet::from_sorted(vec![Instance::new(0, 4, 9), Instance::new(0, 1, 6)]);
     }
 }

@@ -199,8 +199,10 @@ impl LabeledDatabase {
                 });
             }
             members.shuffle(&mut rng);
-            // Sign loss is impossible: the fraction and the length are non-negative.
-            #[allow(clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_sign_loss,
+                reason = "the fraction and the length are non-negative"
+            )]
             let mut train_count = ((members.len() as f64) * train_fraction).round() as usize;
             train_count = train_count.clamp(1, members.len() - 1);
             train_indices.extend_from_slice(&members[..train_count]);

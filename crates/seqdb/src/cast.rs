@@ -7,8 +7,8 @@
 //! widening conversions are provably lossless (backed by compile-time
 //! width asserts), narrowing ones return `Option` and force the caller to
 //! surface a [`SnapshotError`](crate::snapshot::SnapshotError) or assert an
-//! invariant instead of wrapping. `cargo run -p xtask -- audit` bans raw
-//! `as` narrowing in the CSR modules in favour of these.
+//! invariant instead of wrapping. The CSR modules deny every `as` cast
+//! (`clippy::as_conversions`) in favour of these.
 
 // Every supported target has 32-bit-or-wider pointers (the snapshot layer
 // additionally requires 64-bit; see `snapshot::mapping`), so `u32 -> usize`
@@ -21,7 +21,10 @@ const _: () = assert!(std::mem::size_of::<usize>() <= 8);
 /// supported target (compile-time asserted above).
 #[inline]
 #[must_use]
-#[allow(clippy::cast_possible_truncation)] // const-asserted: usize >= 32 bits
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "const-asserted: usize >= 32 bits"
+)]
 pub fn u32_to_usize(v: u32) -> usize {
     v as usize
 }

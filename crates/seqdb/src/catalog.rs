@@ -119,8 +119,10 @@ impl EventCatalog {
     }
 
     /// Iterates over `(id, label)` pairs in id order.
-    // `intern` bounds the catalog to u32::MAX labels, so `i` always fits.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "`intern` bounds the catalog to u32::MAX labels, so `i` always fits"
+    )]
     pub fn iter(&self) -> impl Iterator<Item = (EventId, &str)> {
         self.labels
             .iter()
@@ -129,8 +131,10 @@ impl EventCatalog {
     }
 
     /// All ids currently in the catalog, in ascending order.
-    // `intern` bounds the catalog to u32::MAX labels, so `len` always fits.
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "`intern` bounds the catalog to u32::MAX labels, so `len` always fits"
+    )]
     pub fn ids(&self) -> impl Iterator<Item = EventId> + '_ {
         (0..self.labels.len() as u32).map(EventId)
     }

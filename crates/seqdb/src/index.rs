@@ -34,6 +34,20 @@
 //! event's ids. The random-access API below keeps a binary search over
 //! them.
 
+// Offsets and lengths convert through `crate::cast` or `TryFrom`: an `as`
+// cast can truncate or wrap without a trace.
+#![warn(clippy::as_conversions)]
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::ops::Range;
 
 use crate::cast::{u32_to_usize, usize_to_u32};
@@ -850,7 +864,7 @@ mod tests {
                 let positions = index.event_positions(seq, event).unwrap();
                 assert!(positions.windows(2).all(|w| w[0] < w[1]));
                 for &p in positions {
-                    assert_eq!(db.sequence(seq).unwrap().at(p as usize), Some(event));
+                    assert_eq!(db.sequence(seq).unwrap().at(u32_to_usize(p)), Some(event));
                 }
             }
         }

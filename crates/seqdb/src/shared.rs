@@ -14,10 +14,11 @@
 //! in practice the copy only happens if someone appends to a database that
 //! was opened from a snapshot.
 
-// The mapped variant stores a raw pointer into memory owned by the
-// reference-counted image; this is the one place (besides `snapshot`)
-// where seqdb needs `unsafe`. Safety arguments are local and documented.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the mapped variant holds a raw pointer into the reference-counted \
+              image; with `snapshot`, the only `unsafe` in seqdb"
+)]
 
 use std::any::Any;
 use std::fmt;

@@ -9,6 +9,17 @@
 //! because the `perfbench` package still names them: there is one backend,
 //! `scalar`, and forcing it changes nothing.
 
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 /// The growth kernel's implementation. There is only one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelBackend {

@@ -59,10 +59,14 @@
 //! outside this module builds a store from image bytes. `rgs-core`'s
 //! `PreparedDb::write_snapshot` / `open_snapshot` wrap the two calls.
 
-// mmap, the aligned read buffer, and in-place slice reinterpretation are
-// inherently `unsafe`; every use carries a local safety argument, and every
-// region is verified against the header first.
-#![allow(unsafe_code)]
+// Offsets and lengths convert through `crate::cast` or `TryFrom`: an `as`
+// cast can truncate or wrap without a trace.
+#![warn(clippy::as_conversions)]
+#![allow(
+    unsafe_code,
+    reason = "mmap, the aligned read buffer and in-place slice reinterpretation \
+              need `unsafe`; every region is verified against the header first"
+)]
 
 use std::any::Any;
 use std::fmt;
@@ -483,6 +487,8 @@ mod mapping {
     // SAFETY: the mapping is PROT_READ/MAP_PRIVATE — immutable shared
     // memory, valid until munmap in Drop.
     unsafe impl Send for MmapRegion {}
+    // SAFETY: as for `Send`: no one writes through the read-only mapping,
+    // so shared references from many threads only ever read.
     unsafe impl Sync for MmapRegion {}
 
     impl MmapRegion {

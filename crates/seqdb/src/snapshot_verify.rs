@@ -37,6 +37,20 @@
 //! structurally-valid-but-bit-flipped image (checksum only) from genuine
 //! layout corruption. `rgs-mine snapshot verify IMG` is the CLI front end.
 
+// Offsets and lengths convert through `crate::cast` or `TryFrom`: an `as`
+// cast can truncate or wrap without a trace.
+#![warn(clippy::as_conversions)]
+// A corrupt image must come back as violations, never as a panic.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashSet;
 use std::fmt;
 use std::io;

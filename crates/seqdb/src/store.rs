@@ -26,6 +26,20 @@
 //! zero-copy windows into the mapped image — the read path is identical
 //! either way.
 
+// Offsets and lengths convert through `crate::cast` or `TryFrom`: an `as`
+// cast can truncate or wrap without a trace.
+#![warn(clippy::as_conversions)]
+// The mining hot path: a panic here would abort the whole run.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::cast::{u32_to_usize, usize_to_u32};
 use crate::catalog::EventId;
 use crate::sequence::Sequence;

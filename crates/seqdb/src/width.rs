@@ -13,6 +13,10 @@
 //! alphabet) and the growth kernel consumes them as `&[u32]` regardless of
 //! how the arena is stored.
 
+// Offsets and lengths convert through `crate::cast` or `TryFrom`: an `as`
+// cast can truncate or wrap without a trace.
+#![warn(clippy::as_conversions)]
+
 use crate::catalog::EventId;
 
 /// Largest event id a narrow (`u16`) column can hold: `u16::MAX`.

@@ -10,12 +10,23 @@
 //! Entries are whole rendered response payloads, not pattern objects:
 //! a hit costs one map lookup and one string clone, no re-rendering.
 //!
-//! This module is on the xtask audit hot-path list: no panics, no
-//! `unwrap`/`expect`, no bare indexing. Lock poisoning is absorbed with
+//! The clippy lints at the top of this module keep it free of panics,
+//! `unwrap`/`expect` and bare indexing. Lock poisoning is absorbed with
 //! [`PoisonError::into_inner`] — the state is a plain map plus counters,
 //! always valid even if a holder panicked.
 //!
 //! [`PreparedDb`]: rgs_core::PreparedDb
+
+// A panic here would kill a worker thread and silently shrink the pool.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -75,9 +75,7 @@ impl Histogram {
         let mean_ms = if count == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            let mean = total_us as f64 / count as f64 / 1000.0;
-            mean
+            total_us as f64 / count as f64 / 1000.0
         };
         HistogramSnapshot {
             count,
@@ -85,7 +83,6 @@ impl Histogram {
             p50_ms: quantile_ms(&counts, count, 0.50),
             p90_ms: quantile_ms(&counts, count, 0.90),
             p99_ms: quantile_ms(&counts, count, 0.99),
-            #[allow(clippy::cast_precision_loss)]
             max_ms: max_us as f64 / 1000.0,
         }
     }
@@ -105,24 +102,17 @@ fn quantile_ms(counts: &[u64; BUCKETS], count: u64, q: f64) -> f64 {
     if count == 0 {
         return 0.0;
     }
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
+    #[allow(clippy::cast_sign_loss, reason = "`max(1.0)` keeps the rank positive")]
     let target = ((count as f64) * q).ceil().max(1.0) as u64;
     let mut cumulative = 0u64;
     for (i, &c) in counts.iter().enumerate() {
         cumulative += c;
         if cumulative >= target {
             let upper_us = 1u64 << (i + 1);
-            #[allow(clippy::cast_precision_loss)]
             return upper_us as f64 / 1000.0;
         }
     }
-    #[allow(clippy::cast_precision_loss)]
-    let fallback = (1u64 << BUCKETS) as f64 / 1000.0;
-    fallback
+    (1u64 << BUCKETS) as f64 / 1000.0
 }
 
 /// Monotonic request counters for the whole server, exported by `/stats`.

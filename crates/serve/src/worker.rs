@@ -11,11 +11,22 @@
 //! wire. Each member carries its own deadline; an expired member comes
 //! back truncated without poisoning its siblings.
 //!
-//! This module is on the xtask audit hot-path list: no panics, no
-//! `unwrap`/`expect`, no bare indexing. Every I/O failure on the response
+//! The clippy lints at the top of this module keep it free of panics,
+//! `unwrap`/`expect` and bare indexing. Every I/O failure on the response
 //! path is swallowed — if the client hung up there is nobody left to tell.
 //!
 //! [`PreparedDb::batch_with_deadlines`]: rgs_core::PreparedDb::batch_with_deadlines
+
+// A panic here would kill a worker thread and silently shrink the pool.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;

@@ -62,8 +62,10 @@ impl GazelleConfig {
         self.num_sequences = (self.num_sequences / factor).max(50);
         self.num_events = (self.num_events / factor).max(30);
         let shrink = (factor as f64).sqrt().max(1.0);
-        // Sign loss is impossible: a positive length divided by sqrt(factor).
-        #[allow(clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_sign_loss,
+            reason = "a positive length divided by sqrt(factor)"
+        )]
         let shrunk = (self.max_length as f64 / shrink) as usize;
         self.max_length = shrunk.max(self.short_max * 8);
         self

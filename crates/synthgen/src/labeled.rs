@@ -101,7 +101,10 @@ impl LabeledTraceConfig {
         for _ in 0..cycles {
             trace.push("acquire");
             let uses = 1 + rng.gen_range(0..3);
-            #[allow(clippy::same_item_push)] // each push may be followed by a log entry
+            #[allow(
+                clippy::same_item_push,
+                reason = "each push may be followed by a log entry"
+            )]
             for _ in 0..uses {
                 trace.push("use");
                 if rng.gen_bool(0.3) {

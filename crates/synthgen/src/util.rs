@@ -36,7 +36,7 @@ impl ZipfSampler {
     }
 
     /// Number of items.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code, reason = "only the tests read it"))]
     pub fn len(&self) -> usize {
         self.cumulative.len()
     }
@@ -58,8 +58,10 @@ pub fn sample_length(rng: &mut StdRng, mean: f64, min: usize, max: usize) -> usi
     } else {
         0.0
     };
-    // Sign loss is impossible: base and tail are sums of non-negative draws.
-    #[allow(clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_sign_loss,
+        reason = "base and tail are sums of non-negative draws"
+    )]
     ((base + tail).round() as usize).clamp(min, max)
 }
 
@@ -78,8 +80,7 @@ pub fn sample_heavy_tail_length(
         // Quadratic skew towards the lower end of the tail.
         let u: f64 = rng.gen_range(0.0..1.0);
         let span = (max - short_max) as f64;
-        // Sign loss is impossible: u and span are non-negative.
-        #[allow(clippy::cast_sign_loss)]
+        #[allow(clippy::cast_sign_loss, reason = "u and span are non-negative")]
         let tail = (u * u * span).round() as usize;
         short_max + tail
     } else {
